@@ -15,7 +15,8 @@
                   (Figs. 5-9)
    - speed/*    : raw model-evaluation cost and per-sample circuit cost for
                   both models through the same engine (Table IV)
-   - ablation/* : backward-Euler vs trapezoidal integration
+   - ablation/* : backward-Euler vs trapezoidal integration, analytic vs
+                  finite-difference device Jacobians
 
    Run with: dune exec bench/main.exe *)
 
@@ -185,50 +186,10 @@ let bsim_dev =
   Vstat_core.Bsim_statistical.nominal_device pipeline.golden_nmos ~w_nm:600.0
     ~l_nm:40.0
 
-let bench_transient integrator trap =
-  let tech = Vstat_core.Techs.nominal_vs pipeline ~vdd in
-  let s =
-    Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
-  in
-  (* Rebuild the netlist inside the closure so each run is independent. *)
-  Test.make ~name:("ablation/integrator-" ^ integrator)
-    (Staged.stage (fun () ->
-         ignore trap;
-         let window = Vstat_cells.Inverter.default_window ~vdd in
-         ignore window;
-         Vstat_cells.Inverter.measure s))
-
-let bench_transient_be = bench_transient "backward-euler" false
-(* Trapezoidal comparison runs through the engine API directly. *)
-
-let bench_trap_engine =
-  let tech = Vstat_core.Techs.nominal_vs pipeline ~vdd in
-  let devices =
-    Vstat_cells.Gates.sample_inverter tech ~wp_nm:600.0 ~wn_nm:300.0
-  in
-  let build () =
-    let net = Vstat_circuit.Netlist.create () in
-    let gnd = Vstat_circuit.Netlist.ground net in
-    let nvdd = Vstat_circuit.Netlist.node net "vdd" in
-    let nin = Vstat_circuit.Netlist.node net "in" in
-    let nout = Vstat_circuit.Netlist.node net "out" in
-    Vstat_circuit.Netlist.vsource net "vvdd" ~plus:nvdd ~minus:gnd
-      ~wave:(Vstat_circuit.Waveform.Dc vdd);
-    Vstat_circuit.Netlist.vsource net "vin" ~plus:nin ~minus:gnd
-      ~wave:(Vstat_circuit.Waveform.pwl [| (50e-12, 0.0); (60e-12, vdd) |]);
-    Vstat_cells.Gates.add_inverter net ~name:"x" ~devices ~input:nin
-      ~output:nout ~vdd_node:nvdd ~gnd;
-    Vstat_circuit.Netlist.capacitor net "cl" ~a:nout ~b:gnd ~farads:2e-15;
-    Vstat_circuit.Engine.compile net
-  in
-  Test.make ~name:"ablation/integrator-trapezoidal"
-    (Staged.stage (fun () ->
-         let eng = build () in
-         Vstat_circuit.Engine.transient ~trap:true eng ~tstop:400e-12 ~dt:1e-12))
-
-(* Analytic-vs-FD Jacobian ablation: the same inverter transient with the
-   devices' analytic derivative path stripped, forcing the 5-evals-per-device
-   finite-difference linearization the engine used to always pay. *)
+(* The ablations share one inverter transient and differ in one knob each:
+   [strip_derivs] removes the devices' analytic derivative path, forcing
+   the 5-evals-per-device finite-difference linearization the engine used
+   to always pay; [trap] switches backward Euler to trapezoidal. *)
 let build_inverter_engine ~strip_derivs =
   let tech = Vstat_core.Techs.nominal_vs pipeline ~vdd in
   let devices =
@@ -257,17 +218,11 @@ let build_inverter_engine ~strip_derivs =
   Vstat_circuit.Netlist.capacitor net "cl" ~a:nout ~b:gnd ~farads:2e-15;
   Vstat_circuit.Engine.compile net
 
-let bench_jacobian_variant name ~strip_derivs =
+let bench_ablation name ~strip_derivs ~trap =
   Test.make ~name
     (Staged.stage (fun () ->
          let eng = build_inverter_engine ~strip_derivs in
-         Vstat_circuit.Engine.transient eng ~tstop:400e-12 ~dt:1e-12))
-
-let bench_jacobian_analytic =
-  bench_jacobian_variant "ablation/jacobian-analytic" ~strip_derivs:false
-
-let bench_jacobian_fd =
-  bench_jacobian_variant "ablation/jacobian-fd" ~strip_derivs:true
+         Vstat_circuit.Engine.transient ~trap eng ~tstop:400e-12 ~dt:1e-12))
 
 let bench_ring_oscillator =
   let rng = bench_rng () in
@@ -329,77 +284,17 @@ let tests =
       bench_sram_snm "speed/table4-sram-bsim" bsim_tech;
       bench_model_eval "speed/table4-vs-eval-100" vs_dev;
       bench_model_eval "speed/table4-bsim-eval-100" bsim_dev;
-      bench_transient_be;
-      bench_trap_engine;
-      bench_jacobian_analytic;
-      bench_jacobian_fd;
+      bench_ablation "ablation/integrator-backward-euler" ~strip_derivs:false
+        ~trap:false;
+      bench_ablation "ablation/integrator-trapezoidal" ~strip_derivs:false
+        ~trap:true;
+      bench_ablation "ablation/jacobian-analytic" ~strip_derivs:false
+        ~trap:false;
+      bench_ablation "ablation/jacobian-fd" ~strip_derivs:true ~trap:false;
       bench_ring_oscillator;
       bench_chain;
       bench_ac_sweep;
     ]
-
-(* --- checkpoint overhead ------------------------------------------------ *)
-
-(* `dune exec bench/main.exe -- --checkpoint-overhead [OUT.json]`: time the
-   circuit-level Monte Carlo (fig-5 inverter delay) through Checkpoint.run
-   with periodic flushing off (--checkpoint-every 0: one final snapshot)
-   and on (every 100), and record per-sample cost plus the relative
-   overhead in OUT.json (default BENCH_checkpoint.json).  bench/ sits
-   outside the lint perimeter, so direct wall-clock reads are fine here. *)
-let checkpoint_overhead out_path =
-  let module C = Vstat_runtime.Checkpoint in
-  let n = 200 and reps = 5 in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "vstat_bench_ckpt"
-  in
-  let sample ~attempt:_ ~index:_ rng =
-    let tech = vs_tech rng in
-    let s =
-      Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
-    in
-    (Vstat_cells.Inverter.measure s).Vstat_cells.Inverter.tpd
-  in
-  let run ~every () =
-    ignore
-      (C.run ~jobs:1
-         ~settings:(C.settings ~every dir)
-         ~codec:C.float_codec
-         ~label:(Printf.sprintf "bench-every-%d" every)
-         ~rng:(Vstat_util.Rng.create ~seed:4242)
-         ~n ~f:sample ())
-  in
-  let time f =
-    let t0 = Vstat_runtime.Deadline.now_ns () in
-    f ();
-    Int64.to_float (Int64.sub (Vstat_runtime.Deadline.now_ns ()) t0)
-  in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort Float.compare a;
-    a.(Array.length a / 2)
-  in
-  run ~every:0 () (* warm-up: code paths, allocator, page cache *);
-  let t0 = median (List.init reps (fun _ -> time (run ~every:0))) in
-  let t100 = median (List.init reps (fun _ -> time (run ~every:100))) in
-  let per_sample t = t /. Float.of_int n in
-  let overhead = (t100 -. t0) /. t0 in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"workload\": \"inverter-delay MC (fig 5), jobs:1\",\n\
-      \  \"samples\": %d,\n\
-      \  \"reps\": %d,\n\
-      \  \"every0_ns_per_sample\": %.1f,\n\
-      \  \"every100_ns_per_sample\": %.1f,\n\
-      \  \"overhead_frac\": %.4f\n\
-       }\n"
-      n reps (per_sample t0) (per_sample t100) overhead
-  in
-  Out_channel.with_open_text out_path (fun oc -> output_string oc json);
-  Fmt.pr
-    "checkpoint overhead: every=0 %.1f ns/sample, every=100 %.1f ns/sample \
-     (%+.2f%%) -> %s@."
-    (per_sample t0) (per_sample t100) (100.0 *. overhead) out_path
 
 (* --- rare-event estimator comparison ----------------------------------- *)
 
@@ -461,96 +356,6 @@ let rare_compare out_path =
   Fmt.pr "blockade : %d sims, p=%.3e (half-width %.2e), %.1fx plain MC@."
     b_sims blockade.B.p_hat b_half b_speedup;
   Fmt.pr "-> %s@." out_path
-
-(* --- sparse backend benchmark ------------------------------------------ *)
-
-(* `dune exec bench/main.exe -- --sparse [OUT.json]`: path-delay Monte
-   Carlo over an inverter chain sized past the sparse Auto threshold,
-   through the batched SoA runner (one precompiled engine per worker,
-   shared symbolic analysis, devices retargeted per sample).  Records
-   per-sample wall time for the sparse vs dense backends on the identical
-   sample set, the unbatched per-sample-recompile baseline, the maximum
-   sparse/dense value disagreement, and jobs:1 vs jobs:4 bit-identity of
-   the sparse path. *)
-let sparse_bench out_path =
-  let module B = Vstat_experiments.Batch_mc in
-  let stages = 48 in
-  let n = 16 in
-  let steps = 400 in
-  let seed = 2026 in
-  let nodes = stages + 3 (* vdd, in, s0..s<stages> *) in
-  let unknowns = nodes + 2 in
-  let run ?jobs ?batched backend =
-    B.chain_tpd ?jobs ?batched ~backend ~stages ~steps ~n ~seed ~vdd pipeline
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Warm-up both backends: code paths and the symbolic-analysis cache. *)
-  ignore
-    (B.chain_tpd ~jobs:1 ~backend:Vstat_circuit.Engine.Sparse ~stages ~steps
-       ~n:1 ~seed ~vdd pipeline);
-  ignore
-    (B.chain_tpd ~jobs:1 ~backend:Vstat_circuit.Engine.Dense ~stages ~steps
-       ~n:1 ~seed ~vdd pipeline);
-  Fmt.pr "sparse: batched sparse, jobs:1 (%d samples, %d unknowns)...@." n
-    unknowns;
-  let rs, t_sparse = time (fun () -> run ~jobs:1 Sparse) in
-  Fmt.pr "sparse: batched dense, jobs:1...@.";
-  let rd, t_dense = time (fun () -> run ~jobs:1 Dense) in
-  Fmt.pr "sparse: unbatched (recompile per sample), jobs:1...@.";
-  let _ru, t_unbatched = time (fun () -> run ~jobs:1 ~batched:false Sparse) in
-  Fmt.pr "sparse: batched sparse, jobs:4...@.";
-  let rs4, _ = time (fun () -> run ~jobs:4 Sparse) in
-  let bit_identical = rs.B.by_index = rs4.B.by_index in
-  let max_rel = ref 0.0 in
-  let compared = ref 0 in
-  Array.iteri
-    (fun i ds ->
-      match (ds, rd.B.by_index.(i)) with
-      | Some s, Some d ->
-        incr compared;
-        let r = Float.abs (s -. d) /. Float.max (Float.abs d) 1e-300 in
-        if r > !max_rel then max_rel := r
-      | _ -> ())
-    rs.B.by_index;
-  let per t = 1e3 *. t /. Float.of_int n in
-  let speedup = t_dense /. t_sparse in
-  let batch_speedup = t_unbatched /. t_sparse in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"workload\": \"inverter-chain path-delay MC, %d stages, %d \
-       unknowns, %d samples\",\n\
-      \  \"dense_ms_per_sample\": %.2f,\n\
-      \  \"sparse_ms_per_sample\": %.2f,\n\
-      \  \"unbatched_ms_per_sample\": %.2f,\n\
-      \  \"sparse_speedup_vs_dense\": %.2f,\n\
-      \  \"batched_speedup_vs_unbatched\": %.2f,\n\
-      \  \"max_rel_disagreement_sparse_vs_dense\": %.3e,\n\
-      \  \"compared_samples\": %d,\n\
-      \  \"jobs1_vs_jobs4_bit_identical\": %b\n\
-       }\n"
-      stages unknowns n (per t_dense) (per t_sparse) (per t_unbatched)
-      speedup batch_speedup !max_rel !compared bit_identical
-  in
-  Out_channel.with_open_text out_path (fun oc -> output_string oc json);
-  Fmt.pr
-    "dense %.2f ms/sample, sparse %.2f ms/sample (%.2fx), unbatched %.2f \
-     ms/sample (batching %.2fx)@."
-    (per t_dense) (per t_sparse) speedup (per t_unbatched) batch_speedup;
-  Fmt.pr "max |sparse-dense| rel = %.3e, jobs1==jobs4: %b -> %s@." !max_rel
-    bit_identical out_path;
-  if !max_rel > 1e-9 then begin
-    Fmt.epr "FAIL: sparse/dense disagreement above 1e-9@.";
-    exit 1
-  end;
-  if not bit_identical then begin
-    Fmt.epr "FAIL: sparse MC not bit-identical across jobs@.";
-    exit 1
-  end
 
 (* --- service load generator -------------------------------------------- *)
 
@@ -770,17 +575,9 @@ let run_benchmarks () =
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: "--checkpoint-overhead" :: rest ->
-    let out =
-      match rest with [ p ] -> p | _ -> "BENCH_checkpoint.json"
-    in
-    checkpoint_overhead out
   | _ :: "--rare" :: rest ->
     let out = match rest with [ p ] -> p | _ -> "BENCH_rare.json" in
     rare_compare out
-  | _ :: "--sparse" :: rest ->
-    let out = match rest with [ p ] -> p | _ -> "BENCH_sparse.json" in
-    sparse_bench out
   | _ :: "--service" :: rest ->
     let out = match rest with [ p ] -> p | _ -> "BENCH_service.json" in
     service_bench out

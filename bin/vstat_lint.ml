@@ -10,9 +10,8 @@
    file).
 
    With --deep, the per-file pass additionally feeds a two-phase
-   cross-module analysis: per-module summaries (cached under
-   --summary-cache, keyed by source + environment digests) are resolved
-   into a project call graph and checked for determinism taint reaching
+   cross-module analysis: per-module summaries are resolved into a
+   project call graph and checked for determinism taint reaching
    [@vstat.entry] hot entry points and for unguarded module-level mutable
    state reachable from Domain.spawn roots.  Findings carry the full
    cross-module call path. *)
@@ -26,9 +25,7 @@ let () =
   let paths = ref [] in
   let list_rules = ref false in
   let deep = ref false in
-  let cache_dir = ref "" in
   let root = ref "" in
-  let jobs = ref 0 in
   let spec =
     [
       ( "--format",
@@ -51,19 +48,10 @@ let () =
         Arg.Set deep,
         " run the cross-module pass (determinism-taint, domain-safety) on \
          top of the per-file rules" );
-      ( "--summary-cache",
-        Arg.Set_string cache_dir,
-        "DIR  with --deep: cache per-module summaries here, re-summarizing \
-         only files whose source or suppression environment changed" );
       ( "--root",
         Arg.Set_string root,
         "DIR  chdir here before scanning, so paths (and lint.allow \
          prefixes) are repo-relative" );
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "N    with --deep: worker domains for the summarization phase \
-         (default: the runtime's default pool size); diagnostics are \
-         identical for every N" );
       ("--list-rules", Arg.Set list_rules, " print the rule registry and exit");
     ]
   in
@@ -100,13 +88,9 @@ let () =
   let cfg = L.Engine.default_config ~allow () in
   let paths = List.rev !paths in
   if !deep then begin
-    let cache_dir = if !cache_dir = "" then None else Some !cache_dir in
-    let jobs = if !jobs > 0 then Some !jobs else None in
-    match L.Engine.run_deep ?jobs ?cache_dir ~excludes:!excludes cfg paths with
+    match L.Engine.run_deep ~excludes:!excludes cfg paths with
     | r ->
-      L.Report.print !format stdout
-        ~files_scanned:r.L.Engine.deep_files
-        ~deep:(r.L.Engine.deep_rebuilt, r.L.Engine.deep_cached)
+      L.Report.print !format stdout ~files_scanned:r.L.Engine.deep_files
         r.L.Engine.deep_diags;
       exit (if r.L.Engine.deep_diags = [] then 0 else 1)
     | exception Sys_error msg ->

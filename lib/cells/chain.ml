@@ -74,7 +74,7 @@ let delay_of_trace ~vdd ~stages eng trace ~first ~last =
     Vstat_circuit.Diag.fail ~analysis:"measure:chain" Measure_no_crossing
       "edge did not propagate (window too short)"
 
-let measure ?window ?(steps = 600) s =
+let measure ?window ?(steps = 600) ?backend s =
   let n = Array.length s.stages in
   let window =
     match window with
@@ -82,76 +82,6 @@ let measure ?window ?(steps = 600) s =
     | None -> default_window ~vdd:s.vdd ~stages:n
   in
   let devices i = if i = 0 then s.driver else s.stages.(i - 1) in
-  let eng, first, last = build ~vdd:s.vdd ~stages:n ~window devices in
+  let eng, first, last = build ?backend ~vdd:s.vdd ~stages:n ~window devices in
   let trace = E.transient eng ~tstop:window ~dt:(window /. Float.of_int steps) in
   delay_of_trace ~vdd:s.vdd ~stages:n eng trace ~first ~last
-
-(* Batched evaluation: one compiled engine whose transistors are
-   Device_model proxies, retargeted per sample.  The topology (and so the
-   sparse symbolic analysis) is shared by construction; only numeric model
-   state changes between samples. *)
-type prepared = {
-  p_vdd : float;
-  p_stages : int;
-  p_window : float;
-  p_engine : E.t;
-  p_first : N.node;
-  p_last : N.node;
-  p_proxies : (Vstat_device.Device_model.proxy
-              * Vstat_device.Device_model.proxy)
-      array;  (* (pmos, nmos) at position i; 0 = driver *)
-}
-
-let prepare ?(stages = 8) ?(wp_nm = 600.0) ?(wn_nm = 300.0) ?window ?backend
-    (tech : Celltech.t) =
-  if stages < 1 then
-    invalid_arg "Chain.prepare: stages >= 1" [@vstat.allow "exn-discipline"];
-  let window =
-    match window with
-    | Some w -> w
-    | None -> default_window ~vdd:tech.vdd ~stages
-  in
-  let template = Gates.sample_inverter tech ~wp_nm ~wn_nm in
-  let proxies =
-    Array.init (stages + 1) (fun _ ->
-        ( Vstat_device.Device_model.proxy template.Gates.pmos,
-          Vstat_device.Device_model.proxy template.Gates.nmos ))
-  in
-  let devices i =
-    let pp, pn = proxies.(i) in
-    {
-      Gates.pmos = Vstat_device.Device_model.proxy_device pp;
-      nmos = Vstat_device.Device_model.proxy_device pn;
-    }
-  in
-  let eng, first, last = build ?backend ~vdd:tech.vdd ~stages ~window devices in
-  {
-    p_vdd = tech.vdd;
-    p_stages = stages;
-    p_window = window;
-    p_engine = eng;
-    p_first = first;
-    p_last = last;
-    p_proxies = proxies;
-  }
-
-let prepared_backend p = E.resolved_backend p.p_engine
-
-let measure_prepared ?(steps = 600) p s =
-  if Array.length s.stages <> p.p_stages then
-    invalid_arg "Chain.measure_prepared: stage count differs from prepare"
-    [@vstat.allow "exn-discipline"];
-  if not (Float.equal s.vdd p.p_vdd) then
-    invalid_arg "Chain.measure_prepared: sample vdd differs from prepare"
-    [@vstat.allow "exn-discipline"];
-  for i = 0 to p.p_stages do
-    let devs = if i = 0 then s.driver else s.stages.(i - 1) in
-    let pp, pn = p.p_proxies.(i) in
-    Vstat_device.Device_model.retarget pp devs.Gates.pmos;
-    Vstat_device.Device_model.retarget pn devs.Gates.nmos
-  done;
-  let window = p.p_window in
-  let eng = p.p_engine in
-  let trace = E.transient eng ~tstop:window ~dt:(window /. Float.of_int steps) in
-  delay_of_trace ~vdd:p.p_vdd ~stages:p.p_stages eng trace ~first:p.p_first
-    ~last:p.p_last

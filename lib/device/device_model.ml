@@ -129,46 +129,6 @@ let make ~name ~polarity ~width ~length ?canonical_derivs ~canonical () =
 
 let without_derivs t = { t with eval_derivs = None }
 
-type proxy = { mutable target : t; tmpl_polarity : polarity; tmpl_derivs : bool }
-
-let proxy template =
-  {
-    target = template;
-    tmpl_polarity = template.polarity;
-    tmpl_derivs = Option.is_some template.eval_derivs;
-  }
-
-let[@vstat.allow "exn-discipline"] proxy_device p =
-  let template = p.target in
-  {
-    name = template.name ^ ":proxy";
-    polarity = template.polarity;
-    width = template.width;
-    length = template.length;
-    eval = (fun ~vg ~vd ~vs ~vb -> p.target.eval ~vg ~vd ~vs ~vb);
-    eval_derivs =
-      (if p.tmpl_derivs then
-         Some
-           (fun ~vg ~vd ~vs ~vb buf ->
-             match p.target.eval_derivs with
-             | Some f -> f ~vg ~vd ~vs ~vb buf
-             | None ->
-               (* retarget guards against this; defend anyway so a torn
-                  proxy fails loudly rather than stamping garbage. *)
-               invalid_arg
-                 "Device_model.proxy: target lost analytic derivatives")
-       else None);
-  }
-
-let[@vstat.allow "exn-discipline"] retarget p d =
-  if d.polarity <> p.tmpl_polarity then
-    invalid_arg "Device_model.retarget: polarity differs from template";
-  if Option.is_some d.eval_derivs <> p.tmpl_derivs then
-    invalid_arg
-      "Device_model.retarget: analytic-derivative availability differs \
-       from template";
-  p.target <- d
-
 let ids t ~vg ~vd ~vs ~vb = (t.eval ~vg ~vd ~vs ~vb).id
 
 let central f x dv = (f (x +. dv) -. f (x -. dv)) /. (2.0 *. dv)

@@ -87,33 +87,6 @@ val without_derivs : t -> t
 (** The same device with the analytic path stripped — forces the engine's
     finite-difference fallback (ablation benches and tests). *)
 
-(** {1 Retargetable proxies}
-
-    A proxy is a device whose evaluation functions forward to a mutable
-    target.  Compiling a circuit once over proxy devices and then
-    retargeting them per Monte Carlo sample lets a batched runner reuse one
-    engine (and its shared sparse symbolic analysis) for every sample
-    instead of rebuilding the netlist: only the numeric model behind each
-    transistor changes.  A proxy is mutable shared state — use one proxy
-    set per engine per worker, never across domains. *)
-
-type proxy
-(** Handle used to swap the device behind a compiled circuit. *)
-
-val proxy : t -> proxy
-(** [proxy template] is a fresh proxy initially forwarding to [template]. *)
-
-val proxy_device : proxy -> t
-(** The circuit-facing device: place this in the netlist.  Its [eval] /
-    [eval_derivs] read the proxy's current target on every call.  The
-    derivative path is present iff the template had one. *)
-
-val retarget : proxy -> t -> unit
-(** Point the proxy at a new target.
-    @raise Invalid_argument if the new target's polarity differs from the
-      template's, or if analytic-derivative availability differs (the
-      engine's analytic/FD choice is fixed per compiled circuit). *)
-
 val ids : t -> vg:float -> vd:float -> vs:float -> vb:float -> float
 (** Drain current only (sign follows the real terminal convention: positive
     current flows into the drain for an NMOS in normal operation). *)

@@ -69,17 +69,6 @@ let path_matches ~entry file =
       && String.sub f (lf - le) le = e
       && f.[lf - le - 1] = '/')
 
-(* A stable rendering of the whole suppression set, folded into the deep
-   pass's environment digest: editing lint.allow must invalidate cached
-   summaries, whose stored diagnostics are post-suppression. *)
-let fingerprint t =
-  String.concat ";"
-    (List.map
-       (fun e ->
-         Printf.sprintf "%s:%s:%s" e.rule e.path
-           (match e.line with None -> "*" | Some l -> string_of_int l))
-       t.entries)
-
 let allows t ~rule ~file ~line =
   List.exists
     (fun e ->

@@ -19,9 +19,9 @@
    wall-clock read is not a taint source), module-level mutable state,
    aliases/opens for name resolution, and guard context (lexical
    [Mutex.protect] / [Atomic.*] / [Domain.DLS] nesting, per-function
-   mutex-taking).  {!run_deep} drives phase 1 over the project — in
-   parallel via the runtime pool, behind a digest-keyed summary cache —
-   then hands the summaries to {!Callgraph} + {!Taint} for phase 2. *)
+   mutex-taking).  {!run_deep} drives phase 1 serially over the sorted
+   file list, then hands the summaries to {!Callgraph} + {!Taint} for
+   phase 2. *)
 
 open Parsetree
 
@@ -163,16 +163,12 @@ let emit' st ~rule ~loc message =
 
 let emit st ~rule ~loc message = ignore (emit' st ~rule ~loc message)
 
-let emit_nondet st ~rule ~loc ~kind ~what message =
+let emit_nondet st ~rule ~loc ~what message =
   if emit' st ~rule ~loc message then
     match st.cur with
     | Some a ->
       a.a_nondet <-
-        {
-          Summary.nkind = kind;
-          nline = loc.Location.loc_start.Lexing.pos_lnum;
-          nwhat = what;
-        }
+        { Summary.nline = loc.Location.loc_start.Lexing.pos_lnum; nwhat = what }
         :: a.a_nondet
     | None -> ()
 
@@ -252,7 +248,7 @@ let check_ident st loc path =
   (match unqual path with
   | "Random" :: _ as p ->
     emit_nondet st ~rule:Rules.determinism_random ~loc
-      ~kind:Summary.Nd_random ~what:(String.concat "." p)
+      ~what:(String.concat "." p)
       "Random.* breaks jobs:1 == jobs:N determinism; draw from a \
        counter-indexed Vstat_util.Rng substream instead (allowed only in \
        lib/util/rng.ml)"
@@ -260,7 +256,7 @@ let check_ident st loc path =
     | [ "Sys"; "time" ]
     | [ "Monotonic_clock"; "now" ] ) as p ->
     emit_nondet st ~rule:Rules.determinism_wallclock ~loc
-      ~kind:Summary.Nd_wallclock ~what:(String.concat "." p)
+      ~what:(String.concat "." p)
       "wall-clock reads are forbidden outside the runtime stats / \
        throughput-experiment whitelist (lint.allow) and the sanctioned \
        deadline watchdog (Vstat_runtime.Deadline): sample values must be \
@@ -268,7 +264,6 @@ let check_ident st loc path =
   | [ "Hashtbl"; (("iter" | "fold") as fn) ] ->
     if st.sorted_ctx = 0 then
       emit_nondet st ~rule:Rules.determinism_hashtbl ~loc
-        ~kind:Summary.Nd_hashtbl
         ~what:("Hashtbl." ^ fn)
         (Printf.sprintf
            "Hashtbl.%s traverses buckets in unspecified order and no \
@@ -749,22 +744,16 @@ let read_source path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* compiler-libs keeps parser state (docstring and lexer tables) in module
-   globals, so parsing — and only parsing — is serialized when phase 1
-   fans out across domains.  The AST walk works on immutable trees. *)
-let parse_mutex = Mutex.create ()
-
 let parse_implementation_string path src =
-  Mutex.protect parse_mutex (fun () ->
-      let lexbuf = Lexing.from_string src in
-      Location.init lexbuf path;
-      Parse.implementation lexbuf)
+  let lexbuf = Lexing.from_string src in
+  Location.init lexbuf path;
+  Parse.implementation lexbuf
 
 let modname_of path =
   String.capitalize_ascii
     (Filename.remove_extension (Filename.basename path))
 
-let analyze_src cfg ~path ~src ~env_digest =
+let analyze_file cfg path =
   let st =
     {
       cfg;
@@ -790,6 +779,7 @@ let analyze_src cfg ~path ~src ~env_digest =
       locals = Hashtbl.create 64;
     }
   in
+  let src = read_source path in
   (match parse_implementation_string path src with
   | structure ->
     prepass st structure;
@@ -809,8 +799,6 @@ let analyze_src cfg ~path ~src ~env_digest =
   let summary =
     {
       Summary.sfile = path;
-      src_digest = Vstat_util.Crc32.digest src;
-      env_digest;
       modname = modname_of path;
       floors = List.sort_uniq String.compare st.file_allows;
       aliases = List.rev st.s_aliases;
@@ -822,8 +810,7 @@ let analyze_src cfg ~path ~src ~env_digest =
   in
   (diags, summary)
 
-let lint_file cfg path =
-  fst (analyze_src cfg ~path ~src:(read_source path) ~env_digest:0)
+let lint_file cfg path = fst (analyze_file cfg path)
 
 (* Deterministic directory walk: readdir order is unspecified, so entries
    are sorted before descent. *)
@@ -858,102 +845,17 @@ let run ?excludes cfg paths =
 
 type deep_result = {
   deep_files : int;
-  deep_rebuilt : int;  (* files (re-)summarized this run *)
-  deep_cached : int;   (* files served from the summary cache *)
   deep_diags : Diagnostic.t list;
 }
 
-(* Bump when the summary contents or the rules deriving them change: a
-   version bump invalidates every cached summary at once. *)
-let deep_version = "vstat-lint-deep-1"
-
-(* Cached summaries store post-suppression diagnostics, so anything that
-   changes what is suppressed — the allowlist, the engine version, the
-   per-layer exception prefixes — must be part of the cache key. *)
-let env_fingerprint cfg =
-  Vstat_util.Crc32.digest
-    (String.concat "\x00"
-       (deep_version
-        :: Allowlist.fingerprint cfg.allow
-        :: (cfg.exn_strict_prefixes @ ("|" :: cfg.exn_failwith_prefixes))))
-
-let sanitize_slot s =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c
-      | _ -> '_')
-    s
-
-(* One cache file per source file: basename for readability, a digest of
-   the full path to keep same-named files in different directories (the
-   two engine.ml, the fixture corpus) from colliding. *)
-let cache_slot cache_dir path =
-  Filename.concat cache_dir
-    (Printf.sprintf "%s-%08x.vsum"
-       (sanitize_slot (Filename.remove_extension (Filename.basename path)))
-       (Vstat_util.Crc32.digest path))
-
-(* Returns the summary and whether it had to be rebuilt from source. *)
-let summarize_file cfg ~env_digest ~cache_dir path =
-  let src = read_source path in
-  let digest = Vstat_util.Crc32.digest src in
-  let cached =
-    match cache_dir with
-    | None -> None
-    | Some dir -> (
-      match Vstat_util.Atomic_io.read_file ~path:(cache_slot dir path) with
-      | Error _ -> None
-      | Ok contents -> (
-        match Summary.of_string contents with
-        | Some s
-          when s.Summary.src_digest = digest
-               && s.Summary.env_digest = env_digest
-               && s.Summary.sfile = path ->
-          Some s
-        | _ -> None))
-  in
-  match cached with
-  | Some s -> (s, false)
-  | None ->
-    let _, s = analyze_src cfg ~path ~src ~env_digest in
-    (match cache_dir with
-    | Some dir ->
-      Vstat_util.Atomic_io.write_file ~path:(cache_slot dir path)
-        (Summary.to_string s)
-    | None -> ());
-    (s, true)
-
-let run_deep ?jobs ?cache_dir ?excludes cfg paths =
-  let files = Array.of_list (collect_files ?excludes paths) in
-  let env_digest = env_fingerprint cfg in
-  let n = Array.length files in
-  (* Phase 1 in parallel: summaries are independent per file (parsing
-     itself is serialized behind [parse_mutex]), results land in an
-     index-stable array, and phase 2 consumes them in path order — so the
-     diagnostics are identical under any jobs count. *)
-  let run =
-    Vstat_runtime.Runtime.map_samples ?jobs ~n
-      ~f:(fun i -> summarize_file cfg ~env_digest ~cache_dir files.(i))
-      ()
-  in
-  Vstat_runtime.Runtime.reraise_first_failure run;
-  let results =
-    Array.map
-      (function Ok r -> r | Error _ -> assert false)
-      run.Vstat_runtime.Runtime.cells
-  in
-  let rebuilt =
-    Array.fold_left
-      (fun acc (_, fresh) -> if fresh then acc + 1 else acc)
-      0 results
-  in
-  let summaries = Array.to_list (Array.map fst results) in
+(* Phase 1 is a serial map over the sorted file list, so phase 2 consumes
+   summaries in path order and the report is deterministic. *)
+let run_deep ?excludes cfg paths =
+  let files = collect_files ?excludes paths in
+  let summaries = List.map (fun path -> snd (analyze_file cfg path)) files in
   let per_file = List.concat_map (fun s -> s.Summary.diags) summaries in
   let deep = Taint.analyze ~allow:cfg.allow summaries in
   {
-    deep_files = n;
-    deep_rebuilt = rebuilt;
-    deep_cached = n - rebuilt;
+    deep_files = List.length files;
     deep_diags = List.sort Diagnostic.compare (per_file @ deep);
   }

@@ -47,44 +47,25 @@ let diagnostic_json (d : Diagnostic.t) =
     (json_string d.Diagnostic.message)
     path
 
-(* [deep], when present, is (files re-summarized, summary-cache hits) from
-   the two-phase pass. *)
-
-let text oc ~files_scanned ?deep diags =
+let text oc ~files_scanned diags =
   List.iter (fun d -> output_string oc (Diagnostic.to_human d ^ "\n")) diags;
   let n = List.length diags in
-  let cache_note =
-    match deep with
-    | None -> ""
-    | Some (rebuilt, cached) ->
-      Printf.sprintf " (deep: %d re-summarized, %d cached)" rebuilt cached
-  in
-  if n = 0 then
-    Printf.fprintf oc "vstat_lint: %d files, clean%s\n" files_scanned
-      cache_note
+  if n = 0 then Printf.fprintf oc "vstat_lint: %d files, clean\n" files_scanned
   else
-    Printf.fprintf oc "vstat_lint: %d files, %d violation%s%s\n" files_scanned
+    Printf.fprintf oc "vstat_lint: %d files, %d violation%s\n" files_scanned
       n
       (if n = 1 then "" else "s")
-      cache_note
 
-let json oc ~files_scanned ?deep diags =
+let json oc ~files_scanned diags =
   let rows = List.map diagnostic_json diags in
-  let deep_field =
-    match deep with
-    | None -> ""
-    | Some (rebuilt, cached) ->
-      Printf.sprintf {|,"deep":{"resummarized":%d,"cached":%d}|} rebuilt
-        cached
-  in
   Printf.fprintf oc
-    {|{"tool":"vstat_lint","files_scanned":%d,"violations":[%s],"count":%d%s}|}
+    {|{"tool":"vstat_lint","files_scanned":%d,"violations":[%s],"count":%d}|}
     files_scanned
     (String.concat "," rows)
-    (List.length diags) deep_field;
+    (List.length diags);
   output_string oc "\n"
 
-let print fmt oc ~files_scanned ?deep diags =
+let print fmt oc ~files_scanned diags =
   match fmt with
-  | Text -> text oc ~files_scanned ?deep diags
-  | Json -> json oc ~files_scanned ?deep diags
+  | Text -> text oc ~files_scanned diags
+  | Json -> json oc ~files_scanned diags

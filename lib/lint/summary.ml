@@ -14,27 +14,8 @@
    - the structure-level mutable state (refs, Hashtbl / Buffer / Queue /
      Stack at toplevel, record literals with same-file mutable fields);
    - module aliases and opens, used by phase-2 name resolution;
-   - the per-file rule diagnostics, cached alongside so a warm summary
-     cache re-lints a file without re-parsing it.
-
-   Summaries serialize to a line-oriented text format keyed by two CRC-32
-   digests: [src_digest] over the source bytes and [env_digest] over the
-   engine version, the suppression environment and the engine config.  A
-   cache entry whose digests disagree with the current file or environment
-   is silently discarded and the file re-summarized. *)
-
-type nondet_kind = Nd_random | Nd_wallclock | Nd_hashtbl
-
-let nondet_kind_to_string = function
-  | Nd_random -> "random"
-  | Nd_wallclock -> "wallclock"
-  | Nd_hashtbl -> "hashtbl"
-
-let nondet_kind_of_string = function
-  | "random" -> Some Nd_random
-  | "wallclock" -> Some Nd_wallclock
-  | "hashtbl" -> Some Nd_hashtbl
-  | _ -> None
+   - the per-file rule diagnostics, so phase 2 reports them without
+     re-walking the file. *)
 
 type reference = {
   callee : string list;  (* path as written, [Stdlib] stripped, unresolved *)
@@ -44,7 +25,6 @@ type reference = {
 }
 
 type nondet = {
-  nkind : nondet_kind;
   nline : int;
   nwhat : string;  (* e.g. "Random.float", "Unix.gettimeofday" *)
 }
@@ -68,8 +48,6 @@ type glob = {
 
 type t = {
   sfile : string;
-  src_digest : int;
-  env_digest : int;
   modname : string;  (* capitalized basename, the OCaml module name *)
   floors : string list;  (* [@@@vstat.allow] file-floor rules *)
   aliases : (string * string list) list;  (* module X = Path, structure level *)
@@ -78,185 +56,3 @@ type t = {
   funcs : func list;
   diags : Diagnostic.t list;  (* per-file rule findings, post-suppression *)
 }
-
-(* --- serialization ------------------------------------------------------ *)
-
-(* Line-oriented, tab-separated.  Free-form strings (file names, messages,
-   nondet descriptions) travel through [String.escaped], so embedded tabs
-   and newlines cannot break framing; identifiers and dotted paths are
-   tab-free by construction but are escaped anyway for uniformity.
-   Cached per-file diagnostics never carry a trace (traces only exist on
-   phase-2 findings, which are recomputed every run), so the [diag] line
-   has a fixed field count. *)
-
-let magic = "VSUM1"
-
-let bool_to_field b = if b then "1" else "0"
-
-let add_line buf fields =
-  Buffer.add_string buf (String.concat "\t" fields);
-  Buffer.add_char buf '\n'
-
-let to_string t =
-  let buf = Buffer.create 1024 in
-  add_line buf [ magic ];
-  add_line buf [ "key"; string_of_int t.src_digest; string_of_int t.env_digest ];
-  add_line buf [ "file"; String.escaped t.sfile ];
-  add_line buf [ "mod"; String.escaped t.modname ];
-  List.iter (fun r -> add_line buf [ "floor"; String.escaped r ]) t.floors;
-  List.iter
-    (fun (name, path) ->
-      add_line buf
-        [ "alias"; String.escaped name; String.escaped (String.concat "." path) ])
-    t.aliases;
-  List.iter
-    (fun path ->
-      add_line buf [ "open"; String.escaped (String.concat "." path) ])
-    t.opens;
-  List.iter
-    (fun g ->
-      add_line buf
-        [ "global"; String.escaped g.gname; string_of_int g.gline;
-          String.escaped g.gkind ])
-    t.globals;
-  List.iter
-    (fun f ->
-      add_line buf
-        [ "fn"; String.escaped f.fname; string_of_int f.fline;
-          bool_to_field f.fentry; bool_to_field f.fspawner;
-          bool_to_field f.flocks; bool_to_field f.fallow_taint ];
-      List.iter
-        (fun r ->
-          add_line buf
-            [ "ref"; string_of_int r.rline; bool_to_field r.rguarded;
-              bool_to_field r.rallow_ds;
-              String.escaped (String.concat "." r.callee) ])
-        f.refs;
-      List.iter
-        (fun n ->
-          add_line buf
-            [ "nd"; nondet_kind_to_string n.nkind; string_of_int n.nline;
-              String.escaped n.nwhat ])
-        f.nondet)
-    t.funcs;
-  List.iter
-    (fun (d : Diagnostic.t) ->
-      add_line buf
-        [ "diag"; String.escaped d.Diagnostic.rule;
-          string_of_int d.Diagnostic.line; string_of_int d.Diagnostic.col;
-          String.escaped d.Diagnostic.file;
-          String.escaped d.Diagnostic.message ])
-    t.diags;
-  add_line buf [ "end" ];
-  Buffer.contents buf
-
-(* Decoding never raises: any framing, escape or field anomaly yields
-   [None] and the caller re-summarizes from source. *)
-
-exception Bad
-
-let unescape s = try Scanf.unescaped s with _ -> raise Bad
-let int_field s = match int_of_string_opt s with Some n -> n | None -> raise Bad
-
-let bool_field = function "0" -> false | "1" -> true | _ -> raise Bad
-
-let path_field s =
-  match unescape s with "" -> raise Bad | p -> String.split_on_char '.' p
-
-let of_string s =
-  let lines = String.split_on_char '\n' s in
-  match lines with
-  | first :: rest when first = magic -> (
-    let src = ref 0 and env = ref 0 in
-    let file = ref "" and modname = ref "" in
-    let floors = ref [] and aliases = ref [] and opens = ref [] in
-    let globals = ref [] and funcs = ref [] and diags = ref [] in
-    let cur : func option ref = ref None in
-    let finished = ref false in
-    let flush_fn () =
-      match !cur with
-      | None -> ()
-      | Some f ->
-        funcs :=
-          { f with refs = List.rev f.refs; nondet = List.rev f.nondet }
-          :: !funcs;
-        cur := None
-    in
-    let line raw =
-      if !finished then (if raw <> "" then raise Bad)
-      else
-        match String.split_on_char '\t' raw with
-        | [ "" ] -> raise Bad
-        | [ "key"; a; b ] -> src := int_field a; env := int_field b
-        | [ "file"; f ] -> file := unescape f
-        | [ "mod"; m ] -> modname := unescape m
-        | [ "floor"; r ] -> floors := unescape r :: !floors
-        | [ "alias"; n; p ] -> aliases := (unescape n, path_field p) :: !aliases
-        | [ "open"; p ] -> opens := path_field p :: !opens
-        | [ "global"; n; l; k ] ->
-          globals :=
-            { gname = unescape n; gline = int_field l; gkind = unescape k }
-            :: !globals
-        | [ "fn"; n; l; e; sp; lk; at ] ->
-          flush_fn ();
-          cur :=
-            Some
-              {
-                fname = unescape n; fline = int_field l;
-                fentry = bool_field e; fspawner = bool_field sp;
-                flocks = bool_field lk; fallow_taint = bool_field at;
-                refs = []; nondet = [];
-              }
-        | [ "ref"; l; g; a; p ] -> (
-          match !cur with
-          | None -> raise Bad
-          | Some f ->
-            cur :=
-              Some
-                {
-                  f with
-                  refs =
-                    { callee = path_field p; rline = int_field l;
-                      rguarded = bool_field g; rallow_ds = bool_field a }
-                    :: f.refs;
-                })
-        | [ "nd"; k; l; w ] -> (
-          match (!cur, nondet_kind_of_string k) with
-          | Some f, Some nkind ->
-            cur :=
-              Some
-                {
-                  f with
-                  nondet =
-                    { nkind; nline = int_field l; nwhat = unescape w }
-                    :: f.nondet;
-                }
-          | _ -> raise Bad)
-        | [ "diag"; r; l; c; f; m ] ->
-          flush_fn ();
-          diags :=
-            Diagnostic.make ~rule:(unescape r) ~file:(unescape f)
-              ~line:(int_field l) ~col:(int_field c) (unescape m)
-            :: !diags
-        | [ "end" ] -> flush_fn (); finished := true
-        | _ -> raise Bad
-    in
-    match List.iter line rest with
-    | () ->
-      if not !finished then None
-      else
-        Some
-          {
-            sfile = !file;
-            src_digest = !src;
-            env_digest = !env;
-            modname = !modname;
-            floors = List.rev !floors;
-            aliases = List.rev !aliases;
-            opens = List.rev !opens;
-            globals = List.rev !globals;
-            funcs = List.rev !funcs;
-            diags = List.rev !diags;
-          }
-    | exception Bad -> None)
-  | _ -> None

@@ -297,7 +297,7 @@ type slot = { s_attempts : int; s_payload : string; s_obs : float array }
 let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings:cfg
     ?(signals = []) ?(fingerprint = "") ~codec ~label ~rng ~n ~f () =
   if n < 0 then invalid_arg "Checkpoint.run: n must be >= 0";
-  (* One draw off [rng], exactly like [Runtime.map_rng_attempt_samples]:
+  (* One draw off [rng], exactly like [Runtime.map_rng_samples]:
      the same starting RNG state yields the same substream family whether
      or not the run is checkpointed. *)
   let base_seed64 = Rng.bits64 rng in

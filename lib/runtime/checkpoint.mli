@@ -122,8 +122,10 @@ val run :
   f:(attempt:int -> index:int -> Vstat_util.Rng.t -> 'a) ->
   unit ->
   'a outcome
-(** Drop-in checkpointed analogue of {!Runtime.map_rng_attempt_samples}:
-    derives the base seed from [rng] with the same single draw, so the
+(** Checkpointed analogue of {!Runtime.map_rng_samples}, with the retry
+    ladder of {!Runtime.map_subset_attempt_samples}: derives the base seed
+    from [rng] with the same single draw and hands sample [index] the
+    substream [Rng.substream ~seed:base ~index] on every attempt, so the
     same starting RNG state produces bit-identical values with or without
     checkpointing.  [deadline] is polled at sample boundaries (build one
     with {!Deadline.watchdog}); [signals] are trapped for the duration of

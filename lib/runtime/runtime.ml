@@ -283,44 +283,24 @@ let map_subset_attempt_samples ?jobs ?on_progress ?(retry = no_retry)
     indices;
   run_core ?jobs ?on_progress ?should_stop ~policy:retry ~n ~indices ~f ()
 
-let map_attempt_samples ?jobs ?on_progress ?(retry = no_retry) ~n ~f () =
-  if n < 0 then invalid_arg "Runtime.map_samples: n must be >= 0";
+let map_rng_samples ?jobs ~rng ~n ~f () =
+  if n < 0 then invalid_arg "Runtime.map_rng_samples: n must be >= 0";
+  let seed = Int64.to_int (Vstat_util.Rng.bits64 rng) in
   let p =
-    run_core ?jobs ?on_progress ~policy:retry ~n
+    run_core ?jobs ~policy:no_retry ~n
       ~indices:(Array.init n (fun i -> i))
-      ~f ()
+      ~f:(fun ~attempt:_ i -> f (Vstat_util.Rng.substream ~seed ~index:i))
+      ()
   in
   let cells =
     Array.map (function Some c -> c | None -> assert false) p.slots
   in
-  let stats = { p.partial_stats with n } in
-  let run = { cells; attempts = p.slot_attempts; stats } in
+  let run = { cells; attempts = p.slot_attempts; stats = p.partial_stats } in
   Log.info (fun m ->
-      m "map_samples: n=%d jobs=%d wall=%.3fs rate=%.0f/s failed=%d \
-         retried=%d recovered=%d"
-        n stats.jobs stats.wall_s stats.samples_per_sec (failed_count run)
-        stats.retried_samples stats.recovered_samples);
+      m "map_rng_samples: n=%d jobs=%d wall=%.3fs rate=%.0f/s failed=%d" n
+        run.stats.jobs run.stats.wall_s run.stats.samples_per_sec
+        (failed_count run));
   run
-
-let map_samples ?jobs ?on_progress ?retry ~n ~f () =
-  map_attempt_samples ?jobs ?on_progress ?retry ~n
-    ~f:(fun ~attempt:_ i -> f i)
-    ()
-
-let map_rng_attempt_samples ?jobs ?on_progress ?retry ~rng ~n ~f () =
-  let seed = Int64.to_int (Vstat_util.Rng.bits64 rng) in
-  (* Every attempt at sample [i] restarts from a fresh copy of the same
-     substream, so a sample that succeeds on attempt k draws exactly the
-     variates the first attempt saw. *)
-  map_attempt_samples ?jobs ?on_progress ?retry ~n
-    ~f:(fun ~attempt i ->
-      f ~attempt ~index:i (Vstat_util.Rng.substream ~seed ~index:i))
-    ()
-
-let map_rng_samples ?jobs ?on_progress ?retry ~rng ~n ~f () =
-  map_rng_attempt_samples ?jobs ?on_progress ?retry ~rng ~n
-    ~f:(fun ~attempt:_ ~index:_ rng -> f rng)
-    ()
 
 (* --- result access --- *)
 

@@ -103,38 +103,6 @@ val default_jobs : unit -> int
 val set_default_jobs : int -> unit
 (** Force the process-wide default ([--jobs] in the CLIs). *)
 
-val map_samples :
-  ?jobs:int ->
-  ?on_progress:(completed:int -> n:int -> unit) ->
-  ?retry:retry_policy ->
-  n:int ->
-  f:(int -> 'a) ->
-  unit ->
-  'a run
-(** [map_samples ~n ~f] evaluates [f i] for [i] in [0 .. n-1] across the
-    worker pool.  [f] must be safe to call concurrently from several
-    domains (pure up to private state — true of all samplers here, which
-    derive everything from their substream index).  [on_progress] is
-    invoked under a mutex from worker context after each chunk.  With
-    [retry], a failed sample is re-run in place (same index, same worker)
-    up to [max_attempts] times; use {!map_attempt_samples} when retries
-    should escalate solver options. *)
-
-val map_attempt_samples :
-  ?jobs:int ->
-  ?on_progress:(completed:int -> n:int -> unit) ->
-  ?retry:retry_policy ->
-  n:int ->
-  f:(attempt:int -> int -> 'a) ->
-  unit ->
-  'a run
-(** Like {!map_samples} but [f] also receives the 0-based attempt number,
-    so the call site can escalate per attempt (halve the step, raise the
-    iteration cap, extend the gmin ladder, ...).  Determinism contract: the
-    value of sample [i] is whatever [f ~attempt:k i] first returns without
-    raising, and since the ladder is evaluated inline per index, that value
-    is identical under any [jobs] count. *)
-
 type stop_cause =
   | Completed  (** every scheduled index was evaluated *)
   | Stopped    (** the pool drained early ([should_stop] fired) *)
@@ -160,43 +128,44 @@ val map_subset_attempt_samples :
   f:(attempt:int -> int -> 'a) ->
   unit ->
   'a partial
-(** The checkpoint/resume entry point: evaluate only [indices] (any
-    subset of [0, n)), polling [should_stop] at sample boundaries — a
-    deadline watchdog or signal flag drains the pool gracefully without
-    tearing an in-flight sample (its retry ladder runs to completion).
-    Results land in index-addressed [slots], so evaluating a subset
-    yields bit-identical cells to the same indices of a full run, under
-    any [jobs].  @raise Invalid_argument if an index falls outside
+(** The core every run goes through ({!Checkpoint.run} drives it
+    directly): evaluate [f ~attempt i] for each [i] in [indices] (any
+    subset of [0, n)) across the worker pool.  [f] must be safe to call
+    concurrently from several domains.  [on_progress] is invoked under a
+    mutex from worker context after each chunk.
+
+    With [retry], a failed sample is re-run in place (same index, same
+    worker) up to [max_attempts] times, and [f] receives the 0-based
+    attempt number so the call site can escalate per attempt (halve the
+    step, raise the iteration cap, ...).  The value of sample [i] is
+    whatever [f ~attempt:k i] first returns without raising; since the
+    ladder is evaluated inline per index, that value is identical under
+    any [jobs].
+
+    [should_stop] is polled at sample boundaries — a deadline watchdog or
+    signal flag drains the pool gracefully without tearing an in-flight
+    sample (its retry ladder runs to completion).  Results land in
+    index-addressed [slots], so evaluating a subset yields bit-identical
+    cells to the same indices of a full run, under any [jobs].
+    @raise Invalid_argument when [n < 0] or an index falls outside
     [0, n). *)
 
 val map_rng_samples :
   ?jobs:int ->
-  ?on_progress:(completed:int -> n:int -> unit) ->
-  ?retry:retry_policy ->
   rng:Vstat_util.Rng.t ->
   n:int ->
   f:(Vstat_util.Rng.t -> 'a) ->
   unit ->
   'a run
-(** RNG-threading convenience: derives a base seed from [rng] (advancing it
-    by one draw) and hands sample [i] the substream
-    [Rng.substream ~seed:base ~index:i].  This is the canonical way to make
-    an existing [~rng] Monte Carlo loop order- and worker-independent.
-    Under [retry], every attempt restarts from a fresh copy of the same
-    substream. *)
-
-val map_rng_attempt_samples :
-  ?jobs:int ->
-  ?on_progress:(completed:int -> n:int -> unit) ->
-  ?retry:retry_policy ->
-  rng:Vstat_util.Rng.t ->
-  n:int ->
-  f:(attempt:int -> index:int -> Vstat_util.Rng.t -> 'a) ->
-  unit ->
-  'a run
-(** {!map_rng_samples} with the attempt number and sample index exposed:
-    the substream passed for sample [index] is identical on every attempt,
-    so escalated re-runs see exactly the variates the first attempt saw. *)
+(** The full-run entry point: derives a base seed from [rng] (advancing it
+    by one draw) and evaluates [f] on the substream
+    [Rng.substream ~seed:base ~index:i] for every [i] in [0 .. n-1] across
+    the worker pool, one attempt per sample.  [f] must be safe to call
+    concurrently from several domains (pure up to private state — true of
+    all samplers here, which derive everything from their substream).
+    This is the canonical way to make an existing [~rng] Monte Carlo loop
+    order- and worker-independent.  @raise Invalid_argument when
+    [n < 0]. *)
 
 val values : 'a run -> 'a array
 (** Successful samples in index order (failures skipped). *)

@@ -258,9 +258,24 @@ let sample ~attempt:_ ~index:_ rng =
 let n = 40
 let seed = 97
 
-let plain_values ~jobs =
-  R.values
-    (R.map_rng_attempt_samples ~jobs ~rng:(Rng.create ~seed) ~n ~f:sample ())
+(* The uninterrupted reference, computed on the runtime core with all
+   indices and no Checkpoint involved: base seed drawn once off the run's
+   RNG, sample [i] on its substream at every attempt. *)
+let plain ?retry ~jobs ~seed ~n f =
+  let base = Int64.to_int (Rng.bits64 (Rng.create ~seed)) in
+  let p =
+    R.map_subset_attempt_samples ~jobs ?retry ~n
+      ~indices:(Array.init n Fun.id)
+      ~f:(fun ~attempt i ->
+        f ~attempt ~index:i (Rng.substream ~seed:base ~index:i))
+      ()
+  in
+  Array.of_list
+    (Array.fold_right
+       (fun slot acc -> match slot with Some (Ok v) -> v :: acc | _ -> acc)
+       p.R.slots [])
+
+let plain_values ~jobs = plain ~jobs ~seed ~n sample
 
 let test_checkpointed_matches_plain () =
   let reference = plain_values ~jobs:1 in
@@ -398,11 +413,8 @@ let test_retry_attempts_survive_resume () =
   in
   Alcotest.(check bool) "resume completes" true (C.is_complete o2);
   Alcotest.(check int) "sample 3 took two attempts" 2 o2.C.attempts.(3);
-  let full =
-    R.map_rng_attempt_samples ~jobs:1 ~retry ~rng:(Rng.create ~seed:11) ~n:12
-      ~f:flaky ()
-  in
-  check_bits_array "flaky resumed = uninterrupted" (R.values full)
+  check_bits_array "flaky resumed = uninterrupted"
+    (plain ~retry ~jobs:1 ~seed:11 ~n:12 flaky)
     (C.values o2)
 
 let () =

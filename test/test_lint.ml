@@ -164,60 +164,16 @@ let test_deep_golden () =
     ]
     (List.map render_trace deep_only)
 
-(* Phase 1 fans out across the runtime pool; the report (including traces,
-   which depend on BFS tie-breaking) must be identical at any jobs
-   count. *)
-let test_deep_jobs_invariance () =
-  let cfg = L.Engine.default_config () in
-  let a = L.Engine.run_deep ~jobs:1 cfg [ fixture_root ] in
-  let b = L.Engine.run_deep ~jobs:4 cfg [ fixture_root ] in
-  Alcotest.(check (list string))
-    "jobs:1 == jobs:4 diagnostics"
-    (List.map render_trace a.L.Engine.deep_diags)
-    (List.map render_trace b.L.Engine.deep_diags);
-  Alcotest.(check int) "same file count" a.L.Engine.deep_files
-    b.L.Engine.deep_files
-
 let write_file path contents =
   let oc = open_out_bin path in
   output_string oc contents;
   close_out oc
 
-(* Warm-cache incremental re-lint, pinned by counters the same way the
-   sparse backend pins its shared symbolic analyses: cold run summarizes
-   everything, warm run summarizes nothing, touching one file re-summarizes
-   exactly that file. *)
-let test_deep_cache_counters () =
-  let dir = Filename.temp_dir "vstat_lint_deep" "" in
-  let cache = Filename.concat dir "cache" in
-  let src = Filename.concat dir "src" in
-  Sys.mkdir src 0o755;
-  let file n body = write_file (Filename.concat src n) body in
-  file "m_one.ml" "let one () = 1\n";
-  file "m_two.ml" "let two () = M_one.one () + 1\n";
-  file "m_three.ml" "let three () = M_two.two () + 1\n";
-  let cfg = L.Engine.default_config () in
-  let counters (r : L.Engine.deep_result) =
-    (r.L.Engine.deep_rebuilt, r.L.Engine.deep_cached)
-  in
-  let r1 = L.Engine.run_deep ~cache_dir:cache cfg [ src ] in
-  Alcotest.(check (pair int int)) "cold cache: all rebuilt" (3, 0)
-    (counters r1);
-  let r2 = L.Engine.run_deep ~cache_dir:cache cfg [ src ] in
-  Alcotest.(check (pair int int)) "warm cache: all hits" (0, 3) (counters r2);
-  file "m_two.ml" "let two () = M_one.one () + 2\n";
-  let r3 = L.Engine.run_deep ~cache_dir:cache cfg [ src ] in
-  Alcotest.(check (pair int int))
-    "stale digest: only the touched file re-summarizes" (1, 2) (counters r3)
-
 (* Deleting a Mutex.protect guard must produce exactly one domain-safety
-   finding — through the warm cache, whose stale source digest forces the
-   edited file to re-summarize. *)
+   finding, at the now-unguarded access, with a witness path from the
+   Domain.spawn root. *)
 let test_guard_deletion () =
-  let dir = Filename.temp_dir "vstat_lint_guard" "" in
-  let cache = Filename.concat dir "cache" in
-  let src = Filename.concat dir "src" in
-  Sys.mkdir src 0o755;
+  let src = Filename.temp_dir "vstat_lint_guard" "" in
   write_file
     (Filename.concat src "g_state.ml")
     "let total = ref 0\n\
@@ -227,22 +183,18 @@ let test_guard_deletion () =
     (Filename.concat src "g_root.ml")
     "let run () = Domain.join (Domain.spawn (fun () -> G_state.bump ()))\n";
   let cfg = L.Engine.default_config () in
-  let deep (r : L.Engine.deep_result) =
+  let deep () =
     List.filter
       (fun d -> d.L.Diagnostic.rule = "domain-safety")
-      r.L.Engine.deep_diags
+      (L.Engine.run_deep cfg [ src ]).L.Engine.deep_diags
   in
-  let r1 = L.Engine.run_deep ~cache_dir:cache cfg [ src ] in
-  Alcotest.(check int) "guarded access: silent" 0 (List.length (deep r1));
+  Alcotest.(check int) "guarded access: silent" 0 (List.length (deep ()));
   write_file
     (Filename.concat src "g_state.ml")
     "let total = ref 0\n\
      let lock = Mutex.create ()\n\
      let bump () = incr total\n";
-  let r2 = L.Engine.run_deep ~cache_dir:cache cfg [ src ] in
-  Alcotest.(check int) "stale digest re-summarizes the edited file" 1
-    r2.L.Engine.deep_rebuilt;
-  match deep r2 with
+  match deep () with
   | [ d ] ->
     Alcotest.(check string) "finding lands at the unguarded access"
       "g_state.ml:3 domain-safety"
@@ -254,114 +206,6 @@ let test_guard_deletion () =
   | ds ->
     Alcotest.failf "expected exactly one domain-safety finding, got %d"
       (List.length ds)
-
-(* --- summary serialization ---------------------------------------------- *)
-
-module S = L.Summary
-
-let gen_summary =
-  let open QCheck.Gen in
-  let seg = string_size ~gen:(char_range 'a' 'z') (int_range 1 6) in
-  let upseg = map String.capitalize_ascii seg in
-  let path = list_size (int_range 1 3) (oneof [ seg; upseg ]) in
-  (* Free-form fields run the full byte range through String.escaped. *)
-  let free = string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 24) in
-  let gen_ref =
-    map
-      (fun ((p, l), (g, a)) ->
-        { S.callee = p; rline = abs l; rguarded = g; rallow_ds = a })
-      (pair (pair path small_nat) (pair bool bool))
-  in
-  let gen_nondet =
-    map
-      (fun ((k, l), w) ->
-        let nkind =
-          match k mod 3 with
-          | 0 -> S.Nd_random
-          | 1 -> S.Nd_wallclock
-          | _ -> S.Nd_hashtbl
-        in
-        { S.nkind; nline = abs l; nwhat = w })
-      (pair (pair small_nat small_nat) free)
-  in
-  let gen_func =
-    map
-      (fun (((n, l), (e, sp, lk)), (at, rs, ns)) ->
-        {
-          S.fname = n;
-          fline = abs l;
-          fentry = e;
-          fspawner = sp;
-          flocks = lk;
-          fallow_taint = at;
-          refs = rs;
-          nondet = ns;
-        })
-      (pair
-         (pair (pair seg small_nat) (triple bool bool bool))
-         (triple bool (small_list gen_ref) (small_list gen_nondet)))
-  in
-  let gen_glob =
-    map
-      (fun ((n, l), k) -> { S.gname = n; gline = abs l; gkind = k })
-      (pair (pair seg small_nat) seg)
-  in
-  let gen_diag =
-    map
-      (fun (((r, f), (l, c)), m) ->
-        L.Diagnostic.make ~rule:r ~file:f ~line:(abs l) ~col:(abs c) m)
-      (pair (pair (pair seg free) (pair small_nat small_nat)) free)
-  in
-  map
-    (fun (((sfile, (sd, ed)), (modname, floors, aliases)), (opens, (gs, fs), ds)) ->
-      {
-        S.sfile;
-        src_digest = abs sd;
-        env_digest = abs ed;
-        modname;
-        floors;
-        aliases;
-        opens;
-        globals = gs;
-        funcs = fs;
-        diags = ds;
-      })
-    (pair
-       (pair
-          (pair free (pair small_nat small_nat))
-          (triple upseg (small_list seg) (small_list (pair upseg path))))
-       (triple (small_list path)
-          (pair (small_list gen_glob) (small_list gen_func))
-          (small_list gen_diag)))
-
-(* Round-trip: the summary cache must reproduce every field bit-exactly
-   (no floats anywhere, so polymorphic equality is an honest check). *)
-let prop_summary_roundtrip =
-  QCheck.Test.make ~name:"summary serialize/deserialize round-trip"
-    ~count:200
-    (QCheck.make gen_summary)
-    (fun s ->
-      match S.of_string (S.to_string s) with
-      | Some s' -> s' = s
-      | None -> false)
-
-(* Decoding never raises and rejects malformed input with [None]: a
-   corrupt or truncated cache entry silently falls back to
-   re-summarization. *)
-let test_summary_corrupt () =
-  List.iter
-    (fun (label, s) ->
-      Alcotest.(check bool) label true (S.of_string s = None))
-    [
-      ("empty", "");
-      ("bad magic", "JUNK\nend\n");
-      ("truncated (no end)", "VSUM1\nkey\t1\t2\n");
-      ("ref outside fn", "VSUM1\nref\t1\t0\t0\tx\nend\n");
-      ("non-numeric digest", "VSUM1\nkey\tx\ty\nend\n");
-      ("bad escape", "VSUM1\nfile\t\\q\nend\n");
-      ("bad bool", "VSUM1\nfn\tf\t1\t2\t0\t0\nend\n");
-      ("trailing junk", "VSUM1\nend\njunk\n");
-    ]
 
 (* --- report rendering ---------------------------------------------------- *)
 
@@ -487,18 +331,10 @@ let () =
         [
           Alcotest.test_case "deep golden (taint + domain chains)" `Quick
             test_deep_golden;
-          Alcotest.test_case "jobs invariance" `Quick
-            test_deep_jobs_invariance;
-          Alcotest.test_case "summary cache counters" `Quick
-            test_deep_cache_counters;
-          Alcotest.test_case "guard deletion through warm cache" `Quick
-            test_guard_deletion;
+          Alcotest.test_case "guard deletion" `Quick test_guard_deletion;
         ] );
       ( "serialization",
         [
-          QCheck_alcotest.to_alcotest prop_summary_roundtrip;
-          Alcotest.test_case "corrupt summaries rejected" `Quick
-            test_summary_corrupt;
           Alcotest.test_case "JSON escaping" `Quick test_json_escaping;
         ] );
       ( "allocation",

@@ -48,12 +48,25 @@ let prop_substream_distinct_indices =
       draws 8 (Rng.substream ~seed ~index:i)
       <> draws 8 (Rng.substream ~seed ~index:j))
 
-(* --- Runtime.map_samples --- *)
+(* --- the runtime core --- *)
+
+(* A full run through the core: every index scheduled and none stopped, so
+   every slot is filled. *)
+let map ?jobs ?on_progress ?retry ~n ~f () =
+  let p =
+    Rt.map_subset_attempt_samples ?jobs ?on_progress ?retry ~n
+      ~indices:(Array.init n Fun.id) ~f ()
+  in
+  {
+    Rt.cells = Array.map Option.get p.Rt.slots;
+    attempts = p.Rt.slot_attempts;
+    stats = p.Rt.partial_stats;
+  }
 
 let test_map_identity () =
   List.iter
     (fun jobs ->
-      let r = Rt.map_samples ~jobs ~n:17 ~f:(fun i -> i * i) () in
+      let r = map ~jobs ~n:17 ~f:(fun ~attempt:_ i -> i * i) () in
       Alcotest.(check int) "all ok" 17 (Rt.ok_count r);
       Alcotest.(check bool) "index-stable cells" true
         (Array.to_list r.cells
@@ -61,8 +74,23 @@ let test_map_identity () =
     [ 1; 3 ]
 
 let test_map_empty () =
-  let r = Rt.map_samples ~jobs:4 ~n:0 ~f:(fun i -> i) () in
+  let r = map ~jobs:4 ~n:0 ~f:(fun ~attempt:_ i -> i) () in
   Alcotest.(check int) "no samples" 0 (Array.length r.cells)
+
+(* Both public entry points validate [n] under their own names. *)
+let test_negative_n () =
+  Alcotest.check_raises "core"
+    (Invalid_argument "Runtime.map_subset_attempt_samples: n must be >= 0")
+    (fun () ->
+      ignore
+        (Rt.map_subset_attempt_samples ~n:(-1) ~indices:[||]
+           ~f:(fun ~attempt:_ i -> i)
+           ()));
+  Alcotest.check_raises "map_rng_samples"
+    (Invalid_argument "Runtime.map_rng_samples: n must be >= 0") (fun () ->
+      ignore
+        (Rt.map_rng_samples ~rng:(Rng.create ~seed:1) ~n:(-1) ~f:Rng.gaussian
+           ()))
 
 let prop_map_rng_jobs_invariant =
   QCheck.Test.make ~name:"map_rng_samples is independent of jobs" ~count:25
@@ -78,8 +106,8 @@ exception Boom of int
 
 let test_fault_capture () =
   let r =
-    Rt.map_samples ~jobs:2 ~n:20
-      ~f:(fun i -> if i mod 5 = 0 then raise (Boom i) else i)
+    map ~jobs:2 ~n:20
+      ~f:(fun ~attempt:_ i -> if i mod 5 = 0 then raise (Boom i) else i)
       ()
   in
   Alcotest.(check int) "failed count" 4 (Rt.failed_count r);
@@ -102,8 +130,8 @@ let contains ~sub s =
 
 let test_budget () =
   let r =
-    Rt.map_samples ~jobs:1 ~n:10
-      ~f:(fun i -> if i < 3 then failwith "sample blew up" else i)
+    map ~jobs:1 ~n:10
+      ~f:(fun ~attempt:_ i -> if i < 3 then failwith "sample blew up" else i)
       ()
   in
   Rt.check_budget ~label:"t" ~max_failure_frac:0.5 r;
@@ -117,8 +145,8 @@ let test_budget () =
 
 let test_reraise_first_failure () =
   let r =
-    Rt.map_samples ~jobs:3 ~n:12
-      ~f:(fun i -> if i >= 7 then raise (Boom i) else i)
+    map ~jobs:3 ~n:12
+      ~f:(fun ~attempt:_ i -> if i >= 7 then raise (Boom i) else i)
       ()
   in
   Alcotest.check_raises "lowest-index exception rethrown" (Boom 7) (fun () ->
@@ -127,9 +155,9 @@ let test_reraise_first_failure () =
 let test_stats_and_progress () =
   let last = ref 0 in
   let r =
-    Rt.map_samples ~jobs:2 ~n:30
+    map ~jobs:2 ~n:30
       ~on_progress:(fun ~completed ~n:_ -> last := Int.max !last completed)
-      ~f:(fun i -> i)
+      ~f:(fun ~attempt:_ i -> i)
       ()
   in
   Alcotest.(check int) "progress saw the last sample" 30 !last;
@@ -143,7 +171,7 @@ let test_stats_and_progress () =
 let test_budget_empty_run () =
   (* n = 0 must never trip the budget, even at a zero failure allowance
      (0 * frac = 0 used to compare 0 > 0.0 — the guard keeps it silent). *)
-  let r = Rt.map_samples ~jobs:2 ~n:0 ~f:(fun i -> i) () in
+  let r = map ~jobs:2 ~n:0 ~f:(fun ~attempt:_ i -> i) () in
   Rt.check_budget ~label:"empty" ~max_failure_frac:0.0 r;
   Alcotest.(check int) "no failures" 0 (Rt.failed_count r);
   Alcotest.(check (list (pair string int))) "empty census" []
@@ -153,8 +181,8 @@ let test_census_ordering () =
   (* Two failure species with different frequencies: the census must come
      back most-frequent-first with exact counts. *)
   let r =
-    Rt.map_samples ~jobs:3 ~n:12
-      ~f:(fun i ->
+    map ~jobs:3 ~n:12
+      ~f:(fun ~attempt:_ i ->
         if i < 6 then failwith "common"
         else if i < 8 then raise (Boom i)
         else i)
@@ -186,7 +214,7 @@ let test_retry_ladder_recovers () =
     else i * 10
   in
   let r =
-    Rt.map_attempt_samples ~jobs:2 ~retry:(Rt.retry 3) ~n:10
+    map ~jobs:2 ~retry:(Rt.retry 3) ~n:10
       ~f:(fun ~attempt i -> flaky ~attempt i)
       ()
   in
@@ -217,7 +245,7 @@ let test_retry_ladder_recovers () =
 let test_retry_respects_retryable () =
   let calls = Atomic.make 0 in
   let r =
-    Rt.map_attempt_samples ~jobs:1
+    map ~jobs:1
       ~retry:
         (Rt.retry ~retryable:(function Boom _ -> false | _ -> true) 5)
       ~n:3
@@ -233,22 +261,20 @@ let test_retry_respects_retryable () =
   Alcotest.(check int) "still recorded as failed" 1 (Rt.failed_count r)
 
 let test_retry_rng_value_neutral () =
-  (* Under map_rng_attempt_samples every attempt re-reads the same
-     substream, so a sample that succeeds on a retry must produce the value
-     a never-failing run produces. *)
+  (* Every attempt re-reads the sample's substream (base seed drawn once
+     off the run's RNG, as map_rng_samples does), so a sample that succeeds
+     on a retry must produce the value a never-failing run produces. *)
   let n = 16 in
   let clean =
     Rt.values
-      (Rt.map_rng_attempt_samples ~jobs:1 ~rng:(Rng.create ~seed:23) ~n
-         ~f:(fun ~attempt:_ ~index:_ rng -> draws 4 rng)
-         ())
+      (Rt.map_rng_samples ~jobs:1 ~rng:(Rng.create ~seed:23) ~n ~f:(draws 4) ())
   in
+  let base = Int64.to_int (Rng.bits64 (Rng.create ~seed:23)) in
   let flaky jobs =
-    Rt.map_rng_attempt_samples ~jobs ~retry:(Rt.retry 2)
-      ~rng:(Rng.create ~seed:23) ~n
-      ~f:(fun ~attempt ~index rng ->
-        let v = draws 4 rng in
-        if index mod 3 = 0 && attempt = 0 then failwith "flaky";
+    map ~jobs ~retry:(Rt.retry 2) ~n
+      ~f:(fun ~attempt i ->
+        let v = draws 4 (Rng.substream ~seed:base ~index:i) in
+        if i mod 3 = 0 && attempt = 0 then failwith "flaky";
         v)
       ()
   in
@@ -385,6 +411,8 @@ let () =
         [
           Alcotest.test_case "map identity" `Quick test_map_identity;
           Alcotest.test_case "map empty" `Quick test_map_empty;
+          Alcotest.test_case "negative n names the entry point" `Quick
+            test_negative_n;
           Alcotest.test_case "fault capture" `Quick test_fault_capture;
           Alcotest.test_case "failure budget" `Quick test_budget;
           Alcotest.test_case "reraise first" `Quick test_reraise_first_failure;
