@@ -457,7 +457,8 @@ let submit_cmd =
     Arg.(
       value & flag
       & info [ "no-wait" ]
-          ~doc:"Print the job id after admission and exit without polling.")
+          ~doc:"Print the job id after admission and exit without waiting \
+                for the result.")
   in
   let client_t =
     Arg.(
@@ -472,7 +473,10 @@ let submit_cmd =
     Arg.(
       value & opt positive_float 600.0
       & info [ "timeout" ] ~docv:"SEC"
-          ~doc:"Give up polling for the result after $(docv) seconds.")
+          ~doc:
+            "Give up waiting for the result after $(docv) seconds. The \
+             daemon answers once the job finishes; this bounds that one \
+             blocking wait.")
   in
   let run verbose socket kind fanout n seed retry vdd deadline no_wait
       client timeout =

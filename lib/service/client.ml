@@ -1,7 +1,6 @@
 (* One-shot protocol client with deterministic, jittered connect retry. *)
 
 module P = Protocol
-module Deadline = Vstat_runtime.Deadline
 
 let default_attempts = 8
 let backoff_base_s = 0.05
@@ -40,15 +39,17 @@ let connect ?(attempts = default_attempts) ?(seed = 0x7a11) ~socket_path () =
   in
   go 0
 
-let request ?attempts ?seed ~socket_path req =
+(* One request on a fresh connection; each socket send or receive gives
+   up after [timeout_s]. *)
+let round_trip ?attempts ?seed ~timeout_s ~socket_path req =
   match connect ?attempts ?seed ~socket_path () with
   | Error _ as e -> e
   | Ok fd ->
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
-        Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.0;
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
+        Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout_s;
         match P.write_frame fd (P.encode_request req) with
         | Error e -> Error (P.error_to_string e)
         | Ok () -> (
@@ -58,6 +59,9 @@ let request ?attempts ?seed ~socket_path req =
             match P.decode_response payload with
             | Error e -> Error (P.error_to_string e)
             | Ok resp -> Ok resp)))
+
+let request ?attempts ?seed ~socket_path req =
+  round_trip ?attempts ?seed ~timeout_s:30.0 ~socket_path req
 
 let submit ?attempts ?seed ?(client = "default") ~socket_path ~spec
     ~deadline_s () =
@@ -72,39 +76,13 @@ let await_error_to_string = function
     Printf.sprintf "quarantined after %d attempt(s): %s" attempts detail
   | Await_failed msg -> msg
 
-let await ?attempts ?seed ?(poll_s = 0.1) ?(timeout_s = 600.0) ~socket_path
-    ~id () =
-  let t0 = Deadline.now_ns () in
-  let elapsed () = Int64.to_float (Int64.sub (Deadline.now_ns ()) t0) *. 1e-9 in
+let await ?attempts ?seed ?(timeout_s = 600.0) ~socket_path ~id () =
   let fail fmt = Printf.ksprintf (fun m -> Error (Await_failed m)) fmt in
-  let rec poll () =
-    if elapsed () > timeout_s then
-      fail "job %s: no result after %.0fs" id timeout_s
-    else begin
-      match request ?attempts ?seed ~socket_path (P.Status { id }) with
-      | Error e -> Error (Await_failed e)
-      | Ok (P.Job_status { state = P.Done; _ }) -> (
-        match request ?attempts ?seed ~socket_path (P.Result { id }) with
-        | Error e -> Error (Await_failed e)
-        | Ok (P.Job_result summary) -> Ok summary
-        | Ok other ->
-          fail "job %s: unexpected result response %s" id
-            (match other with
-            | P.Unknown_id _ -> "unknown-id"
-            | P.Shutting_down -> "shutting-down"
-            | _ -> "wrong-kind"))
-      | Ok (P.Job_status { state = P.Quarantined { attempts = a; detail }; _ })
-        ->
-        (* Terminal: the daemon will never run this job again.  Failing
-           fast here (rather than polling out the timeout) is the whole
-           point of the typed quarantine status. *)
-        Error (Await_quarantined { attempts = a; detail })
-      | Ok (P.Job_status _) ->
-        Unix.sleepf poll_s;
-        poll ()
-      | Ok (P.Unknown_id _) -> fail "job %s: unknown to the daemon" id
-      | Ok P.Shutting_down -> fail "daemon is shutting down"
-      | Ok _ -> fail "job %s: unexpected status response" id
-    end
-  in
-  poll ()
+  match round_trip ?attempts ?seed ~timeout_s ~socket_path (P.Result { id }) with
+  | Error e -> fail "job %s: %s" id e
+  | Ok (P.Job_result summary) -> Ok summary
+  | Ok (P.Quarantined { attempts; detail; _ }) ->
+    Error (Await_quarantined { attempts; detail })
+  | Ok (P.Unknown_id _) -> fail "job %s: unknown to the daemon" id
+  | Ok P.Shutting_down -> fail "daemon is shutting down"
+  | Ok _ -> fail "job %s: unexpected result response" id

@@ -1,9 +1,10 @@
 (** Client side of the [vstatd] protocol.
 
-    Connections are one-shot (one request frame, one response frame), so
-    the only stateful part is connect retry: a daemon that is still
-    building its pipeline, or briefly gone during a restart, is retried
-    with jittered exponential backoff.  The jitter comes from
+    Connections are one-shot (one request frame, one response frame; a
+    [Result] request's response just comes later), so the only stateful
+    part is connect retry: a daemon that is still building its pipeline,
+    or briefly gone during a restart, is retried with jittered
+    exponential backoff.  The jitter comes from
     {!Vstat_util.Rng.substream} keyed by the attempt number — fully
     deterministic for a given [seed], per the repository's determinism
     contract (no OS randomness, no wall-clock reads). *)
@@ -32,17 +33,16 @@ val await_error_to_string : await_error -> string
 val await :
   ?attempts:int ->
   ?seed:int ->
-  ?poll_s:float ->
   ?timeout_s:float ->
   socket_path:string ->
   id:string ->
   unit ->
   (Protocol.summary, await_error) result
-(** Poll [Status] until the job reaches a terminal state (default every
-    0.1 s, up to 600 s).  [Done] fetches and returns the result;
-    [Quarantined] fails fast with {!Await_quarantined} — a quarantined
-    job will never finish, so polling on would just burn the timeout.
-    [Await_failed] on unknown id, timeout, or transport failure. *)
+(** One [Result] round trip: the daemon answers when the job is terminal,
+    so this blocks for up to [timeout_s] (default 600 s) waiting for the
+    reply.  Returns the summary, {!Await_quarantined} if the daemon
+    retired the job, or [Await_failed] on an unknown id, a daemon shutting
+    down, the timeout, or a transport failure. *)
 
 val submit :
   ?attempts:int ->

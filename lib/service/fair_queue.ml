@@ -68,47 +68,4 @@ let rec pop t =
         else Queue.push client t.rotation;
         Some v))
 
-(* Dequeue-order position of the first element satisfying [pred]: simulate
-   the round-robin drain over snapshots.  O(total) worst case, bounded by
-   the admission queue_max, and only called on the Status path. *)
-let position t pred =
-  let order = Queue.fold (fun acc c -> c :: acc) [] t.rotation |> List.rev in
-  let snapshots =
-    List.filter_map
-      (fun c ->
-        match Hashtbl.find_opt t.queues c with
-        | Some q when Queue.length q > 0 ->
-          Some (ref (Queue.fold (fun acc v -> v :: acc) [] q |> List.rev))
-        | _ -> None)
-      order
-  in
-  let found = ref (-1) and served = ref 0 and progressed = ref true in
-  while !found < 0 && !progressed do
-    progressed := false;
-    List.iter
-      (fun cell ->
-        if !found < 0 then
-          match !cell with
-          | [] -> ()
-          | v :: rest ->
-            progressed := true;
-            if pred v then found := !served
-            else begin
-              cell := rest;
-              incr served
-            end)
-      snapshots
-  done;
-  !found
-
-let iter t f =
-  (* Arrival-order iteration per client, clients in rotation order —
-     deterministic, used for queue introspection only. *)
-  Queue.iter
-    (fun c ->
-      match Hashtbl.find_opt t.queues c with
-      | Some q -> Queue.iter (fun v -> f ~client:c v) q
-      | None -> ())
-    t.rotation
-
 let clients t = Queue.length t.rotation

@@ -29,13 +29,5 @@ val push_front : 'a t -> client:string -> 'a -> unit
 val pop : 'a t -> 'a option
 (** Next job in round-robin order, or [None] when empty. *)
 
-val position : 'a t -> ('a -> bool) -> int
-(** Dequeue-order position (0 = next) of the first element satisfying the
-    predicate under round-robin service, or [-1] if absent.  O(length). *)
-
-val iter : 'a t -> (client:string -> 'a -> unit) -> unit
-(** Deterministic iteration: clients in rotation order, jobs in arrival
-    order within each client. *)
-
 val clients : 'a t -> int
 (** Number of distinct clients with pending jobs. *)

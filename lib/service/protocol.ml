@@ -23,7 +23,6 @@ type spec = {
 
 type request =
   | Submit of { spec : spec; deadline_s : float; client : string }
-  | Status of { id : string }
   | Result of { id : string }
   | Health
   | Shutdown
@@ -32,12 +31,6 @@ type reject_reason =
   | Queue_full of { queued : int; queue_max : int }
   | Over_deadline of { estimated_wait_s : float; deadline_s : float }
   | Bad_request of { detail : string }
-
-type job_state =
-  | Queued of { position : int }
-  | Running
-  | Done
-  | Quarantined of { attempts : int; detail : string }
 
 type summary = {
   id : string;
@@ -84,7 +77,7 @@ type health = {
 type response =
   | Accepted of { id : string; cached : bool }
   | Rejected of { reason : reject_reason }
-  | Job_status of { id : string; state : job_state }
+  | Quarantined of { id : string; attempts : int; detail : string }
   | Job_result of summary
   | Unknown_id of { id : string }
   | Health_report of health
@@ -112,7 +105,7 @@ let error_to_string = function
   | Bad_value { what; detail } -> Printf.sprintf "bad %s: %s" what detail
   | Io { detail } -> Printf.sprintf "socket error: %s" detail
 
-let version = 2
+let version = 3
 
 (* The canonical-spec grammar is versioned independently of the wire
    protocol: a wire bump (new messages, new health fields) must not
@@ -235,9 +228,6 @@ let encode_request req =
         add_spec b spec;
         add_f64 b deadline_s;
         add_str b client
-      | Status { id } ->
-        add_u8 b 2;
-        add_str b id
       | Result { id } ->
         add_u8 b 3;
         add_str b id
@@ -282,19 +272,11 @@ let encode_response resp =
         | Bad_request { detail } ->
           add_u8 b 3;
           add_str b detail)
-      | Job_status { id; state } -> (
+      | Quarantined { id; attempts; detail } ->
         add_u8 b 3;
         add_str b id;
-        match state with
-        | Queued { position } ->
-          add_u8 b 1;
-          add_u32 b position
-        | Running -> add_u8 b 2
-        | Done -> add_u8 b 3
-        | Quarantined { attempts; detail } ->
-          add_u8 b 4;
-          add_u32 b attempts;
-          add_str b detail)
+        add_u32 b attempts;
+        add_str b detail
       | Job_result s ->
         add_u8 b 4;
         add_summary b s
@@ -423,7 +405,6 @@ let decode_request =
     let deadline_s = finite "deadline" (get_f64 cur "deadline") in
     let client = get_str cur "client id" in
     Submit { spec; deadline_s; client }
-  | 2 -> Status { id = get_str cur "job id" }
   | 3 -> Result { id = get_str cur "job id" }
   | 4 -> Health
   | 5 -> Shutdown
@@ -488,18 +469,9 @@ let decode_response =
     Rejected { reason }
   | 3 ->
     let id = get_str cur "job id" in
-    let state =
-      match get_u8 cur "job state" with
-      | 1 -> Queued { position = get_u32 cur "queue position" }
-      | 2 -> Running
-      | 3 -> Done
-      | 4 ->
-        let attempts = get_u32 cur "quarantine attempts" in
-        let detail = get_str cur "quarantine detail" in
-        Quarantined { attempts; detail }
-      | tag -> raise (Reject (Bad_tag { what = "job state"; tag }))
-    in
-    Job_status { id; state }
+    let attempts = get_u32 cur "quarantine attempts" in
+    let detail = get_str cur "quarantine detail" in
+    Quarantined { id; attempts; detail }
   | 4 -> Job_result (get_summary cur)
   | 5 -> Unknown_id { id = get_str cur "job id" }
   | 6 ->
@@ -589,6 +561,9 @@ let read_exact fd n what =
       | 0 -> Error (Truncated { what })
       | k -> loop (pos + k)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop pos
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        (* what SO_RCVTIMEO expiry looks like *)
+        Error (Io { detail = "receive timed out" })
       | exception Unix.Unix_error (e, _, _) ->
         Error (Io { detail = Unix.error_message e })
     end

@@ -60,8 +60,11 @@ type request =
           across client ids, so one flooding client delays only itself.
           It is not part of the job identity — two clients submitting the
           same spec share one cached result. *)
-  | Status of { id : string }
   | Result of { id : string }
+      (** Wait for the job: the daemon holds the connection open while the
+          job is queued or running and answers once it is terminal, with
+          [Job_result], [Quarantined], [Unknown_id], or [Shutting_down] if
+          the daemon stops first. *)
   | Health
   | Shutdown  (** orderly daemon shutdown (tests, CI) *)
 
@@ -69,15 +72,6 @@ type reject_reason =
   | Queue_full of { queued : int; queue_max : int }
   | Over_deadline of { estimated_wait_s : float; deadline_s : float }
   | Bad_request of { detail : string }
-
-type job_state =
-  | Queued of { position : int }  (** 0 = next to run *)
-  | Running
-  | Done
-  | Quarantined of { attempts : int; detail : string }
-      (** terminal: the job took down (or hung) a worker [attempts] times
-          and will not be retried again; [detail] records the last
-          failure.  Clients must treat this as a final answer, not poll. *)
 
 type summary = {
   id : string;
@@ -101,7 +95,9 @@ type worker_health = {
   wid : int;             (** pool slot index, stable across replacements *)
   generation : int;      (** bumped each time the slot's domain is replaced *)
   busy : string option;  (** id of the job the worker is running, if any *)
-  heartbeat_age_s : float;  (** seconds since the worker last heartbeat *)
+  heartbeat_age_s : float;
+      (** seconds since the worker last heartbeat; idle workers block
+          until work arrives, so for an idle worker this is its idle time *)
   jobs_done : int;       (** jobs this slot has completed (all generations) *)
 }
 
@@ -125,7 +121,10 @@ type health = {
 type response =
   | Accepted of { id : string; cached : bool }
   | Rejected of { reason : reject_reason }
-  | Job_status of { id : string; state : job_state }
+  | Quarantined of { id : string; attempts : int; detail : string }
+      (** terminal: the job took down (or hung) a worker [attempts] times
+          and will not be retried again; [detail] records the last
+          failure. *)
   | Job_result of summary
   | Unknown_id of { id : string }
   | Health_report of health

@@ -25,10 +25,18 @@
    every sample is a pure function of (spec, index) — either writer's
    snapshot is consistent and correct.
 
-   Shutdown is a single atomic flag: signal handlers call [stop], the
-   accept loop polls it between selects, and every worker's deadline polls
-   it at sample boundaries — in-flight jobs drain gracefully and flush
-   their journals instead of being torn. *)
+   Nothing polls on a timer except the supervisor's heartbeat tick.  Idle
+   workers block on [work], a condition tied to the mutex.  The accept
+   loop blocks in [select] on the listen socket and a self-pipe; a
+   [Result] on an unfinished job parks its connection, and publishing,
+   quarantining and [stop] each write a byte to the pipe so the accept
+   loop answers whatever became terminal.  Only the accept domain writes
+   to client sockets.
+
+   Shutdown is a single atomic flag: signal handlers call [stop], which
+   also wakes the accept loop through the pipe, and every worker's
+   deadline polls the flag at sample boundaries — in-flight jobs drain
+   gracefully and flush their journals instead of being torn. *)
 
 module P = Protocol
 module C = Vstat_runtime.Checkpoint
@@ -145,6 +153,11 @@ type t = {
   pipeline : Vstat_core.Pipeline.t;
   listen_fd : Unix.file_descr;
   mu : Mutex.t;
+  work : Condition.t;  (* signalled under [mu] when a job is queued *)
+  wake_r : Unix.file_descr;  (* self-pipe, both ends non-blocking *)
+  wake_w : Unix.file_descr;
+  mutable parked : (string * Unix.file_descr) list;
+      (* [Result] connections waiting for their job (under [mu]) *)
   table : (string, entry) Hashtbl.t;
   queue : string Fair_queue.t;
   stopping : bool Atomic.t;
@@ -172,6 +185,14 @@ type t = {
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+
+(* One byte down the self-pipe wakes the accept loop.  A full pipe
+   already holds a pending wake, so [EAGAIN] is dropped. *)
+let wake_byte = Bytes.make 1 '!'
+
+let wake t =
+  try ignore (Unix.single_write t.wake_w wake_byte 0 1)
+  with Unix.Unix_error _ -> ()
 
 let elapsed_s since_ns =
   Int64.to_float (Int64.sub (Deadline.now_ns ()) since_ns) *. 1e-9
@@ -477,66 +498,72 @@ let publish t job summary ~wid ~gen =
         note_file_locked t snap;
         note_file_locked t manifest;
         evict_locked t;
+        wake t;
         true
       | _ -> false)
 
+(* Block until a job is queued and claim it, or return [None] once the
+   daemon is stopping or this generation was retired.  Both flags are
+   checked under the mutex before every wait.  [serve] broadcasts [work]
+   under it after setting [stopping]; retirement needs no wakeup, since
+   the supervisor retires only busy workers and a worker clears [busy]
+   before it gets here. *)
+let next_job t ~wid st =
+  locked t (fun () ->
+      let rec take () =
+        if Atomic.get t.stopping || Atomic.get st.retired then None
+        else
+          match Fair_queue.pop t.queue with
+          | None ->
+            Condition.wait t.work t.mu;
+            take ()
+          | Some id -> (
+            match Hashtbl.find_opt t.table id with
+            | Some (Queued { job; round }) ->
+              Hashtbl.replace t.table id
+                (Running { job; round; wid; gen = st.gen });
+              t.queued_samples <- t.queued_samples - job.spec.P.n;
+              t.running_count <- t.running_count + 1;
+              Some (job, round)
+            | _ -> take () (* stale id; keep draining *))
+      in
+      take ())
+
 let rec worker_loop t ~wid ~jobs_done st =
   beat st;
-  if Atomic.get t.stopping || Atomic.get st.retired then ()
-  else begin
-    let next =
-      locked t (fun () ->
-          let rec take () =
-            match Fair_queue.pop t.queue with
-            | None -> None
-            | Some id -> (
-              match Hashtbl.find_opt t.table id with
-              | Some (Queued { job; round }) ->
-                Hashtbl.replace t.table id
-                  (Running { job; round; wid; gen = st.gen });
-                t.queued_samples <- t.queued_samples - job.spec.P.n;
-                t.running_count <- t.running_count + 1;
-                Some (job, round)
-              | _ -> take () (* stale id; keep draining *))
-          in
-          take ())
-    in
-    match next with
-    | None ->
-      (* No timed condition wait in OCaml; a short poll keeps the worker
-         simple and signal-safe.  20 ms of added queue latency is noise
-         next to any real Monte Carlo job. *)
-      Unix.sleepf 0.02;
-      worker_loop t ~wid ~jobs_done st
-    | Some (job, round) ->
-      Atomic.set st.crash_req false;
-      Atomic.set st.hang_until_ns None;
-      Atomic.set st.busy (Some job.id);
-      let summary = execute t st job ~round in
-      if Atomic.get st.crash_req then
-        (* The drained run already flushed its journal; dying here (and
-           not publishing) is exactly what a segfaulting worker looks
-           like to the supervisor, minus the lost process. *)
-        raise
-          (FS.Crashed
-             (Printf.sprintf "injected worker crash (worker %d, job %s, \
-                              round %d)"
-                wid job.id round));
-      let owned = publish t job summary ~wid ~gen:st.gen in
-      Atomic.set st.busy None;
-      if owned then begin
-        Atomic.incr jobs_done;
-        Log.info (fun m ->
-            m "job %s: %s (%d/%d samples, %.3fs, worker %d)" job.id
-              summary.P.cause summary.P.completed summary.P.n summary.P.wall_s
-              wid)
-      end
-      else
-        Log.info (fun m ->
-            m "job %s: stale result from replaced worker %d gen %d discarded"
-              job.id wid st.gen);
-      worker_loop t ~wid ~jobs_done st
-  end
+  match next_job t ~wid st with
+  | None -> ()
+  | Some (job, round) ->
+    Atomic.set st.crash_req false;
+    Atomic.set st.hang_until_ns None;
+    (* The heartbeat aged while the worker sat idle; refresh it before
+       [busy] puts the worker under the watchdog. *)
+    beat st;
+    Atomic.set st.busy (Some job.id);
+    let summary = execute t st job ~round in
+    if Atomic.get st.crash_req then
+      (* The drained run already flushed its journal; dying here (and
+         not publishing) is exactly what a segfaulting worker looks
+         like to the supervisor, minus the lost process. *)
+      raise
+        (FS.Crashed
+           (Printf.sprintf "injected worker crash (worker %d, job %s, \
+                            round %d)"
+              wid job.id round));
+    let owned = publish t job summary ~wid ~gen:st.gen in
+    Atomic.set st.busy None;
+    if owned then begin
+      Atomic.incr jobs_done;
+      Log.info (fun m ->
+          m "job %s: %s (%d/%d samples, %.3fs, worker %d)" job.id
+            summary.P.cause summary.P.completed summary.P.n summary.P.wall_s
+            wid)
+    end
+    else
+      Log.info (fun m ->
+          m "job %s: stale result from replaced worker %d gen %d discarded"
+            job.id wid st.gen);
+    worker_loop t ~wid ~jobs_done st
 
 let spawn_worker t ~wid ~jobs_done ~gen =
   let st =
@@ -596,12 +623,14 @@ let requeue_locked t (id, job, round) ~detail =
   if round >= t.config.poison_retries then begin
     Hashtbl.replace t.table id (Quarantined { attempts = round; detail });
     t.quarantined_count <- t.quarantined_count + 1;
+    wake t;
     Log.err (fun m ->
         m "job %s: quarantined after %d attempt(s): %s" id round detail)
   end
   else begin
     Hashtbl.replace t.table id (Queued { job; round = round + 1 });
     Fair_queue.push_front t.queue ~client:job.client id;
+    Condition.signal t.work;
     t.queued_samples <- t.queued_samples + job.spec.P.n;
     t.requeued_count <- t.requeued_count + 1;
     Log.warn (fun m ->
@@ -670,7 +699,7 @@ let check_slot_locked t now slot =
   end
   else begin
     match Atomic.get cur.busy with
-    | None -> () (* idle workers poll the queue; no job, no watchdog *)
+    | None -> () (* idle: blocked on [work], no job, no watchdog *)
     | Some id ->
       let age_s =
         Int64.to_float (Int64.sub now (Atomic.get cur.heartbeat_ns)) *. 1e-9
@@ -695,12 +724,16 @@ let check_slot_locked t now slot =
       end
   end
 
+(* The one timer left in the daemon: heartbeats must be checked whether
+   or not anything else happens. *)
+let heartbeat_tick_s = 0.025
+
 let rec supervisor_loop t =
   if Atomic.get t.stopping then ()
   else begin
     let now = Deadline.now_ns () in
     locked t (fun () -> Array.iter (check_slot_locked t now) t.slots);
-    Unix.sleepf 0.025;
+    Unix.sleepf heartbeat_tick_s;
     supervisor_loop t
   end
 
@@ -709,6 +742,7 @@ let rec supervisor_loop t =
 let enqueue_locked t job ~round =
   Hashtbl.replace t.table job.id (Queued { job; round });
   Fair_queue.push t.queue ~client:job.client job.id;
+  Condition.signal t.work;
   t.queued_samples <- t.queued_samples + job.spec.P.n
 
 let admit t (spec : P.spec) ~deadline_s ~client =
@@ -765,77 +799,69 @@ let admit t (spec : P.spec) ~deadline_s ~client =
             P.Accepted { id; cached = false }
           end)
 
-let handle t req =
+let health t =
+  let now = Deadline.now_ns () in
+  locked t (fun () ->
+      let workers =
+        Array.to_list t.slots
+        |> List.map (fun slot ->
+               let cur = slot.cur in
+               {
+                 P.wid = slot.wid;
+                 generation = cur.gen;
+                 busy = Atomic.get cur.busy;
+                 heartbeat_age_s =
+                   Int64.to_float
+                     (Int64.sub now (Atomic.get cur.heartbeat_ns))
+                   *. 1e-9;
+                 jobs_done = Atomic.get slot.jobs_done;
+               })
+      in
+      P.Health_report
+        {
+          uptime_s = elapsed_s t.started_ns;
+          queued = Fair_queue.length t.queue;
+          running = t.running_count;
+          finished = t.finished_count;
+          rejected = t.rejected_count;
+          cache_hits = t.cache_hit_count;
+          served = t.served_count;
+          requeued = t.requeued_count;
+          quarantined = t.quarantined_count;
+          worker_crashes = t.worker_crash_count;
+          worker_hangs = t.worker_hang_count;
+          state_bytes = t.state_bytes;
+          evicted = t.evicted_count;
+          workers;
+        })
+
+(* The answer to [Result {id}], or [None] while the job is still queued
+   or running. *)
+let result_locked t id =
+  match Hashtbl.find_opt t.table id with
+  | None -> Some (P.Unknown_id { id })
+  | Some (Queued _ | Running _) -> None
+  | Some (Quarantined { attempts; detail }) ->
+    Some (P.Quarantined { id; attempts; detail })
+  | Some (Finished summary) ->
+    t.served_count <- t.served_count + 1;
+    Some (P.Job_result summary)
+
+(* [None]: a [Result] on an unfinished job, whose connection [fd] is now
+   parked for [answer_parked]. *)
+let handle t fd req =
   match req with
-  | P.Submit { spec; deadline_s; client } -> admit t spec ~deadline_s ~client
-  | P.Status { id } ->
-    locked t (fun () ->
-        match Hashtbl.find_opt t.table id with
-        | None -> P.Unknown_id { id }
-        | Some (Queued _) ->
-          let position =
-            Int.max 0
-              (Fair_queue.position t.queue (fun qid -> String.equal qid id))
-          in
-          P.Job_status { id; state = P.Queued { position } }
-        | Some (Running _) -> P.Job_status { id; state = P.Running }
-        | Some (Finished _) -> P.Job_status { id; state = P.Done }
-        | Some (Quarantined { attempts; detail }) ->
-          P.Job_status { id; state = P.Quarantined { attempts; detail } })
+  | P.Submit { spec; deadline_s; client } ->
+    Some (admit t spec ~deadline_s ~client)
   | P.Result { id } ->
     locked t (fun () ->
-        match Hashtbl.find_opt t.table id with
-        | None -> P.Unknown_id { id }
-        | Some (Queued _) ->
-          let position =
-            Int.max 0
-              (Fair_queue.position t.queue (fun qid -> String.equal qid id))
-          in
-          P.Job_status { id; state = P.Queued { position } }
-        | Some (Running _) -> P.Job_status { id; state = P.Running }
-        | Some (Quarantined { attempts; detail }) ->
-          P.Job_status { id; state = P.Quarantined { attempts; detail } }
-        | Some (Finished summary) ->
-          t.served_count <- t.served_count + 1;
-          P.Job_result summary)
-  | P.Health ->
-    let now = Deadline.now_ns () in
-    locked t (fun () ->
-        let workers =
-          Array.to_list t.slots
-          |> List.map (fun slot ->
-                 let cur = slot.cur in
-                 {
-                   P.wid = slot.wid;
-                   generation = cur.gen;
-                   busy = Atomic.get cur.busy;
-                   heartbeat_age_s =
-                     Int64.to_float
-                       (Int64.sub now (Atomic.get cur.heartbeat_ns))
-                     *. 1e-9;
-                   jobs_done = Atomic.get slot.jobs_done;
-                 })
-        in
-        P.Health_report
-          {
-            uptime_s = elapsed_s t.started_ns;
-            queued = Fair_queue.length t.queue;
-            running = t.running_count;
-            finished = t.finished_count;
-            rejected = t.rejected_count;
-            cache_hits = t.cache_hit_count;
-            served = t.served_count;
-            requeued = t.requeued_count;
-            quarantined = t.quarantined_count;
-            worker_crashes = t.worker_crash_count;
-            worker_hangs = t.worker_hang_count;
-            state_bytes = t.state_bytes;
-            evicted = t.evicted_count;
-            workers;
-          })
+        let answer = result_locked t id in
+        if Option.is_none answer then t.parked <- (id, fd) :: t.parked;
+        answer)
+  | P.Health -> Some (health t)
   | P.Shutdown ->
     Atomic.set t.stopping true;
-    P.Shutting_down
+    Some P.Shutting_down
 
 (* --- startup recovery --------------------------------------------------- *)
 
@@ -919,30 +945,52 @@ let recover t =
 
 (* --- connection handling ------------------------------------------------ *)
 
+(* Write one response and close.  A parked client that gave up fails the
+   write with [EPIPE]: worth a debug line, no more. *)
+let respond fd resp =
+  (match P.write_frame fd (P.encode_response resp) with
+  | Ok () -> ()
+  | Error e ->
+    Log.debug (fun m -> m "response write failed: %s" (P.error_to_string e)));
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 let handle_conn t fd =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
   Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0;
-  match P.read_frame fd with
-  | Error e ->
-    (* A half-open or garbled client: answer typed if the socket still
-       writes, then drop. *)
-    ignore
-      (P.write_frame fd
-         (P.encode_response
-            (P.Rejected
-               { reason = P.Bad_request { detail = P.error_to_string e } })))
-  | Ok payload ->
-    let resp =
+  let bad_request e =
+    Some
+      (P.Rejected { reason = P.Bad_request { detail = P.error_to_string e } })
+  in
+  let resp =
+    match P.read_frame fd with
+    | Error e ->
+      (* A half-open or garbled client: answer typed if the socket still
+         writes, then drop. *)
+      bad_request e
+    | Ok payload -> (
       match P.decode_request payload with
       | Error e ->
         locked t (fun () -> t.rejected_count <- t.rejected_count + 1);
-        P.Rejected { reason = P.Bad_request { detail = P.error_to_string e } }
-      | Ok req -> handle t req
-    in
-    (match P.write_frame fd (P.encode_response resp) with
-    | Ok () -> ()
-    | Error e ->
-      Log.debug (fun m -> m "response write failed: %s" (P.error_to_string e)))
+        bad_request e
+      | Ok req -> handle t fd req)
+  in
+  Option.iter (respond fd) resp
+
+(* Answer every parked [Result] whose job is now terminal; the rest stay
+   parked.  Writes happen outside the mutex. *)
+let answer_parked t =
+  locked t (fun () ->
+      let ready, waiting =
+        List.partition_map
+          (fun (id, fd) ->
+            match result_locked t id with
+            | Some resp -> Either.Left (fd, resp)
+            | None -> Either.Right (id, fd))
+          t.parked
+      in
+      t.parked <- waiting;
+      ready)
+  |> List.iter (fun (fd, resp) -> respond fd resp)
 
 (* --- lifecycle ---------------------------------------------------------- *)
 
@@ -985,12 +1033,19 @@ let create ?pipeline config =
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX config.socket_path);
   Unix.listen listen_fd 64;
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   let t =
     {
       config;
       pipeline;
       listen_fd;
       mu = Mutex.create ();
+      work = Condition.create ();
+      wake_r;
+      wake_w;
+      parked = [];
       table = Hashtbl.create 64;
       queue = Fair_queue.create ();
       stopping = Atomic.make false;
@@ -1026,31 +1081,47 @@ let create ?pipeline config =
         (if config.workers = 1 then "" else "s"));
   t
 
-let stop t = Atomic.set t.stopping true
+(* Only the first call wakes the accept loop: once [stopping] is set the
+   loop is bound to exit, after which [serve] closes the pipe. *)
+let stop t = if not (Atomic.exchange t.stopping true) then wake t
+
+let accept_one t =
+  match Unix.accept ~cloexec:true t.listen_fd with
+  | fd, _ -> (
+    try handle_conn t fd
+    with exn ->
+      Log.warn (fun m ->
+          m "connection handler raised: %s" (Printexc.to_string exn));
+      try Unix.close fd with Unix.Unix_error _ -> ())
+  | exception
+      Unix.Unix_error
+        ((Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+    -> ()
 
 let serve t =
   let rec loop () =
-    if Atomic.get t.stopping then ()
-    else begin
-      match Unix.select [ t.listen_fd ] [] [] 0.2 with
-      | [], _, _ -> loop ()
-      | _ :: _, _, _ ->
-        (match Unix.accept ~cloexec:true t.listen_fd with
-        | fd, _ ->
-          (try handle_conn t fd
-           with exn ->
-             Log.warn (fun m ->
-                 m "connection handler raised: %s" (Printexc.to_string exn)));
-          (try Unix.close fd with Unix.Unix_error _ -> ())
-        | exception
-            Unix.Unix_error
-              ((Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          -> ());
-        loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+    if not (Atomic.get t.stopping) then begin
+      (match Unix.select [ t.listen_fd; t.wake_r ] [] [] (-1.0) with
+      | ready, _, _ ->
+        if List.mem t.wake_r ready then begin
+          (* Wake bytes carry nothing; any this read leaves behind just
+             wake the next select. *)
+          (try ignore (Unix.read t.wake_r (Bytes.create 64) 0 64)
+           with Unix.Unix_error _ -> ());
+          answer_parked t
+        end;
+        if List.mem t.listen_fd ready then accept_one t
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      loop ()
     end
   in
   loop ();
+  locked t (fun () ->
+      let parked = t.parked in
+      t.parked <- [];
+      Condition.broadcast t.work;
+      parked)
+  |> List.iter (fun (_, fd) -> respond fd P.Shutting_down);
   Log.info (fun m -> m "draining %d worker(s)" (Array.length t.slots));
   (match t.supervisor with
   | Some d ->
@@ -1078,6 +1149,8 @@ let serve t =
       join_st slot.wid slot.cur;
       List.iter (join_st slot.wid) slot.zombies)
     t.slots;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ t.listen_fd; t.wake_r; t.wake_w ];
   (try Sys.remove t.config.socket_path with Sys_error _ -> ());
   Log.info (fun m -> m "stopped")

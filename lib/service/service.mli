@@ -2,7 +2,9 @@
 
     One process, [workers + 2] domains.  The accept domain speaks the
     one-shot {!Protocol} (connect, one request frame, one response frame,
-    close) and performs {e admission control}; a pool of worker domains
+    close) and performs {e admission control}.  A [Result] request on a
+    job still queued or running is parked and answered when the job
+    becomes terminal, without blocking other connections; a pool of worker domains
     executes queued jobs through {!Vstat_runtime.Checkpoint.run}, so each
     job inherits the whole robustness stack: retry ladder, deadline
     watchdog with graceful partial results, and crash-safe journaling.  A
@@ -29,7 +31,7 @@
       checkpoint journal — the recovered summary is bit-identical to an
       uninterrupted run.  A job that keeps destroying workers is retired
       after [poison_retries] rounds with a terminal
-      {!Protocol.job_state.Quarantined} status.  Hung domains cannot be
+      {!Protocol.response.Quarantined} answer.  Hung domains cannot be
       killed in OCaml; they are retired in place and their stale results
       discarded by an ownership check.
     - {b Deadlines degrade, not fail.}  A deadline-limited job returns a
@@ -105,13 +107,16 @@ val create : ?pipeline:Vstat_core.Pipeline.t -> config -> t
 val serve : t -> unit
 (** Blocking accept loop.  Returns after {!stop} is called (from a signal
     handler or another domain) or a [Shutdown] request arrives, having
-    joined the supervisor and every worker (current and retired), closed
-    the socket and unlinked the socket path.  Workers drain gracefully:
-    an in-flight job stops at the next sample boundary and flushes its
-    journal, so nothing is lost. *)
+    answered every parked [Result] with [Shutting_down], joined the
+    supervisor and every worker (current and retired), closed the socket
+    and unlinked the socket path.  Workers drain gracefully: an in-flight
+    job stops at the next sample boundary and flushes its journal, so
+    nothing is lost. *)
 
 val stop : t -> unit
-(** Request shutdown (idempotent, async-signal-safe: sets a flag). *)
+(** Request shutdown: sets a flag and wakes the accept loop with one byte
+    down its self-pipe.  Idempotent and async-signal-safe ([write(2)] is),
+    so it may be called from a signal handler. *)
 
 val validate : config -> Protocol.spec -> (unit, string) result
 (** The admission validity check, exposed for tests and the CLI: sample

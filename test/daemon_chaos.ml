@@ -3,10 +3,13 @@
    Three vstatd instances run as forked children serving the same job
    spec against the same extraction pipeline settings:
 
-   - golden: jobs:1, no fault injection, runs the job to completion;
+   - golden: jobs:1, no fault injection, runs the job to completion
+     while a raw [Result] for it sits parked, then parks a [Result] on a
+     long job and shuts down under it;
    - victim: jobs:2, armed with deterministic worker stalls so the job
-     is reliably mid-flight when the parent sends SIGTERM.  The daemon
-     drains at a sample boundary and flushes its journal;
+     is reliably mid-flight when a short [Client.await] times out and
+     the parent sends SIGTERM.  The daemon drains at a sample boundary
+     and flushes its journal;
    - restart: jobs:4 on the victim's state directory, armed with a
      stall+abort mix to also exercise the retry ladder during resume.
      Startup recovery re-enqueues the interrupted journal; resubmitting
@@ -24,6 +27,7 @@ module P = Vstat_service.Protocol
 module S = Vstat_service.Service
 module Client = Vstat_service.Client
 module FS = Vstat_device.Fault_inject.Service
+module Deadline = Vstat_runtime.Deadline
 
 let pipeline_seed = 42
 let mc_per_geometry = 40
@@ -110,6 +114,24 @@ let shutdown ~socket_path =
   | Ok _ -> die "unexpected response to shutdown"
   | Error m -> die "shutdown failed: %s" m
 
+(* A [Result] sent on a raw connection and left unread: the daemon parks
+   it until the job is terminal. *)
+let park_result ~socket_path ~id =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 120.0;
+  (match P.write_frame fd (P.encode_request (P.Result { id })) with
+  | Ok () -> ()
+  | Error e -> die "parked Result send failed: %s" (P.error_to_string e));
+  fd
+
+let read_parked fd =
+  let resp = Result.bind (P.read_frame fd) P.decode_response in
+  Unix.close fd;
+  match resp with
+  | Ok r -> r
+  | Error e -> die "parked Result read failed: %s" (P.error_to_string e)
+
 let bits = Int64.bits_of_float
 
 let assert_summary_identical what (a : P.summary) (b : P.summary) =
@@ -157,8 +179,32 @@ let () =
   let pid = spawn_daemon (config ~dir:golden_dir ~jobs:1 ~inject:None ()) in
   ping ~socket_path:golden_sock;
   let id = submit ~socket_path:golden_sock () in
+  let parked = park_result ~socket_path:golden_sock ~id in
+  (* The accept loop keeps answering while that Result is parked. *)
+  (match Client.request ~socket_path:golden_sock P.Health with
+  | Ok (P.Health_report h) ->
+    if h.P.finished <> 0 then die "golden job finished before its Result parked"
+  | Ok _ -> die "unexpected response to health while a Result is parked"
+  | Error m -> die "health while a Result is parked: %s" m);
   let golden = fetch ~socket_path:golden_sock ~id in
+  (match read_parked parked with
+  | P.Job_result _ as r ->
+    if
+      not
+        (String.equal (P.encode_response r)
+           (P.encode_response (P.Job_result golden)))
+    then die "parked Result differs from the awaited one"
+  | _ -> die "parked Result not answered with the job's result");
+  (* A Result parked when the daemon stops gets a typed goodbye. *)
+  let long_job = { spec with P.seed = spec.P.seed + 100; n = 10_000 } in
+  let parked =
+    park_result ~socket_path:golden_sock
+      ~id:(submit ~job:long_job ~socket_path:golden_sock ())
+  in
   shutdown ~socket_path:golden_sock;
+  (match read_parked parked with
+  | P.Shutting_down -> ()
+  | _ -> die "parked Result not answered Shutting_down at shutdown");
   wait_exit pid "golden";
   if golden.P.partial || golden.P.completed <> spec.P.n || golden.P.failed <> 0
   then
@@ -166,6 +212,9 @@ let () =
       golden.P.completed spec.P.n golden.P.failed golden.P.partial;
   Printf.printf "daemon_chaos: golden %s: %d samples, mean %h\n%!" id
     golden.P.completed golden.P.mean;
+  print_endline
+    "daemon_chaos: parked Results answered (result bit-identical to await; \
+     Shutting_down at shutdown)";
 
   (* --- victim: jobs:2, stall-injected, SIGTERM'd mid-run ------------- *)
   let dir = fresh_dir "victim" in
@@ -181,19 +230,38 @@ let () =
   if not (String.equal id id') then
     die "job id differs across daemons (%s vs %s): content address broken" id
       id';
-  (* Poll until the worker has picked the job up, then strike. *)
+  (* Poll health until a worker has picked the job up, then strike. *)
   let rec wait_running n =
     if n = 0 then die "victim job never started";
-    match Client.request ~socket_path:sock (P.Status { id }) with
-    | Ok (P.Job_status { state = P.Running; _ }) -> true
-    | Ok (P.Job_status { state = P.Done; _ }) -> false
-    | Ok (P.Job_status { state = P.Queued _; _ }) | Ok _ ->
-      Unix.sleepf 0.005;
-      wait_running (n - 1)
-    | Error m -> die "status poll failed: %s" m
+    match Client.request ~socket_path:sock P.Health with
+    | Ok (P.Health_report h) ->
+      if
+        List.exists
+          (fun w -> Option.equal String.equal w.P.busy (Some id))
+          h.P.workers
+      then true
+      else if h.P.finished > 0 then false
+      else begin
+        Unix.sleepf 0.005;
+        wait_running (n - 1)
+      end
+    | Ok _ -> die "unexpected response to health poll"
+    | Error m -> die "health poll failed: %s" m
   in
   let struck_mid_run = wait_running 4000 in
-  if struck_mid_run then Unix.sleepf 0.4
+  if struck_mid_run then begin
+    (* The stalled job cannot finish in 0.3 s: the one blocking wait must
+       give up on its own timeout, and promptly. *)
+    let t0 = Deadline.now_ns () in
+    (match Client.await ~timeout_s:0.3 ~socket_path:sock ~id () with
+    | Error (Client.Await_failed _) -> ()
+    | Ok _ -> die "victim job finished inside a 0.3 s await"
+    | Error e -> die "timed await: %s" (Client.await_error_to_string e));
+    let waited = Int64.to_float (Int64.sub (Deadline.now_ns ()) t0) *. 1e-9 in
+    if waited > 2.0 then die "await ~timeout_s:0.3 returned after %.2fs" waited;
+    Printf.printf "daemon_chaos: victim await timed out after %.2fs\n%!" waited;
+    Unix.sleepf 0.1
+  end
   else
     (* The stall budget makes this effectively unreachable, but a fast
        finish still exercises the restart-and-re-serve path below. *)

@@ -40,7 +40,6 @@ let gen_request =
       (gen_spec >>= fun spec ->
        float_range (-1.0) 60.0 >>= fun deadline_s ->
        gen_id >>= fun client -> return (P.Submit { spec; deadline_s; client }));
-      map (fun id -> P.Status { id }) gen_id;
       map (fun id -> P.Result { id }) gen_id;
       return P.Health;
       return P.Shutdown;
@@ -104,16 +103,8 @@ let gen_response =
              map (fun detail -> P.Bad_request { detail }) gen_id;
            ]);
       (gen_id >>= fun id ->
-       oneof
-         [
-           map (fun position -> P.Queued { position }) (int_range 0 100);
-           return P.Running;
-           return P.Done;
-           (int_range 1 16 >>= fun attempts ->
-            gen_id >>= fun detail ->
-            return (P.Quarantined { attempts; detail }));
-         ]
-       >>= fun state -> return (P.Job_status { id; state }));
+       int_range 1 16 >>= fun attempts ->
+       gen_id >>= fun detail -> return (P.Quarantined { id; attempts; detail }));
       map (fun s -> P.Job_result s) gen_summary;
       map (fun id -> P.Unknown_id { id }) gen_id;
       (float_range 0.0 1e6 >>= fun uptime_s ->
@@ -524,24 +515,7 @@ let test_fair_queue_push_front () =
   (match drained with
   | [ Some 10; Some 1; Some 2 ] -> ()
   | _ -> Alcotest.fail "push_front broke rotation or per-client order");
-  Alcotest.(check bool) "empty" true (FQ.is_empty q);
-  Alcotest.(check int) "position of absent" (-1)
-    (FQ.position q (fun _ -> true))
-
-let test_fair_queue_position () =
-  let q = FQ.create () in
-  FQ.push q ~client:"a" 1;
-  FQ.push q ~client:"a" 2;
-  FQ.push q ~client:"b" 10;
-  FQ.push q ~client:"c" 20;
-  (* RR drain order: a:1, b:10, c:20, a:2 *)
-  List.iter
-    (fun (v, want) ->
-      Alcotest.(check int)
-        (Printf.sprintf "position of %d" v)
-        want
-        (FQ.position q (fun x -> x = v)))
-    [ (1, 0); (10, 1); (20, 2); (2, 3) ]
+  Alcotest.(check bool) "empty" true (FQ.is_empty q)
 
 let () =
   Alcotest.run "vstat_service"
@@ -589,7 +563,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_fair_queue_skew;
           Alcotest.test_case "push_front requeues without jumping turns"
             `Quick test_fair_queue_push_front;
-          Alcotest.test_case "position simulates round-robin drain" `Quick
-            test_fair_queue_position;
         ] );
     ]
