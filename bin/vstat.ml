@@ -101,9 +101,8 @@ let checkpoint_dir_t =
     & info [ "checkpoint-dir" ] ~docv:"DIR"
         ~doc:
           "Journal completed Monte Carlo samples into $(docv) (one .ckpt \
-           snapshot + .json manifest per run label), written atomically so \
-           a crash never leaves a torn file. Use $(b,--resume) to continue \
-           from them.")
+           snapshot per run label), written atomically so a crash never \
+           leaves a torn file. Use $(b,--resume) to continue from them.")
 
 let checkpoint_every_t =
   Arg.(

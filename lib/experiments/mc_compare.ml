@@ -52,21 +52,15 @@ let inject_key ~index ~attempt = (index * 64) + attempt
 
 (* Circuit-engine work attributable to one Monte Carlo run, from snapshots
    of the process-wide counters (exact: workers flush at the end of every
-   solve and the pool has joined before [after] is read). *)
-let engine_tallies ~before ~after =
-  let d = Vstat_circuit.Engine.counters_diff after before in
-  let f = Float.of_int in
-  [
-    ("newton", f d.Vstat_circuit.Engine.newton_iterations);
-    ("model_evals", f d.model_evaluations);
-    ("analytic", f d.analytic_evaluations);
-    ("fd", f d.fd_evaluations);
-    ("assemblies", f d.assemblies);
-    ("lu", f d.lu_factorizations);
-    ("steps", f d.accepted_steps);
-    ("rejected", f d.rejected_steps);
-    ("bp_hits", f d.breakpoint_hits);
-  ]
+   solve and the pool has joined before [after] is read), rendered as
+   [name=value] pairs. *)
+let pp_engine_work ppf (d : Vstat_circuit.Engine.counters) =
+  Format.fprintf ppf
+    " newton=%d model_evals=%d analytic=%d fd=%d assemblies=%d lu=%d \
+     steps=%d rejected=%d bp_hits=%d"
+    d.newton_iterations d.model_evaluations d.analytic_evaluations
+    d.fd_evaluations d.assemblies d.lu_factorizations d.accepted_steps
+    d.rejected_steps d.breakpoint_hits
 
 let collect_run ?jobs ?(max_failure_frac = default_max_failure_frac) ?retry
     ?inject ?codec ~label ~n ~tech_of_rng ~rng ~measure () =
@@ -150,14 +144,12 @@ let collect_run ?jobs ?(max_failure_frac = default_max_failure_frac) ?retry
   (* Under a deadline this compacts to the completed subset: downstream
      statistics see a smaller but index-ordered, bit-reproducible run. *)
   let r = C.completed_run o in
-  let stats =
-    Vstat_runtime.Runtime.with_tallies (engine_tallies ~before ~after) r.stats
-  in
   Log.info (fun m ->
-      m "%s: %a" label Vstat_runtime.Runtime.pp_stats stats);
+      m "%s: %a%a" label Vstat_runtime.Runtime.pp_stats r.stats pp_engine_work
+        (Vstat_circuit.Engine.counters_diff after before));
   Vstat_runtime.Runtime.check_budget ~label:("Mc_compare:" ^ label)
     ~max_failure_frac r;
-  { r with stats }
+  r
 
 let collect ?jobs ?max_failure_frac ?retry ?inject ?codec ~label ~n
     ~tech_of_rng ~rng ~measure () =

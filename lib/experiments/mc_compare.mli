@@ -88,8 +88,8 @@ val collect_run :
   unit ->
   'a Vstat_runtime.Runtime.run
 (** {!collect} returning the full run record (per-sample cells, attempt
-    counts, retry/recovery stats, engine tallies) — what the chaos benches
-    and failure-path tests inspect.
+    counts, retry/recovery stats) — what the chaos benches and
+    failure-path tests inspect.
 
     Checkpointing/deadlines: runs route through
     {!Vstat_runtime.Checkpoint.run}.  When checkpoint settings are armed

@@ -17,22 +17,6 @@ let[@vstat.hot] add t x =
   if x < t.lo then t.lo <- x;
   if x > t.hi then t.hi <- x
 
-let[@vstat.hot] merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let n = a.n + b.n in
-    let na = Float.of_int a.n and nb = Float.of_int b.n in
-    let delta = b.mean -. a.mean in
-    {
-      n;
-      mean = a.mean +. (delta *. nb /. Float.of_int n);
-      m2 = a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. Float.of_int n);
-      lo = Float.min a.lo b.lo;
-      hi = Float.max a.hi b.hi;
-    }
-  end
-
 let of_array xs =
   let t = create () in
   Array.iter (add t) xs;
@@ -44,51 +28,3 @@ let variance t = if t.n < 2 then Float.nan else t.m2 /. Float.of_int (t.n - 1)
 let std t = sqrt (variance t)
 let min t = t.lo
 let max t = t.hi
-
-module Histogram = struct
-  type h = {
-    lo : float;
-    hi : float;
-    bins : int array;
-    mutable under : int;
-    mutable over : int;
-  }
-
-  let create ~lo ~hi ~bins =
-    if bins < 1 then invalid_arg "Accum.Histogram.create: bins >= 1";
-    if not (lo < hi) then invalid_arg "Accum.Histogram.create: lo < hi";
-    { lo; hi; bins = Array.make bins 0; under = 0; over = 0 }
-
-  let[@vstat.hot] add h x =
-    if x < h.lo then h.under <- h.under + 1
-    else if x >= h.hi then h.over <- h.over + 1
-    else begin
-      let k = Array.length h.bins in
-      let i = Float.to_int (Float.of_int k *. ((x -. h.lo) /. (h.hi -. h.lo))) in
-      let i = Int.min i (k - 1) in
-      h.bins.(i) <- h.bins.(i) + 1
-    end
-
-  let merge a b =
-    if (not (Float.equal a.lo b.lo))
-       || (not (Float.equal a.hi b.hi))
-       || Array.length a.bins <> Array.length b.bins
-    then invalid_arg "Accum.Histogram.merge: bin geometry mismatch";
-    {
-      lo = a.lo;
-      hi = a.hi;
-      bins = Array.init (Array.length a.bins) (fun i -> a.bins.(i) + b.bins.(i));
-      under = a.under + b.under;
-      over = a.over + b.over;
-    }
-
-  let counts h = Array.copy h.bins
-  let underflow h = h.under
-  let overflow h = h.over
-  let total h = h.under + h.over + Array.fold_left ( + ) 0 h.bins
-end
-
-(* Checkpoint support: the full internal state round-trips through five
-   numbers, so snapshots can persist and restore exact accumulators. *)
-let dump t = (t.n, t.mean, t.m2, t.lo, t.hi)
-let restore (n, mean, m2, lo, hi) = { n; mean; m2; lo; hi }

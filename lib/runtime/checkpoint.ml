@@ -31,7 +31,6 @@ type 'a codec = {
   codec_name : string;
   encode : 'a -> string;
   decode : string -> 'a;
-  observables : 'a -> float array;
 }
 
 let encode_floats vs =
@@ -57,7 +56,6 @@ let float_codec =
           failwith
             (Printf.sprintf "float payload: expected 1 value, got %d"
                (Array.length vs)));
-    observables = (fun v -> [| v |]);
   }
 
 let float_array_codec =
@@ -65,7 +63,6 @@ let float_array_codec =
     codec_name = "float-array";
     encode = encode_floats;
     decode = decode_floats ~what:"float-array";
-    observables = Fun.id;
   }
 
 let float_list_codec =
@@ -73,7 +70,6 @@ let float_list_codec =
     codec_name = "float-list";
     encode = (fun l -> encode_floats (Array.of_list l));
     decode = (fun s -> Array.to_list (decode_floats ~what:"float-list" s));
-    observables = Array.of_list;
   }
 
 let float_pair_codec =
@@ -88,7 +84,6 @@ let float_pair_codec =
           failwith
             (Printf.sprintf "float-pair payload: expected 2 values, got %d"
                (Array.length vs)));
-    observables = (fun (a, b) -> [| a; b |]);
   }
 
 let float_triple_codec =
@@ -103,7 +98,6 @@ let float_triple_codec =
           failwith
             (Printf.sprintf "float-triple payload: expected 3 values, got %d"
                (Array.length vs)));
-    observables = (fun (a, b, c) -> [| a; b; c |]);
   }
 
 (* A codec for values that cannot be persisted: lets a caller reuse the
@@ -121,7 +115,6 @@ let opaque_codec name =
     codec_name = "opaque:" ^ name;
     encode = reject;
     decode = reject;
-    observables = (fun _ -> [||]);
   }
 
 (* --- settings ---------------------------------------------------------- *)
@@ -142,7 +135,6 @@ let sanitize_label label =
     label
 
 let snapshot_path s label = Filename.concat s.dir (sanitize_label label ^ ".ckpt")
-let manifest_path s label = Filename.concat s.dir (sanitize_label label ^ ".json")
 
 (* --- outcome ----------------------------------------------------------- *)
 
@@ -174,7 +166,6 @@ type 'a outcome = {
   restored : int;
   completed : int;
   snapshot : string option;
-  manifest : string option;
 }
 
 exception
@@ -230,69 +221,9 @@ let completed_run o =
     stats = { o.stats with Runtime.n = o.completed };
   }
 
-(* --- manifest ---------------------------------------------------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v
-  else Printf.sprintf "\"%s\"" (Float.to_string v)
-
-let manifest_json (identity : Journal.identity) ~snapshot_file ~completed
-    ~moments =
-  let obs =
-    String.concat ","
-      (List.map
-         (fun (m : Journal.moments) ->
-           let acc =
-             Accum.restore (m.m_count, m.m_mean, m.m_m2, m.m_lo, m.m_hi)
-           in
-           Printf.sprintf
-             "{\"count\":%d,\"mean\":%s,\"std\":%s,\"min\":%s,\"max\":%s}"
-             m.m_count
-             (json_float (Accum.mean acc))
-             (json_float (Accum.std acc))
-             (json_float m.m_lo) (json_float m.m_hi))
-         (Array.to_list moments))
-  in
-  Printf.sprintf
-    "{\n\
-    \  \"format_version\": %d,\n\
-    \  \"label\": \"%s\",\n\
-    \  \"fingerprint\": \"%s\",\n\
-    \  \"n\": %d,\n\
-    \  \"completed\": %d,\n\
-    \  \"status\": \"%s\",\n\
-    \  \"base_seed\": \"%Ld\",\n\
-    \  \"max_attempts\": %d,\n\
-    \  \"snapshot\": \"%s\",\n\
-    \  \"observables\": [%s]\n\
-     }\n"
-    Journal.version (json_escape identity.label)
-    (json_escape identity.fingerprint)
-    identity.n completed
-    (if completed = identity.n then "complete" else "partial")
-    identity.base_seed identity.max_attempts
-    (json_escape snapshot_file)
-    obs
-
 (* --- the driver -------------------------------------------------------- *)
 
-type slot = { s_attempts : int; s_payload : string; s_obs : float array }
+type slot = { s_attempts : int; s_payload : string }
 
 let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings:cfg
     ?(signals = []) ?(fingerprint = "") ~codec ~label ~rng ~n ~f () =
@@ -313,7 +244,6 @@ let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings:cfg
     }
   in
   let spath = Option.map (fun s -> snapshot_path s label) cfg in
-  let mpath = Option.map (fun s -> manifest_path s label) cfg in
   (* Per-sample persisted state: restored entries first, then whatever
      this run completes.  Guarded by [mu] once workers start. *)
   let persisted : slot option array = Array.make n None in
@@ -345,12 +275,7 @@ let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings:cfg
                               (Printexc.to_string exn) }))
             in
             persisted.(e.index) <-
-              Some
-                {
-                  s_attempts = e.attempts;
-                  s_payload = e.payload;
-                  s_obs = codec.observables v;
-                };
+              Some { s_attempts = e.attempts; s_payload = e.payload };
             restored_values.(e.index) <- Some (e.attempts, v);
             incr restored)
           snap.Journal.entries;
@@ -360,51 +285,28 @@ let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings:cfg
   let mu = Mutex.create () in
   let dirty = ref 0 in
   let flush_locked () =
-    match (cfg, spath, mpath) with
-    | Some _, Some path, Some man ->
+    match spath with
+    | Some path ->
       let entries = ref [] in
-      let accs = ref [||] in
-      let completed = ref 0 in
       for i = n - 1 downto 0 do
         match persisted.(i) with
         | None -> ()
         | Some sl ->
-          incr completed;
           entries :=
             { Journal.index = i; attempts = sl.s_attempts;
               payload = sl.s_payload }
-            :: !entries;
-          (* Moments are folded in descending index order here, but the
-             snapshot stores exact Welford state, and the manifest's
-             mean/std are observability, not the bit-identity surface
-             (that surface is the per-sample payloads themselves). *)
-          if Array.length !accs = 0 then
-            accs := Array.map (fun _ -> Accum.create ()) sl.s_obs;
-          Array.iteri (fun k x -> Accum.add !accs.(k) x) sl.s_obs
+            :: !entries
       done;
-      let moments =
-        Array.map
-          (fun acc ->
-            let m_count, m_mean, m_m2, m_lo, m_hi = Accum.dump acc in
-            { Journal.m_count; m_mean; m_m2; m_lo; m_hi })
-          !accs
-      in
-      let snap =
-        { Journal.identity; entries = Array.of_list !entries; moments }
-      in
-      Journal.write ~path snap;
-      Vstat_util.Atomic_io.write_file ~path:man
-        (manifest_json identity ~snapshot_file:(Filename.basename path)
-           ~completed:!completed ~moments);
-      Log.debug (fun m -> m "%s: checkpointed %d/%d to %s" label !completed n path)
-    | _ -> ()
+      let entries = Array.of_list !entries in
+      Journal.write ~path { Journal.identity; entries };
+      Log.debug (fun m ->
+          m "%s: checkpointed %d/%d to %s" label (Array.length entries) n path)
+    | None -> ()
   in
   let record ~index ~attempts v =
     let payload = codec.encode v in
-    let obs = codec.observables v in
     Mutex.protect mu (fun () ->
-        persisted.(index) <-
-          Some { s_attempts = attempts; s_payload = payload; s_obs = obs };
+        persisted.(index) <- Some { s_attempts = attempts; s_payload = payload };
         incr dirty;
         match cfg with
         | Some s when s.every > 0 && !dirty >= s.every ->
@@ -502,5 +404,4 @@ let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings:cfg
     restored = !restored;
     completed;
     snapshot = spath;
-    manifest = mpath;
   }

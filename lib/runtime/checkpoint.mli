@@ -18,13 +18,11 @@
     identically) on resume, so the failure census stays honest. *)
 
 (** How to persist one sample value.  [encode]/[decode] must round-trip
-    bit-exactly; [observables] projects the value onto the float vector
-    summarized in the JSON manifest (streaming moments per component). *)
+    bit-exactly. *)
 type 'a codec = {
   codec_name : string;  (** part of the run identity; decode refuses others *)
   encode : 'a -> string;
   decode : string -> 'a;  (** may raise [Failure] on malformed payloads *)
-  observables : 'a -> float array;
 }
 
 val float_codec : float codec
@@ -56,9 +54,6 @@ val settings : ?every:int -> ?resume:bool -> string -> settings
 val snapshot_path : settings -> string -> string
 (** [snapshot_path s label] — [<dir>/<sanitized label>.ckpt]. *)
 
-val manifest_path : settings -> string -> string
-(** [manifest_path s label] — [<dir>/<sanitized label>.json]. *)
-
 type cause =
   | Finished          (** every sample evaluated *)
   | Deadline_reached  (** the [deadline] watchdog fired *)
@@ -82,7 +77,6 @@ type 'a outcome = {
   restored : int;   (** samples prefilled from the snapshot *)
   completed : int;  (** evaluated samples overall (restored + this run) *)
   snapshot : string option;  (** snapshot path, when checkpointing is on *)
-  manifest : string option;  (** JSON manifest path, likewise *)
 }
 
 exception

@@ -5,7 +5,6 @@
      magic "VSTATCKP" | u32 format version
      identity: label | fingerprint | n | base_seed | max_attempts
      completion bitmap (ceil(n/8) bytes, bit i = sample i completed)
-     per-observable streaming moments (count/mean/M2/lo/hi)
      completed entries: (index, attempts, payload) sorted by index
      u32 CRC-32 footer over every preceding byte
 
@@ -27,19 +26,7 @@ type identity = {
 
 type entry = { index : int; attempts : int; payload : string }
 
-type moments = {
-  m_count : int;
-  m_mean : float;
-  m_m2 : float;
-  m_lo : float;
-  m_hi : float;
-}
-
-type snapshot = {
-  identity : identity;
-  entries : entry array;
-  moments : moments array;
-}
+type snapshot = { identity : identity; entries : entry array }
 
 (* Every payload names the snapshot file it describes, so a layer serving
    many journals (the result cache in Vstat_service) can report *which*
@@ -87,13 +74,12 @@ let () =
     | _ -> None)
 
 let magic = "VSTATCKP"
-let version = 1
+let version = 2
 
 (* --- encoding ---------------------------------------------------------- *)
 
 let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
 let add_i64 b v = Buffer.add_int64_le b v
-let add_f64 b v = add_i64 b (Int64.bits_of_float v)
 
 let add_str b s =
   add_u32 b (String.length s);
@@ -123,15 +109,6 @@ let encode snap =
   add_i64 b snap.identity.base_seed;
   add_u32 b snap.identity.max_attempts;
   Buffer.add_string b (bitmap_of_entries ~n:snap.identity.n snap.entries);
-  add_u32 b (Array.length snap.moments);
-  Array.iter
-    (fun m ->
-      add_u32 b m.m_count;
-      add_f64 b m.m_mean;
-      add_f64 b m.m_m2;
-      add_f64 b m.m_lo;
-      add_f64 b m.m_hi)
-    snap.moments;
   add_u32 b (Array.length snap.entries);
   Array.iter
     (fun e ->
@@ -164,8 +141,6 @@ let get_i64 cur what =
   let v = String.get_int64_le cur.src cur.pos in
   cur.pos <- cur.pos + 8;
   v
-
-let get_f64 cur what = Int64.float_of_bits (get_i64 cur what)
 
 let get_raw cur k what =
   need cur k what;
@@ -208,17 +183,14 @@ let decode ?(path = in_memory) s =
           let base_seed = get_i64 cur "base_seed" in
           let max_attempts = get_u32 cur "max_attempts" in
           let bitmap = get_raw cur ((n + 7) / 8) "completion bitmap" in
-          let n_moments = get_u32 cur "moments count" in
-          let moments =
-            Array.init n_moments (fun _ ->
-                let m_count = get_u32 cur "moment count" in
-                let m_mean = get_f64 cur "moment mean" in
-                let m_m2 = get_f64 cur "moment m2" in
-                let m_lo = get_f64 cur "moment lo" in
-                let m_hi = get_f64 cur "moment hi" in
-                { m_count; m_mean; m_m2; m_lo; m_hi })
-          in
           let n_entries = get_u32 cur "entry count" in
+          (* Bound the count before allocating: a CRC-valid blob may still
+             claim more entries than the run has samples. *)
+          if n_entries > n then
+            raise
+              (Short
+                 (Printf.sprintf "entry count %d exceeds sample count %d"
+                    n_entries n));
           let entries =
             Array.init n_entries (fun _ ->
                 let index = get_u32 cur "entry index" in
@@ -265,7 +237,6 @@ let decode ?(path = in_memory) s =
           {
             identity = { label; fingerprint; n; base_seed; max_attempts };
             entries;
-            moments;
           }
         with
         | snap -> Ok snap

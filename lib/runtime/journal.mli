@@ -3,12 +3,12 @@
 
     A snapshot records a Monte Carlo run's identity (label, caller
     fingerprint, sample count, RNG base seed, retry-ladder depth), a
-    per-sample completion bitmap, per-observable streaming moments, and
-    one encoded payload per completed sample.  The binary blob carries a
-    magic string, a format version and a CRC-32 footer; writes go through
-    {!Vstat_util.Atomic_io} (write-temp → fsync → atomic rename), so a
-    reader — including a post-crash resume — observes either the previous
-    complete snapshot or the new one, never a torn file.
+    per-sample completion bitmap and one encoded payload per completed
+    sample.  The binary blob carries a magic string, a format version and
+    a CRC-32 footer; writes go through {!Vstat_util.Atomic_io}
+    (write-temp → fsync → atomic rename), so a reader — including a
+    post-crash resume — observes either the previous complete snapshot or
+    the new one, never a torn file.
 
     Decoding is paranoid by design: bad magic, version skew, CRC
     mismatch, truncation, out-of-range fields and bitmap/entry
@@ -32,18 +32,9 @@ type entry = {
   payload : string;    (** codec-encoded sample value *)
 }
 
-type moments = {
-  m_count : int;
-  m_mean : float;
-  m_m2 : float;    (** sum of squared deviations (Welford) *)
-  m_lo : float;
-  m_hi : float;
-}
-
 type snapshot = {
   identity : identity;
   entries : entry array;   (** completed samples, sorted by index *)
-  moments : moments array; (** one per observable, index order *)
 }
 
 (** Every error payload names the snapshot file it describes ([path]), so
@@ -73,7 +64,8 @@ val error_path : error -> string
 val error_to_string : error -> string
 
 val version : int
-(** Current snapshot format version. *)
+(** Current snapshot format version; a snapshot of any other version is
+    rejected as {!Version_skew} before its CRC is checked. *)
 
 val encode : snapshot -> string
 (** Serialize (including the CRC footer).  @raise Invalid_argument if an

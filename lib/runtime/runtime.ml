@@ -44,7 +44,6 @@ type stats = {
   per_worker : int array;
   retried_samples : int;
   recovered_samples : int;
-  tallies : (string * float) list;
 }
 
 type 'a run = {
@@ -258,7 +257,6 @@ let run_core ?jobs ?on_progress ?(should_stop = fun () -> false) ~policy ~n
       per_worker;
       retried_samples = !retried_samples;
       recovered_samples = !recovered_samples;
-      tallies = [];
     }
   in
   {
@@ -367,8 +365,6 @@ let reraise_first_failure run =
   | [] -> ()
   | f :: _ -> Printexc.raise_with_backtrace f.exn f.backtrace
 
-let with_tallies tallies stats = { stats with tallies }
-
 let pp_stats ppf s =
   Format.fprintf ppf
     "n=%d jobs=%d wall=%.3fs rate=%.0f samples/s per-worker=[%s]" s.n s.jobs
@@ -376,9 +372,4 @@ let pp_stats ppf s =
     (String.concat ";" (Array.to_list (Array.map string_of_int s.per_worker)));
   if s.retried_samples > 0 then
     Format.fprintf ppf " retried=%d recovered=%d" s.retried_samples
-      s.recovered_samples;
-  List.iter
-    (fun (name, v) ->
-      if Float.is_integer v then Format.fprintf ppf " %s=%.0f" name v
-      else Format.fprintf ppf " %s=%g" name v)
-    s.tallies
+      s.recovered_samples

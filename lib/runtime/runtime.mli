@@ -62,12 +62,6 @@ type stats = {
   per_worker : int array;   (** samples executed by each worker; length [jobs] *)
   retried_samples : int;    (** samples that needed more than one attempt *)
   recovered_samples : int;  (** retried samples that eventually succeeded *)
-  tallies : (string * float) list;
-      (** Named work counters attached by the call site (empty by default).
-          The runtime itself has no knowledge of what a sample does;
-          domain-specific layers attach e.g. the circuit engine's Newton /
-          assembly / LU counts via {!with_tallies} so per-phase workload
-          travels with the run statistics. *)
 }
 
 type 'a run = {
@@ -194,9 +188,5 @@ val reraise_first_failure : 'a run -> unit
 (** Zero-tolerance policy: re-raise the exception of the lowest-index
     failed sample, if any, with the backtrace captured where it originally
     raised ([Printexc.raise_with_backtrace]). *)
-
-val with_tallies : (string * float) list -> stats -> stats
-(** A copy of [stats] carrying the given named work counters; {!pp_stats}
-    appends them as [name=value] pairs. *)
 
 val pp_stats : Format.formatter -> stats -> unit

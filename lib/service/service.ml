@@ -199,20 +199,15 @@ let elapsed_s since_ns =
 
 (* --- bounded state dir -------------------------------------------------- *)
 
-let snap_basenames t id =
-  let s = C.settings t.config.state_dir in
-  (Filename.basename (C.snapshot_path s id),
-   Filename.basename (C.manifest_path s id))
+let snap_basename t id =
+  Filename.basename (C.snapshot_path (C.settings t.config.state_dir) id)
 
 let is_bad fname = Filename.check_suffix fname ".bad"
 
-let tracked fname =
-  Filename.check_suffix fname ".ckpt"
-  || Filename.check_suffix fname ".json"
-  || is_bad fname
+let tracked fname = Filename.check_suffix fname ".ckpt" || is_bad fname
 
 (* The job id a state file belongs to: strip a ".bad" quarantine marker,
-   then the snapshot/manifest extension. *)
+   then the snapshot extension. *)
 let file_stem fname =
   let f = if is_bad fname then Filename.chop_suffix fname ".bad" else fname in
   Filename.remove_extension f
@@ -494,9 +489,7 @@ let publish t job summary ~wid ~gen =
             (if t.ewma_sample_s <= 0.0 then per
              else (0.7 *. t.ewma_sample_s) +. (0.3 *. per))
         end;
-        let snap, manifest = snap_basenames t job.id in
-        note_file_locked t snap;
-        note_file_locked t manifest;
+        note_file_locked t (snap_basename t job.id);
         evict_locked t;
         wake t;
         true

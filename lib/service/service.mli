@@ -46,7 +46,7 @@
       naming the file.  Because every sample is a pure function of
       [(spec, index)], a killed-and-restarted daemon returns the same
       bytes an uninterrupted one would.
-    - {b Bounded state.}  [state_max_bytes > 0] caps the journal/manifest
+    - {b Bounded state.}  [state_max_bytes > 0] caps the journal
       directory: least-recently-finished files are evicted first
       (quarantined [.bad] files before live journals; queued and running
       jobs are never evicted).

@@ -375,4 +375,62 @@ let () =
   shutdown ~socket_path:sock;
   wait_exit pid "poison";
 
+  (* --- evict: a state budget of ~1.5 snapshots, three finished jobs --- *)
+  (* Each finished job leaves one snapshot; with room for only one and a
+     half, every later publish evicts the least-recently-finished one.
+     Results keep serving from memory after their journal is gone. *)
+  let dir = fresh_dir "evict" in
+  let sock = Filename.concat dir "vstatd.sock" in
+  let small i = { P.kind = P.Idsat; n = 100; seed = 500 + i; vdd = 1.0; retry = 1 } in
+  (* 20 bytes per entry (index, attempts, payload length, one float)
+     plus a few hundred bytes of identity, bitmap and footer. *)
+  let snapshot_bytes = (20 * 100) + 200 in
+  let budget = snapshot_bytes * 3 / 2 in
+  let pid =
+    spawn_daemon
+      (config ~state_max_bytes:budget ~dir ~jobs:1 ~inject:None ())
+  in
+  ping ~socket_path:sock;
+  let ids = List.init 3 (fun i -> submit ~job:(small i) ~socket_path:sock ()) in
+  let results = List.map (fun id -> (id, fetch ~socket_path:sock ~id)) ids in
+  let state_bytes =
+    match Client.request ~socket_path:sock P.Health with
+    | Ok (P.Health_report h) ->
+      if h.P.evicted < 1 then die "evict drill: nothing evicted";
+      if h.P.state_bytes > budget then
+        die "evict drill: state dir %d bytes over budget %d" h.P.state_bytes
+          budget;
+      Printf.printf
+        "daemon_chaos: evicted %d journal(s), state dir %d bytes (budget %d)\n%!"
+        h.P.evicted h.P.state_bytes budget;
+      h.P.state_bytes
+    | Ok _ -> die "unexpected response to evict health"
+    | Error m -> die "evict health failed: %s" m
+  in
+  let on_disk =
+    Array.fold_left
+      (fun acc f ->
+        if String.equal f "vstatd.sock" then acc
+        else if not (Filename.check_suffix f ".ckpt") then
+          die "evict drill: stray state file %s" f
+        else acc + (Unix.stat (Filename.concat dir f)).Unix.st_size)
+      0 (Sys.readdir dir)
+  in
+  if on_disk <> state_bytes then
+    die "evict drill: snapshots hold %d bytes, health reports %d" on_disk
+      state_bytes;
+  List.iter
+    (fun (id, fetched) ->
+      match Client.request ~socket_path:sock (P.Result { id }) with
+      | Ok r ->
+        if
+          not
+            (String.equal (P.encode_response r)
+               (P.encode_response (P.Job_result fetched)))
+        then die "evict drill: Result for %s differs from the fetched one" id
+      | Error m -> die "evict drill: Result %s failed: %s" id m)
+    results;
+  shutdown ~socket_path:sock;
+  wait_exit pid "evict";
+
   print_endline "daemon_chaos: PASS"

@@ -348,42 +348,6 @@ let test_accum_matches_descriptive () =
   close ~eps:1e-12 "mean" (D.mean xs) (Accum.mean a);
   close ~eps:1e-12 "std" (D.std xs) (Accum.std a)
 
-let prop_accum_merge =
-  QCheck.Test.make ~name:"merged accumulator = serial fold" ~count:200
-    QCheck.(pair (list_of_size Gen.(int_range 2 50) (float_range (-10.) 10.)) (int_range 0 49))
-    (fun (xs, cut) ->
-      let xs = Array.of_list xs in
-      let cut = cut mod Array.length xs in
-      let left = Array.sub xs 0 cut in
-      let right = Array.sub xs cut (Array.length xs - cut) in
-      let whole = Accum.of_array xs in
-      let merged = Accum.merge (Accum.of_array left) (Accum.of_array right) in
-      let feq a b =
-        (Float.is_nan a && Float.is_nan b)
-        || Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs a)
-      in
-      Accum.count merged = Accum.count whole
-      && feq (Accum.mean merged) (Accum.mean whole)
-      && feq (Accum.variance merged) (Accum.variance whole)
-      && Accum.min merged = Accum.min whole
-      && Accum.max merged = Accum.max whole)
-
-let test_histogram_merge () =
-  let module H = Accum.Histogram in
-  let mk xs =
-    let h = H.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-    List.iter (H.add h) xs;
-    h
-  in
-  let a = mk [ -1.0; 0.5; 3.0; 9.9 ] in
-  let b = mk [ 0.7; 12.0; 5.0 ] in
-  let m = H.merge a b in
-  Alcotest.(check int) "total" 7 (H.total m);
-  Alcotest.(check int) "underflow" 1 (H.underflow m);
-  Alcotest.(check int) "overflow" 1 (H.overflow m);
-  Alcotest.(check (list int)) "bins add" [ 2; 1; 1; 0; 1 ]
-    (Array.to_list (H.counts m))
-
 (* --- default jobs policy (mutates process state: keep last) --- *)
 
 let test_default_jobs_policy () =
@@ -440,8 +404,6 @@ let () =
         [
           Alcotest.test_case "matches descriptive" `Quick
             test_accum_matches_descriptive;
-          Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
-          q prop_accum_merge;
         ] );
       ( "policy",
         [ Alcotest.test_case "default jobs" `Quick test_default_jobs_policy ] );
