@@ -212,7 +212,16 @@ let run_netlist ~csv ~deadline (deck : P.deck) netlist =
     deck.analyses
 
 let run_deck ~csv ~retry ~inject ~deadline path =
-  let deck = P.parse_file path in
+  let deck =
+    match P.parse_file path with
+    | deck -> deck
+    | exception P.Parse_error { line; message } ->
+      Printf.eprintf "%s:%d: %s\n" path line message;
+      exit 2
+    | exception Sys_error message ->
+      Printf.eprintf "vstat_sim: %s\n" message;
+      exit 2
+  in
   Printf.printf "* %s\n" deck.P.title;
   (* Deterministic retry ladder: re-run the whole deck under escalated
      solver options.  The injection key folds in the attempt number, so a

@@ -64,7 +64,14 @@ let parse_value s =
       | 'f' -> 1e-15
       | _ -> 1.0 (* bare unit letters, e.g. "10v" *)
   in
-  v *. scale
+  let v = v *. scale in
+  (* "nan", "inf" and overflowing literals such as "1e999" parse as
+     floats but are no circuit value. *)
+  if not (Float.is_finite v) then
+    raise
+      (Parse_error
+         { line = 0; message = Printf.sprintf "non-finite value %S" s });
+  v
 
 (* Like [parse_value] but failures carry the offending deck line number,
    so every malformed scalar in a deck reports uniformly. *)
@@ -308,6 +315,9 @@ let device_of_card name card ~w ~l =
 
 (* --- the deck --- *)
 
+(* Upper bound on the points of a .dc or .ac sweep. *)
+let max_points = 1e6
+
 let parse_string text =
   let lines = logical_lines text in
   (* SPICE convention: the first (non-comment) line is always the title. *)
@@ -322,6 +332,7 @@ let parse_string text =
   in
   let models = Hashtbl.create 8 in
   let analyses = ref [] in
+  let add_analysis line a = analyses := (line, a) :: !analyses in
   let handle (line, text) =
     let toks = rejoin_parens (tokens text) in
     match toks with
@@ -336,31 +347,44 @@ let parse_string text =
           let name, card = parse_model line toks in
           Hashtbl.replace models name card)
         | ".tran", [ tstep; tstop ] ->
-          analyses :=
-            Tran { tstep = value ~line tstep; tstop = value ~line tstop }
-            :: !analyses
+          let tstep = value ~line tstep and tstop = value ~line tstop in
+          if tstep <= 0.0 || tstop <= 0.0 then
+            fail line ".tran needs tstep > 0 and tstop > 0";
+          add_analysis line (Tran { tstep; tstop })
         | ".dc", [ source; start; stop; step ] ->
-          analyses :=
-            Dc_sweep
-              {
-                source = String.lowercase_ascii source;
-                start = value ~line start;
-                stop = value ~line stop;
-                step = value ~line step;
-              }
-            :: !analyses
+          let start = value ~line start and stop = value ~line stop
+          and step = value ~line step in
+          (* A zero step gives an infinite or NaN interval count. *)
+          let intervals = (stop -. start) /. step in
+          if not (intervals >= 0.0 && intervals < max_points) then
+            fail line
+              ".dc step must be nonzero, point from start to stop and give \
+               at most %.0f points"
+              max_points;
+          add_analysis line
+            (Dc_sweep
+               { source = String.lowercase_ascii source; start; stop; step })
         | ".ac", [ kind; points; f_start; f_stop; source ] ->
           if String.lowercase_ascii kind <> "dec" then
             fail line ".ac supports only DEC sweeps";
-          analyses :=
-            Ac
-              {
-                points_per_decade = int_of_float (value ~line points);
-                f_start = value ~line f_start;
-                f_stop = value ~line f_stop;
-                source = String.lowercase_ascii source;
-              }
-            :: !analyses
+          let points = value ~line points and f_start = value ~line f_start
+          and f_stop = value ~line f_stop in
+          if not (Float.is_integer points && points >= 1.0
+                  && points < max_points) then
+            fail line ".ac points per decade must be an integer in [1, %.0f)"
+              max_points;
+          if not (f_start > 0.0 && f_start <= f_stop) then
+            fail line ".ac needs 0 < fstart <= fstop";
+          if points *. log10 (f_stop /. f_start) >= max_points then
+            fail line ".ac sweep exceeds %.0f points" max_points;
+          add_analysis line
+            (Ac
+               {
+                 points_per_decade = int_of_float points;
+                 f_start;
+                 f_stop;
+                 source = String.lowercase_ascii source;
+               })
         | directive, _ -> fail line "unsupported directive %s" directive)
       | 'r' -> (
         match rest with
@@ -407,6 +431,7 @@ let parse_string text =
             | Some v -> value ~line v
           in
           let w = geom "w" 600e-9 and l = geom "l" 40e-9 in
+          if w <= 0.0 || l <= 0.0 then fail line "MOSFET needs W > 0 and L > 0";
           let dev = device_of_card head card ~w ~l in
           Netlist.mosfet netlist head ~d:(node d) ~g:(node g) ~s:(node s)
             ~b:(node b) ~dev
@@ -414,7 +439,18 @@ let parse_string text =
       | other -> fail line "unsupported element type '%c'" other)
   in
   List.iter handle body;
-  { title; netlist; analyses = List.rev !analyses }
+  let analyses = List.rev !analyses in
+  (* Sources may be declared after the directive that sweeps them. *)
+  let sources = Netlist.vsource_names netlist in
+  List.iter
+    (fun (line, a) ->
+      match a with
+      | Dc_sweep { source; _ } | Ac { source; _ } ->
+        if not (List.mem source sources) then
+          fail line "no voltage source %S to sweep" source
+      | Tran _ -> ())
+    analyses;
+  { title; netlist; analyses = List.map snd analyses }
 
 let parse_file path =
   let ic = open_in path in

@@ -45,8 +45,14 @@ exception Parse_error of { line : int; message : string }
 
 val parse_string : string -> deck
 (** Parse a whole deck from a string; the first non-comment line is
-    always the title, as in SPICE.
-    @raise Parse_error with a 1-based line number on malformed input. *)
+    always the title, as in SPICE.  Beyond syntax, it rejects what no
+    analysis could run: a non-finite value, MOSFET W or L <= 0, a [.tran]
+    step or stop <= 0, a [.dc] step that is zero or points away from stop,
+    an [.ac] point count that is not a positive integer or a frequency
+    range outside [0 < fstart <= fstop], a sweep of more than 1e6 points,
+    and a [.dc]/[.ac] source that names no voltage source of the deck.
+    @raise Parse_error with a 1-based line number on malformed input;
+    no other exception. *)
 
 val parse_file : string -> deck
 (** [parse_file path] reads and parses a deck.
@@ -60,4 +66,5 @@ val parse_value : string -> float
     before single-letter M, so ["3MEG"] is 3e6, not 3e-3) and any
     remaining unit letters are ignored: ["10pF"] is 10e-12, ["1kOhm"]
     is 1e3, ["10V"] is 10.
-    @raise Parse_error (with [line = 0]) on malformed numbers. *)
+    @raise Parse_error (with [line = 0]) on malformed or non-finite
+    numbers (["nan"], ["inf"], ["1e999"]). *)

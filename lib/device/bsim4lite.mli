@@ -43,12 +43,11 @@ val vth : params -> vds:float -> vbs:float -> float
 (** Full threshold voltage including body effect, roll-off and DIBL. *)
 
 val canonical : params -> Device_model.canonical_eval
-(** Canonical-quadrant equations (exposed for unit tests). *)
-
-val canonical_derivs : params -> Device_model.canonical_eval_derivs
-(** Canonical equations with analytic bias derivatives (conductances and
-    transcapacitances), the engine's fast Jacobian path; agrees with
-    {!canonical} and with finite differences (checked in tests). *)
+(** The model's one kernel: canonical-quadrant values, plus the analytic
+    bias partials (conductances and transcapacitances, the engine's
+    Jacobian) when the array has {!Device_model.grad_length} slots.  The
+    partials agree with central finite differences of the values (checked
+    in tests). *)
 
 val device :
   ?name:string -> polarity:Device_model.polarity -> params -> Device_model.t

@@ -17,24 +17,19 @@ type terminal_state = {
   qb : float;  (** bulk terminal charge, C *)
 }
 
-type canonical_eval = vgs:float -> vds:float -> vbs:float -> terminal_state
-(** Model equations in the canonical quadrant.  Caller guarantees
-    [vds >= 0]; values follow NMOS sign conventions (id >= 0 for normal
-    operation, charges in natural NMOS polarity). *)
+type canonical_eval =
+  vgs:float -> vds:float -> vbs:float -> float array -> terminal_state
+(** A model's one kernel: its equations in the canonical quadrant.  Caller
+    guarantees [vds >= 0]; values follow NMOS sign conventions (id >= 0 for
+    normal operation, charges in natural NMOS polarity).  When the array
+    argument has at least {!grad_length} slots, the kernel also writes the
+    analytic partials of its outputs there; a shorter array (value callers
+    pass [[||]]) asks for values only.  The values are the same bits either
+    way. *)
 
-type canonical_grad = {
-  d_vgs : terminal_state;  (** partials of every output w.r.t. vgs *)
-  d_vds : terminal_state;  (** partials w.r.t. vds *)
-  d_vbs : terminal_state;  (** partials w.r.t. vbs *)
-}
-(** Gradient of the canonical outputs: each field reuses {!terminal_state}
-    as a container of the five partial derivatives w.r.t. one canonical
-    bias variable. *)
-
-type canonical_eval_derivs =
-  vgs:float -> vds:float -> vbs:float -> terminal_state * canonical_grad
-(** Canonical equations evaluated together with their analytic bias
-    derivatives.  Must agree with the model's {!canonical_eval} values. *)
+val grad_length : int
+(** 15: the partials of (id, qg, qd, qs, qb), in that order, w.r.t. vgs in
+    slots 0-4, w.r.t. vds in slots 5-9 and w.r.t. vbs in slots 10-14. *)
 
 type derivs = {
   mutable v_id : float;  (** channel current, terminal convention *)
@@ -47,6 +42,9 @@ type derivs = {
   dq : float array;
       (** length 16, row-major transcapacitance block: row = charge terminal
           (g, d, s, b), column = voltage terminal (g, d, s, b) *)
+  grad : float array;
+      (** length {!grad_length}: scratch for the canonical partials, before
+          the terminal chain rule *)
 }
 (** Caller-provided output buffer for {!eval_derivs}: the circuit engine
     allocates one per compiled system and reuses it every Newton iteration,
@@ -75,13 +73,13 @@ val make :
   polarity:polarity ->
   width:float ->
   length:float ->
-  ?canonical_derivs:canonical_eval_derivs ->
   canonical:canonical_eval ->
   unit ->
   t
 (** Wrap canonical equations with polarity mirroring and Vds < 0 swap.
-    When [canonical_derivs] is given, the same mirroring/swap chain rule is
-    applied to the analytic derivatives and exposed as [eval_derivs]. *)
+    [eval] runs the kernel for values only; [eval_derivs] runs it with the
+    buffer's [grad] scratch and applies the same mirroring/swap chain rule
+    to the partials. *)
 
 val without_derivs : t -> t
 (** The same device with the analytic path stripped — forces the engine's
@@ -93,9 +91,6 @@ val ids : t -> vg:float -> vd:float -> vs:float -> vb:float -> float
 
 val gm : ?dv:float -> t -> vg:float -> vd:float -> vs:float -> vb:float -> float
 (** Transconductance dId/dVg by central finite difference. *)
-
-val gds : ?dv:float -> t -> vg:float -> vd:float -> vs:float -> vb:float -> float
-(** Output conductance dId/dVd. *)
 
 val cgg : ?dv:float -> t -> vg:float -> vd:float -> vs:float -> vb:float -> float
 (** Total gate capacitance dQg/dVg (F), central finite difference. *)

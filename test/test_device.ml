@@ -300,6 +300,12 @@ let eval_derivs_exn (d : Dm.t) =
   | Some f -> f
   | None -> Alcotest.fail "device has no analytic derivative path"
 
+let check_bits what expected actual =
+  if Int64.bits_of_float expected <> Int64.bits_of_float actual then
+    Alcotest.failf "%s: expected %h, got %h" what expected actual
+
+(* One kernel produces both paths, so the engine sees the value path's
+   bits exactly. *)
 let test_derivs_values_match_eval () =
   List.iter
     (fun (name, d) ->
@@ -309,11 +315,8 @@ let test_derivs_values_match_eval () =
         (fun (vg, vd, vs, vb) ->
           let st = d.Dm.eval ~vg ~vd ~vs ~vb in
           ed ~vg ~vd ~vs ~vb buf;
-          let chk what expected actual =
-            Alcotest.(check bool)
-              (Printf.sprintf "%s %s at (%g,%g,%g,%g)" name what vg vd vs vb)
-              true
-              (Vstat_util.Floatx.close ~rtol:1e-12 ~atol:1e-30 expected actual)
+          let chk what =
+            check_bits (Printf.sprintf "%s %s at (%g,%g,%g,%g)" name what vg vd vs vb)
           in
           chk "id" st.Dm.id buf.Dm.v_id;
           chk "qg" st.qg buf.v_qg;
@@ -386,6 +389,142 @@ let test_without_derivs_strips_path () =
   let st1 = nmos_vs.Dm.eval ~vg:0.7 ~vd:0.5 ~vs:0.0 ~vb:0.0 in
   let st2 = stripped.Dm.eval ~vg:0.7 ~vd:0.5 ~vs:0.0 ~vb:0.0 in
   check_float ~eps:1e-18 "value path intact" st1.Dm.id st2.Dm.id
+
+(* Hex-float goldens of the value path ([eval] and the paper's three
+   metrics at the default cards), captured before the two kernels of each
+   model were merged into one.  Bit equality: Idsat, Ioff and Cgg feed
+   extraction and BPV, which amplify a one-ULP change. *)
+let value_goldens =
+  [
+    ( "vs-n", (0.0, 0.9, 0.0, 0.0),
+      [| 0x1.109297842857dp-23; -0x1.756de62286feep-53; 0x1.757fe836fadf6p-53;
+         -0x1.2021473e072dap-65; 0x0p+0 |] );
+    ( "vs-n", (0.2, 0.05, 0.0, 0.0),
+      [| 0x1.6525209264256p-20; 0x1.267e2da31a8a6p-54; -0x1.f8fe638ead7b9p-56;
+         -0x1.507d297ede571p-55; 0x0p+0 |] );
+    ( "vs-n", (0.3, 0.9, 0.0, 0.0),
+      [| 0x1.b27e835d71da9p-15; -0x1.2f54eb63abefp-55; 0x1.caef22d104278p-54;
+         -0x1.3344ad1f2e3p-54; 0x0p+0 |] );
+    ( "vs-n", (0.9, 0.9, 0.0, 0.0),
+      [| 0x1.3ac2c6e5922d8p-11; 0x1.d9be2b2845f13p-52; -0x1.cf314778ac1dfp-54;
+         -0x1.65f1d94a1ae9bp-52; 0x0p+0 |] );
+    ( "vs-n", (0.9, 0.1, 0.0, -0.3),
+      [| 0x1.d0f2ed76a2954p-13; 0x1.25d7352d887b4p-51; -0x1.113d725ef3025p-52;
+         -0x1.3a70f7fc1df45p-52; 0x0p+0 |] );
+    ( "vs-n", (0.6, 0.1, 0.5, 0.0),
+      [| -0x1.2da6baed18a2cp-13; 0x1.8eaa2bbfcd126p-53; -0x1.279c06b5c5176p-53;
+         -0x1.9c3894281fecp-55; 0x0p+0 |] );
+    ( "vs-n", (0.9, 0.0, 0.9, 0.3),
+      [| -0x1.4e1317d703f3ep-11; 0x1.eb5af6c37cb77p-52; -0x1.70732731fbc7ep-52;
+         -0x1.eb9f3e4603be3p-54; 0x0p+0 |] );
+    ( "vs-n", (0.7, 0.6, 0.0, 0.8),
+      [| 0x1.130fcd8039787p-11; 0x1.a9ff92a90eaf8p-52; -0x1.fa2fd718b71d9p-54;
+         -0x1.2b739ce2e0e82p-52; 0x0p+0 |] );
+    ( "vs-p", (0.0, 0.9, 0.0, 0.0),
+      [| -0x1.6c10d458ba311p-24; 0x1.8e56744b926acp-53; -0x1.8e67a4f76ff06p-53;
+         0x1.130abdd85a8f5p-65; -0x0p+0 |] );
+    ( "vs-p", (0.2, 0.05, 0.0, 0.0),
+      [| -0x1.35ff489590482p-21; -0x1.38d3203508b1ep-54; 0x1.0c3f89e852d38p-55;
+         0x1.6566b681be906p-55; -0x0p+0 |] );
+    ( "vs-p", (0.3, 0.9, 0.0, 0.0),
+      [| -0x1.091c8f9dc803ep-15; 0x1.6518bce11c928p-55; -0x1.f00d5d8a9b4f1p-54;
+         0x1.3d80ff1a0d05ep-54; -0x0p+0 |] );
+    ( "vs-p", (0.9, 0.9, 0.0, 0.0),
+      [| -0x1.98a542a81c10ep-12; -0x1.e106264b1af71p-52; 0x1.cce619298c99ap-54;
+         0x1.6dcca000b7d0ap-52; -0x0p+0 |] );
+    ( "vs-p", (0.9, 0.1, 0.0, -0.3),
+      [| -0x1.8367989a19402p-14; -0x1.2c6b794411784p-51; 0x1.1b4445a6b6a28p-52;
+         0x1.3d92ace16c4ep-52; -0x0p+0 |] );
+    ( "vs-p", (0.6, 0.1, 0.5, 0.0),
+      [| 0x1.48a26a308f33ap-14; -0x1.912793eceb36ap-53; 0x1.2b7212a7c70fp-53;
+         0x1.96d60514909e8p-55; -0x0p+0 |] );
+    ( "vs-p", (0.9, 0.0, 0.9, 0.3),
+      [| 0x1.b4b841e8aef0cp-12; -0x1.f46582eb92291p-52; 0x1.793fdc05669d8p-52;
+         0x1.ec969b98ae2e2p-54; -0x0p+0 |] );
+    ( "vs-p", (0.7, 0.6, 0.0, 0.8),
+      [| -0x1.5c47a86fa9577p-12; -0x1.b69892df550aap-52; 0x1.0603de620f124p-53;
+         0x1.3396a3ae4d818p-52; -0x0p+0 |] );
+    ( "bsim-n", (0.0, 0.9, 0.0, 0.0),
+      [| 0x1.00189830af365p-26; -0x1.7574a38fdf83dp-53; 0x1.75829bbb43599p-53;
+         -0x1.bf056c7ab7b11p-66; 0x0p+0 |] );
+    ( "bsim-n", (0.2, 0.05, 0.0, 0.0),
+      [| 0x1.570dd731b53b6p-22; 0x1.26ae0cff7574ep-54; -0x1.f8fac6a7952f7p-56;
+         -0x1.50deb6ab2052p-55; 0x0p+0 |] );
+    ( "bsim-n", (0.3, 0.9, 0.0, 0.0),
+      [| 0x1.b0a424c9c8859p-16; -0x1.4773985f12f38p-56; 0x1.af31d61d5119p-54;
+         -0x1.5d54f0058c5c2p-54; 0x0p+0 |] );
+    ( "bsim-n", (0.9, 0.9, 0.0, 0.0),
+      [| 0x1.f0810ede35838p-12; 0x1.fd4591010305fp-52; -0x1.021aa41f97c48p-53;
+         -0x1.7c383ef13723bp-52; 0x0p+0 |] );
+    ( "bsim-n", (0.9, 0.1, 0.0, -0.3),
+      [| 0x1.b6b5a78363f3dp-13; 0x1.31f1927158e98p-51; -0x1.1c502cf5bcd0ep-52;
+         -0x1.4792f7ecf5021p-52; 0x0p+0 |] );
+    ( "bsim-n", (0.6, 0.1, 0.5, 0.0),
+      [| -0x1.8c840c6f5e57dp-14; 0x1.c473615ce5632p-53; -0x1.4984199295f49p-53;
+         -0x1.ebbd1f293dba7p-55; 0x0p+0 |] );
+    ( "bsim-n", (0.9, 0.0, 0.9, 0.3),
+      [| -0x1.15e0388dd0ac5p-11; 0x1.0e0e4a8a821a2p-51; -0x1.8eb4d4be4be04p-52;
+         -0x1.1acf80ad70a81p-53; 0x0p+0 |] );
+    ( "bsim-n", (0.7, 0.6, 0.0, 0.8),
+      [| 0x1.0fe5401cf1091p-11; 0x1.051f584885d36p-51; -0x1.47323ff016f8dp-53;
+         -0x1.66a59099002a6p-52; 0x0p+0 |] );
+    ( "bsim-p", (0.0, 0.9, 0.0, 0.0),
+      [| -0x1.0cc934a54a343p-28; 0x1.8e63ad39b824ap-53; -0x1.8e6cf0b618c97p-53;
+         0x1.286f8c14991fp-66; -0x0p+0 |] );
+    ( "bsim-p", (0.2, 0.05, 0.0, 0.0),
+      [| -0x1.f4e1edf5898aap-25; -0x1.37e5a94f7d0d1p-54; 0x1.0b4bb2de14bf8p-55;
+         0x1.647f9fc0e55aap-55; -0x0p+0 |] );
+    ( "bsim-p", (0.3, 0.9, 0.0, 0.0),
+      [| -0x1.deecde2046ebcp-18; 0x1.13c386d2d301p-55; -0x1.e02a691d0b274p-54;
+         0x1.5648a5b3a1a6bp-54; -0x0p+0 |] );
+    ( "bsim-p", (0.9, 0.9, 0.0, 0.0),
+      [| -0x1.0f2704aa60ff2p-12; -0x1.fe4040ac5eec8p-52; 0x1.f285a9ce5d84cp-54;
+         0x1.819ed638c78b4p-52; -0x0p+0 |] );
+    ( "bsim-p", (0.9, 0.1, 0.0, -0.3),
+      [| -0x1.5ccac45a90063p-14; -0x1.34409c69157dcp-51; 0x1.218a00f7a692bp-52;
+         0x1.46f737da8468cp-52; -0x0p+0 |] );
+    ( "bsim-p", (0.6, 0.1, 0.5, 0.0),
+      [| 0x1.26eb12c009a38p-15; -0x1.b6faf3bf9ad8ep-53; 0x1.454a1eedd58e6p-53;
+         0x1.c6c35347152a1p-55; -0x0p+0 |] );
+    ( "bsim-p", (0.9, 0.0, 0.9, 0.3),
+      [| 0x1.3a59b23e04962p-12; -0x1.10bf905fa1eb6p-51; 0x1.96ab02808c14bp-52;
+         0x1.15a83c7d6f84p-53; -0x0p+0 |] );
+    ( "bsim-p", (0.7, 0.6, 0.0, 0.8),
+      [| -0x1.407dd92f94aadp-12; -0x1.0e5abc67acb12p-51; 0x1.52a53c9b377cap-53;
+         0x1.7362da81bda4p-52; -0x0p+0 |] );
+  ]
+
+let metric_goldens =
+  [
+    ("vs-n", [| 0x1.3ac2c6e5922d8p-11; 0x1.109297842857dp-23; 0x1.ba44a108e8adfp-51 |]);
+    ("vs-p", [| 0x1.98a542a81c10ep-12; 0x1.6c10d458ba311p-24; 0x1.c7fdc0b51eeefp-51 |]);
+    ("bsim-n", [| 0x1.f0810ede35838p-12; 0x1.00189830af365p-26; 0x1.bab8ca8b9ae9fp-51 |]);
+    ("bsim-p", [| 0x1.0f2704aa60ff2p-12; 0x1.0cc934a54a343p-28; 0x1.c88e8d30ec88fp-51 |]);
+  ]
+
+let test_value_goldens () =
+  List.iter
+    (fun (name, (vg, vd, vs, vb), want) ->
+      let d = List.assoc name all_devices in
+      let s = match d.Dm.polarity with Dm.Nmos -> 1.0 | Dm.Pmos -> -1.0 in
+      let st =
+        d.Dm.eval ~vg:(s *. vg) ~vd:(s *. vd) ~vs:(s *. vs) ~vb:(s *. vb)
+      in
+      Array.iteri
+        (fun i got ->
+          check_bits
+            (Printf.sprintf "%s %s at (%g,%g,%g,%g)" name
+               [| "id"; "qg"; "qd"; "qs"; "qb" |].(i) vg vd vs vb)
+            want.(i) got)
+        [| st.Dm.id; st.qg; st.qd; st.qs; st.qb |])
+    value_goldens;
+  List.iter
+    (fun (name, want) ->
+      let d = List.assoc name all_devices in
+      check_bits (name ^ " idsat") want.(0) (Metrics.idsat d ~vdd:0.9);
+      check_bits (name ^ " ioff") want.(1) (Metrics.ioff d ~vdd:0.9);
+      check_bits (name ^ " cgg") want.(2) (Metrics.cgg d ~vdd:0.9))
+    metric_goldens
 
 let prop_derivs_match_fd_random =
   QCheck.Test.make
@@ -547,6 +686,7 @@ let () =
             test_derivs_match_central_fd;
           Alcotest.test_case "without_derivs strips" `Quick
             test_without_derivs_strips_path;
+          Alcotest.test_case "value-path goldens" `Quick test_value_goldens;
           QCheck_alcotest.to_alcotest prop_derivs_match_fd_random;
         ] );
       ( "metrics",

@@ -197,6 +197,44 @@ let test_errors_carry_line_numbers () =
   expect_error "t\nV1 a 0 DC 1\nR1 a 0 1k\n.tran bad 100p\n" 4;
   expect_error "t\nV1 a 0 PULSE(0 1 zzz 1p 1p 10p 20p)\n" 2
 
+(* Decks that are well-formed token by token but describe no runnable
+   analysis or no physical element: each must fail as Parse_error on its
+   own line, never run (or crash) the engine. *)
+let test_bad_decks_rejected () =
+  let body = "t\nV1 a 0 DC 1\nR1 a 0 1k\n" in
+  let mos = "t\n.model n1 vs (type=n)\nV1 a 0 DC 1\n" in
+  List.iter
+    (fun (what, text, expected_line) ->
+      match P.parse_string text with
+      | _ -> Alcotest.failf "%s: expected Parse_error" what
+      | exception P.Parse_error { line; _ } ->
+        Alcotest.(check int) what expected_line line)
+    [
+      ("dc step against the range", body ^ ".dc V1 0 1 -0.1\n", 4);
+      ("dc zero step", body ^ ".dc V1 0 1 0\n", 4);
+      ("dc too many points", body ^ ".dc V1 0 1 1e-12\n", 4);
+      ("dc unknown source", body ^ ".dc V9 0 1 0.1\n", 4);
+      ("dc current source", body ^ "I1 a 0 DC 1m\n.dc I1 0 1 0.1\n", 5);
+      ("tran zero step", body ^ ".tran 0 1n\n", 4);
+      ("tran negative stop", body ^ ".tran 1p -1n\n", 4);
+      ("ac zero points", body ^ ".ac dec 0 1k 1meg v1\n", 4);
+      ("ac fractional points", body ^ ".ac dec 2.5 1k 1meg v1\n", 4);
+      ("ac too many points", body ^ ".ac dec 100k 1 1e12 v1\n", 4);
+      ("ac reversed range", body ^ ".ac dec 10 1meg 1k v1\n", 4);
+      ("ac zero start", body ^ ".ac dec 10 0 1k v1\n", 4);
+      ("ac unknown source", body ^ ".ac dec 10 1k 1meg v7\n", 4);
+      ("nan card parameter", "t\n.model n1 vs (type=n vt0=nan)\n", 2);
+      ("infinite capacitor", "t\nC1 a 0 1e999\n", 2);
+      ("inf resistor", "t\nR1 a 0 inf\n", 2);
+      ("overflow after scaling", "t\nR1 a 0 1e303t\n", 2);
+      ("zero width", mos ^ "M1 a a 0 0 n1 W=0\n", 4);
+      ("negative length", mos ^ "M1 a a 0 0 n1 L=-40n\n", 4);
+    ]
+
+let test_sweep_source_declared_later () =
+  let deck = P.parse_string "t\n.dc V1 0 1 0.5\nV1 a 0 DC 1\nR1 a 0 1k\n" in
+  Alcotest.(check int) "one sweep" 1 (List.length deck.analyses)
+
 let test_unknown_model_rejected () =
   match P.parse_string "t\nM1 d g 0 0 missing\n" with
   | _ -> Alcotest.fail "expected Parse_error"
@@ -204,48 +242,85 @@ let test_unknown_model_rejected () =
     Alcotest.(check bool) "mentions model" true
       (String.length message > 0)
 
-(* --- end-to-end: the shipped example decks parse and solve --- *)
+(* --- the shipped example decks --- *)
+
+(* Found from the test binary's location (_build/default/test/...): the
+   nearest ancestor holding dune-project is the source tree. *)
+let example_decks =
+  lazy
+    (let rec find_root dir =
+       if Sys.file_exists (Filename.concat dir "dune-project") then dir
+       else begin
+         let parent = Filename.dirname dir in
+         if parent = dir then Alcotest.fail "could not locate the workspace root"
+         else find_root parent
+       end
+     in
+     let dir =
+       Filename.concat
+         (find_root (Filename.dirname Sys.executable_name))
+         "examples/netlists"
+     in
+     Sys.readdir dir |> Array.to_list
+     |> List.filter (fun f -> Filename.check_suffix f ".sp")
+     |> List.sort compare
+     |> List.map (fun f ->
+            let path = Filename.concat dir f in
+            (path, In_channel.with_open_bin path In_channel.input_all)))
 
 let test_example_decks () =
-  (* Locate the source tree from the test binary's location
-     (_build/default/test/...) so the shipped decks are really tested. *)
-  let rec find_root dir =
-    if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
-    else begin
-      let parent = Filename.dirname dir in
-      if parent = dir then None else find_root parent
-    end
+  let decks = Lazy.force example_decks in
+  Alcotest.(check bool) "found the decks" true (List.length decks >= 3);
+  List.iter
+    (fun (path, _) ->
+      let deck = P.parse_file path in
+      ignore (E.dc (E.compile deck.netlist)))
+    decks
+
+(* Random edits of the shipped decks: characters, whole tokens and whole
+   lines replaced by fragments chosen to hit the parser's checks. *)
+let mutated_deck =
+  let open QCheck.Gen in
+  let fragments =
+    [| "0"; "-1"; "nan"; "inf"; "1e999"; "0.1"; "1meg"; "-0.1"; "x"; "(";
+       ")"; "="; ""; "\n"; "+"; "*"; "$"; "W=0"; "L=-1"; ".dc v1 0 1 -1";
+       ".ac dec 0 1 2 v1"; ".tran 0 1"; ".model m vs (type=n)";
+       "M1 a b c d m" |]
   in
-  let source_root =
-    (* _build/default mirrors the sources; decks live under examples/. *)
-    find_root (Filename.dirname Sys.executable_name)
+  let replace_nth n f l = List.mapi (fun j x -> if j = n then f else x) l in
+  let edit text =
+    let n = String.length text in
+    let lines = String.split_on_char '\n' text in
+    let line_no = int_bound (List.length lines - 1) in
+    oneof
+      [
+        ( pair (int_bound n) (oneofa fragments) >|= fun (i, f) ->
+          String.sub text 0 i ^ f ^ String.sub text i (n - i) );
+        ( int_bound n >|= fun i ->
+          if i = n then text
+          else String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1) );
+        ( triple line_no small_nat (oneofa fragments) >|= fun (k, t, f) ->
+          let toks = String.split_on_char ' ' (List.nth lines k) in
+          let t = t mod List.length toks in
+          String.concat "\n"
+            (replace_nth k (String.concat " " (replace_nth t f toks)) lines) );
+        ( pair line_no (oneofa fragments) >|= fun (k, f) ->
+          String.concat "\n" (replace_nth k f lines) );
+      ]
   in
-  match source_root with
-  | None -> Alcotest.fail "could not locate the workspace root"
-  | Some root ->
-    let dir = Filename.concat root "examples/netlists" in
-    let checked = ref 0 in
-    List.iter
-      (fun name ->
-        let path = Filename.concat dir name in
-        if Sys.file_exists path then begin
-          incr checked;
-          let deck = P.parse_file path in
-          let eng = E.compile deck.netlist in
-          ignore (E.dc eng)
-        end)
-      [ "inverter.sp"; "rc_filter.sp"; "nmos_iv.sp" ];
-    (* The decks are not copied into _build, so fall back to the real source
-       tree when the mirror lacks them. *)
-    if !checked = 0 then begin
-      let alt = "/root/repo/examples/netlists" in
-      if Sys.file_exists alt then
-        List.iter
-          (fun name ->
-            let deck = P.parse_file (Filename.concat alt name) in
-            ignore (E.dc (E.compile deck.netlist)))
-          [ "inverter.sp"; "rc_filter.sp"; "nmos_iv.sp" ]
-    end
+  let rec edits k text =
+    if k = 0 then return text else edit text >>= edits (k - 1)
+  in
+  oneofl (List.map snd (Lazy.force example_decks)) >>= fun text ->
+  int_range 1 4 >>= fun k -> edits k text
+
+let prop_mutated_decks_fail_typed =
+  QCheck.Test.make ~name:"mutated example decks raise only Parse_error"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") mutated_deck)
+    (fun text ->
+      match P.parse_string text with
+      | _ | (exception P.Parse_error _) -> true)
 
 let () =
   Alcotest.run "vstat_spice"
@@ -269,6 +344,10 @@ let () =
           Alcotest.test_case "analyses" `Quick test_analyses_parsed;
           Alcotest.test_case "error line numbers" `Quick test_errors_carry_line_numbers;
           Alcotest.test_case "unknown model" `Quick test_unknown_model_rejected;
+          Alcotest.test_case "bad decks rejected" `Quick test_bad_decks_rejected;
+          Alcotest.test_case "sweep source declared later" `Quick
+            test_sweep_source_declared_later;
           Alcotest.test_case "example decks" `Quick test_example_decks;
+          QCheck_alcotest.to_alcotest prop_mutated_decks_fail_typed;
         ] );
     ]
