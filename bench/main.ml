@@ -222,7 +222,9 @@ let bench_ablation name ~strip_derivs ~trap =
   Test.make ~name
     (Staged.stage (fun () ->
          let eng = build_inverter_engine ~strip_derivs in
-         Vstat_circuit.Engine.transient ~trap eng ~tstop:400e-12 ~dt:1e-12))
+         Vstat_circuit.Engine.transient
+           ~options:{ (Vstat_circuit.Engine.current_options ()) with trap }
+           eng ~tstop:400e-12 ~dt:1e-12))
 
 let bench_ring_oscillator =
   let rng = bench_rng () in

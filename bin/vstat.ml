@@ -9,17 +9,12 @@ let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning))
 
-(* Checkpoint/deadline state shared between the pipeline build and the
-   experiment runs: one watchdog instance is the whole process's budget. *)
-let checkpoint_settings : Vstat_runtime.Checkpoint.settings option ref =
-  ref None
-
-let process_deadline : (unit -> bool) option ref = ref None
-let graceful_signals = [ Sys.sigint; Sys.sigterm ]
-
+(* The pipeline build runs under the same controls as the experiments:
+   one watchdog instance is the whole process's budget. *)
 let pipeline samples_per_geometry seed =
-  Vstat_core.Pipeline.build ~seed ?checkpoint:!checkpoint_settings
-    ?deadline:!process_deadline ~signals:graceful_signals
+  let c = Vstat_experiments.Mc_compare.controls () in
+  Vstat_core.Pipeline.build ~seed ?checkpoint:c.checkpoint
+    ?deadline:c.deadline ~signals:c.signals
     ~mc_per_geometry:samples_per_geometry ()
 
 open Cmdliner
@@ -166,10 +161,6 @@ let controls_t =
     $ checkpoint_every_t $ resume_t)
 
 let apply_controls c =
-  if c.retry > 1 then
-    Vstat_experiments.Mc_compare.set_default_retry
-      (Vstat_runtime.Runtime.retry c.retry);
-  Vstat_experiments.Mc_compare.set_default_inject c.inject;
   (match (c.ckpt_dir, c.resume_dir) with
   | Some _, Some _ ->
     Format.eprintf
@@ -177,7 +168,7 @@ let apply_controls c =
        already checkpoints into DIR)@.";
     exit 2
   | _ -> ());
-  let settings =
+  let checkpoint =
     match (c.resume_dir, c.ckpt_dir) with
     | Some dir, _ ->
       Some
@@ -187,18 +178,22 @@ let apply_controls c =
       Some (Vstat_runtime.Checkpoint.settings ~every:c.ckpt_every dir)
     | None, None -> None
   in
-  checkpoint_settings := settings;
-  Vstat_experiments.Mc_compare.set_default_checkpoint settings;
-  (* One watchdog for the whole process: every subsequent run shares the
-     same wall-clock budget (created here, at CLI-parse time — the only
-     sanctioned wall-clock use, inside Vstat_runtime.Deadline). *)
-  (match c.deadline_s with
-  | Some seconds ->
-    let w = Vstat_runtime.Deadline.watchdog ~seconds in
-    process_deadline := Some w;
-    Vstat_experiments.Mc_compare.set_default_deadline (Some w)
-  | None -> ());
-  Vstat_experiments.Mc_compare.set_default_signals graceful_signals
+  Vstat_experiments.Mc_compare.set_controls
+    {
+      retry =
+        (if c.retry > 1 then Vstat_runtime.Runtime.retry c.retry
+         else Vstat_runtime.Runtime.no_retry);
+      inject = c.inject;
+      checkpoint;
+      (* One watchdog for the whole process: every subsequent run shares
+         the same wall-clock budget (created here, at CLI-parse time — the
+         only sanctioned wall-clock use, inside Vstat_runtime.Deadline). *)
+      deadline =
+        Option.map
+          (fun seconds -> Vstat_runtime.Deadline.watchdog ~seconds)
+          c.deadline_s;
+      signals = [ Sys.sigint; Sys.sigterm ];
+    }
 
 (* Validated numeric convs everywhere: a negative -n or zero --bpv-samples
    used to raise Invalid_argument deep inside the runtime (exit 125); bad

@@ -116,18 +116,15 @@ type trace = {
 
 val transient :
   ?options:solver_options ->
-  ?trap:bool ->
-  ?dt_min_factor:float ->
   t -> tstop:float -> dt:float -> trace
 (** Integrate from a t=0 operating point to [tstop] with maximum step [dt]
-    (backward Euler by default, trapezoidal when [trap]).  The step is
-    halved on Newton failure (down to [dt * dt_min_factor], default 1/256)
-    and grown back on easy convergence.  Steps are aligned to the waveform
+    (backward Euler by default, trapezoidal when [options.trap]).  The
+    step is halved on Newton failure (down to [dt * dt_min_factor],
+    default 1/256) and grown back on easy convergence.  Steps are aligned to the waveform
     corners of every independent source (pulse edges, PWL vertices), so
     sharp input transitions are landed on exactly rather than straddled.
-    [?trap]/[?dt_min_factor] override the corresponding [options] fields
-    (default: {!current_options}); the t=0 operating point shares the
-    solve's work budget.
+    [options] defaults to {!current_options}; the t=0 operating point
+    shares the solve's work budget.
     @raise Diag.Solver_error with kind [Tran_step_floor] (or
     [Nonfinite_update]/[Singular_jacobian] when that is what kept killing
     steps), [Work_cap_exceeded], or a DC kind from the t=0 solve. *)
@@ -144,8 +141,6 @@ type raw_trace = {
 
 val transient_raw :
   ?options:solver_options ->
-  ?trap:bool ->
-  ?dt_min_factor:float ->
   t -> tstop:float -> dt:float -> raw_trace
 (** Exactly {!transient}, but returning the engine's flat trace buffers
     instead of materialized per-step rows.  The integration loop itself

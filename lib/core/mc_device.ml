@@ -26,44 +26,23 @@ let of_cells ~count cells =
 let run ?jobs ?checkpoint ?deadline ?signals ?(label = "mc_device")
     ?fingerprint ~sampler ~rng ~n ~vdd () =
   if n < 1 then invalid_arg "Mc_device.run: n >= 1";
-  let f sample_rng =
-    let dev = sampler sample_rng in
-    ( Vstat_device.Metrics.idsat dev ~vdd,
-      Vstat_device.Metrics.log10_ioff dev ~vdd,
-      Vstat_device.Metrics.cgg dev ~vdd )
+  let module C = Vstat_runtime.Checkpoint in
+  let o =
+    C.run ?jobs ?settings:checkpoint ?deadline ?signals ?fingerprint
+      ~codec:C.float_triple_codec ~label ~rng ~n
+      ~f:(fun ~attempt:_ ~index:_ sample_rng ->
+        let dev = sampler sample_rng in
+        ( Vstat_device.Metrics.idsat dev ~vdd,
+          Vstat_device.Metrics.log10_ioff dev ~vdd,
+          Vstat_device.Metrics.cgg dev ~vdd ))
+      ()
   in
-  match (checkpoint, deadline, signals) with
-  | None, None, None ->
-    (* The plain fast path: no checkpoint store, no stop polling. *)
-    let r = Vstat_runtime.Runtime.map_rng_samples ?jobs ~rng ~n ~f () in
-    (* Device metrics are closed-form: any exception is a programming error,
-       not statistical bad luck, so the budget is zero. *)
-    Vstat_runtime.Runtime.reraise_first_failure r;
-    of_cells ~count:n (Array.map (fun c -> Some c) r.cells)
-  | _ ->
-    let module C = Vstat_runtime.Checkpoint in
-    let o =
-      C.run ?jobs ?settings:checkpoint ?deadline
-        ?signals ?fingerprint ~codec:C.float_triple_codec ~label ~rng ~n
-        ~f:(fun ~attempt:_ ~index:_ sample_rng -> f sample_rng)
-        ()
-    in
-    (match o.C.cause with
-    | C.Signalled signal ->
-      raise
-        (C.Interrupted
-           {
-             label;
-             signal;
-             completed = o.C.completed;
-             n;
-             snapshot = o.C.snapshot;
-           })
-    | C.Finished | C.Deadline_reached -> ());
-    Vstat_runtime.Runtime.reraise_first_failure (C.completed_run o);
-    (* Under a deadline the arrays are compacted over the completed
-       samples (index order) — a shorter but statistically valid draw. *)
-    of_cells ~count:o.C.completed o.C.cells
+  (* Device metrics are closed-form: any exception is a programming error,
+     not statistical bad luck, so the budget is zero. *)
+  Vstat_runtime.Runtime.reraise_first_failure (C.completed_run o);
+  (* Under a deadline the arrays are compacted over the completed
+     samples (index order) — a shorter but statistically valid draw. *)
+  of_cells ~count:o.C.completed o.C.cells
 
 let of_vs ?jobs ?checkpoint ?deadline ?signals ?label ?fingerprint t ~rng ~n
     ~w_nm ~l_nm ~vdd =

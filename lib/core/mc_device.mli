@@ -1,9 +1,10 @@
 (** Device-level Monte Carlo: sample mismatch instances and collect the
     electrical metric distributions (paper Table III, Figs. 3 and 4).
 
-    Sampling runs on {!Vstat_runtime.Runtime}: sample [i] draws from
-    [Rng.substream] index [i] (the base seed is one draw off [rng]), so the
-    returned arrays are index-stable and bit-identical for any [jobs]. *)
+    Every run goes through {!Vstat_runtime.Checkpoint.run}: sample [i]
+    draws from [Rng.substream] index [i] (the base seed is one draw off
+    [rng]), so the returned arrays are index-stable and bit-identical for
+    any [jobs], journaled or not. *)
 
 type samples = {
   idsat : float array;        (** A *)
@@ -28,13 +29,13 @@ val run :
     defaults to {!Vstat_runtime.Runtime.default_jobs}; any sampler
     exception is re-raised (zero failure budget).
 
-    With [checkpoint]/[deadline]/[signals] the run goes through
-    {!Vstat_runtime.Checkpoint.run} (label defaults to ["mc_device"]):
-    completed samples are journaled and a resumed or uninterrupted run
-    yields bit-identical arrays.  When the deadline fires, the arrays are
-    compacted over the completed samples (shorter, still index-ordered); a
-    trapped signal raises {!Vstat_runtime.Checkpoint.Interrupted} after
-    the final snapshot flush. *)
+    [checkpoint], [deadline], [signals], [label] (default ["mc_device"])
+    and [fingerprint] are passed to {!Vstat_runtime.Checkpoint.run}:
+    with [checkpoint] completed samples are journaled and a resumed or
+    uninterrupted run yields bit-identical arrays.  When the deadline
+    fires, the arrays are compacted over the completed samples (shorter,
+    still index-ordered); a trapped signal raises
+    {!Vstat_runtime.Checkpoint.Interrupted}. *)
 
 val of_vs :
   ?jobs:int ->

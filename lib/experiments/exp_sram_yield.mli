@@ -74,7 +74,10 @@ val estimate_plain :
   Vstat_core.Pipeline.t ->
   Vstat_rare.Importance.result
 (** Brute-force Monte Carlo (standard-proposal importance sampling —
-    bit-identical to plain MC, weights exactly 1). *)
+    bit-identical to plain MC, weights exactly 1).  It runs under the
+    problem label plus ["-plain"] (result label and snapshot
+    [<problem>-plain-is]), so its journal never collides with
+    {!estimate_is}'s. *)
 
 val estimate_is :
   ?jobs:int ->

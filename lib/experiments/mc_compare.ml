@@ -20,30 +20,30 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    converge or to switch; anything beyond the budget is a modeling bug. *)
 let default_max_failure_frac = 0.2
 
-(* Process-wide resilience defaults, set by the CLIs (--retry,
-   --inject-fault) before any experiment runs; explicit arguments win. *)
-let default_retry = ref Vstat_runtime.Runtime.no_retry
-let set_default_retry p = default_retry := p
-let default_inject : Vstat_device.Fault_inject.config option ref = ref None
-let set_default_inject c = default_inject := c
+type controls = {
+  retry : Vstat_runtime.Runtime.retry_policy;
+  inject : Vstat_device.Fault_inject.config option;
+  checkpoint : Vstat_runtime.Checkpoint.settings option;
+  deadline : (unit -> bool) option;
+  signals : int list;
+}
 
-(* Checkpoint/deadline defaults likewise come from the CLIs
-   (--checkpoint-dir/--resume, --deadline): one process-wide watchdog so a
+(* Process-wide run controls, set by the CLIs before any experiment runs;
+   explicit arguments win.  One deadline closure is one watchdog, so a
    whole experiment batch shares a single wall-clock budget. *)
-let default_checkpoint : Vstat_runtime.Checkpoint.settings option ref =
-  ref None
+let current =
+  ref
+    {
+      retry = Vstat_runtime.Runtime.no_retry;
+      inject = None;
+      checkpoint = None;
+      deadline = None;
+      signals = [];
+    }
 
-let set_default_checkpoint c = default_checkpoint := c
-
-let default_deadline : (unit -> bool) option ref = ref None
-let set_default_deadline d = default_deadline := d
-let default_signals : int list ref = ref []
-let set_default_signals s = default_signals := s
-let ambient_retry () = !default_retry
-let ambient_checkpoint () = !default_checkpoint
-let ambient_deadline () = !default_deadline
-let ambient_signals () = !default_signals
-let warned_no_codec = Atomic.make false
+let controls () = !current
+let set_controls c = current := c
+let set_default_checkpoint checkpoint = current := { !current with checkpoint }
 
 (* Injection key for (sample, attempt): injective for < 64 attempts, so
    each retry attempt rolls an independent fault decision while staying a
@@ -65,25 +65,9 @@ let pp_engine_work ppf (d : Vstat_circuit.Engine.counters) =
 let collect_run ?jobs ?(max_failure_frac = default_max_failure_frac) ?retry
     ?inject ?codec ~label ~n ~tech_of_rng ~rng ~measure () =
   let module C = Vstat_runtime.Checkpoint in
-  let retry = match retry with Some r -> r | None -> !default_retry in
-  let inject =
-    match inject with Some i -> Some i | None -> !default_inject
-  in
-  (* Persistence needs a payload codec; without one, deadline and signal
-     handling stay active but nothing is journaled. *)
-  let codec, settings =
-    match (codec, !default_checkpoint) with
-    | Some c, s -> (c, s)
-    | None, None -> (C.opaque_codec label, None)
-    | None, Some _ ->
-      if not (Atomic.exchange warned_no_codec true) then
-        Log.warn (fun m ->
-            m
-              "%s: measurement has no payload codec; checkpoint persistence \
-               disabled (deadline/signal handling still active)"
-              label);
-      (C.opaque_codec label, None)
-  in
+  let ctl = controls () in
+  let retry = Option.value retry ~default:ctl.retry in
+  let inject = match inject with Some i -> Some i | None -> ctl.inject in
   (* The injection config changes sample values, so it is part of the run
      identity a resume must match. *)
   let fingerprint =
@@ -96,8 +80,8 @@ let collect_run ?jobs ?(max_failure_frac = default_max_failure_frac) ?retry
   in
   let before = Vstat_circuit.Engine.global_counters () in
   let o =
-    C.run ?jobs ~retry ?deadline:!default_deadline ?settings
-      ~signals:!default_signals ~fingerprint ~codec ~label ~rng ~n
+    C.run ?jobs ~retry ?deadline:ctl.deadline ?settings:ctl.checkpoint
+      ~signals:ctl.signals ~fingerprint ?codec ~label ~rng ~n
       ~f:(fun ~attempt ~index sample_rng ->
         let tech = tech_of_rng sample_rng in
         let tech =
@@ -119,33 +103,18 @@ let collect_run ?jobs ?(max_failure_frac = default_max_failure_frac) ?retry
   in
   let after = Vstat_circuit.Engine.global_counters () in
   (match o.C.cause with
-  | C.Signalled signal ->
-    (* The final snapshot is already flushed; unwind to the CLI. *)
-    raise
-      (C.Interrupted
-         {
-           label;
-           signal;
-           completed = o.C.completed;
-           n;
-           snapshot = o.C.snapshot;
-         })
   | C.Deadline_reached when o.C.completed < 2 ->
     failwith
       (Printf.sprintf
          "Mc_compare:%s: deadline expired after %d/%d samples — nothing to \
           report"
          label o.C.completed n)
-  | C.Deadline_reached ->
-    Log.warn (fun m ->
-        m "%s: partial result (%d/%d samples) — deadline reached" label
-          o.C.completed n)
-  | C.Finished -> ());
+  | C.Deadline_reached | C.Finished -> ());
   (* Under a deadline this compacts to the completed subset: downstream
      statistics see a smaller but index-ordered, bit-reproducible run. *)
   let r = C.completed_run o in
   Log.info (fun m ->
-      m "%s: %a%a" label Vstat_runtime.Runtime.pp_stats r.stats pp_engine_work
+      m "%s:%a" label pp_engine_work
         (Vstat_circuit.Engine.counters_diff after before));
   Vstat_runtime.Runtime.check_budget ~label:("Mc_compare:" ^ label)
     ~max_failure_frac r;

@@ -13,44 +13,32 @@ type pair = {
   overlap : float;           (** KDE overlap in [0,1] *)
 }
 
-val set_default_retry : Vstat_runtime.Runtime.retry_policy -> unit
-(** Process-wide default retry policy for every comparison run (the CLIs'
-    [--retry N]); explicit [?retry] arguments win.  Default:
-    {!Vstat_runtime.Runtime.no_retry}. *)
+type controls = {
+  retry : Vstat_runtime.Runtime.retry_policy;
+      (** the CLIs' [--retry N]; default {!Vstat_runtime.Runtime.no_retry} *)
+  inject : Vstat_device.Fault_inject.config option;
+      (** the CLIs' [--inject-fault RATE[:KIND]]; default none *)
+  checkpoint : Vstat_runtime.Checkpoint.settings option;
+      (** the CLIs' [--checkpoint-dir] / [--checkpoint-every] / [--resume] *)
+  deadline : (unit -> bool) option;
+      (** the CLIs' [--deadline SEC], one
+          {!Vstat_runtime.Deadline.watchdog} shared by every run, so a
+          batch of experiments degrades together *)
+  signals : int list;
+      (** trapped for graceful shutdown (the CLIs install
+          [SIGINT; SIGTERM]) *)
+}
+(** Process-wide run controls: every comparison run and every
+    experiment that drives {!Vstat_rare} estimators directly reads them,
+    so one set of CLI flags governs them all.  Explicit [?retry] /
+    [?inject] arguments win. *)
 
-val ambient_retry : unit -> Vstat_runtime.Runtime.retry_policy
-val ambient_checkpoint : unit -> Vstat_runtime.Checkpoint.settings option
-val ambient_deadline : unit -> (unit -> bool) option
-
-val ambient_signals : unit -> int list
-(** Read back the process-wide defaults above, for experiments (e.g. the
-    rare-event ones) that drive {!Vstat_rare} estimators directly instead
-    of going through {!collect_run} but must honor the same CLI-installed
-    resilience knobs. *)
-
-val set_default_inject : Vstat_device.Fault_inject.config option -> unit
-(** Process-wide default fault-injection config (the CLIs'
-    [--inject-fault RATE[:KIND]]); explicit [?inject] arguments win.
-    Default: no injection. *)
+val controls : unit -> controls
+val set_controls : controls -> unit
 
 val set_default_checkpoint : Vstat_runtime.Checkpoint.settings option -> unit
-(** Process-wide checkpoint settings (the CLIs' [--checkpoint-dir] /
-    [--checkpoint-every] / [--resume]).  Persistence only engages for
-    measurements that declare a payload codec ([?codec] below, wired for
-    {!run}/{!run_many}); others warn once and run unjournaled. *)
-
-val set_default_deadline : (unit -> bool) option -> unit
-(** Process-wide wall-clock watchdog (the CLIs' [--deadline SEC], built
-    with {!Vstat_runtime.Deadline.watchdog}).  One watchdog instance is
-    shared by every subsequent run, so a batch of experiments degrades
-    together: the run in flight when the budget expires stops at a sample
-    boundary, checkpoints, and reports a partial result; later runs report
-    what little they evaluate or fail fast with a clear message. *)
-
-val set_default_signals : int list -> unit
-(** Signals trapped for graceful shutdown during runs (the CLIs install
-    [SIGINT; SIGTERM]).  On delivery the run drains, flushes a final
-    snapshot and raises {!Vstat_runtime.Checkpoint.Interrupted}. *)
+(** [set_default_checkpoint c] sets only the [checkpoint] field of
+    {!controls}; kept for perfbench's journal workload, which calls it. *)
 
 val collect :
   ?jobs:int ->
@@ -91,15 +79,15 @@ val collect_run :
     counts, retry/recovery stats) — what the chaos benches and
     failure-path tests inspect.
 
-    Checkpointing/deadlines: runs route through
-    {!Vstat_runtime.Checkpoint.run}.  When checkpoint settings are armed
-    and a [codec] is given, completed samples are journaled under [label]
-    and a resumed run replays only incomplete indices (bit-identical
-    results).  When the process deadline expires mid-run the returned run
-    is the completed subset ([stats.n] = evaluated count, logged as
-    partial); with fewer than 2 completed samples it raises [Failure]
+    Checkpointing/deadlines: runs go through
+    {!Vstat_runtime.Checkpoint.run} under {!controls}, which decides how
+    a run ends.  With checkpoint settings and a [codec], completed samples
+    are journaled under [label] and a resumed run replays only incomplete
+    indices (bit-identical results).  When the deadline expires mid-run
+    the returned run is the completed subset ([stats.n] = evaluated
+    count); with fewer than 2 completed samples it raises [Failure]
     instead.  A trapped signal raises
-    {!Vstat_runtime.Checkpoint.Interrupted} after the final flush. *)
+    {!Vstat_runtime.Checkpoint.Interrupted}. *)
 
 val run :
   ?jobs:int ->

@@ -26,24 +26,6 @@ type result = {
   complete : bool;
 }
 
-let handle_cause ~label ~n (o : _ C.outcome) =
-  match o.C.cause with
-  | C.Signalled signal ->
-    raise
-      (C.Interrupted
-         { label; signal; completed = o.C.completed; n; snapshot = o.C.snapshot })
-  | C.Deadline_reached when o.C.completed < 2 ->
-    failwith
-      (Printf.sprintf
-         "Blockade:%s: deadline expired after %d/%d samples — nothing to \
-          report"
-         label o.C.completed n)
-  | C.Deadline_reached ->
-    Log.warn (fun m ->
-        m "%s: partial result (%d/%d samples) — deadline reached" label
-          o.C.completed n)
-  | C.Finished -> ()
-
 let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
     ?deadline ?signals ?(confidence = 0.95) ?(margin = 0.90) ?pilot_n
     ~(problem : Problem.t) ~rng ~n () =
@@ -87,7 +69,6 @@ let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
         Array.append [| metric |] z)
       ()
   in
-  handle_cause ~label:pilot_label ~n:pilot_n pilot_o;
   let pilot_r = C.completed_run pilot_o in
   R.check_budget ~label:("Blockade:" ^ pilot_label) ~max_failure_frac pilot_r;
   let pilot_rows = R.values pilot_r in
@@ -144,7 +125,6 @@ let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
         else (predicted, 0.0, Float.nan))
       ()
   in
-  handle_cause ~label:main_label ~n main_o;
   let main_r = C.completed_run main_o in
   R.check_budget ~label:("Blockade:" ^ main_label) ~max_failure_frac main_r;
   let rows = R.values main_r in
@@ -182,10 +162,7 @@ let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
       residual_std;
       pilot_metrics;
       stats = main_r.R.stats;
-      complete =
-        (match (pilot_o.C.cause, main_o.C.cause) with
-        | C.Finished, C.Finished -> true
-        | _ -> false);
+      complete = C.is_complete pilot_o && C.is_complete main_o;
     }
   in
   Log.info (fun m ->

@@ -82,22 +82,6 @@ let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
         (metric, Proposal.log_weight proposal z))
       ()
   in
-  (match o.C.cause with
-  | C.Signalled signal ->
-    raise
-      (C.Interrupted
-         { label; signal; completed = o.C.completed; n; snapshot = o.C.snapshot })
-  | C.Deadline_reached when o.C.completed < 2 ->
-    failwith
-      (Printf.sprintf
-         "Importance:%s: deadline expired after %d/%d samples — nothing to \
-          report"
-         label o.C.completed n)
-  | C.Deadline_reached ->
-    Log.warn (fun m ->
-        m "%s: partial result (%d/%d samples) — deadline reached" label
-          o.C.completed n)
-  | C.Finished -> ());
   let r = C.completed_run o in
   R.check_budget ~label:("Importance:" ^ label) ~max_failure_frac r;
   let pairs = R.values r in
@@ -136,7 +120,7 @@ let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
       metrics;
       log_weights;
       stats = r.R.stats;
-      complete = (match o.C.cause with C.Finished -> true | _ -> false);
+      complete = C.is_complete o;
     }
   in
   Log.info (fun m ->

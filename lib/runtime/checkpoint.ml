@@ -16,7 +16,8 @@
    computing and only block if they finish a sample during the flush).
    Deadlines and signals set a flag the pool polls at sample boundaries;
    the final flush then runs on the caller, so no async-signal-unsafe
-   work ever happens inside a signal handler. *)
+   work ever happens inside a signal handler.  A trapped signal ends the
+   run by raising [Interrupted] once that flush is done. *)
 
 module Rng = Vstat_util.Rng
 
@@ -100,23 +101,6 @@ let float_triple_codec =
                (Array.length vs)));
   }
 
-(* A codec for values that cannot be persisted: lets a caller reuse the
-   deadline/signal machinery of [run] without checkpoint [settings].
-   Encoding or decoding through it is a programming error by construction
-   (the driver only touches the codec when settings are present). *)
-let opaque_codec name =
-  let reject _ =
-    invalid_arg
-      (Printf.sprintf
-         "Checkpoint.opaque_codec(%s): this value type cannot be persisted"
-         name)
-  in
-  {
-    codec_name = "opaque:" ^ name;
-    encode = reject;
-    decode = reject;
-  }
-
 (* --- settings ---------------------------------------------------------- *)
 
 type settings = { dir : string; every : int; resume : bool }
@@ -138,7 +122,7 @@ let snapshot_path s label = Filename.concat s.dir (sanitize_label label ^ ".ckpt
 
 (* --- outcome ----------------------------------------------------------- *)
 
-type cause = Finished | Deadline_reached | Signalled of int
+type cause = Finished | Deadline_reached
 
 (* OCaml's Sys.sig* constants are negative portable encodings; shells and
    exit statuses speak the POSIX numbers.  Unknown encodings map to 0
@@ -225,37 +209,67 @@ let completed_run o =
 
 type slot = { s_attempts : int; s_payload : string }
 
-let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings:cfg
-    ?(signals = []) ?(fingerprint = "") ~codec ~label ~rng ~n ~f () =
+(* The journaled fingerprint is the caller's with the codec name appended,
+   so a snapshot written under one payload encoding never decodes under
+   another. *)
+let codec_tag = "|codec:"
+
+let caller_fingerprint (id : Journal.identity) =
+  let fp = id.Journal.fingerprint in
+  let k = String.length codec_tag in
+  let rec back i =
+    if i < 0 then fp
+    else if String.equal (String.sub fp i k) codec_tag then String.sub fp 0 i
+    else back (i - 1)
+  in
+  back (String.length fp - k)
+
+let warned_no_codec = Atomic.make false
+
+let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings
+    ?(signals = []) ?(fingerprint = "") ?codec ~label ~rng ~n ~f () =
   if n < 0 then invalid_arg "Checkpoint.run: n must be >= 0";
   (* One draw off [rng], exactly like [Runtime.map_rng_samples]:
      the same starting RNG state yields the same substream family whether
      or not the run is checkpointed. *)
   let base_seed64 = Rng.bits64 rng in
   let base_seed = Int64.to_int base_seed64 in
-  let identity =
+  (* Persistence needs both a directory and a payload codec. *)
+  let store =
+    match (settings, codec) with
+    | Some s, Some c -> Some (s, c, snapshot_path s label)
+    | Some _, None ->
+      if not (Atomic.exchange warned_no_codec true) then
+        Log.warn (fun m ->
+            m
+              "%s: measurement has no payload codec; checkpoint persistence \
+               disabled (deadline/signal handling still active)"
+              label);
+      None
+    | None, _ -> None
+  in
+  let identity codec =
     {
       Journal.label;
-      fingerprint =
-        String.concat "|" [ fingerprint; "codec:" ^ codec.codec_name ];
+      fingerprint = fingerprint ^ codec_tag ^ codec.codec_name;
       n;
       base_seed = base_seed64;
       max_attempts = retry.Runtime.max_attempts;
     }
   in
-  let spath = Option.map (fun s -> snapshot_path s label) cfg in
   (* Per-sample persisted state: restored entries first, then whatever
      this run completes.  Guarded by [mu] once workers start. *)
   let persisted : slot option array = Array.make n None in
   let restored_values : (int * 'a) option array = Array.make n None in
   let restored = ref 0 in
-  (match (cfg, spath) with
-  | Some s, Some path when s.resume && Sys.file_exists path -> (
+  (match store with
+  | Some (s, codec, path) when s.resume && Sys.file_exists path -> (
     match Journal.read ~path with
     | Error e -> raise (Journal.Rejected e)
     | Ok snap -> (
       match
-        Journal.check_identity ~path ~expected:identity snap.Journal.identity
+        Journal.check_identity ~path ~expected:(identity codec)
+          snap.Journal.identity
       with
       | Error e -> raise (Journal.Rejected e)
       | Ok () ->
@@ -285,8 +299,8 @@ let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings:cfg
   let mu = Mutex.create () in
   let dirty = ref 0 in
   let flush_locked () =
-    match spath with
-    | Some path ->
+    match store with
+    | Some (_, codec, path) ->
       let entries = ref [] in
       for i = n - 1 downto 0 do
         match persisted.(i) with
@@ -298,21 +312,20 @@ let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings:cfg
             :: !entries
       done;
       let entries = Array.of_list !entries in
-      Journal.write ~path { Journal.identity; entries };
+      Journal.write ~path { Journal.identity = identity codec; entries };
       Log.debug (fun m ->
           m "%s: checkpointed %d/%d to %s" label (Array.length entries) n path)
     | None -> ()
   in
-  let record ~index ~attempts v =
+  let record (s, codec, _) ~index ~attempts v =
     let payload = codec.encode v in
     Mutex.protect mu (fun () ->
         persisted.(index) <- Some { s_attempts = attempts; s_payload = payload };
         incr dirty;
-        match cfg with
-        | Some s when s.every > 0 && !dirty >= s.every ->
+        if s.every > 0 && !dirty >= s.every then begin
           flush_locked ();
           dirty := 0
-        | _ -> ())
+        end)
   in
   let pending =
     let acc = ref [] in
@@ -340,7 +353,9 @@ let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings:cfg
   in
   let f' ~attempt i =
     let v = f ~attempt ~index:i (Rng.substream ~seed:base_seed ~index:i) in
-    if Option.is_some cfg then record ~index:i ~attempts:(attempt + 1) v;
+    (match store with
+    | Some st -> record st ~index:i ~attempts:(attempt + 1) v
+    | None -> ());
     v
   in
   let p =
@@ -350,7 +365,7 @@ let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings:cfg
   in
   (* Final flush: the snapshot always reflects the run's terminal state
      (including a complete one — resuming a finished run is a no-op). *)
-  if Option.is_some cfg then Mutex.protect mu (fun () -> flush_locked ());
+  if Option.is_some store then Mutex.protect mu (fun () -> flush_locked ());
   let cells = Array.make n None in
   let attempts = Array.make n 0 in
   Array.iteri
@@ -374,34 +389,38 @@ let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings:cfg
       (fun acc c -> if Option.is_some c then acc + 1 else acc)
       0 cells
   in
+  let stats = p.Runtime.partial_stats in
+  let snapshot = Option.map (fun (_, _, path) -> path) store in
+  Log.info (fun m ->
+      m "%s: n=%d jobs=%d wall=%.3fs rate=%.0f/s failed=%d" label n
+        stats.Runtime.jobs stats.Runtime.wall_s stats.Runtime.samples_per_sec
+        (Array.fold_left
+           (fun acc c ->
+             match c with Some (Error _) -> acc + 1 | _ -> acc)
+           0 cells));
   let cause =
     match p.Runtime.cause with
     | Runtime.Completed -> Finished
-    | Runtime.Stopped -> (
-      match Atomic.get sig_flag with
-      | s when s <> min_int -> Signalled s
-      | _ -> Deadline_reached)
+    | Runtime.Stopped ->
+      let signal = Atomic.get sig_flag in
+      (* The final snapshot is flushed and the old handlers are back:
+         unwind to whoever turns a signal into an exit status. *)
+      if signal <> min_int then
+        raise (Interrupted { label; signal; completed; n; snapshot });
+      Log.warn (fun m ->
+          m "%s: deadline reached after %d/%d samples (checkpoint %s)" label
+            completed n
+            (Option.value snapshot ~default:"disabled"));
+      Deadline_reached
   in
-  (match cause with
-  | Finished -> ()
-  | Deadline_reached ->
-    Log.warn (fun m ->
-        m "%s: deadline reached after %d/%d samples (checkpoint %s)" label
-          completed n
-          (match spath with Some pth -> pth | None -> "disabled"))
-  | Signalled s ->
-    Log.warn (fun m ->
-        m "%s: signal %d after %d/%d samples (checkpoint %s)" label
-          (os_signal_number s) completed n
-          (match spath with Some pth -> pth | None -> "disabled")));
   {
     label;
     n;
     cells;
     attempts;
-    stats = p.Runtime.partial_stats;
+    stats;
     cause;
     restored = !restored;
     completed;
-    snapshot = spath;
+    snapshot;
   }

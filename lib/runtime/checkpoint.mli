@@ -12,10 +12,11 @@
     resuming under a different worker count is equally safe.
 
     Graceful degradation: a deadline watchdog ({!Deadline.watchdog}) or a
-    caught signal drains the pool at the next sample boundary, flushes a
-    final snapshot, and returns a partial {!outcome} whose [cause] says
-    why.  Failed samples are never persisted; they replay (and re-fail
-    identically) on resume, so the failure census stays honest. *)
+    caught signal drains the pool at the next sample boundary and flushes
+    a final snapshot.  A deadline then returns a partial {!outcome}; a
+    signal raises {!Interrupted}.  Failed samples are never persisted;
+    they replay (and re-fail identically) on resume, so the failure census
+    stays honest. *)
 
 (** How to persist one sample value.  [encode]/[decode] must round-trip
     bit-exactly. *)
@@ -35,12 +36,6 @@ val float_pair_codec : (float * float) codec
 
 val float_triple_codec : (float * float * float) codec
 
-val opaque_codec : string -> 'a codec
-(** A non-persistable codec: use it to run {!run} for its deadline/signal
-    machinery only (no [settings]).  Its [encode]/[decode] raise
-    [Invalid_argument] — passing it together with [settings] is a
-    programming error. *)
-
 type settings = {
   dir : string;    (** snapshot directory (created on first flush) *)
   every : int;     (** flush after this many new samples; 0 = only at end *)
@@ -54,11 +49,13 @@ val settings : ?every:int -> ?resume:bool -> string -> settings
 val snapshot_path : settings -> string -> string
 (** [snapshot_path s label] — [<dir>/<sanitized label>.ckpt]. *)
 
+val caller_fingerprint : Journal.identity -> string
+(** The [fingerprint] the caller passed to {!run}, recovered from a
+    journaled identity ({!run} appends the codec name to it). *)
+
 type cause =
   | Finished          (** every sample evaluated *)
   | Deadline_reached  (** the [deadline] watchdog fired *)
-  | Signalled of int
-      (** one of [signals] arrived (OCaml's encoding, e.g. [Sys.sigterm]) *)
 
 val os_signal_number : int -> int
 (** Map OCaml's negative portable signal encodings ([Sys.sigterm] = -11)
@@ -76,7 +73,7 @@ type 'a outcome = {
   cause : cause;
   restored : int;   (** samples prefilled from the snapshot *)
   completed : int;  (** evaluated samples overall (restored + this run) *)
-  snapshot : string option;  (** snapshot path, when checkpointing is on *)
+  snapshot : string option;  (** snapshot path, when the run is journaled *)
 }
 
 exception
@@ -87,8 +84,11 @@ exception
     n : int;
     snapshot : string option;
   }
-(** Raised by higher layers (not by {!run}) to unwind to the CLI after a
-    signal-triggered partial run; registered with [Printexc]. *)
+(** Raised by {!run} when one of its [signals] stopped the run, after the
+    final snapshot flush and after the previous handlers are restored.
+    [signal] is OCaml's encoding (e.g. [Sys.sigterm]; see
+    {!os_signal_number}); [snapshot] is the flushed file when the run was
+    journaled.  Registered with [Printexc]. *)
 
 val is_complete : 'a outcome -> bool
 val values : 'a outcome -> 'a array
@@ -109,7 +109,7 @@ val run :
   ?settings:settings ->
   ?signals:int list ->
   ?fingerprint:string ->
-  codec:'a codec ->
+  ?codec:'a codec ->
   label:string ->
   rng:Vstat_util.Rng.t ->
   n:int ->
@@ -124,9 +124,15 @@ val run :
     checkpointing.  [deadline] is polled at sample boundaries (build one
     with {!Deadline.watchdog}); [signals] are trapped for the duration of
     the run (handlers restored on exit) and set a flag the pool polls —
-    no work happens in the handler itself.  Without [settings] nothing is
-    persisted and only the deadline/signal machinery is active.
+    no work happens in the handler itself.
 
+    The run is journaled only when it has both [settings] and a [codec];
+    given [settings] but no [codec] it logs one warning per process and
+    runs unjournaled.  A deadline returns a partial outcome (after one
+    warning); a trapped signal raises {!Interrupted}.  Each run logs one
+    Info line: label, n, jobs, wall time, rate and failed samples.
+
+    @raise Interrupted when one of [signals] stopped the run.
     @raise Journal.Rejected when [settings.resume] finds a snapshot that
     is corrupt, version-skewed, or belongs to a different run.
     @raise Invalid_argument when [n < 0]. *)

@@ -364,12 +364,3 @@ let reraise_first_failure run =
   match failures run with
   | [] -> ()
   | f :: _ -> Printexc.raise_with_backtrace f.exn f.backtrace
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "n=%d jobs=%d wall=%.3fs rate=%.0f samples/s per-worker=[%s]" s.n s.jobs
-    s.wall_s s.samples_per_sec
-    (String.concat ";" (Array.to_list (Array.map string_of_int s.per_worker)));
-  if s.retried_samples > 0 then
-    Format.fprintf ppf " retried=%d recovered=%d" s.retried_samples
-      s.recovered_samples

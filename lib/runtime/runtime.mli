@@ -189,4 +189,3 @@ val reraise_first_failure : 'a run -> unit
     failed sample, if any, with the backtrace captured where it originally
     raised ([Printexc.raise_with_backtrace]). *)
 
-val pp_stats : Format.formatter -> stats -> unit

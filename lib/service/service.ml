@@ -374,7 +374,6 @@ let cause_string t = function
   | C.Finished -> "finished"
   | C.Deadline_reached ->
     if Atomic.get t.stopping then "shutdown" else "deadline"
-  | C.Signalled _ -> "shutdown"
 
 let summary_of_outcome t job (o : float C.outcome) =
   let values = C.values o in
@@ -878,17 +877,7 @@ let recover t =
               forget_file_locked t f;
               note_file_locked t (f ^ ".bad"))
         | Ok snap -> (
-          (* Checkpoint appends "|codec:<name>" to the caller fingerprint
-             before journaling; strip it to recover the canonical spec. *)
-          let fp =
-            let full = snap.Journal.identity.Journal.fingerprint in
-            match String.rindex_opt full '|' with
-            | Some i
-              when String.length full - i > 7
-                   && String.equal (String.sub full (i + 1) 6) "codec:" ->
-              String.sub full 0 i
-            | _ -> full
-          in
+          let fp = C.caller_fingerprint snap.Journal.identity in
           match P.canonical_pipeline fp with
           | Some p when String.equal p (pipeline_signature t.config) -> (
             match P.spec_of_canonical fp with

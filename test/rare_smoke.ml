@@ -59,17 +59,14 @@ let identical_importance what (a : I.result) (b : I.result) =
   check_bits_array (what ^ ": metrics") a.I.metrics b.I.metrics;
   check_bits_array (what ^ ": log_weights") a.I.log_weights b.I.log_weights
 
-(* estimate_is reads its resilience knobs (checkpoint dir, deadline) from
-   the Mc_compare ambient defaults — the same channel the CLI flags use —
-   so the smoke drives them through the setters and resets after. *)
+(* estimate_is reads its run controls (checkpoint dir, deadline) from
+   Mc_compare.controls — the same channel the CLI flags use — so the smoke
+   sets them and restores the previous controls after. *)
 let with_controls ?checkpoint ?deadline f =
-  Vstat_experiments.Mc_compare.set_default_checkpoint checkpoint;
-  Vstat_experiments.Mc_compare.set_default_deadline deadline;
-  Fun.protect
-    ~finally:(fun () ->
-      Vstat_experiments.Mc_compare.set_default_checkpoint None;
-      Vstat_experiments.Mc_compare.set_default_deadline None)
-    f
+  let module M = Vstat_experiments.Mc_compare in
+  let saved = M.controls () in
+  M.set_controls { saved with checkpoint; deadline };
+  Fun.protect ~finally:(fun () -> M.set_controls saved) f
 
 let () =
   let p = Vstat_core.Pipeline.build ~seed:42 ~mc_per_geometry:300 () in

@@ -3,7 +3,8 @@
    A checkpointed Monte Carlo run is SIGTERM'd from a sibling domain
    mid-flight, exactly as an operator or a batch scheduler would kill the
    process.  Checkpoint.run traps the signal, drains the pool at a sample
-   boundary and flushes a final snapshot; we then "restart" by resuming
+   boundary, flushes a final snapshot and raises Interrupted; we then
+   "restart" by resuming
    from that snapshot — at jobs:1 and at jobs:4 — and require the merged
    results to be bit-identical to an uninterrupted golden run.
 
@@ -79,7 +80,8 @@ let drill ~resume_jobs =
   (* Phase 1: run under checkpointing with a killer domain watching our
      progress: once ~1/8 of the samples have landed it SIGTERMs the
      process, then unblocks the stalled upper-half samples so the pool can
-     drain to its snapshot. *)
+     drain to its snapshot, after which Checkpoint.run raises
+     Interrupted. *)
   Atomic.set released false;
   let progress = Atomic.make 0 in
   let killer =
@@ -93,26 +95,26 @@ let drill ~resume_jobs =
         Unix.sleepf 0.02;
         Atomic.set released true)
   in
-  let o1 =
-    C.run ~jobs:4
-      ~on_progress:(fun ~completed ~n:_ -> Atomic.set progress completed)
-      ~settings:(C.settings ~every:3 dir)
-      ~signals:[ Sys.sigterm ] ~codec:C.float_codec ~label:"chaos"
-      ~rng:(Rng.create ~seed) ~n ~f:sample ()
-  in
-  Domain.join killer;
-  (match o1.C.cause with
-  | C.Signalled s ->
+  (match
+     C.run ~jobs:4
+       ~on_progress:(fun ~completed ~n:_ -> Atomic.set progress completed)
+       ~settings:(C.settings ~every:3 dir)
+       ~signals:[ Sys.sigterm ] ~codec:C.float_codec ~label:"chaos"
+       ~rng:(Rng.create ~seed) ~n ~f:sample ()
+   with
+  | exception C.Interrupted { signal; completed; n; _ } ->
+    Domain.join killer;
     Printf.printf
       "resume_chaos: jobs:%d drill: killed by signal %d after %d/%d samples\n"
-      resume_jobs (C.os_signal_number s) o1.C.completed o1.C.n
-  | C.Finished ->
+      resume_jobs (C.os_signal_number signal) completed n
+  | { C.cause = C.Finished; _ } ->
+    Domain.join killer;
     (* The race can lose on a fast machine; the resume below then simply
        verifies the no-op-replay path.  Still a pass, but say so. *)
     Printf.printf
       "resume_chaos: jobs:%d drill: run finished before SIGTERM landed\n"
       resume_jobs
-  | C.Deadline_reached ->
+  | { C.cause = C.Deadline_reached; _ } ->
     prerr_endline "resume_chaos: unexpected deadline in the kill drill";
     exit 1);
   (* Phase 2: "restart the process" — resume from the flushed snapshot. *)

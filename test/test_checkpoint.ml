@@ -416,6 +416,81 @@ let test_retry_attempts_survive_resume () =
     (plain ~retry ~jobs:1 ~seed:11 ~n:12 flaky)
     (C.values o2)
 
+let test_signal_raises_interrupted () =
+  (* A sentinel handler stands in for whatever the process had installed;
+     the run must hand it back once it unwinds. *)
+  let sentinel_hits = Atomic.make 0 in
+  Sys.set_signal Sys.sigusr1
+    (Sys.Signal_handle (fun _ -> Atomic.incr sentinel_hits));
+  let dir = fresh_dir () in
+  let settings = C.settings ~every:0 dir in
+  let k = 5 in
+  let sample_k ~attempt ~index rng =
+    if index = k then Unix.kill (Unix.getpid ()) Sys.sigusr1;
+    sample ~attempt ~index rng
+  in
+  (match
+     C.run ~jobs:1 ~settings ~signals:[ Sys.sigusr1 ] ~codec:C.float_codec
+       ~label:"sig" ~rng:(Rng.create ~seed) ~n ~f:sample_k ()
+   with
+  | _ -> Alcotest.fail "signalled run returned instead of raising"
+  | exception C.Interrupted i ->
+    Alcotest.(check string) "label" "sig" i.label;
+    Alcotest.(check int) "signal" 10 (C.os_signal_number i.signal);
+    Alcotest.(check int) "n" n i.n;
+    Alcotest.(check bool) "stopped after sample k" true
+      (i.completed > k && i.completed < n);
+    let path = C.snapshot_path settings "sig" in
+    Alcotest.(check (option string)) "snapshot named" (Some path) i.snapshot;
+    (match J.read ~path with
+    | Error e -> Alcotest.failf "snapshot unreadable: %s" (J.error_to_string e)
+    | Ok snap ->
+      Alcotest.(check int) "snapshot holds the completed samples"
+        i.completed (Array.length snap.J.entries)));
+  Alcotest.(check int) "sentinel untouched during the run" 0
+    (Atomic.get sentinel_hits);
+  Unix.kill (Unix.getpid ()) Sys.sigusr1;
+  let rec wait tries =
+    if Atomic.get sentinel_hits = 0 && tries > 0 then begin
+      Unix.sleepf 0.001;
+      wait (tries - 1)
+    end
+  in
+  wait 1000;
+  Alcotest.(check int) "old handler restored" 1 (Atomic.get sentinel_hits);
+  Sys.set_signal Sys.sigusr1 Sys.Signal_default
+
+let test_settings_without_codec () =
+  let with_codec = fresh_dir () and without = fresh_dir () in
+  let o_codec =
+    C.run ~jobs:1 ~settings:(C.settings ~every:3 with_codec)
+      ~codec:C.float_codec ~label:"nc" ~rng:(Rng.create ~seed) ~n ~f:sample ()
+  in
+  let o_plain =
+    C.run ~jobs:1 ~settings:(C.settings ~every:3 without) ~label:"nc"
+      ~rng:(Rng.create ~seed) ~n ~f:sample ()
+  in
+  check_bits_array "no codec = codec" (C.values o_codec) (C.values o_plain);
+  Alcotest.(check (option string)) "no snapshot" None o_plain.C.snapshot;
+  Alcotest.(check (array string)) "no file written" [||] (Sys.readdir without);
+  Alcotest.(check (array string)) "codec run journaled" [| "nc.ckpt" |]
+    (Sys.readdir with_codec)
+
+let test_caller_fingerprint () =
+  (* vstatd's canonical specs are '|'-separated and may carry "codec:"
+     themselves; only the suffix the driver appends is stripped. *)
+  let fingerprint = "v1|kind=idsat|pipe=codec:float|x|codec:" in
+  let dir = fresh_dir () in
+  let settings = C.settings dir in
+  ignore
+    (C.run ~jobs:1 ~settings ~fingerprint ~codec:C.float_codec ~label:"fp"
+       ~rng:(Rng.create ~seed) ~n:3 ~f:sample ());
+  match J.read ~path:(C.snapshot_path settings "fp") with
+  | Error e -> Alcotest.failf "snapshot unreadable: %s" (J.error_to_string e)
+  | Ok snap ->
+    Alcotest.(check string) "round trip" fingerprint
+      (C.caller_fingerprint snap.J.identity)
+
 let () =
   Alcotest.run "checkpoint"
     [
@@ -445,5 +520,11 @@ let () =
             test_resume_rejects_mismatch;
           Alcotest.test_case "retry ladder survives resume" `Quick
             test_retry_attempts_survive_resume;
+          Alcotest.test_case "signal raises Interrupted" `Quick
+            test_signal_raises_interrupted;
+          Alcotest.test_case "settings without codec" `Quick
+            test_settings_without_codec;
+          Alcotest.test_case "caller fingerprint" `Quick
+            test_caller_fingerprint;
         ] );
     ]

@@ -197,7 +197,11 @@ let test_rc_charge_trapezoidal () =
   N.capacitor c "c1" ~a:n1 ~b:gnd ~farads:cap;
   let eng = E.compile c in
   let tau = r *. cap in
-  let trace = E.transient ~trap:true eng ~tstop:(3.0 *. tau) ~dt:(tau /. 100.0) in
+  let trace =
+    E.transient
+      ~options:{ (E.current_options ()) with trap = true }
+      eng ~tstop:(3.0 *. tau) ~dt:(tau /. 100.0)
+  in
   let v_tau =
     Vstat_util.Floatx.interp_linear ~xs:trace.E.times
       ~ys:(E.node_wave eng trace n1) tau
@@ -533,7 +537,10 @@ let rc_error ~trap ~dt =
     ((sin (omega *. t) -. (wt *. cos (omega *. t))) +. (wt *. exp (-.t /. tau)))
     /. (1.0 +. (wt *. wt))
   in
-  let trace = E.transient ~trap eng ~tstop:(3.0 *. tau) ~dt in
+  let trace =
+    E.transient ~options:{ (E.current_options ()) with trap } eng
+      ~tstop:(3.0 *. tau) ~dt
+  in
   let wave = E.node_wave eng trace n1 in
   let err = ref 0.0 in
   Array.iteri

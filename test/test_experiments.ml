@@ -192,7 +192,48 @@ let test_sram_yield () =
   Alcotest.(check bool) "blockade simulates a subset" true
     (t.blockade.n_simulated <= t.blockade.n);
   Alcotest.(check bool) "estimators agree with golden" true
-    (t.is_agrees && t.blockade_agrees)
+    (t.is_agrees && t.blockade_agrees);
+  (* Journaled through the CLI's channel, then resumed: every estimator
+     reproduces the unjournaled run bit for bit, and the plain and IS runs
+     keep separate snapshots. *)
+  let module M = E.Mc_compare in
+  let module C = Vstat_runtime.Checkpoint in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "vstat_sram_yield_%d" (Unix.getpid ()))
+  in
+  let saved = M.controls () in
+  let journaled ~resume =
+    M.set_controls
+      { saved with checkpoint = Some (C.settings ~every:16 ~resume dir) };
+    Fun.protect
+      ~finally:(fun () -> M.set_controls saved)
+      (fun () ->
+        E.Exp_sram_yield.run ~n:60 ~seed:61 ~points:21 ~threshold:0.060
+          ~pilot_n:36 p)
+  in
+  let same what (a : E.Exp_sram_yield.t) (b : E.Exp_sram_yield.t) =
+    let bits = Int64.bits_of_float in
+    let eq x y = Int64.equal (bits x) (bits y) in
+    let arr x y = Array.length x = Array.length y && Array.for_all2 eq x y in
+    Alcotest.(check bool) (what ^ ": plain") true
+      (eq a.plain.p_hat b.plain.p_hat && arr a.plain.metrics b.plain.metrics);
+    Alcotest.(check bool) (what ^ ": is") true
+      (eq a.is.p_hat b.is.p_hat && arr a.is.metrics b.is.metrics
+     && arr a.is.log_weights b.is.log_weights);
+    Alcotest.(check bool) (what ^ ": blockade") true
+      (eq a.blockade.p_hat b.blockade.p_hat
+     && arr a.blockade.pilot_metrics b.blockade.pilot_metrics)
+  in
+  same "checkpointed" t (journaled ~resume:false);
+  same "resumed" t (journaled ~resume:true);
+  let stem = "sram-read-snm-vdd0.80-pts21" in
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " written") true
+        (Sys.file_exists (Filename.concat dir f)))
+    [ stem ^ "-plain-is.ckpt"; stem ^ "-is.ckpt" ]
 
 let test_vdd_transfer () =
   let lazy p = pipeline in
