@@ -143,10 +143,12 @@ let bench_nand2_sample name tech_of =
   Test.make ~name
     (Staged.stage (fun () ->
          let tech = tech_of (Vstat_util.Rng.split rng) in
+         let nand2 = Vstat_cells.Gates.nand2 in
          let s =
-           Vstat_cells.Nand2.sample tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3
+           Vstat_cells.Fanout.sample nand2 tech ~wp_nm:300.0 ~wn_nm:300.0
+             ~fanout:3
          in
-         Vstat_cells.Nand2.measure s))
+         Vstat_cells.Fanout.measure nand2 s))
 
 let bench_dff_capture name tech_of =
   (* One capture transient: the unit of work inside the setup-time

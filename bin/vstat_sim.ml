@@ -71,12 +71,7 @@ module FI = Vstat_device.Fault_inject
 let inject_netlist cfg ~attempt netlist =
   match FI.plan cfg ~key:attempt with
   | None -> netlist
-  | Some plan ->
-    let created = ref 0 in
-    map_devices netlist ~map_dev:(fun dev ->
-        let ord = !created mod FI.ordinal_span in
-        incr created;
-        if ord = plan.FI.device_ordinal then FI.wrap plan dev else dev)
+  | Some plan -> map_devices netlist ~map_dev:(FI.arm plan)
 
 let run_netlist ~csv ~deadline (deck : P.deck) netlist =
   let eng = E.compile netlist in

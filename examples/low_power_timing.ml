@@ -23,10 +23,12 @@ let () =
         let tech =
           Vstat_core.Techs.stochastic_vs p ~rng:(Vstat_util.Rng.split rng) ~vdd
         in
+        let nand2 = Vstat_cells.Gates.nand2 in
         let s =
-          Vstat_cells.Nand2.sample tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3
+          Vstat_cells.Fanout.sample nand2 tech ~wp_nm:300.0 ~wn_nm:300.0
+            ~fanout:3
         in
-        delays.(i) <- (Vstat_cells.Nand2.measure s).tpd
+        delays.(i) <- (Vstat_cells.Fanout.measure nand2 s).tpd
       done;
       Printf.printf "%6.2f %10.2f %10.2f %9.1f%% %8.2f %8.4f\n" vdd
         (1e12 *. D.mean delays)

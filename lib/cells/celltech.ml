@@ -46,17 +46,11 @@ let with_fault_injection cfg ~key t =
   match FI.plan cfg ~key with
   | None -> t
   | Some plan ->
-    (* One shared creation counter across both polarities: the plan's
-       device ordinal (mod span) picks which transistor of the cell gets
-       the fault, deterministically in netlist build order. *)
-    let created = ref 0 in
-    let maybe_wrap dev =
-      let ord = !created mod FI.ordinal_span in
-      incr created;
-      if ord = plan.FI.device_ordinal then FI.wrap plan dev else dev
-    in
+    (* One mapper for both polarities: the plan picks the transistor by
+       draw order, deterministically. *)
+    let arm = FI.arm plan in
     {
       t with
-      nmos = (fun ~w_nm -> maybe_wrap (t.nmos ~w_nm));
-      pmos = (fun ~w_nm -> maybe_wrap (t.pmos ~w_nm));
+      nmos = (fun ~w_nm -> arm (t.nmos ~w_nm));
+      pmos = (fun ~w_nm -> arm (t.pmos ~w_nm));
     }

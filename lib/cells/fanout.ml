@@ -3,26 +3,23 @@ module E = Vstat_circuit.Engine
 module W = Vstat_circuit.Waveform
 module M = Vstat_circuit.Measure
 
-type sample = {
-  vdd : float;
-  driver : Gates.nand2_devices;
-  dut : Gates.nand2_devices;
-  loads : Gates.nand2_devices array;
-}
-
+type 'd sample = { vdd : float; driver : 'd; dut : 'd; loads : 'd array }
 type result = { tphl : float; tplh : float; tpd : float; leakage : float }
 
-let sample (tech : Celltech.t) ~wp_nm ~wn_nm ~fanout =
+let sample (gate : _ Gates.gate) (tech : Celltech.t) ~wp_nm ~wn_nm ~fanout =
   if fanout < 1 then
-    invalid_arg "Nand2.sample: fanout >= 1" [@vstat.allow "exn-discipline"];
+    invalid_arg "Fanout.sample: fanout >= 1" [@vstat.allow "exn-discipline"];
   {
     vdd = tech.vdd;
-    driver = Gates.sample_nand2 tech ~wp_nm ~wn_nm;
-    dut = Gates.sample_nand2 tech ~wp_nm ~wn_nm;
-    loads = Array.init fanout (fun _ -> Gates.sample_nand2 tech ~wp_nm ~wn_nm);
+    driver = gate.draw tech ~wp_nm ~wn_nm;
+    dut = gate.draw tech ~wp_nm ~wn_nm;
+    loads = Array.init fanout (fun _ -> gate.draw tech ~wp_nm ~wn_nm);
   }
 
-let build s ~window =
+let default_window ~vdd =
+  if vdd >= 0.8 then 400e-12 else if vdd >= 0.65 then 1200e-12 else 4000e-12
+
+let build (gate : _ Gates.gate) s ~window =
   let net = N.create () in
   let gnd = N.ground net in
   let nvdd = N.node net "vdd" in
@@ -40,25 +37,23 @@ let build s ~window =
            (t_rise, 0.0); (t_rise +. edge, s.vdd);
            (t_fall, s.vdd); (t_fall +. edge, 0.0);
          |]);
-  Gates.add_nand2 net ~name:"xdrv" ~devices:s.driver ~input_a:nin ~input_b:nvdd
-    ~output:na ~vdd_node:nvdd ~gnd;
-  Gates.add_nand2 net ~name:"xdut" ~devices:s.dut ~input_a:na ~input_b:nvdd
-    ~output:ny ~vdd_node:nvdd ~gnd;
+  gate.add net ~name:"xdrv" ~devices:s.driver ~input:nin ~output:na
+    ~vdd_node:nvdd ~gnd;
+  gate.add net ~name:"xdut" ~devices:s.dut ~input:na ~output:ny ~vdd_node:nvdd
+    ~gnd;
   Array.iteri
     (fun i devices ->
       let out = N.node net (Printf.sprintf "l%d" i) in
-      Gates.add_nand2 net ~name:(Printf.sprintf "xload%d" i) ~devices
-        ~input_a:ny ~input_b:nvdd ~output:out ~vdd_node:nvdd ~gnd)
+      gate.add net ~name:(Printf.sprintf "xload%d" i) ~devices ~input:ny
+        ~output:out ~vdd_node:nvdd ~gnd)
     s.loads;
   (net, na, ny)
 
-let measure ?window ?(steps = 400) s =
+let measure (gate : _ Gates.gate) ?window ?(steps = 400) s =
   let window =
-    match window with
-    | Some w -> w
-    | None -> Inverter.default_window ~vdd:s.vdd
+    match window with Some w -> w | None -> default_window ~vdd:s.vdd
   in
-  let net, na, ny = build s ~window in
+  let net, na, ny = build gate s ~window in
   let eng = E.compile net in
   let op = E.dc eng in
   let leakage = Float.abs (E.source_current eng op "vvdd") in
@@ -67,6 +62,7 @@ let measure ?window ?(steps = 400) s =
   let wa = E.node_wave eng trace na in
   let wy = E.node_wave eng trace ny in
   let v50 = s.vdd /. 2.0 in
+  (* Input pulse rises then falls; node a falls then rises; y mirrors in. *)
   let tplh =
     M.propagation_delay ~times ~input:wa ~output:wy ~v50 ~input_rising:false
       ~output_rising:true
@@ -79,8 +75,6 @@ let measure ?window ?(steps = 400) s =
   | Some tplh, Some tphl ->
     { tphl; tplh; tpd = 0.5 *. (tphl +. tplh); leakage }
   | _ ->
-    Vstat_circuit.Diag.fail ~analysis:"measure:nand2" Measure_no_crossing
-      "output never crossed 50%% (window too short)"
-
-let measure_nominal tech ~wp_nm ~wn_nm ~fanout =
-  measure (sample tech ~wp_nm ~wn_nm ~fanout)
+    Vstat_circuit.Diag.fail ~analysis:("measure:" ^ gate.name)
+      Measure_no_crossing "output never crossed 50%% (window %.3e s too short)"
+      window

@@ -1,89 +1,10 @@
-module N = Vstat_circuit.Netlist
-module E = Vstat_circuit.Engine
-module W = Vstat_circuit.Waveform
-module M = Vstat_circuit.Measure
-
-type sample = {
-  vdd : float;
-  driver : Gates.inverter_devices;
-  dut : Gates.inverter_devices;
-  loads : Gates.inverter_devices array;
+type result = Fanout.result = {
+  tphl : float;
+  tplh : float;
+  tpd : float;
+  leakage : float;
 }
 
-type result = { tphl : float; tplh : float; tpd : float; leakage : float }
-
-let sample (tech : Celltech.t) ~wp_nm ~wn_nm ~fanout =
-  if fanout < 1 then
-    invalid_arg "Inverter.sample: fanout >= 1" [@vstat.allow "exn-discipline"];
-  {
-    vdd = tech.vdd;
-    driver = Gates.sample_inverter tech ~wp_nm ~wn_nm;
-    dut = Gates.sample_inverter tech ~wp_nm ~wn_nm;
-    loads =
-      Array.init fanout (fun _ -> Gates.sample_inverter tech ~wp_nm ~wn_nm);
-  }
-
-let default_window ~vdd =
-  if vdd >= 0.8 then 400e-12 else if vdd >= 0.65 then 1200e-12 else 4000e-12
-
-let build s ~window =
-  let net = N.create () in
-  let gnd = N.ground net in
-  let nvdd = N.node net "vdd" in
-  let nin = N.node net "in" in
-  let na = N.node net "a" in
-  let ny = N.node net "y" in
-  N.vsource net "vvdd" ~plus:nvdd ~minus:gnd ~wave:(W.Dc s.vdd);
-  let edge = 0.02 *. window in
-  let t_rise = 0.08 *. window in
-  let t_fall = 0.54 *. window in
-  N.vsource net "vin" ~plus:nin ~minus:gnd
-    ~wave:
-      (W.pwl
-         [|
-           (t_rise, 0.0); (t_rise +. edge, s.vdd);
-           (t_fall, s.vdd); (t_fall +. edge, 0.0);
-         |]);
-  Gates.add_inverter net ~name:"xdrv" ~devices:s.driver ~input:nin ~output:na
-    ~vdd_node:nvdd ~gnd;
-  Gates.add_inverter net ~name:"xdut" ~devices:s.dut ~input:na ~output:ny
-    ~vdd_node:nvdd ~gnd;
-  Array.iteri
-    (fun i devices ->
-      let out = N.node net (Printf.sprintf "l%d" i) in
-      Gates.add_inverter net ~name:(Printf.sprintf "xload%d" i) ~devices
-        ~input:ny ~output:out ~vdd_node:nvdd ~gnd)
-    s.loads;
-  (net, na, ny)
-
-let measure ?window ?(steps = 400) s =
-  let window =
-    match window with Some w -> w | None -> default_window ~vdd:s.vdd
-  in
-  let net, na, ny = build s ~window in
-  let eng = E.compile net in
-  let op = E.dc eng in
-  let leakage = Float.abs (E.source_current eng op "vvdd") in
-  let trace = E.transient eng ~tstop:window ~dt:(window /. Float.of_int steps) in
-  let times = trace.E.times in
-  let wa = E.node_wave eng trace na in
-  let wy = E.node_wave eng trace ny in
-  let v50 = s.vdd /. 2.0 in
-  (* Input pulse rises then falls; node a falls then rises; y mirrors in. *)
-  let tplh =
-    M.propagation_delay ~times ~input:wa ~output:wy ~v50 ~input_rising:false
-      ~output_rising:true
-  in
-  let tphl =
-    M.propagation_delay ~times ~input:wa ~output:wy ~v50 ~input_rising:true
-      ~output_rising:false
-  in
-  match (tplh, tphl) with
-  | Some tplh, Some tphl ->
-    { tphl; tplh; tpd = 0.5 *. (tphl +. tplh); leakage }
-  | _ ->
-    Vstat_circuit.Diag.fail ~analysis:"measure:inverter" Measure_no_crossing
-      "output never crossed 50%% (window %.3e s too short)" window
-
-let measure_nominal tech ~wp_nm ~wn_nm ~fanout =
-  measure (sample tech ~wp_nm ~wn_nm ~fanout)
+let sample = Fanout.sample Gates.inverter
+let default_window = Fanout.default_window
+let measure = Fanout.measure Gates.inverter

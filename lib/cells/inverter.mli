@@ -1,37 +1,22 @@
-(** Fanout-of-N inverter delay/leakage harness (paper Figs. 5 and 6).
+(** Fanout-of-N inverter harness (paper Figs. 5 and 6): {!Fanout} with
+    {!Gates.inverter}, under the names the benchmark and the service
+    call. *)
 
-    Topology: an ideal pulse drives a same-sized *driver* inverter that
-    shapes a realistic edge at node [a]; the DUT inverter drives node [y],
-    which is loaded by [fanout] identical inverters (their gate capacitance
-    is the load, as in a standard-cell FO-N characterization). *)
-
-type sample = {
-  vdd : float;
-  driver : Gates.inverter_devices;
-  dut : Gates.inverter_devices;
-  loads : Gates.inverter_devices array;
-}
-(** All transistor instances of one Monte Carlo draw. *)
-
-type result = {
-  tphl : float;    (** output falling propagation delay, s *)
-  tplh : float;    (** output rising propagation delay, s *)
-  tpd : float;     (** (tphl + tplh) / 2 *)
-  leakage : float; (** static supply current with the input low, A *)
+type result = Fanout.result = {
+  tphl : float;
+  tplh : float;
+  tpd : float;
+  leakage : float;
 }
 
-val sample : Celltech.t -> wp_nm:float -> wn_nm:float -> fanout:int -> sample
-(** Draw all devices for one harness instance. *)
+val sample :
+  Celltech.t ->
+  wp_nm:float ->
+  wn_nm:float ->
+  fanout:int ->
+  Gates.inverter_devices Fanout.sample
 
 val default_window : vdd:float -> float
-(** Simulation window heuristic; grows as the supply drops (low-Vdd delays
-    are an order of magnitude longer). *)
 
-val measure : ?window:float -> ?steps:int -> sample -> result
-(** Build the netlist, run one transient with a rise+fall input pulse, and
-    one DC solve for leakage.
-    @raise Vstat_circuit.Diag.Solver_error ([Measure_no_crossing]) if a 50 % crossing is never observed (window too short). *)
-
-val measure_nominal :
-  Celltech.t -> wp_nm:float -> wn_nm:float -> fanout:int -> result
-(** Convenience: one deterministic measurement on a nominal technology. *)
+val measure :
+  ?window:float -> ?steps:int -> Gates.inverter_devices Fanout.sample -> result

@@ -139,8 +139,6 @@ let totals = Array.init n_counters (fun _ -> Atomic.make 0)
 let global_counters () =
   counters_of_array (Array.map Atomic.get totals)
 
-let reset_global_counters () = Array.iter (fun a -> Atomic.set a 0) totals
-
 (* Which linear-solver path a compiled engine uses.  [Auto] picks sparse
    once the system is big enough that the O(n^2)-per-factorization dense
    path loses; tiny systems stay dense both for speed and so existing
@@ -803,8 +801,6 @@ let branch_slot_named t ~caller name =
          | l -> String.concat ", " (List.map fst l)))
     [@vstat.allow "exn-discipline"]
 
-let branch_slot t name = branch_slot_named t ~caller:"Engine.branch_slot" name
-
 let source_current t op name =
   op.x.(branch_slot_named t ~caller:"Engine.source_current" name)
 
@@ -1003,10 +999,6 @@ let node_wave _t trace n =
   let i = Netlist.node_index n in
   Array.map (fun x -> if i = 0 then 0.0 else x.(i - 1)) trace.states
 
-let source_current_wave t trace name =
-  let slot = branch_slot t name in
-  Array.map (fun x -> x.(slot)) trace.states
-
 let residual_norm t op =
   let n = unknowns t in
   Array.blit op.x 0 t.xws 0 n;
@@ -1051,11 +1043,3 @@ let linearize t op =
   (jac_dc, Vstat_linalg.Matrix.sub (dense_of_assembled t) jac_dc)
 
 let counters t = counters_of_array t.cnt
-
-let reset_counters t =
-  flush_counters t;
-  Array.fill t.cnt 0 n_counters 0;
-  Array.fill t.flushed 0 n_counters 0
-
-let stats_newton_iterations t = t.cnt.(c_newton)
-let stats_model_evaluations t = t.cnt.(c_model)

@@ -153,7 +153,6 @@ val transient_raw :
     engine workspace), but may be longer than [raw_len]. *)
 
 val node_wave : t -> trace -> Netlist.node -> float array
-val source_current_wave : t -> trace -> string -> float array
 
 val residual_norm : t -> op -> float
 (** Largest |KCL/constraint residual| of a DC solution — a direct measure of
@@ -192,29 +191,13 @@ type counters = {
 }
 
 val counters : t -> counters
-(** This instance's counters since [compile] (or {!reset_counters}). *)
-
-val reset_counters : t -> unit
-(** Zero this instance's counters (pending deltas are flushed to the
-    process-wide totals first). *)
+(** This instance's counters since [compile]. *)
 
 val global_counters : unit -> counters
 (** Process-wide totals across every engine on every domain.  Engines flush
     their local counts at the end of each [dc]/[transient]/[linearize]
     call, so totals are exact once the solves of interest have returned. *)
 
-val reset_global_counters : unit -> unit
-
 val counters_diff : counters -> counters -> counters
 (** Field-wise [a - b]; use with {!global_counters} snapshots to attribute
     work to a region of interest. *)
-
-val stats_newton_iterations : t -> int
-(** Cumulative Newton iterations since [compile] — the workload counter the
-    runtime comparison (paper Table IV) normalizes against.  Equivalent to
-    [(counters t).newton_iterations]. *)
-
-val stats_model_evaluations : t -> int
-(** Cumulative compact-model linearizations since [compile].  With the
-    analytic derivative path this counts one per device linearization (the
-    FD fallback counts each of its 5 perturbation calls). *)

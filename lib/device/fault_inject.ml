@@ -109,6 +109,14 @@ let wrap plan (dev : Device_model.t) =
   in
   { dev with Device_model.eval; eval_derivs }
 
+let arm plan =
+  (* Creation ordinal of the next device this mapper sees. *)
+  let created = ref 0 in
+  fun dev ->
+    let ord = !created mod ordinal_span in
+    incr created;
+    if ord = plan.device_ordinal then wrap plan dev else dev
+
 let kind_of_string = function
   | "nan" -> Some Nan_current
   | "inf" -> Some Inf_current

@@ -41,7 +41,7 @@ type plan = {
 }
 
 val ordinal_span : int
-(** Modulus for [device_ordinal]; wrap sites compare creation ordinals
+(** Modulus for [device_ordinal]; {!arm} compares creation ordinals
     modulo this value. *)
 
 val plan : config -> key:int -> plan option
@@ -54,6 +54,13 @@ val plan : config -> key:int -> plan option
 val wrap : plan -> Device_model.t -> Device_model.t
 (** The same device with the fault armed on both the value and analytic
     derivative paths (shared evaluation counter). *)
+
+val arm : plan -> Device_model.t -> Device_model.t
+(** [arm plan] is a fresh stateful mapper for one circuit build: it counts
+    the devices passed through it (creation order, both polarities
+    together) and {!wrap}s the one whose ordinal modulo {!ordinal_span}
+    is [plan.device_ordinal], returning every other device unchanged.
+    Use one mapper per circuit instance. *)
 
 val parse_spec : ?seed:int -> string -> (config, string) result
 (** Parse the CLI syntax [RATE[:KIND]], e.g. ["0.05"] or ["0.05:nan"];

@@ -18,10 +18,12 @@ let run ?(vdds = [ 0.9; 0.7; 0.55; 0.45 ]) ?(n = 400) ?(seed = 31)
     List.map
       (fun vdd ->
         let measure tech =
+          let nand2 = Vstat_cells.Gates.nand2 in
           let s =
-            Vstat_cells.Nand2.sample tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3
+            Vstat_cells.Fanout.sample nand2 tech ~wp_nm:300.0 ~wn_nm:300.0
+              ~fanout:3
           in
-          (Vstat_cells.Nand2.measure s).tpd
+          (Vstat_cells.Fanout.measure nand2 s).tpd
         in
         let pair =
           Mc_compare.run p

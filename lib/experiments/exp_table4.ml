@@ -75,8 +75,10 @@ let run ?(n_nand2 = 100) ?(n_dff = 20) ?(n_sram = 100) ?(seed = 43)
   let nand2 =
     run_workload p ~workload:"NAND2 tran" ~samples:n_nand2 ~seed
       ~measure:(fun tech ->
-        Vstat_cells.Nand2.measure
-          (Vstat_cells.Nand2.sample tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3))
+        let nand2 = Vstat_cells.Gates.nand2 in
+        Vstat_cells.Fanout.measure nand2
+          (Vstat_cells.Fanout.sample nand2 tech ~wp_nm:300.0 ~wn_nm:300.0
+             ~fanout:3))
   in
   let dff =
     run_workload p ~workload:"DFF setup" ~samples:n_dff ~seed:(seed + 1)

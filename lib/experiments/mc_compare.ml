@@ -29,8 +29,9 @@ type controls = {
 }
 
 (* Process-wide run controls, set by the CLIs before any experiment runs;
-   explicit arguments win.  One deadline closure is one watchdog, so a
-   whole experiment batch shares a single wall-clock budget. *)
+   [collect_run]'s explicit arguments win.  One deadline closure is one
+   watchdog, so a whole experiment batch shares a single wall-clock
+   budget. *)
 let current =
   ref
     {
@@ -120,12 +121,6 @@ let collect_run ?jobs ?(max_failure_frac = default_max_failure_frac) ?retry
     ~max_failure_frac r;
   r
 
-let collect ?jobs ?max_failure_frac ?retry ?inject ?codec ~label ~n
-    ~tech_of_rng ~rng ~measure () =
-  Vstat_runtime.Runtime.values
-    (collect_run ?jobs ?max_failure_frac ?retry ?inject ?codec ~label ~n
-       ~tech_of_rng ~rng ~measure ())
-
 let summarize ~label golden vs =
   {
     label;
@@ -138,42 +133,29 @@ let summarize ~label golden vs =
     overlap = Vstat_stats.Compare.density_overlap golden vs;
   }
 
-let run_lists ?jobs ?max_failure_frac ?retry ?inject p ~label ~vdd ~n ~seed
-    ~measure =
-  let rng_g = Vstat_util.Rng.create ~seed in
-  let rng_v = Vstat_util.Rng.create ~seed:(seed + 1) in
+let run_lists p ~label ~vdd ~n ~seed ~measure =
   (* Measurements here return float lists, so checkpoint persistence is
      available whenever the CLI armed a checkpoint directory. *)
-  let codec = Vstat_runtime.Checkpoint.float_list_codec in
-  let golden =
-    collect ?jobs ?max_failure_frac ?retry ?inject ~codec
-      ~label:(label ^ "/golden") ~n
-      ~tech_of_rng:(fun rng -> Vstat_core.Techs.stochastic_bsim p ~rng ~vdd)
-      ~rng:rng_g ~measure ()
+  let collect model tech ~seed =
+    Vstat_runtime.Runtime.values
+      (collect_run ~codec:Vstat_runtime.Checkpoint.float_list_codec
+         ~label:(label ^ "/" ^ model) ~n
+         ~tech_of_rng:(fun rng -> tech p ~rng ~vdd)
+         ~rng:(Vstat_util.Rng.create ~seed) ~measure ())
   in
-  let vs =
-    collect ?jobs ?max_failure_frac ?retry ?inject ~codec
-      ~label:(label ^ "/vs") ~n
-      ~tech_of_rng:(fun rng -> Vstat_core.Techs.stochastic_vs p ~rng ~vdd)
-      ~rng:rng_v ~measure ()
-  in
+  let golden = collect "golden" Vstat_core.Techs.stochastic_bsim ~seed in
+  let vs = collect "vs" Vstat_core.Techs.stochastic_vs ~seed:(seed + 1) in
   (label, golden, vs)
 
-let run ?jobs ?max_failure_frac ?retry ?inject p ~label ~vdd ~n ~seed ~measure
-    =
+let run p ~label ~vdd ~n ~seed ~measure =
   let label, golden, vs =
-    run_lists ?jobs ?max_failure_frac ?retry ?inject p ~label ~vdd ~n ~seed
-      ~measure:(fun tech -> [ measure tech ])
+    run_lists p ~label ~vdd ~n ~seed ~measure:(fun tech -> [ measure tech ])
   in
   summarize ~label (Array.map (fun l -> List.hd l) golden)
     (Array.map (fun l -> List.hd l) vs)
 
-let run_many ?jobs ?max_failure_frac ?retry ?inject p ~label ~vdd ~n ~seed
-    ~measure =
-  let label, golden, vs =
-    run_lists ?jobs ?max_failure_frac ?retry ?inject p ~label ~vdd ~n ~seed
-      ~measure
-  in
+let run_many p ~label ~vdd ~n ~seed ~measure =
+  let label, golden, vs = run_lists p ~label ~vdd ~n ~seed ~measure in
   if Array.length golden = 0 then []
   else begin
     let arity = List.length golden.(0) in

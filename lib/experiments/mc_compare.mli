@@ -30,8 +30,8 @@ type controls = {
 }
 (** Process-wide run controls: every comparison run and every
     experiment that drives {!Vstat_rare} estimators directly reads them,
-    so one set of CLI flags governs them all.  Explicit [?retry] /
-    [?inject] arguments win. *)
+    so one set of CLI flags governs them all.  {!collect_run}'s explicit
+    [?retry] / [?inject] arguments win over them. *)
 
 val controls : unit -> controls
 val set_controls : controls -> unit
@@ -39,28 +39,6 @@ val set_controls : controls -> unit
 val set_default_checkpoint : Vstat_runtime.Checkpoint.settings option -> unit
 (** [set_default_checkpoint c] sets only the [checkpoint] field of
     {!controls}; kept for perfbench's journal workload, which calls it. *)
-
-val collect :
-  ?jobs:int ->
-  ?max_failure_frac:float ->
-  ?retry:Vstat_runtime.Runtime.retry_policy ->
-  ?inject:Vstat_device.Fault_inject.config ->
-  ?codec:'a Vstat_runtime.Checkpoint.codec ->
-  label:string ->
-  n:int ->
-  tech_of_rng:(Vstat_util.Rng.t -> Vstat_cells.Celltech.t) ->
-  rng:Vstat_util.Rng.t ->
-  measure:(Vstat_cells.Celltech.t -> 'a) ->
-  unit ->
-  'a array
-(** One Monte Carlo sweep: sample [i] builds a technology from its own RNG
-    substream, optionally arms a deterministic injected fault
-    ({!Vstat_cells.Celltech.with_fault_injection}, keyed by sample index
-    and retry attempt), and measures under ambient solver options
-    escalated per attempt ({!Vstat_circuit.Engine.escalate} inside
-    {!Vstat_circuit.Engine.with_options}).  Surviving values are returned
-    in sample order after {!Vstat_runtime.Runtime.check_budget} enforces
-    [max_failure_frac] (default 0.2) with a per-category census. *)
 
 val collect_run :
   ?jobs:int ->
@@ -75,9 +53,15 @@ val collect_run :
   measure:(Vstat_cells.Celltech.t -> 'a) ->
   unit ->
   'a Vstat_runtime.Runtime.run
-(** {!collect} returning the full run record (per-sample cells, attempt
-    counts, retry/recovery stats) — what the chaos benches and
-    failure-path tests inspect.
+(** One Monte Carlo sweep: sample [i] builds a technology from its own RNG
+    substream, optionally arms a deterministic injected fault
+    ({!Vstat_cells.Celltech.with_fault_injection}, keyed by sample index
+    and retry attempt), and measures under ambient solver options
+    escalated per attempt ({!Vstat_circuit.Engine.escalate} inside
+    {!Vstat_circuit.Engine.with_options}).  Returns the full run record
+    (per-sample cells, attempt counts, retry/recovery stats) after
+    {!Vstat_runtime.Runtime.check_budget} enforces [max_failure_frac]
+    (default 0.2) with a per-category census.
 
     Checkpointing/deadlines: runs go through
     {!Vstat_runtime.Checkpoint.run} under {!controls}, which decides how
@@ -90,10 +74,6 @@ val collect_run :
     {!Vstat_runtime.Checkpoint.Interrupted}. *)
 
 val run :
-  ?jobs:int ->
-  ?max_failure_frac:float ->
-  ?retry:Vstat_runtime.Runtime.retry_policy ->
-  ?inject:Vstat_device.Fault_inject.config ->
   Vstat_core.Pipeline.t ->
   label:string ->
   vdd:float ->
@@ -102,19 +82,15 @@ val run :
   measure:(Vstat_cells.Celltech.t -> float) ->
   pair
 (** [measure tech] must draw fresh devices from [tech] (each call is one
-    Monte Carlo sample).  Sampling runs on {!Vstat_runtime.Runtime}
-    ([jobs] workers; sample [i] always sees substream [i], so results do
-    not depend on the worker count).  Failed samples (convergence or
-    measurement failures) are captured, optionally retried under escalated
-    solver options, and skipped once dead; if more than [max_failure_frac]
-    (default 0.2) of either model's samples fail, the run raises [Failure]
-    with per-category failure counts in the message. *)
+    Monte Carlo sample).  Each model is one {!collect_run} under
+    {!controls} (sample [i] always sees substream [i], so results do not
+    depend on the worker count).  Failed samples (convergence or
+    measurement failures) are captured, retried under escalated solver
+    options when {!controls} asks, and skipped once dead; if more than
+    20 % of either model's samples fail, the run raises [Failure] with
+    per-category failure counts in the message. *)
 
 val run_many :
-  ?jobs:int ->
-  ?max_failure_frac:float ->
-  ?retry:Vstat_runtime.Runtime.retry_policy ->
-  ?inject:Vstat_device.Fault_inject.config ->
   Vstat_core.Pipeline.t ->
   label:string ->
   vdd:float ->

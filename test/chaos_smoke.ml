@@ -35,8 +35,11 @@ let inv_measure tech =
   (Vstat_cells.Inverter.measure s).Vstat_cells.Inverter.tpd
 
 let nand_measure tech =
-  let s = Vstat_cells.Nand2.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
-  (Vstat_cells.Nand2.measure s).Vstat_cells.Nand2.tpd
+  let nand2 = Vstat_cells.Gates.nand2 in
+  let s =
+    Vstat_cells.Fanout.sample nand2 tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
+  in
+  (Vstat_cells.Fanout.measure nand2 s).Vstat_cells.Fanout.tpd
 
 let inject = { FI.rate = 0.05; kind = FI.Raise; seed = 0x1d0a }
 

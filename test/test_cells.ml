@@ -1,9 +1,10 @@
-(* Tests for the benchmark cells: INV/NAND2 harnesses, the pass-transistor
-   DFF and the 6T SRAM (including the SNM geometry on synthetic curves). *)
+(* Tests for the benchmark cells: the INV/NAND2/NOR2 fanout bench, the
+   pass-transistor DFF and the 6T SRAM (including the SNM geometry on
+   synthetic curves). *)
 
 module T = Vstat_cells.Celltech
-module Inv = Vstat_cells.Inverter
-module Nand = Vstat_cells.Nand2
+module F = Vstat_cells.Fanout
+module G = Vstat_cells.Gates
 module Dff = Vstat_cells.Dff
 module Sram = Vstat_cells.Sram6t
 
@@ -13,62 +14,67 @@ let tech_vs = T.nominal_vs_seed ()
 let check_float ?(eps = 1e-9) name expected actual =
   Alcotest.(check (float eps)) name expected actual
 
+(* One deterministic fanout-bench measurement. *)
+let measure gate tech ~wp_nm ~wn_nm ~fanout =
+  F.measure gate (F.sample gate tech ~wp_nm ~wn_nm ~fanout)
+
 (* --- Inverter --- *)
 
 let test_inverter_delay_positive () =
-  let r = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let r = measure G.inverter tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
   Alcotest.(check bool) "tphl > 0" true (r.tphl > 0.0);
   Alcotest.(check bool) "tplh > 0" true (r.tplh > 0.0);
   check_float ~eps:1e-15 "tpd is the mean" (0.5 *. (r.tphl +. r.tplh)) r.tpd;
   Alcotest.(check bool) "delay in ps range" true (r.tpd > 1e-12 && r.tpd < 100e-12)
 
 let test_inverter_fanout_slows () =
-  let r1 = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:1 in
-  let r6 = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:6 in
+  let r1 = measure G.inverter tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:1 in
+  let r6 = measure G.inverter tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:6 in
   Alcotest.(check bool) "more fanout, more delay" true (r6.tpd > 1.3 *. r1.tpd)
 
 let test_inverter_leakage_positive () =
-  let r = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let r = measure G.inverter tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
   Alcotest.(check bool) "leakage window" true
     (r.leakage > 1e-12 && r.leakage < 1e-5)
 
 let test_inverter_lower_vdd_slower () =
   let slow =
-    Inv.measure_nominal (T.with_vdd tech 0.6) ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
+    measure G.inverter (T.with_vdd tech 0.6) ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
   in
-  let fast = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let fast = measure G.inverter tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
   Alcotest.(check bool) "vdd scaling" true (slow.tpd > 1.5 *. fast.tpd)
 
 let test_inverter_deterministic_on_nominal_tech () =
-  let a = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
-  let b = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let a = measure G.inverter tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let b = measure G.inverter tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
   check_float ~eps:1e-18 "reproducible" a.tpd b.tpd
 
 let test_inverter_vs_close_to_bsim () =
   (* Extraction is tested elsewhere; even the seed card should be within a
      factor of two. *)
-  let a = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
-  let b = Inv.measure_nominal tech_vs ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let a = measure G.inverter tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let b = measure G.inverter tech_vs ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
   Alcotest.(check bool) "same order" true
     (b.tpd > 0.5 *. a.tpd && b.tpd < 2.0 *. a.tpd)
 
 let test_inverter_bad_fanout () =
-  match Inv.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:0 with
+  match F.sample G.inverter tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:0 with
   | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "message" "Fanout.sample: fanout >= 1" msg
 
 (* --- NAND2 --- *)
 
 let test_nand2_slower_than_inverter () =
-  let inv = Inv.measure_nominal tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3 in
-  let nand = Nand.measure_nominal tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3 in
+  let inv = measure G.inverter tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3 in
+  let nand = measure G.nand2 tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3 in
   Alcotest.(check bool) "stacked nmos is slower" true (nand.tpd > inv.tpd)
 
 let test_nand2_vdd_scaling_monotone () =
   let delays =
     List.map
       (fun v ->
-        (Nand.measure_nominal (T.with_vdd tech v) ~wp_nm:300.0 ~wn_nm:300.0
+        (measure G.nand2 (T.with_vdd tech v) ~wp_nm:300.0 ~wn_nm:300.0
            ~fanout:3)
           .tpd)
       [ 0.9; 0.7; 0.55 ]
@@ -77,6 +83,122 @@ let test_nand2_vdd_scaling_monotone () =
   | [ d9; d7; d55 ] ->
     Alcotest.(check bool) "monotone slowdown" true (d9 < d7 && d7 < d55)
   | _ -> assert false
+
+(* --- Fanout bench goldens ---
+
+   Hex-float bit patterns of every FO3 result field.  Any change to the
+   device draw order, the netlist's node or element order, the stimulus
+   or the measurement moves these bits; the stochastic cases pin the
+   Monte Carlo draw order of each gate's devices. *)
+
+let fo3 =
+  [
+    ("inv", measure G.inverter ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3);
+    ("nand2", measure G.nand2 ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3);
+    ("nor2", measure G.nor2 ~wp_nm:1200.0 ~wn_nm:300.0 ~fanout:3);
+  ]
+
+let check_golden name (r : F.result) (tphl, tplh, tpd, leakage) =
+  List.iter
+    (fun (field, expected, actual) ->
+      Alcotest.(check string)
+        (name ^ " " ^ field)
+        (Printf.sprintf "%h" expected)
+        (Printf.sprintf "%h" actual))
+    [
+      ("tphl", tphl, r.tphl);
+      ("tplh", tplh, r.tplh);
+      ("tpd", tpd, r.tpd);
+      ("leakage", leakage, r.leakage);
+    ]
+
+(* (gate, (tphl, tplh, tpd, leakage)) per technology and supply. *)
+let nominal_goldens =
+  [
+    ( (tech, 0.9),
+      [
+        ( "inv",
+          ( 0x1.4a5c02abf0f3p-37, 0x1.5998220f4fe44p-37,
+            0x1.51fa125da06bap-37, 0x1.21bf501936086p-25 ) );
+        ( "nand2",
+          ( 0x1.6c091cffcc4ep-37, 0x1.c8d27295946ap-37,
+            0x1.9a6dc7cab05cp-37, 0x1.21b5ff7b8f03ep-25 ) );
+        ( "nor2",
+          ( 0x1.0e511c736d7a8p-36, 0x1.0749227ef05f4p-36,
+            0x1.0acd1f792eecep-36, 0x1.21be7014dfbaap-24 ) );
+      ] );
+    ( (tech, 0.55),
+      [
+        ( "inv",
+          ( 0x1.41fc0a5712b8p-36, 0x1.965133cbe382p-36,
+            0x1.6c269f117b1dp-36, 0x1.a34aa32034367p-27 ) );
+        ( "nand2",
+          ( 0x1.7c7f432c0f7p-36, 0x1.fff3234ddf8ap-36,
+            0x1.be39333cf77dp-36, 0x1.a33f992e306d4p-27 ) );
+        ( "nor2",
+          ( 0x1.de2023193c48p-36, 0x1.4dff9c05753cp-35,
+            0x1.1e87d6c909bp-35, 0x1.a349930000c2fp-26 ) );
+      ] );
+    ( (tech_vs, 0.9),
+      [
+        ( "inv",
+          ( 0x1.03f6811ab1dcp-37, 0x1.cc1af8ebc3f7p-38,
+            0x1.ea03fd9093d78p-38, 0x1.6c03ef877087bp-22 ) );
+        ( "nand2",
+          ( 0x1.253a01aa2f67p-37, 0x1.2f40aa1a2d53p-37,
+            0x1.2a3d55e22e5dp-37, 0x1.6be263d8fbc83p-22 ) );
+        ( "nor2",
+          ( 0x1.a8d8ee3c7fa1p-37, 0x1.7a00c7eb218b4p-37,
+            0x1.916cdb13d0962p-37, 0x1.6bdcddcfdf718p-21 ) );
+      ] );
+    ( (tech_vs, 0.55),
+      [
+        ( "inv",
+          ( 0x1.118034618f08p-36, 0x1.0e85365a08efp-36,
+            0x1.1002b55dcbfb8p-36, 0x1.1dc3f4a132cdcp-23 ) );
+        ( "nand2",
+          ( 0x1.5ebbb4fe751p-36, 0x1.60a15be59952p-36,
+            0x1.5fae88720731p-36, 0x1.1da1c62c623b3p-23 ) );
+        ( "nor2",
+          ( 0x1.b7399adef5f8p-36, 0x1.d4d96afaaa2ep-36,
+            0x1.c60982ecd013p-36, 0x1.1da5233808bbep-22 ) );
+      ] );
+  ]
+
+let test_fanout_nominal_goldens () =
+  List.iter
+    (fun ((base, vdd), cases) ->
+      let tech = T.with_vdd base vdd in
+      List.iter
+        (fun (gate, golden) ->
+          check_golden
+            (Printf.sprintf "%s %s %.2fV" gate tech.T.label vdd)
+            (List.assoc gate fo3 tech) golden)
+        cases)
+    nominal_goldens
+
+(* One statistical-VS draw per gate, each from a fresh seed-19 stream. *)
+let stochastic_goldens =
+  [
+    ( "inv",
+      ( 0x1.46027b1191abp-37, 0x1.7301eaf4ef49p-37,
+        0x1.5c823303407ap-37, 0x1.a9996740a6adep-25 ) );
+    ( "nand2",
+      ( 0x1.4ec02add3478p-37, 0x1.db9a61e52f24cp-37,
+        0x1.952d466131ce6p-37, 0x1.a6a3092061e01p-25 ) );
+    ( "nor2",
+      ( 0x1.f05a87f8cef1p-37, 0x1.ee0077060fd28p-37,
+        0x1.ef2d7f7f6f61cp-37, 0x1.a0ec26b58d586p-24 ) );
+  ]
+
+let test_fanout_stochastic_goldens () =
+  let p = Vstat_core.Pipeline.build ~seed:42 ~mc_per_geometry:300 () in
+  List.iter
+    (fun (gate, golden) ->
+      let rng = Vstat_util.Rng.create ~seed:19 in
+      let tech = Vstat_core.Techs.stochastic_vs p ~rng ~vdd:0.9 in
+      check_golden (gate ^ " stochastic") (List.assoc gate fo3 tech) golden)
+    stochastic_goldens
 
 (* --- DFF --- *)
 
@@ -183,17 +305,17 @@ let test_butterfly_curves_cover_rails () =
 (* --- NOR2 --- *)
 
 let test_nor2_delay_and_ordering () =
-  let r = Vstat_cells.Nor2.measure_nominal tech ~wp_nm:1200.0 ~wn_nm:300.0 ~fanout:3 in
+  let r = measure G.nor2 tech ~wp_nm:1200.0 ~wn_nm:300.0 ~fanout:3 in
   Alcotest.(check bool) "tpd positive ps-range" true
     (r.tpd > 1e-12 && r.tpd < 100e-12);
   (* Widening the stacked pull-up must speed the rising edge specifically. *)
   let narrow =
-    Vstat_cells.Nor2.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
+    measure G.nor2 tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
   in
   Alcotest.(check bool) "wider pull-up, faster rise" true (r.tplh < narrow.tplh)
 
 let test_nor2_bad_fanout () =
-  match Vstat_cells.Nor2.sample tech ~wp_nm:1200.0 ~wn_nm:300.0 ~fanout:0 with
+  match F.sample G.nor2 tech ~wp_nm:1200.0 ~wn_nm:300.0 ~fanout:0 with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
@@ -265,6 +387,12 @@ let () =
         [
           Alcotest.test_case "slower than inv" `Quick test_nand2_slower_than_inverter;
           Alcotest.test_case "vdd scaling" `Quick test_nand2_vdd_scaling_monotone;
+        ] );
+      ( "fanout",
+        [
+          Alcotest.test_case "nominal goldens" `Quick test_fanout_nominal_goldens;
+          Alcotest.test_case "stochastic goldens" `Quick
+            test_fanout_stochastic_goldens;
         ] );
       ( "dff",
         [

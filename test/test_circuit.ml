@@ -335,8 +335,9 @@ let test_stats_counters_advance () =
   let c, _, _ = build_inverter () in
   let eng = E.compile c in
   let _ = E.dc eng in
-  Alcotest.(check bool) "evals counted" true (E.stats_model_evaluations eng > 0);
-  Alcotest.(check bool) "iters counted" true (E.stats_newton_iterations eng > 0)
+  let cnt = E.counters eng in
+  Alcotest.(check bool) "evals counted" true (cnt.E.model_evaluations > 0);
+  Alcotest.(check bool) "iters counted" true (cnt.E.newton_iterations > 0)
 
 let test_transient_lands_on_waveform_corners () =
   (* PWL corners deliberately off the dt grid: the stepper must place a
@@ -395,12 +396,7 @@ let test_counters_per_phase () =
   let after_global = E.global_counters () in
   let d = E.counters_diff after_global before_global in
   Alcotest.(check bool) "globals absorbed this engine" true
-    (d.E.newton_iterations >= cnt.E.newton_iterations);
-  (* legacy accessors stay in sync with the record *)
-  Alcotest.(check int) "stats_newton_iterations" cnt.E.newton_iterations
-    (E.stats_newton_iterations eng);
-  Alcotest.(check int) "stats_model_evaluations" cnt.E.model_evaluations
-    (E.stats_model_evaluations eng)
+    (d.E.newton_iterations >= cnt.E.newton_iterations)
 
 let test_fd_fallback_matches_analytic () =
   (* Same inverter with the derivative path stripped: the FD Jacobian must

@@ -70,22 +70,6 @@ let aimed_proposal =
 
 (* --- Wacc --------------------------------------------------------------- *)
 
-let test_wacc_dump_restore () =
-  let w = W.create () in
-  List.iter
-    (fun (wt, x) -> W.add w ~w:wt x)
-    [ (1.0, 3.0); (0.5, -2.0); (2.5, 7.0); (0.0, 100.0) ];
-  let w' = W.restore (W.dump w) in
-  Alcotest.(check int) "count" (W.count w) (W.count w');
-  check_bits "sum_weights" (W.sum_weights w) (W.sum_weights w');
-  check_bits "sum_sq" (W.sum_sq_weights w) (W.sum_sq_weights w');
-  check_bits "mean" (W.mean w) (W.mean w');
-  check_bits "variance" (W.variance w) (W.variance w');
-  check_bits "max_weight" (W.max_weight w) (W.max_weight w');
-  match W.restore [| 1.0 |] with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
 let test_wacc_matches_descriptive () =
   let xs = [| 2.0; 4.0; 4.0; 5.0; 7.0; 9.0 |] in
   let ws = [| 1.0; 2.0; 0.5; 1.5; 3.0; 0.25 |] in
@@ -97,21 +81,6 @@ let test_wacc_matches_descriptive () =
     (W.variance w);
   check_float ~eps:1e-12 "ess" (D.effective_sample_size ws) (W.ess w);
   check_float ~eps:1e-12 "max weight" 3.0 (W.max_weight w)
-
-let test_wacc_merge () =
-  let xs = Array.init 20 (fun i -> Float.of_int i *. 0.7) in
-  let ws = Array.init 20 (fun i -> 0.1 +. Float.of_int (i mod 5)) in
-  let whole = W.create () and left = W.create () and right = W.create () in
-  Array.iteri
-    (fun i x ->
-      W.add whole ~w:ws.(i) x;
-      W.add (if i < 11 then left else right) ~w:ws.(i) x)
-    xs;
-  let merged = W.merge left right in
-  Alcotest.(check int) "count" (W.count whole) (W.count merged);
-  check_float ~eps:1e-12 "mean" (W.mean whole) (W.mean merged);
-  check_float ~eps:1e-9 "variance" (W.variance whole) (W.variance merged);
-  check_float ~eps:1e-12 "ess" (W.ess whole) (W.ess merged)
 
 (* --- Proposal ----------------------------------------------------------- *)
 
@@ -324,10 +293,8 @@ let () =
     [
       ( "wacc",
         [
-          Alcotest.test_case "dump/restore" `Quick test_wacc_dump_restore;
           Alcotest.test_case "matches descriptive" `Quick
             test_wacc_matches_descriptive;
-          Alcotest.test_case "merge" `Quick test_wacc_merge;
         ] );
       ( "proposal",
         [
