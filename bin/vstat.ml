@@ -197,12 +197,30 @@ let apply_controls c =
 
 (* Validated numeric convs everywhere: a negative -n or zero --bpv-samples
    used to raise Invalid_argument deep inside the runtime (exit 125); bad
-   flag values must be a usage error (exit 2) instead. *)
-let samples_t default =
+   flag values must be a usage error (exit 2) instead.  [min_n] is the
+   smallest sample count the command can summarize (a spread needs 2
+   samples, a skewness or QQ plot 3). *)
+let samples_t ~min_n default =
+  let at_least =
+    let parse s =
+      match int_of_string_opt s with
+      | Some j when j >= min_n -> Ok j
+      | Some _ ->
+        Error
+          (`Msg (Printf.sprintf "must be at least %d for this command" min_n))
+      | None ->
+        Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   Arg.(
-    value & opt nonneg_int default
+    value & opt at_least default
     & info [ "n"; "samples" ] ~docv:"N"
-        ~doc:"Monte Carlo samples per model (paper-scale values are larger).")
+        ~doc:
+          (Printf.sprintf
+             "Monte Carlo samples per model (paper-scale values are larger; \
+              at least %d)."
+             min_n))
 
 let geometry_mc_t =
   Arg.(
@@ -212,7 +230,7 @@ let geometry_mc_t =
 
 let std_formatter_flush () = Format.pp_print_flush Format.std_formatter ()
 
-let run_cmd name doc ~default_n f =
+let run_cmd name doc ~default_n ~min_n f =
   let run verbose jobs seed controls bpv_n n =
     setup_logs verbose;
     Option.iter Vstat_runtime.Runtime.set_default_jobs jobs;
@@ -225,7 +243,7 @@ let run_cmd name doc ~default_n f =
     (Cmd.info name ~doc)
     Term.(
       const run $ verbose_t $ jobs_t $ seed_t $ controls_t $ geometry_mc_t
-      $ samples_t default_n)
+      $ samples_t ~min_n default_n)
 
 let fmt = Format.std_formatter
 
@@ -390,8 +408,8 @@ let sram_yield_cmd =
           importance sampling and statistical blockade")
     Term.(
       const run $ verbose_t $ jobs_t $ seed_t $ controls_t $ geometry_mc_t
-      $ samples_t 4000 $ rare_t $ sigma_shift_t $ pilot_n_t $ threshold_t
-      $ vdd_t)
+      $ samples_t ~min_n:2 4000 $ rare_t $ sigma_shift_t $ pilot_n_t
+      $ threshold_t $ vdd_t)
 
 let submit_cmd =
   let module P = Vstat_service.Protocol in
@@ -566,43 +584,47 @@ let export_cmd =
     (Cmd.info "export" ~doc:"Export figure data series to CSV files")
     Term.(
       const run $ verbose_t $ jobs_t $ seed_t $ controls_t $ geometry_mc_t
-      $ samples_t 300 $ dir_t)
+      $ samples_t ~min_n:0 300 $ dir_t)
 
 let cmds =
   [
     export_cmd;
     submit_cmd;
     sram_yield_cmd;
-    run_cmd "fig1" "VS-vs-golden I-V fit (Fig. 1)" ~default_n:0 fig1;
-    run_cmd "fig2" "Per-geometry vs stacked BPV (Fig. 2)" ~default_n:0 fig2;
-    run_cmd "table1" "Variation parameter list (Table I)" ~default_n:0 table1;
+    run_cmd "fig1" "VS-vs-golden I-V fit (Fig. 1)" ~default_n:0 ~min_n:0 fig1;
+    run_cmd "fig2" "Per-geometry vs stacked BPV (Fig. 2)" ~default_n:0 ~min_n:0
+      fig2;
+    run_cmd "table1" "Variation parameter list (Table I)" ~default_n:0
+      ~min_n:0 table1;
     run_cmd "table2" "Extracted alpha coefficients (Table II)" ~default_n:0
-      table2;
+      ~min_n:0 table2;
     run_cmd "fig3" "Idsat mismatch contributions vs width (Fig. 3)"
-      ~default_n:1500 fig3;
+      ~default_n:1500 ~min_n:2 fig3;
     run_cmd "table3" "Device MC sigma comparison (Table III)" ~default_n:1500
-      table3;
+      ~min_n:2 table3;
     run_cmd "fig4" "Ion/Ioff scatter + confidence ellipses (Fig. 4)"
-      ~default_n:1000 fig4;
+      ~default_n:1000 ~min_n:3 fig4;
     run_cmd "fig5" "INV FO3 delay PDFs, three sizes (Fig. 5)" ~default_n:400
-      fig5;
-    run_cmd "fig6" "Leakage vs frequency scatter (Fig. 6)" ~default_n:600 fig6;
+      ~min_n:3 fig5;
+    run_cmd "fig6" "Leakage vs frequency scatter (Fig. 6)" ~default_n:600
+      ~min_n:3 fig6;
     run_cmd "fig7" "NAND2 delay vs Vdd + QQ plots (Fig. 7)" ~default_n:400
-      fig7;
-    run_cmd "fig8" "DFF setup-time distribution (Fig. 8)" ~default_n:120 fig8;
+      ~min_n:3 fig7;
+    run_cmd "fig8" "DFF setup-time distribution (Fig. 8)" ~default_n:120
+      ~min_n:3 fig8;
     run_cmd "fig9" "SRAM butterfly + SNM distributions (Fig. 9)"
-      ~default_n:500 fig9;
+      ~default_n:500 ~min_n:3 fig9;
     run_cmd "table4" "Runtime/memory comparison (Table IV)" ~default_n:100
-      table4;
+      ~min_n:0 table4;
     run_cmd "ablation-vdd"
       "Ablation: nominal-Vdd extraction reused at low Vdd" ~default_n:1500
-      ablation_vdd;
+      ~min_n:2 ablation_vdd;
     run_cmd "inter-die" "Extension: inter-die + within-die variation (eq. 1)"
-      ~default_n:160 inter_die;
+      ~default_n:160 ~min_n:0 inter_die;
     run_cmd "ssta" "Extension: Gaussian SSTA vs transistor-level MC"
-      ~default_n:300 ssta;
+      ~default_n:300 ~min_n:3 ssta;
     run_cmd "all" "Run every experiment at reduced sample counts"
-      ~default_n:1000 all;
+      ~default_n:1000 ~min_n:3 all;
   ]
 
 let () =

@@ -14,7 +14,9 @@
    project call graph and checked for determinism taint reaching
    [@vstat.entry] hot entry points and for unguarded module-level mutable
    state reachable from Domain.spawn roots.  Findings carry the full
-   cross-module call path. *)
+   cross-module call path.  --deep also reads the .cmti/.cmt typed trees
+   found under the paths (dune writes them for @check) and reports every
+   [val] of an interface that no other compilation unit uses. *)
 
 module L = Vstat_lint_core
 
@@ -46,8 +48,8 @@ let () =
          and .git are always skipped)" );
       ( "--deep",
         Arg.Set deep,
-        " run the cross-module pass (determinism-taint, domain-safety) on \
-         top of the per-file rules" );
+        " run the cross-module pass (determinism-taint, domain-safety, \
+         unused-export) on top of the per-file rules" );
       ( "--root",
         Arg.Set_string root,
         "DIR  chdir here before scanning, so paths (and lint.allow \

@@ -41,12 +41,6 @@ val snm_of_butterfly : butterfly -> float
 (** Static noise margin: min over the two lobes of the largest embedded
     square's side (V). *)
 
-val snm_lobes_of_butterfly : butterfly -> float * float
-(** Per-lobe largest-square sides (lobe 1, lobe 2); the cell SNM is their
-    min.  The individual lobes are smooth, near-linear functions of the
-    mismatch shifts — unlike their min, whose kink defeats linear response
-    surfaces — which is what rare-event pilots want to regress on. *)
-
 val snm : ?points:int -> sample -> mode:mode -> float
 
 val snm_lobes : ?points:int -> sample -> mode:mode -> float * float

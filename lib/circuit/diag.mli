@@ -42,17 +42,6 @@ type t = {
 
 exception Solver_error of t
 
-val make :
-  ?time:float ->
-  ?newton_iter:int ->
-  ?stage:string ->
-  ?dmax:float ->
-  ?counters:(string * int) list ->
-  analysis:string ->
-  kind ->
-  string ->
-  t
-
 val fail :
   ?time:float ->
   ?newton_iter:int ->
@@ -64,5 +53,3 @@ val fail :
   ('a, unit, string, 'b) format4 ->
   'a
 (** Format-and-raise: [fail ~analysis kind fmt ...] raises {!Solver_error}. *)
-
-val to_string : t -> string

@@ -1,11 +1,5 @@
 (** Waveform and operating-point measurements used by the benchmark cells. *)
 
-val crossing_time :
-  times:float array -> values:float array -> level:float -> rising:bool ->
-  float option
-(** First time the waveform crosses [level] in the given direction
-    (linear interpolation inside the bracketing step). *)
-
 val propagation_delay :
   times:float array ->
   input:float array ->

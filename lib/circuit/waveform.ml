@@ -97,6 +97,3 @@ let breakpoints t ~tstop =
 
 let step ?(delay = 0.0) ?(rise = 10e-12) ~low ~high () =
   pwl [| (delay, low); (delay +. rise, high) |]
-
-let falling_step ?(delay = 0.0) ?(fall = 10e-12) ~high ~low () =
-  pwl [| (delay, high); (delay +. fall, low) |]

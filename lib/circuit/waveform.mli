@@ -55,5 +55,3 @@ val breakpoints : t -> tstop:float -> float list
 val step : ?delay:float -> ?rise:float -> low:float -> high:float -> unit -> t
 (** Single rising edge: low until [delay], then a linear ramp of duration
     [rise] (default 10 ps) to [high]. *)
-
-val falling_step : ?delay:float -> ?fall:float -> high:float -> low:float -> unit -> t

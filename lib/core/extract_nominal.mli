@@ -36,11 +36,6 @@ type result = {
   iterations : int;
 }
 
-val default_fit_geometries : (float * float) list
-(** (W, L) in nm.  Besides the primary 300/40 device, a narrow (120/40) and
-    a long-channel (600/80) device pin the geometry dependence (DIBL length
-    scale) that BPV's cross-geometry system relies on. *)
-
 val fit :
   ?w_nm:float -> ?l_nm:float -> ?max_iter:int ->
   ?geometries:(float * float) list ->
@@ -48,9 +43,8 @@ val fit :
   unit ->
   result
 (** Fit the VS model to the golden devices over [geometries] (default:
-    the primary W/L = 300/40 nm of the paper's Fig. 1 plus
-    {!default_fit_geometries}); errors are reported at the primary
-    geometry. *)
+    [w_nm]/[l_nm], plus the paper's Fig. 1 device W/L = 300/40 nm when
+    that differs); errors are reported at the primary geometry. *)
 
 val objective :
   polarity:Vstat_device.Device_model.polarity ->

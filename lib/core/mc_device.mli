@@ -12,31 +12,6 @@ type samples = {
   cgg : float array;          (** F *)
 }
 
-val run :
-  ?jobs:int ->
-  ?checkpoint:Vstat_runtime.Checkpoint.settings ->
-  ?deadline:(unit -> bool) ->
-  ?signals:int list ->
-  ?label:string ->
-  ?fingerprint:string ->
-  sampler:(Vstat_util.Rng.t -> Vstat_device.Device_model.t) ->
-  rng:Vstat_util.Rng.t ->
-  n:int ->
-  vdd:float ->
-  unit ->
-  samples
-(** Draw [n] devices and measure all three metrics on each.  [jobs]
-    defaults to {!Vstat_runtime.Runtime.default_jobs}; any sampler
-    exception is re-raised (zero failure budget).
-
-    [checkpoint], [deadline], [signals], [label] (default ["mc_device"])
-    and [fingerprint] are passed to {!Vstat_runtime.Checkpoint.run}:
-    with [checkpoint] completed samples are journaled and a resumed or
-    uninterrupted run yields bit-identical arrays.  When the deadline
-    fires, the arrays are compacted over the completed samples (shorter,
-    still index-ordered); a trapped signal raises
-    {!Vstat_runtime.Checkpoint.Interrupted}. *)
-
 val of_vs :
   ?jobs:int ->
   ?checkpoint:Vstat_runtime.Checkpoint.settings ->
@@ -56,9 +31,21 @@ val of_bsim :
   ?fingerprint:string ->
   Bsim_statistical.t -> rng:Vstat_util.Rng.t -> n:int ->
   w_nm:float -> l_nm:float -> vdd:float -> samples
+(** [of_vs]/[of_bsim] draw [n] devices from the statistical model and
+    measure all three metrics on each.  [jobs] defaults to
+    {!Vstat_runtime.Runtime.default_jobs}; any sampler exception is
+    re-raised (zero failure budget).
+
+    [checkpoint], [deadline], [signals], [label] (default ["mc_device"])
+    and [fingerprint] are passed to {!Vstat_runtime.Checkpoint.run}:
+    with [checkpoint] completed samples are journaled and a resumed or
+    uninterrupted run yields bit-identical arrays.  When the deadline
+    fires, the arrays are compacted over the completed samples (shorter,
+    still index-ordered); a trapped signal raises
+    {!Vstat_runtime.Checkpoint.Interrupted}. *)
 
 val summary :
   samples ->
   Vstat_runtime.Accum.t * Vstat_runtime.Accum.t * Vstat_runtime.Accum.t
 (** Streaming-accumulator summaries of (idsat, log10_ioff, cgg) — count,
-    mean, unbiased std, extrema — as used by BPV observation. *)
+    mean, unbiased std — as used by BPV observation. *)

@@ -97,13 +97,3 @@ let build ?(seed = 42) ?jobs ?checkpoint ?deadline ?signals
     vs_nmos;
     vs_pmos;
   }
-
-let memo = ref None
-
-let default () =
-  match !memo with
-  | Some t -> t
-  | None ->
-    let t = build () in
-    memo := Some t;
-    t

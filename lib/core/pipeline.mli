@@ -26,10 +26,6 @@ type t = {
   vs_pmos : Vs_statistical.t;
 }
 
-val default_geometries : (float * float) list
-(** Six geometries spanning the paper's range: W in 120..1500 nm, L = 40 nm,
-    plus one long-channel point. *)
-
 val build :
   ?seed:int ->
   ?jobs:int ->
@@ -47,6 +43,3 @@ val build :
     geometry's golden Monte Carlo ({!Bpv.observe_golden}): every geometry
     gets its own snapshot file, so an interrupted build resumes at the
     first incomplete one. *)
-
-val default : unit -> t
-(** Memoized [build ~seed:42 ~mc_per_geometry:2000 ()]. *)

@@ -2,11 +2,6 @@ type metric = Idsat | Log10_ioff | Cgg
 
 let all_metrics = [ Idsat; Log10_ioff; Cgg ]
 
-let metric_name = function
-  | Idsat -> "Idsat"
-  | Log10_ioff -> "log10(Ioff)"
-  | Cgg -> "Cgg@Vdd"
-
 let metric_value dev ~vdd = function
   | Idsat -> Vstat_device.Metrics.idsat dev ~vdd
   | Log10_ioff -> Vstat_device.Metrics.log10_ioff dev ~vdd
@@ -15,13 +10,6 @@ let metric_value dev ~vdd = function
 type parameter = [ `Vt0 | `L | `W | `Mu | `Cinv ]
 
 let all_parameters = ([ `Vt0; `L; `W; `Mu; `Cinv ] : parameter list)
-
-let parameter_name = function
-  | `Vt0 -> "VT0"
-  | `L -> "Leff"
-  | `W -> "Weff"
-  | `Mu -> "mu"
-  | `Cinv -> "Cinv"
 
 (* Steps chosen to sit well inside the linear-response region while staying
    far above float noise: ~1 sigma of a mid-size device. *)

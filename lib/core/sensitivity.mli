@@ -9,14 +9,10 @@
 type metric = Idsat | Log10_ioff | Cgg
 
 val all_metrics : metric list
-val metric_name : metric -> string
-
-val metric_value : Vstat_device.Device_model.t -> vdd:float -> metric -> float
 
 type parameter = [ `Vt0 | `L | `W | `Mu | `Cinv ]
 
 val all_parameters : parameter list
-val parameter_name : parameter -> string
 
 val vs_derivative :
   Vs_statistical.t ->

@@ -28,14 +28,3 @@ let nominal_vs (p : Pipeline.t) ~vdd =
     nmos = (fun ~w_nm -> Vs_statistical.nominal_device p.vs_nmos ~w_nm ~l_nm);
     pmos = (fun ~w_nm -> Vs_statistical.nominal_device p.vs_pmos ~w_nm ~l_nm);
   }
-
-let nominal_bsim (p : Pipeline.t) ~vdd =
-  {
-    Vstat_cells.Celltech.label = "bsim-nominal";
-    vdd;
-    l_nm;
-    nmos =
-      (fun ~w_nm -> Bsim_statistical.nominal_device p.golden_nmos ~w_nm ~l_nm);
-    pmos =
-      (fun ~w_nm -> Bsim_statistical.nominal_device p.golden_pmos ~w_nm ~l_nm);
-  }

@@ -12,4 +12,3 @@ val stochastic_bsim :
 (** Statistical golden technology (the reference in every figure). *)
 
 val nominal_vs : Pipeline.t -> vdd:float -> Vstat_cells.Celltech.t
-val nominal_bsim : Pipeline.t -> vdd:float -> Vstat_cells.Celltech.t

@@ -48,15 +48,6 @@ type sigmas = {
 val sigmas_of_alphas : alphas -> w_nm:float -> l_nm:float -> sigmas
 (** Evaluate the Pelgrom forms at a geometry. *)
 
-val vxo_mu_exponent : float
-(** alpha ~ 0.5: power-law index relating vxo to mobility (paper eq. (5)). *)
-
-val vxo_gamma : float
-(** gamma ~ 0.45: second power-law index of eq. (5). *)
-
-val vxo_delta_sensitivity : float
-(** d(vxo)/(vxo d(delta)) ~ 2 for the targeted technology (paper Sec. II-B). *)
-
 val vxo_relative_shift :
   ballistic_b:float -> dmu_rel:float -> ddelta:float -> float
 (** Paper eq. (5): the relative virtual-source-velocity shift induced by a

@@ -75,11 +75,3 @@ let seed_nmos =
     alphas = Variation.paper_alphas_nmos;
     nominal = (fun ~w_nm ~l_nm -> Vstat_device.Cards.vs_seed_nmos ~w_nm ~l_nm);
   }
-
-let seed_pmos =
-  {
-    label = "vs-seed-pmos";
-    polarity = Vstat_device.Device_model.Pmos;
-    alphas = Variation.paper_alphas_pmos;
-    nominal = (fun ~w_nm ~l_nm -> Vstat_device.Cards.vs_seed_pmos ~w_nm ~l_nm);
-  }

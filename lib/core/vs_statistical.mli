@@ -54,5 +54,3 @@ val nominal_device :
 val seed_nmos : t
 (** Statistical model over the hand-written seed card with the paper's
     Table II alphas — useful before extraction has run (tests, examples). *)
-
-val seed_pmos : t

@@ -25,9 +25,6 @@ exception Injected of string
 (** Raised by a [Raise]-kind fault; classified as ["injected_fault"] by the
     runtime failure census (registration lives in [Vstat_circuit.Diag]). *)
 
-val kind_name : kind -> string
-val kind_of_string : string -> kind option
-
 type config = {
   rate : float;  (** probability a given key carries a fault, in [0,1] *)
   kind : kind;
@@ -107,9 +104,6 @@ module Service : sig
     hang_s : float;      (** heartbeat freeze duration, seconds *)
     seed : int;
   }
-
-  val default_stall_s : float
-  val default_hang_s : float
 
   val plan : config -> key:int -> action option
   (** Pure function of [(config, key)].

@@ -49,13 +49,6 @@ type params = {
 val delta : params -> float
 (** DIBL coefficient of this instance, [delta_of_length p.dibl p.l]. *)
 
-val canonical : params -> Device_model.canonical_eval
-(** The model's one kernel: canonical-quadrant values, plus the analytic
-    bias partials (conductances and transcapacitances, the engine's
-    Jacobian) when the array has {!Device_model.grad_length} slots.  The
-    partials agree with central finite differences of the values (checked
-    in tests). *)
-
 val device :
   ?name:string -> polarity:Device_model.polarity -> params -> Device_model.t
 (** Instantiate as a circuit-ready device. *)

@@ -1,23 +1,6 @@
 let ensure_dir dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
-let write ~dir ~name ~header ~rows =
-  ensure_dir dir;
-  let path = Filename.concat dir (name ^ ".csv") in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (String.concat "," header);
-      output_char oc '\n';
-      List.iter
-        (fun row ->
-          output_string oc
-            (String.concat "," (List.map (Printf.sprintf "%.9g") row));
-          output_char oc '\n')
-        rows);
-  path
-
 let write_columns ~dir ~name columns =
   ensure_dir dir;
   let path = Filename.concat dir (name ^ ".csv") in

@@ -1,12 +1,5 @@
 (** Tiny CSV writer for exporting experiment series to plotting tools. *)
 
-val write :
-  dir:string -> name:string -> header:string list -> rows:float list list ->
-  string
-(** [write ~dir ~name ~header ~rows] creates [dir] if needed and writes
-    [dir]/[name].csv; returns the path.  All values are printed with
-    full float precision ("%.9g"). *)
-
 val write_columns :
   dir:string -> name:string -> (string * float array) list -> string
 (** Column-oriented variant: pads shorter columns with empty cells. *)

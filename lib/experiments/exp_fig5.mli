@@ -3,9 +3,6 @@
 
 type size = { name : string; wp_nm : float; wn_nm : float }
 
-val paper_sizes : size list
-(** P/N = 300/150, 600/300, 1200/600 nm as in the paper. *)
-
 type t = { n : int; vdd : float; results : (size * Mc_compare.pair) list }
 
 val run :

@@ -5,8 +5,8 @@
     the paper's statistical VS model exists to answer cheaply.  The
     variation space is the BPV coordinate vector: 6 transistors x 5
     independent Gaussian parameters (VT0, Leff, Weff, mu, Cinv) = 30
-    standard-normal coordinates.  {!problem} maps a coordinate vector to
-    an SNM through a {e z-driven} technology handle — the same Pelgrom
+    standard-normal coordinates.  The rare-event problem maps a coordinate
+    vector to an SNM through a {e z-driven} technology handle — the same Pelgrom
     sigmas and {!Vstat_core.Vs_statistical.apply_shifts} couplings as the
     stochastic Monte Carlo technology, but driven by explicit coordinates
     so importance sampling can reweight the draw.
@@ -16,38 +16,6 @@
     which is bit-identical to it), sigma-scaled importance sampling, and
     statistical blockade.  Agreement means the 95% intervals of the two
     accelerated estimators each overlap the brute-force interval. *)
-
-val params_per_device : int
-(** 5: VT0, Leff, Weff, mu, Cinv — the BPV parameter set, consumed in
-    {!Vstat_core.Vs_statistical.draw_shifts} order. *)
-
-val devices_per_cell : int
-(** 6: left then right half-cell, each pull-up (PMOS), pull-down (NMOS),
-    access (NMOS) — the {!Vstat_cells.Sram6t.sample} build order. *)
-
-val dim : int
-(** [params_per_device * devices_per_cell] = 30. *)
-
-val z_tech :
-  Vstat_core.Pipeline.t -> vdd:float -> float array ->
-  Vstat_cells.Celltech.t
-(** A technology handle that spends 5 coordinates of the given vector per
-    transistor, in creation order, instead of drawing from an RNG.
-    Single-use: build one per cell sample.
-    @raise Invalid_argument when the vector runs out of coordinates. *)
-
-val problem :
-  ?mode:Vstat_cells.Sram6t.mode ->
-  ?points:int ->
-  Vstat_core.Pipeline.t ->
-  vdd:float ->
-  threshold:float ->
-  Vstat_rare.Problem.t
-(** The rare-event problem [SNM(mode) < threshold] at [vdd].  [mode]
-    defaults to READ (the stability-limiting one), [points] (default 41)
-    is the butterfly sweep resolution.  The simulate closure escalates
-    solver options with the retry attempt, exactly like
-    {!Mc_compare.collect_run}, so the runtime retry ladder applies. *)
 
 type t = {
   vdd : float;

@@ -11,15 +11,19 @@ type per_vdd = {
 
 type t = { stages : int; n : int; results : per_vdd list }
 
-(* Rare extreme-mismatch samples fail to switch near threshold; the runtime
-   captures them and enforces the same 20 % failure budget as Mc_compare. *)
-let collect ?jobs ~label ~n ~rng ~measure () =
-  let r = Vstat_runtime.Runtime.map_rng_samples ?jobs ~rng ~n ~f:measure () in
-  Vstat_runtime.Runtime.check_budget ~label:("Exp_ssta:" ^ label)
-    ~max_failure_frac:0.2 r;
-  Vstat_runtime.Runtime.values r
+(* One Monte Carlo pass through {!Mc_compare.collect_run}, so the CLI's
+   run controls (checkpoint, deadline, retry, injection) reach it.  Rare
+   extreme-mismatch samples fail to switch near threshold; the runtime
+   captures them under the default 20 % failure budget. *)
+let collect p ~label ~vdd ~n ~rng ~measure =
+  Vstat_runtime.Runtime.values
+    (Mc_compare.collect_run ~codec:Vstat_runtime.Checkpoint.float_codec
+       ~label:(Printf.sprintf "%s-%.2f" label vdd)
+       ~n
+       ~tech_of_rng:(fun rng -> Vstat_core.Techs.stochastic_vs p ~rng ~vdd)
+       ~rng ~measure ())
 
-let run ?jobs ?(vdds = [ 0.9; 0.55 ]) ?(stages = 8) ?(n = 300) ?(seed = 59)
+let run ?(vdds = [ 0.9; 0.55 ]) ?(stages = 8) ?(n = 300) ?(seed = 59)
     (p : Vstat_core.Pipeline.t) =
   let results =
     List.map
@@ -27,27 +31,17 @@ let run ?jobs ?(vdds = [ 0.9; 0.55 ]) ?(stages = 8) ?(n = 300) ?(seed = 59)
         let rng = Vstat_util.Rng.create ~seed in
         (* Transistor-level path Monte Carlo. *)
         let mc_delays =
-          collect ?jobs ~label:"path-mc" ~n ~rng
-            ~measure:(fun sample_rng ->
-              let tech =
-                Vstat_core.Techs.stochastic_vs p ~rng:sample_rng ~vdd
-              in
+          collect p ~label:"ssta-path" ~vdd ~n ~rng ~measure:(fun tech ->
               Vstat_cells.Chain.measure (Vstat_cells.Chain.sample ~stages tech))
-            ()
         in
         (* Per-stage characterization: FO1 inverter delays. *)
         let stage_delays =
-          collect ?jobs ~label:"stage-mc" ~n ~rng
-            ~measure:(fun sample_rng ->
-              let tech =
-                Vstat_core.Techs.stochastic_vs p ~rng:sample_rng ~vdd
-              in
+          collect p ~label:"ssta-stage" ~vdd ~n ~rng ~measure:(fun tech ->
               let s =
                 Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0
                   ~fanout:1
               in
               (Vstat_cells.Inverter.measure s).tpd)
-            ()
         in
         let stage_mean = Vstat_stats.Descriptive.mean stage_delays in
         let stage_sigma = Vstat_stats.Descriptive.std stage_delays in

@@ -23,9 +23,13 @@ type per_vdd = {
 type t = { stages : int; n : int; results : per_vdd list }
 
 val run :
-  ?jobs:int -> ?vdds:float list -> ?stages:int -> ?n:int -> ?seed:int ->
+  ?vdds:float list -> ?stages:int -> ?n:int -> ?seed:int ->
   Vstat_core.Pipeline.t -> t
-(** Both Monte Carlo passes run on {!Vstat_runtime.Runtime} with a 20 %
-    failure budget; results are independent of [jobs]. *)
+(** Each Vdd runs two Monte Carlo passes, the path and the FO1 stage, as
+    {!Mc_compare.collect_run}s labelled [ssta-path-<vdd>] and
+    [ssta-stage-<vdd>] (Vdd to two decimals).  So the {!Mc_compare.controls}
+    the CLI sets apply to both: a 20 % failure budget, retries, checkpoint
+    and resume per label, and the deadline.  Results are independent of
+    the worker count. *)
 
 val pp : Format.formatter -> t -> unit

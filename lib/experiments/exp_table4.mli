@@ -18,11 +18,6 @@ type row = {
 
 type t = { rows : row list }
 
-val speedup : row -> float
-(** bsim_runtime / vs_runtime. *)
-
-val alloc_ratio : row -> float
-
 val run :
   ?n_nand2:int -> ?n_dff:int -> ?n_sram:int -> ?seed:int ->
   Vstat_core.Pipeline.t -> t

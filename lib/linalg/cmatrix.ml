@@ -27,21 +27,6 @@ let combine ~g ~c ~omega =
   done;
   out
 
-let rows m = m.rows
-let cols m = m.cols
-
-let check m i j =
-  if i < 0 || i >= m.rows || j < 0 || j >= m.cols then
-    invalid_arg "Cmatrix: index out of bounds"
-
-let get m i j =
-  check m i j;
-  m.data.((i * m.cols) + j)
-
-let set m i j v =
-  check m i j;
-  m.data.((i * m.cols) + j) <- v
-
 let mul_vec m v =
   if m.cols <> Array.length v then invalid_arg "Cmatrix.mul_vec: dimension";
   Array.init m.rows (fun i ->

@@ -4,19 +4,11 @@
 type t
 (** A mutable rows x cols matrix of {!Complex.t}. *)
 
-val create : rows:int -> cols:int -> t
-(** Zero-filled. *)
-
 val of_real : Matrix.t -> t
 (** Embed a real matrix (zero imaginary parts). *)
 
 val combine : g:Matrix.t -> c:Matrix.t -> omega:float -> t
 (** [combine ~g ~c ~omega] is G + j.omega.C — the AC system matrix. *)
-
-val rows : t -> int
-val cols : t -> int
-val get : t -> int -> int -> Complex.t
-val set : t -> int -> int -> Complex.t -> unit
 
 val mul_vec : t -> Complex.t array -> Complex.t array
 

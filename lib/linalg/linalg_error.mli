@@ -15,7 +15,3 @@ exception Numeric_error of { routine : string; reason : string }
 
 val fail : routine:string -> reason:string -> 'a
 (** Raise {!Numeric_error}. *)
-
-val to_string : routine:string -> reason:string -> string
-(** ["routine: reason"], the rendering used by the registered [Printexc]
-    printer. *)

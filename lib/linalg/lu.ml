@@ -1,7 +1,6 @@
 type t = {
   lu : Matrix.t;       (* combined L (unit diagonal) and U factors *)
   pivots : int array;  (* LAPACK-style swaps: row k exchanged pivots.(k) *)
-  sign : float;        (* permutation parity, for the determinant *)
 }
 
 exception Singular of { column : int; scale : float }
@@ -110,10 +109,10 @@ let factor a =
   if Matrix.cols a <> n then invalid_arg "Lu.factor: matrix must be square";
   let lu = Matrix.copy a in
   let pivots = Array.make n 0 in
-  let sign = Float.of_int (factor_in_place lu ~pivots) in
-  { lu; pivots; sign }
+  ignore (factor_in_place lu ~pivots : int);
+  { lu; pivots }
 
-let solve_factored { lu; pivots; _ } b =
+let solve_factored { lu; pivots } b =
   let n = Matrix.rows lu in
   if Matrix.cols lu <> n then invalid_arg "Lu.solve_factored: square factor";
   if Array.length b <> n then invalid_arg "Lu.solve_factored: rhs length";
@@ -122,24 +121,3 @@ let solve_factored { lu; pivots; _ } b =
   x
 
 let solve a b = solve_factored (factor a) b
-
-let det { lu; sign; _ } =
-  let n = Matrix.rows lu in
-  let d = ref sign in
-  for i = 0 to n - 1 do
-    d := !d *. Matrix.get lu i i
-  done;
-  !d
-
-let inverse a =
-  let n = Matrix.rows a in
-  let f = factor a in
-  let inv = Matrix.create ~rows:n ~cols:n in
-  for j = 0 to n - 1 do
-    let e = Array.init n (fun i -> if i = j then 1.0 else 0.0) in
-    let x = solve_factored f e in
-    for i = 0 to n - 1 do
-      Matrix.set inv i j x.(i)
-    done
-  done;
-  inv

@@ -18,9 +18,6 @@ val factor : Matrix.t -> t
     @raise Singular when the matrix is numerically singular.
     @raise Invalid_argument on non-square input. *)
 
-val solve_factored : t -> float array -> float array
-(** Solve A x = b reusing a factorization.  O(n^2) per right-hand side. *)
-
 val factor_in_place : Matrix.t -> pivots:int array -> int
 (** Allocation-free factorization for hot loops: overwrite the matrix with
     its combined L (unit diagonal) / U factors, record the row exchanges in
@@ -37,10 +34,4 @@ val solve_in_place : lu:Matrix.t -> pivots:int array -> float array -> unit
     outputs of {!factor_in_place}.  Performs no allocation. *)
 
 val solve : Matrix.t -> float array -> float array
-(** One-shot [factor] + [solve_factored]. *)
-
-val det : t -> float
-(** Determinant from the factorization (product of pivots, sign-corrected). *)
-
-val inverse : Matrix.t -> Matrix.t
-(** Explicit inverse; for tests and small covariance work only. *)
+(** One-shot factorization and solve. *)

@@ -49,19 +49,9 @@ let add_to m i j v =
 
 let copy m = { m with data = Array.copy m.data }
 
-let fill m v = Array.fill m.data 0 (Array.length m.data) v
-
 let transpose m = init ~rows:m.cols ~cols:m.rows ~f:(fun i j -> get m j i)
 
 let map ~f m = { m with data = Array.map f m.data }
-
-let row m i =
-  check m i 0;
-  Array.sub m.data (i * m.cols) m.cols
-
-let col m j =
-  check m 0 j;
-  Array.init m.rows (fun i -> m.data.((i * m.cols) + j))
 
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Matrix.mul: dimension mismatch";
@@ -102,11 +92,3 @@ let max_abs m =
 let equal ?(tol = 1e-12) a b =
   a.rows = b.rows && a.cols = b.cols
   && max_abs (sub a b) <= tol
-
-let pp ppf m =
-  for i = 0 to m.rows - 1 do
-    for j = 0 to m.cols - 1 do
-      Format.fprintf ppf "% .6e " m.data.((i * m.cols) + j)
-    done;
-    Format.pp_print_newline ppf ()
-  done

@@ -36,12 +36,7 @@ val add_to : t -> int -> int -> float -> unit
 (** [add_to m i j v] is [set m i j (get m i j +. v)] — the MNA "stamp". *)
 
 val copy : t -> t
-val fill : t -> float -> unit
 val transpose : t -> t
-val map : f:(float -> float) -> t -> t
-
-val row : t -> int -> float array
-val col : t -> int -> float array
 
 val mul : t -> t -> t
 (** Matrix product.  Dimensions must agree. *)
@@ -57,5 +52,3 @@ val max_abs : t -> float
 (** Largest absolute entry (infinity-like norm helper). *)
 
 val equal : ?tol:float -> t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -13,12 +13,5 @@ val least_squares : Matrix.t -> float array -> float array
 (** [least_squares a b] minimizes ||a x - b||_2 for full-column-rank [a].
     @raise Failure on rank deficiency (zero diagonal in R). *)
 
-val solve_r : t -> float array -> float array
-(** Solve R x = (Q^T b truncated) given the factorization; building block for
-    [least_squares]. *)
-
-val q_transpose_apply : t -> float array -> float array
-(** Apply Q^T to a vector of length [rows]. *)
-
 val r : t -> Matrix.t
 (** The n x n upper-triangular factor. *)

@@ -48,7 +48,6 @@ let refactorizations = Atomic.make 0
 let symbolic_analyses () = Atomic.get analyses
 let numeric_factorizations () = Atomic.get refactorizations
 
-let n sym = sym.n
 let nnz sym = sym.row_ptr.(sym.n)
 
 (* Matches Lu.singular_rtol in spirit: the sparse test is row-relative
@@ -375,7 +374,6 @@ let create_numeric sym =
     y = Array.make (max sym.n 1) 0.0;
   }
 
-let symbolic_of t = t.sym
 let values t = t.ax
 let clear t = Array.fill t.ax 0 (Array.length t.ax) 0.0
 

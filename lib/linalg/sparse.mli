@@ -47,10 +47,6 @@ val analyze_cached : n:int -> entries:(int * int) array -> symbolic
     topology for every MC sample reuses one analysis.  The cache is reset
     when it exceeds a small bound. *)
 
-val n : symbolic -> int
-val nnz : symbolic -> int
-(** Stored entries in the combined L+U pattern, fill included. *)
-
 val slot : symbolic -> row:int -> col:int -> int
 (** Flat index into {!values} holding original-coordinate entry
     [(row, col)].  Every pair passed to {!analyze} has a slot (fill
@@ -61,11 +57,10 @@ val slot : symbolic -> row:int -> col:int -> int
 val create_numeric : symbolic -> numeric
 (** Allocate the value buffer and work vectors for one solver instance. *)
 
-val symbolic_of : numeric -> symbolic
-
 val values : numeric -> float array
-(** The stamp buffer, length {!nnz}, in symbolic slot order.  Overwritten
-    by {!factor}; restamp (after {!clear}) before each refactorization. *)
+(** The stamp buffer, one slot per stored L+U entry (fill included), in
+    symbolic slot order.  Overwritten by {!factor}; restamp (after
+    {!clear}) before each refactorization. *)
 
 val clear : numeric -> unit
 (** Zero the value buffer ([Array.fill]; allocation-free). *)

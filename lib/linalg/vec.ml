@@ -8,20 +8,12 @@ let dot a b =
   Array.iteri (fun i x -> acc := !acc +. (x *. b.(i))) a;
   !acc
 
-let norm2 a = sqrt (dot a a)
-
 let norm_inf a =
   Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 a
-
-let add a b =
-  check a b "add";
-  Array.mapi (fun i x -> x +. b.(i)) a
 
 let sub a b =
   check a b "sub";
   Array.mapi (fun i x -> x -. b.(i)) a
-
-let scale s a = Array.map (fun x -> s *. x) a
 
 let axpy ~alpha ~x ~y =
   check x y "axpy";

@@ -1,13 +1,9 @@
 (** Vector helpers over plain [float array]. *)
 
 val dot : float array -> float array -> float
-val norm2 : float array -> float
-(** Euclidean norm. *)
 
 val norm_inf : float array -> float
-val add : float array -> float array -> float array
 val sub : float array -> float array -> float array
-val scale : float -> float array -> float array
 val axpy : alpha:float -> x:float array -> y:float array -> unit
 (** In-place y := y + alpha * x. *)
 

@@ -76,3 +76,24 @@ let allows t ~rule ~file ~line =
       && path_matches ~entry:e.path file
       && match e.line with None -> true | Some l -> l = line)
     t.entries
+
+(* The inline half: the rule ids named by [@vstat.allow "rule"] (or a
+   tuple of ids) among [attrs]. *)
+let payload_strings = function
+  | Parsetree.PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] ->
+    let rec strings (e : Parsetree.expression) =
+      match e.pexp_desc with
+      | Pexp_constant (Pconst_string (s, _, _)) -> [ s ]
+      | Pexp_tuple es -> List.concat_map strings es
+      | _ -> []
+    in
+    strings e
+  | _ -> []
+
+let allow_rules attrs =
+  List.concat_map
+    (fun (a : Parsetree.attribute) ->
+      if a.attr_name.Location.txt = "vstat.allow" then
+        payload_strings a.attr_payload
+      else [])
+    attrs

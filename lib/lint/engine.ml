@@ -111,25 +111,6 @@ let in_prefixes prefixes file =
 
 (* --- attribute handling ------------------------------------------------ *)
 
-let payload_strings = function
-  | PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] ->
-    let rec strings e =
-      match e.pexp_desc with
-      | Pexp_constant (Pconst_string (s, _, _)) -> [ s ]
-      | Pexp_tuple es -> List.concat_map strings es
-      | _ -> []
-    in
-    strings e
-  | _ -> []
-
-let allow_rules attrs =
-  List.concat_map
-    (fun a ->
-      if a.attr_name.Location.txt = "vstat.allow" then
-        payload_strings a.attr_payload
-      else [])
-    attrs
-
 let is_hot_attr attrs =
   List.exists (fun a -> a.attr_name.Location.txt = "vstat.hot") attrs
 
@@ -607,7 +588,7 @@ let make_iterator st =
     | _ -> Ast_iterator.default_iterator.expr self e
   in
   let expr self e =
-    let rules = allow_rules e.pexp_attributes in
+    let rules = Allowlist.allow_rules e.pexp_attributes in
     st.scopes <- rules :: st.scopes;
     (match e.pexp_desc with
     | Pexp_ident _ ->
@@ -646,7 +627,7 @@ let make_iterator st =
   let value_binding self vb =
     let struct_level = st.at_struct in
     st.at_struct <- false;
-    let rules = allow_rules vb.pvb_attributes in
+    let rules = Allowlist.allow_rules vb.pvb_attributes in
     let hot = is_hot_attr vb.pvb_attributes in
     let sorted = contains_sort vb.pvb_expr in
     st.scopes <- rules :: st.scopes;
@@ -710,7 +691,7 @@ let make_iterator st =
   and structure_item self si =
     match si.pstr_desc with
     | Pstr_attribute a when a.attr_name.Location.txt = "vstat.allow" ->
-      st.file_allows <- payload_strings a.attr_payload @ st.file_allows;
+      st.file_allows <- Allowlist.payload_strings a.attr_payload @ st.file_allows;
       Ast_iterator.default_iterator.structure_item self si
     | Pstr_value (_, vbs) ->
       (* [at_struct] is re-armed per binding: a [let a = .. and b = ..]
@@ -813,8 +794,8 @@ let analyze_file cfg path =
 let lint_file cfg path = fst (analyze_file cfg path)
 
 (* Deterministic directory walk: readdir order is unspecified, so entries
-   are sorted before descent. *)
-let rec collect_dir ~excludes acc path =
+   are sorted before descent.  [suffix] selects the files kept. *)
+let rec collect_dir ~excludes ~suffix acc path =
   let entries = Sys.readdir path in
   Array.sort String.compare entries;
   Array.fold_left
@@ -822,16 +803,18 @@ let rec collect_dir ~excludes acc path =
       if List.mem name excludes then acc
       else
         let child = Filename.concat path name in
-        if Sys.is_directory child then collect_dir ~excludes acc child
-        else if Filename.check_suffix name ".ml" then child :: acc
+        if Sys.is_directory child then collect_dir ~excludes ~suffix acc child
+        else if Filename.check_suffix name suffix then child :: acc
         else acc)
     acc entries
 
-let collect_files ?(excludes = [ "_build"; ".git" ]) paths =
+let collect_files ?(excludes = [ "_build"; ".git" ]) ?(suffix = ".ml") paths =
   let files =
     List.fold_left
       (fun acc p ->
-        if Sys.is_directory p then collect_dir ~excludes acc p else p :: acc)
+        if Sys.is_directory p then collect_dir ~excludes ~suffix acc p
+        else if Filename.check_suffix p suffix then p :: acc
+        else acc)
       [] paths
   in
   List.sort String.compare files
@@ -849,13 +832,20 @@ type deep_result = {
 }
 
 (* Phase 1 is a serial map over the sorted file list, so phase 2 consumes
-   summaries in path order and the report is deterministic. *)
+   summaries in path order and the report is deterministic.  The
+   unused-export rule reads the typed trees found under the same paths;
+   a source tree without them gives it nothing to check. *)
 let run_deep ?excludes cfg paths =
   let files = collect_files ?excludes paths in
   let summaries = List.map (fun path -> snd (analyze_file cfg path)) files in
   let per_file = List.concat_map (fun s -> s.Summary.diags) summaries in
   let deep = Taint.analyze ~allow:cfg.allow summaries in
+  let unused =
+    Unused_export.check ~allow:cfg.allow
+      ~cmts:(collect_files ?excludes ~suffix:".cmt" paths)
+      ~cmtis:(collect_files ?excludes ~suffix:".cmti" paths)
+  in
   {
     deep_files = List.length files;
-    deep_diags = List.sort Diagnostic.compare (per_file @ deep);
+    deep_diags = List.sort Diagnostic.compare (per_file @ deep @ unused);
   }

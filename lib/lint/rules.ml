@@ -16,6 +16,7 @@ let hot_path = "hot-path"
 let parse_error = "parse-error"
 let determinism_taint = "determinism-taint"
 let domain_safety = "domain-safety"
+let unused_export = "unused-export"
 
 let all =
   [
@@ -112,6 +113,17 @@ let all =
         "the runtime pool and the vstatd worker share module state across \
          domains; an unguarded access reachable from a spawn site is a \
          data race waiting for the multi-worker scheduler to widen it";
+    };
+    {
+      id = unused_export;
+      summary =
+        "(--deep) no [val] in an .mli (@lint finds them only in lib/) that \
+         no other compilation unit references; read from the .cmti/.cmt \
+         typed trees under the scanned paths (dune build @check), so it is \
+         inert on a bare source tree";
+      invariant =
+        "the same results from less code: an export nothing else uses is \
+         deleted, hidden in its .mli, or granted with a written reason";
     };
   ]
 

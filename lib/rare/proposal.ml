@@ -21,11 +21,6 @@ let standard ~dim =
   check_dim dim;
   { dim; means = [| Array.make dim 0.0 |]; scale = 1.0 }
 
-let sigma_scaled ~dim ~scale =
-  check_dim dim;
-  check_scale scale;
-  { dim; means = [| Array.make dim 0.0 |]; scale }
-
 let mean_shifted ?(scale = 1.0) ~mean () =
   check_dim (Array.length mean);
   check_scale scale;

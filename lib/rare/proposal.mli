@@ -32,10 +32,6 @@ val standard : dim:int -> t
     ({!log_weight} returns exactly 0.0), so an estimator driven by
     [standard] {e is} plain Monte Carlo, bit for bit. *)
 
-val sigma_scaled : dim:int -> scale:float -> t
-(** N(0, scale^2 I): widen every coordinate.  @raise Invalid_argument
-    when [scale] is not finite and positive or [dim < 1]. *)
-
 val mean_shifted : ?scale:float -> mean:float array -> unit -> t
 (** N(mean, scale^2 I) ([scale] defaults to 1.0).
     @raise Invalid_argument on empty/non-finite [mean] or bad [scale]. *)

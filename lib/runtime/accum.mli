@@ -1,14 +1,8 @@
-(** Streaming accumulators: one Welford pass gives count, mean, variance
-    and extrema without storing the samples. *)
+(** Streaming accumulators: one Welford pass gives count, mean and variance
+    without storing the samples. *)
 
 type t
-(** Running count, mean, M2 (sum of squared deviations) and extrema. *)
-
-val create : unit -> t
-(** Empty accumulator. *)
-
-val add : t -> float -> unit
-(** Fold one sample in (Welford update). *)
+(** Running count, mean and M2 (sum of squared deviations). *)
 
 val of_array : float array -> t
 
@@ -16,9 +10,4 @@ val count : t -> int
 val mean : t -> float
 (** [nan] when empty. *)
 
-val variance : t -> float
-(** Unbiased (n-1) sample variance; [nan] when [count < 2]. *)
-
 val std : t -> float
-val min : t -> float
-val max : t -> float

@@ -78,12 +78,7 @@ let version = 2
 
 (* --- encoding ---------------------------------------------------------- *)
 
-let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
-let add_i64 b v = Buffer.add_int64_le b v
-
-let add_str b s =
-  add_u32 b (String.length s);
-  Buffer.add_string b s
+module B = Vstat_util.Binary
 
 let bitmap_of_entries ~n entries =
   let bm = Bytes.make ((n + 7) / 8) '\000' in
@@ -102,53 +97,29 @@ let bitmap_of_entries ~n entries =
 let encode snap =
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
-  add_u32 b version;
-  add_str b snap.identity.label;
-  add_str b snap.identity.fingerprint;
-  add_u32 b snap.identity.n;
-  add_i64 b snap.identity.base_seed;
-  add_u32 b snap.identity.max_attempts;
+  B.add_u32 b version;
+  B.add_str b snap.identity.label;
+  B.add_str b snap.identity.fingerprint;
+  B.add_u32 b snap.identity.n;
+  B.add_i64 b snap.identity.base_seed;
+  B.add_u32 b snap.identity.max_attempts;
   Buffer.add_string b (bitmap_of_entries ~n:snap.identity.n snap.entries);
-  add_u32 b (Array.length snap.entries);
+  B.add_u32 b (Array.length snap.entries);
   Array.iter
     (fun e ->
-      add_u32 b e.index;
-      add_u32 b e.attempts;
-      add_str b e.payload)
+      B.add_u32 b e.index;
+      B.add_u32 b e.attempts;
+      B.add_str b e.payload)
     snap.entries;
   let crc = Vstat_util.Crc32.digest (Buffer.contents b) in
-  add_u32 b crc;
+  B.add_u32 b crc;
   Buffer.contents b
 
 (* --- decoding ---------------------------------------------------------- *)
 
+(* Structural faults past the CRC check; truncation is
+   {!Vstat_util.Binary.Truncated}. *)
 exception Short of string
-
-type cursor = { src : string; limit : int; mutable pos : int }
-
-let need cur k what =
-  if cur.pos + k > cur.limit then
-    raise (Short (Printf.sprintf "truncated while reading %s" what))
-
-let get_u32 cur what =
-  need cur 4 what;
-  let v = Int32.to_int (String.get_int32_le cur.src cur.pos) land 0xFFFFFFFF in
-  cur.pos <- cur.pos + 4;
-  v
-
-let get_i64 cur what =
-  need cur 8 what;
-  let v = String.get_int64_le cur.src cur.pos in
-  cur.pos <- cur.pos + 8;
-  v
-
-let get_raw cur k what =
-  need cur k what;
-  let s = String.sub cur.src cur.pos k in
-  cur.pos <- cur.pos + k;
-  s
-
-let get_str cur what = get_raw cur (get_u32 cur (what ^ " length")) what
 
 let decode ?(path = in_memory) s =
   let len = String.length s in
@@ -175,15 +146,15 @@ let decode ?(path = in_memory) s =
                  Printf.sprintf "CRC mismatch (stored %08x, computed %08x)"
                    stored computed })
       else begin
-        let cur = { src = s; limit = len - 4; pos = header } in
+        let cur = { B.src = s; limit = len - 4; pos = header } in
         match
-          let label = get_str cur "label" in
-          let fingerprint = get_str cur "fingerprint" in
-          let n = get_u32 cur "n" in
-          let base_seed = get_i64 cur "base_seed" in
-          let max_attempts = get_u32 cur "max_attempts" in
-          let bitmap = get_raw cur ((n + 7) / 8) "completion bitmap" in
-          let n_entries = get_u32 cur "entry count" in
+          let label = B.get_str cur "label" in
+          let fingerprint = B.get_str cur "fingerprint" in
+          let n = B.get_u32 cur "n" in
+          let base_seed = B.get_i64 cur "base_seed" in
+          let max_attempts = B.get_u32 cur "max_attempts" in
+          let bitmap = B.get_raw cur ((n + 7) / 8) "completion bitmap" in
+          let n_entries = B.get_u32 cur "entry count" in
           (* Bound the count before allocating: a CRC-valid blob may still
              claim more entries than the run has samples. *)
           if n_entries > n then
@@ -193,9 +164,9 @@ let decode ?(path = in_memory) s =
                     n_entries n));
           let entries =
             Array.init n_entries (fun _ ->
-                let index = get_u32 cur "entry index" in
-                let attempts = get_u32 cur "entry attempts" in
-                let payload = get_str cur "entry payload" in
+                let index = B.get_u32 cur "entry index" in
+                let attempts = B.get_u32 cur "entry attempts" in
+                let payload = B.get_str cur "entry payload" in
                 { index; attempts; payload })
           in
           if cur.pos <> cur.limit then
@@ -241,6 +212,8 @@ let decode ?(path = in_memory) s =
         with
         | snap -> Ok snap
         | exception Short detail -> Error (Corrupt { path; detail })
+        | exception B.Truncated what ->
+          Error (Corrupt { path; detail = "truncated while reading " ^ what })
       end
     end
   end

@@ -9,8 +9,6 @@
     deterministic for a given [seed], per the repository's determinism
     contract (no OS randomness, no wall-clock reads). *)
 
-val default_attempts : int
-
 val request :
   ?attempts:int ->
   ?seed:int ->
@@ -18,7 +16,7 @@ val request :
   Protocol.request ->
   (Protocol.response, string) result
 (** One round-trip.  Connect failures ([ENOENT], [ECONNREFUSED]) are
-    retried up to [attempts] times (default {!default_attempts}) with
+    retried up to [attempts] times (default 8) with
     backoff [50ms * 2^k * (0.5 + U[0,1))]; protocol and socket errors
     after a successful connect are returned as [Error] immediately. *)
 

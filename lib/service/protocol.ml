@@ -190,33 +190,29 @@ let job_id canonical =
 
 (* --- encoding ---------------------------------------------------------- *)
 
-let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
-let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
-let add_i64 b v = Buffer.add_int64_le b v
-let add_f64 b v = add_i64 b (Int64.bits_of_float v)
-let add_bool b v = add_u8 b (if v then 1 else 0)
+module B = Vstat_util.Binary
 
-let add_str b s =
-  add_u32 b (String.length s);
-  Buffer.add_string b s
+let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
+let add_f64 b v = B.add_i64 b (Int64.bits_of_float v)
+let add_bool b v = add_u8 b (if v then 1 else 0)
 
 let add_spec b spec =
   (match spec.kind with
   | Inverter_tpd { fanout } ->
     add_u8 b 1;
-    add_u32 b fanout
+    B.add_u32 b fanout
   | Sram_snm { read } ->
     add_u8 b 2;
     add_bool b read
   | Idsat -> add_u8 b 3);
-  add_u32 b spec.n;
-  add_i64 b (Int64.of_int spec.seed);
+  B.add_u32 b spec.n;
+  B.add_i64 b (Int64.of_int spec.seed);
   add_f64 b spec.vdd;
-  add_u32 b spec.retry
+  B.add_u32 b spec.retry
 
 let with_header f =
   let b = Buffer.create 64 in
-  add_u32 b version;
+  B.add_u32 b version;
   f b;
   Buffer.contents b
 
@@ -227,28 +223,28 @@ let encode_request req =
         add_u8 b 1;
         add_spec b spec;
         add_f64 b deadline_s;
-        add_str b client
+        B.add_str b client
       | Result { id } ->
         add_u8 b 3;
-        add_str b id
+        B.add_str b id
       | Health -> add_u8 b 4
       | Shutdown -> add_u8 b 5)
 
 let add_summary b s =
-  add_str b s.id;
-  add_u32 b s.n;
-  add_u32 b s.completed;
-  add_u32 b s.failed;
+  B.add_str b s.id;
+  B.add_u32 b s.n;
+  B.add_u32 b s.completed;
+  B.add_u32 b s.failed;
   add_f64 b s.mean;
   add_f64 b s.std;
   add_f64 b s.ci_lo;
   add_f64 b s.ci_hi;
   add_bool b s.partial;
-  add_str b s.cause;
+  B.add_str b s.cause;
   add_bool b s.cached;
   add_f64 b s.wall_s;
-  add_u32 b s.retried;
-  add_u32 b (Array.length s.values);
+  B.add_u32 b s.retried;
+  B.add_u32 b (Array.length s.values);
   Array.iter (fun v -> add_f64 b v) s.values
 
 let encode_response resp =
@@ -256,60 +252,60 @@ let encode_response resp =
       match resp with
       | Accepted { id; cached } ->
         add_u8 b 1;
-        add_str b id;
+        B.add_str b id;
         add_bool b cached
       | Rejected { reason } -> (
         add_u8 b 2;
         match reason with
         | Queue_full { queued; queue_max } ->
           add_u8 b 1;
-          add_u32 b queued;
-          add_u32 b queue_max
+          B.add_u32 b queued;
+          B.add_u32 b queue_max
         | Over_deadline { estimated_wait_s; deadline_s } ->
           add_u8 b 2;
           add_f64 b estimated_wait_s;
           add_f64 b deadline_s
         | Bad_request { detail } ->
           add_u8 b 3;
-          add_str b detail)
+          B.add_str b detail)
       | Quarantined { id; attempts; detail } ->
         add_u8 b 3;
-        add_str b id;
-        add_u32 b attempts;
-        add_str b detail
+        B.add_str b id;
+        B.add_u32 b attempts;
+        B.add_str b detail
       | Job_result s ->
         add_u8 b 4;
         add_summary b s
       | Unknown_id { id } ->
         add_u8 b 5;
-        add_str b id
+        B.add_str b id
       | Health_report h ->
         add_u8 b 6;
         add_f64 b h.uptime_s;
-        add_u32 b h.queued;
-        add_u32 b h.running;
-        add_u32 b h.finished;
-        add_u32 b h.rejected;
-        add_u32 b h.cache_hits;
-        add_u32 b h.served;
-        add_u32 b h.requeued;
-        add_u32 b h.quarantined;
-        add_u32 b h.worker_crashes;
-        add_u32 b h.worker_hangs;
-        add_i64 b (Int64.of_int h.state_bytes);
-        add_u32 b h.evicted;
-        add_u32 b (List.length h.workers);
+        B.add_u32 b h.queued;
+        B.add_u32 b h.running;
+        B.add_u32 b h.finished;
+        B.add_u32 b h.rejected;
+        B.add_u32 b h.cache_hits;
+        B.add_u32 b h.served;
+        B.add_u32 b h.requeued;
+        B.add_u32 b h.quarantined;
+        B.add_u32 b h.worker_crashes;
+        B.add_u32 b h.worker_hangs;
+        B.add_i64 b (Int64.of_int h.state_bytes);
+        B.add_u32 b h.evicted;
+        B.add_u32 b (List.length h.workers);
         List.iter
           (fun w ->
-            add_u32 b w.wid;
-            add_u32 b w.generation;
+            B.add_u32 b w.wid;
+            B.add_u32 b w.generation;
             (match w.busy with
             | None -> add_bool b false
             | Some id ->
               add_bool b true;
-              add_str b id);
+              B.add_str b id);
             add_f64 b w.heartbeat_age_s;
-            add_u32 b w.jobs_done)
+            B.add_u32 b w.jobs_done)
           h.workers
       | Shutting_down -> add_u8 b 7)
 
@@ -317,30 +313,13 @@ let encode_response resp =
 
 exception Reject of error
 
-type cursor = { src : string; limit : int; mutable pos : int }
-
-let need cur k what =
-  if cur.pos + k > cur.limit then raise (Reject (Truncated { what }))
-
 let get_u8 cur what =
-  need cur 1 what;
+  B.need cur 1 what;
   let v = Char.code cur.src.[cur.pos] in
   cur.pos <- cur.pos + 1;
   v
 
-let get_u32 cur what =
-  need cur 4 what;
-  let v = Int32.to_int (String.get_int32_le cur.src cur.pos) land 0xFFFFFFFF in
-  cur.pos <- cur.pos + 4;
-  v
-
-let get_i64 cur what =
-  need cur 8 what;
-  let v = String.get_int64_le cur.src cur.pos in
-  cur.pos <- cur.pos + 8;
-  v
-
-let get_f64 cur what = Int64.float_of_bits (get_i64 cur what)
+let get_f64 cur what = Int64.float_of_bits (B.get_i64 cur what)
 
 let get_bool cur what =
   match get_u8 cur what with
@@ -348,13 +327,11 @@ let get_bool cur what =
   | 1 -> true
   | tag -> raise (Reject (Bad_tag { what; tag }))
 
+(* {!B.get_str} plus the frame cap, checked before the length is trusted. *)
 let get_str cur what =
-  let len = get_u32 cur (what ^ " length") in
+  let len = B.get_u32 cur (what ^ " length") in
   if len > max_frame then raise (Reject (Oversized { len; max = max_frame }));
-  need cur len what;
-  let s = String.sub cur.src cur.pos len in
-  cur.pos <- cur.pos + len;
-  s
+  B.get_raw cur len what
 
 let positive what v =
   if v < 1 then
@@ -371,22 +348,22 @@ let get_spec cur =
   let kind =
     match get_u8 cur "job kind" with
     | 1 ->
-      let fanout = positive "fanout" (get_u32 cur "fanout") in
+      let fanout = positive "fanout" (B.get_u32 cur "fanout") in
       Inverter_tpd { fanout }
     | 2 -> Sram_snm { read = get_bool cur "snm mode" }
     | 3 -> Idsat
     | tag -> raise (Reject (Bad_tag { what = "job kind"; tag }))
   in
-  let n = positive "sample count" (get_u32 cur "sample count") in
-  let seed = Int64.to_int (get_i64 cur "seed") in
+  let n = positive "sample count" (B.get_u32 cur "sample count") in
+  let seed = Int64.to_int (B.get_i64 cur "seed") in
   let vdd = finite "vdd" (get_f64 cur "vdd") in
-  let retry = positive "retry depth" (get_u32 cur "retry depth") in
+  let retry = positive "retry depth" (B.get_u32 cur "retry depth") in
   { kind; n; seed; vdd; retry }
 
 let decode ~what f s =
-  let cur = { src = s; limit = String.length s; pos = 0 } in
+  let cur = { B.src = s; limit = String.length s; pos = 0 } in
   match
-    let found = get_u32 cur "version" in
+    let found = B.get_u32 cur "version" in
     if found <> version then raise (Reject (Bad_version { found; expected = version }));
     let v = f cur in
     if cur.pos <> cur.limit then
@@ -395,6 +372,7 @@ let decode ~what f s =
   with
   | v -> Ok v
   | exception Reject e -> Error e
+  | exception B.Truncated what -> Error (Truncated { what })
   | exception _ -> Error (Bad_value { what; detail = "undecodable payload" })
 
 let decode_request =
@@ -412,9 +390,9 @@ let decode_request =
 
 let get_summary cur =
   let id = get_str cur "summary id" in
-  let n = get_u32 cur "summary n" in
-  let completed = get_u32 cur "summary completed" in
-  let failed = get_u32 cur "summary failed" in
+  let n = B.get_u32 cur "summary n" in
+  let completed = B.get_u32 cur "summary completed" in
+  let failed = B.get_u32 cur "summary failed" in
   let mean = get_f64 cur "summary mean" in
   let std = get_f64 cur "summary std" in
   let ci_lo = get_f64 cur "summary ci_lo" in
@@ -423,8 +401,8 @@ let get_summary cur =
   let cause = get_str cur "summary cause" in
   let cached = get_bool cur "summary cached" in
   let wall_s = get_f64 cur "summary wall_s" in
-  let retried = get_u32 cur "summary retried" in
-  let n_values = get_u32 cur "summary value count" in
+  let retried = B.get_u32 cur "summary retried" in
+  let n_values = B.get_u32 cur "summary value count" in
   if n_values > max_frame / 8 then
     raise (Reject (Oversized { len = n_values * 8; max = max_frame }));
   let values = Array.init n_values (fun _ -> get_f64 cur "summary value") in
@@ -456,8 +434,8 @@ let decode_response =
     let reason =
       match get_u8 cur "reject reason" with
       | 1 ->
-        let queued = get_u32 cur "queued count" in
-        let queue_max = get_u32 cur "queue max" in
+        let queued = B.get_u32 cur "queued count" in
+        let queue_max = B.get_u32 cur "queue max" in
         Queue_full { queued; queue_max }
       | 2 ->
         let estimated_wait_s = get_f64 cur "estimated wait" in
@@ -469,41 +447,41 @@ let decode_response =
     Rejected { reason }
   | 3 ->
     let id = get_str cur "job id" in
-    let attempts = get_u32 cur "quarantine attempts" in
+    let attempts = B.get_u32 cur "quarantine attempts" in
     let detail = get_str cur "quarantine detail" in
     Quarantined { id; attempts; detail }
   | 4 -> Job_result (get_summary cur)
   | 5 -> Unknown_id { id = get_str cur "job id" }
   | 6 ->
     let uptime_s = get_f64 cur "uptime" in
-    let queued = get_u32 cur "queued count" in
-    let running = get_u32 cur "running count" in
-    let finished = get_u32 cur "finished count" in
-    let rejected = get_u32 cur "rejected count" in
-    let cache_hits = get_u32 cur "cache hit count" in
-    let served = get_u32 cur "served count" in
-    let requeued = get_u32 cur "requeued count" in
-    let quarantined = get_u32 cur "quarantined count" in
-    let worker_crashes = get_u32 cur "worker crash count" in
-    let worker_hangs = get_u32 cur "worker hang count" in
-    let state_bytes = Int64.to_int (get_i64 cur "state bytes") in
-    let evicted = get_u32 cur "evicted count" in
-    let n_workers = get_u32 cur "worker count" in
+    let queued = B.get_u32 cur "queued count" in
+    let running = B.get_u32 cur "running count" in
+    let finished = B.get_u32 cur "finished count" in
+    let rejected = B.get_u32 cur "rejected count" in
+    let cache_hits = B.get_u32 cur "cache hit count" in
+    let served = B.get_u32 cur "served count" in
+    let requeued = B.get_u32 cur "requeued count" in
+    let quarantined = B.get_u32 cur "quarantined count" in
+    let worker_crashes = B.get_u32 cur "worker crash count" in
+    let worker_hangs = B.get_u32 cur "worker hang count" in
+    let state_bytes = Int64.to_int (B.get_i64 cur "state bytes") in
+    let evicted = B.get_u32 cur "evicted count" in
+    let n_workers = B.get_u32 cur "worker count" in
     (* A worker_health entry is at least 22 bytes on the wire; anything
        past that bound is a corrupt count, not a plausible pool. *)
     if n_workers > max_frame / 22 then
       raise (Reject (Oversized { len = n_workers * 22; max = max_frame }));
     let workers =
       List.init n_workers (fun _ ->
-          let wid = get_u32 cur "worker id" in
-          let generation = get_u32 cur "worker generation" in
+          let wid = B.get_u32 cur "worker id" in
+          let generation = B.get_u32 cur "worker generation" in
           let busy =
             if get_bool cur "worker busy flag" then
               Some (get_str cur "worker busy id")
             else None
           in
           let heartbeat_age_s = get_f64 cur "worker heartbeat age" in
-          let jobs_done = get_u32 cur "worker jobs done" in
+          let jobs_done = B.get_u32 cur "worker jobs done" in
           { wid; generation; busy; heartbeat_age_s; jobs_done })
     in
     Health_report

@@ -147,15 +147,6 @@ type error =
 
 val error_to_string : error -> string
 
-val version : int
-(** Wire protocol version; a mismatch yields [Bad_version]. *)
-
-val canonical_version : int
-(** Version of the {!spec_canonical} grammar, deliberately decoupled from
-    the wire {!version}: wire changes (new messages, richer health) must
-    not re-address cached journals.  Bump only when a change alters what a
-    sample computes. *)
-
 val max_frame : int
 
 val encode_request : request -> string

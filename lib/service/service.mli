@@ -80,11 +80,6 @@ val default_config : config
     samples per geometry, no injection; socket and state dir under
     ["./vstatd-state"]. *)
 
-val pipeline_signature : config -> string
-(** The [pipe=] component of every canonical spec string this daemon
-    produces: jobs from daemons with different extraction settings never
-    share cache entries. *)
-
 val estimate_wait_s :
   ewma_sample_s:float -> backlog_samples:int -> workers:int -> float
 (** The admission wait estimate: smoothed per-sample seconds times the
@@ -99,8 +94,8 @@ val create : ?pipeline:Vstat_core.Pipeline.t -> config -> t
     socket, recover journals from [state_dir], and start the worker pool
     and supervisor domains.  [pipeline] skips the build for in-process
     harnesses — the caller must pass one whose seed and extraction size
-    match the config, since {!pipeline_signature} is baked into every
-    cache identity.
+    match the config, since its seed and extraction size are baked into
+    every cache identity.
     @raise Unix.Unix_error if the socket cannot be bound or
     Invalid_argument on a nonsensical config. *)
 

@@ -137,8 +137,6 @@ let weighted_variance xs ~w =
     xs;
   !acc /. (s1 -. (s2 /. s1))
 
-let weighted_std xs ~w = sqrt (weighted_variance xs ~w)
-
 let weighted_quantile xs ~w p =
   let s1 = check_weights xs ~w "weighted_quantile" in
   if p < 0.0 || p > 1.0 then
@@ -195,8 +193,3 @@ let covariance xs ys =
 
 let correlation xs ys =
   covariance xs ys /. (std xs *. std ys)
-
-let summary_to_string ~name xs =
-  let lo, hi = min_max xs in
-  Printf.sprintf "%s: n=%d mean=%.6g std=%.6g min=%.6g max=%.6g" name
-    (Array.length xs) (mean xs) (std xs) lo hi

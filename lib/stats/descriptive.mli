@@ -34,10 +34,6 @@ val quantiles : float array -> float list -> float list
     of [xs] — use this instead of repeated {!quantile} calls when more than
     one quantile of the same sample is needed (each [quantile] call re-sorts). *)
 
-val quantile_of_sorted : float array -> float -> float
-(** {!quantile} without the copy/sort: the input must already be sorted
-    ascending (not checked). *)
-
 val median : float array -> float
 
 val mean_ci : ?confidence:float -> float array -> float * float
@@ -62,8 +58,6 @@ val weighted_variance : float array -> w:float array -> float
     conditions, or when the effective sample size S1^2/S2 is <= 1 (a
     single sample carrying all the weight has no spread information). *)
 
-val weighted_std : float array -> w:float array -> float
-
 val weighted_quantile : float array -> w:float array -> float -> float
 (** [weighted_quantile xs ~w p] for p in [0, 1]: linear interpolation on
     the weighted plotting positions ((c_i - w_i/2) / S1, with c_i the
@@ -86,6 +80,3 @@ val covariance : float array -> float array -> float
 
 val correlation : float array -> float array -> float
 (** Pearson correlation coefficient. *)
-
-val summary_to_string : name:string -> float array -> string
-(** One-line "name: mean=… std=… min=… max=…" report used by examples. *)

@@ -41,14 +41,6 @@ let build ?bins xs =
     xs;
   { edges; counts; total = Array.length xs }
 
-let density { edges; counts; total } =
-  Array.mapi
-    (fun i c ->
-      let width = edges.(i + 1) -. edges.(i) in
-      let center = 0.5 *. (edges.(i) +. edges.(i + 1)) in
-      (center, Float.of_int c /. (Float.of_int total *. width)))
-    counts
-
 let silverman xs =
   let n = Float.of_int (Array.length xs) in
   let sigma = Descriptive.std xs in

@@ -15,9 +15,6 @@ val build : ?bins:int -> float array -> t
     [min xs, max xs].  Default bin count follows the Freedman–Diaconis rule
     clamped to [8, 128].  @raise Invalid_argument on empty input. *)
 
-val density : t -> (float * float) array
-(** Bin centers paired with normalized density (integrates to 1). *)
-
 val kde : ?bandwidth:float -> ?points:int -> float array -> (float * float) array
 (** Gaussian kernel density estimate evaluated on an even grid spanning the
     sample range extended by 3 bandwidths.  Default bandwidth is Silverman's

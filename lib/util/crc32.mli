@@ -10,7 +10,3 @@ val digest : string -> int
 
 val digest_sub : string -> pos:int -> len:int -> int
 (** CRC-32 of a substring.  @raise Invalid_argument on out-of-bounds. *)
-
-val update : int -> string -> pos:int -> len:int -> int
-(** Streaming form: [update crc s ~pos ~len] extends a previous digest, so
-    [digest (a ^ b) = update (digest a) b ~pos:0 ~len:(String.length b)]. *)

@@ -1,0 +1,8 @@
+val used : int
+val unused : int
+val granted : int [@@vstat.allow "unused-export"]
+val via_alias : int
+
+module Whole : sig
+  val whole : int
+end

@@ -148,6 +148,42 @@ let test_journal_rejection () =
       (match e with J.Io _ -> true | _ -> false)
       && String.equal (J.error_path e) (Filename.concat dir "absent.ckpt"))
 
+(* The decoder is total: every strict prefix of a valid snapshot is an
+   [Error], and so is a mutated body whose CRC footer was recomputed (so
+   the parser runs past the CRC check), unless the mutant is itself a
+   well-formed snapshot (a flipped payload byte is one), in which case it
+   must decode to exactly those bytes.  Neither may raise. *)
+let test_journal_prefixes () =
+  let s = J.encode (snapshot ()) in
+  for len = 0 to String.length s - 1 do
+    match J.decode (String.sub s 0 len) with
+    | Ok _ -> Alcotest.failf "prefix of %d bytes decoded" len
+    | Error _ -> ()
+    | exception e ->
+      Alcotest.failf "prefix of %d bytes raised %s" len (Printexc.to_string e)
+  done
+
+let prop_journal_mutations =
+  let s = J.encode (snapshot ()) in
+  (* Mutate between the version header and the CRC footer. *)
+  let body_lo = 12 and body_hi = String.length s - 4 in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 4)
+        (pair (int_range body_lo (body_hi - 1)) (int_range 0 255)))
+  in
+  QCheck.Test.make ~count:2000 ~name:"mutated body: Error or canonical"
+    (QCheck.make ~print:QCheck.Print.(list (pair int int)) gen)
+    (fun edits ->
+      let b = Bytes.of_string s in
+      List.iter (fun (pos, v) -> Bytes.set b pos (Char.chr v)) edits;
+      let crc = Vstat_util.Crc32.digest_sub (Bytes.to_string b) ~pos:0 ~len:body_hi in
+      Bytes.set_int32_le b body_hi (Int32.of_int crc);
+      let mutant = Bytes.to_string b in
+      match J.decode mutant with
+      | Error _ -> true
+      | Ok snap -> String.equal (J.encode snap) mutant)
+
 let test_identity_mismatch () =
   let a = identity 10 in
   (match J.check_identity ~expected:a a with
@@ -499,6 +535,9 @@ let () =
           Alcotest.test_case "crc32 vectors" `Quick test_crc32;
           Alcotest.test_case "snapshot round-trip" `Quick test_journal_roundtrip;
           Alcotest.test_case "corruption rejected" `Quick test_journal_rejection;
+          Alcotest.test_case "every strict prefix rejected" `Quick
+            test_journal_prefixes;
+          QCheck_alcotest.to_alcotest prop_journal_mutations;
           Alcotest.test_case "identity mismatch" `Quick test_identity_mismatch;
           Alcotest.test_case "codecs" `Quick test_codecs;
         ] );

@@ -68,7 +68,7 @@ let expected_golden =
 let test_golden () =
   let cfg = L.Engine.default_config () in
   let files, diags = L.Engine.run cfg [ fixture_root ] in
-  Alcotest.(check int) "fixture files scanned" 17 files;
+  Alcotest.(check int) "fixture files scanned" 19 files;
   let parse_errors, rest =
     List.partition (fun d -> d.L.Diagnostic.rule = "parse-error") diags
   in
@@ -119,7 +119,7 @@ let test_rules_registry () =
     [
       "determinism-random"; "determinism-hashtbl-order";
       "determinism-wallclock"; "float-compare"; "exn-discipline"; "hot-path";
-      "parse-error"; "determinism-taint"; "domain-safety";
+      "parse-error"; "determinism-taint"; "domain-safety"; "unused-export";
     ]
 
 
@@ -141,7 +141,7 @@ let render_trace (d : L.Diagnostic.t) =
 let test_deep_golden () =
   let cfg = L.Engine.default_config () in
   let r = L.Engine.run_deep cfg [ fixture_root ] in
-  Alcotest.(check int) "fixture files" 17 r.L.Engine.deep_files;
+  Alcotest.(check int) "fixture files" 19 r.L.Engine.deep_files;
   let deep_only =
     List.filter
       (fun d ->
@@ -163,6 +163,24 @@ let test_deep_golden () =
        Random.float (lint_fixtures/fx_taint_c.ml:4)";
     ]
     (List.map render_trace deep_only)
+
+(* The unused-export rule over the typed trees of the lint_fixtures/unused
+   library: of Api's values, [used] has a direct user, [via_alias] a user
+   through a module alias, [Whole.whole] an include, and [granted] an
+   inline grant, so [unused] is the one finding. *)
+let test_unused_export () =
+  let dir = Filename.concat fixture_root "unused" in
+  if L.Engine.collect_files ~suffix:".cmti" [ dir ] = [] then
+    Alcotest.fail "no typed trees under lint_fixtures/unused: run via dune test";
+  let hits =
+    List.filter
+      (fun d -> d.L.Diagnostic.rule = "unused-export")
+      (L.Engine.run_deep (L.Engine.default_config ()) [ dir ]).L.Engine.deep_diags
+  in
+  Alcotest.(check (list string))
+    "exactly the unused val"
+    [ "test/lint_fixtures/unused/api.mli:2 unused-export" ]
+    (List.map render hits)
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -332,6 +350,8 @@ let () =
           Alcotest.test_case "deep golden (taint + domain chains)" `Quick
             test_deep_golden;
           Alcotest.test_case "guard deletion" `Quick test_guard_deletion;
+          Alcotest.test_case "unused export (typed trees)" `Quick
+            test_unused_export;
         ] );
       ( "serialization",
         [

@@ -132,20 +132,6 @@ let test_histogram_counts () =
   Alcotest.(check int) "bin0" 2 h.counts.(0);
   Alcotest.(check int) "bin1" 2 h.counts.(1)
 
-let test_histogram_density_integrates_to_one () =
-  let xs = gaussian_sample ~seed:4 ~n:5000 ~mean:1.0 ~sigma:2.0 in
-  let h = H.build xs in
-  let d = H.density h in
-  let integral =
-    Array.fold_left
-      (fun acc (i, (_, rho)) ->
-        let width = h.edges.(i + 1) -. h.edges.(i) in
-        acc +. (rho *. width))
-      0.0
-      (Array.mapi (fun i p -> (i, p)) d)
-  in
-  check_float ~eps:1e-9 "density integral" 1.0 integral
-
 let test_kde_integrates_to_one () =
   let xs = gaussian_sample ~seed:5 ~n:2000 ~mean:0.0 ~sigma:1.0 in
   let series = H.kde ~points:201 xs in
@@ -435,7 +421,6 @@ let () =
       ( "histogram",
         [
           Alcotest.test_case "counts" `Quick test_histogram_counts;
-          Alcotest.test_case "density integral" `Quick test_histogram_density_integrates_to_one;
           Alcotest.test_case "kde integral" `Quick test_kde_integrates_to_one;
           Alcotest.test_case "kde peak" `Quick test_kde_peak_near_mean;
           Alcotest.test_case "sparkline" `Quick test_sparkline_length;
