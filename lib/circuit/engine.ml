@@ -85,7 +85,6 @@ type mode = Dc | Tran of { h : float; trap : bool }
 type counters = {
   newton_iterations : int;
   model_evaluations : int;
-  analytic_evaluations : int;
   fd_evaluations : int;
   assemblies : int;
   lu_factorizations : int;
@@ -94,23 +93,20 @@ type counters = {
   breakpoint_hits : int;
 }
 
-let n_counters = 9
+let n_counters = 7
 let c_newton = 0
 let c_model = 1
-let c_analytic = 2
-let c_fd = 3
-let c_assembly = 4
-let c_lu = 5
-let c_accepted = 6
-let c_rejected = 7
-let c_breakpoint = 8
+let c_assembly = 2
+let c_lu = 3
+let c_accepted = 4
+let c_rejected = 5
+let c_breakpoint = 6
 
 let counters_of_array a =
   {
     newton_iterations = a.(c_newton);
     model_evaluations = a.(c_model);
-    analytic_evaluations = a.(c_analytic);
-    fd_evaluations = a.(c_fd);
+    fd_evaluations = 0;
     assemblies = a.(c_assembly);
     lu_factorizations = a.(c_lu);
     accepted_steps = a.(c_accepted);
@@ -122,8 +118,7 @@ let counters_diff a b =
   {
     newton_iterations = a.newton_iterations - b.newton_iterations;
     model_evaluations = a.model_evaluations - b.model_evaluations;
-    analytic_evaluations = a.analytic_evaluations - b.analytic_evaluations;
-    fd_evaluations = a.fd_evaluations - b.fd_evaluations;
+    fd_evaluations = 0;
     assemblies = a.assemblies - b.assemblies;
     lu_factorizations = a.lu_factorizations - b.lu_factorizations;
     accepted_steps = a.accepted_steps - b.accepted_steps;
@@ -158,6 +153,9 @@ type t = {
   vsrc_index : (string * int) list;  (* source name -> branch slot *)
   charge_offset : int array;         (* per element; -1 = no charge state *)
   n_charges : int;
+  derivs : Vstat_device.Device_model.eval_derivs array;
+      (* per element: the MOSFET's analytic linearization, resolved here at
+         compile time ([no_derivs] for every other element kind) *)
   cnt : int array;                   (* per-phase counters, local *)
   flushed : int array;               (* portion already pushed to [totals] *)
   (* Reusable per-instance workspace: one allocation at compile time, zero
@@ -192,8 +190,29 @@ type t = {
   mutable work_cap : int;
 }
 
+let no_derivs ~vg:_ ~vd:_ ~vs:_ ~vb:_ (_ : Vstat_device.Device_model.derivs) =
+  ()
+
 let compile ?(backend = Auto) netlist =
   let elems = Array.of_list (Netlist.elements netlist) in
+  let derivs =
+    Array.map
+      (function
+        | Netlist.Mosfet { name; dev; _ } -> (
+          match dev.Vstat_device.Device_model.eval_derivs with
+          | Some f -> f
+          | None ->
+            invalid_arg
+              (Printf.sprintf
+                 "Engine.compile: MOSFET %s (device %s) has no analytic \
+                  derivatives (eval_derivs = None)"
+                 name dev.name)
+            [@vstat.allow "exn-discipline"])
+        | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Vsource _
+        | Netlist.Isource _ ->
+          no_derivs)
+      elems
+  in
   let nn = Netlist.node_count netlist in
   let charge_offset = Array.make (Array.length elems) (-1) in
   let n_charges = ref 0 in
@@ -289,6 +308,7 @@ let compile ?(backend = Auto) netlist =
     vsrc_index = List.rev !vsrc_index;
     charge_offset;
     n_charges = !n_charges;
+    derivs;
     cnt = Array.make n_counters 0;
     flushed = Array.make n_counters 0;
     solver;
@@ -334,8 +354,6 @@ let counter_snapshot t =
     ("rejected", t.cnt.(c_rejected));
   ]
 
-let fd_dv = 1e-6
-
 (* Voltage of a node handle under candidate solution [x]. *)
 let[@inline always] nodev x n =
   let i = Netlist.node_index n in
@@ -380,21 +398,17 @@ let[@inline always] stamp_charge_row vals res ~sl ~factor ~trap ~q_out
   vadd vals sl.(o + 2) (factor *. dq.(o + 2));
   vadd vals sl.(o + 3) (factor *. dq.(o + 3))
 
-(* Node-handle variant for the cold finite-difference fallback. *)
-let res_add res n v = res_addi res (Netlist.node_index n) v
-
 (* Assemble Jacobian and residual at candidate [x] into the instance
    workspace (t.jac, t.res); also writes the present element charges into
    [t.q_work] and (in transient) terminal currents into [t.i_work] so the
    accepted solution can become the next step's state.  Sources are
    evaluated at time [t.now.(0)].
 
-   Allocation-free on the linear and analytic-MOSFET paths, with two
-   documented exceptions: [Waveform.value] (out-of-line, so each source
-   evaluation boxes its time argument and result) and the [eval_derivs]
-   indirect call (a closure call boxes its four float arguments).  The
-   zero-allocation gate therefore measures a source-free RC circuit; see
-   test/test_lint.ml. *)
+   Allocation-free, with two documented exceptions: [Waveform.value]
+   (out-of-line, so each source evaluation boxes its time argument and
+   result) and the MOSFET's [eval_derivs] indirect call (a closure call
+   boxes its four float arguments).  The zero-allocation gate therefore
+   measures a source-free RC circuit; see test/test_lint.ml. *)
 let[@vstat.hot] assemble t ~mode ~x ~q_prev ~i_prev ~gmin ~sscale =
   let nn = t.nn in
   let vals = t.vals and res = t.res in
@@ -467,117 +481,51 @@ let[@vstat.hot] assemble t ~mode ~x ~q_prev ~i_prev ~gmin ~sscale =
       let i = sscale *. Waveform.value wave time in
       res_addi res ifr i;
       res_addi res ito (-.i)
-    | Netlist.Mosfet { d; g; s; b; dev; _ } ->
+    | Netlist.Mosfet { d; g; s; b; _ } ->
       let ni_d = Netlist.node_index d and ni_s = Netlist.node_index s in
       let vg = nodev x g and vd = nodev x d and vs = nodev x s
       and vb = nodev x b in
       let off = t.charge_offset.(k) in
       let sl = slots.(k) in
-      (match dev.Vstat_device.Device_model.eval_derivs with
-      | Some eval_derivs ->
-        (* Analytic path: one model call yields values, conductances and
-           the 4x4 transcapacitance block. *)
-        bump t c_model 1;
-        bump t c_analytic 1;
-        eval_derivs ~vg ~vd ~vs ~vb t.dbuf;
-        let db = t.dbuf in
-        let did = db.Vstat_device.Device_model.did
-        and dq = db.Vstat_device.Device_model.dq in
-        (* Channel current: slot-block rows d (1) and s (2), columns in
-           terminal order g, d, s, b. *)
-        res_addi res ni_d db.v_id;
-        res_addi res ni_s (-.db.v_id);
-        vadd vals sl.(4) did.(0);
-        vadd vals sl.(5) did.(1);
-        vadd vals sl.(6) did.(2);
-        vadd vals sl.(7) did.(3);
-        vadd vals sl.(8) (-.did.(0));
-        vadd vals sl.(9) (-.did.(1));
-        vadd vals sl.(10) (-.did.(2));
-        vadd vals sl.(11) (-.did.(3));
-        (* Terminal charges. *)
-        q_out.(off) <- db.v_qg;
-        q_out.(off + 1) <- db.v_qd;
-        q_out.(off + 2) <- db.v_qs;
-        q_out.(off + 3) <- db.v_qb;
-        (match mode with
-        | Dc ->
-          for c = 0 to 3 do
-            i_out.(off + c) <- 0.0
-          done
-        | Tran { h; trap } ->
-          let factor = (if trap then 2.0 else 1.0) /. h in
-          stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
-            ~q_prev ~i_prev ~off ~dq 0 (Netlist.node_index g);
-          stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
-            ~q_prev ~i_prev ~off ~dq 1 ni_d;
-          stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
-            ~q_prev ~i_prev ~off ~dq 2 ni_s;
-          stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
-            ~q_prev ~i_prev ~off ~dq 3 (Netlist.node_index b))
-      | None ->
-        (* Finite-difference fallback: 5 evals per linearization.  A cold
-           compatibility path for models without analytic derivatives — it
-           allocates by design (5 terminal-state records per device), so
-           the hot-path closure bans are waived here. *)
-        (let eval ~vg ~vd ~vs ~vb =
-           bump t c_model 1;
-           bump t c_fd 1;
-           dev.Vstat_device.Device_model.eval ~vg ~vd ~vs ~vb
-         in
-         let base = eval ~vg ~vd ~vs ~vb in
-         let perturbed =
-           [|
-             eval ~vg:(vg +. fd_dv) ~vd ~vs ~vb;
-             eval ~vg ~vd:(vd +. fd_dv) ~vs ~vb;
-             eval ~vg ~vd ~vs:(vs +. fd_dv) ~vb;
-             eval ~vg ~vd ~vs ~vb:(vb +. fd_dv);
-           |]
-         in
-         let terminals = [| g; d; s; b |] in
-         (* Channel current: slot-block rows d (1) and s (2). *)
-         res_add res d base.id;
-         res_add res s (-.base.id);
-         Array.iteri
-           (fun j p ->
-             let did =
-               (p.Vstat_device.Device_model.id -. base.id) /. fd_dv
-             in
-             vadd vals sl.(4 + j) did;
-             vadd vals sl.(8 + j) (-.did))
-           perturbed;
-         (* Terminal charges. *)
-         let q_of (st : Vstat_device.Device_model.terminal_state) = function
-           | 0 -> st.qg
-           | 1 -> st.qd
-           | 2 -> st.qs
-           | _ -> st.qb
-         in
-         for c = 0 to 3 do
-           q_out.(off + c) <- q_of base c
-         done;
-         match mode with
-         | Dc ->
-           for c = 0 to 3 do
-             i_out.(off + c) <- 0.0
-           done
-         | Tran { h; trap } ->
-           let factor = (if trap then 2.0 else 1.0) /. h in
-           for c = 0 to 3 do
-             let q = q_out.(off + c) in
-             let i =
-               (factor *. (q -. q_prev.(off + c)))
-               -. (if trap then i_prev.(off + c) else 0.0)
-             in
-             i_out.(off + c) <- i;
-             res_add res terminals.(c) i;
-             Array.iteri
-               (fun j p ->
-                 let dq = (q_of p c -. q) /. fd_dv in
-                 vadd vals sl.((4 * c) + j) (factor *. dq))
-               perturbed
-           done)
-        [@vstat.allow "hot-path"])
+      (* One model call yields values, conductances and the 4x4
+         transcapacitance block. *)
+      bump t c_model 1;
+      t.derivs.(k) ~vg ~vd ~vs ~vb t.dbuf;
+      let db = t.dbuf in
+      let did = db.Vstat_device.Device_model.did
+      and dq = db.Vstat_device.Device_model.dq in
+      (* Channel current: slot-block rows d (1) and s (2), columns in
+         terminal order g, d, s, b. *)
+      res_addi res ni_d db.v_id;
+      res_addi res ni_s (-.db.v_id);
+      vadd vals sl.(4) did.(0);
+      vadd vals sl.(5) did.(1);
+      vadd vals sl.(6) did.(2);
+      vadd vals sl.(7) did.(3);
+      vadd vals sl.(8) (-.did.(0));
+      vadd vals sl.(9) (-.did.(1));
+      vadd vals sl.(10) (-.did.(2));
+      vadd vals sl.(11) (-.did.(3));
+      (* Terminal charges. *)
+      q_out.(off) <- db.v_qg;
+      q_out.(off + 1) <- db.v_qd;
+      q_out.(off + 2) <- db.v_qs;
+      q_out.(off + 3) <- db.v_qb;
+      (match mode with
+      | Dc ->
+        for c = 0 to 3 do
+          i_out.(off + c) <- 0.0
+        done
+      | Tran { h; trap } ->
+        let factor = (if trap then 2.0 else 1.0) /. h in
+        stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
+          ~q_prev ~i_prev ~off ~dq 0 (Netlist.node_index g);
+        stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
+          ~q_prev ~i_prev ~off ~dq 1 ni_d;
+        stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
+          ~q_prev ~i_prev ~off ~dq 2 ni_s;
+        stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
+          ~q_prev ~i_prev ~off ~dq 3 (Netlist.node_index b))
   done
 
 (* Why a Newton solve stopped; carries the data the diagnostics need. *)
@@ -691,6 +639,19 @@ let[@vstat.hot] newton t ~mode ~x ~q_prev ~i_prev ~gmin ~sscale ~max_iter
   done;
   !outcome
 
+(* What a failed solve reports about its last failed Newton run: the
+   iteration it stopped at, its last update norm and a singular-pivot
+   detail suffix for the message. *)
+let failure_context = function
+  | Some (N_max_iter { iter; dmax }) -> (Some iter, Some dmax, "")
+  | Some (N_singular { iter; column; scale }) ->
+    ( Some iter,
+      None,
+      Printf.sprintf "; singular pivot at unknown %d (scale %g)" column scale
+    )
+  | Some (N_nonfinite { iter }) -> (Some iter, None, "")
+  | Some (N_converged | N_work_cap) | None -> (None, None, "")
+
 type op = { x : float array; time : float }
 
 (* DC continuation chain under a given option set.  Shares the caller's
@@ -762,21 +723,12 @@ let dc_core ?guess ~opts ~time t =
       else if any_nonfinite then Nonfinite_update
       else Dc_no_convergence
     in
-    let stage, newton_iter, dmax =
+    let stage, last =
       match fails with
-      | (stage, N_max_iter { iter; dmax }) :: _ ->
-        (Some stage, Some iter, Some dmax)
-      | (stage, (N_singular { iter; _ } | N_nonfinite { iter })) :: _ ->
-        (Some stage, Some iter, None)
-      | _ -> (None, None, None)
+      | (stage, outcome) :: _ -> (Some stage, Some outcome)
+      | [] -> (None, None)
     in
-    let detail =
-      match fails with
-      | (_, N_singular { column; scale; _ }) :: _ ->
-        Printf.sprintf "; singular pivot at unknown %d (scale %g)" column
-          scale
-      | _ -> ""
-    in
+    let newton_iter, dmax, detail = failure_context last in
     Diag.fail ~time ?newton_iter ?stage ?dmax ~counters:(counter_snapshot t)
       ~analysis:"dc" kind "all continuation strategies failed (%d stages)%s"
       (List.length fails) detail
@@ -958,20 +910,7 @@ let[@vstat.entry] transient_raw ?options t ~tstop ~dt =
           | Some (N_singular _) -> Singular_jacobian
           | _ -> Tran_step_floor
         in
-        let newton_iter, dmax =
-          match !last_reject with
-          | Some (N_max_iter { iter; dmax }) -> (Some iter, Some dmax)
-          | Some (N_singular { iter; _ } | N_nonfinite { iter }) ->
-            (Some iter, None)
-          | _ -> (None, None)
-        in
-        let detail =
-          match !last_reject with
-          | Some (N_singular { column; scale; _ }) ->
-            Printf.sprintf "; singular pivot at unknown %d (scale %g)"
-              column scale
-          | _ -> ""
-        in
+        let newton_iter, dmax, detail = failure_context !last_reject in
         Diag.fail ~time:!time ?newton_iter ?dmax
           ~stage:(Printf.sprintf "h=%.3e dt_min=%.3e" !h dt_min)
           ~counters:(counter_snapshot t) ~analysis:"transient" kind

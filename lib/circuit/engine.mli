@@ -3,10 +3,8 @@
     The solution vector stacks node voltages (nodes 1..N) followed by the
     branch currents of voltage sources (in netlist insertion order).
     Nonlinear devices are linearized each Newton iteration through their
-    analytic derivative path ({!Vstat_device.Device_model.eval_derivs})
-    when the model provides one — a single model call per device per
-    iteration — falling back to one-sided finite differences (5 calls)
-    otherwise.  Convergence aids are a gmin floor, gmin stepping and source
+    analytic derivative path ({!Vstat_device.Device_model.eval_derivs}):
+    a single model call per device per iteration.  Convergence aids are a gmin floor, gmin stepping and source
     stepping.
 
     Each compiled engine owns a reusable workspace (Jacobian values,
@@ -37,6 +35,10 @@ type backend =
   | Sparse  (** force the sparse path (any size) *)
 
 val compile : ?backend:backend -> Netlist.t -> t
+(** Freeze a netlist into a solver.  Each MOSFET's
+    [eval_derivs] closure is resolved here, once.  @raise Invalid_argument
+    naming the MOSFET and its device when a device has
+    [eval_derivs = None]. *)
 
 val resolved_backend : t -> backend
 (** The backend actually chosen ([Dense] or [Sparse], never [Auto]). *)
@@ -179,10 +181,11 @@ type counters = {
   newton_iterations : int;
       (** Newton iterations (linear solves attempted). *)
   model_evaluations : int;
-      (** Compact-model linearizations: 1 per device per iteration on the
-          analytic path, 5 on the finite-difference path. *)
-  analytic_evaluations : int;  (** ... of which used analytic derivatives. *)
-  fd_evaluations : int;        (** ... of which were FD perturbation calls. *)
+      (** Compact-model linearizations: 1 per device per assembly. *)
+  fd_evaluations : int;
+      (** Always 0: the engine has no finite-difference path.  Kept so
+          readers of the record (perfbench's [circuit.fd_eval_frac]) still
+          compile. *)
   assemblies : int;            (** Full system assemblies (stamp passes). *)
   lu_factorizations : int;     (** In-place LU factorizations. *)
   accepted_steps : int;        (** Transient steps accepted. *)

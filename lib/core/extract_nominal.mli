@@ -9,24 +9,6 @@
     golden card (the same "measured through oxide thickness" shortcut the
     paper uses for its statistics). *)
 
-type dataset = {
-  transfer : (float * float * float) array;
-      (** (vgs, vds, id) points fitted in log space *)
-  output : (float * float * float) array;
-      (** (vgs, vds, id) points fitted in relative linear space *)
-  cv : (float * float) array;
-      (** (vgs, Cgg at Vds = 0) points — the C–V part of the fit; without
-          it, vt0 can trade against vxo leaving the charge wrong *)
-  gm : (float * float) array;
-      (** (vgs, gm at Vds = Vdd) points: transconductance fidelity controls
-          how the extracted statistics transfer to circuit timing *)
-}
-
-val golden_dataset :
-  Vstat_device.Device_model.t -> vdd:float -> dataset
-(** Sample the golden device: Id–Vg at Vds = 50 mV and Vdd (21 points each)
-    and Id–Vd at four gate voltages (13 points each). *)
-
 type result = {
   fitted : Vstat_device.Vs_model.params;     (** at the fit geometry *)
   params_of : w_nm:float -> l_nm:float -> Vstat_device.Vs_model.params;
@@ -45,10 +27,3 @@ val fit :
 (** Fit the VS model to the golden devices over [geometries] (default:
     [w_nm]/[l_nm], plus the paper's Fig. 1 device W/L = 300/40 nm when
     that differs); errors are reported at the primary geometry. *)
-
-val objective :
-  polarity:Vstat_device.Device_model.polarity ->
-  dataset ->
-  Vstat_device.Vs_model.params ->
-  float
-(** The scalar misfit minimized by {!fit} (exposed for tests/benches). *)

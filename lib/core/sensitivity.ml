@@ -43,11 +43,3 @@ let vs_derivative (t : Vs_statistical.t) ~w_nm ~l_nm ~vdd metric param =
   in
   (eval h -. eval (-.h)) /. (2.0 *. h)
 
-let vs_jacobian t ~w_nm ~l_nm ~vdd =
-  List.map
-    (fun m ->
-      ( m,
-        List.map
-          (fun p -> (p, vs_derivative t ~w_nm ~l_nm ~vdd m p))
-          all_parameters ))
-    all_metrics

@@ -22,9 +22,3 @@ val vs_derivative :
 (** Central finite difference of the metric through
     {!Vs_statistical.apply_shifts}, so shifting [`L] carries the DIBL and
     vxo couplings exactly as Monte Carlo sampling does. *)
-
-val vs_jacobian :
-  Vs_statistical.t ->
-  w_nm:float -> l_nm:float -> vdd:float ->
-  (metric * (parameter * float) list) list
-(** All derivatives at one geometry, metric-major. *)

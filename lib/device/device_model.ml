@@ -129,8 +129,6 @@ let make ~name ~polarity ~width ~length ~canonical () =
     eval_derivs = Some (eval_derivs_of_canonical sign canonical);
   }
 
-let without_derivs t = { t with eval_derivs = None }
-
 let ids t ~vg ~vd ~vs ~vb = (t.eval ~vg ~vd ~vs ~vb).id
 
 let central f x dv = (f (x +. dv) -. f (x -. dv)) /. (2.0 *. dv)

@@ -64,8 +64,9 @@ type t = {
   length : float;   (** electrical channel length, m *)
   eval : vg:float -> vd:float -> vs:float -> vb:float -> terminal_state;
   eval_derivs : eval_derivs option;
-      (** Analytic derivative path; [None] falls back to the engine's
-          finite-difference Jacobian (5 evals per linearization). *)
+      (** Analytic derivative path.  {!make} always builds it, and the
+          circuit engine requires it: [Engine.compile] rejects a MOSFET
+          whose device has [None]. *)
 }
 
 val make :
@@ -80,10 +81,6 @@ val make :
     [eval] runs the kernel for values only; [eval_derivs] runs it with the
     buffer's [grad] scratch and applies the same mirroring/swap chain rule
     to the partials. *)
-
-val without_derivs : t -> t
-(** The same device with the analytic path stripped — forces the engine's
-    finite-difference fallback (ablation benches and tests). *)
 
 val ids : t -> vg:float -> vd:float -> vs:float -> vb:float -> float
 (** Drain current only (sign follows the real terminal convention: positive

@@ -13,12 +13,11 @@ let speedup r = r.bsim_runtime_s /. r.vs_runtime_s
 let alloc_ratio r = r.bsim_alloc_mb /. r.vs_alloc_mb
 
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Vstat_runtime.Deadline.now_ns () in
   let a0 = Gc.allocated_bytes () in
   f ();
   let a1 = Gc.allocated_bytes () in
-  let t1 = Unix.gettimeofday () in
-  (t1 -. t0, (a1 -. a0) /. 1048576.0)
+  (Vstat_runtime.Deadline.seconds_since t0, (a1 -. a0) /. 1048576.0)
 
 let run_workload p ~workload ~samples ~seed ~measure =
   let run tech_of_rng =
@@ -108,7 +107,7 @@ let model_eval_comparison ?(evals = 200_000) (p : Vstat_core.Pipeline.t) =
   in
   let loop dev =
     let acc = ref 0.0 in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Vstat_runtime.Deadline.now_ns () in
     for i = 0 to evals - 1 do
       let vg = 0.9 *. Float.of_int (i mod 10) /. 9.0 in
       acc :=
@@ -116,7 +115,7 @@ let model_eval_comparison ?(evals = 200_000) (p : Vstat_core.Pipeline.t) =
         +. Vstat_device.Device_model.ids dev ~vg ~vd:0.9 ~vs:0.0 ~vb:0.0
     done;
     ignore !acc;
-    Unix.gettimeofday () -. t0
+    Vstat_runtime.Deadline.seconds_since t0
   in
   (* Warm up, then measure. *)
   ignore (loop vs_dev);

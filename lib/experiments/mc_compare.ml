@@ -57,11 +57,10 @@ let inject_key ~index ~attempt = (index * 64) + attempt
    [name=value] pairs. *)
 let pp_engine_work ppf (d : Vstat_circuit.Engine.counters) =
   Format.fprintf ppf
-    " newton=%d model_evals=%d analytic=%d fd=%d assemblies=%d lu=%d \
-     steps=%d rejected=%d bp_hits=%d"
-    d.newton_iterations d.model_evaluations d.analytic_evaluations
-    d.fd_evaluations d.assemblies d.lu_factorizations d.accepted_steps
-    d.rejected_steps d.breakpoint_hits
+    " newton=%d model_evals=%d assemblies=%d lu=%d steps=%d rejected=%d \
+     bp_hits=%d"
+    d.newton_iterations d.model_evaluations d.assemblies d.lu_factorizations
+    d.accepted_steps d.rejected_steps d.breakpoint_hits
 
 let collect_run ?jobs ?(max_failure_frac = default_max_failure_frac) ?retry
     ?inject ?codec ~label ~n ~tech_of_rng ~rng ~measure () =

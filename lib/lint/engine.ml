@@ -238,10 +238,9 @@ let check_ident st loc path =
     | [ "Monotonic_clock"; "now" ] ) as p ->
     emit_nondet st ~rule:Rules.determinism_wallclock ~loc
       ~what:(String.concat "." p)
-      "wall-clock reads are forbidden outside the runtime stats / \
-       throughput-experiment whitelist (lint.allow) and the sanctioned \
-       deadline watchdog (Vstat_runtime.Deadline): sample values must be \
-       pure functions of (index, substream)"
+      "wall-clock reads are forbidden outside the sanctioned clock \
+       (Vstat_runtime.Deadline.now_ns): sample values must be pure \
+       functions of (index, substream)"
   | [ "Hashtbl"; (("iter" | "fold") as fn) ] ->
     if st.sorted_ctx = 0 then
       emit_nondet st ~rule:Rules.determinism_hashtbl ~loc

@@ -43,12 +43,11 @@ let all =
       id = determinism_wallclock;
       summary =
         "no Unix.gettimeofday / Unix.time / Sys.time / Monotonic_clock.now \
-         outside the runtime/experiments timing whitelist (lint.allow)";
+         outside Vstat_runtime.Deadline.now_ns";
       invariant =
-        "sample values must be pure functions of (index, substream); wall \
-         clocks belong only in the runtime's stats, the table-4 throughput \
-         experiment, and the deadline watchdog's single suppressed read \
-         (Vstat_runtime.Deadline)";
+        "sample values must be pure functions of (index, substream); every \
+         timer (runtime stats, the table-4 experiment, deadlines) reads the \
+         one suppressed clock, Vstat_runtime.Deadline.now_ns";
     };
     {
       id = float_compare;

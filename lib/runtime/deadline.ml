@@ -10,10 +10,12 @@
    settimeofday, unlike Unix.gettimeofday), suppressed at exactly one
    binding below. *)
 
-(* Sanctioned wall-clock read: CLOCK_MONOTONIC nanoseconds for deadline
-   enforcement only — never consulted by sample code (see module
+(* Sanctioned wall-clock read: CLOCK_MONOTONIC nanoseconds for deadlines
+   and reported timings only — never consulted by sample code (see module
    comment and DESIGN.md "Checkpointing & deadlines"). *)
 let[@vstat.allow "determinism-wallclock"] now_ns () = Monotonic_clock.now ()
+
+let seconds_since t0 = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e9
 
 let watchdog ~seconds =
   if not (seconds > 0.0) then

@@ -7,10 +7,15 @@
     NTP steps; it is the single sanctioned wall-clock read under the
     [determinism-wallclock] lint rule — deadlines decide {e how many}
     samples run, never what any sample computes, and checkpoint/resume
-    keeps the surviving samples bit-identical to an uninterrupted run. *)
+    keeps the surviving samples bit-identical to an uninterrupted run.
+    The same clock times what [lib] reports ({!Runtime.stats}'s [wall_s],
+    [Exp_table4]'s runtimes), which likewise never feeds a sample. *)
 
 val now_ns : unit -> int64
 (** CLOCK_MONOTONIC, nanoseconds from an unspecified epoch. *)
+
+val seconds_since : int64 -> float
+(** Seconds elapsed since an earlier {!now_ns} reading. *)
 
 val watchdog : seconds:float -> unit -> bool
 (** [watchdog ~seconds] starts the budget now; the returned closure

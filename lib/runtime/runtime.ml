@@ -123,37 +123,16 @@ let[@vstat.entry] eval ~policy f i =
   in
   go 0 []
 
-(* Both execution paths run over an explicit [indices] work list (the
-   identity permutation for a full run; the incomplete tail of a resumed
-   run for the checkpoint machinery) and poll [should_stop] at sample
-   boundaries, so a deadline watchdog or a signal flag can drain the pool
+(* The pool runs over an explicit [indices] work list (the identity
+   permutation for a full run; the incomplete tail of a resumed run for the
+   checkpoint machinery) and polls [should_stop] exactly once before each
+   sample, so a deadline watchdog or a signal flag can drain the pool
    without tearing any in-flight sample.  Result cells stay addressed by
    sample index, never by work-list position — the determinism contract
-   is untouched by subsetting. *)
-
-let[@vstat.entry] run_serial ?on_progress ~should_stop ~policy ~n ~indices ~f () =
-  let m = Array.length indices in
-  let cells = Array.make n None in
-  let attempts = Array.make n 0 in
-  let chunk = Int.max 1 (m / 20) in
-  let k = ref 0 in
-  let stopped = ref false in
-  while (not !stopped) && !k < m do
-    if should_stop () then stopped := true
-    else begin
-      let i = indices.(!k) in
-      let cell, used = eval ~policy f i in
-      attempts.(i) <- used;
-      cells.(i) <- Some cell;
-      incr k;
-      match on_progress with
-      | Some cb when !k mod chunk = 0 || !k = m -> cb ~completed:!k ~n:m
-      | _ -> ()
-    end
-  done;
-  (cells, attempts, [| !k |])
-
-let[@vstat.entry] run_parallel ?on_progress ~should_stop ~policy ~jobs ~n ~indices ~f () =
+   is untouched by subsetting.  [jobs:1] runs the same loop on the calling
+   domain with no helper domains. *)
+let[@vstat.entry] run_pool ?on_progress ~should_stop ~policy ~jobs ~n ~indices
+    ~f () =
   let m = Array.length indices in
   let cells = Array.make n None in
   let attempts = Array.make n 0 in
@@ -168,30 +147,28 @@ let[@vstat.entry] run_parallel ?on_progress ~should_stop ~policy ~jobs ~n ~indic
   let chunk = Int.max 1 (m / (jobs * 8)) in
   let worker w =
     let rec loop () =
-      if Atomic.get stop_flag || should_stop () then
-        Atomic.set stop_flag true
-      else begin
-        let start = Atomic.fetch_and_add next chunk in
-        if start < m then begin
-          let stop = Int.min m (start + chunk) in
-          let k = ref start in
-          while !k < stop && not (Atomic.get stop_flag) do
+      let start = Atomic.fetch_and_add next chunk in
+      if start < m then begin
+        let stop = Int.min m (start + chunk) in
+        let k = ref start in
+        while !k < stop && not (Atomic.get stop_flag) do
+          if should_stop () then Atomic.set stop_flag true
+          else begin
             let i = indices.(!k) in
             let cell, used = eval ~policy f i in
             attempts.(i) <- used;
             cells.(i) <- Some cell;
-            incr k;
-            if should_stop () then Atomic.set stop_flag true
-          done;
-          let batch = !k - start in
-          per_worker.(w) <- per_worker.(w) + batch;
-          let total = Atomic.fetch_and_add completed batch + batch in
-          (match on_progress with
-          | Some cb ->
-            Mutex.protect progress_mutex (fun () -> cb ~completed:total ~n:m)
-          | None -> ());
-          loop ()
-        end
+            incr k
+          end
+        done;
+        let batch = !k - start in
+        per_worker.(w) <- per_worker.(w) + batch;
+        let total = Atomic.fetch_and_add completed batch + batch in
+        (match on_progress with
+        | Some cb ->
+          Mutex.protect progress_mutex (fun () -> cb ~completed:total ~n:m)
+        | None -> ());
+        if not (Atomic.get stop_flag) then loop ()
       end
     in
     loop ()
@@ -227,14 +204,11 @@ let run_core ?jobs ?on_progress ?(should_stop = fun () -> false) ~policy ~n
     match jobs with Some j -> Int.max 1 j | None -> default_jobs ()
   in
   let jobs = Int.max 1 (Int.min jobs m) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Deadline.now_ns () in
   let slots, slot_attempts, per_worker =
-    if jobs = 1 then
-      run_serial ?on_progress ~should_stop ~policy ~n ~indices ~f ()
-    else
-      run_parallel ?on_progress ~should_stop ~policy ~jobs ~n ~indices ~f ()
+    run_pool ?on_progress ~should_stop ~policy ~jobs ~n ~indices ~f ()
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = Deadline.seconds_since t0 in
   let evaluated = Array.fold_left (fun acc k -> acc + k) 0 per_worker in
   let retried_samples = ref 0 and recovered_samples = ref 0 in
   Array.iteri

@@ -25,10 +25,10 @@
       per-worker sample tallies and retry/recovery counts ({!stats});
       [Logs] gets a debug line per run ("vstat.runtime" source).
 
-    [jobs:1] executes on the calling domain with no pool, no atomics and no
-    per-sample allocation beyond the result cells — the serial fast path.
-    [jobs:n] spawns [n-1] additional domains (OCaml 5) and chunk-steals
-    indices off a shared counter. *)
+    One pool loop serves every worker count: it chunk-steals indices off a
+    shared counter and polls [should_stop] once before each sample.
+    [jobs:n] runs it on the calling domain plus [n-1] spawned domains
+    (OCaml 5); [jobs:1] runs it on the calling domain alone. *)
 
 type attempt_failure = {
   attempt : int;      (** 0-based attempt number that failed *)
@@ -57,7 +57,9 @@ type failure = {
 type stats = {
   jobs : int;               (** workers actually used *)
   n : int;                  (** samples requested *)
-  wall_s : float;           (** wall-clock time of the run *)
+  wall_s : float;
+      (** wall-clock time of the run, from {!Deadline.now_ns}
+          (CLOCK_MONOTONIC) *)
   samples_per_sec : float;
   per_worker : int array;   (** samples executed by each worker; length [jobs] *)
   retried_samples : int;    (** samples that needed more than one attempt *)
@@ -136,7 +138,8 @@ val map_subset_attempt_samples :
     ladder is evaluated inline per index, that value is identical under
     any [jobs].
 
-    [should_stop] is polled at sample boundaries — a deadline watchdog or
+    [should_stop] is polled once before each sample (so with [jobs:1] a
+    counting watchdog stops at a fixed index) — a deadline watchdog or
     signal flag drains the pool gracefully without tearing an in-flight
     sample (its retry ladder runs to completion).  Results land in
     index-addressed [slots], so evaluating a subset yields bit-identical

@@ -83,7 +83,7 @@ let pipeline_signature cfg =
 
 (* Admission-time spec validation: everything here is a [Bad_request],
    shed before any resource is committed. *)
-let validate _cfg (spec : P.spec) =
+let validate (spec : P.spec) =
   if spec.n < 1 then Error "sample count must be >= 1"
   else if spec.n > 100_000 then
     Error "sample count above 100000 (result frame would exceed max_frame)"
@@ -181,10 +181,6 @@ type t = {
   mutable slots : slot array;
   mutable supervisor : unit Domain.t option;
 }
-
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 (* One byte down the self-pipe wakes the accept loop.  A full pipe
    already holds a pending wake, so [EAGAIN] is dropped. *)
@@ -460,7 +456,7 @@ let execute t st job ~round =
     Log.warn (fun m ->
         m "job %s: quarantining snapshot: %s" job.id (Journal.error_to_string e));
     (try Sys.rename path (path ^ ".bad") with Sys_error _ -> ());
-    locked t (fun () ->
+    Mutex.protect t.mu (fun () ->
         let base = Filename.basename path in
         forget_file_locked t base;
         note_file_locked t (base ^ ".bad"));
@@ -474,7 +470,7 @@ let execute t st job ~round =
    after the watchdog replaced it falls through here and its summary is
    discarded — the requeued run's (identical) result is the one served. *)
 let publish t job summary ~wid ~gen =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       match Hashtbl.find_opt t.table job.id with
       | Some (Running { wid = w; gen = g; _ }) when w = wid && g = gen ->
         Hashtbl.replace t.table job.id (Finished summary);
@@ -501,7 +497,7 @@ let publish t job summary ~wid ~gen =
    the supervisor retires only busy workers and a worker clears [busy]
    before it gets here. *)
 let next_job t ~wid st =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       let rec take () =
         if Atomic.get t.stopping || Atomic.get st.retired then None
         else
@@ -724,7 +720,7 @@ let rec supervisor_loop t =
   if Atomic.get t.stopping then ()
   else begin
     let now = Deadline.now_ns () in
-    locked t (fun () -> Array.iter (check_slot_locked t now) t.slots);
+    Mutex.protect t.mu (fun () -> Array.iter (check_slot_locked t now) t.slots);
     Unix.sleepf heartbeat_tick_s;
     supervisor_loop t
   end
@@ -738,16 +734,16 @@ let enqueue_locked t job ~round =
   t.queued_samples <- t.queued_samples + job.spec.P.n
 
 let admit t (spec : P.spec) ~deadline_s ~client =
-  match validate t.config spec with
+  match validate spec with
   | Error detail ->
-    locked t (fun () -> t.rejected_count <- t.rejected_count + 1);
+    Mutex.protect t.mu (fun () -> t.rejected_count <- t.rejected_count + 1);
     P.Rejected { reason = P.Bad_request { detail } }
   | Ok () ->
     let canonical =
       P.spec_canonical ~pipeline:(pipeline_signature t.config) spec
     in
     let id = P.job_id canonical in
-    locked t (fun () ->
+    Mutex.protect t.mu (fun () ->
         match Hashtbl.find_opt t.table id with
         | Some (Finished _) ->
           t.cache_hit_count <- t.cache_hit_count + 1;
@@ -793,7 +789,7 @@ let admit t (spec : P.spec) ~deadline_s ~client =
 
 let health t =
   let now = Deadline.now_ns () in
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       let workers =
         Array.to_list t.slots
         |> List.map (fun slot ->
@@ -846,7 +842,7 @@ let handle t fd req =
   | P.Submit { spec; deadline_s; client } ->
     Some (admit t spec ~deadline_s ~client)
   | P.Result { id } ->
-    locked t (fun () ->
+    Mutex.protect t.mu (fun () ->
         let answer = result_locked t id in
         if Option.is_none answer then t.parked <- (id, fd) :: t.parked;
         answer)
@@ -858,7 +854,7 @@ let handle t fd req =
 (* --- startup recovery --------------------------------------------------- *)
 
 let recover t =
-  locked t (fun () -> seed_files_locked t);
+  Mutex.protect t.mu (fun () -> seed_files_locked t);
   let dir = t.config.state_dir in
   let files = try Sys.readdir dir with Sys_error _ -> [||] in
   Array.sort String.compare files;
@@ -873,7 +869,7 @@ let recover t =
           Log.warn (fun m ->
               m "recovery: quarantining: %s" (Journal.error_to_string e));
           (try Sys.rename path (path ^ ".bad") with Sys_error _ -> ());
-          locked t (fun () ->
+          Mutex.protect t.mu (fun () ->
               forget_file_locked t f;
               note_file_locked t (f ^ ".bad"))
         | Ok snap -> (
@@ -896,7 +892,7 @@ let recover t =
                    restores completed samples bit-identically from the
                    journal, so a finished job costs nothing and a partial
                    one computes only its missing indices. *)
-                locked t (fun () ->
+                Mutex.protect t.mu (fun () ->
                     enqueue_locked t
                       {
                         id;
@@ -923,7 +919,7 @@ let recover t =
      trim to ours before accepting work.  Queued recovered jobs are
      protected, so a journal we just promised to resume is never the
      victim of its own restart. *)
-  locked t (fun () -> evict_locked t)
+  Mutex.protect t.mu (fun () -> evict_locked t)
 
 (* --- connection handling ------------------------------------------------ *)
 
@@ -952,7 +948,7 @@ let handle_conn t fd =
     | Ok payload -> (
       match P.decode_request payload with
       | Error e ->
-        locked t (fun () -> t.rejected_count <- t.rejected_count + 1);
+        Mutex.protect t.mu (fun () -> t.rejected_count <- t.rejected_count + 1);
         bad_request e
       | Ok req -> handle t fd req)
   in
@@ -961,7 +957,7 @@ let handle_conn t fd =
 (* Answer every parked [Result] whose job is now terminal; the rest stay
    parked.  Writes happen outside the mutex. *)
 let answer_parked t =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       let ready, waiting =
         List.partition_map
           (fun (id, fd) ->
@@ -976,15 +972,6 @@ let answer_parked t =
 
 (* --- lifecycle ---------------------------------------------------------- *)
 
-let mkdir_p dir =
-  let rec mk d =
-    if not (Sys.file_exists d) then begin
-      mk (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  if not (String.equal dir "") then mk dir
-
 let create ?pipeline config =
   if config.queue_max < 1 then
     invalid_arg "Service.create: queue_max must be >= 1";
@@ -998,8 +985,8 @@ let create ?pipeline config =
     invalid_arg "Service.create: state_max_bytes must be >= 0 (0 = unbounded)";
   if config.mc_per_geometry < 10 then
     invalid_arg "Service.create: mc_per_geometry must be >= 10";
-  mkdir_p config.state_dir;
-  mkdir_p (Filename.dirname config.socket_path);
+  Vstat_util.Atomic_io.ensure_dir config.state_dir;
+  Vstat_util.Atomic_io.ensure_dir (Filename.dirname config.socket_path);
   let pipeline =
     match pipeline with
     | Some p -> p
@@ -1098,7 +1085,7 @@ let serve t =
     end
   in
   loop ();
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       let parked = t.parked in
       t.parked <- [];
       Condition.broadcast t.work;

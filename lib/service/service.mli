@@ -97,7 +97,8 @@ val create : ?pipeline:Vstat_core.Pipeline.t -> config -> t
     match the config, since its seed and extraction size are baked into
     every cache identity.
     @raise Unix.Unix_error if the socket cannot be bound or
-    Invalid_argument on a nonsensical config. *)
+    Invalid_argument on a nonsensical config, including a [state_dir]
+    that exists but is not a directory. *)
 
 val serve : t -> unit
 (** Blocking accept loop.  Returns after {!stop} is called (from a signal
@@ -113,6 +114,6 @@ val stop : t -> unit
     down its self-pipe.  Idempotent and async-signal-safe ([write(2)] is),
     so it may be called from a signal handler. *)
 
-val validate : config -> Protocol.spec -> (unit, string) result
-(** The admission validity check, exposed for tests and the CLI: sample
-    count, retry depth, vdd and fanout ranges. *)
+val validate : Protocol.spec -> (unit, string) result
+(** The admission validity check, exposed for tests: sample count, retry
+    depth, vdd and fanout ranges. *)

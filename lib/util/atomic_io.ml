@@ -13,7 +13,7 @@ let rec mkdir_p dir =
 
 let ensure_dir dir =
   mkdir_p dir;
-  if not (Sys.is_directory dir) then
+  if dir <> "" && not (Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Atomic_io.ensure_dir: %s is not a directory" dir)
 
 let fsync_dir dir =

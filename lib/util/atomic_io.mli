@@ -15,4 +15,5 @@ val read_file : path:string -> (string, string) result
 (** Whole-file read; [Error msg] if the file is missing or unreadable. *)
 
 val ensure_dir : string -> unit
-(** [mkdir -p].  @raise Invalid_argument if [dir] exists as a non-directory. *)
+(** [mkdir -p]; [""] names the current directory.  @raise Invalid_argument
+    if [dir] exists as a non-directory. *)

@@ -117,13 +117,43 @@ let test_floating_node_gmin () =
 
 (* --- DC: CMOS inverter --- *)
 
-let build_inverter ?(strip_derivs = false) ?(w_in = W.Dc 0.0) () =
+(* The same device with [eval_derivs] replaced by one-sided finite
+   differences of its [eval] (step 1e-6 V, 5 evaluations per call): the
+   reference the analytic linearization is checked against. *)
+let fd_device (d : Dm.t) =
+  let dv = 1e-6 in
+  let charges (st : Dm.terminal_state) = [| st.qg; st.qd; st.qs; st.qb |] in
+  let eval_derivs ~vg ~vd ~vs ~vb (out : Dm.derivs) =
+    let base = d.eval ~vg ~vd ~vs ~vb in
+    let q = charges base in
+    out.v_id <- base.id;
+    out.v_qg <- base.qg;
+    out.v_qd <- base.qd;
+    out.v_qs <- base.qs;
+    out.v_qb <- base.qb;
+    Array.iteri
+      (fun j (p : Dm.terminal_state) ->
+        out.did.(j) <- (p.id -. base.id) /. dv;
+        let qp = charges p in
+        for c = 0 to 3 do
+          out.dq.((4 * c) + j) <- (qp.(c) -. q.(c)) /. dv
+        done)
+      [|
+        d.eval ~vg:(vg +. dv) ~vd ~vs ~vb;
+        d.eval ~vg ~vd:(vd +. dv) ~vs ~vb;
+        d.eval ~vg ~vd ~vs:(vs +. dv) ~vb;
+        d.eval ~vg ~vd ~vs ~vb:(vb +. dv);
+      |]
+  in
+  { d with eval_derivs = Some eval_derivs }
+
+let build_inverter ?(fd_derivs = false) ?(w_in = W.Dc 0.0) () =
   let c = N.create () in
   let gnd = N.ground c in
   let nvdd = N.node c "vdd" in
   let nin = N.node c "in" in
   let nout = N.node c "out" in
-  let dev d = if strip_derivs then Dm.without_derivs d else d in
+  let dev d = if fd_derivs then fd_device d else d in
   N.vsource c "vvdd" ~plus:nvdd ~minus:gnd ~wave:(W.Dc vdd);
   N.vsource c "vin" ~plus:nin ~minus:gnd ~wave:w_in;
   N.mosfet c "mp" ~d:nout ~g:nin ~s:nvdd ~b:nvdd
@@ -386,12 +416,10 @@ let test_counters_per_phase () =
   Alcotest.(check int) "accepted steps = samples - 1"
     (Array.length trace.E.times - 1)
     cnt.E.accepted_steps;
-  (* The VS devices carry analytic derivatives: no FD evals anywhere. *)
-  Alcotest.(check bool) "analytic evals > 0" true
-    (cnt.E.analytic_evaluations > 0);
+  (* One model call per device per assembly, and no FD path to count. *)
+  Alcotest.(check int) "model evals = 2 per assembly"
+    (2 * cnt.E.assemblies) cnt.E.model_evaluations;
   Alcotest.(check int) "no fd evals" 0 cnt.E.fd_evaluations;
-  Alcotest.(check int) "model evals = analytic" cnt.E.model_evaluations
-    cnt.E.analytic_evaluations;
   (* Per-instance counts flushed into the process-wide totals. *)
   let after_global = E.global_counters () in
   let d = E.counters_diff after_global before_global in
@@ -399,15 +427,14 @@ let test_counters_per_phase () =
     (d.E.newton_iterations >= cnt.E.newton_iterations)
 
 let test_fd_fallback_matches_analytic () =
-  (* Same inverter with the derivative path stripped: the FD Jacobian must
-     converge to the same waveform, and the counters must show the 5x eval
-     cost. *)
+  (* Same inverter with finite-difference device derivatives: the FD
+     Jacobian must converge to the same waveform. *)
   let edge = W.pwl [| (20e-12, 0.0); (30e-12, vdd) |] in
   let c1, _, nout1 = build_inverter ~w_in:edge () in
   let eng1 = E.compile c1 in
   let tr1 = E.transient eng1 ~tstop:100e-12 ~dt:1e-12 in
   let w1 = E.node_wave eng1 tr1 nout1 in
-  let c2, _, nout2 = build_inverter ~strip_derivs:true ~w_in:edge () in
+  let c2, _, nout2 = build_inverter ~fd_derivs:true ~w_in:edge () in
   let eng2 = E.compile c2 in
   let tr2 = E.transient eng2 ~tstop:100e-12 ~dt:1e-12 in
   let w2 = E.node_wave eng2 tr2 nout2 in
@@ -418,12 +445,32 @@ let test_fd_fallback_matches_analytic () =
         (Printf.sprintf "waveforms agree at sample %d" i)
         true
         (Float.abs (v1 -. w2.(i)) < 1e-6))
-    w1;
-  let cnt2 = E.counters eng2 in
-  Alcotest.(check int) "fd path counts all evals" cnt2.E.model_evaluations
-    cnt2.E.fd_evaluations;
-  Alcotest.(check bool) "fd evals are 5 per linearization" true
-    (cnt2.E.fd_evaluations mod 5 = 0 && cnt2.E.fd_evaluations > 0)
+    w1
+
+let test_compile_rejects_missing_derivs () =
+  (* [eval_derivs = None] is the one device shape the engine cannot
+     linearize: compile refuses it and names the element and device. *)
+  let c = N.create () in
+  let gnd = N.ground c in
+  let nd = N.node c "d" in
+  N.vsource c "vd" ~plus:nd ~minus:gnd ~wave:(W.Dc vdd);
+  let dev = Cards.bsim_device ~polarity:Dm.Nmos ~w_nm:300.0 ~l_nm:40.0 in
+  N.mosfet c "mbare" ~d:nd ~g:nd ~s:gnd ~b:gnd
+    ~dev:{ dev with Dm.name = "bare-nmos"; eval_derivs = None };
+  match E.compile c with
+  | _ -> Alcotest.fail "compile accepted a device without eval_derivs"
+  | exception Invalid_argument msg ->
+    let mentions sub =
+      let n = String.length sub in
+      let rec go i =
+        i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+      in
+      go 0
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "message names element and device: %s" msg)
+      true
+      (mentions "mbare" && mentions "bare-nmos")
 
 let test_node_identity () =
   let c = N.create () in
@@ -890,6 +937,8 @@ let () =
             test_counters_per_phase;
           Alcotest.test_case "fd fallback" `Quick
             test_fd_fallback_matches_analytic;
+          Alcotest.test_case "compile rejects missing derivs" `Quick
+            test_compile_rejects_missing_derivs;
         ] );
       ( "ac-extra",
         [

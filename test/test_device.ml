@@ -383,13 +383,6 @@ let test_derivs_match_central_fd () =
         (deriv_grid_for d))
     all_devices
 
-let test_without_derivs_strips_path () =
-  let stripped = Dm.without_derivs nmos_vs in
-  Alcotest.(check bool) "eval_derivs gone" true (stripped.Dm.eval_derivs = None);
-  let st1 = nmos_vs.Dm.eval ~vg:0.7 ~vd:0.5 ~vs:0.0 ~vb:0.0 in
-  let st2 = stripped.Dm.eval ~vg:0.7 ~vd:0.5 ~vs:0.0 ~vb:0.0 in
-  check_float ~eps:1e-18 "value path intact" st1.Dm.id st2.Dm.id
-
 (* Hex-float goldens of the value path ([eval] and the paper's three
    metrics at the default cards), captured before the two kernels of each
    model were merged into one.  Bit equality: Idsat, Ioff and Cgg feed
@@ -684,8 +677,6 @@ let () =
             test_derivs_values_match_eval;
           Alcotest.test_case "match central FD" `Quick
             test_derivs_match_central_fd;
-          Alcotest.test_case "without_derivs strips" `Quick
-            test_without_derivs_strips_path;
           Alcotest.test_case "value-path goldens" `Quick test_value_goldens;
           QCheck_alcotest.to_alcotest prop_derivs_match_fd_random;
         ] );

@@ -166,6 +166,40 @@ let test_stats_and_progress () =
   Alcotest.(check int) "worker slots" 2 (Array.length r.stats.per_worker);
   Alcotest.(check bool) "wall time measured" true (r.stats.wall_s >= 0.0)
 
+let test_stop_poll_once_per_sample () =
+  (* jobs:1: [should_stop] is polled exactly once before each sample, so a
+     watchdog that fires on its 6th call stops the run after sample 4. *)
+  let calls = ref 0 in
+  let p =
+    Rt.map_subset_attempt_samples ~jobs:1 ~n:20
+      ~indices:(Array.init 20 Fun.id)
+      ~should_stop:(fun () ->
+        incr calls;
+        !calls > 5)
+      ~f:(fun ~attempt:_ i -> i)
+      ()
+  in
+  Alcotest.(check int) "polls" 6 !calls;
+  Alcotest.(check int) "evaluated" 5 p.Rt.evaluated;
+  Alcotest.(check bool) "stopped" true (p.Rt.cause = Rt.Stopped);
+  Array.iteri
+    (fun i slot ->
+      Alcotest.(check bool)
+        (Printf.sprintf "slot %d filled iff i < 5" i)
+        (i < 5) (Option.is_some slot))
+    p.Rt.slots;
+  (* A full run polls once per sample and never after the last one. *)
+  calls := 0;
+  ignore
+    (Rt.map_subset_attempt_samples ~jobs:1 ~n:20
+       ~indices:(Array.init 20 Fun.id)
+       ~should_stop:(fun () ->
+         incr calls;
+         false)
+       ~f:(fun ~attempt:_ i -> i)
+       ());
+  Alcotest.(check int) "one poll per sample" 20 !calls
+
 (* --- resilience: empty runs, census ordering, the retry ladder --- *)
 
 let test_budget_empty_run () =
@@ -381,6 +415,8 @@ let () =
           Alcotest.test_case "failure budget" `Quick test_budget;
           Alcotest.test_case "reraise first" `Quick test_reraise_first_failure;
           Alcotest.test_case "stats + progress" `Quick test_stats_and_progress;
+          Alcotest.test_case "jobs:1 polls stop once per sample" `Quick
+            test_stop_poll_once_per_sample;
           Alcotest.test_case "mc_device jobs-invariant" `Quick
             test_mc_device_jobs_invariant;
           Alcotest.test_case "circuit mc jobs-invariant" `Quick

@@ -414,16 +414,15 @@ let test_service_parse_spec () =
 (* --- admission validation --------------------------------------------- *)
 
 let test_validate () =
-  let cfg = S.default_config in
   let base =
     { P.kind = P.Idsat; n = 100; seed = 1; vdd = 1.0; retry = 1 }
   in
-  (match S.validate cfg base with
+  (match S.validate base with
   | Ok () -> ()
   | Error m -> Alcotest.failf "valid spec rejected: %s" m);
   List.iter
     (fun (label, spec) ->
-      match S.validate cfg spec with
+      match S.validate spec with
       | Ok () -> Alcotest.failf "invalid spec accepted: %s" label
       | Error _ -> ())
     [
@@ -435,6 +434,24 @@ let test_validate () =
       ("vdd nan", { base with P.vdd = Float.nan });
       ("fanout=0", { base with P.kind = P.Inverter_tpd { fanout = 0 } });
     ]
+
+let test_state_dir_is_file () =
+  (* A state directory that names a regular file fails at [create], typed,
+     before any pipeline is built. *)
+  let file = Filename.temp_file "vstat_state" ".file" in
+  let cfg =
+    {
+      S.default_config with
+      S.state_dir = file;
+      socket_path = Filename.concat (Filename.dirname file) "vstatd.sock";
+    }
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      match S.create cfg with
+      | _ -> Alcotest.fail "create accepted a regular file as state_dir"
+      | exception Invalid_argument _ -> ())
 
 let test_estimate_wait () =
   let near a b = Float.abs (a -. b) < 1e-12 in
@@ -555,6 +572,8 @@ let () =
       ( "admission",
         [
           Alcotest.test_case "spec validation" `Quick test_validate;
+          Alcotest.test_case "state_dir naming a file fails at create"
+            `Quick test_state_dir_is_file;
           Alcotest.test_case "wait estimate divides by pool width" `Quick
             test_estimate_wait;
         ] );
