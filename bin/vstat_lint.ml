@@ -9,14 +9,14 @@
    suppressions ([@vstat.allow "rule"] attributes and the lint.allow
    file).
 
-   With --deep, the per-file pass additionally feeds a two-phase
-   cross-module analysis: per-module summaries are resolved into a
-   project call graph and checked for determinism taint reaching
-   [@vstat.entry] hot entry points and for unguarded module-level mutable
-   state reachable from Domain.spawn roots.  Findings carry the full
-   cross-module call path.  --deep also reads the .cmti/.cmt typed trees
-   found under the paths (dune writes them for @check) and reports every
-   [val] of an interface that no other compilation unit uses. *)
+   With --deep, three cross-module rules also run over the .cmt/.cmti
+   typed trees found under the paths (dune writes them for @check):
+   determinism taint reaching [@vstat.entry] hot entry points and
+   unguarded module-level mutable state reachable from Domain.spawn roots,
+   both with the full cross-module call path, and every [val] of an
+   interface that no other compilation unit uses.  A source tree has no
+   typed trees, so --deep there exits 2; lint the build tree instead:
+   dune build @check, then --root _build/default. *)
 
 module L = Vstat_lint_core
 
@@ -95,6 +95,13 @@ let () =
       L.Report.print !format stdout ~files_scanned:r.L.Engine.deep_files
         r.L.Engine.deep_diags;
       exit (if r.L.Engine.deep_diags = [] then 0 else 1)
+    | exception L.Engine.No_typed_trees paths ->
+      Printf.eprintf
+        "vstat_lint: --deep found no .cmt typed trees under %s; build them \
+         (dune build @check) and lint the build tree with --root \
+         _build/default\n"
+        (String.concat " " paths);
+      exit 2
     | exception Sys_error msg ->
       Printf.eprintf "vstat_lint: %s\n" msg;
       exit 2

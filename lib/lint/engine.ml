@@ -12,16 +12,11 @@
    [compare] passed as a sort argument, floats reached through record
    fields) are documented in DESIGN.md.
 
-   The same walk doubles as phase 1 of the deep (cross-module) pass: while
-   the per-file rules fire, it accumulates a {!Summary.t} per module —
-   structure-level definitions with their outgoing value references,
-   direct nondeterminism sources (post-suppression, so a sanctioned
-   wall-clock read is not a taint source), module-level mutable state,
-   aliases/opens for name resolution, and guard context (lexical
-   [Mutex.protect] / [Atomic.*] / [Domain.DLS] nesting, per-function
-   mutex-taking).  {!run_deep} drives phase 1 serially over the sorted
-   file list, then hands the summaries to {!Callgraph} + {!Taint} for
-   phase 2. *)
+   The per-file rules stay syntactic so that a file which does not
+   compile is still linted.  {!run_deep} adds the cross-module rules,
+   which read the typed trees instead ({!Program}); its direct
+   nondeterminism sources are this pass's post-suppression determinism
+   findings, so a sanctioned wall-clock read is not a taint source. *)
 
 open Parsetree
 
@@ -40,19 +35,6 @@ let default_config ?(allow = Allowlist.empty) () =
     exn_failwith_prefixes = [ "lib/linalg/"; "lib/opt/" ];
   }
 
-(* Per-function summary accumulator while the walk is inside a
-   structure-level binding. *)
-type fnacc = {
-  a_name : string;
-  a_line : int;
-  a_entry : bool;
-  a_allow_taint : bool;
-  mutable a_spawner : bool;
-  mutable a_locks : bool;
-  mutable a_refs : Summary.reference list;
-  mutable a_nondet : Summary.nondet list;
-}
-
 type state = {
   cfg : config;
   file : string;
@@ -64,26 +46,6 @@ type state = {
   mutable hot : int;                  (* [@vstat.hot] nesting depth *)
   mutable sorted_ctx : int;
       (* bindings in scope whose body contains an explicit sort *)
-  (* --- summary accumulators (phase 1 of the deep pass) --- *)
-  mutable cur : fnacc option;         (* enclosing structure-level binding *)
-  mutable at_struct : bool;           (* next value_binding is structure-level *)
-  mutable guard : int;                (* Mutex.protect/Atomic/DLS nesting *)
-  mutable mod_prefix : string list;   (* submodule path, innermost first *)
-  mutable s_aliases : (string * string list) list;
-  mutable s_opens : string list list;
-  mutable s_globals : Summary.glob list;
-  mutable s_funcs : Summary.func list;
-  topdefs : (string, unit) Hashtbl.t;
-      (* bare names defined at structure level anywhere in this file *)
-  mfields : (string, unit) Hashtbl.t;
-      (* record field names declared [mutable] in this file *)
-  ifields : (string, unit) Hashtbl.t;
-      (* record field names declared immutable in this file: a name — like
-         the circuit engine's [work_cap] — used mutably by one type and
-         immutably by another is ambiguous without typing, so it never
-         classifies a binding as a mutable-record global *)
-  locals : (string, int) Hashtbl.t;
-      (* lexically bound value names (params, lets, cases), count-nested *)
 }
 
 (* --- path scoping ------------------------------------------------------ *)
@@ -114,17 +76,9 @@ let in_prefixes prefixes file =
 let is_hot_attr attrs =
   List.exists (fun a -> a.attr_name.Location.txt = "vstat.hot") attrs
 
-let is_entry_attr attrs =
-  List.exists (fun a -> a.attr_name.Location.txt = "vstat.entry") attrs
-
 (* --- emission ---------------------------------------------------------- *)
 
-(* [emit'] reports whether the diagnostic was actually recorded: the deep
-   pass needs to know, because a suppressed nondeterminism site is a
-   sanctioned one and must NOT become a taint source (the runtime's
-   whitelisted wall-clock reads would otherwise taint every entry
-   point). *)
-let emit' st ~rule ~loc message =
+let emit st ~rule ~loc message =
   let line = loc.Location.loc_start.Lexing.pos_lnum in
   let col =
     loc.Location.loc_start.Lexing.pos_cnum
@@ -135,23 +89,9 @@ let emit' st ~rule ~loc message =
     || List.mem rule st.file_allows
     || Allowlist.allows st.cfg.allow ~rule ~file:st.file ~line
   in
-  if suppressed then false
-  else begin
+  if not suppressed then
     st.diags <-
-      Diagnostic.make ~rule ~file:st.file ~line ~col message :: st.diags;
-    true
-  end
-
-let emit st ~rule ~loc message = ignore (emit' st ~rule ~loc message)
-
-let emit_nondet st ~rule ~loc ~what message =
-  if emit' st ~rule ~loc message then
-    match st.cur with
-    | Some a ->
-      a.a_nondet <-
-        { Summary.nline = loc.Location.loc_start.Lexing.pos_lnum; nwhat = what }
-        :: a.a_nondet
-    | None -> ()
+      Diagnostic.make ~rule ~file:st.file ~line ~col message :: st.diags
 
 (* --- expression classification ----------------------------------------- *)
 
@@ -227,24 +167,21 @@ let hot_banned_array_fns =
 
 let check_ident st loc path =
   (match unqual path with
-  | "Random" :: _ as p ->
-    emit_nondet st ~rule:Rules.determinism_random ~loc
-      ~what:(String.concat "." p)
+  | "Random" :: _ ->
+    emit st ~rule:Rules.determinism_random ~loc
       "Random.* breaks jobs:1 == jobs:N determinism; draw from a \
        counter-indexed Vstat_util.Rng substream instead (allowed only in \
        lib/util/rng.ml)"
-  | ( [ "Unix"; ("gettimeofday" | "time") ]
-    | [ "Sys"; "time" ]
-    | [ "Monotonic_clock"; "now" ] ) as p ->
-    emit_nondet st ~rule:Rules.determinism_wallclock ~loc
-      ~what:(String.concat "." p)
+  | [ "Unix"; ("gettimeofday" | "time") ]
+  | [ "Sys"; "time" ]
+  | [ "Monotonic_clock"; "now" ] ->
+    emit st ~rule:Rules.determinism_wallclock ~loc
       "wall-clock reads are forbidden outside the sanctioned clock \
        (Vstat_runtime.Deadline.now_ns): sample values must be pure \
        functions of (index, substream)"
   | [ "Hashtbl"; (("iter" | "fold") as fn) ] ->
     if st.sorted_ctx = 0 then
-      emit_nondet st ~rule:Rules.determinism_hashtbl ~loc
-        ~what:("Hashtbl." ^ fn)
+      emit st ~rule:Rules.determinism_hashtbl ~loc
         (Printf.sprintf
            "Hashtbl.%s traverses buckets in unspecified order and no \
             adjacent List.sort/sort_uniq/Array.sort re-establishes a total \
@@ -341,268 +278,27 @@ let contains_sort expr0 =
   it.expr it expr0;
   !found
 
-(* --- summary collection helpers ----------------------------------------- *)
-
-let is_module_seg s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
-
-(* Stdlib module heads never resolve to project code; dropping them here
-   keeps summaries small.  No source file in the repository shares a
-   basename with any of these (checked; [engine.ml] is the only duplicated
-   basename and it is a project name). *)
-let stdlib_modules =
-  [
-    "Arg"; "Array"; "ArrayLabels"; "Atomic"; "Bigarray"; "Bool"; "Buffer";
-    "Bytes"; "Callback"; "Char"; "Complex"; "Condition"; "Digest"; "Domain";
-    "Effect"; "Either"; "Ephemeron"; "Filename"; "Float"; "Format"; "Fun";
-    "Gc"; "Hashtbl"; "In_channel"; "Int"; "Int32"; "Int64"; "Lazy";
-    "Lexing"; "List"; "ListLabels"; "Map"; "Marshal"; "MoreLabels";
-    "Mutex"; "Nativeint"; "Obj"; "Oo"; "Option"; "Out_channel"; "Parsing";
-    "Printexc"; "Printf"; "Queue"; "Random"; "Result"; "Scanf";
-    "Semaphore"; "Seq"; "Set"; "Stack"; "Stdlib"; "Str"; "String";
-    "StringLabels"; "Sys"; "Type"; "Uchar"; "Unit"; "Unix"; "Weak";
-  ]
-
-let rec pat_names acc p =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> txt :: acc
-  | Ppat_alias (p, { txt; _ }) -> pat_names (txt :: acc) p
-  | Ppat_tuple ps | Ppat_array ps -> List.fold_left pat_names acc ps
-  | Ppat_construct (_, Some (_, p))
-  | Ppat_variant (_, Some p)
-  | Ppat_constraint (p, _)
-  | Ppat_lazy p
-  | Ppat_open (_, p)
-  | Ppat_exception p ->
-    pat_names acc p
-  | Ppat_record (fields, _) ->
-    List.fold_left (fun acc (_, p) -> pat_names acc p) acc fields
-  | Ppat_or (a, b) -> pat_names (pat_names acc a) b
-  | _ -> acc
-
-let push_locals st names =
-  List.iter
-    (fun n ->
-      Hashtbl.replace st.locals n
-        (1 + Option.value ~default:0 (Hashtbl.find_opt st.locals n)))
-    names
-
-let pop_locals st names =
-  List.iter
-    (fun n ->
-      match Hashtbl.find_opt st.locals n with
-      | Some 1 -> Hashtbl.remove st.locals n
-      | Some c -> Hashtbl.replace st.locals n (c - 1)
-      | None -> ())
-    names
-
-let with_locals st names f =
-  push_locals st names;
-  Fun.protect ~finally:(fun () -> pop_locals st names) f
-
-let rec binding_name p =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint (p, _) -> binding_name p
-  | _ -> None
-
-let dotted st name = String.concat "." (List.rev (name :: st.mod_prefix))
-
-(* Accesses lexically under these application heads execute inside a
-   guarded region (or are themselves atomic operations). *)
-let is_guard_head path =
-  match unqual path with
-  | [ "Mutex"; "protect" ] | [ "Domain"; "DLS"; _ ] -> true
-  | "Atomic" :: _ -> true
-  | _ -> false
-
-(* Structure-level mutable state the domain-safety rule tracks.  Arrays,
-   [Atomic.t] and [Lazy.t] bindings are deliberately excluded: atomics are
-   the sanctioned mechanism, and flagging every preallocated array would
-   drown the rule in noise the per-call-site guard analysis cannot
-   resolve. *)
-let rec classify_global st e =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) -> classify_global st e
-  | Pexp_apply (f, [ _ ]) when unqual (path_of f) = [ "ref" ] -> Some "ref"
-  | Pexp_apply (f, _) -> (
-    match unqual (path_of f) with
-    | [ (("Hashtbl" | "Buffer" | "Queue" | "Stack") as m); "create" ] ->
-      Some m
-    | _ -> None)
-  | Pexp_record (fields, _)
-    when List.exists
-           (fun (({ Location.txt; _ } : Longident.t Location.loc), _) ->
-             match
-               List.rev (try Longident.flatten txt with _ -> [])
-             with
-             | fld :: _ ->
-               Hashtbl.mem st.mfields fld
-               && not (Hashtbl.mem st.ifields fld)
-             | [] -> false)
-           fields ->
-    Some "mutable-record"
-  | _ -> None
-
-let record_ref st loc path =
-  match st.cur with
-  | None -> ()
-  | Some a -> (
-    let p = unqual path in
-    (match p with
-    | [ "Domain"; "spawn" ] -> a.a_spawner <- true
-    | [ "Mutex"; ("lock" | "protect") ] -> a.a_locks <- true
-    | _ -> ());
-    let interesting =
-      match p with
-      | [ x ] ->
-        (not (is_module_seg x))
-        && Hashtbl.mem st.topdefs x
-        && not (Hashtbl.mem st.locals x)
-      | m :: _ :: _ -> is_module_seg m && not (List.mem m stdlib_modules)
-      | _ -> false
-    in
-    if interesting then
-      a.a_refs <-
-        {
-          Summary.callee = p;
-          rline = loc.Location.loc_start.Lexing.pos_lnum;
-          rguarded = st.guard > 0;
-          rallow_ds =
-            List.exists (List.mem Rules.domain_safety) st.scopes
-            || List.mem Rules.domain_safety st.file_allows;
-        }
-        :: a.a_refs)
-
-let flush_cur st =
-  match st.cur with
-  | None -> ()
-  | Some a ->
-    st.s_funcs <-
-      {
-        Summary.fname = a.a_name;
-        fline = a.a_line;
-        fentry = a.a_entry;
-        fspawner = a.a_spawner;
-        flocks = a.a_locks;
-        fallow_taint = a.a_allow_taint;
-        refs = List.rev a.a_refs;
-        nondet = List.rev a.a_nondet;
-      }
-      :: st.s_funcs;
-    st.cur <- None
-
-let rec unwrap_mod me =
-  match me.pmod_desc with
-  | Pmod_constraint (m, _) -> unwrap_mod m
-  | _ -> me
-
-let module_expr_path me =
-  match (unwrap_mod me).pmod_desc with
-  | Pmod_ident { txt; _ } -> ( try Some (Longident.flatten txt) with _ -> None)
-  | _ -> None
-
-let record_open st me =
-  match module_expr_path me with
-  | Some p -> st.s_opens <- p :: st.s_opens
-  | None -> ()
-
-(* Pre-pass filling [topdefs] (bare structure-level value names, including
-   inside inline submodules) and [mfields] (record fields declared
-   [mutable] in this file) — both are needed before the main walk starts:
-   bare-identifier references and mutable-record globals can appear before
-   or after the definitions that make them meaningful. *)
-let prepass st structure =
-  let rec item si =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) ->
-      List.iter
-        (fun vb ->
-          match binding_name vb.pvb_pat with
-          | Some n -> Hashtbl.replace st.topdefs n ()
-          | None -> ())
-        vbs
-    | Pstr_type (_, decls) ->
-      List.iter
-        (fun d ->
-          match d.ptype_kind with
-          | Ptype_record fields ->
-            List.iter
-              (fun f ->
-                if f.pld_mutable = Asttypes.Mutable then
-                  Hashtbl.replace st.mfields f.pld_name.Location.txt ()
-                else Hashtbl.replace st.ifields f.pld_name.Location.txt ())
-              fields
-          | _ -> ())
-        decls
-    | Pstr_module mb -> (
-      match (unwrap_mod mb.pmb_expr).pmod_desc with
-      | Pmod_structure items -> List.iter item items
-      | _ -> ())
-    | _ -> ()
-  in
-  List.iter item structure
-
 (* --- the iterator ------------------------------------------------------ *)
 
-let rec unwrap_funs_names acc e =
+(* The body past a binding's own parameter chain. *)
+let rec unwrap_funs e =
   match e.pexp_desc with
-  | Pexp_fun (_, _, pat, body) -> unwrap_funs_names (pat_names acc pat) body
-  | Pexp_newtype (_, body) -> unwrap_funs_names acc body
-  | _ -> (acc, e)
+  | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) -> unwrap_funs body
+  | _ -> e
 
 let make_iterator st =
-  (* Structural recursion with scope bookkeeping: binding forms push their
-     pattern names onto [st.locals] around the subtree where the binding
-     is visible (so a parameter shadowing a structure-level name never
-     becomes a call-graph edge), and guarded application heads bump
-     [st.guard] around their arguments. *)
-  let recurse self e =
-    match e.pexp_desc with
-    | Pexp_fun (_, dflt, pat, body) ->
-      Option.iter (self.Ast_iterator.expr self) dflt;
-      self.Ast_iterator.pat self pat;
-      with_locals st (pat_names [] pat) (fun () ->
-          self.Ast_iterator.expr self body)
-    | Pexp_let (rf, vbs, body) ->
-      let names = List.concat_map (fun vb -> pat_names [] vb.pvb_pat) vbs in
-      if rf = Asttypes.Recursive then
-        with_locals st names (fun () ->
-            List.iter (self.Ast_iterator.value_binding self) vbs;
-            self.Ast_iterator.expr self body)
-      else begin
-        List.iter (self.Ast_iterator.value_binding self) vbs;
-        with_locals st names (fun () -> self.Ast_iterator.expr self body)
-      end
-    | Pexp_for (pat, e1, e2, _, body) ->
-      self.Ast_iterator.pat self pat;
-      self.Ast_iterator.expr self e1;
-      self.Ast_iterator.expr self e2;
-      with_locals st (pat_names [] pat) (fun () ->
-          self.Ast_iterator.expr self body)
-    | Pexp_apply (f, args) when is_guard_head (path_of f) ->
-      self.Ast_iterator.expr self f;
-      st.guard <- st.guard + 1;
-      List.iter (fun (_, a) -> self.Ast_iterator.expr self a) args;
-      st.guard <- st.guard - 1
-    | _ -> Ast_iterator.default_iterator.expr self e
-  in
   let expr self e =
     let rules = Allowlist.allow_rules e.pexp_attributes in
     st.scopes <- rules :: st.scopes;
     (match e.pexp_desc with
-    | Pexp_ident _ ->
-      let p = path_of e in
-      check_ident st e.pexp_loc p;
-      record_ref st e.pexp_loc p
+    | Pexp_ident _ -> check_ident st e.pexp_loc (path_of e)
     | Pexp_apply (f, args) -> check_apply st e.pexp_loc f args
-    | Pexp_open (od, _) -> record_open st od.popen_expr
     | _ -> ());
     (if is_hot_attr e.pexp_attributes then begin
        (* An expression-level hot marker: lint its body (past the parameter
           chain) in hot context. *)
        st.hot <- st.hot + 1;
-       let names, body = unwrap_funs_names [] e in
-       with_locals st names (fun () -> self.Ast_iterator.expr self body);
+       self.Ast_iterator.expr self (unwrap_funs e);
        st.hot <- st.hot - 1
      end
      else begin
@@ -613,108 +309,36 @@ let make_iterator st =
             call; hoist it to a toplevel function taking its environment \
             as arguments"
        | _ -> ());
-       recurse self e
+       Ast_iterator.default_iterator.expr self e
      end);
     st.scopes <- List.tl st.scopes
   in
-  let case self c =
-    self.Ast_iterator.pat self c.pc_lhs;
-    with_locals st (pat_names [] c.pc_lhs) (fun () ->
-        Option.iter (self.Ast_iterator.expr self) c.pc_guard;
-        self.Ast_iterator.expr self c.pc_rhs)
-  in
   let value_binding self vb =
-    let struct_level = st.at_struct in
-    st.at_struct <- false;
     let rules = Allowlist.allow_rules vb.pvb_attributes in
     let hot = is_hot_attr vb.pvb_attributes in
     let sorted = contains_sort vb.pvb_expr in
     st.scopes <- rules :: st.scopes;
     if sorted then st.sorted_ctx <- st.sorted_ctx + 1;
-    let started =
-      if struct_level && Option.is_none st.cur then
-        match binding_name vb.pvb_pat with
-        | Some name -> (
-          let line = vb.pvb_loc.Location.loc_start.Lexing.pos_lnum in
-          match classify_global st vb.pvb_expr with
-          | Some kind ->
-            st.s_globals <-
-              { Summary.gname = dotted st name; gline = line; gkind = kind }
-              :: st.s_globals;
-            false
-          | None ->
-            st.cur <-
-              Some
-                {
-                  a_name = dotted st name;
-                  a_line = line;
-                  a_entry = is_entry_attr vb.pvb_attributes;
-                  a_allow_taint = List.mem Rules.determinism_taint rules;
-                  a_spawner = false;
-                  a_locks = false;
-                  a_refs = [];
-                  a_nondet = [];
-                };
-            true)
-        | None -> false
-      else false
-    in
     (if hot then begin
        (* Skip the binding's own parameter chain (those [fun]s are the
           function being marked, not closures allocated inside it). *)
        st.hot <- st.hot + 1;
        self.Ast_iterator.pat self vb.pvb_pat;
-       let names, body = unwrap_funs_names [] vb.pvb_expr in
-       with_locals st names (fun () -> self.Ast_iterator.expr self body);
+       self.Ast_iterator.expr self (unwrap_funs vb.pvb_expr);
        st.hot <- st.hot - 1
      end
      else Ast_iterator.default_iterator.value_binding self vb);
-    if started then flush_cur st;
     if sorted then st.sorted_ctx <- st.sorted_ctx - 1;
     st.scopes <- List.tl st.scopes
   in
-  let rec handle_module self mb =
-    match mb.pmb_name.Location.txt with
-    | None -> Ast_iterator.default_iterator.module_binding self mb
-    | Some name -> (
-      match (unwrap_mod mb.pmb_expr).pmod_desc with
-      | Pmod_ident { txt; _ } -> (
-        match (try Some (Longident.flatten txt) with _ -> None) with
-        | Some p -> st.s_aliases <- (name, p) :: st.s_aliases
-        | None -> ())
-      | Pmod_structure items ->
-        st.mod_prefix <- name :: st.mod_prefix;
-        List.iter (self.Ast_iterator.structure_item self) items;
-        st.mod_prefix <- List.tl st.mod_prefix
-      | _ -> Ast_iterator.default_iterator.module_binding self mb)
-  and structure_item self si =
-    match si.pstr_desc with
+  let structure_item self si =
+    (match si.pstr_desc with
     | Pstr_attribute a when a.attr_name.Location.txt = "vstat.allow" ->
-      st.file_allows <- Allowlist.payload_strings a.attr_payload @ st.file_allows;
-      Ast_iterator.default_iterator.structure_item self si
-    | Pstr_value (_, vbs) ->
-      (* [at_struct] is re-armed per binding: a [let a = .. and b = ..]
-         group defines several structure-level values. *)
-      List.iter
-        (fun vb ->
-          st.at_struct <- true;
-          self.Ast_iterator.value_binding self vb)
-        vbs;
-      st.at_struct <- false
-    | Pstr_module mb -> handle_module self mb
-    | Pstr_recmodule mbs -> List.iter (handle_module self) mbs
-    | Pstr_open od ->
-      record_open st od.popen_expr;
-      Ast_iterator.default_iterator.structure_item self si
-    | _ -> Ast_iterator.default_iterator.structure_item self si
+      st.file_allows <- Allowlist.payload_strings a.attr_payload @ st.file_allows
+    | _ -> ());
+    Ast_iterator.default_iterator.structure_item self si
   in
-  {
-    Ast_iterator.default_iterator with
-    expr;
-    case;
-    value_binding;
-    structure_item;
-  }
+  { Ast_iterator.default_iterator with expr; value_binding; structure_item }
 
 (* --- parsing and entry points ------------------------------------------ *)
 
@@ -729,11 +353,7 @@ let parse_implementation_string path src =
   Location.init lexbuf path;
   Parse.implementation lexbuf
 
-let modname_of path =
-  String.capitalize_ascii
-    (Filename.remove_extension (Filename.basename path))
-
-let analyze_file cfg path =
+let lint_file cfg path =
   let st =
     {
       cfg;
@@ -745,24 +365,11 @@ let analyze_file cfg path =
       file_allows = [];
       hot = 0;
       sorted_ctx = 0;
-      cur = None;
-      at_struct = false;
-      guard = 0;
-      mod_prefix = [];
-      s_aliases = [];
-      s_opens = [];
-      s_globals = [];
-      s_funcs = [];
-      topdefs = Hashtbl.create 64;
-      mfields = Hashtbl.create 16;
-      ifields = Hashtbl.create 64;
-      locals = Hashtbl.create 64;
     }
   in
   let src = read_source path in
   (match parse_implementation_string path src with
   | structure ->
-    prepass st structure;
     let it = make_iterator st in
     it.Ast_iterator.structure it structure
   | exception exn ->
@@ -774,23 +381,7 @@ let analyze_file cfg path =
       | _ -> (Location.none, Printexc.to_string exn)
     in
     emit st ~rule:Rules.parse_error ~loc msg);
-  flush_cur st;
-  let diags = List.sort Diagnostic.compare st.diags in
-  let summary =
-    {
-      Summary.sfile = path;
-      modname = modname_of path;
-      floors = List.sort_uniq String.compare st.file_allows;
-      aliases = List.rev st.s_aliases;
-      opens = List.rev st.s_opens;
-      globals = List.rev st.s_globals;
-      funcs = List.rev st.s_funcs;
-      diags;
-    }
-  in
-  (diags, summary)
-
-let lint_file cfg path = fst (analyze_file cfg path)
+  List.sort Diagnostic.compare st.diags
 
 (* Deterministic directory walk: readdir order is unspecified, so entries
    are sorted before descent.  [suffix] selects the files kept. *)
@@ -830,18 +421,29 @@ type deep_result = {
   deep_diags : Diagnostic.t list;
 }
 
-(* Phase 1 is a serial map over the sorted file list, so phase 2 consumes
-   summaries in path order and the report is deterministic.  The
-   unused-export rule reads the typed trees found under the same paths;
-   a source tree without them gives it nothing to check. *)
+exception No_typed_trees of string list
+
+(* The per-file rules run first, serially over the sorted file list; their
+   determinism findings are the deep pass's direct taint sources.  The
+   three cross-module rules then read the typed trees found under the
+   same paths, in path order, so the report is deterministic.  Without
+   any [.cmt] they would check nothing, so that is an error. *)
 let run_deep ?excludes cfg paths =
   let files = collect_files ?excludes paths in
-  let summaries = List.map (fun path -> snd (analyze_file cfg path)) files in
-  let per_file = List.concat_map (fun s -> s.Summary.diags) summaries in
-  let deep = Taint.analyze ~allow:cfg.allow summaries in
+  let cmts = collect_files ?excludes ~suffix:".cmt" paths in
+  if cmts = [] then raise (No_typed_trees paths);
+  let per_file = List.concat_map (lint_file cfg) files in
+  let sources =
+    List.filter
+      (fun (d : Diagnostic.t) ->
+        List.mem d.rule
+          Rules.[ determinism_random; determinism_wallclock; determinism_hashtbl ])
+      per_file
+  in
+  let program = Program.scan ~sources cmts in
+  let deep = Taint.analyze ~allow:cfg.allow program in
   let unused =
-    Unused_export.check ~allow:cfg.allow
-      ~cmts:(collect_files ?excludes ~suffix:".cmt" paths)
+    Unused_export.check ~allow:cfg.allow program
       ~cmtis:(collect_files ?excludes ~suffix:".cmti" paths)
   in
   {

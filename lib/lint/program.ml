@@ -1,0 +1,386 @@
+(* The typed whole program the three deep rules read: one [Tast_iterator]
+   walk per [.cmt] that dune writes for @check.
+
+   A name-based graph may drop an edge, and a dropped edge is a missed
+   taint or race (or a false "unused"), so every path is resolved
+   exactly:
+
+   - a persistent identifier names a unit ([Vstat_stats__Descriptive]);
+   - a module alias ([module D = Vstat_stats.Descriptive], [let module],
+     or the [module Descriptive = Vstat_stats__Descriptive] lines of a
+     dune wrapper) is keyed by its [Ident.t] inside its unit and, when it
+     sits at structure level, by its dotted path for other units;
+   - a structure-level value or submodule is keyed by its [Ident.t] too,
+     so a local binding that shadows it is never mistaken for it;
+   - [open M] needs no tracking: the typed path of every identifier is
+     already qualified.
+
+   Executable modules of different directories share the unit names
+   [Dune__exe__*], so those are qualified by their object directory.
+
+   The walk records, for unused-export, every value and whole-module use;
+   for determinism-taint and domain-safety, one [node] per structure-level
+   [let] with its identifier uses (the call and access edges), its direct
+   nondeterminism sources and its guard context.  The direct sources are
+   the per-file determinism findings, matched to the identifier at their
+   location, so a sanctioned site never taints.  Blind spots: units
+   outside the scanned paths, and the [.cmt] of a file that does not
+   compile. *)
+
+open Typedtree
+
+(* A module or value as seen from outside its unit: the unit's module
+   name and the dotted path inside it ([[]] is the unit itself). *)
+type key = string * string list
+
+(* One identifier use inside a node, at its source position. *)
+type access = {
+  target : key;
+  line : int;
+  col : int;
+  guarded : bool;  (* under Mutex.protect / Atomic.* / Domain.DLS *)
+  allow_ds : bool;  (* "domain-safety" allowed at the use *)
+}
+
+type node = {
+  key : key;
+  file : string;
+  line : int;
+  state : string option;
+      (* module-level mutable state ("ref", "Hashtbl", ...,
+         "mutable-record"); [None] for every other binding *)
+  entry : bool;  (* [@vstat.entry] *)
+  allow_taint : bool;  (* binding carries [@vstat.allow "determinism-taint"] *)
+  mutable spawner : bool;  (* uses Domain.spawn *)
+  mutable locks : bool;  (* uses Mutex.lock / Mutex.protect *)
+  mutable accesses : access list;  (* in (line, col) order once scanned *)
+  mutable sources : (int * string) list;  (* line, source as written *)
+}
+
+type t = {
+  aliases : (key, key) Hashtbl.t;  (* structure-level aliases, all units *)
+  mutable uses : (string * key) list;  (* referencing unit, value used *)
+  mutable wholes : (string * key) list;  (* referencing unit, module used *)
+  nodes : (key, node) Hashtbl.t;
+  mutable order : node list;  (* (file, line) order once scanned *)
+  mutable floors : (string * string) list;  (* [@@@vstat.allow]: file, rule *)
+}
+
+(* Walk state for one [.cmt]. *)
+type walk = {
+  modname : string;
+  dir : string;  (* object directory, qualifying [Dune__exe] units *)
+  file : string;
+  sources : (int * int, unit) Hashtbl.t;  (* (line, col) of direct sources *)
+  locals : key Ident.Tbl.t;  (* module and value identifiers *)
+  mutable path : string list option;
+      (* dotted path of the enclosing structure while it is reachable
+         from other units; [None] inside functors and expressions *)
+  mutable cur : node option;  (* enclosing structure-level binding *)
+  mutable guard : int;
+  mutable scopes : string list list;  (* [@vstat.allow] stack *)
+}
+
+let unit_name ~dir name =
+  if String.starts_with ~prefix:"Dune__exe" name then dir ^ ":" ^ name
+  else name
+
+let rec raw_key w = function
+  | Path.Pident id ->
+    if Ident.persistent id then Some (unit_name ~dir:w.dir (Ident.name id), [])
+    else Ident.Tbl.find_opt w.locals id
+  | Path.Pdot (p, s) ->
+    Option.map (fun (u, cs) -> (u, cs @ [ s ])) (raw_key w p)
+  | Path.Papply _ | Path.Pextra_ty _ -> None
+
+(* The path inside the standard library, [[]] for anything else. *)
+let stdlib = function Some ("Stdlib", cs) -> cs | _ -> []
+
+let stdlib_of w e =
+  match e.exp_desc with
+  | Texp_ident (p, _, _) -> stdlib (raw_key w p)
+  | _ -> []
+
+(* Accesses in the arguments of these heads execute inside a guarded
+   region (or are themselves atomic operations). *)
+let is_guard = function
+  | [ "Mutex"; "protect" ] | "Domain" :: "DLS" :: _ | "Atomic" :: _ -> true
+  | _ -> false
+
+(* The structure-level mutable state domain-safety tracks.  Arrays,
+   [Atomic.t] and [Lazy.t] bindings are deliberately excluded: atomics
+   are the sanctioned mechanism, and flagging every preallocated array
+   would drown the rule in noise the per-access guard analysis cannot
+   resolve.  A record is mutable when its type has a mutable label. *)
+let state_kind w e =
+  match e.exp_desc with
+  | Texp_apply (f, args) -> (
+    match (stdlib_of w f, args) with
+    | [ "ref" ], [ _ ] -> Some "ref"
+    | [ (("Hashtbl" | "Buffer" | "Queue" | "Stack") as m); "create" ], _ ->
+      Some m
+    | _ -> None)
+  | Texp_record { fields; _ }
+    when Array.exists
+           (fun ((l : Types.label_description), _) ->
+             l.lbl_mut = Asttypes.Mutable)
+           fields ->
+    Some "mutable-record"
+  | _ -> None
+
+(* [module X = P] and its implicitly constrained form. *)
+let rec alias_path me =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint (me, _, Tmodtype_implicit, _) -> alias_path me
+  | _ -> None
+
+let rec is_structure me =
+  match me.mod_desc with
+  | Tmod_structure _ -> true
+  | Tmod_constraint (me, _, _, _) -> is_structure me
+  | _ -> false
+
+let bind_alias r w id name p =
+  match raw_key w p with
+  | None -> ()
+  | Some target -> (
+    Option.iter (fun id -> Ident.Tbl.replace w.locals id target) id;
+    match (w.path, name) with
+    | Some prefix, Some name ->
+      Hashtbl.replace r.aliases (w.modname, prefix @ [ name ]) target
+    | _ -> ())
+
+let use r w (e : expression) p (lid : Longident.t Location.loc) =
+  let k = raw_key w p in
+  Option.iter (fun k -> r.uses <- (w.modname, k) :: r.uses) k;
+  match w.cur with
+  | None -> ()
+  | Some n ->
+    let pos = e.exp_loc.Location.loc_start in
+    let line = pos.pos_lnum and col = pos.pos_cnum - pos.pos_bol in
+    (match stdlib k with
+    | [ "Domain"; "spawn" ] -> n.spawner <- true
+    | [ "Mutex"; ("lock" | "protect") ] -> n.locks <- true
+    | _ -> ());
+    Option.iter
+      (fun target ->
+        let allow_ds = List.exists (List.mem Rules.domain_safety) w.scopes in
+        n.accesses <-
+          { target; line; col; guarded = w.guard > 0; allow_ds } :: n.accesses)
+      k;
+    if Hashtbl.mem w.sources (line, col) then
+      let written =
+        match Longident.flatten lid.txt with
+        | "Stdlib" :: rest -> rest
+        | p -> p
+        | exception _ -> []
+      in
+      n.sources <- (line, String.concat "." written) :: n.sources
+
+let binding_name vb =
+  match vb.vb_pat.pat_desc with
+  | Tpat_var (id, name) | Tpat_alias (_, id, name) -> Some (id, name.txt)
+  | _ -> None
+
+let has_attr name attrs =
+  List.exists (fun (a : attribute) -> a.attr_name.txt = name) attrs
+
+(* One node per named structure-level binding of a reachable structure;
+   identifiers are registered before any body is walked, so a [let rec]
+   group sees itself. *)
+let structure_value r w self vbs =
+  let named =
+    List.map
+      (fun vb ->
+        match (binding_name vb, w.path) with
+        | Some (id, name), Some prefix ->
+          let key = (w.modname, prefix @ [ name ]) in
+          Ident.Tbl.replace w.locals id key;
+          (vb, Some key)
+        | _ -> (vb, None))
+      vbs
+  in
+  List.iter
+    (fun (vb, key) ->
+      match key with
+      | None -> self.Tast_iterator.value_binding self vb
+      | Some key ->
+        let n =
+          {
+            key;
+            file = w.file;
+            line = vb.vb_loc.loc_start.pos_lnum;
+            state = state_kind w vb.vb_expr;
+            entry = has_attr "vstat.entry" vb.vb_attributes;
+            allow_taint =
+              List.mem Rules.determinism_taint
+                (Allowlist.allow_rules vb.vb_attributes);
+            spawner = false;
+            locks = false;
+            accesses = [];
+            sources = [];
+          }
+        in
+        Hashtbl.replace r.nodes key n;
+        r.order <- n :: r.order;
+        w.cur <- Some n;
+        self.value_binding self vb;
+        w.cur <- None)
+    named
+
+let iterator r w =
+  let module I = Tast_iterator in
+  let super = I.default_iterator in
+  let expr self e =
+    let saved = w.path in
+    w.path <- None;
+    w.scopes <- Allowlist.allow_rules e.exp_attributes :: w.scopes;
+    (match e.exp_desc with
+    | Texp_ident (p, lid, _) ->
+      use r w e p lid;
+      super.expr self e
+    | Texp_apply (f, args) when is_guard (stdlib_of w f) ->
+      self.expr self f;
+      w.guard <- w.guard + 1;
+      List.iter (fun (_, a) -> Option.iter (self.expr self) a) args;
+      w.guard <- w.guard - 1
+    | Texp_letmodule (id, name, _, me, body) -> (
+      match alias_path me with
+      | Some p ->
+        bind_alias r w id name.txt p;
+        self.expr self body
+      | None -> super.expr self e)
+    | _ -> super.expr self e);
+    w.scopes <- List.tl w.scopes;
+    w.path <- saved
+  and value_binding self vb =
+    w.scopes <- Allowlist.allow_rules vb.vb_attributes :: w.scopes;
+    super.value_binding self vb;
+    w.scopes <- List.tl w.scopes
+  and module_expr self me =
+    match me.mod_desc with
+    | Tmod_ident (p, _) ->
+      Option.iter
+        (fun k -> r.wholes <- (w.modname, k) :: r.wholes)
+        (raw_key w p)
+    | Tmod_structure _ | Tmod_constraint _ -> super.module_expr self me
+    | _ ->
+      let saved = w.path in
+      w.path <- None;
+      super.module_expr self me;
+      w.path <- saved
+  and structure_item self si =
+    match si.str_desc with
+    | Tstr_value (_, vbs) when Option.is_none w.cur ->
+      structure_value r w self vbs
+    | Tstr_attribute a ->
+      List.iter
+        (fun rule -> r.floors <- (w.file, rule) :: r.floors)
+        (Allowlist.allow_rules [ a ])
+    | Tstr_module { mb_id; mb_name; mb_expr; _ } -> (
+      match alias_path mb_expr with
+      | Some p -> bind_alias r w mb_id mb_name.txt p
+      | None ->
+        let saved = w.path in
+        (w.path <-
+           match (saved, mb_name.txt) with
+           | Some prefix, Some name when is_structure mb_expr ->
+             let path = prefix @ [ name ] in
+             Option.iter
+               (fun id -> Ident.Tbl.replace w.locals id (w.modname, path))
+               mb_id;
+             Some path
+           | _ -> None);
+        super.structure_item self si;
+        w.path <- saved)
+    | _ -> super.structure_item self si
+  (* [open M] brings names into scope; the uses are the idents. *)
+  and open_declaration self od =
+    match alias_path od.open_expr with
+    | Some _ -> ()
+    | None -> super.open_declaration self od
+  in
+  { super with expr; value_binding; module_expr; structure_item; open_declaration }
+
+(* Follow structure-level aliases until the key names a unit's own
+   module path.  The step bound stops a (malformed) alias cycle. *)
+let normalize aliases (u, cs) =
+  let rec go steps (u, cs) =
+    let rec split pre = function
+      | [] -> None
+      | c :: rest -> (
+        let pre = pre @ [ c ] in
+        match Hashtbl.find_opt aliases (u, pre) with
+        | Some (u', cs') -> Some (u', cs' @ rest)
+        | None -> split pre rest)
+    in
+    if steps = 0 then (u, cs)
+    else match split [] cs with Some k -> go (steps - 1) k | None -> (u, cs)
+  in
+  go 64 (u, cs)
+
+let same_file a b =
+  Allowlist.path_matches ~entry:a b || Allowlist.path_matches ~entry:b a
+
+(* [scan ~sources cmts]: walk every [.cmt]; [sources] are the per-file
+   determinism findings that become direct taint sources. *)
+let scan ~(sources : Diagnostic.t list) cmts =
+  let r =
+    {
+      aliases = Hashtbl.create 64;
+      uses = [];
+      wholes = [];
+      nodes = Hashtbl.create 1024;
+      order = [];
+      floors = [];
+    }
+  in
+  List.iter
+    (fun path ->
+      let infos = Cmt_format.read_cmt path in
+      match infos.cmt_annots with
+      | Implementation str ->
+        let file = Option.value ~default:path infos.cmt_sourcefile in
+        let here = Hashtbl.create 4 in
+        List.iter
+          (fun (d : Diagnostic.t) ->
+            if same_file d.file file then Hashtbl.replace here (d.line, d.col) ())
+          sources;
+        let dir = Filename.dirname path in
+        let w =
+          {
+            modname = unit_name ~dir infos.cmt_modname;
+            dir;
+            file;
+            sources = here;
+            locals = Ident.Tbl.create 64;
+            path = Some [];
+            cur = None;
+            guard = 0;
+            scopes = [];
+          }
+        in
+        let it = iterator r w in
+        it.structure it str
+      | _ -> ())
+    cmts;
+  let resolve (a : access) = { a with target = normalize r.aliases a.target } in
+  r.order <-
+    List.sort
+      (fun (a : node) (b : node) ->
+        match String.compare a.file b.file with
+        | 0 -> Int.compare a.line b.line
+        | c -> c)
+      r.order;
+  List.iter
+    (fun n ->
+      n.accesses <-
+        List.sort
+          (fun (a : access) b ->
+            match Int.compare a.line b.line with
+            | 0 -> Int.compare a.col b.col
+            | c -> c)
+          (List.map resolve n.accesses))
+    r.order;
+  r

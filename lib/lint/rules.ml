@@ -93,8 +93,8 @@ let all =
       summary =
         "(--deep) no [@vstat.entry] hot entry point may transitively reach \
          an unsanctioned Random.* / wall-clock / unsorted-Hashtbl site \
-         through the project call graph; the finding carries the full \
-         cross-module call path";
+         through the call graph of the .cmt typed trees (dune build \
+         @check); the finding carries the full cross-module call path";
       invariant =
         "jobs:1 == jobs:N bit-identical Monte Carlo, made whole-program: \
          the per-file determinism rules only see direct uses, so a helper \
@@ -105,9 +105,10 @@ let all =
       id = domain_safety;
       summary =
         "(--deep) no module-level mutable state (ref / Hashtbl / Buffer / \
-         Queue / Stack / mutable-record binding at structure level) may be \
-         accessed without an Atomic.* / Mutex / Domain.DLS guard from code \
-         reachable from a domain root (a function containing Domain.spawn)";
+         Queue / Stack / record with a mutable label, at structure level) \
+         may be accessed without an Atomic.* / Mutex / Domain.DLS guard \
+         from code reachable from a domain root (a function using \
+         Domain.spawn); read from the .cmt typed trees";
       invariant =
         "the runtime pool and the vstatd worker share module state across \
          domains; an unguarded access reachable from a spawn site is a \
@@ -118,8 +119,7 @@ let all =
       summary =
         "(--deep) no [val] in an .mli (@lint finds them only in lib/) that \
          no other compilation unit references; read from the .cmti/.cmt \
-         typed trees under the scanned paths (dune build @check), so it is \
-         inert on a bare source tree";
+         typed trees under the scanned paths (dune build @check)";
       invariant =
         "the same results from less code: an export nothing else uses is \
          deleted, hidden in its .mli, or granted with a written reason";

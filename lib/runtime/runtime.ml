@@ -7,18 +7,22 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* Domain layers register classifiers mapping their typed exceptions to a
    census category (e.g. the circuit engine's [Diag.Solver_error] to its
-   diagnostic kind).  Registration happens at library initialization, before
-   any pool exists, so reads from worker domains race with nothing. *)
-let classifiers : (exn -> string option) list ref = ref []
+   diagnostic kind).  Registration happens at library initialization, but
+   the list is an atomic so that no ordering argument is needed for the
+   reads from worker domains. *)
+let classifiers : (exn -> string option) list Atomic.t = Atomic.make []
 
-let register_classifier f = classifiers := f :: !classifiers
+let rec register_classifier f =
+  let fs = Atomic.get classifiers in
+  if not (Atomic.compare_and_set classifiers fs (f :: fs)) then
+    register_classifier f
 
 let classify exn =
   let rec first = function
     | [] -> Printexc.exn_slot_name exn
     | f :: rest -> ( match f exn with Some c -> c | None -> first rest)
   in
-  first !classifiers
+  first (Atomic.get classifiers)
 
 type attempt_failure = {
   attempt : int;
@@ -68,7 +72,7 @@ let no_retry = { max_attempts = 1; retryable = (fun _ -> false) }
 
 (* --- worker-count policy --- *)
 
-let forced_jobs = ref None
+let forced_jobs = Atomic.make None
 
 let env_jobs () =
   match Sys.getenv_opt "VSTAT_JOBS" with
@@ -81,7 +85,7 @@ let env_jobs () =
       None)
 
 let default_jobs () =
-  match !forced_jobs with
+  match Atomic.get forced_jobs with
   | Some j -> j
   | None -> (
     match env_jobs () with
@@ -90,7 +94,7 @@ let default_jobs () =
 
 let set_default_jobs j =
   if j < 1 then invalid_arg "Runtime.set_default_jobs: jobs must be >= 1";
-  forced_jobs := Some j
+  Atomic.set forced_jobs (Some j)
 
 (* --- execution --- *)
 

@@ -4,3 +4,9 @@
 let run () =
   let d = Domain.spawn (fun () -> Fx_domain_mid.touch ()) in
   Domain.join d
+
+(* A second root that reaches the same state only through Mutex.protect:
+   it must stay silent. *)
+let run_guarded () =
+  let d = Domain.spawn (fun () -> Fx_domain_state.guarded_bump ()) in
+  Domain.join d

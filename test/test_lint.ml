@@ -31,6 +31,7 @@ let render (d : L.Diagnostic.t) =
 (* Sorted by (file, line): the engine's report order. *)
 let expected_golden =
   [
+    "lint_fixtures/deep/fx_taint_c.ml:4 determinism-random";
     "lint_fixtures/fx_allowfile.ml:5 float-compare";
     "lint_fixtures/fx_allowfile.ml:7 float-compare";
     "lint_fixtures/fx_determinism.ml:5 determinism-random";
@@ -54,7 +55,6 @@ let expected_golden =
     "lint_fixtures/fx_hot_array.ml:5 hot-path";
     "lint_fixtures/fx_hot_array.ml:7 hot-path";
     "lint_fixtures/fx_hot_array.ml:9 hot-path";
-    "lint_fixtures/fx_taint_c.ml:4 determinism-random";
     "lint_fixtures/fx_weighted_hot.ml:4 hot-path";
     "lint_fixtures/fx_weighted_hot.ml:6 hot-path";
     "lint_fixtures/fx_weighted_hot.ml:8 hot-path";
@@ -68,7 +68,7 @@ let expected_golden =
 let test_golden () =
   let cfg = L.Engine.default_config () in
   let files, diags = L.Engine.run cfg [ fixture_root ] in
-  Alcotest.(check int) "fixture files scanned" 19 files;
+  Alcotest.(check int) "fixture files scanned" 20 files;
   let parse_errors, rest =
     List.partition (fun d -> d.L.Diagnostic.rule = "parse-error") diags
   in
@@ -132,37 +132,52 @@ let render_trace (d : L.Diagnostic.t) =
   | [] -> ""
   | steps -> " | " ^ String.concat " \xe2\x86\x92 " steps
 
-(* The two deep rules, pinned exactly: one determinism-taint finding at the
-   [@vstat.entry] binding with the full 3-module call path down to the
-   Random.float, one domain-safety finding at the unguarded access with the
-   full path from the Domain.spawn root.  The sanctioned entry, the
-   Mutex.protect'd access and the file-floored fixture must all stay
-   silent. *)
+let deep_fixture = "test/lint_fixtures/deep/"
+
+let deep_findings () =
+  List.filter
+    (fun d ->
+      d.L.Diagnostic.rule = "determinism-taint"
+      || d.L.Diagnostic.rule = "domain-safety")
+    (L.Engine.run_deep (L.Engine.default_config ()) [ fixture_root ])
+      .L.Engine.deep_diags
+
+(* The two deep rules over the typed trees of the lint_fixtures/deep
+   library, pinned exactly.  determinism-taint: the 3-module chain down to
+   the Random.float, reached directly, through a [let module] alias and
+   through an [open].  domain-safety: the unguarded access with the full
+   path from the Domain.spawn root, and the mutable-record global whose
+   field name is immutable in another type of the same file.  The
+   sanctioned entry, the Mutex.protect'd access, the immutable record and
+   the file-floored fixture must all stay silent. *)
 let test_deep_golden () =
-  let cfg = L.Engine.default_config () in
-  let r = L.Engine.run_deep cfg [ fixture_root ] in
-  Alcotest.(check int) "fixture files" 19 r.L.Engine.deep_files;
-  let deep_only =
-    List.filter
-      (fun d ->
-        d.L.Diagnostic.rule = "determinism-taint"
-        || d.L.Diagnostic.rule = "domain-safety")
-      r.L.Engine.deep_diags
+  let r = L.Engine.run_deep (L.Engine.default_config ()) [ fixture_root ] in
+  Alcotest.(check int) "fixture files" 20 r.L.Engine.deep_files;
+  let f = ( ^ ) deep_fixture in
+  let arrow = " \xe2\x86\x92 " in
+  let taint line call =
+    Printf.sprintf
+      "%s:%d determinism-taint | %s:%d%s%s:3%sRandom.float (%s:4)"
+      (f "fx_taint_a.ml") line (f "fx_taint_a.ml") call arrow
+      (f "fx_taint_b.ml") arrow (f "fx_taint_c.ml")
   in
   Alcotest.(check (list string))
     "deep findings with full call paths"
     [
-      "lint_fixtures/fx_domain_state.ml:8 domain-safety | \
-       lint_fixtures/fx_domain_root.ml:4 (domain root 'run') \xe2\x86\x92 \
-       lint_fixtures/fx_domain_root.ml:5 \xe2\x86\x92 \
-       lint_fixtures/fx_domain_mid.ml:3 \xe2\x86\x92 \
-       lint_fixtures/fx_domain_state.ml:8";
-      "lint_fixtures/fx_taint_a.ml:6 determinism-taint | \
-       lint_fixtures/fx_taint_a.ml:6 \xe2\x86\x92 \
-       lint_fixtures/fx_taint_b.ml:3 \xe2\x86\x92 \
-       Random.float (lint_fixtures/fx_taint_c.ml:4)";
+      String.concat ""
+        [ f "fx_domain_record.ml:12 domain-safety | ";
+          f "fx_domain_record.ml:11 (domain root 'run')"; arrow;
+          f "fx_domain_record.ml:12" ];
+      String.concat ""
+        [ f "fx_domain_state.ml:8 domain-safety | ";
+          f "fx_domain_root.ml:4 (domain root 'run')"; arrow;
+          f "fx_domain_root.ml:5"; arrow; f "fx_domain_mid.ml:3"; arrow;
+          f "fx_domain_state.ml:8" ];
+      taint 6 6;
+      taint 14 16;
+      taint 18 20;
     ]
-    (List.map render_trace deep_only)
+    (List.map render_trace (deep_findings ()))
 
 (* The unused-export rule over the typed trees of the lint_fixtures/unused
    library: of Api's values, [used] has a direct user, [via_alias] a user
@@ -182,45 +197,29 @@ let test_unused_export () =
     [ "test/lint_fixtures/unused/api.mli:2 unused-export" ]
     (List.map render hits)
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
-(* Deleting a Mutex.protect guard must produce exactly one domain-safety
-   finding, at the now-unguarded access, with a witness path from the
-   Domain.spawn root. *)
+(* [guarded_bump] is [counter_bump] with its access inside Mutex.protect,
+   and each has its own domain root: deleting the guard is exactly the
+   difference between no finding and one at the access, with a witness
+   path from the Domain.spawn root. *)
 let test_guard_deletion () =
-  let src = Filename.temp_dir "vstat_lint_guard" "" in
-  write_file
-    (Filename.concat src "g_state.ml")
-    "let total = ref 0\n\
-     let lock = Mutex.create ()\n\
-     let bump () = Mutex.protect lock (fun () -> incr total)\n";
-  write_file
-    (Filename.concat src "g_root.ml")
-    "let run () = Domain.join (Domain.spawn (fun () -> G_state.bump ()))\n";
-  let cfg = L.Engine.default_config () in
-  let deep () =
+  let from_root root =
     List.filter
-      (fun d -> d.L.Diagnostic.rule = "domain-safety")
-      (L.Engine.run_deep cfg [ src ]).L.Engine.deep_diags
+      (fun d ->
+        d.L.Diagnostic.rule = "domain-safety"
+        && List.mem
+             (deep_fixture ^ "fx_domain_root.ml:" ^ root)
+             d.L.Diagnostic.trace)
+      (deep_findings ())
   in
-  Alcotest.(check int) "guarded access: silent" 0 (List.length (deep ()));
-  write_file
-    (Filename.concat src "g_state.ml")
-    "let total = ref 0\n\
-     let lock = Mutex.create ()\n\
-     let bump () = incr total\n";
-  match deep () with
+  Alcotest.(check int) "guarded access: silent" 0
+    (List.length (from_root "10 (domain root 'run_guarded')"));
+  match from_root "4 (domain root 'run')" with
   | [ d ] ->
-    Alcotest.(check string) "finding lands at the unguarded access"
-      "g_state.ml:3 domain-safety"
-      (Printf.sprintf "%s:%d %s"
-         (Filename.basename d.L.Diagnostic.file)
-         d.L.Diagnostic.line d.L.Diagnostic.rule);
-    Alcotest.(check bool) "trace walks root -> access" true
-      (List.length d.L.Diagnostic.trace >= 2)
+    Alcotest.(check string) "unguarded twin lands at the access"
+      (deep_fixture ^ "fx_domain_state.ml:8 domain-safety")
+      (render d);
+    Alcotest.(check int) "trace walks root -> access" 4
+      (List.length d.L.Diagnostic.trace)
   | ds ->
     Alcotest.failf "expected exactly one domain-safety finding, got %d"
       (List.length ds)
