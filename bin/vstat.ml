@@ -9,13 +9,8 @@ let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning))
 
-(* The pipeline build runs under the same controls as the experiments:
-   one watchdog instance is the whole process's budget. *)
 let pipeline samples_per_geometry seed =
-  let c = Vstat_experiments.Mc_compare.controls () in
-  Vstat_core.Pipeline.build ~seed ?checkpoint:c.checkpoint
-    ?deadline:c.deadline ~signals:c.signals
-    ~mc_per_geometry:samples_per_geometry ()
+  Vstat_core.Pipeline.build ~seed ~mc_per_geometry:samples_per_geometry ()
 
 open Cmdliner
 
@@ -178,12 +173,14 @@ let apply_controls c =
       Some (Vstat_runtime.Checkpoint.settings ~every:c.ckpt_every dir)
     | None, None -> None
   in
-  Vstat_experiments.Mc_compare.set_controls
+  Vstat_experiments.Mc_compare.set_inject c.inject;
+  (* Every Monte Carlo sweep of the invocation, the pipeline build's
+     included, runs under these controls. *)
+  Vstat_runtime.Checkpoint.set_controls
     {
       retry =
         (if c.retry > 1 then Vstat_runtime.Runtime.retry c.retry
          else Vstat_runtime.Runtime.no_retry);
-      inject = c.inject;
       checkpoint;
       (* One watchdog for the whole process: every subsequent run shares
          the same wall-clock budget (created here, at CLI-parse time — the
@@ -200,21 +197,21 @@ let apply_controls c =
    flag values must be a usage error (exit 2) instead.  [min_n] is the
    smallest sample count the command can summarize (a spread needs 2
    samples, a skewness or QQ plot 3). *)
-let samples_t ~min_n default =
-  let at_least =
-    let parse s =
-      match int_of_string_opt s with
-      | Some j when j >= min_n -> Ok j
-      | Some _ ->
-        Error
-          (`Msg (Printf.sprintf "must be at least %d for this command" min_n))
-      | None ->
-        Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
+let at_least min_n =
+  let parse s =
+    match int_of_string_opt s with
+    | Some j when j >= min_n -> Ok j
+    | Some _ ->
+      Error
+        (`Msg (Printf.sprintf "must be at least %d for this command" min_n))
+    | None ->
+      Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
   in
+  Arg.conv (parse, Format.pp_print_int)
+
+let samples_t ~min_n default =
   Arg.(
-    value & opt at_least default
+    value & opt (at_least min_n) default
     & info [ "n"; "samples" ] ~docv:"N"
         ~doc:
           (Printf.sprintf
@@ -222,11 +219,14 @@ let samples_t ~min_n default =
               at least %d)."
              min_n))
 
+(* A BPV observation is a spread, so it needs at least 2 golden samples. *)
 let geometry_mc_t =
   Arg.(
-    value & opt positive_int 2000
+    value & opt (at_least 2) 2000
     & info [ "bpv-samples" ] ~docv:"N"
-        ~doc:"Golden MC samples per geometry used for BPV observation.")
+        ~doc:
+          "Golden MC samples per geometry used for BPV observation (at \
+           least 2).")
 
 let std_formatter_flush () = Format.pp_print_flush Format.std_formatter ()
 
@@ -646,6 +646,13 @@ let () =
       | Some path -> ", snapshot at " ^ path ^ " (re-run with --resume)"
       | None -> " (no --checkpoint-dir, progress not persisted)");
     exit (128 + signal)
+  | exception Vstat_runtime.Checkpoint.Too_few_samples
+      { label; completed; needed; n } ->
+    std_formatter_flush ();
+    Format.eprintf
+      "vstat: %s: only %d/%d samples completed, at least %d needed@."
+      label completed n needed;
+    exit 1
   | exception Vstat_runtime.Journal.Rejected e ->
     Format.eprintf "vstat: cannot resume: %s@."
       (Vstat_runtime.Journal.error_to_string e);

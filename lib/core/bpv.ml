@@ -6,11 +6,9 @@ type observation = {
   sigma_cgg : float;
 }
 
-let observe_golden ?jobs ?checkpoint ?deadline ?signals ?label ?fingerprint
-    golden ~rng ~n ~vdd ~w_nm ~l_nm =
+let observe_golden ?jobs ?fingerprint ~label golden ~rng ~n ~vdd ~w_nm ~l_nm =
   let s =
-    Mc_device.of_bsim ?jobs ?checkpoint ?deadline ?signals ?label ?fingerprint
-      golden ~rng ~n ~w_nm ~l_nm ~vdd
+    Mc_device.of_bsim ?jobs ?fingerprint ~label golden ~rng ~n ~w_nm ~l_nm ~vdd
   in
   let acc_idsat, acc_log10_ioff, acc_cgg = Mc_device.summary s in
   {

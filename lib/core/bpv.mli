@@ -19,11 +19,8 @@ type observation = {
 
 val observe_golden :
   ?jobs:int ->
-  ?checkpoint:Vstat_runtime.Checkpoint.settings ->
-  ?deadline:(unit -> bool) ->
-  ?signals:int list ->
-  ?label:string ->
   ?fingerprint:string ->
+  label:string ->
   Bsim_statistical.t ->
   rng:Vstat_util.Rng.t -> n:int -> vdd:float ->
   w_nm:float -> l_nm:float ->
@@ -31,9 +28,10 @@ val observe_golden :
 (** "Measure" one geometry by Monte Carlo on the golden statistical model —
     the stand-in for the paper's silicon / design-kit measurements.  The MC
     runs on {!Vstat_runtime.Runtime} ([jobs] workers; result independent of
-    the worker count).  [checkpoint]/[deadline]/[signals]/[label] are
-    forwarded to {!Mc_device.of_bsim}: under a deadline the sigmas are
-    computed from the samples completed so far (degraded but unbiased). *)
+    the worker count).  It is one {!Mc_device.of_bsim} sweep named
+    [label], under the process-wide run controls: under a deadline the
+    sigmas are computed from the samples completed so far (degraded but
+    unbiased). *)
 
 type options = {
   tie_l_w : bool;

@@ -4,31 +4,15 @@ type samples = {
   cgg : float array;
 }
 
-let of_cells ~count cells =
-  let idsat = Array.make count 0.0 in
-  let log10_ioff = Array.make count 0.0 in
-  let cgg = Array.make count 0.0 in
-  let k = ref 0 in
-  Array.iter
-    (fun cell ->
-      match cell with
-      | Some (Ok (a, b, c)) ->
-        idsat.(!k) <- a;
-        log10_ioff.(!k) <- b;
-        cgg.(!k) <- c;
-        incr k
-      | Some (Error _) -> assert false
-      | None -> ())
-    cells;
-  assert (!k = count);
-  { idsat; log10_ioff; cgg }
-
-let run ?jobs ?checkpoint ?deadline ?signals ?(label = "mc_device")
-    ?fingerprint ~sampler ~rng ~n ~vdd () =
-  if n < 1 then invalid_arg "Mc_device.run: n >= 1";
+let run ?jobs ?fingerprint ~label ~sampler ~rng ~n ~vdd () =
+  if n < 2 then invalid_arg "Mc_device.run: n >= 2";
   let module C = Vstat_runtime.Checkpoint in
-  let o =
-    C.run ?jobs ?settings:checkpoint ?deadline ?signals ?fingerprint
+  (* Device metrics are closed-form: any exception is a programming error,
+     not statistical bad luck, so the budget is zero.  Under a deadline
+     the run is compacted over the completed samples (index order) — a
+     shorter but statistically valid draw. *)
+  let r =
+    C.collect ?jobs ~max_failure_frac:0.0 ?fingerprint
       ~codec:C.float_triple_codec ~label ~rng ~n
       ~f:(fun ~attempt:_ ~index:_ sample_rng ->
         let dev = sampler sample_rng in
@@ -37,22 +21,20 @@ let run ?jobs ?checkpoint ?deadline ?signals ?(label = "mc_device")
           Vstat_device.Metrics.cgg dev ~vdd ))
       ()
   in
-  (* Device metrics are closed-form: any exception is a programming error,
-     not statistical bad luck, so the budget is zero. *)
-  Vstat_runtime.Runtime.reraise_first_failure (C.completed_run o);
-  (* Under a deadline the arrays are compacted over the completed
-     samples (index order) — a shorter but statistically valid draw. *)
-  of_cells ~count:o.C.completed o.C.cells
+  let v = Vstat_runtime.Runtime.values r in
+  {
+    idsat = Array.map (fun (a, _, _) -> a) v;
+    log10_ioff = Array.map (fun (_, b, _) -> b) v;
+    cgg = Array.map (fun (_, _, c) -> c) v;
+  }
 
-let of_vs ?jobs ?checkpoint ?deadline ?signals ?label ?fingerprint t ~rng ~n
-    ~w_nm ~l_nm ~vdd =
-  run ?jobs ?checkpoint ?deadline ?signals ?label ?fingerprint
+let of_vs ?jobs ?fingerprint ~label t ~rng ~n ~w_nm ~l_nm ~vdd =
+  run ?jobs ?fingerprint ~label
     ~sampler:(fun rng -> Vs_statistical.sample_device t rng ~w_nm ~l_nm)
     ~rng ~n ~vdd ()
 
-let of_bsim ?jobs ?checkpoint ?deadline ?signals ?label ?fingerprint t ~rng ~n
-    ~w_nm ~l_nm ~vdd =
-  run ?jobs ?checkpoint ?deadline ?signals ?label ?fingerprint
+let of_bsim ?jobs ?fingerprint ~label t ~rng ~n ~w_nm ~l_nm ~vdd =
+  run ?jobs ?fingerprint ~label
     ~sampler:(fun rng -> Bsim_statistical.sample_device t rng ~w_nm ~l_nm)
     ~rng ~n ~vdd ()
 

@@ -23,7 +23,7 @@ let default_geometries =
     (1500.0, 40.0);
   ]
 
-let build ?(seed = 42) ?jobs ?checkpoint ?deadline ?signals
+let build ?(seed = 42) ?jobs
     ?(mc_per_geometry = 2000) ?(geometries = default_geometries)
     ?(vdd = Vstat_device.Cards.vdd_nominal) () =
   let rng = Vstat_util.Rng.create ~seed in
@@ -51,7 +51,7 @@ let build ?(seed = 42) ?jobs ?checkpoint ?deadline ?signals
   let observe pol golden =
     List.map
       (fun (w_nm, l_nm) ->
-        Bpv.observe_golden ?jobs ?checkpoint ?deadline ?signals
+        Bpv.observe_golden ?jobs
           ~label:(Printf.sprintf "bpv-%s-w%g-l%g" pol w_nm l_nm)
           ~fingerprint:
             (Printf.sprintf "pipeline:seed=%d:vdd=%g:n=%d" seed vdd

@@ -29,9 +29,6 @@ type t = {
 val build :
   ?seed:int ->
   ?jobs:int ->
-  ?checkpoint:Vstat_runtime.Checkpoint.settings ->
-  ?deadline:(unit -> bool) ->
-  ?signals:int list ->
   ?mc_per_geometry:int ->
   ?geometries:(float * float) list ->
   ?vdd:float ->
@@ -39,7 +36,8 @@ val build :
   t
 (** [jobs] is the {!Vstat_runtime.Runtime} worker count for the per-geometry
     sigma measurements (step 2); the built pipeline is bit-identical for any
-    [jobs] value.  [checkpoint]/[deadline]/[signals] flow into each
-    geometry's golden Monte Carlo ({!Bpv.observe_golden}): every geometry
-    gets its own snapshot file, so an interrupted build resumes at the
-    first incomplete one. *)
+    [jobs] value.  Each geometry's golden Monte Carlo
+    ({!Bpv.observe_golden}) runs under the process-wide run controls
+    ({!Vstat_runtime.Checkpoint.controls}) with its own snapshot label
+    [bpv-<pol>-w<W>-l<L>], so an interrupted build resumes at the first
+    incomplete geometry. *)

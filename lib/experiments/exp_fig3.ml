@@ -18,7 +18,9 @@ let run ?(widths = [ 120.0; 300.0; 600.0; 1000.0; 1500.0 ]) ?(n = 1500)
     List.map
       (fun w_nm ->
         let samples =
-          Vstat_core.Mc_device.of_vs p.vs_nmos ~rng ~n ~w_nm ~l_nm ~vdd:p.vdd
+          Vstat_core.Mc_device.of_vs
+            ~label:(Printf.sprintf "fig3-w%g" w_nm)
+            p.vs_nmos ~rng ~n ~w_nm ~l_nm ~vdd:p.vdd
         in
         let mean = Vstat_stats.Descriptive.mean samples.idsat in
         let total_pct =

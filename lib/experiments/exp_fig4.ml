@@ -39,13 +39,14 @@ let analyze label (s : Vstat_core.Mc_device.samples) =
 let run ?(w_nm = 600.0) ?(n = 1000) ?(seed = 17) (p : Vstat_core.Pipeline.t) =
   let l_nm = Vstat_device.Cards.l_nominal_nm in
   let rng = Vstat_util.Rng.create ~seed in
+  let run_label model = Printf.sprintf "fig4-w%g-%s" w_nm model in
   let b =
-    Vstat_core.Mc_device.of_bsim p.golden_nmos ~rng:(Vstat_util.Rng.split rng)
-      ~n ~w_nm ~l_nm ~vdd:p.vdd
+    Vstat_core.Mc_device.of_bsim ~label:(run_label "golden") p.golden_nmos
+      ~rng:(Vstat_util.Rng.split rng) ~n ~w_nm ~l_nm ~vdd:p.vdd
   in
   let v =
-    Vstat_core.Mc_device.of_vs p.vs_nmos ~rng:(Vstat_util.Rng.split rng) ~n
-      ~w_nm ~l_nm ~vdd:p.vdd
+    Vstat_core.Mc_device.of_vs ~label:(run_label "vs") p.vs_nmos
+      ~rng:(Vstat_util.Rng.split rng) ~n ~w_nm ~l_nm ~vdd:p.vdd
   in
   {
     w_nm;

@@ -16,24 +16,23 @@ let run ?(n_dies = 20) ?(per_die = 8) ?(seed = 53)
     ?(spec = Vstat_core.Inter_die.default_40nm) (p : Vstat_core.Pipeline.t) =
   let rng = Vstat_util.Rng.create ~seed in
   let vdd = p.vdd in
-  let total = ref [] and within = ref [] in
-  for _ = 1 to n_dies do
-    let die = Vstat_core.Inter_die.draw spec rng in
-    let die_rng = Vstat_util.Rng.split rng in
-    let within_rng = Vstat_util.Rng.split rng in
-    for _ = 1 to per_die do
-      let tech_total =
-        Vstat_core.Inter_die.die_tech p ~die ~rng:die_rng ~vdd
-      in
-      total := measure_delay tech_total :: !total;
-      let tech_within =
-        Vstat_core.Techs.stochastic_vs p ~rng:within_rng ~vdd
-      in
-      within := measure_delay tech_within :: !within
-    done
-  done;
-  let within_delays = Array.of_list !within in
-  let total_delays = Array.of_list !total in
+  (* The die shifts come first, so sample [i] of either sweep is a pure
+     function of its index: it sits on die [i / per_die]. *)
+  let dies = Array.init n_dies (fun _ -> Vstat_core.Inter_die.draw spec rng) in
+  let sweep label tech_of_sample =
+    Vstat_runtime.Runtime.values
+      (Mc_compare.collect_indexed ~codec:Vstat_runtime.Checkpoint.float_codec
+         ~label:("inter-die-" ^ label) ~n:(n_dies * per_die) ~tech_of_sample
+         ~rng ~measure:measure_delay ())
+  in
+  let total_delays =
+    sweep "total" (fun ~index rng ->
+        Vstat_core.Inter_die.die_tech p ~die:dies.(index / per_die) ~rng ~vdd)
+  in
+  let within_delays =
+    sweep "within" (fun ~index:_ rng ->
+        Vstat_core.Techs.stochastic_vs p ~rng ~vdd)
+  in
   let sigma_within = Vstat_stats.Descriptive.std within_delays in
   let sigma_total = Vstat_stats.Descriptive.std total_delays in
   {

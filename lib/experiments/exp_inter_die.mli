@@ -2,7 +2,10 @@
 
     Samples INV FO3 delays under (a) within-die mismatch only and
     (b) within-die mismatch composed with a shared per-die global shift,
-    then recovers the implied inter-die sigma by variance subtraction. *)
+    then recovers the implied inter-die sigma by variance subtraction.
+    The die shifts are drawn first; each population is then one
+    {!Mc_compare.collect_indexed} sweep ([inter-die-total],
+    [inter-die-within]) whose sample [i] sits on die [i / per_die]. *)
 
 type t = {
   n_dies : int;

@@ -98,13 +98,12 @@ let intervals_overlap (lo1, hi1) (lo2, hi2) = lo1 <= hi2 && lo2 <= hi1
    defensive mixture of the nominal density with both lobe cones, so
    every likelihood ratio is bounded by the component count (3): no
    single sample can dominate the estimate, whatever the fits missed. *)
-let pilot_proposal ?jobs ~(ctl : Mc_compare.controls) ~scale ~mode ~points
-    ~vdd ~(prob : Rare.Problem.t) ~(p : Vstat_core.Pipeline.t) ~rng ~n () =
+let pilot_proposal ?jobs ~scale ~mode ~points ~vdd ~(prob : Rare.Problem.t)
+    ~(p : Vstat_core.Pipeline.t) ~rng ~n () =
   let module C = Vstat_runtime.Checkpoint in
   let std = Rare.Proposal.standard ~dim in
-  let o =
-    C.run ?jobs ~retry:ctl.retry ?deadline:ctl.deadline
-      ?settings:ctl.checkpoint ~signals:ctl.signals
+  let r =
+    C.collect ?jobs ~min_ok:(dim + 2)
       ~fingerprint:(Rare.Problem.fingerprint prob ^ "|phase:is-pilot")
       ~codec:C.float_array_codec
       ~label:(prob.Rare.Problem.label ^ "-is-pilot")
@@ -125,12 +124,7 @@ let pilot_proposal ?jobs ~(ctl : Mc_compare.controls) ~scale ~mode ~points
         Array.append [| lobe1; lobe2 |] z)
       ()
   in
-  let rows = C.values o in
-  if Array.length rows < dim + 2 then
-    failwith
-      (Printf.sprintf "Exp_sram_yield: IS pilot left %d samples — too few \
-                       to aim the proposal"
-         (Array.length rows));
+  let rows = Vstat_runtime.Runtime.values r in
   let zs = Array.map (fun row -> Array.sub row 2 dim) rows in
   let design lobe_metrics =
     let clf = Rare.Classifier.fit ~zs ~metrics:lobe_metrics in
@@ -176,26 +170,21 @@ let estimate_plain ?jobs ?(n = 4000) ?(seed = 61) ?(mode = default_mode)
   let prob = problem ~mode ~points p ~vdd ~threshold in
   (* Its own label, so its snapshot never collides with the IS run's. *)
   let prob = { prob with Rare.Problem.label = prob.label ^ "-plain" } in
-  let ctl = Mc_compare.controls () in
-  Rare.Importance.estimate ?jobs ~retry:ctl.retry ?checkpoint:ctl.checkpoint
-    ?deadline:ctl.deadline ~signals:ctl.signals
-    ~proposal:(Rare.Proposal.standard ~dim) ~problem:prob
-    ~rng:(Vstat_util.Rng.create ~seed) ~n ()
+  Rare.Importance.estimate ?jobs ~proposal:(Rare.Proposal.standard ~dim)
+    ~problem:prob ~rng:(Vstat_util.Rng.create ~seed) ~n ()
 
 let estimate_is ?jobs ?(n = 4000) ?(seed = 61) ?(mode = default_mode)
     ?(points = default_points) ?(vdd = default_vdd)
     ?(threshold = default_threshold) ?(sigma_shift = 1.0)
     ?(pilot_n = default_is_pilot) (p : Vstat_core.Pipeline.t) =
   let prob = problem ~mode ~points p ~vdd ~threshold in
-  let ctl = Mc_compare.controls () in
   let proposal =
-    pilot_proposal ?jobs ~ctl ~scale:sigma_shift ~mode ~points ~vdd ~prob ~p
+    pilot_proposal ?jobs ~scale:sigma_shift ~mode ~points ~vdd ~prob ~p
       ~rng:(Vstat_util.Rng.create ~seed:(seed + 3))
       ~n:pilot_n ()
   in
   Log.info (fun m -> m "IS proposal: %s" (Rare.Proposal.to_string proposal));
-  Rare.Importance.estimate ?jobs ~retry:ctl.retry ?checkpoint:ctl.checkpoint
-    ?deadline:ctl.deadline ~signals:ctl.signals ~proposal ~problem:prob
+  Rare.Importance.estimate ?jobs ~proposal ~problem:prob
     ~rng:(Vstat_util.Rng.create ~seed:(seed + 1))
     ~n ()
 
@@ -203,9 +192,7 @@ let estimate_blockade ?jobs ?(n = 4000) ?(seed = 61) ?(mode = default_mode)
     ?(points = default_points) ?(vdd = default_vdd)
     ?(threshold = default_threshold) ?pilot_n (p : Vstat_core.Pipeline.t) =
   let prob = problem ~mode ~points p ~vdd ~threshold in
-  let ctl = Mc_compare.controls () in
-  Rare.Blockade.estimate ?jobs ~retry:ctl.retry ?checkpoint:ctl.checkpoint
-    ?deadline:ctl.deadline ~signals:ctl.signals ?pilot_n ~problem:prob
+  Rare.Blockade.estimate ?jobs ?pilot_n ~problem:prob
     ~rng:(Vstat_util.Rng.create ~seed:(seed + 2))
     ~n ()
 

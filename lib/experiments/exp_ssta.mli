@@ -27,9 +27,9 @@ val run :
   Vstat_core.Pipeline.t -> t
 (** Each Vdd runs two Monte Carlo passes, the path and the FO1 stage, as
     {!Mc_compare.collect_run}s labelled [ssta-path-<vdd>] and
-    [ssta-stage-<vdd>] (Vdd to two decimals).  So the {!Mc_compare.controls}
-    the CLI sets apply to both: a 20 % failure budget, retries, checkpoint
-    and resume per label, and the deadline.  Results are independent of
-    the worker count. *)
+    [ssta-stage-<vdd>] (Vdd to two decimals).  So the run controls
+    ({!Vstat_runtime.Checkpoint.controls}) the CLI sets apply to both: a
+    20 % failure budget, retries, checkpoint and resume per label, and the
+    deadline.  Results are independent of the worker count. *)
 
 val pp : Format.formatter -> t -> unit

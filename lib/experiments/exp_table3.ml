@@ -26,13 +26,18 @@ let run ?(n = 1500) ?(seed = 13) (p : Vstat_core.Pipeline.t) =
               | `N -> (p.golden_nmos, p.vs_nmos)
               | `P -> (p.golden_pmos, p.vs_pmos)
             in
+            let run_label model =
+              Printf.sprintf "table3-%s-%s-%s" label
+                (match polarity with `N -> "N" | `P -> "P")
+                model
+            in
             let b =
-              Vstat_core.Mc_device.of_bsim golden
+              Vstat_core.Mc_device.of_bsim ~label:(run_label "golden") golden
                 ~rng:(Vstat_util.Rng.split rng) ~n ~w_nm ~l_nm ~vdd:p.vdd
             in
             let v =
-              Vstat_core.Mc_device.of_vs vs ~rng:(Vstat_util.Rng.split rng) ~n
-                ~w_nm ~l_nm ~vdd:p.vdd
+              Vstat_core.Mc_device.of_vs ~label:(run_label "vs") vs
+                ~rng:(Vstat_util.Rng.split rng) ~n ~w_nm ~l_nm ~vdd:p.vdd
             in
             {
               label;

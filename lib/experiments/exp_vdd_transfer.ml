@@ -17,13 +17,14 @@ let run ?(vdds = [ 0.9; 0.7; 0.55 ]) ?(w_nm = 600.0) ?(n = 1500) ?(seed = 47)
   let rows =
     List.map
       (fun vdd ->
+        let run_label what = Printf.sprintf "ablation-vdd%.2f-%s" vdd what in
         let golden =
-          Vstat_core.Mc_device.of_bsim p.golden_nmos
-            ~rng:(Vstat_util.Rng.split rng) ~n ~w_nm ~l_nm ~vdd
+          Vstat_core.Mc_device.of_bsim ~label:(run_label "golden")
+            p.golden_nmos ~rng:(Vstat_util.Rng.split rng) ~n ~w_nm ~l_nm ~vdd
         in
         (* (a) alphas extracted at the nominal supply, used as-is. *)
         let transfer =
-          Vstat_core.Mc_device.of_vs p.vs_nmos
+          Vstat_core.Mc_device.of_vs ~label:(run_label "transfer") p.vs_nmos
             ~rng:(Vstat_util.Rng.split rng) ~n ~w_nm ~l_nm ~vdd
         in
         (* (b) a fresh BPV at this supply (observations and sensitivities
@@ -31,8 +32,10 @@ let run ?(vdds = [ 0.9; 0.7; 0.55 ]) ?(w_nm = 600.0) ?(n = 1500) ?(seed = 47)
         let observations =
           List.map
             (fun (w_nm, l_nm) ->
-              Vstat_core.Bpv.observe_golden p.golden_nmos
-                ~rng:(Vstat_util.Rng.split rng) ~n ~vdd ~w_nm ~l_nm)
+              Vstat_core.Bpv.observe_golden
+                ~label:(run_label (Printf.sprintf "bpv-w%g-l%g" w_nm l_nm))
+                p.golden_nmos ~rng:(Vstat_util.Rng.split rng) ~n ~vdd ~w_nm
+                ~l_nm)
             p.geometries
         in
         let options = p.bpv_nmos.options in
@@ -41,8 +44,8 @@ let run ?(vdds = [ 0.9; 0.7; 0.55 ]) ?(w_nm = 600.0) ?(n = 1500) ?(seed = 47)
         in
         let vs_re = { p.vs_nmos with alphas = re.alphas } in
         let reextract =
-          Vstat_core.Mc_device.of_vs vs_re ~rng:(Vstat_util.Rng.split rng) ~n
-            ~w_nm ~l_nm ~vdd
+          Vstat_core.Mc_device.of_vs ~label:(run_label "reextract") vs_re
+            ~rng:(Vstat_util.Rng.split rng) ~n ~w_nm ~l_nm ~vdd
         in
         let std = Vstat_stats.Descriptive.std in
         {

@@ -15,36 +15,15 @@ let log_src =
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Default failure budget: the 80 %-must-survive rule the serial loop used
-   to hard-code.  Rare extreme-mismatch samples legitimately fail to
-   converge or to switch; anything beyond the budget is a modeling bug. *)
-let default_max_failure_frac = 0.2
+(* The injection config: device-level, so it lives here rather than in
+   the runtime's controls.  Set by the CLIs before any sweep runs. *)
+let inject = Atomic.make None
 
-type controls = {
-  retry : Vstat_runtime.Runtime.retry_policy;
-  inject : Vstat_device.Fault_inject.config option;
-  checkpoint : Vstat_runtime.Checkpoint.settings option;
-  deadline : (unit -> bool) option;
-  signals : int list;
-}
+let set_inject cfg = Atomic.set inject cfg
 
-(* Process-wide run controls, set by the CLIs before any experiment runs;
-   [collect_run]'s explicit arguments win.  One deadline closure is one
-   watchdog, so a whole experiment batch shares a single wall-clock
-   budget. *)
-let current =
-  ref
-    {
-      retry = Vstat_runtime.Runtime.no_retry;
-      inject = None;
-      checkpoint = None;
-      deadline = None;
-      signals = [];
-    }
-
-let controls () = !current
-let set_controls c = current := c
-let set_default_checkpoint checkpoint = current := { !current with checkpoint }
+let set_default_checkpoint checkpoint =
+  let module C = Vstat_runtime.Checkpoint in
+  C.set_controls { (C.controls ()) with checkpoint }
 
 (* Injection key for (sample, attempt): injective for < 64 attempts, so
    each retry attempt rolls an independent fault decision while staying a
@@ -62,12 +41,8 @@ let pp_engine_work ppf (d : Vstat_circuit.Engine.counters) =
     d.newton_iterations d.model_evaluations d.assemblies d.lu_factorizations
     d.accepted_steps d.rejected_steps d.breakpoint_hits
 
-let collect_run ?jobs ?(max_failure_frac = default_max_failure_frac) ?retry
-    ?inject ?codec ~label ~n ~tech_of_rng ~rng ~measure () =
-  let module C = Vstat_runtime.Checkpoint in
-  let ctl = controls () in
-  let retry = Option.value retry ~default:ctl.retry in
-  let inject = match inject with Some i -> Some i | None -> ctl.inject in
+let sweep ?jobs ?codec ~label ~n ~tech_of_sample ~rng ~measure () =
+  let inject = Atomic.get inject in
   (* The injection config changes sample values, so it is part of the run
      identity a resume must match. *)
   let fingerprint =
@@ -79,11 +54,10 @@ let collect_run ?jobs ?(max_failure_frac = default_max_failure_frac) ?retry
         cfg.Vstat_device.Fault_inject.seed
   in
   let before = Vstat_circuit.Engine.global_counters () in
-  let o =
-    C.run ?jobs ~retry ?deadline:ctl.deadline ?settings:ctl.checkpoint
-      ~signals:ctl.signals ~fingerprint ?codec ~label ~rng ~n
+  let r =
+    Vstat_runtime.Checkpoint.collect ?jobs ~fingerprint ?codec ~label ~rng ~n
       ~f:(fun ~attempt ~index sample_rng ->
-        let tech = tech_of_rng sample_rng in
+        let tech = tech_of_sample ~index sample_rng in
         let tech =
           match inject with
           | None -> tech
@@ -102,23 +76,18 @@ let collect_run ?jobs ?(max_failure_frac = default_max_failure_frac) ?retry
       ()
   in
   let after = Vstat_circuit.Engine.global_counters () in
-  (match o.C.cause with
-  | C.Deadline_reached when o.C.completed < 2 ->
-    failwith
-      (Printf.sprintf
-         "Mc_compare:%s: deadline expired after %d/%d samples — nothing to \
-          report"
-         label o.C.completed n)
-  | C.Deadline_reached | C.Finished -> ());
-  (* Under a deadline this compacts to the completed subset: downstream
-     statistics see a smaller but index-ordered, bit-reproducible run. *)
-  let r = C.completed_run o in
   Log.info (fun m ->
       m "%s:%a" label pp_engine_work
         (Vstat_circuit.Engine.counters_diff after before));
-  Vstat_runtime.Runtime.check_budget ~label:("Mc_compare:" ^ label)
-    ~max_failure_frac r;
   r
+
+let collect_run ?jobs ?codec ~label ~n ~tech_of_rng ~rng ~measure () =
+  sweep ?jobs ?codec ~label ~n
+    ~tech_of_sample:(fun ~index:_ rng -> tech_of_rng rng)
+    ~rng ~measure ()
+
+let collect_indexed ~codec ~label ~n ~tech_of_sample ~rng ~measure () =
+  sweep ~codec ~label ~n ~tech_of_sample ~rng ~measure ()
 
 let summarize ~label golden vs =
   {

@@ -425,13 +425,17 @@ exception No_typed_trees of string list
 
 (* The per-file rules run first, serially over the sorted file list; their
    determinism findings are the deep pass's direct taint sources.  The
-   three cross-module rules then read the typed trees found under the
-   same paths, in path order, so the report is deterministic.  Without
-   any [.cmt] they would check nothing, so that is an error. *)
+   three cross-module rules then read the typed trees of the whole
+   program, every [.cmt] under the working directory (the [--root]) in
+   path order, so the report is deterministic and a subset scan still
+   sees the callers and users outside it.  Findings are reported only
+   for the scanned paths: exports of their [.cmti]s, taint and races in
+   their sources.  Without any [.cmt] under the paths the scan would
+   check nothing, so that is an error. *)
 let run_deep ?excludes cfg paths =
   let files = collect_files ?excludes paths in
-  let cmts = collect_files ?excludes ~suffix:".cmt" paths in
-  if cmts = [] then raise (No_typed_trees paths);
+  if collect_files ?excludes ~suffix:".cmt" paths = [] then
+    raise (No_typed_trees paths);
   let per_file = List.concat_map (lint_file cfg) files in
   let sources =
     List.filter
@@ -440,8 +444,15 @@ let run_deep ?excludes cfg paths =
           Rules.[ determinism_random; determinism_wallclock; determinism_hashtbl ])
       per_file
   in
-  let program = Program.scan ~sources cmts in
-  let deep = Taint.analyze ~allow:cfg.allow program in
+  let program =
+    Program.scan ~sources
+      (collect_files ?excludes ~suffix:".cmt" [ Filename.current_dir_name ])
+  in
+  let deep =
+    List.filter
+      (fun (d : Diagnostic.t) -> List.exists (Program.same_file d.file) files)
+      (Taint.analyze ~allow:cfg.allow program)
+  in
   let unused =
     Unused_export.check ~allow:cfg.allow program
       ~cmtis:(collect_files ?excludes ~suffix:".cmti" paths)

@@ -23,9 +23,9 @@
    [let] with its identifier uses (the call and access edges), its direct
    nondeterminism sources and its guard context.  The direct sources are
    the per-file determinism findings, matched to the identifier at their
-   location, so a sanctioned site never taints.  Blind spots: units
-   outside the scanned paths, and the [.cmt] of a file that does not
-   compile. *)
+   location, so a sanctioned site never taints.  Blind spots: direct
+   sources in units outside the scanned paths (the per-file rules never
+   read them), and the [.cmt] of a file that does not compile. *)
 
 open Typedtree
 

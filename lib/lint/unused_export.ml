@@ -5,7 +5,8 @@
    (the repository's @lint scan finds them only under lib/), including
    values in nested module signatures.  References are the exactly
    resolved value uses {!Program} collects from every other unit's
-   [.cmt]; a module used whole ([include M], a functor argument, a
+   [.cmt] in the whole program, inside the scanned paths or not; a
+   module used whole ([include M], a functor argument, a
    first-class [(module M)]) uses every value it exports.
 
    Only other units count: a value whose sole user is its own module only

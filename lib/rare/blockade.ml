@@ -26,8 +26,7 @@ type result = {
   complete : bool;
 }
 
-let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
-    ?deadline ?signals ?(confidence = 0.95) ?(margin = 0.90) ?pilot_n
+let estimate ?jobs ?(confidence = 0.95) ?(margin = 0.90) ?pilot_n
     ~(problem : Problem.t) ~rng ~n () =
   if n < 2 then
     invalid_arg
@@ -54,13 +53,13 @@ let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
   let base_fingerprint = Problem.fingerprint problem in
   (* Two deterministic substream families derived from the caller's RNG:
      one draw each, in a fixed order, exactly as two consecutive
-     Checkpoint.run calls consume them. *)
+     Checkpoint.collect calls consume them. *)
   let pilot_label = problem.Problem.label ^ "-blockade-pilot" in
   let main_label = problem.Problem.label ^ "-blockade-main" in
 
   (* --- phase 1: pilot --------------------------------------------------- *)
-  let pilot_o =
-    C.run ?jobs ~retry ?deadline ?settings:checkpoint ?signals
+  let pilot_r =
+    C.collect ?jobs ~min_ok:(dim + 2)
       ~fingerprint:(base_fingerprint ^ "|phase:pilot")
       ~codec:C.float_array_codec ~label:pilot_label ~rng ~n:pilot_n
       ~f:(fun ~attempt ~index:_ sample_rng ->
@@ -69,15 +68,7 @@ let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
         Array.append [| metric |] z)
       ()
   in
-  let pilot_r = C.completed_run pilot_o in
-  R.check_budget ~label:("Blockade:" ^ pilot_label) ~max_failure_frac pilot_r;
   let pilot_rows = R.values pilot_r in
-  if Array.length pilot_rows < dim + 2 then
-    failwith
-      (Printf.sprintf
-         "Blockade:%s: only %d surviving pilot samples — cannot train the \
-          classifier"
-         pilot_label (Array.length pilot_rows));
   let pilot_metrics = Array.map (fun row -> row.(0)) pilot_rows in
   let pilot_zs = Array.map (fun row -> Array.sub row 1 dim) pilot_rows in
   let classifier = Classifier.fit ~zs:pilot_zs ~metrics:pilot_metrics in
@@ -112,10 +103,9 @@ let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
         Printf.sprintf "margin:%.17g" margin;
       ]
   in
-  let main_o =
-    C.run ?jobs ~retry ?deadline ?settings:checkpoint ?signals
-      ~fingerprint:main_fingerprint ~codec:C.float_triple_codec
-      ~label:main_label ~rng ~n
+  let main_r =
+    C.collect ?jobs ~fingerprint:main_fingerprint
+      ~codec:C.float_triple_codec ~label:main_label ~rng ~n
       ~f:(fun ~attempt ~index:_ sample_rng ->
         let z = Proposal.draw proposal sample_rng in
         let predicted = Classifier.predict classifier z in
@@ -125,13 +115,8 @@ let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
         else (predicted, 0.0, Float.nan))
       ()
   in
-  let main_r = C.completed_run main_o in
-  R.check_budget ~label:("Blockade:" ^ main_label) ~max_failure_frac main_r;
   let rows = R.values main_r in
   let n_ok = Array.length rows in
-  if n_ok < 2 then
-    failwith
-      (Printf.sprintf "Blockade:%s: only %d surviving samples" main_label n_ok);
   let n_simulated = ref 0 and n_hits = ref 0 in
   Array.iter
     (fun (_, simulated, metric) ->
@@ -162,7 +147,9 @@ let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
       residual_std;
       pilot_metrics;
       stats = main_r.R.stats;
-      complete = C.is_complete pilot_o && C.is_complete main_o;
+      complete =
+        Array.length pilot_r.R.cells = pilot_n
+        && Array.length main_r.R.cells = n;
     }
   in
   Log.info (fun m ->

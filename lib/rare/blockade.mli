@@ -47,11 +47,6 @@ type result = {
 
 val estimate :
   ?jobs:int ->
-  ?retry:Vstat_runtime.Runtime.retry_policy ->
-  ?max_failure_frac:float ->
-  ?checkpoint:Vstat_runtime.Checkpoint.settings ->
-  ?deadline:(unit -> bool) ->
-  ?signals:int list ->
   ?confidence:float ->
   ?margin:float ->
   ?pilot_n:int ->
@@ -65,10 +60,15 @@ val estimate :
     pilot's (1 - margin) quantile minus one classifier residual sigma, so
     roughly the unsafest 10% of predicted metrics — plus a model-error
     buffer — get simulated.  [pilot_n] defaults to [max 100 (n/20)].
+    Both phases are {!Vstat_runtime.Checkpoint.collect} sweeps under the
+    process-wide run controls, each with a 20 % failure budget; the pilot
+    needs [dim + 2] survivors to fit the classifier, the main phase 2.
     @raise Invalid_argument when [n < 2], [pilot_n] is too small to fit
     the classifier, [margin] is outside (0, 1), or [confidence] is
     outside (0, 1).
-    @raise Failure on budget blow-ups or a deadline with nothing done.
+    @raise Failure when a phase exceeds the failure budget.
+    @raise Vstat_runtime.Checkpoint.Too_few_samples when a deadline
+    leaves a phase with too few survivors.
     @raise Vstat_runtime.Checkpoint.Interrupted on a trapped signal. *)
 
 val simulation_fraction : result -> float

@@ -53,8 +53,7 @@ let[@vstat.hot] fold_weighted ~(metrics : float array)
   done;
   (!y_mean, !y_m2, !n_hits)
 
-let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
-    ?deadline ?signals ?(confidence = 0.95) ~(proposal : Proposal.t)
+let estimate ?jobs ?(confidence = 0.95) ~(proposal : Proposal.t)
     ~(problem : Problem.t) ~rng ~n () =
   if n < 2 then
     invalid_arg
@@ -73,22 +72,17 @@ let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
     String.concat "|"
       [ Problem.fingerprint problem; "proposal:" ^ Proposal.to_string proposal ]
   in
-  let o =
-    C.run ?jobs ~retry ?deadline ?settings:checkpoint
-      ?signals ~fingerprint ~codec:C.float_pair_codec ~label ~rng ~n
+  let r =
+    C.collect ?jobs ~fingerprint ~codec:C.float_pair_codec
+      ~label ~rng ~n
       ~f:(fun ~attempt ~index:_ sample_rng ->
         let z = Proposal.draw proposal sample_rng in
         let metric = problem.Problem.simulate ~attempt z in
         (metric, Proposal.log_weight proposal z))
       ()
   in
-  let r = C.completed_run o in
-  R.check_budget ~label:("Importance:" ^ label) ~max_failure_frac r;
   let pairs = R.values r in
   let n_ok = Array.length pairs in
-  if n_ok < 2 then
-    failwith
-      (Printf.sprintf "Importance:%s: only %d surviving samples" label n_ok);
   let metrics = Array.map fst pairs in
   let log_weights = Array.map snd pairs in
   let hits = Bytes.make n_ok '\000' in
@@ -120,7 +114,7 @@ let estimate ?jobs ?(retry = R.no_retry) ?(max_failure_frac = 0.2) ?checkpoint
       metrics;
       log_weights;
       stats = r.R.stats;
-      complete = C.is_complete o;
+      complete = Array.length r.R.cells = n;
     }
   in
   Log.info (fun m ->

@@ -43,11 +43,6 @@ type result = {
 
 val estimate :
   ?jobs:int ->
-  ?retry:Vstat_runtime.Runtime.retry_policy ->
-  ?max_failure_frac:float ->
-  ?checkpoint:Vstat_runtime.Checkpoint.settings ->
-  ?deadline:(unit -> bool) ->
-  ?signals:int list ->
   ?confidence:float ->
   proposal:Proposal.t ->
   problem:Problem.t ->
@@ -55,16 +50,18 @@ val estimate :
   n:int ->
   unit ->
   result
-(** Run the estimator.  [max_failure_frac] (default 0.2) is the usual
-    failure budget over simulate exceptions; [confidence] (default 0.95)
-    sizes the interval.  Checkpoint labels derive from
-    [problem.label ^ "-is"]; the snapshot fingerprint binds the problem
-    identity and the proposal, so resuming under different rare-event
-    parameters is rejected with a typed
+(** Run the estimator as one {!Vstat_runtime.Checkpoint.collect} sweep
+    under the process-wide run controls (retry, checkpoint, deadline,
+    signals), with its 20 % failure budget over simulate exceptions;
+    [confidence] (default 0.95) sizes the interval.  Checkpoint labels
+    derive from [problem.label ^ "-is"]; the snapshot fingerprint binds
+    the problem identity and the proposal, so resuming under different
+    rare-event parameters is rejected with a typed
     {!Vstat_runtime.Journal.Mismatch}.
     @raise Invalid_argument when [n < 2] or the proposal dimension
     disagrees with the problem.
-    @raise Failure when the failure budget is exceeded or a deadline
+    @raise Failure when the failure budget is exceeded.
+    @raise Vstat_runtime.Checkpoint.Too_few_samples when a deadline
     leaves fewer than 2 samples.
     @raise Vstat_runtime.Checkpoint.Interrupted on a trapped signal. *)
 

@@ -187,24 +187,6 @@ let failures o =
     (fun cell acc -> match cell with Some (Error f) -> f :: acc | _ -> acc)
     o.cells []
 
-(* The evaluated cells compacted into a plain [Runtime.run] (stats.n =
-   evaluated count): budget checks and downstream statistics treat a
-   partial outcome exactly like a smaller run. *)
-let completed_run o =
-  let cells = ref [] and attempts = ref [] in
-  for i = o.n - 1 downto 0 do
-    match o.cells.(i) with
-    | Some c ->
-      cells := c :: !cells;
-      attempts := o.attempts.(i) :: !attempts
-    | None -> ()
-  done;
-  {
-    Runtime.cells = Array.of_list !cells;
-    attempts = Array.of_list !attempts;
-    stats = { o.stats with Runtime.n = o.completed };
-  }
-
 (* --- the driver -------------------------------------------------------- *)
 
 type slot = { s_attempts : int; s_payload : string }
@@ -424,3 +406,66 @@ let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings
     completed;
     snapshot;
   }
+
+(* --- batch sweeps under the process-wide controls ---------------------- *)
+
+type controls = {
+  retry : Runtime.retry_policy;
+  checkpoint : settings option;
+  deadline : (unit -> bool) option;
+  signals : int list;
+}
+
+(* Set by the CLIs before any sweep runs; one deadline closure is one
+   watchdog, so a whole invocation shares a single wall-clock budget. *)
+let current =
+  Atomic.make
+    {
+      retry = Runtime.no_retry;
+      checkpoint = None;
+      deadline = None;
+      signals = [];
+    }
+
+let controls () = Atomic.get current
+let set_controls c = Atomic.set current c
+
+exception
+  Too_few_samples of { label : string; completed : int; needed : int; n : int }
+
+let () =
+  Printexc.register_printer (function
+    | Too_few_samples { label; completed; needed; n } ->
+      Some
+        (Printf.sprintf
+           "Checkpoint.Too_few_samples(%s: only %d/%d samples completed, at \
+            least %d needed)"
+           label completed n needed)
+    | _ -> None)
+
+let collect ?jobs ?(max_failure_frac = 0.2) ?(min_ok = 2) ?fingerprint ?codec
+    ~label ~rng ~n ~f () =
+  let c = controls () in
+  let o =
+    run ?jobs ~retry:c.retry ?deadline:c.deadline ?settings:c.checkpoint
+      ~signals:c.signals ?fingerprint ?codec ~label ~rng ~n ~f ()
+  in
+  (* The evaluated cells compacted into a plain run: budget checks and
+     downstream statistics treat a partial outcome as a smaller run. *)
+  let evaluated =
+    List.filter_map
+      (fun i -> Option.map (fun c -> (c, o.attempts.(i))) o.cells.(i))
+      (List.init n Fun.id)
+  in
+  let r =
+    {
+      Runtime.cells = Array.of_list (List.map fst evaluated);
+      attempts = Array.of_list (List.map snd evaluated);
+      stats = { o.stats with Runtime.n = o.completed };
+    }
+  in
+  Runtime.check_budget ~label ~max_failure_frac r;
+  let ok = Runtime.ok_count r in
+  if ok < min_ok then
+    raise (Too_few_samples { label; completed = ok; needed = min_ok; n });
+  r

@@ -16,7 +16,12 @@
     a final snapshot.  A deadline then returns a partial {!outcome}; a
     signal raises {!Interrupted}.  Failed samples are never persisted;
     they replay (and re-fail identically) on resume, so the failure census
-    stays honest. *)
+    stays honest.
+
+    Two entry points: {!run} takes every control as an explicit argument
+    (the daemon, tests and benches), and {!collect} reads the process-wide
+    {!controls} the CLIs set and decides how the run ended — every batch
+    Monte Carlo sweep in [lib] ends there. *)
 
 (** How to persist one sample value.  [encode]/[decode] must round-trip
     bit-exactly. *)
@@ -96,11 +101,6 @@ val values : 'a outcome -> 'a array
 
 val failures : 'a outcome -> Runtime.failure list
 
-val completed_run : 'a outcome -> 'a Runtime.run
-(** The evaluated cells compacted into a plain run ([stats.n] = evaluated
-    count), so budget checks and downstream statistics treat a partial
-    outcome exactly like a smaller run. *)
-
 val run :
   ?jobs:int ->
   ?on_progress:(completed:int -> n:int -> unit) ->
@@ -136,3 +136,44 @@ val run :
     @raise Journal.Rejected when [settings.resume] finds a snapshot that
     is corrupt, version-skewed, or belongs to a different run.
     @raise Invalid_argument when [n < 0]. *)
+
+(** {1 Batch sweeps} *)
+
+type controls = {
+  retry : Runtime.retry_policy;
+  checkpoint : settings option;
+  deadline : (unit -> bool) option;  (** one watchdog for the invocation *)
+  signals : int list;
+}
+(** Process-wide run controls, read by every {!collect}: the CLIs' [--retry],
+    [--checkpoint-dir]/[--resume], [--deadline] and trapped
+    [SIGINT]/[SIGTERM].  Initially none of them. *)
+
+val controls : unit -> controls
+val set_controls : controls -> unit
+
+exception
+  Too_few_samples of { label : string; completed : int; needed : int; n : int }
+(** Raised by {!collect} when only [completed] of [n] samples succeeded
+    and the caller needs [needed] (typically a deadline that fired before
+    the sweep got going).  Registered with [Printexc]. *)
+
+val collect :
+  ?jobs:int ->
+  ?max_failure_frac:float ->
+  ?min_ok:int ->
+  ?fingerprint:string ->
+  ?codec:'a codec ->
+  label:string ->
+  rng:Vstat_util.Rng.t ->
+  n:int ->
+  f:(attempt:int -> index:int -> Vstat_util.Rng.t -> 'a) ->
+  unit ->
+  'a Runtime.run
+(** One batch sweep: {!run} under {!controls}, then the one decision on
+    how it ended.  The evaluated cells are compacted into a plain run
+    ([stats.n] = evaluated count, so [Array.length cells < n] exactly
+    when the deadline stopped it), {!Runtime.check_budget} enforces
+    [max_failure_frac] (default 0.2), and fewer than [min_ok] (default 2)
+    successes raise {!Too_few_samples}.  A trapped signal raises
+    {!Interrupted}, a mismatched resume {!Journal.Rejected}. *)

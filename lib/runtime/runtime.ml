@@ -35,8 +35,6 @@ type failure = {
   exn_name : string;
   category : string;
   detail : string;
-  exn : exn;
-  backtrace : Printexc.raw_backtrace;
   history : attempt_failure list;
 }
 
@@ -98,14 +96,12 @@ let set_default_jobs j =
 
 (* --- execution --- *)
 
-let capture ~index ~history exn backtrace =
+let capture ~index ~history exn =
   {
     index;
     exn_name = Printexc.exn_slot_name exn;
     category = classify exn;
     detail = Printexc.to_string exn;
-    exn;
-    backtrace;
     history = List.rev history;
   }
 
@@ -117,13 +113,12 @@ let[@vstat.entry] eval ~policy f i =
     match f ~attempt i with
     | v -> (Ok v, attempt + 1)
     | exception exn ->
-      let backtrace = Printexc.get_raw_backtrace () in
       if attempt + 1 < policy.max_attempts && policy.retryable exn then
         go (attempt + 1)
           ({ attempt; category = classify exn;
              detail = Printexc.to_string exn }
            :: history)
-      else (Error (capture ~index:i ~history exn backtrace), attempt + 1)
+      else (Error (capture ~index:i ~history exn), attempt + 1)
   in
   go 0 []
 
@@ -337,8 +332,3 @@ let check_budget ?(label = "runtime") ~max_failure_frac run =
             (100.0 *. max_failure_frac)
             (census_to_string census) first)
   end
-
-let reraise_first_failure run =
-  match failures run with
-  | [] -> ()
-  | f :: _ -> Printexc.raise_with_backtrace f.exn f.backtrace

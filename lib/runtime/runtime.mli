@@ -14,11 +14,9 @@
       function of the sample index.
     - {b Fault policy.}  A sample that raises is captured as an [Error]
       cell carrying a typed category (via {!register_classifier}), the
-      printed exception, the raw backtrace and the per-attempt failure
-      history — never a torn run.  Call sites enforce a failure budget with
-      {!check_budget}, which raises [Failure] with a per-category failure
-      census, or re-raise the first failure (with its original backtrace)
-      with {!reraise_first_failure} for zero-tolerance paths.  An optional
+      printed exception and the per-attempt failure history — never a
+      torn run.  {!check_budget} enforces a failure budget (zero is the
+      zero-tolerance policy) with a per-category census.  An optional
       {!retry_policy} re-runs failed samples with an escalating attempt
       counter before they are declared dead.
     - {b Observability.}  Each run reports wall time, throughput,
@@ -46,9 +44,6 @@ type failure = {
           ["injected_fault"]), so budgets and censuses report {e why}
           samples die rather than which constructor carried the news. *)
   detail : string;    (** [Printexc.to_string] of the final exception *)
-  exn : exn;          (** the final exception itself, for re-raising *)
-  backtrace : Printexc.raw_backtrace;
-      (** backtrace captured where the final attempt raised *)
   history : attempt_failure list;
       (** earlier failed attempts under the retry ladder, oldest first
           (empty when the first attempt was also the last) *)
@@ -186,9 +181,3 @@ val check_budget : ?label:string -> max_failure_frac:float -> 'a run -> unit
     reported once through [Logs.warn] (category counts, first detail)
     rather than one line per sample.  An empty run ([n = 0]) passes any
     budget silently. *)
-
-val reraise_first_failure : 'a run -> unit
-(** Zero-tolerance policy: re-raise the exception of the lowest-index
-    failed sample, if any, with the backtrace captured where it originally
-    raised ([Printexc.raise_with_backtrace]). *)
-

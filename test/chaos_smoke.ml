@@ -43,9 +43,20 @@ let nand_measure tech =
 
 let inject = { FI.rate = 0.05; kind = FI.Raise; seed = 0x1d0a }
 
-let run ~label ~measure ?retry ?inject jobs =
-  Mc.collect_run ~jobs ?retry ?inject ~label ~n ~tech_of_rng
-    ~rng:(Vstat_util.Rng.create ~seed:2026) ~measure ()
+(* The retry ladder and the injection reach the sweep the way the CLI's
+   --retry and --inject-fault do: through the process-wide settings. *)
+let run ~label ~measure ?(retry = Rt.no_retry) ?inject jobs =
+  let module C = Vstat_runtime.Checkpoint in
+  let saved = C.controls () in
+  C.set_controls { saved with retry };
+  Mc.set_inject inject;
+  Fun.protect
+    ~finally:(fun () ->
+      C.set_controls saved;
+      Mc.set_inject None)
+    (fun () ->
+      Mc.collect_run ~jobs ~label ~n ~tech_of_rng
+        ~rng:(Vstat_util.Rng.create ~seed:2026) ~measure ())
 
 let exercise name measure =
   let clean1 = run ~label:(name ^ "/clean") ~measure 1 in

@@ -60,13 +60,12 @@ let identical_importance what (a : I.result) (b : I.result) =
   check_bits_array (what ^ ": log_weights") a.I.log_weights b.I.log_weights
 
 (* estimate_is reads its run controls (checkpoint dir, deadline) from
-   Mc_compare.controls — the same channel the CLI flags use — so the smoke
+   Checkpoint.controls — the same channel the CLI flags use — so the smoke
    sets them and restores the previous controls after. *)
 let with_controls ?checkpoint ?deadline f =
-  let module M = Vstat_experiments.Mc_compare in
-  let saved = M.controls () in
-  M.set_controls { saved with checkpoint; deadline };
-  Fun.protect ~finally:(fun () -> M.set_controls saved) f
+  let saved = C.controls () in
+  C.set_controls { saved with checkpoint; deadline };
+  Fun.protect ~finally:(fun () -> C.set_controls saved) f
 
 let () =
   let p = Vstat_core.Pipeline.build ~seed:42 ~mc_per_geometry:300 () in

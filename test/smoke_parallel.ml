@@ -6,7 +6,8 @@
 let () =
   let vdd = Vstat_device.Cards.vdd_nominal in
   let run jobs =
-    Vstat_core.Mc_device.of_vs Vstat_core.Vs_statistical.seed_nmos ~jobs
+    Vstat_core.Mc_device.of_vs ~label:"smoke"
+      Vstat_core.Vs_statistical.seed_nmos ~jobs
       ~rng:(Vstat_util.Rng.create ~seed:2026)
       ~n:50 ~w_nm:600.0 ~l_nm:40.0 ~vdd
   in

@@ -338,7 +338,10 @@ let test_fit_params_retarget () =
 
 let test_mc_device_shapes () =
   let rng = Rng.create ~seed:6 in
-  let s = Mc.of_vs Vss.seed_nmos ~rng ~n:50 ~w_nm:600.0 ~l_nm:40.0 ~vdd in
+  let s =
+    Mc.of_vs ~label:"shapes" Vss.seed_nmos ~rng ~n:50 ~w_nm:600.0 ~l_nm:40.0
+      ~vdd
+  in
   Alcotest.(check int) "n idsat" 50 (Array.length s.idsat);
   Alcotest.(check bool) "all positive" true (Array.for_all (fun x -> x > 0.0) s.idsat);
   Alcotest.(check bool) "all finite" true
@@ -346,8 +349,14 @@ let test_mc_device_shapes () =
 
 let test_mc_sigma_shrinks_with_width () =
   let rng = Rng.create ~seed:7 in
-  let narrow = Mc.of_vs Vss.seed_nmos ~rng ~n:600 ~w_nm:120.0 ~l_nm:40.0 ~vdd in
-  let wide = Mc.of_vs Vss.seed_nmos ~rng ~n:600 ~w_nm:1500.0 ~l_nm:40.0 ~vdd in
+  let narrow =
+    Mc.of_vs ~label:"narrow" Vss.seed_nmos ~rng ~n:600 ~w_nm:120.0 ~l_nm:40.0
+      ~vdd
+  in
+  let wide =
+    Mc.of_vs ~label:"wide" Vss.seed_nmos ~rng ~n:600 ~w_nm:1500.0 ~l_nm:40.0
+      ~vdd
+  in
   Alcotest.(check bool) "relative sigma shrinks" true
     (D.sigma_over_mu wide.idsat < D.sigma_over_mu narrow.idsat)
 
@@ -367,9 +376,13 @@ let test_pipeline_validation_sigma_match () =
   let lazy p = pipeline in
   let rng = Rng.create ~seed:8 in
   let golden =
-    Mc.of_bsim p.golden_nmos ~rng ~n:800 ~w_nm:600.0 ~l_nm:40.0 ~vdd:p.vdd
+    Mc.of_bsim ~label:"golden" p.golden_nmos ~rng ~n:800 ~w_nm:600.0
+      ~l_nm:40.0 ~vdd:p.vdd
   in
-  let vs = Mc.of_vs p.vs_nmos ~rng ~n:800 ~w_nm:600.0 ~l_nm:40.0 ~vdd:p.vdd in
+  let vs =
+    Mc.of_vs ~label:"vs" p.vs_nmos ~rng ~n:800 ~w_nm:600.0 ~l_nm:40.0
+      ~vdd:p.vdd
+  in
   let rel a b = Float.abs (a -. b) /. b in
   Alcotest.(check bool) "sigma idsat within 12%" true
     (rel (D.std vs.idsat) (D.std golden.idsat) < 0.12);

@@ -3,8 +3,23 @@
 
 module P = Vstat_core.Pipeline
 module E = Vstat_experiments
+module C = Vstat_runtime.Checkpoint
 
 let pipeline = lazy (P.build ~seed:42 ~mc_per_geometry:800 ())
+
+(* Run [f] under modified process-wide run controls (the channel the CLI
+   flags use), restoring the previous ones after. *)
+let with_controls ?checkpoint ?deadline f =
+  let saved = C.controls () in
+  let checkpoint = Option.value checkpoint ~default:saved.checkpoint in
+  let deadline = Option.value deadline ~default:saved.deadline in
+  C.set_controls { saved with checkpoint; deadline };
+  Fun.protect ~finally:(fun () -> C.set_controls saved) f
+
+let temp_dir stem =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "%s_%d" stem (Unix.getpid ()))
 
 let test_fig1 () =
   let lazy p = pipeline in
@@ -82,6 +97,67 @@ let test_table3 () =
   in
   Alcotest.(check bool) "wide < medium < short" true
     (sigma "Wide" < sigma "Medium" && sigma "Medium" < sigma "Short")
+
+(* With a checkpoint directory in the run controls, every device run of
+   Table III journals under its own label, and a resumed rerun restores
+   them bit for bit. *)
+let test_table3_checkpoint () =
+  let lazy p = pipeline in
+  let dir = temp_dir "vstat_table3" in
+  let journaled ~resume =
+    with_controls
+      ~checkpoint:(Some (C.settings ~resume dir))
+      (fun () -> E.Exp_table3.run ~n:40 p)
+  in
+  let first = journaled ~resume:false in
+  let snapshots =
+    List.sort String.compare
+      (List.filter
+         (fun f -> Filename.check_suffix f ".ckpt")
+         (Array.to_list (Sys.readdir dir)))
+  in
+  let expected =
+    List.sort String.compare
+      (List.concat_map
+         (fun g ->
+           List.concat_map
+             (fun pol ->
+               List.map
+                 (fun m -> Printf.sprintf "table3-%s-%s-%s.ckpt" g pol m)
+                 [ "golden"; "vs" ])
+             [ "N"; "P" ])
+         [ "Wide"; "Medium"; "Short" ])
+  in
+  Alcotest.(check (list string)) "one snapshot per run" expected snapshots;
+  let resumed = journaled ~resume:true in
+  let bits (t : E.Exp_table3.t) =
+    List.concat_map
+      (fun (e : E.Exp_table3.entry) ->
+        List.map Int64.bits_of_float
+          [ e.bsim_sigma_idsat; e.vs_sigma_idsat; e.bsim_sigma_logioff;
+            e.vs_sigma_logioff ])
+      t.entries
+  in
+  Alcotest.(check (list int64)) "resumed = journaled" (bits first)
+    (bits resumed);
+  Alcotest.(check (list int64)) "journaled = unjournaled"
+    (bits (E.Exp_table3.run ~n:40 p))
+    (bits first)
+
+(* A deadline that has already fired stops the first device run before
+   any sample: a typed error, not a table of zeros. *)
+let test_table3_deadline () =
+  let lazy p = pipeline in
+  match
+    with_controls
+      ~deadline:(Some (fun () -> true))
+      (fun () -> E.Exp_table3.run ~n:40 p)
+  with
+  | _ -> Alcotest.fail "expected Too_few_samples"
+  | exception C.Too_few_samples { label; completed; needed; n } ->
+    Alcotest.(check string) "first run" "table3-Wide-N-golden" label;
+    Alcotest.(check (list int)) "completed, needed, n" [ 0; 2; 40 ]
+      [ completed; needed; n ]
 
 let test_fig4 () =
   let lazy p = pipeline in
@@ -196,19 +272,10 @@ let test_sram_yield () =
   (* Journaled through the CLI's channel, then resumed: every estimator
      reproduces the unjournaled run bit for bit, and the plain and IS runs
      keep separate snapshots. *)
-  let module M = E.Mc_compare in
-  let module C = Vstat_runtime.Checkpoint in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "vstat_sram_yield_%d" (Unix.getpid ()))
-  in
-  let saved = M.controls () in
+  let dir = temp_dir "vstat_sram_yield" in
   let journaled ~resume =
-    M.set_controls
-      { saved with checkpoint = Some (C.settings ~every:16 ~resume dir) };
-    Fun.protect
-      ~finally:(fun () -> M.set_controls saved)
+    with_controls
+      ~checkpoint:(Some (C.settings ~every:16 ~resume dir))
       (fun () ->
         E.Exp_sram_yield.run ~n:60 ~seed:61 ~points:21 ~threshold:0.060
           ~pilot_n:36 p)
@@ -251,10 +318,23 @@ let test_vdd_transfer () =
 
 let test_inter_die () =
   let lazy p = pipeline in
-  let t = E.Exp_inter_die.run ~n_dies:6 ~per_die:4 p in
+  let module R = Vstat_runtime.Runtime in
+  let on_jobs jobs =
+    let saved = R.default_jobs () in
+    R.set_default_jobs jobs;
+    Fun.protect
+      ~finally:(fun () -> R.set_default_jobs saved)
+      (fun () -> E.Exp_inter_die.run ~n_dies:6 ~per_die:4 p)
+  in
+  let t = on_jobs 1 in
   Alcotest.(check bool) "total >= within" true
     (t.sigma_total >= 0.9 *. t.sigma_within);
-  Alcotest.(check int) "sample counts" (6 * 4) (Array.length t.total_delays)
+  Alcotest.(check int) "sample counts" (6 * 4) (Array.length t.total_delays);
+  let t2 = on_jobs 2 in
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check bool) "jobs:1 = jobs:2" true
+    (bits t.total_delays = bits t2.total_delays
+    && bits t.within_delays = bits t2.within_delays)
 
 let test_ssta () =
   let lazy p = pipeline in
@@ -289,8 +369,7 @@ let test_measure_failure_census () =
     r.Vstat_cells.Inverter.tphl
   in
   match
-    E.Mc_compare.collect_run ~jobs:2 ~max_failure_frac:0.5
-      ~label:"no-crossing" ~n:4 ~tech_of_rng
+    E.Mc_compare.collect_run ~jobs:2 ~label:"no-crossing" ~n:4 ~tech_of_rng
       ~rng:(Vstat_util.Rng.create ~seed:3) ~measure ()
   with
   | _ -> Alcotest.fail "expected budget Failure"
@@ -320,6 +399,10 @@ let () =
           Alcotest.test_case "table2" `Slow test_table2;
           Alcotest.test_case "fig3" `Slow test_fig3;
           Alcotest.test_case "table3" `Slow test_table3;
+          Alcotest.test_case "table3 checkpoint per run" `Slow
+            test_table3_checkpoint;
+          Alcotest.test_case "table3 deadline typed" `Slow
+            test_table3_deadline;
           Alcotest.test_case "fig4" `Slow test_fig4;
           Alcotest.test_case "fig5" `Slow test_fig5;
           Alcotest.test_case "fig6" `Slow test_fig6;

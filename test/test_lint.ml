@@ -180,22 +180,28 @@ let test_deep_golden () =
     (List.map render_trace (deep_findings ()))
 
 (* The unused-export rule over the typed trees of the lint_fixtures/unused
-   library: of Api's values, [used] has a direct user, [via_alias] a user
+   libraries: of Api's values, [used] has a direct user, [via_alias] a user
    through a module alias, [Whole.whole] an include, and [granted] an
    inline grant, so [unused] is the one finding. *)
 let test_unused_export () =
   let dir = Filename.concat fixture_root "unused" in
   if L.Engine.collect_files ~suffix:".cmti" [ dir ] = [] then
     Alcotest.fail "no typed trees under lint_fixtures/unused: run via dune test";
-  let hits =
-    List.filter
-      (fun d -> d.L.Diagnostic.rule = "unused-export")
-      (L.Engine.run_deep (L.Engine.default_config ()) [ dir ]).L.Engine.deep_diags
+  let hits paths =
+    List.map render
+      (List.filter
+         (fun d -> d.L.Diagnostic.rule = "unused-export")
+         (L.Engine.run_deep (L.Engine.default_config ()) paths)
+           .L.Engine.deep_diags)
   in
+  let expected = [ "test/lint_fixtures/unused/api/api.mli:2 unused-export" ] in
   Alcotest.(check (list string))
-    "exactly the unused val"
-    [ "test/lint_fixtures/unused/api.mli:2 unused-export" ]
-    (List.map render hits)
+    "exactly the unused val" expected (hits [ dir ]);
+  (* Api's users sit outside this scan, but the uses come from the whole
+     program under the working directory. *)
+  Alcotest.(check (list string))
+    "a scan without the user still sees its uses" expected
+    (hits [ Filename.concat dir "api" ])
 
 (* [guarded_bump] is [counter_bump] with its access inside Mutex.protect,
    and each has its own domain root: deleting the guard is exactly the

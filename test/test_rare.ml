@@ -210,11 +210,17 @@ let test_aimed_estimate_is_tighter () =
   Alcotest.(check bool) "mc-equivalent speedup > 5x" true
     (I.mc_equivalent_samples is /. 1000.0 > 5.0)
 
-let importance_result ~jobs ~checkpoint:ck ?deadline () =
-  I.estimate ~jobs ?checkpoint:ck ?deadline ~proposal:aimed_proposal
-    ~problem:linear_problem
-    ~rng:(Rng.create ~seed:23)
-    ~n:400 ()
+(* Checkpointing and the deadline reach the estimator through the
+   process-wide run controls, restored afterwards. *)
+let importance_result ~jobs ~checkpoint ?deadline () =
+  let saved = C.controls () in
+  C.set_controls { saved with checkpoint; deadline };
+  Fun.protect
+    ~finally:(fun () -> C.set_controls saved)
+    (fun () ->
+      I.estimate ~jobs ~proposal:aimed_proposal ~problem:linear_problem
+        ~rng:(Rng.create ~seed:23)
+        ~n:400 ())
 
 let check_importance_identical what (a : I.result) (b : I.result) =
   check_bits (what ^ " p_hat") a.I.p_hat b.I.p_hat;

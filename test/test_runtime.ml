@@ -143,14 +143,19 @@ let test_budget () =
     Alcotest.(check bool) "message has the exception census" true
       (contains ~sub:"Failure:3" msg)
 
-let test_reraise_first_failure () =
+(* The zero-tolerance policy is a zero budget: a single failure raises
+   the census, not the sample's own exception. *)
+let test_zero_budget_census () =
   let r =
     map ~jobs:3 ~n:12
-      ~f:(fun ~attempt:_ i -> if i >= 7 then raise (Boom i) else i)
+      ~f:(fun ~attempt:_ i -> if i = 7 then raise (Boom i) else i)
       ()
   in
-  Alcotest.check_raises "lowest-index exception rethrown" (Boom 7) (fun () ->
-      Rt.reraise_first_failure r)
+  match Rt.check_budget ~label:"z" ~max_failure_frac:0.0 r with
+  | () -> Alcotest.fail "expected Failure"
+  | exception Failure msg ->
+    Alcotest.(check bool) "message has failed/total counts" true
+      (contains ~sub:"1/12" msg)
 
 let test_stats_and_progress () =
   let last = ref 0 in
@@ -328,8 +333,8 @@ let test_retry_rng_value_neutral () =
 
 let test_mc_device_jobs_invariant () =
   let run jobs =
-    Mc.of_vs Vss.seed_nmos ~jobs ~rng:(Rng.create ~seed:11) ~n:64 ~w_nm:600.0
-      ~l_nm:40.0 ~vdd
+    Mc.of_vs ~label:"jobs-invariant" Vss.seed_nmos ~jobs
+      ~rng:(Rng.create ~seed:11) ~n:64 ~w_nm:600.0 ~l_nm:40.0 ~vdd
   in
   let s1 = run 1 and s4 = run 4 in
   Alcotest.(check bool) "idsat bit-identical" true (s1.idsat = s4.idsat);
@@ -413,7 +418,7 @@ let () =
             test_negative_n;
           Alcotest.test_case "fault capture" `Quick test_fault_capture;
           Alcotest.test_case "failure budget" `Quick test_budget;
-          Alcotest.test_case "reraise first" `Quick test_reraise_first_failure;
+          Alcotest.test_case "zero budget census" `Quick test_zero_budget_census;
           Alcotest.test_case "stats + progress" `Quick test_stats_and_progress;
           Alcotest.test_case "jobs:1 polls stop once per sample" `Quick
             test_stop_poll_once_per_sample;
