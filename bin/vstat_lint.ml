@@ -9,12 +9,13 @@
    suppressions ([@vstat.allow "rule"] attributes and the lint.allow
    file).
 
-   With --deep, three cross-module rules also run over the .cmt/.cmti
+   With --deep, four cross-module rules also run over the .cmt/.cmti
    typed trees found under the paths (dune writes them for @check):
    determinism taint reaching [@vstat.entry] hot entry points and
    unguarded module-level mutable state reachable from Domain.spawn roots,
-   both with the full cross-module call path, and every [val] of an
-   interface that no other compilation unit uses.  A source tree has no
+   both with the full cross-module call path, every [val] of an interface
+   that no other compilation unit uses, and every optional parameter of
+   such a [val] that no application passes.  A source tree has no
    typed trees, so --deep there exits 2; lint the build tree instead:
    dune build @check, then --root _build/default. *)
 
@@ -49,7 +50,7 @@ let () =
       ( "--deep",
         Arg.Set deep,
         " run the cross-module pass (determinism-taint, domain-safety, \
-         unused-export) on top of the per-file rules" );
+         unused-export, unused-optional) on top of the per-file rules" );
       ( "--root",
         Arg.Set_string root,
         "DIR  chdir here before scanning, so paths (and lint.allow \

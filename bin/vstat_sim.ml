@@ -4,7 +4,11 @@
 
    Runs every analysis directive in the deck and prints results: operating
    point plus, per directive, a table (or CSV with --csv) of node voltages
-   over time / sweep value / frequency. *)
+   over time / sweep value / frequency.
+
+   Exit status: 0 when every analysis ran; 1 when an analysis still fails
+   after the last retry (one line on stderr); 2 for a usage error or a deck
+   that does not parse. *)
 
 module P = Vstat_circuit.Spice_parser
 module N = Vstat_circuit.Netlist
@@ -241,7 +245,10 @@ let run_deck ~csv ~retry ~inject ~deadline path =
           (Printexc.to_string e);
         attempt_loop (attempt + 1)
       end
-      else raise e
+      else begin
+        Printf.eprintf "vstat_sim: %s: %s\n" path (Printexc.to_string e);
+        exit 1
+      end
   in
   attempt_loop 0
 
@@ -300,5 +307,7 @@ let () =
   | _ ->
     prerr_endline
       "usage: vstat_sim <deck.sp> [--csv] [--jobs N] [--retry N] \
-       [--inject-fault RATE[:KIND]] [--deadline SEC]";
+       [--inject-fault RATE[:KIND]] [--deadline SEC]\n\
+       exit status: 0 ok, 1 an analysis failed after the last retry, 2 \
+       usage or parse error";
     exit 2

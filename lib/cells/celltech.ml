@@ -6,11 +6,11 @@ type t = {
   pmos : w_nm:float -> Vstat_device.Device_model.t;
 }
 
-let nominal_bsim ?(vdd = Vstat_device.Cards.vdd_nominal) () =
+let nominal_bsim () =
   let l_nm = Vstat_device.Cards.l_nominal_nm in
   {
     label = "bsim-nominal";
-    vdd;
+    vdd = Vstat_device.Cards.vdd_nominal;
     l_nm;
     nmos =
       (fun ~w_nm ->

@@ -14,7 +14,7 @@ type t = {
   pmos : w_nm:float -> Vstat_device.Device_model.t;
 }
 
-val nominal_bsim : ?vdd:float -> unit -> t
+val nominal_bsim : unit -> t
 (** Deterministic golden technology at the synthetic 40 nm node. *)
 
 val nominal_vs_seed : ?vdd:float -> unit -> t

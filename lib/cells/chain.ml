@@ -9,14 +9,14 @@ type sample = {
   driver : Gates.inverter_devices;
 }
 
-let sample ?(stages = 8) ?(wp_nm = 600.0) ?(wn_nm = 300.0) (tech : Celltech.t) =
+let sample ?(stages = 8) (tech : Celltech.t) =
   if stages < 1 then
     invalid_arg "Chain.sample: stages >= 1" [@vstat.allow "exn-discipline"];
+  let inverter () = Gates.sample_inverter tech ~wp_nm:600.0 ~wn_nm:300.0 in
   {
     vdd = tech.vdd;
-    stages =
-      Array.init stages (fun _ -> Gates.sample_inverter tech ~wp_nm ~wn_nm);
-    driver = Gates.sample_inverter tech ~wp_nm ~wn_nm;
+    stages = Array.init stages (fun _ -> inverter ());
+    driver = inverter ();
   }
 
 (* Build the chain netlist once for a given stage count and stimulus.
@@ -46,15 +46,7 @@ let build ?backend ~vdd ~stages ~window (devices : int -> Gates.inverter_devices
   done;
   (* A final gate load keeps the last stage realistic. *)
   N.capacitor net "cl" ~a:!last ~b:gnd ~farads:1e-15;
-  let eng =
-    match backend with
-    | None -> E.compile net
-    | Some b -> E.compile ~backend:b net
-  in
-  (eng, first, !last)
-
-let default_window ~vdd ~stages =
-  Inverter.default_window ~vdd *. Float.of_int (Int.max 1 (stages / 3))
+  (E.compile ?backend net, first, !last)
 
 (* Extract the 50%-to-50% path delay from a finished transient. *)
 let delay_of_trace ~vdd ~stages eng trace ~first ~last =
@@ -74,12 +66,10 @@ let delay_of_trace ~vdd ~stages eng trace ~first ~last =
     Vstat_circuit.Diag.fail ~analysis:"measure:chain" Measure_no_crossing
       "edge did not propagate (window too short)"
 
-let measure ?window ?(steps = 600) ?backend s =
+let measure ?(steps = 600) ?backend s =
   let n = Array.length s.stages in
   let window =
-    match window with
-    | Some w -> w
-    | None -> default_window ~vdd:s.vdd ~stages:n
+    Inverter.default_window ~vdd:s.vdd *. Float.of_int (Int.max 1 (n / 3))
   in
   let devices i = if i = 0 then s.driver else s.stages.(i - 1) in
   let eng, first, last = build ?backend ~vdd:s.vdd ~stages:n ~window devices in

@@ -12,12 +12,10 @@ type sample = {
   driver : Gates.inverter_devices;
 }
 
-val sample :
-  ?stages:int -> ?wp_nm:float -> ?wn_nm:float -> Celltech.t -> sample
+val sample : ?stages:int -> Celltech.t -> sample
 (** Default: 8 stages of P/N = 600/300 nm. *)
 
 val measure :
-  ?window:float ->
   ?steps:int ->
   ?backend:Vstat_circuit.Engine.backend ->
   sample ->

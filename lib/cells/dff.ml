@@ -9,17 +9,20 @@ type sample = {
   passes : Vstat_device.Device_model.t array;
 }
 
-let sample ?(inv_wp_nm = 600.0) ?(inv_wn_nm = 300.0) ?(pass_w_nm = 300.0)
-    (tech : Celltech.t) =
+let sample (tech : Celltech.t) =
   {
     vdd = tech.vdd;
     inverters =
       Array.init 4 (fun _ ->
-          Gates.sample_inverter tech ~wp_nm:inv_wp_nm ~wn_nm:inv_wn_nm);
-    passes = Array.init 4 (fun _ -> tech.nmos ~w_nm:pass_w_nm);
+          Gates.sample_inverter tech ~wp_nm:600.0 ~wn_nm:300.0);
+    passes = Array.init 4 (fun _ -> tech.nmos ~w_nm:300.0);
   }
 
 let edge = 10e-12
+
+(* The falling clock edge, and the bisection window either side of it. *)
+let t_clk = 200e-12
+let search = 150e-12
 
 (* Build the register with explicit CLK / CLKB / D waveforms and return the
    engine plus the Q node. *)
@@ -58,7 +61,7 @@ let build s ~clk ~clkb ~d_wave =
     ~gate:nclk ~gnd;
   (net, s_out)
 
-let capture_ok ?(t_clk = 200e-12) ?(settle = 300e-12) s ~t_d ~data_rising =
+let capture_ok s ~t_d ~data_rising =
   let vdd = s.vdd in
   let clk = W.pwl [| (t_clk, vdd); (t_clk +. edge, 0.0) |] in
   let clkb = W.pwl [| (t_clk, 0.0); (t_clk +. edge, vdd) |] in
@@ -68,7 +71,7 @@ let capture_ok ?(t_clk = 200e-12) ?(settle = 300e-12) s ~t_d ~data_rising =
   in
   let net, q_node = build s ~clk ~clkb ~d_wave in
   let eng = E.compile net in
-  let tstop = t_clk +. settle in
+  let tstop = t_clk +. 300e-12 in
   let trace = E.transient eng ~tstop ~dt:(tstop /. 500.0) in
   let q = E.node_wave eng trace q_node in
   let final = M.settled_value ~values:q ~tail_fraction:0.05 in
@@ -78,9 +81,9 @@ let capture_ok ?(t_clk = 200e-12) ?(settle = 300e-12) s ~t_d ~data_rising =
      too (the falling edge must NOT be captured in a hold test). *)
   final > 0.6 *. vdd
 
-let setup_time ?(t_clk = 200e-12) ?(search = 150e-12) s =
+let setup_time s =
   (* Later data arrival -> capture fails; find the boundary. *)
-  let fails t_d = not (capture_ok ~t_clk s ~t_d ~data_rising:true) in
+  let fails t_d = not (capture_ok s ~t_d ~data_rising:true) in
   let lo = t_clk -. search in
   let hi = t_clk +. (0.3 *. search) in
   if fails lo then
@@ -94,10 +97,10 @@ let setup_time ?(t_clk = 200e-12) ?(search = 150e-12) s =
   in
   t_clk -. boundary
 
-let hold_time ?(t_clk = 200e-12) ?(search = 150e-12) s =
+let hold_time s =
   (* Data falls at t_d after having been high; if it falls too early the
      captured 1 is corrupted.  Earlier fall -> corruption. *)
-  let ok t_d = capture_ok ~t_clk s ~t_d ~data_rising:false in
+  let ok t_d = capture_ok s ~t_d ~data_rising:false in
   let lo = t_clk -. (0.3 *. search) in
   let hi = t_clk +. search in
   if ok lo then

@@ -13,25 +13,21 @@ type sample = {
   passes : Vstat_device.Device_model.t array;  (** M1..M4 (NMOS) *)
 }
 
-val sample :
-  ?inv_wp_nm:float -> ?inv_wn_nm:float -> ?pass_w_nm:float ->
-  Celltech.t -> sample
-(** Draw one register instance.  Defaults follow the paper: inverters
+val sample : Celltech.t -> sample
+(** Draw one register instance, sized as in the paper: inverters
     P/N = 600/300 nm, pass transistors 300 nm. *)
 
-val capture_ok :
-  ?t_clk:float -> ?settle:float -> sample -> t_d:float -> data_rising:bool ->
-  bool
+val capture_ok : sample -> t_d:float -> data_rising:bool -> bool
 (** Simulate one capture attempt: the data edge (rising for setup tests,
-    falling for hold tests) happens at [t_d]; CLK falls at [t_clk]
-    (default 200 ps).  True when Q ends at the post-edge data value. *)
+    falling for hold tests) happens at [t_d]; CLK falls at [t_clk] =
+    200 ps.  True when Q ends at the post-edge data value. *)
 
-val setup_time : ?t_clk:float -> ?search:float -> sample -> float
+val setup_time : sample -> float
 (** Latest data-rise time that still captures, reported as the margin
-    [t_clk - t_d] (s).  [search] bounds the bisection window (default
-    150 ps before the clock edge). *)
+    [t_clk - t_d] (s), bisected in a window from 150 ps before the clock
+    edge. *)
 
-val hold_time : ?t_clk:float -> ?search:float -> sample -> float
+val hold_time : sample -> float
 (** Earliest data-fall time (after a captured 1) that keeps Q high,
     reported as [t_d - t_clk] (s); negative values mean data may change
     before the clock edge. *)

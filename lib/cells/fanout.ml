@@ -49,7 +49,7 @@ let build (gate : _ Gates.gate) s ~window =
     s.loads;
   (net, na, ny)
 
-let measure (gate : _ Gates.gate) ?window ?(steps = 400) s =
+let measure (gate : _ Gates.gate) ?window s =
   let window =
     match window with Some w -> w | None -> default_window ~vdd:s.vdd
   in
@@ -57,7 +57,7 @@ let measure (gate : _ Gates.gate) ?window ?(steps = 400) s =
   let eng = E.compile net in
   let op = E.dc eng in
   let leakage = Float.abs (E.source_current eng op "vvdd") in
-  let trace = E.transient eng ~tstop:window ~dt:(window /. Float.of_int steps) in
+  let trace = E.transient eng ~tstop:window ~dt:(window /. 400.0) in
   let times = trace.E.times in
   let wa = E.node_wave eng trace na in
   let wy = E.node_wave eng trace ny in

@@ -33,9 +33,9 @@ val default_window : vdd:float -> float
 (** Simulation window heuristic; grows as the supply drops (low-Vdd delays
     are an order of magnitude longer). *)
 
-val measure : 'd Gates.gate -> ?window:float -> ?steps:int -> 'd sample -> result
-(** Build the netlist, run one DC solve for leakage and one transient with
-    a rise+fall input pulse.
+val measure : 'd Gates.gate -> ?window:float -> 'd sample -> result
+(** Build the netlist, run one DC solve for leakage and one 400-step
+    transient with a rise+fall input pulse.
     @raise Vstat_circuit.Diag.Solver_error ([Measure_no_crossing], analysis
     [measure:<gate name>]) if a 50 % crossing is never observed (window
     too short). *)

@@ -7,4 +7,4 @@ type result = Fanout.result = {
 
 let sample = Fanout.sample Gates.inverter
 let default_window = Fanout.default_window
-let measure = Fanout.measure Gates.inverter
+let measure ?window s = Fanout.measure Gates.inverter ?window s

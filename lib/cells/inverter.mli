@@ -18,5 +18,4 @@ val sample :
 
 val default_window : vdd:float -> float
 
-val measure :
-  ?window:float -> ?steps:int -> Gates.inverter_devices Fanout.sample -> result
+val measure : ?window:float -> Gates.inverter_devices Fanout.sample -> result

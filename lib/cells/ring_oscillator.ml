@@ -11,13 +11,15 @@ type result = {
   leakage : float;
 }
 
-let sample ?(stages = 5) ?(wp_nm = 600.0) ?(wn_nm = 300.0) (tech : Celltech.t) =
+let sample ?(stages = 5) (tech : Celltech.t) =
   if stages < 3 || stages mod 2 = 0 then
     invalid_arg "Ring_oscillator.sample: stages must be odd and >= 3"
     [@vstat.allow "exn-discipline"];
   {
     vdd = tech.vdd;
-    stages = Array.init stages (fun _ -> Gates.sample_inverter tech ~wp_nm ~wn_nm);
+    stages =
+      Array.init stages (fun _ ->
+          Gates.sample_inverter tech ~wp_nm:600.0 ~wn_nm:300.0);
   }
 
 (* The DC operating point of a free ring is its metastable midpoint, and a
@@ -44,13 +46,13 @@ let build s =
          [| (0.0, 0.0); (1e-12, 50e-6); (15e-12, 50e-6); (16e-12, 0.0) |]);
   (net, nodes.(0))
 
-let measure ?(cycles = 6.0) s =
+let measure s =
   let net, probe = build s in
   let eng = E.compile net in
   (* Rough period estimate: 2 * stages * (a generous FO1 stage delay). *)
   let stage_guess = 12e-12 *. (0.9 /. s.vdd) ** 2.0 in
   let period_guess = 2.0 *. Float.of_int (Array.length s.stages) *. stage_guess in
-  let tstop = cycles *. period_guess *. 2.0 in
+  let tstop = 6.0 *. period_guess *. 2.0 in
   let trace = E.transient eng ~tstop ~dt:(period_guess /. 60.0) in
   let times = trace.E.times in
   let wave = E.node_wave eng trace probe in

@@ -15,13 +15,12 @@ type result = {
   leakage : float;          (** static supply current with the ring broken *)
 }
 
-val sample :
-  ?stages:int -> ?wp_nm:float -> ?wn_nm:float -> Celltech.t -> sample
+val sample : ?stages:int -> Celltech.t -> sample
 (** Default: 5 stages of P/N = 600/300 nm.
     @raise Invalid_argument if [stages] is even or < 3. *)
 
-val measure : ?cycles:float -> sample -> result
-(** Run a transient long enough for ~[cycles] oscillation periods
-    (default 6; the first two are discarded as startup) and measure the
+val measure : sample -> result
+(** Run a transient long enough for ~6 oscillation periods (the first
+    two are discarded as startup) and measure the
     average period from successive rising crossings of one node.
     @raise Vstat_circuit.Diag.Solver_error ([Measure_no_crossing]) if the ring fails to oscillate in the window. *)

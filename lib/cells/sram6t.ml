@@ -13,13 +13,12 @@ type half_devices = {
 
 type sample = { vdd : float; left : half_devices; right : half_devices }
 
-let sample ?(pu_w_nm = 80.0) ?(pd_w_nm = 150.0) ?(acc_w_nm = 105.0)
-    (tech : Celltech.t) =
+let sample (tech : Celltech.t) =
   let half () =
     {
-      pullup = tech.pmos ~w_nm:pu_w_nm;
-      pulldown = tech.nmos ~w_nm:pd_w_nm;
-      access = tech.nmos ~w_nm:acc_w_nm;
+      pullup = tech.pmos ~w_nm:80.0;
+      pulldown = tech.nmos ~w_nm:150.0;
+      access = tech.nmos ~w_nm:105.0;
     }
   in
   { vdd = tech.vdd; left = half (); right = half () }

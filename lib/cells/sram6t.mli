@@ -20,10 +20,9 @@ type sample = {
   right : half_devices;
 }
 
-val sample :
-  ?pu_w_nm:float -> ?pd_w_nm:float -> ?acc_w_nm:float -> Celltech.t -> sample
-(** Draw one cell (defaults: pull-down 150 nm — the paper's "N 150 nm" —
-    pull-up 80 nm, access 105 nm). *)
+val sample : Celltech.t -> sample
+(** Draw one cell: pull-down 150 nm (the paper's "N 150 nm"), pull-up
+    80 nm, access 105 nm. *)
 
 val vtc : sample -> side:[ `Left | `Right ] -> mode:mode -> points:int ->
   (float * float) array

@@ -275,8 +275,29 @@ let compile ?(backend = Auto) netlist =
              if r >= 0 && c >= 0 then entries := (r, c) :: !entries))
         coords;
       let sym =
-        Vstat_linalg.Sparse.analyze_cached ~n
-          ~entries:(Array.of_list !entries)
+        match
+          Vstat_linalg.Sparse.analyze_cached ~n
+            ~entries:(Array.of_list !entries)
+        with
+        | sym -> sym
+        | exception Vstat_linalg.Linalg_error.Numeric_error { reason; _ } ->
+          (* The reason ends with the uncovered column: name its unknown. *)
+          let i = String.rindex reason ' ' + 1 in
+          let c = int_of_string (String.sub reason i (String.length reason - i)) in
+          let what =
+            match
+              ( List.find_opt
+                  (fun (_, h) -> Netlist.node_index h = c + 1)
+                  (Netlist.all_nodes netlist),
+                List.find_opt (fun (_, i) -> i = c - nn) !vsrc_index )
+            with
+            | Some (name, _), _ -> "voltage of node " ^ name
+            | None, Some (name, _) -> "branch current of " ^ name
+            | None, None -> "unknown"
+          in
+          Diag.fail ~analysis:"compile" Singular_jacobian
+            "structurally singular: no equation determines unknown %d (%s)" c
+            what
       in
       let num = Vstat_linalg.Sparse.create_numeric sym in
       let slot (r, c) =
@@ -734,11 +755,11 @@ let dc_core ?guess ~opts ~time t =
       (List.length fails) detail
   end
 
-let dc ?options ?guess ?(time = 0.0) t =
+let dc ?options ?guess t =
   let opts = match options with Some o -> o | None -> current_options () in
   t.work_used <- 0;
   t.work_cap <- opts.work_cap;
-  dc_core ?guess ~opts ~time t
+  dc_core ?guess ~opts ~time:0.0 t
 
 let voltage _t op n = nodev op.x n
 

@@ -98,10 +98,10 @@ type op = {
   time : float;          (** time at which sources were evaluated *)
 }
 
-val dc : ?options:solver_options -> ?guess:float array -> ?time:float -> t -> op
-(** Operating point.  Tries direct Newton from [guess] (default: all zeros),
-    then gmin stepping, then source stepping, under [options] (default:
-    {!current_options}).
+val dc : ?options:solver_options -> ?guess:float array -> t -> op
+(** Operating point, with the sources at time 0.  Tries direct Newton from
+    [guess] (default: all zeros), then gmin stepping, then source
+    stepping, under [options] (default: {!current_options}).
     @raise Diag.Solver_error with kind [Dc_no_convergence],
     [Singular_jacobian], [Nonfinite_update] or [Work_cap_exceeded]. *)
 

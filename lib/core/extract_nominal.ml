@@ -223,28 +223,14 @@ let unpack (seed : Vs.params) x =
 
 (* The paper's BPV sweep varies width at fixed L = 40 nm (its Figs. 2-3 are
    width sweeps), and the VS card is geometry-portable in W by construction,
-   so the nominal fit uses the primary device only; the DIBL length profile
-   l_scale stays at its card value (characterized separately in practice). *)
-let default_fit_geometries = [ (300.0, 40.0) ]
-
-let fit ?(w_nm = 300.0) ?(l_nm = 40.0) ?(max_iter = 4000) ?geometries ~polarity
-    () =
-  let geometries =
-    match geometries with
-    | Some g -> g
-    | None ->
-      let base = (w_nm, l_nm) in
-      base :: List.filter (( <> ) base) default_fit_geometries
-  in
+   so the nominal fit uses the primary device W/L = 300/40 nm only; the DIBL
+   length profile l_scale stays at its card value (characterized separately
+   in practice). *)
+let fit ~polarity () =
+  let w_nm = 300.0 and l_nm = 40.0 in
   let vdd = Vstat_device.Cards.vdd_nominal in
-  (* A dataset per geometry: the multi-geometry fit pins the DIBL(L) profile
-     so that BPV's cross-geometry sensitivity matrix is consistent. *)
-  let datasets =
-    List.map
-      (fun (w_nm, l_nm) ->
-        let golden = Vstat_device.Cards.bsim_device ~polarity ~w_nm ~l_nm in
-        ((w_nm, l_nm), golden_dataset golden ~vdd))
-      geometries
+  let dataset =
+    golden_dataset (Vstat_device.Cards.bsim_device ~polarity ~w_nm ~l_nm) ~vdd
   in
   let seed =
     match polarity with
@@ -279,20 +265,13 @@ let fit ?(w_nm = 300.0) ?(l_nm = 40.0) ?(max_iter = 4000) ?geometries ~polarity
     { p with Vs.w = Vstat_device.Cards.nm w_nm; l = Vstat_device.Cards.nm l_nm }
   in
   let f x =
-    let p = unpack seed x in
-    List.fold_left
-      (fun acc ((w_nm, l_nm), dataset) ->
-        acc +. objective ~polarity dataset (retarget p ~w_nm ~l_nm))
-      0.0 datasets
-    /. Float.of_int (List.length datasets)
+    objective ~polarity dataset (retarget (unpack seed x) ~w_nm ~l_nm)
   in
   let r =
-    Vstat_opt.Nelder_mead.minimize_restarts ~restarts:3 ~max_iter ~f
+    Vstat_opt.Nelder_mead.minimize_restarts ~restarts:3 ~max_iter:4000 ~f
       ~x0:(pack seed) ()
   in
   let fitted = unpack seed r.x in
-  (* Report errors at the primary geometry for documentation. *)
-  let dataset = List.assoc (w_nm, l_nm) datasets in
   let dev = Vs.device ~polarity fitted in
   let log_errs =
     Array.map

@@ -18,12 +18,6 @@ type result = {
   iterations : int;
 }
 
-val fit :
-  ?w_nm:float -> ?l_nm:float -> ?max_iter:int ->
-  ?geometries:(float * float) list ->
-  polarity:Vstat_device.Device_model.polarity ->
-  unit ->
-  result
-(** Fit the VS model to the golden devices over [geometries] (default:
-    [w_nm]/[l_nm], plus the paper's Fig. 1 device W/L = 300/40 nm when
-    that differs); errors are reported at the primary geometry. *)
+val fit : polarity:Vstat_device.Device_model.polarity -> unit -> result
+(** Fit the VS model to the golden device of the paper's Fig. 1,
+    W/L = 300/40 nm, and report the errors there. *)

@@ -14,7 +14,6 @@ type samples = {
 
 val of_vs :
   ?jobs:int ->
-  ?fingerprint:string ->
   label:string ->
   Vs_statistical.t -> rng:Vstat_util.Rng.t -> n:int ->
   w_nm:float -> l_nm:float -> vdd:float -> samples

@@ -13,7 +13,7 @@ type t = {
   vs_pmos : Vs_statistical.t;
 }
 
-let default_geometries =
+let geometries =
   [
     (120.0, 40.0);
     (200.0, 40.0);
@@ -23,9 +23,8 @@ let default_geometries =
     (1500.0, 40.0);
   ]
 
-let build ?(seed = 42) ?jobs
-    ?(mc_per_geometry = 2000) ?(geometries = default_geometries)
-    ?(vdd = Vstat_device.Cards.vdd_nominal) () =
+let build ?(seed = 42) ?jobs ?(mc_per_geometry = 2000) () =
+  let vdd = Vstat_device.Cards.vdd_nominal in
   let rng = Vstat_util.Rng.create ~seed in
   let golden_nmos = Bsim_statistical.golden_nmos in
   let golden_pmos = Bsim_statistical.golden_pmos in

@@ -30,8 +30,6 @@ val build :
   ?seed:int ->
   ?jobs:int ->
   ?mc_per_geometry:int ->
-  ?geometries:(float * float) list ->
-  ?vdd:float ->
   unit ->
   t
 (** [jobs] is the {!Vstat_runtime.Runtime} worker count for the per-geometry

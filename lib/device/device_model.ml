@@ -133,8 +133,7 @@ let ids t ~vg ~vd ~vs ~vb = (t.eval ~vg ~vd ~vs ~vb).id
 
 let central f x dv = (f (x +. dv) -. f (x -. dv)) /. (2.0 *. dv)
 
-let gm ?(dv = 1e-5) t ~vg ~vd ~vs ~vb =
-  central (fun vg -> ids t ~vg ~vd ~vs ~vb) vg dv
+let gm t ~vg ~vd ~vs ~vb = central (fun vg -> ids t ~vg ~vd ~vs ~vb) vg 1e-5
 
-let cgg ?(dv = 1e-5) t ~vg ~vd ~vs ~vb =
-  central (fun vg -> (t.eval ~vg ~vd ~vs ~vb).qg) vg dv
+let cgg t ~vg ~vd ~vs ~vb =
+  central (fun vg -> (t.eval ~vg ~vd ~vs ~vb).qg) vg 1e-5

@@ -124,7 +124,8 @@ let kind_of_string = function
   | "raise" -> Some Raise
   | _ -> None
 
-let parse_spec ?(seed = 0x1d0a) s =
+let parse_spec s =
+  let seed = 0x1d0a in
   let rate_s, kind_s =
     match String.index_opt s ':' with
     | None -> (s, None)
@@ -216,7 +217,8 @@ module Service = struct
   let default_stall_s = 0.05
   let default_hang_s = 0.75
 
-  let parse_spec ?(seed = 0x5e2c) s =
+  let parse_spec s =
+    let seed = 0x5e2c in
     let fields = String.split_on_char ':' s in
     match fields with
     | [] | [ "" ] -> Error "empty service fault spec"

@@ -59,9 +59,9 @@ val arm : plan -> Device_model.t -> Device_model.t
     is [plan.device_ordinal], returning every other device unchanged.
     Use one mapper per circuit instance. *)
 
-val parse_spec : ?seed:int -> string -> (config, string) result
+val parse_spec : string -> (config, string) result
 (** Parse the CLI syntax [RATE[:KIND]], e.g. ["0.05"] or ["0.05:nan"];
-    kind defaults to [Raise]. *)
+    kind defaults to [Raise]; the seed is [0x1d0a]. *)
 
 val spec_to_string : config -> string
 
@@ -111,7 +111,7 @@ module Service : sig
       fields or kind fractions summing past 1 (same contract as the
       device-level {!val:plan}). *)
 
-  val parse_spec : ?seed:int -> string -> (config, string) result
+  val parse_spec : string -> (config, string) result
   (** CLI syntax [RATE[:KIND[:SEC]]] with KIND one of [stall], [abort]
       (alias [raise]), [mix] (half stalls, half aborts — the default),
       [crash], [hang], or [chaos] (equal quarters of stall / abort /

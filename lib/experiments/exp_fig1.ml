@@ -7,7 +7,8 @@ type t = {
   rms_rel_error : float;
 }
 
-let run ?(w_nm = 300.0) (p : Vstat_core.Pipeline.t) =
+let run (p : Vstat_core.Pipeline.t) =
+  let w_nm = 300.0 in
   let l_nm = Vstat_device.Cards.l_nominal_nm in
   let vdd = p.vdd in
   let golden =

@@ -13,6 +13,6 @@ type t = {
   rms_rel_error : float;
 }
 
-val run : ?w_nm:float -> Vstat_core.Pipeline.t -> t
+val run : Vstat_core.Pipeline.t -> t
 
 val pp : Format.formatter -> t -> unit

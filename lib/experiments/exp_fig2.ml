@@ -8,17 +8,11 @@ type row = {
 
 type t = { rows : row list; max_abs_diff_pct : float }
 
-let run ?(polarity = `N) (p : Vstat_core.Pipeline.t) =
-  let vs, observations, options =
-    match polarity with
-    | `N -> (p.vs_nmos, p.observations_nmos, p.bpv_nmos.options)
-    | `P -> (p.vs_pmos, p.observations_pmos, p.bpv_pmos.options)
-  in
-  let stacked =
-    match polarity with `N -> p.bpv_nmos.alphas | `P -> p.bpv_pmos.alphas
-  in
+let run (p : Vstat_core.Pipeline.t) =
+  let stacked = p.bpv_nmos.alphas in
   let per_geometry =
-    Vstat_core.Bpv.extract_per_geometry ~vs ~vdd:p.vdd ~options observations
+    Vstat_core.Bpv.extract_per_geometry ~vs:p.vs_nmos ~vdd:p.vdd
+      ~options:p.bpv_nmos.options p.observations_nmos
   in
   let pct individual reference =
     if Float.equal reference 0.0 then 0.0

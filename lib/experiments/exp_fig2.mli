@@ -12,6 +12,6 @@ type row = {
 
 type t = { rows : row list; max_abs_diff_pct : float }
 
-val run : ?polarity:[ `N | `P ] -> Vstat_core.Pipeline.t -> t
+val run : Vstat_core.Pipeline.t -> t
 
 val pp : Format.formatter -> t -> unit

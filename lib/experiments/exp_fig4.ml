@@ -36,7 +36,8 @@ let analyze label (s : Vstat_core.Mc_device.samples) =
     coverages;
   }
 
-let run ?(w_nm = 600.0) ?(n = 1000) ?(seed = 17) (p : Vstat_core.Pipeline.t) =
+let run ?(n = 1000) ?(seed = 17) (p : Vstat_core.Pipeline.t) =
+  let w_nm = 600.0 in
   let l_nm = Vstat_device.Cards.l_nominal_nm in
   let rng = Vstat_util.Rng.create ~seed in
   let run_label model = Printf.sprintf "fig4-w%g-%s" w_nm model in

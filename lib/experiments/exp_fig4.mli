@@ -19,7 +19,6 @@ type t = {
   correlation_vs : float;
 }
 
-val run :
-  ?w_nm:float -> ?n:int -> ?seed:int -> Vstat_core.Pipeline.t -> t
+val run : ?n:int -> ?seed:int -> Vstat_core.Pipeline.t -> t
 
 val pp : Format.formatter -> t -> unit

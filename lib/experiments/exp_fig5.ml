@@ -1,6 +1,6 @@
 type size = { name : string; wp_nm : float; wn_nm : float }
 
-let paper_sizes =
+let sizes =
   [
     { name = "1x (P/N=300/150)"; wp_nm = 300.0; wn_nm = 150.0 };
     { name = "2x (P/N=600/300)"; wp_nm = 600.0; wn_nm = 300.0 };
@@ -9,9 +9,8 @@ let paper_sizes =
 
 type t = { n : int; vdd : float; results : (size * Mc_compare.pair) list }
 
-let run ?(sizes = paper_sizes) ?(n = 400) ?(seed = 23) ?vdd
-    (p : Vstat_core.Pipeline.t) =
-  let vdd = match vdd with Some v -> v | None -> p.vdd in
+let run ?(n = 400) ?(seed = 23) (p : Vstat_core.Pipeline.t) =
+  let vdd = p.vdd in
   let results =
     List.map
       (fun size ->

@@ -5,8 +5,6 @@ type size = { name : string; wp_nm : float; wn_nm : float }
 
 type t = { n : int; vdd : float; results : (size * Mc_compare.pair) list }
 
-val run :
-  ?sizes:size list -> ?n:int -> ?seed:int -> ?vdd:float ->
-  Vstat_core.Pipeline.t -> t
+val run : ?n:int -> ?seed:int -> Vstat_core.Pipeline.t -> t
 
 val pp : Format.formatter -> t -> unit

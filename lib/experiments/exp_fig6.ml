@@ -26,10 +26,11 @@ let scatter_of label leakage frequency =
       100.0 *. (hi_f -. lo_f) /. Vstat_stats.Descriptive.mean frequency;
   }
 
-let run ?(wp_nm = 600.0) ?(wn_nm = 300.0) ?(n = 600) ?(seed = 29)
-    (p : Vstat_core.Pipeline.t) =
+let run ?(n = 600) ?(seed = 29) (p : Vstat_core.Pipeline.t) =
   let measure tech =
-    let s = Vstat_cells.Inverter.sample tech ~wp_nm ~wn_nm ~fanout:3 in
+    let s =
+      Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
+    in
     let r = Vstat_cells.Inverter.measure s in
     [ r.leakage; 1.0 /. r.tpd ]
   in

@@ -18,8 +18,6 @@ type t = {
   frequency_pair : Mc_compare.pair;
 }
 
-val run :
-  ?wp_nm:float -> ?wn_nm:float -> ?n:int -> ?seed:int ->
-  Vstat_core.Pipeline.t -> t
+val run : ?n:int -> ?seed:int -> Vstat_core.Pipeline.t -> t
 
 val pp : Format.formatter -> t -> unit

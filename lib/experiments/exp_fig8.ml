@@ -1,31 +1,18 @@
 type t = {
   n : int;
   setup : Mc_compare.pair;
-  hold : Mc_compare.pair option;
 }
 
-let run ?(n = 120) ?(seed = 37) ?(include_hold = false)
-    (p : Vstat_core.Pipeline.t) =
+let run ?(n = 120) ?(seed = 37) (p : Vstat_core.Pipeline.t) =
   let setup =
     Mc_compare.run p ~label:"DFF setup time" ~vdd:p.vdd ~n ~seed
       ~measure:(fun tech ->
         Vstat_cells.Dff.setup_time (Vstat_cells.Dff.sample tech))
   in
-  let hold =
-    if include_hold then
-      Some
-        (Mc_compare.run p ~label:"DFF hold time" ~vdd:p.vdd ~n ~seed:(seed + 5)
-           ~measure:(fun tech ->
-             Vstat_cells.Dff.hold_time (Vstat_cells.Dff.sample tech)))
-    else None
-  in
-  { n; setup; hold }
+  { n; setup }
 
 let pp ppf t =
   Format.fprintf ppf
     "Fig.8: DFF (master-slave, NMOS pass) setup time, %d MC samples per model@\n"
     t.n;
-  Mc_compare.pp_pair ppf t.setup;
-  match t.hold with
-  | Some hold -> Mc_compare.pp_pair ppf hold
-  | None -> ()
+  Mc_compare.pp_pair ppf t.setup

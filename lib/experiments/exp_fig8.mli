@@ -1,14 +1,11 @@
 (** Fig. 8 — setup-time distribution of the master–slave NMOS-pass register
-    (250 Monte Carlo runs in the paper).  Hold times are characterized too
-    (the paper analyses both constraints, eqs. (11)–(12)). *)
+    (250 Monte Carlo runs in the paper). *)
 
 type t = {
   n : int;
   setup : Mc_compare.pair;
-  hold : Mc_compare.pair option;  (** only when [include_hold] *)
 }
 
-val run :
-  ?n:int -> ?seed:int -> ?include_hold:bool -> Vstat_core.Pipeline.t -> t
+val run : ?n:int -> ?seed:int -> Vstat_core.Pipeline.t -> t
 
 val pp : Format.formatter -> t -> unit

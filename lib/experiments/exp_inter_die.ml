@@ -12,13 +12,15 @@ let measure_delay tech =
   let s = Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
   (Vstat_cells.Inverter.measure s).tpd
 
-let run ?(n_dies = 20) ?(per_die = 8) ?(seed = 53)
-    ?(spec = Vstat_core.Inter_die.default_40nm) (p : Vstat_core.Pipeline.t) =
+let run ?(n_dies = 20) ?(per_die = 8) ?(seed = 53) (p : Vstat_core.Pipeline.t) =
   let rng = Vstat_util.Rng.create ~seed in
   let vdd = p.vdd in
   (* The die shifts come first, so sample [i] of either sweep is a pure
      function of its index: it sits on die [i / per_die]. *)
-  let dies = Array.init n_dies (fun _ -> Vstat_core.Inter_die.draw spec rng) in
+  let dies =
+    Array.init n_dies (fun _ ->
+        Vstat_core.Inter_die.draw Vstat_core.Inter_die.default_40nm rng)
+  in
   let sweep label tech_of_sample =
     Vstat_runtime.Runtime.values
       (Mc_compare.collect_indexed ~codec:Vstat_runtime.Checkpoint.float_codec

@@ -18,8 +18,6 @@ type t = {
 }
 
 val run :
-  ?n_dies:int -> ?per_die:int -> ?seed:int ->
-  ?spec:Vstat_core.Inter_die.t ->
-  Vstat_core.Pipeline.t -> t
+  ?n_dies:int -> ?per_die:int -> ?seed:int -> Vstat_core.Pipeline.t -> t
 
 val pp : Format.formatter -> t -> unit

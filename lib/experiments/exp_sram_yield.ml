@@ -50,14 +50,9 @@ let z_tech (p : Vstat_core.Pipeline.t) ~vdd (z : float array) =
     pmos = (fun ~w_nm -> device_of_z p.vs_pmos ~w_nm ~l_nm z (next_off ()));
   }
 
-let problem ?(mode = Vstat_cells.Sram6t.Read) ?(points = 41)
-    (p : Vstat_core.Pipeline.t) ~vdd ~threshold =
-  let mode_label =
-    match mode with Vstat_cells.Sram6t.Read -> "read" | Hold -> "hold"
-  in
+let problem ~points (p : Vstat_core.Pipeline.t) ~vdd ~threshold =
   Rare.Problem.create
-    ~label:
-      (Printf.sprintf "sram-%s-snm-vdd%.2f-pts%d" mode_label vdd points)
+    ~label:(Printf.sprintf "sram-read-snm-vdd%.2f-pts%d" vdd points)
     ~dim
     ~simulate:(fun ~attempt z ->
       let tech = z_tech p ~vdd z in
@@ -67,7 +62,7 @@ let problem ?(mode = Vstat_cells.Sram6t.Read) ?(points = 41)
       in
       Vstat_circuit.Engine.with_options opts (fun () ->
           Vstat_cells.Sram6t.snm ~points (Vstat_cells.Sram6t.sample tech)
-            ~mode))
+            ~mode:Read))
     ~tail:Rare.Problem.Lower ~threshold
 
 type t = {
@@ -98,12 +93,12 @@ let intervals_overlap (lo1, hi1) (lo2, hi2) = lo1 <= hi2 && lo2 <= hi1
    defensive mixture of the nominal density with both lobe cones, so
    every likelihood ratio is bounded by the component count (3): no
    single sample can dominate the estimate, whatever the fits missed. *)
-let pilot_proposal ?jobs ~scale ~mode ~points ~vdd ~(prob : Rare.Problem.t)
+let pilot_proposal ~scale ~points ~vdd ~(prob : Rare.Problem.t)
     ~(p : Vstat_core.Pipeline.t) ~rng ~n () =
   let module C = Vstat_runtime.Checkpoint in
   let std = Rare.Proposal.standard ~dim in
   let r =
-    C.collect ?jobs ~min_ok:(dim + 2)
+    C.collect ~min_ok:(dim + 2)
       ~fingerprint:(Rare.Problem.fingerprint prob ^ "|phase:is-pilot")
       ~codec:C.float_array_codec
       ~label:(prob.Rare.Problem.label ^ "-is-pilot")
@@ -119,7 +114,7 @@ let pilot_proposal ?jobs ~scale ~mode ~points ~vdd ~(prob : Rare.Problem.t)
           Vstat_circuit.Engine.with_options opts (fun () ->
               Vstat_cells.Sram6t.snm_lobes ~points
                 (Vstat_cells.Sram6t.sample tech)
-                ~mode)
+                ~mode:Read)
         in
         Array.append [| lobe1; lobe2 |] z)
       ()
@@ -160,56 +155,51 @@ let pilot_proposal ?jobs ~scale ~mode ~points ~vdd ~(prob : Rare.Problem.t)
 
 let default_vdd = 0.80
 let default_threshold = 0.025
-let default_mode = Vstat_cells.Sram6t.Read
 let default_points = 41
 let default_is_pilot = 200
 
-let estimate_plain ?jobs ?(n = 4000) ?(seed = 61) ?(mode = default_mode)
-    ?(points = default_points) ?(vdd = default_vdd)
-    ?(threshold = default_threshold) (p : Vstat_core.Pipeline.t) =
-  let prob = problem ~mode ~points p ~vdd ~threshold in
+let estimate_plain ?(n = 4000) ?(seed = 61) ?(points = default_points)
+    ?(vdd = default_vdd) ?(threshold = default_threshold)
+    (p : Vstat_core.Pipeline.t) =
+  let prob = problem ~points p ~vdd ~threshold in
   (* Its own label, so its snapshot never collides with the IS run's. *)
   let prob = { prob with Rare.Problem.label = prob.label ^ "-plain" } in
-  Rare.Importance.estimate ?jobs ~proposal:(Rare.Proposal.standard ~dim)
+  Rare.Importance.estimate ~proposal:(Rare.Proposal.standard ~dim)
     ~problem:prob ~rng:(Vstat_util.Rng.create ~seed) ~n ()
 
-let estimate_is ?jobs ?(n = 4000) ?(seed = 61) ?(mode = default_mode)
-    ?(points = default_points) ?(vdd = default_vdd)
-    ?(threshold = default_threshold) ?(sigma_shift = 1.0)
+let estimate_is ?(n = 4000) ?(seed = 61) ?(points = default_points)
+    ?(vdd = default_vdd) ?(threshold = default_threshold) ?(sigma_shift = 1.0)
     ?(pilot_n = default_is_pilot) (p : Vstat_core.Pipeline.t) =
-  let prob = problem ~mode ~points p ~vdd ~threshold in
+  let prob = problem ~points p ~vdd ~threshold in
   let proposal =
-    pilot_proposal ?jobs ~scale:sigma_shift ~mode ~points ~vdd ~prob ~p
+    pilot_proposal ~scale:sigma_shift ~points ~vdd ~prob ~p
       ~rng:(Vstat_util.Rng.create ~seed:(seed + 3))
       ~n:pilot_n ()
   in
   Log.info (fun m -> m "IS proposal: %s" (Rare.Proposal.to_string proposal));
-  Rare.Importance.estimate ?jobs ~proposal ~problem:prob
+  Rare.Importance.estimate ~proposal ~problem:prob
     ~rng:(Vstat_util.Rng.create ~seed:(seed + 1))
     ~n ()
 
-let estimate_blockade ?jobs ?(n = 4000) ?(seed = 61) ?(mode = default_mode)
-    ?(points = default_points) ?(vdd = default_vdd)
-    ?(threshold = default_threshold) ?pilot_n (p : Vstat_core.Pipeline.t) =
-  let prob = problem ~mode ~points p ~vdd ~threshold in
-  Rare.Blockade.estimate ?jobs ?pilot_n ~problem:prob
+let estimate_blockade ?(n = 4000) ?(seed = 61) ?(points = default_points)
+    ?(vdd = default_vdd) ?(threshold = default_threshold) ?pilot_n
+    (p : Vstat_core.Pipeline.t) =
+  let prob = problem ~points p ~vdd ~threshold in
+  Rare.Blockade.estimate ?pilot_n ~problem:prob
     ~rng:(Vstat_util.Rng.create ~seed:(seed + 2))
     ~n ()
 
-let run ?jobs ?(n = 4000) ?n_accel ?(seed = 61) ?mode ?points
-    ?(vdd = default_vdd) ?(threshold = default_threshold)
-    ?(sigma_shift = 1.0) ?pilot_n (p : Vstat_core.Pipeline.t) =
-  let n_accel = match n_accel with Some m -> m | None -> n in
-  let plain = estimate_plain ?jobs ~n ~seed ?mode ?points ~vdd ~threshold p in
+let run ?(n = 4000) ?(seed = 61) ?points ?(vdd = default_vdd)
+    ?(threshold = default_threshold) ?(sigma_shift = 1.0) ?pilot_n
+    (p : Vstat_core.Pipeline.t) =
+  let plain = estimate_plain ~n ~seed ?points ~vdd ~threshold p in
   Log.info (fun m -> m "golden: %a" Rare.Importance.pp plain);
   let is =
-    estimate_is ?jobs ~n:n_accel ~seed ?mode ?points ~vdd ~threshold
-      ~sigma_shift ?pilot_n p
+    estimate_is ~n ~seed ?points ~vdd ~threshold ~sigma_shift ?pilot_n p
   in
   Log.info (fun m -> m "is: %a" Rare.Importance.pp is);
   let blockade =
-    estimate_blockade ?jobs ~n:n_accel ~seed ?mode ?points ~vdd ~threshold
-      ?pilot_n p
+    estimate_blockade ~n ~seed ?points ~vdd ~threshold ?pilot_n p
   in
   Log.info (fun m -> m "blockade: %a" Rare.Blockade.pp blockade);
   {

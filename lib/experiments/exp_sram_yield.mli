@@ -32,10 +32,8 @@ type t = {
 }
 
 val estimate_plain :
-  ?jobs:int ->
   ?n:int ->
   ?seed:int ->
-  ?mode:Vstat_cells.Sram6t.mode ->
   ?points:int ->
   ?vdd:float ->
   ?threshold:float ->
@@ -48,10 +46,8 @@ val estimate_plain :
     {!estimate_is}'s. *)
 
 val estimate_is :
-  ?jobs:int ->
   ?n:int ->
   ?seed:int ->
-  ?mode:Vstat_cells.Sram6t.mode ->
   ?points:int ->
   ?vdd:float ->
   ?threshold:float ->
@@ -66,10 +62,8 @@ val estimate_is :
     lobe cones ([sigma_shift], default 1.0, scales the cones). *)
 
 val estimate_blockade :
-  ?jobs:int ->
   ?n:int ->
   ?seed:int ->
-  ?mode:Vstat_cells.Sram6t.mode ->
   ?points:int ->
   ?vdd:float ->
   ?threshold:float ->
@@ -79,11 +73,8 @@ val estimate_blockade :
 (** Statistical blockade on the cell SNM ({!Vstat_rare.Blockade}). *)
 
 val run :
-  ?jobs:int ->
   ?n:int ->
-  ?n_accel:int ->
   ?seed:int ->
-  ?mode:Vstat_cells.Sram6t.mode ->
   ?points:int ->
   ?vdd:float ->
   ?threshold:float ->
@@ -91,8 +82,8 @@ val run :
   ?pilot_n:int ->
   Vstat_core.Pipeline.t ->
   t
-(** Brute-force golden with [n] samples (default 4000), then importance
-    sampling and blockade with [n_accel] samples each (default [n]).
+(** Brute-force golden, importance sampling and blockade with [n]
+    samples each (default 4000), all on the cell's READ SNM.
     The IS proposal is mean-shifted: a [pilot_n]-sample pilot (default
     200, journaled like every other run) locates the failure direction
     with {!Vstat_rare.Proposal.from_pilot}, and [sigma_shift] (default

@@ -97,7 +97,8 @@ let run ?(n_nand2 = 100) ?(n_dff = 20) ?(n_sram = 100) ?(seed = 43)
   in
   { rows = [ nand2; dff; sram; sram_ac ] }
 
-let model_eval_comparison ?(evals = 200_000) (p : Vstat_core.Pipeline.t) =
+let model_eval_comparison (p : Vstat_core.Pipeline.t) =
+  let evals = 200_000 in
   let vs_dev =
     Vstat_core.Vs_statistical.nominal_device p.vs_nmos ~w_nm:600.0 ~l_nm:40.0
   in

@@ -25,8 +25,8 @@ val run :
     to keep the default CLI run short; pass the full counts to reproduce the
     table at paper scale. *)
 
-val model_eval_comparison : ?evals:int -> Vstat_core.Pipeline.t -> float
+val model_eval_comparison : Vstat_core.Pipeline.t -> float
 (** Microbenchmark: ratio of per-evaluation cost (golden / VS) for a single
-    device evaluation loop. *)
+    device evaluation loop of 200 000 evaluations. *)
 
 val pp : Format.formatter -> t -> unit

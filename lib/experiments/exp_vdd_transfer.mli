@@ -21,8 +21,7 @@ type row = {
 type t = { w_nm : float; l_nm : float; n : int; rows : row list }
 
 val run :
-  ?vdds:float list -> ?w_nm:float -> ?n:int -> ?seed:int ->
-  Vstat_core.Pipeline.t -> t
+  ?vdds:float list -> ?n:int -> ?seed:int -> Vstat_core.Pipeline.t -> t
 
 val pp : Format.formatter -> t -> unit
 

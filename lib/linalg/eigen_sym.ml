@@ -13,7 +13,9 @@ let off_diagonal_norm a =
   done;
   sqrt !acc
 
-let decompose ?(max_sweeps = 100) a0 =
+let max_sweeps = 100
+
+let decompose a0 =
   let n = Matrix.rows a0 in
   if Matrix.cols a0 <> n then invalid_arg "Eigen_sym.decompose: square only";
   let a =

@@ -8,9 +8,9 @@ type result = {
   vectors : Matrix.t;     (** column j is the unit eigenvector of values.(j) *)
 }
 
-val decompose : ?max_sweeps:int -> Matrix.t -> result
+val decompose : Matrix.t -> result
 (** [decompose a] for symmetric [a].  The input is symmetrized as
     (a + a^T)/2 before iterating, so mild asymmetry from finite differences
     is tolerated.
     @raise Invalid_argument on non-square input.
-    @raise Failure if Jacobi sweeps fail to converge. *)
+    @raise Failure if 100 Jacobi sweeps fail to converge. *)

@@ -25,10 +25,10 @@ let solve_passive a b passive =
     x
   end
 
-let solve ?(max_iter = 0) a b =
+let solve a b =
   let m = Matrix.rows a and n = Matrix.cols a in
   if Array.length b <> m then invalid_arg "Nnls.solve: rhs length";
-  let max_iter = if max_iter = 0 then 10 * n else max_iter in
+  let max_iter = 10 * n in
   let passive = Array.make n false in
   let x = Array.make n 0.0 in
   let gradient () =

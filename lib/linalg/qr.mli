@@ -1,7 +1,7 @@
 (** Householder QR factorization and linear least squares.
 
     Used by the BPV extraction (stacked over-determined system, eq. (10) of
-    the paper) and by the Levenberg–Marquardt optimizer. *)
+    the paper). *)
 
 type t
 (** QR factorization of an m x n matrix with m >= n. *)

@@ -38,7 +38,8 @@ val analyze : n:int -> entries:(int * int) array -> symbolic
     allowed).  The diagonal need not be structurally present — a maximum
     transversal permutes rows to make it so.
     @raise Linalg_error.Numeric_error when the pattern is structurally
-      singular (no zero-free diagonal exists).
+      singular (no zero-free diagonal exists); the reason ends with the
+      index of a column no transversal covers.
     @raise Invalid_argument on out-of-range entries or [n < 0]. *)
 
 val analyze_cached : n:int -> entries:(int * int) array -> symbolic

@@ -425,7 +425,7 @@ exception No_typed_trees of string list
 
 (* The per-file rules run first, serially over the sorted file list; their
    determinism findings are the deep pass's direct taint sources.  The
-   three cross-module rules then read the typed trees of the whole
+   four cross-module rules then read the typed trees of the whole
    program, every [.cmt] under the working directory (the [--root]) in
    path order, so the report is deterministic and a subset scan still
    sees the callers and users outside it.  Findings are reported only
@@ -454,7 +454,7 @@ let run_deep ?excludes cfg paths =
       (Taint.analyze ~allow:cfg.allow program)
   in
   let unused =
-    Unused_export.check ~allow:cfg.allow program
+    Unused.check ~allow:cfg.allow program
       ~cmtis:(collect_files ?excludes ~suffix:".cmti" paths)
   in
   {

@@ -1,4 +1,4 @@
-(* The typed whole program the three deep rules read: one [Tast_iterator]
+(* The typed whole program the four deep rules read: one [Tast_iterator]
    walk per [.cmt] that dune writes for @check.
 
    A name-based graph may drop an edge, and a dropped edge is a missed
@@ -18,8 +18,9 @@
    Executable modules of different directories share the unit names
    [Dune__exe__*], so those are qualified by their object directory.
 
-   The walk records, for unused-export, every value and whole-module use;
-   for determinism-taint and domain-safety, one [node] per structure-level
+   The walk records, for unused-export and unused-optional, every value
+   and whole-module use, with the labels an application writes; for
+   determinism-taint and domain-safety, one [node] per structure-level
    [let] with its identifier uses (the call and access edges), its direct
    nondeterminism sources and its guard context.  The direct sources are
    the per-file determinism findings, matched to the identifier at their
@@ -59,7 +60,9 @@ type node = {
 
 type t = {
   aliases : (key, key) Hashtbl.t;  (* structure-level aliases, all units *)
-  mutable uses : (string * key) list;  (* referencing unit, value used *)
+  mutable uses : (string * key * string list option) list;
+      (* referencing unit, value used, and the labels written when the use
+         heads an application ([None]: not applied, so any label) *)
   mutable wholes : (string * key) list;  (* referencing unit, module used *)
   nodes : (key, node) Hashtbl.t;
   mutable order : node list;  (* (file, line) order once scanned *)
@@ -76,6 +79,8 @@ type walk = {
   mutable path : string list option;
       (* dotted path of the enclosing structure while it is reachable
          from other units; [None] inside functors and expressions *)
+  mutable callee : (expression * string list) option;
+      (* the head of the application being walked, with its labels *)
   mutable cur : node option;  (* enclosing structure-level binding *)
   mutable guard : int;
   mutable scopes : string list list;  (* [@vstat.allow] stack *)
@@ -151,9 +156,32 @@ let bind_alias r w id name p =
       Hashtbl.replace r.aliases (w.modname, prefix @ [ name ]) target
     | _ -> ())
 
+(* The labels an application writes.  The typer fills an omitted optional
+   argument with a [None] at [Location.none].  A label a partial
+   application leaves to its result ([None] in [args], or an arrow of
+   [ty]) may still be passed to that result, so it counts. *)
+let written args ty =
+  let rec pending ty =
+    match Types.get_desc ty with
+    | Tarrow ((Labelled l | Optional l), _, rest, _) -> l :: pending rest
+    | Tarrow (Nolabel, _, rest, _) -> pending rest
+    | _ -> []
+  in
+  List.filter_map
+    (fun (l, a) ->
+      match (l, a) with
+      | Asttypes.Nolabel, _ -> None
+      | Optional _, Some a when Location.is_none a.exp_loc -> None
+      | (Labelled s | Optional s), _ -> Some s)
+    args
+  @ pending ty
+
 let use r w (e : expression) p (lid : Longident.t Location.loc) =
   let k = raw_key w p in
-  Option.iter (fun k -> r.uses <- (w.modname, k) :: r.uses) k;
+  let labels =
+    match w.callee with Some (f, ls) when f == e -> Some ls | _ -> None
+  in
+  Option.iter (fun k -> r.uses <- (w.modname, k, labels) :: r.uses) k;
   match w.cur with
   | None -> ()
   | Some n ->
@@ -245,6 +273,9 @@ let iterator r w =
       w.guard <- w.guard + 1;
       List.iter (fun (_, a) -> Option.iter (self.expr self) a) args;
       w.guard <- w.guard - 1
+    | Texp_apply (({ exp_desc = Texp_ident _; _ } as f), args) ->
+      w.callee <- Some (f, written args e.exp_type);
+      super.expr self e
     | Texp_letmodule (id, name, _, me, body) -> (
       match alias_path me with
       | Some p ->
@@ -356,6 +387,7 @@ let scan ~(sources : Diagnostic.t list) cmts =
             sources = here;
             locals = Ident.Tbl.create 64;
             path = Some [];
+            callee = None;
             cur = None;
             guard = 0;
             scopes = [];

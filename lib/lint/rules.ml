@@ -17,6 +17,7 @@ let parse_error = "parse-error"
 let determinism_taint = "determinism-taint"
 let domain_safety = "domain-safety"
 let unused_export = "unused-export"
+let unused_optional = "unused-optional"
 
 let all =
   [
@@ -123,6 +124,18 @@ let all =
       invariant =
         "the same results from less code: an export nothing else uses is \
          deleted, hidden in its .mli, or granted with a written reason";
+    };
+    {
+      id = unused_optional;
+      summary =
+        "(--deep) no ?label on an exported [val] that no application in \
+         any .cmt under the root writes as ~label or ?label (a reference \
+         that does not apply the value, or a module used whole, passes \
+         every label)";
+      invariant =
+        "a knob with one value in use is a constant: its default is \
+         inlined, its label and every branch only another value reached \
+         are deleted";
     };
   ]
 

@@ -5,8 +5,8 @@ let default_step x0 =
     (fun x -> if Float.equal x 0.0 then 0.01 else 0.05 *. Float.abs x)
     x0
 
-let minimize ?(max_iter = 2000) ?(f_tol = 1e-12) ?(x_tol = 1e-10)
-    ?initial_step ~f ~x0 () =
+let minimize ?(max_iter = 2000) ?initial_step ~f ~x0 () =
+  let f_tol = 1e-12 and x_tol = 1e-10 in
   let n = Array.length x0 in
   if n = 0 then invalid_arg "Nelder_mead.minimize: empty x0";
   let step = match initial_step with Some s -> s | None -> default_step x0 in

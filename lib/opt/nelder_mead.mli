@@ -14,8 +14,6 @@ type result = {
 
 val minimize :
   ?max_iter:int ->
-  ?f_tol:float ->
-  ?x_tol:float ->
   ?initial_step:float array ->
   f:(float array -> float) ->
   x0:float array ->
@@ -25,8 +23,8 @@ val minimize :
     (reflection 1, expansion 2, contraction 0.5, shrink 0.5).
     [initial_step] sets the per-coordinate size of the starting simplex
     (default: 5 % of |x0_i|, or 0.01 where x0_i = 0).
-    Convergence: simplex function spread < [f_tol] (default 1e-12 relative)
-    or vertex spread < [x_tol] (default 1e-10 relative). *)
+    Convergence: simplex function spread < 1e-12 relative or vertex
+    spread < 1e-10 relative. *)
 
 val minimize_restarts :
   ?restarts:int ->

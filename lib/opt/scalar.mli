@@ -5,20 +5,19 @@
     1-D maximization of the embedded-square size. *)
 
 val bisect :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float ->
-  unit -> float
+  ?tol:float -> f:(float -> float) -> lo:float -> hi:float -> unit -> float
 (** Root of a continuous scalar function on a bracketing interval
-    (f(lo) and f(hi) must have opposite signs).
+    (f(lo) and f(hi) must have opposite signs), in at most 200 halvings.
     @raise Invalid_argument if the interval does not bracket a sign change. *)
 
 val bisect_predicate :
-  ?tol:float -> ?max_iter:int -> f:(float -> bool) -> lo:float -> hi:float ->
-  unit -> float
+  ?tol:float -> f:(float -> bool) -> lo:float -> hi:float -> unit -> float
 (** Boundary between a false region (at [lo]) and a true region (at [hi])
-    of a monotone predicate — the register pass/fail search.
+    of a monotone predicate — the register pass/fail search — in at most
+    100 halvings.
     @raise Invalid_argument unless f lo = false and f hi = true. *)
 
 val golden_max :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float ->
-  unit -> float * float
-(** Golden-section maximization of a unimodal function; returns (x, f x). *)
+  f:(float -> float) -> lo:float -> hi:float -> unit -> float * float
+(** Golden-section maximization of a unimodal function to a relative
+    bracket of 1e-10 (at most 200 steps); returns (x, f x). *)

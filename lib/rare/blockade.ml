@@ -26,18 +26,13 @@ type result = {
   complete : bool;
 }
 
-let estimate ?jobs ?(confidence = 0.95) ?(margin = 0.90) ?pilot_n
-    ~(problem : Problem.t) ~rng ~n () =
+let confidence = 0.95
+let margin = 0.90
+
+let estimate ?pilot_n ~(problem : Problem.t) ~rng ~n () =
   if n < 2 then
     invalid_arg
       (Printf.sprintf "Blockade.estimate: need at least 2 samples, got %d" n);
-  if not (margin > 0.0 && margin < 1.0) then
-    invalid_arg
-      (Printf.sprintf "Blockade.estimate: margin %g outside (0,1)" margin);
-  if not (confidence > 0.0 && confidence < 1.0) then
-    invalid_arg
-      (Printf.sprintf "Blockade.estimate: confidence %g outside (0,1)"
-         confidence);
   let dim = problem.Problem.dim in
   let pilot_n =
     match pilot_n with Some p -> p | None -> Int.max 100 (n / 20)
@@ -59,7 +54,7 @@ let estimate ?jobs ?(confidence = 0.95) ?(margin = 0.90) ?pilot_n
 
   (* --- phase 1: pilot --------------------------------------------------- *)
   let pilot_r =
-    C.collect ?jobs ~min_ok:(dim + 2)
+    C.collect ~min_ok:(dim + 2)
       ~fingerprint:(base_fingerprint ^ "|phase:pilot")
       ~codec:C.float_array_codec ~label:pilot_label ~rng ~n:pilot_n
       ~f:(fun ~attempt ~index:_ sample_rng ->
@@ -104,7 +99,7 @@ let estimate ?jobs ?(confidence = 0.95) ?(margin = 0.90) ?pilot_n
       ]
   in
   let main_r =
-    C.collect ?jobs ~fingerprint:main_fingerprint
+    C.collect ~fingerprint:main_fingerprint
       ~codec:C.float_triple_codec ~label:main_label ~rng ~n
       ~f:(fun ~attempt ~index:_ sample_rng ->
         let z = Proposal.draw proposal sample_rng in

@@ -46,16 +46,13 @@ type result = {
 }
 
 val estimate :
-  ?jobs:int ->
-  ?confidence:float ->
-  ?margin:float ->
   ?pilot_n:int ->
   problem:Problem.t ->
   rng:Vstat_util.Rng.t ->
   n:int ->
   unit ->
   result
-(** [margin] (default 0.90) places the blockade cutoff at the pilot
+(** A margin of 0.90 places the blockade cutoff at the pilot
     metric's tail quantile: for a lower-tail problem the cutoff is the
     pilot's (1 - margin) quantile minus one classifier residual sigma, so
     roughly the unsafest 10% of predicted metrics — plus a model-error
@@ -63,9 +60,9 @@ val estimate :
     Both phases are {!Vstat_runtime.Checkpoint.collect} sweeps under the
     process-wide run controls, each with a 20 % failure budget; the pilot
     needs [dim + 2] survivors to fit the classifier, the main phase 2.
-    @raise Invalid_argument when [n < 2], [pilot_n] is too small to fit
-    the classifier, [margin] is outside (0, 1), or [confidence] is
-    outside (0, 1).
+    The Wilson interval is at 95 % confidence.
+    @raise Invalid_argument when [n < 2] or [pilot_n] is too small to fit
+    the classifier.
     @raise Failure when a phase exceeds the failure budget.
     @raise Vstat_runtime.Checkpoint.Too_few_samples when a deadline
     leaves a phase with too few survivors.

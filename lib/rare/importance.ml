@@ -53,8 +53,9 @@ let[@vstat.hot] fold_weighted ~(metrics : float array)
   done;
   (!y_mean, !y_m2, !n_hits)
 
-let estimate ?jobs ?(confidence = 0.95) ~(proposal : Proposal.t)
-    ~(problem : Problem.t) ~rng ~n () =
+let confidence = 0.95
+
+let estimate ~(proposal : Proposal.t) ~(problem : Problem.t) ~rng ~n () =
   if n < 2 then
     invalid_arg
       (Printf.sprintf "Importance.estimate: need at least 2 samples, got %d" n);
@@ -63,17 +64,13 @@ let estimate ?jobs ?(confidence = 0.95) ~(proposal : Proposal.t)
       (Printf.sprintf
          "Importance.estimate: proposal dimension %d but problem dimension %d"
          proposal.Proposal.dim problem.Problem.dim);
-  if not (confidence > 0.0 && confidence < 1.0) then
-    invalid_arg
-      (Printf.sprintf "Importance.estimate: confidence %g outside (0,1)"
-         confidence);
   let label = problem.Problem.label ^ "-is" in
   let fingerprint =
     String.concat "|"
       [ Problem.fingerprint problem; "proposal:" ^ Proposal.to_string proposal ]
   in
   let r =
-    C.collect ?jobs ~fingerprint ~codec:C.float_pair_codec
+    C.collect ~fingerprint ~codec:C.float_pair_codec
       ~label ~rng ~n
       ~f:(fun ~attempt ~index:_ sample_rng ->
         let z = Proposal.draw proposal sample_rng in

@@ -42,8 +42,6 @@ type result = {
 }
 
 val estimate :
-  ?jobs:int ->
-  ?confidence:float ->
   proposal:Proposal.t ->
   problem:Problem.t ->
   rng:Vstat_util.Rng.t ->
@@ -52,8 +50,8 @@ val estimate :
   result
 (** Run the estimator as one {!Vstat_runtime.Checkpoint.collect} sweep
     under the process-wide run controls (retry, checkpoint, deadline,
-    signals), with its 20 % failure budget over simulate exceptions;
-    [confidence] (default 0.95) sizes the interval.  Checkpoint labels
+    signals), with its 20 % failure budget over simulate exceptions; the
+    interval is at 95 % confidence.  Checkpoint labels
     derive from [problem.label ^ "-is"]; the snapshot fingerprint binds
     the problem identity and the proposal, so resuming under different
     rare-event parameters is rejected with a typed

@@ -21,11 +21,10 @@ let standard ~dim =
   check_dim dim;
   { dim; means = [| Array.make dim 0.0 |]; scale = 1.0 }
 
-let mean_shifted ?(scale = 1.0) ~mean () =
+let mean_shifted ~mean () =
   check_dim (Array.length mean);
-  check_scale scale;
   check_mean ~what:"mean_shifted" mean;
-  { dim = Array.length mean; means = [| Array.copy mean |]; scale }
+  { dim = Array.length mean; means = [| Array.copy mean |]; scale = 1.0 }
 
 let mixture ?(scale = 1.0) ~means () =
   let k = Array.length means in
@@ -41,8 +40,7 @@ let mixture ?(scale = 1.0) ~means () =
     means;
   { dim; means = Array.map Array.copy means; scale }
 
-let from_pilot ~zs ~metrics ~tail ~threshold ?(fraction = 0.05) ?(scale = 1.0)
-    () =
+let from_pilot ~zs ~metrics ~tail ~threshold ?(scale = 1.0) () =
   let n = Array.length zs in
   if n = 0 then invalid_arg "Proposal.from_pilot: empty pilot";
   if Array.length metrics <> n then
@@ -50,14 +48,10 @@ let from_pilot ~zs ~metrics ~tail ~threshold ?(fraction = 0.05) ?(scale = 1.0)
       (Printf.sprintf
          "Proposal.from_pilot: %d coordinate vectors but %d metrics" n
          (Array.length metrics));
-  if not (fraction > 0.0 && fraction <= 1.0) then
-    invalid_arg
-      (Printf.sprintf "Proposal.from_pilot: fraction %g outside (0,1]"
-         fraction);
   let dim = Array.length zs.(0) in
   check_dim dim;
   (* Rank pilot samples by how deep into the tail they sit; take everything
-     beyond the threshold, padded to the worst [fraction] so a pilot with
+     beyond the threshold, padded to the worst 5 % so a pilot with
      no failures still yields a direction. *)
   let order = Array.init n (fun i -> i) in
   let deeper a b =
@@ -76,7 +70,7 @@ let from_pilot ~zs ~metrics ~tail ~threshold ?(fraction = 0.05) ?(scale = 1.0)
       metrics;
     !k
   in
-  let floor_k = Int.max 1 (Float.to_int (Float.of_int n *. fraction)) in
+  let floor_k = Int.max 1 (Float.to_int (Float.of_int n *. 0.05)) in
   let k = Int.min n (Int.max crossed floor_k) in
   let mean = Array.make dim 0.0 in
   for r = 0 to k - 1 do

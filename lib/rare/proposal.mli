@@ -32,9 +32,9 @@ val standard : dim:int -> t
     ({!log_weight} returns exactly 0.0), so an estimator driven by
     [standard] {e is} plain Monte Carlo, bit for bit. *)
 
-val mean_shifted : ?scale:float -> mean:float array -> unit -> t
-(** N(mean, scale^2 I) ([scale] defaults to 1.0).
-    @raise Invalid_argument on empty/non-finite [mean] or bad [scale]. *)
+val mean_shifted : mean:float array -> unit -> t
+(** N(mean, I).
+    @raise Invalid_argument on empty/non-finite [mean]. *)
 
 val mixture : ?scale:float -> means:float array array -> unit -> t
 (** Equal-weight mixture of N(mean_k, scale^2 I) components.  Pass the
@@ -45,11 +45,11 @@ val mixture : ?scale:float -> means:float array array -> unit -> t
 val from_pilot :
   zs:float array array -> metrics:float array ->
   tail:[ `Upper | `Lower ] -> threshold:float ->
-  ?fraction:float -> ?scale:float -> unit -> t
+  ?scale:float -> unit -> t
 (** Build a mean-shifted proposal from a pilot run: average the
     coordinates of the pilot samples in (or nearest) the failure region —
-    the samples beyond [threshold], padded to the worst [fraction]
-    (default 0.05) of the pilot when fewer crossed — giving the
+    the samples beyond [threshold], padded to the worst 5 % of the pilot
+    when fewer crossed — giving the
     center-of-gravity shift of Kanj-style mean-shift importance sampling.
     [scale] (default 1.0) additionally widens the proposal.
     @raise Invalid_argument on empty/mismatched pilot data. *)

@@ -63,9 +63,8 @@ let round_trip ?attempts ?seed ~timeout_s ~socket_path req =
 let request ?attempts ?seed ~socket_path req =
   round_trip ?attempts ?seed ~timeout_s:30.0 ~socket_path req
 
-let submit ?attempts ?seed ?(client = "default") ~socket_path ~spec
-    ~deadline_s () =
-  request ?attempts ?seed ~socket_path (P.Submit { spec; deadline_s; client })
+let submit ?seed ?(client = "default") ~socket_path ~spec ~deadline_s () =
+  request ?seed ~socket_path (P.Submit { spec; deadline_s; client })
 
 type await_error =
   | Await_quarantined of { attempts : int; detail : string }
@@ -76,9 +75,9 @@ let await_error_to_string = function
     Printf.sprintf "quarantined after %d attempt(s): %s" attempts detail
   | Await_failed msg -> msg
 
-let await ?attempts ?seed ?(timeout_s = 600.0) ~socket_path ~id () =
+let await ?seed ?(timeout_s = 600.0) ~socket_path ~id () =
   let fail fmt = Printf.ksprintf (fun m -> Error (Await_failed m)) fmt in
-  match round_trip ?attempts ?seed ~timeout_s ~socket_path (P.Result { id }) with
+  match round_trip ?seed ~timeout_s ~socket_path (P.Result { id }) with
   | Error e -> fail "job %s: %s" id e
   | Ok (P.Job_result summary) -> Ok summary
   | Ok (P.Quarantined { attempts; detail; _ }) ->

@@ -29,7 +29,6 @@ type await_error =
 val await_error_to_string : await_error -> string
 
 val await :
-  ?attempts:int ->
   ?seed:int ->
   ?timeout_s:float ->
   socket_path:string ->
@@ -43,7 +42,6 @@ val await :
     down, the timeout, or a transport failure. *)
 
 val submit :
-  ?attempts:int ->
   ?seed:int ->
   ?client:string ->
   socket_path:string ->

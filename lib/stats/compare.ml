@@ -39,7 +39,8 @@ let relative_mean_diff a b =
   Float.abs (Descriptive.mean a -. Descriptive.mean b)
   /. Float.abs (Descriptive.mean b)
 
-let density_overlap ?(points = 201) a b =
+let density_overlap a b =
+  let points = 201 in
   let lo = Float.min (fst (Descriptive.min_max a)) (fst (Descriptive.min_max b)) in
   let hi = Float.max (snd (Descriptive.min_max a)) (snd (Descriptive.min_max b)) in
   let span = if hi > lo then hi -. lo else 1.0 in

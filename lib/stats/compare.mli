@@ -18,6 +18,6 @@ val relative_std_diff : float array -> float array -> float
 
 val relative_mean_diff : float array -> float array -> float
 
-val density_overlap : ?points:int -> float array -> float array -> float
-(** Integral of min(f, g) for the two KDE densities, in [0, 1]
-    (1 = identical densities). *)
+val density_overlap : float array -> float array -> float
+(** Integral of min(f, g) for the two KDE densities on a 201-point grid,
+    in [0, 1] (1 = identical densities). *)

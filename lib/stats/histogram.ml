@@ -51,13 +51,13 @@ let silverman xs =
   let spread = if spread > 0.0 then spread else 1.0 in
   0.9 *. spread *. (n ** (-0.2))
 
-let kde ?bandwidth ?(points = 101) xs =
+let kde ?(points = 101) xs =
   if Array.length xs < 2 then
     invalid_arg
       (Printf.sprintf
          "Histogram.kde: need at least 2 samples for a bandwidth, got %d"
          (Array.length xs));
-  let h = match bandwidth with Some h -> h | None -> silverman xs in
+  let h = silverman xs in
   let lo, hi = Descriptive.min_max xs in
   let lo = lo -. (3.0 *. h) and hi = hi +. (3.0 *. h) in
   let grid = Vstat_util.Floatx.linspace lo hi points in
@@ -99,7 +99,7 @@ type tail_estimate = {
   t_hi : float;
 }
 
-let exceedance ?confidence ?(tail = `Upper) xs threshold =
+let exceedance ?(tail = `Upper) xs threshold =
   let n = Array.length xs in
   if n = 0 then
     invalid_arg "Histogram.exceedance: empty sample — nothing to count";
@@ -108,7 +108,7 @@ let exceedance ?confidence ?(tail = `Upper) xs threshold =
   | `Upper -> Array.iter (fun x -> if x > threshold then incr k) xs
   | `Lower -> Array.iter (fun x -> if x < threshold then incr k) xs);
   let k = !k in
-  let lo, hi = wilson_interval ?confidence ~k n in
+  let lo, hi = wilson_interval ~k n in
   { t_prob = Float.of_int k /. Float.of_int n; t_count = k; t_n = n;
     t_lo = lo; t_hi = hi }
 

@@ -15,9 +15,9 @@ val build : ?bins:int -> float array -> t
     [min xs, max xs].  Default bin count follows the Freedman–Diaconis rule
     clamped to [8, 128].  @raise Invalid_argument on empty input. *)
 
-val kde : ?bandwidth:float -> ?points:int -> float array -> (float * float) array
+val kde : ?points:int -> float array -> (float * float) array
 (** Gaussian kernel density estimate evaluated on an even grid spanning the
-    sample range extended by 3 bandwidths.  Default bandwidth is Silverman's
+    sample range extended by 3 bandwidths.  The bandwidth is Silverman's
     rule of thumb; default 101 evaluation points. *)
 
 val sparkline : ?width:int -> float array -> string
@@ -39,10 +39,9 @@ type tail_estimate = {
 }
 
 val exceedance :
-  ?confidence:float -> ?tail:[ `Upper | `Lower ] -> float array -> float ->
-  tail_estimate
+  ?tail:[ `Upper | `Lower ] -> float array -> float -> tail_estimate
 (** [exceedance xs t] estimates P(X > t) ([`Upper], the default) or
-    P(X < t) ([`Lower]) with its Wilson interval — the plain-MC baseline
+    P(X < t) ([`Lower]) with its 95 % Wilson interval — the plain-MC baseline
     every rare-event estimator is validated against.  Strict inequalities
     on both sides, so a sample exactly at the threshold is never counted
     as failing.  @raise Invalid_argument on empty input. *)

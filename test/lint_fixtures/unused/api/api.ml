@@ -6,3 +6,7 @@ let via_alias = 4
 module Whole = struct
   let whole = 5
 end
+
+let f ?(used = 0) ?(unused = 0) () = used + unused
+let forwarded ?(used = 0) () = used
+let unapplied ?(used = 0) () = used

@@ -6,3 +6,6 @@ val via_alias : int
 module Whole : sig
   val whole : int
 end
+val f : ?used:int -> ?unused:int -> unit -> int
+val forwarded : ?used:int -> unit -> int
+val unapplied : ?used:int -> unit -> int

@@ -18,6 +18,7 @@ module Y = Vstat_experiments.Exp_sram_yield
 module I = Vstat_rare.Importance
 module B = Vstat_rare.Blockade
 module C = Vstat_runtime.Checkpoint
+module R = Vstat_runtime.Runtime
 
 let bits = Int64.bits_of_float
 
@@ -59,9 +60,15 @@ let identical_importance what (a : I.result) (b : I.result) =
   check_bits_array (what ^ ": metrics") a.I.metrics b.I.metrics;
   check_bits_array (what ^ ": log_weights") a.I.log_weights b.I.log_weights
 
-(* estimate_is reads its run controls (checkpoint dir, deadline) from
-   Checkpoint.controls — the same channel the CLI flags use — so the smoke
-   sets them and restores the previous controls after. *)
+(* The estimators read their worker count (Runtime.default_jobs) and run
+   controls (checkpoint dir, deadline, from Checkpoint.controls) from
+   process-wide settings — the same channels the CLI flags use — so the
+   smoke sets them and restores the previous ones after. *)
+let with_jobs jobs f =
+  let saved = R.default_jobs () in
+  R.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> R.set_default_jobs saved) f
+
 let with_controls ?checkpoint ?deadline f =
   let saved = C.controls () in
   C.set_controls { saved with checkpoint; deadline };
@@ -71,7 +78,7 @@ let () =
   let p = Vstat_core.Pipeline.build ~seed:42 ~mc_per_geometry:300 () in
   let is ?checkpoint ?deadline ~jobs () =
     with_controls ?checkpoint ?deadline (fun () ->
-        Y.estimate_is ~jobs ~n ~pilot_n ~points ~seed p)
+        with_jobs jobs (fun () -> Y.estimate_is ~n ~pilot_n ~points ~seed p))
   in
 
   Printf.printf "rare_smoke: importance sampling jobs:1 vs jobs:4\n%!";
@@ -81,7 +88,9 @@ let () =
   check "is complete" is1.I.complete;
 
   Printf.printf "rare_smoke: blockade jobs:1 vs jobs:4\n%!";
-  let bl jobs = Y.estimate_blockade ~jobs ~n ~pilot_n ~points ~seed p in
+  let bl jobs =
+    with_jobs jobs (fun () -> Y.estimate_blockade ~n ~pilot_n ~points ~seed p)
+  in
   let b1 = bl 1 in
   let b4 = bl 4 in
   check_bits "blockade: p_hat" b1.B.p_hat b4.B.p_hat;

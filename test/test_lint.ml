@@ -120,6 +120,7 @@ let test_rules_registry () =
       "determinism-random"; "determinism-hashtbl-order";
       "determinism-wallclock"; "float-compare"; "exn-discipline"; "hot-path";
       "parse-error"; "determinism-taint"; "domain-safety"; "unused-export";
+      "unused-optional";
     ]
 
 
@@ -179,24 +180,33 @@ let test_deep_golden () =
     ]
     (List.map render_trace (deep_findings ()))
 
-(* The unused-export rule over the typed trees of the lint_fixtures/unused
-   libraries: of Api's values, [used] has a direct user, [via_alias] a user
-   through a module alias, [Whole.whole] an include, and [granted] an
-   inline grant, so [unused] is the one finding. *)
-let test_unused_export () =
+(* The unused rules over the typed trees of the lint_fixtures/unused
+   libraries.  unused-export: of Api's values, [used] has a direct user,
+   [via_alias] a user through a module alias, [Whole.whole] an include,
+   and [granted] an inline grant, so [unused] is the one finding.
+   unused-optional: [f]'s [?used] is written, [forwarded]'s is passed on
+   as [?used], and [unapplied] is referenced without an application, so
+   [f]'s [?unused] is the one finding. *)
+let test_unused () =
   let dir = Filename.concat fixture_root "unused" in
   if L.Engine.collect_files ~suffix:".cmti" [ dir ] = [] then
     Alcotest.fail "no typed trees under lint_fixtures/unused: run via dune test";
   let hits paths =
     List.map render
       (List.filter
-         (fun d -> d.L.Diagnostic.rule = "unused-export")
+         (fun d ->
+           List.mem d.L.Diagnostic.rule [ "unused-export"; "unused-optional" ])
          (L.Engine.run_deep (L.Engine.default_config ()) paths)
            .L.Engine.deep_diags)
   in
-  let expected = [ "test/lint_fixtures/unused/api/api.mli:2 unused-export" ] in
+  let expected =
+    [
+      "test/lint_fixtures/unused/api/api.mli:2 unused-export";
+      "test/lint_fixtures/unused/api/api.mli:9 unused-optional";
+    ]
+  in
   Alcotest.(check (list string))
-    "exactly the unused val" expected (hits [ dir ]);
+    "exactly the unused val and label" expected (hits [ dir ]);
   (* Api's users sit outside this scan, but the uses come from the whole
      program under the working directory. *)
   Alcotest.(check (list string))
@@ -355,8 +365,7 @@ let () =
           Alcotest.test_case "deep golden (taint + domain chains)" `Quick
             test_deep_golden;
           Alcotest.test_case "guard deletion" `Quick test_guard_deletion;
-          Alcotest.test_case "unused export (typed trees)" `Quick
-            test_unused_export;
+          Alcotest.test_case "unused export (typed trees)" `Quick test_unused;
         ] );
       ( "serialization",
         [

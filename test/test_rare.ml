@@ -13,6 +13,7 @@ module Cl = Vstat_rare.Classifier
 module I = Vstat_rare.Importance
 module B = Vstat_rare.Blockade
 module C = Vstat_runtime.Checkpoint
+module R = Vstat_runtime.Runtime
 module D = Vstat_stats.Descriptive
 module Rng = Vstat_util.Rng
 
@@ -210,6 +211,12 @@ let test_aimed_estimate_is_tighter () =
   Alcotest.(check bool) "mc-equivalent speedup > 5x" true
     (I.mc_equivalent_samples is /. 1000.0 > 5.0)
 
+(* The worker count is the process-wide default, restored afterwards. *)
+let with_jobs jobs f =
+  let saved = R.default_jobs () in
+  R.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> R.set_default_jobs saved) f
+
 (* Checkpointing and the deadline reach the estimator through the
    process-wide run controls, restored afterwards. *)
 let importance_result ~jobs ~checkpoint ?deadline () =
@@ -218,9 +225,10 @@ let importance_result ~jobs ~checkpoint ?deadline () =
   Fun.protect
     ~finally:(fun () -> C.set_controls saved)
     (fun () ->
-      I.estimate ~jobs ~proposal:aimed_proposal ~problem:linear_problem
-        ~rng:(Rng.create ~seed:23)
-        ~n:400 ())
+      with_jobs jobs (fun () ->
+          I.estimate ~proposal:aimed_proposal ~problem:linear_problem
+            ~rng:(Rng.create ~seed:23)
+            ~n:400 ()))
 
 let check_importance_identical what (a : I.result) (b : I.result) =
   check_bits (what ^ " p_hat") a.I.p_hat b.I.p_hat;
@@ -265,9 +273,8 @@ let test_importance_resume_identity () =
 (* --- Blockade ----------------------------------------------------------- *)
 
 let blockade_result ~jobs () =
-  B.estimate ~jobs ~problem:linear_problem
-    ~rng:(Rng.create ~seed:31)
-    ~n:3000 ()
+  with_jobs jobs (fun () ->
+      B.estimate ~problem:linear_problem ~rng:(Rng.create ~seed:31) ~n:3000 ())
 
 let test_blockade_covers_exact () =
   let r = blockade_result ~jobs:1 () in
