@@ -2,22 +2,16 @@
 
    Usage: vstat_lint [options] PATH...
 
-   Scans every .ml under the given paths (directories are walked
-   recursively, skipping _build/.git and --exclude'd directory names),
-   checks the rule families documented in DESIGN.md ("Static analysis &
-   invariants"), and exits non-zero when violations remain after
-   suppressions ([@vstat.allow "rule"] attributes and the lint.allow
-   file).
+   Checks every .ml under the given paths (directories are walked
+   recursively, skipping _build/.git and --exclude'd directory names)
+   against the rule families documented in DESIGN.md ("Static analysis &
+   invariants"), and exits 1 when violations remain after suppressions
+   ([@vstat.allow "rule"] attributes and the lint.allow file).
 
-   With --deep, four cross-module rules also run over the .cmt/.cmti
-   typed trees found under the paths (dune writes them for @check):
-   determinism taint reaching [@vstat.entry] hot entry points and
-   unguarded module-level mutable state reachable from Domain.spawn roots,
-   both with the full cross-module call path, every [val] of an interface
-   that no other compilation unit uses, and every optional parameter of
-   such a [val] that no application passes.  A source tree has no
-   typed trees, so --deep there exits 2; lint the build tree instead:
-   dune build @check, then --root _build/default. *)
+   Every rule reads the .cmt/.cmti typed trees dune writes for @check,
+   so lint the build tree: dune build @check, then --root _build/default.
+   A scanned .ml without a .cmt (a source tree, a file that does not
+   compile) exits 2 naming it. *)
 
 module L = Vstat_lint_core
 
@@ -27,7 +21,6 @@ let () =
   let excludes = ref [ "_build"; ".git" ] in
   let paths = ref [] in
   let list_rules = ref false in
-  let deep = ref false in
   let root = ref "" in
   let spec =
     [
@@ -47,15 +40,14 @@ let () =
         Arg.String (fun d -> excludes := d :: !excludes),
         "DIR  directory name to skip during the walk (repeatable; _build \
          and .git are always skipped)" );
-      ( "--deep",
-        Arg.Set deep,
-        " run the cross-module pass (determinism-taint, domain-safety, \
-         unused-export, unused-optional) on top of the per-file rules" );
       ( "--root",
         Arg.Set_string root,
         "DIR  chdir here before scanning, so paths (and lint.allow \
          prefixes) are repo-relative" );
       ("--list-rules", Arg.Set list_rules, " print the rule registry and exit");
+      (* The one mode used to be spelled --deep; perfbench/dune still
+         passes it, so it is accepted, unlisted, and changes nothing. *)
+      ("--deep", Arg.Unit ignore, "");
     ]
   in
   let usage = "vstat_lint [options] PATH..." in
@@ -88,30 +80,19 @@ let () =
         Printf.eprintf "vstat_lint: cannot read allow file: %s\n" msg;
         exit 2
   in
-  let cfg = L.Engine.default_config ~allow () in
-  let paths = List.rev !paths in
-  if !deep then begin
-    match L.Engine.run_deep ~excludes:!excludes cfg paths with
-    | r ->
-      L.Report.print !format stdout ~files_scanned:r.L.Engine.deep_files
-        r.L.Engine.deep_diags;
-      exit (if r.L.Engine.deep_diags = [] then 0 else 1)
-    | exception L.Engine.No_typed_trees paths ->
-      Printf.eprintf
-        "vstat_lint: --deep found no .cmt typed trees under %s; build them \
-         (dune build @check) and lint the build tree with --root \
-         _build/default\n"
-        (String.concat " " paths);
-      exit 2
-    | exception Sys_error msg ->
-      Printf.eprintf "vstat_lint: %s\n" msg;
-      exit 2
-  end
-  else
-    match L.Engine.run ~excludes:!excludes cfg paths with
-    | files_scanned, diags ->
-      L.Report.print !format stdout ~files_scanned diags;
-      exit (if diags = [] then 0 else 1)
-    | exception Sys_error msg ->
-      Printf.eprintf "vstat_lint: %s\n" msg;
-      exit 2
+  match L.Engine.run ~excludes:!excludes ~allow (List.rev !paths) with
+  | files_scanned, diags ->
+    L.Report.print !format stdout ~files_scanned diags;
+    exit (if diags = [] then 0 else 1)
+  | exception L.Engine.No_typed_tree (first :: rest) ->
+    Printf.eprintf
+      "vstat_lint: no .cmt typed tree for %s%s; build them (dune build \
+       @check) and lint the build tree with --root _build/default\n"
+      first
+      (match rest with
+      | [] -> ""
+      | _ -> Printf.sprintf " and %d more .ml files" (List.length rest));
+    exit 2
+  | exception Sys_error msg ->
+    Printf.eprintf "vstat_lint: %s\n" msg;
+    exit 2

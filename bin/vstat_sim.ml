@@ -49,15 +49,17 @@ let print_series ~csv ~x_label ~x ~columns =
   end
 
 (* Rebuild a netlist with every MOSFET's device instance mapped through
-   [map_dev] (used to arm injected faults without touching the parse). *)
-let map_devices netlist ~map_dev =
+   [map_dev] and every voltage source's waveform through [wave] (to arm
+   injected faults, or to sweep a source, without touching the parse). *)
+let copy_netlist netlist ~map_dev ~wave:map_wave =
   let net2 = N.create () in
   List.iter
     (fun e ->
       let copy n = N.node net2 (N.node_name netlist n) in
       match e with
       | N.Vsource { name; plus; minus; wave } ->
-        N.vsource net2 name ~plus:(copy plus) ~minus:(copy minus) ~wave
+        N.vsource net2 name ~plus:(copy plus) ~minus:(copy minus)
+          ~wave:(map_wave name wave)
       | N.Resistor { name; a; b; ohms } ->
         N.resistor net2 name ~a:(copy a) ~b:(copy b) ~ohms
       | N.Capacitor { name; a; b; farads } ->
@@ -75,7 +77,8 @@ module FI = Vstat_device.Fault_inject
 let inject_netlist cfg ~attempt netlist =
   match FI.plan cfg ~key:attempt with
   | None -> netlist
-  | Some plan -> map_devices netlist ~map_dev:(FI.arm plan)
+  | Some plan ->
+    copy_netlist netlist ~map_dev:(FI.arm plan) ~wave:(fun _ wave -> wave)
 
 let run_netlist ~csv ~deadline (deck : P.deck) netlist =
   let eng = E.compile netlist in
@@ -118,42 +121,12 @@ let run_netlist ~csv ~deadline (deck : P.deck) netlist =
         Printf.printf "\n.dc %s %g %g %g\n" source start stop step;
         (* Rebuild the deck with the swept source replaced by a Var. *)
         let sweep_ref = ref start in
-        let net2 = N.create () in
-        List.iter
-          (fun e ->
-            match e with
-            | N.Vsource { name; plus; minus; wave } ->
-              let plus = N.node net2 (N.node_name netlist plus) in
-              let minus = N.node net2 (N.node_name netlist minus) in
-              let wave =
-                if String.lowercase_ascii name = source then
-                  Vstat_circuit.Waveform.Var sweep_ref
-                else wave
-              in
-              N.vsource net2 name ~plus ~minus ~wave
-            | N.Resistor { name; a; b; ohms } ->
-              N.resistor net2 name
-                ~a:(N.node net2 (N.node_name netlist a))
-                ~b:(N.node net2 (N.node_name netlist b))
-                ~ohms
-            | N.Capacitor { name; a; b; farads } ->
-              N.capacitor net2 name
-                ~a:(N.node net2 (N.node_name netlist a))
-                ~b:(N.node net2 (N.node_name netlist b))
-                ~farads
-            | N.Isource { name; from_; to_; wave } ->
-              N.isource net2 name
-                ~from_:(N.node net2 (N.node_name netlist from_))
-                ~to_:(N.node net2 (N.node_name netlist to_))
-                ~wave
-            | N.Mosfet { name; d; g; s; b; dev } ->
-              N.mosfet net2 name
-                ~d:(N.node net2 (N.node_name netlist d))
-                ~g:(N.node net2 (N.node_name netlist g))
-                ~s:(N.node net2 (N.node_name netlist s))
-                ~b:(N.node net2 (N.node_name netlist b))
-                ~dev)
-          (N.elements netlist);
+        let net2 =
+          copy_netlist netlist ~map_dev:Fun.id ~wave:(fun name wave ->
+              if String.lowercase_ascii name = source then
+                Vstat_circuit.Waveform.Var sweep_ref
+              else wave)
+        in
         let eng2 = E.compile net2 in
         let nodes2 = List.map (fun name -> (name, N.node net2 name)) names in
         let count = Float.to_int (Float.round (((stop -. start) /. step) +. 1.0)) in
@@ -253,9 +226,8 @@ let run_deck ~csv ~retry ~inject ~deadline path =
   attempt_loop 0
 
 let () =
-  (* Strip "--jobs N" (Vstat_runtime worker count, also settable via
-     VSTAT_JOBS), "--retry N" and "--inject-fault RATE[:KIND]" before the
-     positional parse. *)
+  (* Strip "--deadline SEC", "--retry N" and "--inject-fault RATE[:KIND]"
+     before the positional parse. *)
   let retry = ref 1 in
   let inject = ref None in
   let deadline = ref Vstat_runtime.Deadline.never in
@@ -270,14 +242,6 @@ let () =
       | _ ->
         prerr_endline
           "vstat_sim: --deadline expects a positive number of seconds";
-        exit 2)
-    | "--jobs" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some j when j >= 1 ->
-        Vstat_runtime.Runtime.set_default_jobs j;
-        extract acc rest
-      | _ ->
-        prerr_endline "vstat_sim: --jobs expects a positive integer";
         exit 2)
     | "--retry" :: v :: rest -> (
       match int_of_string_opt v with
@@ -306,7 +270,7 @@ let () =
     run_deck ~csv:true ~retry ~inject ~deadline path
   | _ ->
     prerr_endline
-      "usage: vstat_sim <deck.sp> [--csv] [--jobs N] [--retry N] \
+      "usage: vstat_sim <deck.sp> [--csv] [--retry N] \
        [--inject-fault RATE[:KIND]] [--deadline SEC]\n\
        exit status: 0 ok, 1 an analysis failed after the last retry, 2 \
        usage or parse error";

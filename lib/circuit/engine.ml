@@ -147,6 +147,7 @@ type solver_state =
   | S_sparse of Vstat_linalg.Sparse.numeric
 
 type t = {
+  netlist : Netlist.t;               (* names the unknowns in diagnostics *)
   elems : Netlist.element array;
   nn : int;                          (* node-voltage unknowns *)
   nv : int;                          (* vsource branch unknowns *)
@@ -189,6 +190,19 @@ type t = {
   mutable work_used : int;
   mutable work_cap : int;
 }
+
+(* What unknown [c] is, for a diagnostic: a node voltage (unknowns
+   [0, nn)) or a voltage-source branch current (from [nn] on). *)
+let unknown_name netlist ~nn ~vsrc_index c =
+  match
+    ( List.find_opt
+        (fun (_, h) -> Netlist.node_index h = c + 1)
+        (Netlist.all_nodes netlist),
+      List.find_opt (fun (_, i) -> i = c - nn) vsrc_index )
+  with
+  | Some (name, _), _ -> "voltage of node " ^ name
+  | None, Some (name, _) -> "branch current of " ^ name
+  | None, None -> "unknown"
 
 let no_derivs ~vg:_ ~vd:_ ~vs:_ ~vb:_ (_ : Vstat_device.Device_model.derivs) =
   ()
@@ -280,24 +294,10 @@ let compile ?(backend = Auto) netlist =
             ~entries:(Array.of_list !entries)
         with
         | sym -> sym
-        | exception Vstat_linalg.Linalg_error.Numeric_error { reason; _ } ->
-          (* The reason ends with the uncovered column: name its unknown. *)
-          let i = String.rindex reason ' ' + 1 in
-          let c = int_of_string (String.sub reason i (String.length reason - i)) in
-          let what =
-            match
-              ( List.find_opt
-                  (fun (_, h) -> Netlist.node_index h = c + 1)
-                  (Netlist.all_nodes netlist),
-                List.find_opt (fun (_, i) -> i = c - nn) !vsrc_index )
-            with
-            | Some (name, _), _ -> "voltage of node " ^ name
-            | None, Some (name, _) -> "branch current of " ^ name
-            | None, None -> "unknown"
-          in
+        | exception Vstat_linalg.Lu.Singular { column = c; _ } ->
           Diag.fail ~analysis:"compile" Singular_jacobian
             "structurally singular: no equation determines unknown %d (%s)" c
-            what
+            (unknown_name netlist ~nn ~vsrc_index:!vsrc_index c)
       in
       let num = Vstat_linalg.Sparse.create_numeric sym in
       let slot (r, c) =
@@ -323,6 +323,7 @@ let compile ?(backend = Auto) netlist =
     end
   in
   {
+    netlist;
     elems;
     nn;
     nv = !nv;
@@ -662,14 +663,16 @@ let[@vstat.hot] newton t ~mode ~x ~q_prev ~i_prev ~gmin ~sscale ~max_iter
 
 (* What a failed solve reports about its last failed Newton run: the
    iteration it stopped at, its last update norm and a singular-pivot
-   detail suffix for the message. *)
-let failure_context = function
+   detail suffix for the message.  Both LU paths report the pivot's
+   original column, so it names the unknown directly. *)
+let failure_context t = function
   | Some (N_max_iter { iter; dmax }) -> (Some iter, Some dmax, "")
   | Some (N_singular { iter; column; scale }) ->
     ( Some iter,
       None,
-      Printf.sprintf "; singular pivot at unknown %d (scale %g)" column scale
-    )
+      Printf.sprintf "; singular pivot at unknown %d (%s, scale %g)" column
+        (unknown_name t.netlist ~nn:t.nn ~vsrc_index:t.vsrc_index column)
+        scale )
   | Some (N_nonfinite { iter }) -> (Some iter, None, "")
   | Some (N_converged | N_work_cap) | None -> (None, None, "")
 
@@ -749,7 +752,7 @@ let dc_core ?guess ~opts ~time t =
       | (stage, outcome) :: _ -> (Some stage, Some outcome)
       | [] -> (None, None)
     in
-    let newton_iter, dmax, detail = failure_context last in
+    let newton_iter, dmax, detail = failure_context t last in
     Diag.fail ~time ?newton_iter ?stage ?dmax ~counters:(counter_snapshot t)
       ~analysis:"dc" kind "all continuation strategies failed (%d stages)%s"
       (List.length fails) detail
@@ -931,7 +934,7 @@ let[@vstat.entry] transient_raw ?options t ~tstop ~dt =
           | Some (N_singular _) -> Singular_jacobian
           | _ -> Tran_step_floor
         in
-        let newton_iter, dmax, detail = failure_context !last_reject in
+        let newton_iter, dmax, detail = failure_context t !last_reject in
         Diag.fail ~time:!time ?newton_iter ?dmax
           ~stage:(Printf.sprintf "h=%.3e dt_min=%.3e" !h dt_min)
           ~counters:(counter_snapshot t) ~analysis:"transient" kind

@@ -151,11 +151,7 @@ let max_transversal ~n ~cols =
   in
   for c = 0 to n - 1 do
     if colmatch.(c) = -1 && not (augment c c) then
-      Linalg_error.fail ~routine:"Sparse.analyze"
-        ~reason:
-          (Printf.sprintf
-             "structurally singular pattern: no transversal covers column %d"
-             c)
+      raise (Lu.Singular { column = c; scale = 0.0 })
   done;
   colmatch
 

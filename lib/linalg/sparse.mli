@@ -37,9 +37,9 @@ val analyze : n:int -> entries:(int * int) array -> symbolic
     pattern containing [entries] (0-based [(row, col)] pairs; duplicates
     allowed).  The diagonal need not be structurally present — a maximum
     transversal permutes rows to make it so.
-    @raise Linalg_error.Numeric_error when the pattern is structurally
-      singular (no zero-free diagonal exists); the reason ends with the
-      index of a column no transversal covers.
+    @raise Lu.Singular when the pattern is structurally singular (no
+      zero-free diagonal exists): [column] is a column no transversal
+      covers, [scale] is [0.].
     @raise Invalid_argument on out-of-range entries or [n < 0]. *)
 
 val analyze_cached : n:int -> entries:(int * int) array -> symbolic

@@ -1,11 +1,11 @@
-(* The typed whole program the four deep rules read: one [Tast_iterator]
-   walk per [.cmt] that dune writes for @check.
+(* The typed whole program every rule reads: one [Tast_iterator] walk per
+   [.cmt] that dune writes for @check.
 
-   A name-based graph may drop an edge, and a dropped edge is a missed
-   taint or race (or a false "unused"), so every path is resolved
-   exactly:
+   A name-based match may miss a use, and a missed use is a missed
+   finding (or a false "unused"), so every path is resolved exactly:
 
-   - a persistent identifier names a unit ([Vstat_stats__Descriptive]);
+   - a persistent identifier names a unit ([Vstat_stats__Descriptive],
+     [Stdlib], [Unix]);
    - a module alias ([module D = Vstat_stats.Descriptive], [let module],
      or the [module Descriptive = Vstat_stats__Descriptive] lines of a
      dune wrapper) is keyed by its [Ident.t] inside its unit and, when it
@@ -18,15 +18,16 @@
    Executable modules of different directories share the unit names
    [Dune__exe__*], so those are qualified by their object directory.
 
-   The walk records, for unused-export and unused-optional, every value
-   and whole-module use, with the labels an application writes; for
-   determinism-taint and domain-safety, one [node] per structure-level
-   [let] with its identifier uses (the call and access edges), its direct
-   nondeterminism sources and its guard context.  The direct sources are
-   the per-file determinism findings, matched to the identifier at their
-   location, so a sanctioned site never taints.  Blind spots: direct
-   sources in units outside the scanned paths (the per-file rules never
-   read them), and the [.cmt] of a file that does not compile. *)
+   The walk checks the six per-file rules at each identifier and
+   application, with the [@vstat.allow] scopes, the file floor and the
+   allowlist applied on the spot.  It records, for unused-export and
+   unused-optional, every value and whole-module use, with the labels an
+   application writes; for determinism-taint and domain-safety, one
+   [node] per structure-level [let] with its identifier uses (the call and
+   access edges), its direct nondeterminism sources (its unsuppressed
+   determinism findings, so a sanctioned site never taints) and its guard
+   context.  Blind spot: a file that does not compile has no [.cmt], and
+   the scan refuses to cover it ({!Engine.run}). *)
 
 open Typedtree
 
@@ -59,6 +60,7 @@ type node = {
 }
 
 type t = {
+  allow : Allowlist.t;
   aliases : (key, key) Hashtbl.t;  (* structure-level aliases, all units *)
   mutable uses : (string * key * string list option) list;
       (* referencing unit, value used, and the labels written when the use
@@ -67,6 +69,8 @@ type t = {
   nodes : (key, node) Hashtbl.t;
   mutable order : node list;  (* (file, line) order once scanned *)
   mutable floors : (string * string) list;  (* [@@@vstat.allow]: file, rule *)
+  mutable files : string list;  (* source file of every walked unit *)
+  mutable diags : Diagnostic.t list;  (* per-file rule findings *)
 }
 
 (* Walk state for one [.cmt]. *)
@@ -74,7 +78,7 @@ type walk = {
   modname : string;
   dir : string;  (* object directory, qualifying [Dune__exe] units *)
   file : string;
-  sources : (int * int, unit) Hashtbl.t;  (* (line, col) of direct sources *)
+  layer : string option;  (* see [layer] *)
   locals : key Ident.Tbl.t;  (* module and value identifiers *)
   mutable path : string list option;
       (* dotted path of the enclosing structure while it is reachable
@@ -84,6 +88,8 @@ type walk = {
   mutable cur : node option;  (* enclosing structure-level binding *)
   mutable guard : int;
   mutable scopes : string list list;  (* [@vstat.allow] stack *)
+  mutable hot : int;  (* [@vstat.hot] bindings being walked *)
+  mutable sorted : int;  (* enclosing bindings that contain a sort *)
 }
 
 let unit_name ~dir name =
@@ -105,6 +111,220 @@ let stdlib_of w e =
   match e.exp_desc with
   | Texp_ident (p, _, _) -> stdlib (raw_key w p)
   | _ -> []
+
+let same_file a b =
+  Allowlist.path_matches ~entry:a b || Allowlist.path_matches ~entry:b a
+
+(* The suppressions wider than an attribute: the file floor and the
+   checked-in allowlist. *)
+let allowed p ~rule ~file ~line =
+  List.mem (file, rule) p.floors || Allowlist.allows p.allow ~rule ~file ~line
+
+(* The [d] of the first [lib/d/] directory on a path, so the fixture
+   corpus's [test/lint_fixtures/lib/circuit/] is the circuit layer. *)
+let rec layer = function
+  | "lib" :: d :: _ :: _ -> Some d
+  | _ :: rest -> layer rest
+  | [] -> None
+
+(* --- the per-file rules ------------------------------------------------- *)
+
+(* Report [rule] at [loc] unless a scope, the floor or the allowlist
+   sanctions it; [true] when reported. *)
+let emit r w ~rule (loc : Location.t) message =
+  let pos = loc.loc_start in
+  let line = pos.pos_lnum and col = pos.pos_cnum - pos.pos_bol in
+  let live =
+    not
+      (List.exists (List.mem rule) w.scopes
+      || allowed r ~rule ~file:w.file ~line)
+  in
+  if live then
+    r.diags <- Diagnostic.make ~rule ~file:w.file ~line ~col message :: r.diags;
+  live
+
+(* A type that holds a float by structure: float itself, or a tuple,
+   array, list or option of one.  Abbreviations and records are not
+   expanded. *)
+let rec holds_float ty =
+  match Types.get_desc ty with
+  | Tconstr (p, [], _) -> Path.same p Predef.path_float
+  | Tconstr (p, [ a ], _)
+    when List.exists (Path.same p)
+           Predef.[ path_array; path_list; path_option ] ->
+    holds_float a
+  | Ttuple ts -> List.exists holds_float ts
+  | _ -> false
+
+let hot_banned_list_fns =
+  [
+    "map"; "mapi"; "map2"; "fold_left"; "fold_right"; "fold_left2";
+    "concat"; "concat_map"; "flatten"; "filter"; "filter_map"; "filteri";
+    "partition"; "rev_map"; "init"; "append"; "sort"; "stable_sort";
+    "sort_uniq"; "merge"; "combine"; "split";
+  ]
+
+(* Array functions that allocate a fresh array (or list/seq) per call.
+   Deliberately NOT banned: fill/blit/length/get/set/unsafe_*/iter/iteri,
+   which the preallocated sparse/dense assembly loops rely on. *)
+let hot_banned_array_fns =
+  [
+    "make"; "create_float"; "init"; "copy"; "append"; "sub"; "concat";
+    "of_list"; "to_list"; "of_seq"; "to_seq"; "to_seqi"; "map"; "mapi";
+    "map2"; "split"; "combine"; "make_matrix";
+  ]
+
+(* The determinism finding for a use of [k], if any. *)
+let determinism w k =
+  match k with
+  | Some ("Stdlib", "Random" :: _) ->
+    Some
+      ( Rules.determinism_random,
+        "Random.* breaks jobs:1 == jobs:N determinism; draw from a \
+         counter-indexed Vstat_util.Rng substream instead (allowed only in \
+         lib/util/rng.ml)" )
+  | Some ("Unix", [ ("gettimeofday" | "time") ])
+  | Some ("Stdlib", [ "Sys"; "time" ])
+  | Some ("Monotonic_clock", [ "now" ]) ->
+    Some
+      ( Rules.determinism_wallclock,
+        "wall-clock reads are forbidden outside the sanctioned clock \
+         (Vstat_runtime.Deadline.now_ns): sample values must be pure \
+         functions of (index, substream)" )
+  | Some ("Stdlib", [ "Hashtbl"; (("iter" | "fold") as fn) ]) when w.sorted = 0
+    ->
+    Some
+      ( Rules.determinism_hashtbl,
+        Printf.sprintf
+          "Hashtbl.%s traverses buckets in unspecified order and no \
+           adjacent List.sort/sort_uniq/Array.sort re-establishes a total \
+           order in this function"
+          fn )
+  | _ -> None
+
+(* Every per-file rule that looks at one identifier [e] resolving to [k]. *)
+let check_ident r w (e : expression) k (lid : Longident.t Location.loc) =
+  let loc = e.exp_loc in
+  (match determinism w k with
+  | Some (rule, msg) when emit r w ~rule loc msg ->
+    Option.iter
+      (fun n ->
+        let written =
+          match Longident.flatten lid.txt with
+          | "Stdlib" :: rest -> rest
+          | p -> p
+          | exception _ -> []
+        in
+        n.sources <-
+          (loc.loc_start.pos_lnum, String.concat "." written) :: n.sources)
+      w.cur
+  | _ -> ());
+  let cs = stdlib k in
+  (match (cs, Types.get_desc e.exp_type) with
+  | [ (("=" | "<>" | "compare" | "min" | "max") as op) ], Tarrow (_, a, _, _)
+    when holds_float a ->
+    ignore
+      (emit r w ~rule:Rules.float_compare loc
+         (Printf.sprintf
+            "polymorphic %s on a type that holds a float; use Float.equal \
+             / Float.compare or an explicit comparator \
+             (Int64.bits_of_float for bit identity)"
+            op))
+  | _ -> ());
+  (* failwith, invalid_arg and raise Not_found are all banned in the
+     circuit, cells and device layers; only failwith in linalg and opt. *)
+  (match (cs, w.layer) with
+  | [ (("failwith" | "invalid_arg") as fn) ], Some ("circuit" | "cells" | "device")
+    ->
+    ignore
+      (emit r w ~rule:Rules.exn_discipline loc
+         (Printf.sprintf
+            "%s in the circuit/cells/device layers defeats typed failure \
+             classification; raise Diag.Solver_error (or mark the \
+             sanctioned precondition with [@vstat.allow \"exn-discipline\"])"
+            fn))
+  | [ "failwith" ], Some ("linalg" | "opt") ->
+    ignore
+      (emit r w ~rule:Rules.exn_discipline loc
+         "failwith in linalg/opt defeats typed failure classification; \
+          raise Vstat_linalg.Linalg_error.Numeric_error instead")
+  | _ -> ());
+  if w.hot > 0 then
+    let hot msg = ignore (emit r w ~rule:Rules.hot_path loc msg) in
+    match cs with
+    | ("Printf" | "Format") :: _ ->
+      hot
+        "Printf/Format in a [@vstat.hot] body allocates and formats on the \
+         hot path"
+    | [ "List"; fn ] when List.mem fn hot_banned_list_fns ->
+      hot
+        (Printf.sprintf
+           "List.%s in a [@vstat.hot] body allocates per call; use the \
+            preallocated workspace / an index loop"
+           fn)
+    | [ "Array"; fn ] when List.mem fn hot_banned_array_fns ->
+      hot
+        (Printf.sprintf
+           "Array.%s in a [@vstat.hot] body allocates a fresh array per \
+            call; reuse a preallocated workspace (Array.fill/blit and \
+            index loops stay allocation-free)"
+           fn)
+    | [ ("@" | "^") ] ->
+      hot "list/string append in a [@vstat.hot] body allocates per call"
+    | _ -> ()
+
+let is_not_found w = function
+  | Texp_construct (_, { cstr_tag = Cstr_extension (p, _); _ }, []) ->
+    stdlib (raw_key w p) = [ "Not_found" ]
+  | _ -> false
+
+(* The per-file rules that look at a whole expression. *)
+let check_expr r w e =
+  match (e.exp_desc, w.layer) with
+  | Texp_apply (f, [ (_, Some a) ]), Some ("circuit" | "cells" | "device")
+    when List.mem (stdlib_of w f) [ [ "raise" ]; [ "raise_notrace" ] ]
+         && is_not_found w a.exp_desc ->
+    ignore
+      (emit r w ~rule:Rules.exn_discipline e.exp_loc
+         "raise Not_found in the circuit/cells/device layers is untyped; use \
+          a Diag diagnostic or Invalid_argument via a sanctioned site")
+  | Texp_function _, _ when w.hot > 0 ->
+    ignore
+      (emit r w ~rule:Rules.hot_path e.exp_loc
+         "closure definition inside a [@vstat.hot] body allocates per call; \
+          hoist it to a toplevel function taking its environment as \
+          arguments")
+  | _ -> ()
+
+let contains_sort w e =
+  let module I = Tast_iterator in
+  let found = ref false in
+  let expr self e =
+    (match stdlib_of w e with
+    | [ ("List" | "Array"); ("sort" | "stable_sort" | "sort_uniq" | "fast_sort") ]
+      ->
+      found := true
+    | _ -> ());
+    I.default_iterator.expr self e
+  in
+  let it = { I.default_iterator with expr } in
+  it.expr it e;
+  !found
+
+let has_attr name attrs =
+  List.exists (fun (a : attribute) -> a.attr_name.txt = name) attrs
+
+(* The body past a binding's own parameter chain, default arguments
+   included. *)
+let rec unwrap_funs e =
+  match e.exp_desc with
+  | Texp_function { cases = [ { c_guard = None; c_rhs; _ } ]; _ } ->
+    unwrap_funs c_rhs
+  | Texp_let (_, _, body) when has_attr "#default" e.exp_attributes ->
+    unwrap_funs body
+  | _ -> e
+
+(* --- the program graph --------------------------------------------------- *)
 
 (* Accesses in the arguments of these heads execute inside a guarded
    region (or are themselves atomic operations). *)
@@ -176,8 +396,9 @@ let written args ty =
     args
   @ pending ty
 
-let use r w (e : expression) p (lid : Longident.t Location.loc) =
+let use r w (e : expression) p lid =
   let k = raw_key w p in
+  check_ident r w e k lid;
   let labels =
     match w.callee with Some (f, ls) when f == e -> Some ls | _ -> None
   in
@@ -196,23 +417,12 @@ let use r w (e : expression) p (lid : Longident.t Location.loc) =
         let allow_ds = List.exists (List.mem Rules.domain_safety) w.scopes in
         n.accesses <-
           { target; line; col; guarded = w.guard > 0; allow_ds } :: n.accesses)
-      k;
-    if Hashtbl.mem w.sources (line, col) then
-      let written =
-        match Longident.flatten lid.txt with
-        | "Stdlib" :: rest -> rest
-        | p -> p
-        | exception _ -> []
-      in
-      n.sources <- (line, String.concat "." written) :: n.sources
+      k
 
 let binding_name vb =
   match vb.vb_pat.pat_desc with
   | Tpat_var (id, name) | Tpat_alias (_, id, name) -> Some (id, name.txt)
   | _ -> None
-
-let has_attr name attrs =
-  List.exists (fun (a : attribute) -> a.attr_name.txt = name) attrs
 
 (* One node per named structure-level binding of a reachable structure;
    identifiers are registered before any body is walked, so a [let rec]
@@ -264,6 +474,7 @@ let iterator r w =
     let saved = w.path in
     w.path <- None;
     w.scopes <- Allowlist.allow_rules e.exp_attributes :: w.scopes;
+    check_expr r w e;
     (match e.exp_desc with
     | Texp_ident (p, lid, _) ->
       use r w e p lid;
@@ -285,9 +496,19 @@ let iterator r w =
     | _ -> super.expr self e);
     w.scopes <- List.tl w.scopes;
     w.path <- saved
+  (* A hot binding's own parameter chain is the function being marked,
+     not a closure allocated inside it. *)
   and value_binding self vb =
     w.scopes <- Allowlist.allow_rules vb.vb_attributes :: w.scopes;
-    super.value_binding self vb;
+    let sorted = contains_sort w vb.vb_expr in
+    if sorted then w.sorted <- w.sorted + 1;
+    (if has_attr "vstat.hot" vb.vb_attributes then begin
+       w.hot <- w.hot + 1;
+       self.I.expr self (unwrap_funs vb.vb_expr);
+       w.hot <- w.hot - 1
+     end
+     else super.value_binding self vb);
+    if sorted then w.sorted <- w.sorted - 1;
     w.scopes <- List.tl w.scopes
   and module_expr self me =
     match me.mod_desc with
@@ -351,20 +572,20 @@ let normalize aliases (u, cs) =
   in
   go 64 (u, cs)
 
-let same_file a b =
-  Allowlist.path_matches ~entry:a b || Allowlist.path_matches ~entry:b a
-
-(* [scan ~sources cmts]: walk every [.cmt]; [sources] are the per-file
-   determinism findings that become direct taint sources. *)
-let scan ~(sources : Diagnostic.t list) cmts =
+(* [scan ~allow cmts]: walk every [.cmt], checking the per-file rules
+   against [allow] on the way. *)
+let scan ~allow cmts =
   let r =
     {
+      allow;
       aliases = Hashtbl.create 64;
       uses = [];
       wholes = [];
       nodes = Hashtbl.create 1024;
       order = [];
       floors = [];
+      files = [];
+      diags = [];
     }
   in
   List.iter
@@ -373,24 +594,22 @@ let scan ~(sources : Diagnostic.t list) cmts =
       match infos.cmt_annots with
       | Implementation str ->
         let file = Option.value ~default:path infos.cmt_sourcefile in
-        let here = Hashtbl.create 4 in
-        List.iter
-          (fun (d : Diagnostic.t) ->
-            if same_file d.file file then Hashtbl.replace here (d.line, d.col) ())
-          sources;
+        r.files <- file :: r.files;
         let dir = Filename.dirname path in
         let w =
           {
             modname = unit_name ~dir infos.cmt_modname;
             dir;
             file;
-            sources = here;
+            layer = layer (String.split_on_char '/' file);
             locals = Ident.Tbl.create 64;
             path = Some [];
             callee = None;
             cur = None;
             guard = 0;
             scopes = [];
+            hot = 0;
+            sorted = 0;
           }
         in
         let it = iterator r w in

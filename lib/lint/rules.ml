@@ -13,7 +13,6 @@ let determinism_wallclock = "determinism-wallclock"
 let float_compare = "float-compare"
 let exn_discipline = "exn-discipline"
 let hot_path = "hot-path"
-let parse_error = "parse-error"
 let determinism_taint = "determinism-taint"
 let domain_safety = "domain-safety"
 let unused_export = "unused-export"
@@ -53,13 +52,13 @@ let all =
     {
       id = float_compare;
       summary =
-        "no polymorphic = / <> / compare / min / max on float-valued \
-         expressions or tuple literals; use Float.equal / Float.compare / \
-         an explicit comparator";
+        "no Stdlib = / <> / compare / min / max instantiated at a type that \
+         holds a float (float, or a tuple, array, list or option of one); \
+         use Float.equal / Float.compare / an explicit comparator";
       invariant =
-        "polymorphic compare on floats orders nan inconsistently and on \
-         tuples silently depends on field order; censuses and sorts must \
-         use explicit total orders";
+        "polymorphic compare on floats orders nan inconsistently and \
+         equates -0. with 0.; censuses and sorts must use explicit total \
+         orders, bit-identity checks Int64.bits_of_float";
     };
     {
       id = exn_discipline;
@@ -85,27 +84,22 @@ let all =
          test/test_lint.ml)";
     };
     {
-      id = parse_error;
-      summary = "source file failed to parse (reported as a violation)";
-      invariant = "the lint pass must see every file it claims to cover";
-    };
-    {
       id = determinism_taint;
       summary =
-        "(--deep) no [@vstat.entry] hot entry point may transitively reach \
+        "no [@vstat.entry] hot entry point may transitively reach \
          an unsanctioned Random.* / wall-clock / unsorted-Hashtbl site \
          through the call graph of the .cmt typed trees (dune build \
          @check); the finding carries the full cross-module call path";
       invariant =
         "jobs:1 == jobs:N bit-identical Monte Carlo, made whole-program: \
-         the per-file determinism rules only see direct uses, so a helper \
+         the determinism rules above only see direct uses, so a helper \
          calling a nondeterministic function two modules away must be \
          caught by interprocedural taint propagation";
     };
     {
       id = domain_safety;
       summary =
-        "(--deep) no module-level mutable state (ref / Hashtbl / Buffer / \
+        "no module-level mutable state (ref / Hashtbl / Buffer / \
          Queue / Stack / record with a mutable label, at structure level) \
          may be accessed without an Atomic.* / Mutex / Domain.DLS guard \
          from code reachable from a domain root (a function using \
@@ -118,7 +112,7 @@ let all =
     {
       id = unused_export;
       summary =
-        "(--deep) no [val] in an .mli (@lint finds them only in lib/) that \
+        "no [val] in an .mli (@lint finds them only in lib/) that \
          no other compilation unit references; read from the .cmti/.cmt \
          typed trees under the scanned paths (dune build @check)";
       invariant =
@@ -128,7 +122,7 @@ let all =
     {
       id = unused_optional;
       summary =
-        "(--deep) no ?label on an exported [val] that no application in \
+        "no ?label on an exported [val] that no application in \
          any .cmt under the root writes as ~label or ?label (a reference \
          that does not apply the value, or a module used whole, passes \
          every label)";

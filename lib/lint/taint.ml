@@ -4,7 +4,7 @@
 
    determinism-taint — a function is tainted when it contains an
    unsanctioned direct nondeterminism source (exactly the sites the
-   per-file determinism rules report) or calls a tainted function.  An
+   determinism rules report) or calls a tainted function.  An
    error is emitted for every [@vstat.entry] hot entry point that is
    tainted, carrying the shortest call path from the entry down to the
    source (`a.ml:12 -> b.ml:40 -> Random.float`).
@@ -60,7 +60,7 @@ let witness parent k =
   in
   back [] k
 
-let analyze ~allow (p : P.t) =
+let analyze (p : P.t) =
   let node k = Hashtbl.find p.nodes k in
   let calls k =
     List.filter_map
@@ -74,15 +74,12 @@ let analyze ~allow (p : P.t) =
     | [] -> []
     | (line, next) :: tl -> loc_str (node at).file line :: callsites next tl
   in
-  let allowed ~rule ~file ~line =
-    List.mem (file, rule) p.floors || Allowlist.allows allow ~rule ~file ~line
-  in
   let name (n : P.node) = String.concat "." (snd n.key) in
   let taint (n : P.node) =
     let rule = Rules.determinism_taint in
     if
       (not n.entry) || n.allow_taint
-      || allowed ~rule ~file:n.file ~line:n.line
+      || P.allowed p ~rule ~file:n.file ~line:n.line
     then None
     else
       match
@@ -123,7 +120,7 @@ let analyze ~allow (p : P.t) =
     | Some ({ state = Some kind; _ } as g)
       when not
              (a.guarded || n.locks || a.allow_ds
-             || allowed ~rule ~file:n.file ~line:a.line
+             || P.allowed p ~rule ~file:n.file ~line:a.line
              || Hashtbl.mem seen (n.file, a.line, g.key)) ->
       Hashtbl.replace seen (n.file, a.line, g.key) ();
       let root, steps = witness reach n.key in

@@ -51,10 +51,10 @@ let table keys =
   List.iter (fun k -> Hashtbl.replace t k ()) keys;
   t
 
-(* [check ~allow program ~cmtis]: one diagnostic per value exported by a
+(* [check program ~cmtis]: one diagnostic per value exported by a
    [.cmti] that no other unit of [program] references, and one per
    optional label of such a value that no unit writes. *)
-let check ~allow (p : Program.t) ~cmtis =
+let check (p : Program.t) ~cmtis =
   let exports =
     List.filter_map
       (fun path ->
@@ -108,7 +108,7 @@ let check ~allow (p : Program.t) ~cmtis =
           if
             List.mem rule floor
             || List.mem rule (Allowlist.allow_rules vd.val_attributes)
-            || Allowlist.allows allow ~rule ~file ~line
+            || Allowlist.allows p.allow ~rule ~file ~line
           then None
           else Some (Diagnostic.make ~rule ~file ~line ~col msg)
         in

@@ -14,7 +14,6 @@ type result = {
   n_simulated : int;
   n_hits : int;
   p_hat : float;
-  confidence : float;
   ci_lo : float;
   ci_hi : float;
   cutoff : float;
@@ -26,7 +25,6 @@ type result = {
   complete : bool;
 }
 
-let confidence = 0.95
 let margin = 0.90
 
 let estimate ?pilot_n ~(problem : Problem.t) ~rng ~n () =
@@ -121,9 +119,7 @@ let estimate ?pilot_n ~(problem : Problem.t) ~rng ~n () =
       end)
     rows;
   let k = !n_hits in
-  let ci_lo, ci_hi =
-    Vstat_stats.Histogram.wilson_interval ~confidence ~k n_ok
-  in
+  let ci_lo, ci_hi = Vstat_stats.Histogram.wilson_interval ~k n_ok in
   let result =
     {
       label = main_label;
@@ -133,7 +129,6 @@ let estimate ?pilot_n ~(problem : Problem.t) ~rng ~n () =
       n_simulated = !n_simulated;
       n_hits = k;
       p_hat = Float.of_int k /. Float.of_int n_ok;
-      confidence;
       ci_lo;
       ci_hi;
       cutoff;
@@ -159,12 +154,11 @@ let simulation_fraction r =
 let pp ppf r =
   Format.fprintf ppf
     "%s: n=%d (%d requested%s) pilot=%d candidates=%d hits=%d@\n\
-    \  p_hat = %.4e  [%.4e, %.4e] (%.0f%% Wilson)@\n\
+    \  p_hat = %.4e  [%.4e, %.4e] (95%% Wilson)@\n\
     \  cutoff = %.4g (margin %.2f, residual sigma %.3g)  full sims = %.1f%% \
      of plain MC@\n"
     r.label r.n r.n_requested
     (if r.complete then "" else ", partial")
     r.n_pilot r.n_simulated r.n_hits r.p_hat r.ci_lo r.ci_hi
-    (100.0 *. r.confidence)
     r.cutoff r.margin r.residual_std
     (100.0 *. simulation_fraction r)

@@ -33,8 +33,7 @@ type result = {
   n_simulated : int;    (** main-phase full simulations (candidates) *)
   n_hits : int;         (** confirmed tail events among candidates *)
   p_hat : float;        (** k / n over all main-phase trials *)
-  confidence : float;
-  ci_lo : float;        (** Wilson interval *)
+  ci_lo : float;        (** 95 % Wilson interval *)
   ci_hi : float;
   cutoff : float;       (** classifier prediction that triggers simulation *)
   margin : float;       (** quantile the cutoff was placed at *)

@@ -74,15 +74,13 @@ let quantiles xs ps =
 
 let median xs = quantile xs 0.5
 
-(* Normal-approximation two-sided confidence interval on the mean.  The
+(* Normal-approximation two-sided 95 % confidence interval on the mean.  The
    half-width scales as 1/sqrt(n), so the interval a deadline-degraded
    partial run reports is honestly wider than the full run's would be. *)
-let mean_ci ?(confidence = 0.95) xs =
+let confidence = 0.95
+
+let mean_ci xs =
   require_samples xs 2 "mean_ci";
-  if not (confidence > 0.0 && confidence < 1.0) then
-    invalid_arg
-      (Printf.sprintf "Descriptive.mean_ci: confidence %g outside (0,1)"
-         confidence);
   let mu = mean xs in
   let n = Float.of_int (Array.length xs) in
   let z = Vstat_util.Special.normal_quantile (0.5 +. (confidence /. 2.0)) in

@@ -36,12 +36,11 @@ val quantiles : float array -> float list -> float list
 
 val median : float array -> float
 
-val mean_ci : ?confidence:float -> float array -> float * float
-(** [(lo, hi)] two-sided normal-approximation confidence interval on the
-    mean ([confidence] defaults to 0.95).  The half-width scales as
-    [1/sqrt n]: partial (deadline-degraded) runs naturally report wider,
-    honest intervals.  @raise Invalid_argument if fewer than 2 samples or
-    [confidence] outside (0,1). *)
+val mean_ci : float array -> float * float
+(** [(lo, hi)] two-sided normal-approximation 95 % confidence interval on
+    the mean.  The half-width scales as [1/sqrt n]: partial
+    (deadline-degraded) runs naturally report wider, honest intervals.
+    @raise Invalid_argument if fewer than 2 samples. *)
 
 val weighted_mean : float array -> w:float array -> float
 (** [weighted_mean xs ~w] is sum(w x) / sum(w) for non-negative weights.

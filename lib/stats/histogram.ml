@@ -71,15 +71,13 @@ let kde ?(points = 101) xs =
       (x, !acc /. (n *. h)))
     grid
 
-let wilson_interval ?(confidence = 0.95) ~k n =
+let confidence = 0.95
+
+let wilson_interval ~k n =
   if n <= 0 then invalid_arg "Histogram.wilson_interval: n must be positive";
   if k < 0 || k > n then
     invalid_arg
       (Printf.sprintf "Histogram.wilson_interval: k=%d outside [0, %d]" k n);
-  if not (confidence > 0.0 && confidence < 1.0) then
-    invalid_arg
-      (Printf.sprintf "Histogram.wilson_interval: confidence %g outside (0,1)"
-         confidence);
   let z = Vstat_util.Special.normal_quantile (0.5 +. (confidence /. 2.0)) in
   let nf = Float.of_int n in
   let p = Float.of_int k /. nf in

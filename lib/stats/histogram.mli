@@ -23,12 +23,11 @@ val kde : ?points:int -> float array -> (float * float) array
 val sparkline : ?width:int -> float array -> string
 (** Unicode mini-plot of a density/series, for terminal output. *)
 
-val wilson_interval : ?confidence:float -> k:int -> int -> float * float
-(** Wilson score interval for a binomial proportion [k]/[n] — the interval
-    of choice for tail probabilities, where the normal (Wald) interval
-    collapses to a point at k = 0 and routinely escapes [0, 1].
-    [confidence] defaults to 0.95.  @raise Invalid_argument when [n <= 0],
-    [k] outside [0, n], or [confidence] outside (0, 1). *)
+val wilson_interval : k:int -> int -> float * float
+(** 95 % Wilson score interval for a binomial proportion [k]/[n] — the
+    interval of choice for tail probabilities, where the normal (Wald)
+    interval collapses to a point at k = 0 and routinely escapes [0, 1].
+    @raise Invalid_argument when [n <= 0] or [k] outside [0, n]. *)
 
 type tail_estimate = {
   t_prob : float;          (** empirical exceedance k/n *)

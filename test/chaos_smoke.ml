@@ -58,18 +58,21 @@ let run ~label ~measure ?(retry = Rt.no_retry) ?inject jobs =
       Mc.collect_run ~jobs ~label ~n ~tech_of_rng
         ~rng:(Vstat_util.Rng.create ~seed:2026) ~measure ())
 
+(* A run's surviving values, bit for bit. *)
+let bits r = Array.map Int64.bits_of_float (Rt.values r)
+
 let exercise name measure =
   let clean1 = run ~label:(name ^ "/clean") ~measure 1 in
   let clean4 = run ~label:(name ^ "/clean") ~measure 4 in
   check (name ^ ": clean all ok") (Rt.failed_count clean1 = 0);
   check (name ^ ": clean jobs-invariant")
-    (Rt.values clean1 = Rt.values clean4);
+    (bits clean1 = bits clean4);
   (* 5 % raise-fault injection, 4-attempt deterministic retry ladder. *)
   let retry = Rt.retry 4 in
   let r1 = run ~label:(name ^ "/chaos") ~measure ~retry ~inject 1 in
   let r4 = run ~label:(name ^ "/chaos") ~measure ~retry ~inject 4 in
   check (name ^ ": chaos values jobs-invariant")
-    (Rt.values r1 = Rt.values r4);
+    (bits r1 = bits r4);
   check (name ^ ": chaos attempts jobs-invariant")
     (r1.Rt.attempts = r4.Rt.attempts);
   check (name ^ ": injection actually fired")
@@ -88,7 +91,7 @@ let exercise name measure =
   let d1 = run ~label:(name ^ "/norecover") ~measure ~retry:Rt.no_retry ~inject 1 in
   let d4 = run ~label:(name ^ "/norecover") ~measure ~retry:Rt.no_retry ~inject 4 in
   check (name ^ ": no-retry jobs-invariant")
-    (Rt.values d1 = Rt.values d4
+    (bits d1 = bits d4
     && Rt.failure_census d1 = Rt.failure_census d4);
   check (name ^ ": failures categorized as injected_fault")
     (match Rt.failure_census d1 with

@@ -17,3 +17,16 @@ let ok_float_equal x = Float.equal x 1.0
 let ok_float_compare x = Float.compare x 2.0
 
 let ok_suppressed x = ((x = 1.0) [@vstat.allow "float-compare"])
+
+(* The typed rule sees what syntax could not: a bare [compare] at float,
+   and floats reached through a record field. *)
+type point = { x : float }
+
+let bad_sort_floats (xs : float list) = List.sort compare xs
+
+let bad_field_literal r = r.x = 1.0
+
+let bad_field_pair r s = r.x = s.x
+
+(* Negative: a tuple that holds no float orders the same either way. *)
+let ok_int_tuple a b = compare (a, 1) (b, 2)

@@ -11,13 +11,14 @@ let () =
       ~rng:(Vstat_util.Rng.create ~seed:2026)
       ~n:50 ~w_nm:600.0 ~l_nm:40.0 ~vdd
   in
+  let bits = Array.map Int64.bits_of_float in
   let serial = run 1 in
   let parallel = run 4 in
   if
     not
-      (serial.idsat = parallel.idsat
-      && serial.log10_ioff = parallel.log10_ioff
-      && serial.cgg = parallel.cgg)
+      (bits serial.idsat = bits parallel.idsat
+      && bits serial.log10_ioff = bits parallel.log10_ioff
+      && bits serial.cgg = bits parallel.cgg)
   then begin
     prerr_endline "smoke: jobs:1 and jobs:4 Monte Carlo samples diverged";
     exit 1

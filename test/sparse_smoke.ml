@@ -42,7 +42,8 @@ let () =
   let p = Vstat_core.Pipeline.build ~seed:42 ~mc_per_geometry:300 () in
   let s1 = run ~jobs:1 E.Sparse p in
   let s4 = run ~jobs:4 E.Sparse p in
-  if s1 <> s4 then fail "sparse MC not bit-identical across jobs:1 / jobs:4";
+  let bits = Array.map (Option.map Int64.bits_of_float) in
+  if bits s1 <> bits s4 then fail "sparse MC not bit-identical across jobs:1 / jobs:4";
   check_close "sparse-vs-dense" s1 (run ~jobs:1 E.Dense p);
   let ok =
     Array.fold_left (fun k d -> if Option.is_some d then k + 1 else k) 0 s1

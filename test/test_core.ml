@@ -140,9 +140,9 @@ let test_bsim_sampling_perturbs_all () =
   let rng = Rng.create ~seed:5 in
   let nominal = t.nominal ~w_nm:600.0 ~l_nm:40.0 in
   let sample = Bss.sample_params t rng ~w_nm:600.0 ~l_nm:40.0 in
-  Alcotest.(check bool) "vth moved" true (sample.vth0 <> nominal.vth0);
-  Alcotest.(check bool) "l moved" true (sample.l <> nominal.l);
-  Alcotest.(check bool) "u0 moved" true (sample.u0 <> nominal.u0);
+  Alcotest.(check bool) "vth moved" true (not (Float.equal sample.vth0 nominal.vth0));
+  Alcotest.(check bool) "l moved" true (not (Float.equal sample.l nominal.l));
+  Alcotest.(check bool) "u0 moved" true (not (Float.equal sample.u0 nominal.u0));
   Alcotest.(check bool) "u0 stays positive" true (sample.u0 > 0.0)
 
 (* --- Sensitivity --- *)
@@ -398,7 +398,8 @@ let test_pipeline_techs () =
   (* Each call must be a fresh mismatch draw. *)
   let i1 = Vstat_device.Metrics.idsat d1 ~vdd in
   let i2 = Vstat_device.Metrics.idsat d2 ~vdd in
-  Alcotest.(check bool) "independent draws" true (i1 <> i2);
+  Alcotest.(check bool) "independent draws" true
+    (not (Float.equal i1 i2));
   let nom = Vstat_core.Techs.nominal_vs p ~vdd:p.vdd in
   let j1 = Vstat_device.Metrics.idsat (nom.nmos ~w_nm:300.0) ~vdd in
   let j2 = Vstat_device.Metrics.idsat (nom.nmos ~w_nm:300.0) ~vdd in

@@ -615,7 +615,7 @@ let test_fault_wrap_nan_inf () =
   let st = (mk FI.Nan_current).Dm.eval ~vg:vdd ~vd:vdd ~vs:0.0 ~vb:0.0 in
   Alcotest.(check bool) "current is NaN" true (Float.is_nan st.Dm.id);
   let st = (mk FI.Inf_current).Dm.eval ~vg:vdd ~vd:vdd ~vs:0.0 ~vb:0.0 in
-  Alcotest.(check bool) "current is +inf" true (st.Dm.id = Float.infinity)
+  Alcotest.(check bool) "current is +inf" true (Float.equal st.Dm.id Float.infinity)
 
 let test_fault_parse_spec () =
   (match FI.parse_spec "0.05" with

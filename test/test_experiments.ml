@@ -60,7 +60,7 @@ let test_table2 () =
   Alcotest.(check bool) "PMOS a1 within 30%" true
     (rel t.extracted_pmos.a_vt0 t.truth_pmos.a_vt0 < 0.30);
   Alcotest.(check bool) "a5 is the pass-through" true
-    (t.extracted_nmos.a_cinv = t.truth_nmos.a_cinv)
+    (Float.equal t.extracted_nmos.a_cinv t.truth_nmos.a_cinv)
 
 let test_fig3 () =
   let lazy p = pipeline in

@@ -193,8 +193,30 @@ let test_sparse_zero_diagonal () =
 let test_sparse_structurally_singular () =
   (* Column 1 has no entries: no transversal exists. *)
   match Sp.analyze ~n:2 ~entries:[| (0, 0); (1, 0) |] with
-  | _ -> Alcotest.fail "expected Numeric_error"
-  | exception Vstat_linalg.Linalg_error.Numeric_error _ -> ()
+  | _ -> Alcotest.fail "expected Singular"
+  | exception Lu.Singular { column; scale } ->
+    Alcotest.(check int) "uncovered column" 1 column;
+    check_float "no scale" 0.0 scale
+
+(* Both factorizations name a singular pivot by its original column.
+   Column 1 is all zeros; vertex 0 touches every other, so the sparse
+   minimum-degree order eliminates column 1 first, at step 0. *)
+let test_singular_original_column () =
+  let t =
+    [|
+      (0, 0, 4.0); (0, 1, 0.0); (0, 2, 1.0); (0, 3, 1.0); (1, 0, 1.0);
+      (1, 1, 0.0); (2, 0, 1.0); (2, 2, 4.0); (3, 0, 1.0); (3, 3, 4.0);
+    |]
+  in
+  let column f =
+    match f () with
+    | () -> Alcotest.fail "expected Singular"
+    | exception Lu.Singular { column; _ } -> column
+  in
+  Alcotest.(check int) "dense" 1
+    (column (fun () -> ignore (Lu.factor (dense_of_triplets 4 t))));
+  Alcotest.(check int) "sparse" 1
+    (column (fun () -> ignore (sparse_solve 4 t (Array.make 4 1.0))))
 
 (* Numerically singular values on a healthy pattern must raise the same
    scale-carrying Singular the dense path uses. *)
@@ -521,6 +543,8 @@ let () =
             test_sparse_structurally_singular;
           Alcotest.test_case "numerically singular" `Quick
             test_sparse_numeric_singular;
+          Alcotest.test_case "singular pivot names the original column"
+            `Quick test_singular_original_column;
           Alcotest.test_case "pattern reuse (100 refactorizations)" `Quick
             test_sparse_pattern_reuse;
           Alcotest.test_case "symbolic cache shares analyses" `Quick

@@ -28,60 +28,72 @@ let render (d : L.Diagnostic.t) =
   Printf.sprintf "%s:%d %s" d.L.Diagnostic.file d.L.Diagnostic.line
     d.L.Diagnostic.rule
 
-(* Sorted by (file, line): the engine's report order. *)
+(* Every finding over the whole corpus and its typed trees, empty
+   allowlist. *)
+let scan ?(allow = L.Allowlist.empty) paths = L.Engine.run ~allow paths
+
+let corpus = lazy (scan [ fixture_root ])
+
+let findings rules =
+  List.filter
+    (fun d -> List.mem d.L.Diagnostic.rule rules)
+    (snd (Lazy.force corpus))
+
+let f = ( ^ ) "test/lint_fixtures/"
+
+(* Sorted by (file, line): the engine's report order.  Paths are the
+   typed trees' source paths, relative to the build root. *)
 let expected_golden =
+  List.map f
+    [
+      "deep/fx_taint_c.ml:4 determinism-random";
+      "fx_allowfile.ml:5 float-compare";
+      "fx_allowfile.ml:7 float-compare";
+      "fx_determinism.ml:5 determinism-random";
+      "fx_determinism.ml:7 determinism-random";
+      "fx_determinism.ml:9 determinism-wallclock";
+      "fx_determinism.ml:11 determinism-wallclock";
+      "fx_determinism.ml:13 determinism-hashtbl-order";
+      "fx_determinism.ml:15 determinism-hashtbl-order";
+      "fx_determinism.ml:26 determinism-wallclock";
+      "fx_float_safety.ml:4 float-compare";
+      "fx_float_safety.ml:6 float-compare";
+      "fx_float_safety.ml:8 float-compare";
+      "fx_float_safety.ml:10 float-compare";
+      "fx_float_safety.ml:12 float-compare";
+      "fx_float_safety.ml:25 float-compare";
+      "fx_float_safety.ml:27 float-compare";
+      "fx_float_safety.ml:29 float-compare";
+      "fx_hot.ml:3 hot-path";
+      "fx_hot.ml:5 hot-path";
+      "fx_hot.ml:7 hot-path";
+      "fx_hot.ml:9 hot-path";
+      "fx_hot.ml:12 hot-path";
+      "fx_hot_array.ml:3 hot-path";
+      "fx_hot_array.ml:5 hot-path";
+      "fx_hot_array.ml:7 hot-path";
+      "fx_hot_array.ml:9 hot-path";
+      "fx_weighted_hot.ml:4 hot-path";
+      "fx_weighted_hot.ml:6 hot-path";
+      "fx_weighted_hot.ml:8 hot-path";
+      "fx_weighted_hot.ml:11 hot-path";
+      "lib/circuit/fx_exn.ml:5 exn-discipline";
+      "lib/circuit/fx_exn.ml:7 exn-discipline";
+      "lib/circuit/fx_exn.ml:9 exn-discipline";
+      "lib/linalg/fx_failwith.ml:6 exn-discipline";
+    ]
+
+let per_file_rules =
   [
-    "lint_fixtures/deep/fx_taint_c.ml:4 determinism-random";
-    "lint_fixtures/fx_allowfile.ml:5 float-compare";
-    "lint_fixtures/fx_allowfile.ml:7 float-compare";
-    "lint_fixtures/fx_determinism.ml:5 determinism-random";
-    "lint_fixtures/fx_determinism.ml:7 determinism-random";
-    "lint_fixtures/fx_determinism.ml:9 determinism-wallclock";
-    "lint_fixtures/fx_determinism.ml:11 determinism-wallclock";
-    "lint_fixtures/fx_determinism.ml:13 determinism-hashtbl-order";
-    "lint_fixtures/fx_determinism.ml:15 determinism-hashtbl-order";
-    "lint_fixtures/fx_determinism.ml:26 determinism-wallclock";
-    "lint_fixtures/fx_float_safety.ml:4 float-compare";
-    "lint_fixtures/fx_float_safety.ml:6 float-compare";
-    "lint_fixtures/fx_float_safety.ml:8 float-compare";
-    "lint_fixtures/fx_float_safety.ml:10 float-compare";
-    "lint_fixtures/fx_float_safety.ml:12 float-compare";
-    "lint_fixtures/fx_hot.ml:3 hot-path";
-    "lint_fixtures/fx_hot.ml:5 hot-path";
-    "lint_fixtures/fx_hot.ml:7 hot-path";
-    "lint_fixtures/fx_hot.ml:9 hot-path";
-    "lint_fixtures/fx_hot.ml:12 hot-path";
-    "lint_fixtures/fx_hot_array.ml:3 hot-path";
-    "lint_fixtures/fx_hot_array.ml:5 hot-path";
-    "lint_fixtures/fx_hot_array.ml:7 hot-path";
-    "lint_fixtures/fx_hot_array.ml:9 hot-path";
-    "lint_fixtures/fx_weighted_hot.ml:4 hot-path";
-    "lint_fixtures/fx_weighted_hot.ml:6 hot-path";
-    "lint_fixtures/fx_weighted_hot.ml:8 hot-path";
-    "lint_fixtures/fx_weighted_hot.ml:11 hot-path";
-    "lint_fixtures/lib/circuit/fx_exn.ml:5 exn-discipline";
-    "lint_fixtures/lib/circuit/fx_exn.ml:7 exn-discipline";
-    "lint_fixtures/lib/circuit/fx_exn.ml:9 exn-discipline";
-    "lint_fixtures/lib/linalg/fx_failwith.ml:6 exn-discipline";
+    "determinism-random"; "determinism-hashtbl-order"; "determinism-wallclock";
+    "float-compare"; "exn-discipline"; "hot-path";
   ]
 
 let test_golden () =
-  let cfg = L.Engine.default_config () in
-  let files, diags = L.Engine.run cfg [ fixture_root ] in
-  Alcotest.(check int) "fixture files scanned" 20 files;
-  let parse_errors, rest =
-    List.partition (fun d -> d.L.Diagnostic.rule = "parse-error") diags
-  in
-  (match parse_errors with
-  | [ d ] ->
-    Alcotest.(check string)
-      "parse-error pinned to the unparseable fixture"
-      "lint_fixtures/fx_parse_error.ml" d.L.Diagnostic.file
-  | ds ->
-    Alcotest.failf "expected exactly one parse-error diagnostic, got %d"
-      (List.length ds));
+  Alcotest.(check int) "fixture files scanned" 19 (fst (Lazy.force corpus));
   Alcotest.(check (list string))
-    "golden diagnostics" expected_golden (List.map render rest)
+    "golden diagnostics" expected_golden
+    (List.map render (findings per_file_rules))
 
 (* A line-pinned lint.allow entry sanctions exactly one of the two
    violations in fx_allowfile.ml. *)
@@ -91,23 +103,21 @@ let test_allow_line_pinned () =
       "# synthetic allowlist for the test\n\
        float-compare:lint_fixtures/fx_allowfile.ml:5\n"
   in
-  let cfg = L.Engine.default_config ~allow () in
-  let diags = L.Engine.lint_file cfg "lint_fixtures/fx_allowfile.ml" in
   Alcotest.(check (list string))
     "only the unpinned line remains"
-    [ "lint_fixtures/fx_allowfile.ml:7 float-compare" ]
-    (List.map render diags)
+    [ f "fx_allowfile.ml:7 float-compare" ]
+    (List.map render
+       (snd (scan ~allow [ "lint_fixtures/fx_allowfile.ml" ])))
 
 (* A whole-file entry matches by trailing '/'-separated components, so the
-   short form "fx_allowfile.ml" must cover the scanned relative path. *)
+   short form "fx_allowfile.ml" must cover the source path. *)
 let test_allow_whole_file () =
   let allow =
     L.Allowlist.of_string ~file:"<synthetic>" "float-compare:fx_allowfile.ml\n"
   in
-  let cfg = L.Engine.default_config ~allow () in
-  let diags = L.Engine.lint_file cfg "lint_fixtures/fx_allowfile.ml" in
   Alcotest.(check (list string)) "whole file sanctioned" []
-    (List.map render diags)
+    (List.map render
+       (snd (scan ~allow [ "lint_fixtures/fx_allowfile.ml" ])))
 
 (* Every rule id exercised by the fixtures must exist in the registry that
    --list-rules and DESIGN.md document. *)
@@ -116,15 +126,10 @@ let test_rules_registry () =
   List.iter
     (fun must ->
       Alcotest.(check bool) (must ^ " registered") true (List.mem must ids))
-    [
-      "determinism-random"; "determinism-hashtbl-order";
-      "determinism-wallclock"; "float-compare"; "exn-discipline"; "hot-path";
-      "parse-error"; "determinism-taint"; "domain-safety"; "unused-export";
-      "unused-optional";
-    ]
+    (per_file_rules
+    @ [ "determinism-taint"; "domain-safety"; "unused-export"; "unused-optional" ])
 
-
-(* --- the deep (cross-module) pass --------------------------------------- *)
+(* --- the cross-module rules ---------------------------------------------- *)
 
 let render_trace (d : L.Diagnostic.t) =
   render d
@@ -133,28 +138,19 @@ let render_trace (d : L.Diagnostic.t) =
   | [] -> ""
   | steps -> " | " ^ String.concat " \xe2\x86\x92 " steps
 
-let deep_fixture = "test/lint_fixtures/deep/"
+let deep_findings () = findings [ "determinism-taint"; "domain-safety" ]
 
-let deep_findings () =
-  List.filter
-    (fun d ->
-      d.L.Diagnostic.rule = "determinism-taint"
-      || d.L.Diagnostic.rule = "domain-safety")
-    (L.Engine.run_deep (L.Engine.default_config ()) [ fixture_root ])
-      .L.Engine.deep_diags
-
-(* The two deep rules over the typed trees of the lint_fixtures/deep
-   library, pinned exactly.  determinism-taint: the 3-module chain down to
-   the Random.float, reached directly, through a [let module] alias and
-   through an [open].  domain-safety: the unguarded access with the full
-   path from the Domain.spawn root, and the mutable-record global whose
-   field name is immutable in another type of the same file.  The
-   sanctioned entry, the Mutex.protect'd access, the immutable record and
-   the file-floored fixture must all stay silent. *)
+(* The two interprocedural rules over the typed trees of the
+   lint_fixtures/deep library, pinned exactly.  determinism-taint: the
+   3-module chain down to the Random.float, reached directly, through a
+   [let module] alias and through an [open].  domain-safety: the
+   unguarded access with the full path from the Domain.spawn root, and
+   the mutable-record global whose field name is immutable in another
+   type of the same file.  The sanctioned entry, the Mutex.protect'd
+   access, the immutable record and the file-floored fixture must all
+   stay silent. *)
 let test_deep_golden () =
-  let r = L.Engine.run_deep (L.Engine.default_config ()) [ fixture_root ] in
-  Alcotest.(check int) "fixture files" 20 r.L.Engine.deep_files;
-  let f = ( ^ ) deep_fixture in
+  let f = ( ^ ) "test/lint_fixtures/deep/" in
   let arrow = " \xe2\x86\x92 " in
   let taint line call =
     Printf.sprintf
@@ -189,15 +185,12 @@ let test_deep_golden () =
    [f]'s [?unused] is the one finding. *)
 let test_unused () =
   let dir = Filename.concat fixture_root "unused" in
-  if L.Engine.collect_files ~suffix:".cmti" [ dir ] = [] then
-    Alcotest.fail "no typed trees under lint_fixtures/unused: run via dune test";
   let hits paths =
     List.map render
       (List.filter
          (fun d ->
            List.mem d.L.Diagnostic.rule [ "unused-export"; "unused-optional" ])
-         (L.Engine.run_deep (L.Engine.default_config ()) paths)
-           .L.Engine.deep_diags)
+         (snd (scan paths)))
   in
   let expected =
     [
@@ -223,7 +216,7 @@ let test_guard_deletion () =
       (fun d ->
         d.L.Diagnostic.rule = "domain-safety"
         && List.mem
-             (deep_fixture ^ "fx_domain_root.ml:" ^ root)
+             (f "deep/fx_domain_root.ml:" ^ root)
              d.L.Diagnostic.trace)
       (deep_findings ())
   in
@@ -232,7 +225,7 @@ let test_guard_deletion () =
   match from_root "4 (domain root 'run')" with
   | [ d ] ->
     Alcotest.(check string) "unguarded twin lands at the access"
-      (deep_fixture ^ "fx_domain_state.ml:8 domain-safety")
+      (f "deep/fx_domain_state.ml:8 domain-safety")
       (render d);
     Alcotest.(check int) "trace walks root -> access" 4
       (List.length d.L.Diagnostic.trace)

@@ -98,7 +98,9 @@ let prop_map_rng_jobs_invariant =
     (fun (n, jobs) ->
       let f rng = Rng.gaussian rng in
       let run jobs =
-        Rt.values (Rt.map_rng_samples ~jobs ~rng:(Rng.create ~seed:5) ~n ~f ())
+        Array.map Int64.bits_of_float
+          (Rt.values
+             (Rt.map_rng_samples ~jobs ~rng:(Rng.create ~seed:5) ~n ~f ()))
       in
       run 1 = run jobs)
 
@@ -337,10 +339,12 @@ let test_mc_device_jobs_invariant () =
       ~rng:(Rng.create ~seed:11) ~n:64 ~w_nm:600.0 ~l_nm:40.0 ~vdd
   in
   let s1 = run 1 and s4 = run 4 in
-  Alcotest.(check bool) "idsat bit-identical" true (s1.idsat = s4.idsat);
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check bool) "idsat bit-identical" true
+    (bits s1.idsat = bits s4.idsat);
   Alcotest.(check bool) "log10_ioff bit-identical" true
-    (s1.log10_ioff = s4.log10_ioff);
-  Alcotest.(check bool) "cgg bit-identical" true (s1.cgg = s4.cgg)
+    (bits s1.log10_ioff = bits s4.log10_ioff);
+  Alcotest.(check bool) "cgg bit-identical" true (bits s1.cgg = bits s4.cgg)
 
 (* --- jobs-count invariance end to end (full circuit transient MC) --- *)
 
@@ -363,11 +367,14 @@ let test_circuit_mc_jobs_invariant () =
     let r = Vstat_cells.Inverter.measure s in
     (r.Vstat_cells.Inverter.tphl, r.Vstat_cells.Inverter.tplh)
   in
+  let bits = Int64.bits_of_float in
   let run jobs =
-    Rt.values
-      (Rt.map_rng_samples ~jobs ~rng:(Rng.create ~seed:17) ~n:8
-         ~f:(fun rng -> measure (tech_of_rng rng))
-         ())
+    Array.map
+      (fun (a, b) -> (bits a, bits b))
+      (Rt.values
+         (Rt.map_rng_samples ~jobs ~rng:(Rng.create ~seed:17) ~n:8
+            ~f:(fun rng -> measure (tech_of_rng rng))
+            ()))
   in
   let s1 = run 1 and s4 = run 4 in
   Alcotest.(check int) "all samples measured" 8 (Array.length s1);

@@ -164,9 +164,7 @@ let test_wilson_interval () =
   let lo, hi = H.wilson_interval ~k:50 100 in
   Alcotest.(check bool) "contains p-hat" true (lo < 0.5 && 0.5 < hi);
   Alcotest.(check bool) "inside [0,1]" true (lo >= 0.0 && hi <= 1.0);
-  let lo99, hi99 = H.wilson_interval ~confidence:0.99 ~k:50 100 in
-  Alcotest.(check bool) "higher confidence widens" true
-    (lo99 < lo && hi99 > hi);
+  check_float ~eps:1e-5 "95% half-width" 0.09617 ((hi -. lo) /. 2.0);
   match H.wilson_interval ~k:5 4 with
   | _ -> Alcotest.fail "expected Invalid_argument (k > n)"
   | exception Invalid_argument _ -> ()
@@ -323,21 +321,16 @@ let test_mean_ci () =
   check_float ~eps:1e-12 "centered" mu ((lo +. hi) /. 2.0);
   check_float ~eps:1e-6 "95% half-width" (1.959964 *. sd /. 2.0)
     ((hi -. lo) /. 2.0);
-  (* Wider confidence → wider interval; fewer samples → wider interval:
-     a deadline-truncated run reports honestly degraded precision. *)
-  let lo99, hi99 = D.mean_ci ~confidence:0.99 xs in
-  Alcotest.(check bool) "99% wider than 95%" true (hi99 -. lo99 > hi -. lo);
+  (* Fewer samples → wider interval: a deadline-truncated run reports
+     honestly degraded precision. *)
   let rng = Rng.create ~seed:41 in
   let big = Array.init 400 (fun _ -> Rng.gaussian rng) in
   let part = Array.sub big 0 40 in
   let blo, bhi = D.mean_ci big and plo, phi = D.mean_ci part in
   Alcotest.(check bool) "partial run has a wider CI" true
     (phi -. plo > bhi -. blo);
-  (match D.mean_ci [| 1.0 |] with
+  match D.mean_ci [| 1.0 |] with
   | _ -> Alcotest.fail "CI from one sample accepted"
-  | exception Invalid_argument _ -> ());
-  match D.mean_ci ~confidence:1.0 xs with
-  | _ -> Alcotest.fail "confidence 1.0 accepted"
   | exception Invalid_argument _ -> ()
 
 let test_ks_p_value_bounds () =
