@@ -178,9 +178,7 @@ let apply_controls c =
      included, runs under these controls. *)
   Vstat_runtime.Checkpoint.set_controls
     {
-      retry =
-        (if c.retry > 1 then Vstat_runtime.Runtime.retry c.retry
-         else Vstat_runtime.Runtime.no_retry);
+      retry = Int.max 1 c.retry;
       checkpoint;
       (* One watchdog for the whole process: every subsequent run shares
          the same wall-clock budget (created here, at CLI-parse time — the

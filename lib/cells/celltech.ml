@@ -6,22 +6,6 @@ type t = {
   pmos : w_nm:float -> Vstat_device.Device_model.t;
 }
 
-let nominal_bsim () =
-  let l_nm = Vstat_device.Cards.l_nominal_nm in
-  {
-    label = "bsim-nominal";
-    vdd = Vstat_device.Cards.vdd_nominal;
-    l_nm;
-    nmos =
-      (fun ~w_nm ->
-        Vstat_device.Cards.bsim_device ~polarity:Vstat_device.Device_model.Nmos
-          ~w_nm ~l_nm);
-    pmos =
-      (fun ~w_nm ->
-        Vstat_device.Cards.bsim_device ~polarity:Vstat_device.Device_model.Pmos
-          ~w_nm ~l_nm);
-  }
-
 let nominal_vs_seed ?(vdd = Vstat_device.Cards.vdd_nominal) () =
   let l_nm = Vstat_device.Cards.l_nominal_nm in
   {
@@ -37,8 +21,6 @@ let nominal_vs_seed ?(vdd = Vstat_device.Cards.vdd_nominal) () =
         Vstat_device.Cards.vs_seed_device
           ~polarity:Vstat_device.Device_model.Pmos ~w_nm ~l_nm);
   }
-
-let with_vdd t vdd = { t with vdd }
 
 module FI = Vstat_device.Fault_inject
 

@@ -14,22 +14,20 @@ type t = {
   pmos : w_nm:float -> Vstat_device.Device_model.t;
 }
 
-val nominal_bsim : unit -> t
-(** Deterministic golden technology at the synthetic 40 nm node. *)
-
 val nominal_vs_seed : ?vdd:float -> unit -> t
+[@@vstat.allow "unused-export", "unused-optional"]
 (** Deterministic VS technology using the hand-written seed cards (the
-    extracted statistical technology lives in [Vstat_core]). *)
-
-val with_vdd : t -> float -> t
-(** Same device source at a different supply (the paper's Vdd scaling). *)
+    extracted statistical technology lives in [Vstat_core]).  Granted as a
+    shared fixture: test_cells, test_experiments, test_runtime and
+    chaos_smoke build their nominal cells on it, the last three at their
+    own [vdd]. *)
 
 val with_fault_injection :
   Vstat_device.Fault_inject.config -> key:int -> t -> t
 (** Chaos harness: decide deterministically from [(config.seed, key)]
     whether this technology handle carries a fault, and if so arm it on the
     transistor whose creation ordinal (netlist build order, both polarities
-    counted together, modulo {!Vstat_device.Fault_inject.ordinal_span})
+    counted together, modulo 4)
     matches the plan.  [key] should mix the Monte Carlo sample index and
     the retry attempt, so injection is per-sample reproducible,
     jobs-independent, and independent across attempts.  Returns the handle

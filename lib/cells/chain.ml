@@ -66,12 +66,12 @@ let delay_of_trace ~vdd ~stages eng trace ~first ~last =
     Vstat_circuit.Diag.fail ~analysis:"measure:chain" Measure_no_crossing
       "edge did not propagate (window too short)"
 
-let measure ?(steps = 600) ?backend s =
+let measure ?backend s =
   let n = Array.length s.stages in
   let window =
     Inverter.default_window ~vdd:s.vdd *. Float.of_int (Int.max 1 (n / 3))
   in
   let devices i = if i = 0 then s.driver else s.stages.(i - 1) in
   let eng, first, last = build ?backend ~vdd:s.vdd ~stages:n ~window devices in
-  let trace = E.transient eng ~tstop:window ~dt:(window /. Float.of_int steps) in
+  let trace = E.transient eng ~tstop:window ~dt:(window /. 600.0) in
   delay_of_trace ~vdd:s.vdd ~stages:n eng trace ~first ~last

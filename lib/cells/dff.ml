@@ -61,14 +61,13 @@ let build s ~clk ~clkb ~d_wave =
     ~gate:nclk ~gnd;
   (net, s_out)
 
-let capture_ok s ~t_d ~data_rising =
+(* Simulate one capture attempt of a data edge rising at [t_d]: true when
+   Q ends high. *)
+let capture_ok s ~t_d =
   let vdd = s.vdd in
   let clk = W.pwl [| (t_clk, vdd); (t_clk +. edge, 0.0) |] in
   let clkb = W.pwl [| (t_clk, 0.0); (t_clk +. edge, vdd) |] in
-  let d_wave =
-    if data_rising then W.pwl [| (t_d, 0.0); (t_d +. edge, vdd) |]
-    else W.pwl [| (t_d, vdd); (t_d +. edge, 0.0) |]
-  in
+  let d_wave = W.pwl [| (t_d, 0.0); (t_d +. edge, vdd) |] in
   let net, q_node = build s ~clk ~clkb ~d_wave in
   let eng = E.compile net in
   let tstop = t_clk +. 300e-12 in
@@ -76,14 +75,12 @@ let capture_ok s ~t_d ~data_rising =
   let q = E.node_wave eng trace q_node in
   let final = M.settled_value ~values:q ~tail_fraction:0.05 in
   (* Q follows D through two pass stages and two inversions each, so the
-     captured Q equals the data value before the falling clock edge; a
-     successful capture of a rising D ends high, of a falling D ends high
-     too (the falling edge must NOT be captured in a hold test). *)
+     captured Q equals the data value before the falling clock edge. *)
   final > 0.6 *. vdd
 
 let setup_time s =
   (* Later data arrival -> capture fails; find the boundary. *)
-  let fails t_d = not (capture_ok s ~t_d ~data_rising:true) in
+  let fails t_d = not (capture_ok s ~t_d) in
   let lo = t_clk -. search in
   let hi = t_clk +. (0.3 *. search) in
   if fails lo then
@@ -96,18 +93,3 @@ let setup_time s =
     Vstat_opt.Scalar.bisect_predicate ~tol:1e-15 ~f:fails ~lo ~hi ()
   in
   t_clk -. boundary
-
-let hold_time s =
-  (* Data falls at t_d after having been high; if it falls too early the
-     captured 1 is corrupted.  Earlier fall -> corruption. *)
-  let ok t_d = capture_ok s ~t_d ~data_rising:false in
-  let lo = t_clk -. (0.3 *. search) in
-  let hi = t_clk +. search in
-  if ok lo then
-    Vstat_circuit.Diag.fail ~analysis:"measure:dff.hold_time"
-      Measure_no_crossing "capture survives very early data fall";
-  if not (ok hi) then
-    Vstat_circuit.Diag.fail ~analysis:"measure:dff.hold_time"
-      Measure_no_crossing "capture fails even for very late data fall";
-  let boundary = Vstat_opt.Scalar.bisect_predicate ~tol:1e-15 ~f:ok ~lo ~hi () in
-  boundary -. t_clk

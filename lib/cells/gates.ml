@@ -54,18 +54,6 @@ let add_nand2 net ~name ~devices ~input_a ~input_b ~output ~vdd_node ~gnd =
   N.mosfet net (name ^ ".mnb") ~d:mid ~g:input_b ~s:gnd ~b:gnd
     ~dev:devices.nmos_b
 
-let add_nor2 net ~name ~devices ~input_a ~input_b ~output ~vdd_node ~gnd =
-  let mid = N.node net (name ^ ".mid") in
-  (* Series PMOS stack: B at the supply side, A nearest the output. *)
-  N.mosfet net (name ^ ".mpb") ~d:mid ~g:input_b ~s:vdd_node ~b:vdd_node
-    ~dev:devices.pmos_b;
-  N.mosfet net (name ^ ".mpa") ~d:output ~g:input_a ~s:mid ~b:vdd_node
-    ~dev:devices.pmos_a;
-  N.mosfet net (name ^ ".mna") ~d:output ~g:input_a ~s:gnd ~b:gnd
-    ~dev:devices.nmos_a;
-  N.mosfet net (name ^ ".mnb") ~d:output ~g:input_b ~s:gnd ~b:gnd
-    ~dev:devices.nmos_b
-
 let inverter = { name = "inverter"; draw = sample_inverter; add = add_inverter }
 
 let nand2 =
@@ -75,16 +63,6 @@ let nand2 =
     add =
       (fun net ~name ~devices ~input ~output ~vdd_node ~gnd ->
         add_nand2 net ~name ~devices ~input_a:input ~input_b:vdd_node ~output
-          ~vdd_node ~gnd);
-  }
-
-let nor2 =
-  {
-    name = "nor2";
-    draw = sample_two_input;
-    add =
-      (fun net ~name ~devices ~input ~output ~vdd_node ~gnd ->
-        add_nor2 net ~name ~devices ~input_a:input ~input_b:gnd ~output
           ~vdd_node ~gnd);
   }
 

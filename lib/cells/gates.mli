@@ -40,11 +40,6 @@ val nand2 : two_input_devices gate
 (** Input A switches and drives the NMOS nearest the output (the
     worst-case input); B is tied to Vdd. *)
 
-val nor2 : two_input_devices gate
-(** Input A switches and drives the PMOS nearest the output; B is tied to
-    ground.  NOR pull-ups stack in series, so [wp_nm] is typically ~2x an
-    inverter's PMOS width. *)
-
 val sample_inverter : Celltech.t -> wp_nm:float -> wn_nm:float -> inverter_devices
 (** Draw a fresh inverter's device pair from the technology. *)
 

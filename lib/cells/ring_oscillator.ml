@@ -11,14 +11,11 @@ type result = {
   leakage : float;
 }
 
-let sample ?(stages = 5) (tech : Celltech.t) =
-  if stages < 3 || stages mod 2 = 0 then
-    invalid_arg "Ring_oscillator.sample: stages must be odd and >= 3"
-    [@vstat.allow "exn-discipline"];
+let sample (tech : Celltech.t) =
   {
     vdd = tech.vdd;
     stages =
-      Array.init stages (fun _ ->
+      Array.init 5 (fun _ ->
           Gates.sample_inverter tech ~wp_nm:600.0 ~wn_nm:300.0);
   }
 

@@ -5,7 +5,7 @@
 
 type sample = {
   vdd : float;
-  stages : Gates.inverter_devices array;  (** odd count *)
+  stages : Gates.inverter_devices array;  (** five inverters *)
 }
 
 type result = {
@@ -15,9 +15,8 @@ type result = {
   leakage : float;          (** static supply current with the ring broken *)
 }
 
-val sample : ?stages:int -> Celltech.t -> sample
-(** Default: 5 stages of P/N = 600/300 nm.
-    @raise Invalid_argument if [stages] is even or < 3. *)
+val sample : Celltech.t -> sample
+(** Five stages of P/N = 600/300 nm. *)
 
 val measure : sample -> result
 (** Run a transient long enough for ~6 oscillation periods (the first

@@ -24,11 +24,6 @@ val sample : Celltech.t -> sample
 (** Draw one cell: pull-down 150 nm (the paper's "N 150 nm"), pull-up
     80 nm, access 105 nm. *)
 
-val vtc : sample -> side:[ `Left | `Right ] -> mode:mode -> points:int ->
-  (float * float) array
-(** Half-cell transfer curve: (input, output) pairs with the input swept
-    over [0, Vdd]. *)
-
 type butterfly = {
   curve1 : (float * float) array;  (** (q, qb) from the left half-cell *)
   curve2 : (float * float) array;  (** (q, qb) from the mirrored right one *)

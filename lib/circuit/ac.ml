@@ -33,25 +33,3 @@ let node_transfer _engine t node =
 let magnitude_db h = 20.0 *. log10 (Float.max (Complex.norm h) 1e-300)
 
 let phase_deg h = Complex.arg h *. 180.0 /. Float.pi
-
-let corner_frequency engine t node =
-  let series = node_transfer engine t node in
-  if Array.length series = 0 then None
-  else begin
-    let reference = magnitude_db (snd series.(0)) in
-    let target = reference -. 3.0103 in
-    let rec scan i =
-      if i >= Array.length series - 1 then None
-      else begin
-        let f0, h0 = series.(i) and f1, h1 = series.(i + 1) in
-        let m0 = magnitude_db h0 and m1 = magnitude_db h1 in
-        if m0 > target && m1 <= target then begin
-          (* log-frequency interpolation *)
-          let frac = (m0 -. target) /. (m0 -. m1) in
-          Some (10.0 ** (log10 f0 +. (frac *. (log10 f1 -. log10 f0))))
-        end
-        else scan (i + 1)
-      end
-    in
-    scan 0
-  end

@@ -29,9 +29,3 @@ val magnitude_db : Complex.t -> float
 (** 20 log10 |H|. *)
 
 val phase_deg : Complex.t -> float
-
-val corner_frequency :
-  Engine.t -> t -> Netlist.node -> float option
-(** First frequency at which the node's magnitude falls 3 dB below its
-    value at the lowest swept frequency (linear interpolation in log-log);
-    [None] if it never does within the sweep. *)

@@ -9,7 +9,8 @@
 
     At library initialization this module registers a
     {!Vstat_runtime.Runtime.register_classifier} mapping {!Solver_error}
-    to its {!kind_name}, {!Vstat_device.Fault_inject.Injected} to
+    to its kind's name (["dc_no_convergence"], ...),
+    {!Vstat_device.Fault_inject.Injected} to
     ["injected_fault"], and {!Vstat_linalg.Linalg_error.Numeric_error} to
     ["numeric_error"], so Monte Carlo failure budgets and censuses report
     {e why} samples die, by category, instead of a bag of exception
@@ -24,9 +25,6 @@ type kind =
   | Measure_no_crossing (** waveform measurement found no threshold crossing *)
   | Work_cap_exceeded   (** deterministic per-solve work watchdog tripped *)
   | Injected_fault      (** chaos-harness fault ({!Vstat_device.Fault_inject}) *)
-
-val kind_name : kind -> string
-(** Census category string, e.g. ["dc_no_convergence"]. *)
 
 type t = {
   kind : kind;

@@ -758,8 +758,8 @@ let dc_core ?guess ~opts ~time t =
       (List.length fails) detail
   end
 
-let dc ?options ?guess t =
-  let opts = match options with Some o -> o | None -> current_options () in
+let dc ?guess t =
+  let opts = current_options () in
   t.work_used <- 0;
   t.work_cap <- opts.work_cap;
   dc_core ?guess ~opts ~time:0.0 t
@@ -799,21 +799,13 @@ let source_breakpoints t ~tstop =
   let sorted = List.sort_uniq Float.compare !acc in
   Array.of_list sorted
 
-type raw_trace = {
-  raw_unknowns : int;
-  raw_len : int;
-  raw_times : float array;
-  raw_states : float array;
-}
-
-(* The integration loop proper.  Returns the flat trace buffers unsliced so
-   the steady-state loop performs no per-step allocation: materializing
-   per-step rows (as {!transient} does) inherently allocates O(steps)
-   arrays, and keeping it out of this function is what lets the
-   zero-allocation gate difference two runs of different lengths and assert
-   an exactly-zero per-step cost. *)
-let[@vstat.entry] transient_raw ?options t ~tstop ~dt =
-  let opts = match options with Some o -> o | None -> current_options () in
+(* The integration loop appends each accepted step to flat trace buffers,
+   so the steady-state loop performs no per-step allocation; slicing them
+   into per-step rows at the end is the one O(steps) allocation, and the
+   zero-allocation gate in test/test_lint.ml subtracts exactly the words of
+   the returned trace. *)
+let[@vstat.entry] transient t ~tstop ~dt =
+  let opts = current_options () in
   let trap = opts.trap in
   let dt = dt *. opts.dt_scale in
   t.work_used <- 0;
@@ -943,37 +935,13 @@ let[@vstat.entry] transient_raw ?options t ~tstop ~dt =
   done;
   flush_counters t;
   {
-    raw_unknowns = n;
-    raw_len = !len;
-    raw_times = !times_buf;
-    raw_states = !states_buf;
-  }
-
-let[@vstat.entry] transient ?options t ~tstop ~dt =
-  let raw = transient_raw ?options t ~tstop ~dt in
-  let n = raw.raw_unknowns in
-  {
-    times = Array.sub raw.raw_times 0 raw.raw_len;
-    states =
-      Array.init raw.raw_len (fun k -> Array.sub raw.raw_states (k * n) n);
+    times = Array.sub !times_buf 0 !len;
+    states = Array.init !len (fun k -> Array.sub !states_buf (k * n) n);
   }
 
 let node_wave _t trace n =
   let i = Netlist.node_index n in
   Array.map (fun x -> if i = 0 then 0.0 else x.(i - 1)) trace.states
-
-let residual_norm t op =
-  let n = unknowns t in
-  Array.blit op.x 0 t.xws 0 n;
-  t.now.(0) <- op.time;
-  assemble t ~mode:Dc ~x:t.xws ~q_prev:t.q_work ~i_prev:t.i_work ~gmin:1e-12
-    ~sscale:1.0;
-  flush_counters t;
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := Float.max !acc (Float.abs t.res.(i))
-  done;
-  !acc
 
 (* Gather the assembled Jacobian (whatever the backend) into a fresh dense
    matrix.  Cold: used by linearize and by dense-vs-sparse cross-checks. *)
@@ -1004,5 +972,3 @@ let linearize t op =
     ~x:t.xws ~q_prev:q0 ~i_prev:i0 ~gmin:1e-12 ~sscale:1.0;
   flush_counters t;
   (jac_dc, Vstat_linalg.Matrix.sub (dense_of_assembled t) jac_dc)
-
-let counters t = counters_of_array t.cnt

@@ -43,9 +43,6 @@ val compile : ?backend:backend -> Netlist.t -> t
 val resolved_backend : t -> backend
 (** The backend actually chosen ([Dense] or [Sparse], never [Auto]). *)
 
-val unknowns : t -> int
-(** Size of the MNA solution vector. *)
-
 (** {1 Solver options}
 
     Every tunable of the DC/transient solvers in one record, so a retry
@@ -83,25 +80,22 @@ val escalate : attempt:int -> solver_options -> solver_options
 
 val with_options : solver_options -> (unit -> 'a) -> 'a
 (** Run a thunk with the given options ambient on the current domain:
-    [dc]/[transient] calls that don't pass [?options] pick them up.  This
-    is how the runtime's retry ladder escalates measurement code that calls
-    the solver many layers down.  Restores the previous ambient options on
+    every [dc]/[transient] call inside it solves under them, and outside
+    any [with_options] they are {!default_options}.  This is how the
+    runtime's retry ladder escalates measurement code that calls the
+    solver many layers down.  Restores the previous ambient options on
     exit (including by exception); ambient state is per-domain
     ([Domain.DLS]), so parallel workers don't interfere. *)
-
-val current_options : unit -> solver_options
-(** The ambient options of the current domain ({!default_options} unless
-    inside {!with_options}). *)
 
 type op = {
   x : float array;       (** converged solution vector *)
   time : float;          (** time at which sources were evaluated *)
 }
 
-val dc : ?options:solver_options -> ?guess:float array -> t -> op
+val dc : ?guess:float array -> t -> op
 (** Operating point, with the sources at time 0.  Tries direct Newton from
     [guess] (default: all zeros), then gmin stepping, then source
-    stepping, under [options] (default: {!current_options}).
+    stepping, under the ambient options ({!with_options}).
     @raise Diag.Solver_error with kind [Dc_no_convergence],
     [Singular_jacobian], [Nonfinite_update] or [Work_cap_exceeded]. *)
 
@@ -116,49 +110,20 @@ type trace = {
   states : float array array;  (** states.(k) is the solution at times.(k) *)
 }
 
-val transient :
-  ?options:solver_options ->
-  t -> tstop:float -> dt:float -> trace
+val transient : t -> tstop:float -> dt:float -> trace
 (** Integrate from a t=0 operating point to [tstop] with maximum step [dt]
     (backward Euler by default, trapezoidal when [options.trap]).  The
     step is halved on Newton failure (down to [dt * dt_min_factor],
     default 1/256) and grown back on easy convergence.  Steps are aligned to the waveform
     corners of every independent source (pulse edges, PWL vertices), so
     sharp input transitions are landed on exactly rather than straddled.
-    [options] defaults to {!current_options}; the t=0 operating point
-    shares the solve's work budget.
+    It solves under the ambient options ({!with_options}); the t=0
+    operating point shares the solve's work budget.
     @raise Diag.Solver_error with kind [Tran_step_floor] (or
     [Nonfinite_update]/[Singular_jacobian] when that is what kept killing
     steps), [Work_cap_exceeded], or a DC kind from the t=0 solve. *)
 
-type raw_trace = {
-  raw_unknowns : int;   (** row width of [raw_states] *)
-  raw_len : int;        (** valid points, including the t=0 row *)
-  raw_times : float array;
-      (** length >= [raw_len]; only the [raw_len] prefix is meaningful *)
-  raw_states : float array;
-      (** row-major: point k occupies
-          [raw_states.(k * raw_unknowns .. (k+1) * raw_unknowns - 1)] *)
-}
-
-val transient_raw :
-  ?options:solver_options ->
-  t -> tstop:float -> dt:float -> raw_trace
-(** Exactly {!transient}, but returning the engine's flat trace buffers
-    instead of materialized per-step rows.  The integration loop itself
-    performs no per-step allocation (the allocation gate in
-    test/test_lint.ml pins it at zero minor words for a source-free
-    circuit); slicing the trace into rows is the one O(steps) allocation
-    of {!transient}, and this entry point is for callers — measurement
-    kernels, the allocation gate — that can consume the flat buffers
-    directly.  The returned arrays are freshly built each call (not
-    engine workspace), but may be longer than [raw_len]. *)
-
 val node_wave : t -> trace -> Netlist.node -> float array
-
-val residual_norm : t -> op -> float
-(** Largest |KCL/constraint residual| of a DC solution — a direct measure of
-    solve quality (well-converged operating points sit near 1e-12). *)
 
 val branch_row : t -> string -> int
 (** Index of a voltage source's branch-constraint row/column in the MNA
@@ -173,9 +138,10 @@ val linearize : t -> op -> Vstat_linalg.Matrix.t * Vstat_linalg.Matrix.t
 
 (** {1 Work counters}
 
-    Per-phase workload accounting, kept both per engine instance and as
-    process-wide totals (aggregated across domains, so a parallel Monte
-    Carlo run can report the work of all its workers). *)
+    Per-phase workload accounting, kept per engine instance (a
+    {!Diag.Solver_error} carries a snapshot) and as process-wide totals
+    (aggregated across domains, so a parallel Monte Carlo run can report
+    the work of all its workers). *)
 
 type counters = {
   newton_iterations : int;
@@ -192,9 +158,6 @@ type counters = {
   rejected_steps : int;        (** Transient steps rejected (halved). *)
   breakpoint_hits : int;       (** Steps truncated to a waveform corner. *)
 }
-
-val counters : t -> counters
-(** This instance's counters since [compile]. *)
 
 val global_counters : unit -> counters
 (** Process-wide totals across every engine on every domain.  Engines flush

@@ -68,7 +68,5 @@ let vsource_names t =
     (function Vsource { name; _ } -> Some name | _ -> None)
     (elements t)
 
-let find_node t name = List.assoc_opt name t.names
-
 let all_nodes t =
   List.filter (fun (_, n) -> n <> 0) (List.rev t.names)

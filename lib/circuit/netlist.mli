@@ -57,7 +57,5 @@ val vsource_names : t -> string list
 (** Voltage-source names in insertion order (their branch currents are part
     of the MNA solution vector, in this order). *)
 
-val find_node : t -> string -> node option
-
 val all_nodes : t -> (string * node) list
 (** Every non-ground node with its primary name, in creation order. *)

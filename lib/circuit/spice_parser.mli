@@ -44,6 +44,7 @@ type deck = {
 exception Parse_error of { line : int; message : string }
 
 val parse_string : string -> deck
+[@@vstat.allow "unused-export"]
 (** Parse a whole deck from a string; the first non-comment line is
     always the title, as in SPICE.  Beyond syntax, it rejects what no
     analysis could run: a non-finite value, MOSFET W or L <= 0, a [.tran]
@@ -52,19 +53,9 @@ val parse_string : string -> deck
     range outside [0 < fstart <= fstop], a sweep of more than 1e6 points,
     and a [.dc]/[.ac] source that names no voltage source of the deck.
     @raise Parse_error with a 1-based line number on malformed input;
-    no other exception. *)
+    no other exception.  Granted as a fuzz seam: test_spice's property
+    feeds it mutated decks without touching the file system. *)
 
 val parse_file : string -> deck
 (** [parse_file path] reads and parses a deck.
     @raise Sys_error on I/O failure, {!Parse_error} on syntax errors. *)
-
-val parse_value : string -> float
-(** Engineering-notation scalar with Berkeley-SPICE scale-factor
-    semantics, exposed for tests.  The number is the longest numeric
-    prefix; the trailing alphabetic part is matched case-insensitively
-    against the scale factors [T G MEG K MIL M U N P F] (MEG and MIL
-    before single-letter M, so ["3MEG"] is 3e6, not 3e-3) and any
-    remaining unit letters are ignored: ["10pF"] is 10e-12, ["1kOhm"]
-    is 1e3, ["10V"] is 10.
-    @raise Parse_error (with [line = 0]) on malformed or non-finite
-    numbers (["nan"], ["inf"], ["1e999"]). *)

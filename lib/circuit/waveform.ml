@@ -94,6 +94,3 @@ let breakpoints t ~tstop =
       end
     in
     List.rev (periods [] 0 0.0)
-
-let step ?(delay = 0.0) ?(rise = 10e-12) ~low ~high () =
-  pwl [| (delay, low); (delay +. rise, high) |]

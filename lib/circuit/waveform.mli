@@ -51,7 +51,3 @@ val breakpoints : t -> tstop:float -> float list
     for periodic pulses, up to a safety cap).  Smooth or constant waveforms
     ([Dc], [Var], [Sine]) have none.  The transient stepper lands on these
     instead of halving into discontinuous source derivatives. *)
-
-val step : ?delay:float -> ?rise:float -> low:float -> high:float -> unit -> t
-(** Single rising edge: low until [delay], then a linear ramp of duration
-    [rise] (default 10 ps) to [high]. *)

@@ -126,7 +126,8 @@ let alphas_of_solution ~options x =
     }
 
 let extract ~vs ~vdd ~options observations =
-  if observations = [] then invalid_arg "Bpv.extract: no observations";
+  if List.is_empty observations then
+    invalid_arg "Bpv.extract: no observations";
   let a, b = build_system ~vs ~vdd ~options observations in
   let x = Vstat_linalg.Nnls.solve a b in
   {
@@ -158,32 +159,6 @@ let contribution_breakdown ~vs ~alphas ~vdd ~w_nm ~l_nm metric =
       in
       (p, Float.abs (deriv p *. sigma_p)))
     Sensitivity.all_parameters
-
-let predicted_sigma_correlated ~vs ~alphas ~vdd ~w_nm ~l_nm ~correlation
-    metric =
-  let s = Variation.sigmas_of_alphas alphas ~w_nm ~l_nm in
-  let sigma_of = function
-    | `Vt0 -> s.Variation.s_vt0
-    | `L -> s.s_l
-    | `W -> s.s_w
-    | `Mu -> s.s_mu
-    | `Cinv -> s.s_cinv
-  in
-  let deriv p = Sensitivity.vs_derivative vs ~w_nm ~l_nm ~vdd metric p in
-  let params = Sensitivity.all_parameters in
-  let terms = List.map (fun p -> (p, deriv p, sigma_of p)) params in
-  let variance = ref 0.0 in
-  List.iteri
-    (fun j (pj, dj, sj) ->
-      List.iteri
-        (fun k (pk, dk, sk) ->
-          if j = k then variance := !variance +. (dj *. dj *. sj *. sj)
-          else if k > j then
-            variance :=
-              !variance +. (2.0 *. correlation pj pk *. dj *. dk *. sj *. sk))
-        terms)
-    terms;
-  sqrt (Float.max 0.0 !variance)
 
 let predicted_sigma ~vs ~alphas ~vdd ~w_nm ~l_nm metric =
   let contributions = contribution_breakdown ~vs ~alphas ~vdd ~w_nm ~l_nm metric in

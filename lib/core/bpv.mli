@@ -77,18 +77,6 @@ val predicted_sigma :
     alphas through the VS sensitivities — used for contribution breakdowns
     (Fig. 3) and consistency checks. *)
 
-val predicted_sigma_correlated :
-  vs:Vs_statistical.t -> alphas:Variation.alphas -> vdd:float ->
-  w_nm:float -> l_nm:float ->
-  correlation:(Sensitivity.parameter -> Sensitivity.parameter -> float) ->
-  Sensitivity.metric -> float
-(** Full second-order propagation of the paper's eq. (8), including the
-    correlation cross terms 2 sum r_jk (de/dpj)(de/dpk) sigma_j sigma_k.
-    With [correlation] returning 0 for j <> k this reduces to
-    {!predicted_sigma}.  The paper argues for choosing p_j independent
-    (r_jk = 0) — this function quantifies what correlated parameters would
-    do to the propagated variance. *)
-
 val contribution_breakdown :
   vs:Vs_statistical.t -> alphas:Variation.alphas -> vdd:float ->
   w_nm:float -> l_nm:float ->

@@ -18,12 +18,6 @@ val golden_nmos : t
 
 val golden_pmos : t
 
-val sample_params :
-  t -> Vstat_util.Rng.t -> w_nm:float -> l_nm:float ->
-  Vstat_device.Bsim4lite.params
-(** Draw one mismatch instance: independent Gaussian shifts on
-    Vth0, L, W, u0 and Cox with the Pelgrom sigmas of this geometry. *)
-
 val sample_device :
   t -> Vstat_util.Rng.t -> w_nm:float -> l_nm:float ->
   Vstat_device.Device_model.t

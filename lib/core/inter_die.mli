@@ -29,11 +29,6 @@ val default_40nm : t
 val draw : t -> Vstat_util.Rng.t -> die_shift
 (** One die's global shift (independent Gaussians). *)
 
-val apply_vs :
-  die_shift -> Vstat_device.Vs_model.params -> Vstat_device.Vs_model.params
-(** Apply a die's shared shift to a VS card (through
-    {!Vs_statistical.apply_shifts}, so the vxo/DIBL couplings hold). *)
-
 val die_tech :
   Pipeline.t -> die:die_shift -> rng:Vstat_util.Rng.t -> vdd:float ->
   Vstat_cells.Celltech.t

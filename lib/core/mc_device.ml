@@ -28,8 +28,8 @@ let run ?jobs ?fingerprint ~label ~sampler ~rng ~n ~vdd () =
     cgg = Array.map (fun (_, _, c) -> c) v;
   }
 
-let of_vs ?jobs ~label t ~rng ~n ~w_nm ~l_nm ~vdd =
-  run ?jobs ~label
+let of_vs ~label t ~rng ~n ~w_nm ~l_nm ~vdd =
+  run ~label
     ~sampler:(fun rng -> Vs_statistical.sample_device t rng ~w_nm ~l_nm)
     ~rng ~n ~vdd ()
 

@@ -13,7 +13,6 @@ type samples = {
 }
 
 val of_vs :
-  ?jobs:int ->
   label:string ->
   Vs_statistical.t -> rng:Vstat_util.Rng.t -> n:int ->
   w_nm:float -> l_nm:float -> vdd:float -> samples

@@ -1,11 +1,3 @@
-type source = Rdf | Ler | Otf | Stress
-
-let source_of_parameter = function
-  | `Vt0 -> Rdf
-  | `Leff | `Weff -> Ler
-  | `Cinv -> Otf
-  | `Mu -> Stress
-
 type alphas = {
   a_vt0 : float;
   a_l : float;
@@ -44,9 +36,6 @@ let vxo_relative_shift ~ballistic_b ~dmu_rel ~ddelta =
     +. ((1.0 -. ballistic_b) *. (1.0 -. vxo_mu_exponent +. vxo_gamma))
   in
   (coeff *. dmu_rel) +. (vxo_delta_sensitivity *. ddelta)
-
-let ballistic_efficiency ~lambda_mfp ~l_critical =
-  lambda_mfp /. (lambda_mfp +. (2.0 *. l_critical))
 
 let paper_alphas_nmos =
   { a_vt0 = 2.3; a_l = 3.71; a_w = 3.71; a_mu = 944.0; a_cinv = 0.29 }

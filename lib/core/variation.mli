@@ -24,11 +24,6 @@
     with W and L in nanometers.  Note alpha2 = alpha3 implies
     sigma_L / sigma_W = L / W, the paper's LER tie. *)
 
-type source = Rdf | Ler | Otf | Stress
-(** Physical origin labels (Table I). *)
-
-val source_of_parameter : [ `Vt0 | `Leff | `Weff | `Mu | `Cinv ] -> source
-
 type alphas = {
   a_vt0 : float;   (** alpha1, V.nm *)
   a_l : float;     (** alpha2, nm *)
@@ -53,9 +48,6 @@ val vxo_relative_shift :
 (** Paper eq. (5): the relative virtual-source-velocity shift induced by a
     relative mobility shift [dmu_rel] and an absolute DIBL shift [ddelta]:
     [(alpha + (1-B)(1-alpha+gamma)) . dmu_rel + 2 . ddelta]. *)
-
-val ballistic_efficiency : lambda_mfp:float -> l_critical:float -> float
-(** Paper eq. (6): B = lambda / (lambda + 2 l). *)
 
 val paper_alphas_nmos : alphas
 (** Table II NMOS column — used as the golden model's ground truth. *)

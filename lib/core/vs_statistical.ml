@@ -17,7 +17,7 @@ type shifts = {
 
 let zero_shifts = { dvt0 = 0.0; dl_nm = 0.0; dw_nm = 0.0; dmu = 0.0; dcinv = 0.0 }
 
-let apply_shifts ?(slave_vxo = true) (p : Vs.params) s =
+let apply_shifts (p : Vs.params) s =
   let l' = Float.max (p.l +. Vstat_device.Cards.nm s.dl_nm) 1e-9 in
   let w' = Float.max (p.w +. Vstat_device.Cards.nm s.dw_nm) 1e-9 in
   let mu' =
@@ -32,9 +32,7 @@ let apply_shifts ?(slave_vxo = true) (p : Vs.params) s =
   let ddelta = Vs.delta_of_length p.dibl l' -. Vs.delta_of_length p.dibl p.l in
   let dmu_rel = (mu' -. p.mu) /. p.mu in
   let vxo_shift =
-    if slave_vxo then
-      Variation.vxo_relative_shift ~ballistic_b:p.ballistic_b ~dmu_rel ~ddelta
-    else 0.0
+    Variation.vxo_relative_shift ~ballistic_b:p.ballistic_b ~dmu_rel ~ddelta
   in
   let vxo' = Float.max (p.vxo *. (1.0 +. vxo_shift)) (0.05 *. p.vxo) in
   {

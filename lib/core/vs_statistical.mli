@@ -28,21 +28,14 @@ type shifts = {
 val zero_shifts : shifts
 
 val apply_shifts :
-  ?slave_vxo:bool ->
   Vstat_device.Vs_model.params -> shifts -> Vstat_device.Vs_model.params
 (** Deterministically perturb a card: shifts in the customary units of
     {!Variation}, DIBL recomputed at the new Leff, vxo slaved via eq. (5).
     Used by both Monte Carlo sampling and finite-difference sensitivities so
-    the two always agree on the meaning of a parameter shift.
-    [slave_vxo] (default true) is the paper's treatment; pass false for the
-    ablation where vxo ignores the mobility/DIBL couplings. *)
+    the two always agree on the meaning of a parameter shift. *)
 
 val draw_shifts : t -> Vstat_util.Rng.t -> w_nm:float -> l_nm:float -> shifts
 (** Independent Gaussian shifts at this geometry's Pelgrom sigmas. *)
-
-val sample_params :
-  t -> Vstat_util.Rng.t -> w_nm:float -> l_nm:float ->
-  Vstat_device.Vs_model.params
 
 val sample_device :
   t -> Vstat_util.Rng.t -> w_nm:float -> l_nm:float ->
@@ -52,5 +45,8 @@ val nominal_device :
   t -> w_nm:float -> l_nm:float -> Vstat_device.Device_model.t
 
 val seed_nmos : t
+[@@vstat.allow "unused-export"]
 (** Statistical model over the hand-written seed card with the paper's
-    Table II alphas — useful before extraction has run (tests, examples). *)
+    Table II alphas — useful before extraction has run.  Granted as a
+    shared fixture: test_core, test_runtime and smoke_parallel sample
+    it. *)

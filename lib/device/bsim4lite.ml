@@ -172,5 +172,3 @@ let canonical p ~vgs ~vds ~vbs grad =
 let device ?(name = "bsim4lite") ~polarity p =
   Device_model.make ~name ~polarity ~width:(weff p) ~length:(leff p)
     ~canonical:(canonical p) ()
-
-let parameter_count = 20

@@ -36,15 +36,5 @@ type params = {
   cov : float;      (** overlap + fringe capacitance per width, F/m *)
 }
 
-val leff : params -> float
-val weff : params -> float
-
-val vth : params -> vds:float -> vbs:float -> float
-(** Full threshold voltage including body effect, roll-off and DIBL. *)
-
 val device :
   ?name:string -> polarity:Device_model.polarity -> params -> Device_model.t
-
-val parameter_count : int
-(** Independent parameters of this implementation — larger than the VS
-    model's, as in the paper's complexity comparison. *)

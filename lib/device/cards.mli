@@ -17,9 +17,6 @@ val uf_per_cm2 : float -> float
 val cm2_per_vs : float -> float
 (** cm^2/(V.s) to m^2/(V.s). *)
 
-val cm_per_s : float -> float
-(** cm/s to m/s. *)
-
 val vdd_nominal : float
 (** Nominal supply of the node, 0.9 V (as in the paper's benchmarks). *)
 

@@ -11,7 +11,7 @@
 
     Key scheme: [mix64 (seed * golden + mix64 key)] (fmix64 finalizer)
     yields a uniform [0,1) draw decided against [rate]; on a hit, a second
-    mix selects which device (by creation ordinal modulo {!ordinal_span})
+    mix selects which device (by creation ordinal modulo 4)
     and which evaluation ordinal the fault engages at.  Once engaged, the
     fault persists for the remaining life of the wrapped instance. *)
 
@@ -37,10 +37,6 @@ type plan = {
   kind : kind;
 }
 
-val ordinal_span : int
-(** Modulus for [device_ordinal]; {!arm} compares creation ordinals
-    modulo this value. *)
-
 val plan : config -> key:int -> plan option
 (** Deterministic decision for one key: [None] (no fault — probability
     [1 - rate]) or the fault placement.  Same config and key always yield
@@ -49,13 +45,16 @@ val plan : config -> key:int -> plan option
     a hand-built config bypassing {!parse_spec} is validated here. *)
 
 val wrap : plan -> Device_model.t -> Device_model.t
+[@@vstat.allow "unused-export"]
 (** The same device with the fault armed on both the value and analytic
-    derivative paths (shared evaluation counter). *)
+    derivative paths (shared evaluation counter).  Granted as a fault
+    seam: test_device arms one device directly, without {!arm}'s
+    ordinal count. *)
 
 val arm : plan -> Device_model.t -> Device_model.t
 (** [arm plan] is a fresh stateful mapper for one circuit build: it counts
     the devices passed through it (creation order, both polarities
-    together) and {!wrap}s the one whose ordinal modulo {!ordinal_span}
+    together) and {!wrap}s the one whose ordinal modulo 4
     is [plan.device_ordinal], returning every other device unchanged.
     Use one mapper per circuit instance. *)
 

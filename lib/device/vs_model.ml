@@ -131,8 +131,3 @@ let canonical p ~vgs ~vds ~vbs grad =
 let device ?(name = "vs") ~polarity p =
   Device_model.make ~name ~polarity ~width:p.w ~length:p.l
     ~canonical:(canonical p) ()
-
-(* W, Leff, Cinv, VT0, delta0, n0, nd, vxo, mu, beta, gamma_body — matching
-   the paper's "11 for DC" headline count (alpha_q and phit are universal
-   constants; phib rides with gamma_body). *)
-let dc_parameter_count = 11

@@ -52,7 +52,3 @@ val delta : params -> float
 val device :
   ?name:string -> polarity:Device_model.polarity -> params -> Device_model.t
 (** Instantiate as a circuit-ready device. *)
-
-val dc_parameter_count : int
-(** Number of independent DC parameters of the model (the paper quotes 11;
-    this implementation's count, used in documentation tests). *)

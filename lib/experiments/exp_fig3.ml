@@ -10,8 +10,9 @@ type row = {
 
 type t = { l_nm : float; rows : row list }
 
-let run ?(widths = [ 120.0; 300.0; 600.0; 1000.0; 1500.0 ]) ?(n = 1500)
-    ?(seed = 11) (p : Vstat_core.Pipeline.t) =
+let widths = [ 120.0; 300.0; 600.0; 1000.0; 1500.0 ]
+
+let run ?(n = 1500) ?(seed = 11) (p : Vstat_core.Pipeline.t) =
   let l_nm = Vstat_device.Cards.l_nominal_nm in
   let rng = Vstat_util.Rng.create ~seed in
   let rows =

@@ -13,7 +13,7 @@ type row = {
 
 type t = { l_nm : float; rows : row list }
 
-val run :
-  ?widths:float list -> ?n:int -> ?seed:int -> Vstat_core.Pipeline.t -> t
+val run : ?n:int -> ?seed:int -> Vstat_core.Pipeline.t -> t
+(** One row per width: 120, 300, 600, 1000 and 1500 nm. *)
 
 val pp : Format.formatter -> t -> unit

@@ -50,7 +50,10 @@ let z_tech (p : Vstat_core.Pipeline.t) ~vdd (z : float array) =
     pmos = (fun ~w_nm -> device_of_z p.vs_pmos ~w_nm ~l_nm z (next_off ()));
   }
 
-let problem ~points (p : Vstat_core.Pipeline.t) ~vdd ~threshold =
+(* Butterfly sweep resolution of every SNM the estimators simulate. *)
+let points = 41
+
+let problem (p : Vstat_core.Pipeline.t) ~vdd ~threshold =
   Rare.Problem.create
     ~label:(Printf.sprintf "sram-read-snm-vdd%.2f-pts%d" vdd points)
     ~dim
@@ -93,7 +96,7 @@ let intervals_overlap (lo1, hi1) (lo2, hi2) = lo1 <= hi2 && lo2 <= hi1
    defensive mixture of the nominal density with both lobe cones, so
    every likelihood ratio is bounded by the component count (3): no
    single sample can dominate the estimate, whatever the fits missed. *)
-let pilot_proposal ~scale ~points ~vdd ~(prob : Rare.Problem.t)
+let pilot_proposal ~scale ~vdd ~(prob : Rare.Problem.t)
     ~(p : Vstat_core.Pipeline.t) ~rng ~n () =
   let module C = Vstat_runtime.Checkpoint in
   let std = Rare.Proposal.standard ~dim in
@@ -155,24 +158,23 @@ let pilot_proposal ~scale ~points ~vdd ~(prob : Rare.Problem.t)
 
 let default_vdd = 0.80
 let default_threshold = 0.025
-let default_points = 41
 let default_is_pilot = 200
 
-let estimate_plain ?(n = 4000) ?(seed = 61) ?(points = default_points)
+let estimate_plain ?(n = 4000) ?(seed = 61)
     ?(vdd = default_vdd) ?(threshold = default_threshold)
     (p : Vstat_core.Pipeline.t) =
-  let prob = problem ~points p ~vdd ~threshold in
+  let prob = problem p ~vdd ~threshold in
   (* Its own label, so its snapshot never collides with the IS run's. *)
   let prob = { prob with Rare.Problem.label = prob.label ^ "-plain" } in
   Rare.Importance.estimate ~proposal:(Rare.Proposal.standard ~dim)
     ~problem:prob ~rng:(Vstat_util.Rng.create ~seed) ~n ()
 
-let estimate_is ?(n = 4000) ?(seed = 61) ?(points = default_points)
+let estimate_is ?(n = 4000) ?(seed = 61)
     ?(vdd = default_vdd) ?(threshold = default_threshold) ?(sigma_shift = 1.0)
     ?(pilot_n = default_is_pilot) (p : Vstat_core.Pipeline.t) =
-  let prob = problem ~points p ~vdd ~threshold in
+  let prob = problem p ~vdd ~threshold in
   let proposal =
-    pilot_proposal ~scale:sigma_shift ~points ~vdd ~prob ~p
+    pilot_proposal ~scale:sigma_shift ~vdd ~prob ~p
       ~rng:(Vstat_util.Rng.create ~seed:(seed + 3))
       ~n:pilot_n ()
   in
@@ -181,25 +183,25 @@ let estimate_is ?(n = 4000) ?(seed = 61) ?(points = default_points)
     ~rng:(Vstat_util.Rng.create ~seed:(seed + 1))
     ~n ()
 
-let estimate_blockade ?(n = 4000) ?(seed = 61) ?(points = default_points)
+let estimate_blockade ?(n = 4000) ?(seed = 61)
     ?(vdd = default_vdd) ?(threshold = default_threshold) ?pilot_n
     (p : Vstat_core.Pipeline.t) =
-  let prob = problem ~points p ~vdd ~threshold in
+  let prob = problem p ~vdd ~threshold in
   Rare.Blockade.estimate ?pilot_n ~problem:prob
     ~rng:(Vstat_util.Rng.create ~seed:(seed + 2))
     ~n ()
 
-let run ?(n = 4000) ?(seed = 61) ?points ?(vdd = default_vdd)
+let run ?(n = 4000) ?(seed = 61) ?(vdd = default_vdd)
     ?(threshold = default_threshold) ?(sigma_shift = 1.0) ?pilot_n
     (p : Vstat_core.Pipeline.t) =
-  let plain = estimate_plain ~n ~seed ?points ~vdd ~threshold p in
+  let plain = estimate_plain ~n ~seed ~vdd ~threshold p in
   Log.info (fun m -> m "golden: %a" Rare.Importance.pp plain);
   let is =
-    estimate_is ~n ~seed ?points ~vdd ~threshold ~sigma_shift ?pilot_n p
+    estimate_is ~n ~seed ~vdd ~threshold ~sigma_shift ?pilot_n p
   in
   Log.info (fun m -> m "is: %a" Rare.Importance.pp is);
   let blockade =
-    estimate_blockade ~n ~seed ?points ~vdd ~threshold ?pilot_n p
+    estimate_blockade ~n ~seed ~vdd ~threshold ?pilot_n p
   in
   Log.info (fun m -> m "blockade: %a" Rare.Blockade.pp blockade);
   {

@@ -34,7 +34,6 @@ type t = {
 val estimate_plain :
   ?n:int ->
   ?seed:int ->
-  ?points:int ->
   ?vdd:float ->
   ?threshold:float ->
   Vstat_core.Pipeline.t ->
@@ -48,7 +47,6 @@ val estimate_plain :
 val estimate_is :
   ?n:int ->
   ?seed:int ->
-  ?points:int ->
   ?vdd:float ->
   ?threshold:float ->
   ?sigma_shift:float ->
@@ -64,7 +62,6 @@ val estimate_is :
 val estimate_blockade :
   ?n:int ->
   ?seed:int ->
-  ?points:int ->
   ?vdd:float ->
   ?threshold:float ->
   ?pilot_n:int ->
@@ -75,7 +72,6 @@ val estimate_blockade :
 val run :
   ?n:int ->
   ?seed:int ->
-  ?points:int ->
   ?vdd:float ->
   ?threshold:float ->
   ?sigma_shift:float ->

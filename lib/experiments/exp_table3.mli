@@ -17,6 +17,3 @@ type t = { n : int; entries : entry list }
 
 val run : ?n:int -> ?seed:int -> Vstat_core.Pipeline.t -> t
 val pp : Format.formatter -> t -> unit
-
-val worst_rel_diff : t -> float
-(** Largest relative sigma disagreement across all entries/metrics. *)

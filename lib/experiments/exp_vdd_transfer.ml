@@ -10,8 +10,9 @@ type row = {
 
 type t = { w_nm : float; l_nm : float; n : int; rows : row list }
 
-let run ?(vdds = [ 0.9; 0.7; 0.55 ]) ?(n = 1500) ?(seed = 47)
-    (p : Vstat_core.Pipeline.t) =
+let vdds = [ 0.9; 0.7; 0.55 ]
+
+let run ?(n = 1500) ?(seed = 47) (p : Vstat_core.Pipeline.t) =
   let w_nm = 600.0 and l_nm = Vstat_device.Cards.l_nominal_nm in
   let rng = Vstat_util.Rng.create ~seed in
   let rows =

@@ -20,10 +20,7 @@ type row = {
 
 type t = { w_nm : float; l_nm : float; n : int; rows : row list }
 
-val run :
-  ?vdds:float list -> ?n:int -> ?seed:int -> Vstat_core.Pipeline.t -> t
+val run : ?n:int -> ?seed:int -> Vstat_core.Pipeline.t -> t
+(** One row per supply: 0.9, 0.7 and 0.55 V. *)
 
 val pp : Format.formatter -> t -> unit
-
-val worst_transfer_error : t -> float
-(** Largest relative sigma error of the transferred (nominal-Vdd) alphas. *)

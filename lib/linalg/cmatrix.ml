@@ -4,16 +4,6 @@ let create ~rows ~cols =
   if rows <= 0 || cols <= 0 then invalid_arg "Cmatrix.create: dimensions";
   { rows; cols; data = Array.make (rows * cols) Complex.zero }
 
-let of_real m =
-  let rows = Matrix.rows m and cols = Matrix.cols m in
-  let out = create ~rows ~cols in
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      out.data.((i * cols) + j) <- { Complex.re = Matrix.get m i j; im = 0.0 }
-    done
-  done;
-  out
-
 let combine ~g ~c ~omega =
   let rows = Matrix.rows g and cols = Matrix.cols g in
   if Matrix.rows c <> rows || Matrix.cols c <> cols then
@@ -26,15 +16,6 @@ let combine ~g ~c ~omega =
     done
   done;
   out
-
-let mul_vec m v =
-  if m.cols <> Array.length v then invalid_arg "Cmatrix.mul_vec: dimension";
-  Array.init m.rows (fun i ->
-      let acc = ref Complex.zero in
-      for j = 0 to m.cols - 1 do
-        acc := Complex.add !acc (Complex.mul m.data.((i * m.cols) + j) v.(j))
-      done;
-      !acc)
 
 exception Singular of { column : int; scale : float }
 

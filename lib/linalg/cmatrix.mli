@@ -4,13 +4,8 @@
 type t
 (** A mutable rows x cols matrix of {!Complex.t}. *)
 
-val of_real : Matrix.t -> t
-(** Embed a real matrix (zero imaginary parts). *)
-
 val combine : g:Matrix.t -> c:Matrix.t -> omega:float -> t
 (** [combine ~g ~c ~omega] is G + j.omega.C — the AC system matrix. *)
-
-val mul_vec : t -> Complex.t array -> Complex.t array
 
 exception Singular of { column : int; scale : float }
 

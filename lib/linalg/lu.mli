@@ -14,7 +14,9 @@ exception Singular of { column : int; scale : float }
     diagnostics can report how degenerate the column actually was. *)
 
 val factor : Matrix.t -> t
-(** Factor a square matrix.  O(n^3).
+[@@vstat.allow "unused-export"]
+(** Factor a square matrix.  O(n^3).  Granted as a reference: test_linalg
+    checks singular-column detection and {!factor_in_place} against it.
     @raise Singular when the matrix is numerically singular.
     @raise Invalid_argument on non-square input. *)
 
@@ -34,4 +36,7 @@ val solve_in_place : lu:Matrix.t -> pivots:int array -> float array -> unit
     outputs of {!factor_in_place}.  Performs no allocation. *)
 
 val solve : Matrix.t -> float array -> float array
-(** One-shot factorization and solve. *)
+[@@vstat.allow "unused-export"]
+(** One-shot factorization and solve.  Granted as a reference:
+    test_linalg solves every sparse-LU and least-squares case against
+    it. *)

@@ -49,24 +49,7 @@ let add_to m i j v =
 
 let copy m = { m with data = Array.copy m.data }
 
-let transpose m = init ~rows:m.cols ~cols:m.rows ~f:(fun i j -> get m j i)
-
 let map ~f m = { m with data = Array.map f m.data }
-
-let mul a b =
-  if a.cols <> b.rows then invalid_arg "Matrix.mul: dimension mismatch";
-  let m = create ~rows:a.rows ~cols:b.cols in
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = a.data.((i * a.cols) + k) in
-      if not (Float.equal aik 0.0) then
-        for j = 0 to b.cols - 1 do
-          m.data.((i * m.cols) + j) <-
-            m.data.((i * m.cols) + j) +. (aik *. b.data.((k * b.cols) + j))
-        done
-    done
-  done;
-  m
 
 let mul_vec a v =
   if a.cols <> Array.length v then invalid_arg "Matrix.mul_vec: dimension";
@@ -88,7 +71,3 @@ let scale s m = map ~f:(fun x -> s *. x) m
 
 let max_abs m =
   Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 m.data
-
-let equal ?(tol = 1e-12) a b =
-  a.rows = b.rows && a.cols = b.cols
-  && max_abs (sub a b) <= tol

@@ -36,10 +36,6 @@ val add_to : t -> int -> int -> float -> unit
 (** [add_to m i j v] is [set m i j (get m i j +. v)] — the MNA "stamp". *)
 
 val copy : t -> t
-val transpose : t -> t
-
-val mul : t -> t -> t
-(** Matrix product.  Dimensions must agree. *)
 
 val mul_vec : t -> float array -> float array
 (** Matrix–vector product. *)
@@ -50,5 +46,3 @@ val scale : float -> t -> t
 
 val max_abs : t -> float
 (** Largest absolute entry (infinity-like norm helper). *)
-
-val equal : ?tol:float -> t -> t -> bool

@@ -70,9 +70,3 @@ let solve_r { qr; rdiag; n; _ } y =
 let least_squares a b =
   let f = factor a in
   solve_r f (q_transpose_apply f b)
-
-let r { qr; rdiag; n; _ } =
-  Matrix.init ~rows:n ~cols:n ~f:(fun i j ->
-      if i = j then rdiag.(i)
-      else if i < j then Matrix.get qr i j
-      else 0.0)

@@ -44,9 +44,7 @@ type numeric = {
 }
 
 let analyses = Atomic.make 0
-let refactorizations = Atomic.make 0
 let symbolic_analyses () = Atomic.get analyses
-let numeric_factorizations () = Atomic.get refactorizations
 
 let nnz sym = sym.row_ptr.(sym.n)
 
@@ -371,7 +369,6 @@ let create_numeric sym =
   }
 
 let values t = t.ax
-let clear t = Array.fill t.ax 0 (Array.length t.ax) 0.0
 
 let slot sym ~row ~col =
   if row < 0 || row >= sym.n || col < 0 || col >= sym.n then
@@ -420,8 +417,7 @@ let[@vstat.hot] factor t =
     for p = rp.(i) to rp.(i + 1) - 1 do
       ax.(p) <- w.(ci.(p))
     done
-  done;
-  Atomic.incr refactorizations
+  done
 
 let[@vstat.hot] solve_in_place t b =
   let sym = t.sym in

@@ -60,11 +60,8 @@ val create_numeric : symbolic -> numeric
 
 val values : numeric -> float array
 (** The stamp buffer, one slot per stored L+U entry (fill included), in
-    symbolic slot order.  Overwritten by {!factor}; restamp (after
-    {!clear}) before each refactorization. *)
-
-val clear : numeric -> unit
-(** Zero the value buffer ([Array.fill]; allocation-free). *)
+    symbolic slot order.  Overwritten by {!factor}; zero it and restamp
+    before each refactorization. *)
 
 val factor : numeric -> unit
 (** Numeric refactorization in place on the stamped values (up-looking,
@@ -85,6 +82,3 @@ val iter_entries : numeric -> f:(row:int -> col:int -> float -> unit) -> unit
 val symbolic_analyses : unit -> int
 (** Process-wide count of actual (non-cached) {!analyze} runs, for
     pattern-reuse tests. *)
-
-val numeric_factorizations : unit -> int
-(** Process-wide count of {!factor} calls. *)

@@ -59,9 +59,25 @@ type node = {
   mutable sources : (int * string) list;  (* line, source as written *)
 }
 
+(* A polymorphic comparison site whose verdict waits for every type
+   declaration: its argument type, the resolver of the unit it sits in, and
+   whether a scope, a floor already in force or the allowlist sanctions it,
+   so a floor covers only the sites after it, as for every other rule. *)
+type compare_site = {
+  c_file : string;
+  c_loc : Location.t;
+  c_op : string;
+  c_ty : Types.type_expr;
+  c_resolve : Path.t -> key option;
+  c_sanctioned : bool;
+}
+
 type t = {
   allow : Allowlist.t;
   aliases : (key, key) Hashtbl.t;  (* structure-level aliases, all units *)
+  types : (key, Types.type_declaration * (Path.t -> key option)) Hashtbl.t;
+      (* every type declaration, all units, with its unit's resolver *)
+  mutable compares : compare_site list;
   mutable uses : (string * key * string list option) list;
       (* referencing unit, value used, and the labels written when the use
          heads an application ([None]: not applied, so any label) *)
@@ -143,19 +159,6 @@ let emit r w ~rule (loc : Location.t) message =
     r.diags <- Diagnostic.make ~rule ~file:w.file ~line ~col message :: r.diags;
   live
 
-(* A type that holds a float by structure: float itself, or a tuple,
-   array, list or option of one.  Abbreviations and records are not
-   expanded. *)
-let rec holds_float ty =
-  match Types.get_desc ty with
-  | Tconstr (p, [], _) -> Path.same p Predef.path_float
-  | Tconstr (p, [ a ], _)
-    when List.exists (Path.same p)
-           Predef.[ path_array; path_list; path_option ] ->
-    holds_float a
-  | Ttuple ts -> List.exists holds_float ts
-  | _ -> false
-
 let hot_banned_list_fns =
   [
     "map"; "mapi"; "map2"; "fold_left"; "fold_right"; "fold_left2";
@@ -222,14 +225,20 @@ let check_ident r w (e : expression) k (lid : Longident.t Location.loc) =
   let cs = stdlib k in
   (match (cs, Types.get_desc e.exp_type) with
   | [ (("=" | "<>" | "compare" | "min" | "max") as op) ], Tarrow (_, a, _, _)
-    when holds_float a ->
-    ignore
-      (emit r w ~rule:Rules.float_compare loc
-         (Printf.sprintf
-            "polymorphic %s on a type that holds a float; use Float.equal \
-             / Float.compare or an explicit comparator \
-             (Int64.bits_of_float for bit identity)"
-            op))
+    ->
+    r.compares <-
+      {
+        c_file = w.file;
+        c_loc = loc;
+        c_op = op;
+        c_ty = a;
+        c_resolve = raw_key w;
+        c_sanctioned =
+          List.exists (List.mem Rules.float_compare) w.scopes
+          || allowed r ~rule:Rules.float_compare ~file:w.file
+               ~line:loc.loc_start.pos_lnum;
+      }
+      :: r.compares
   | _ -> ());
   (* failwith, invalid_arg and raise Not_found are all banned in the
      circuit, cells and device layers; only failwith in linalg and opt. *)
@@ -530,6 +539,20 @@ let iterator r w =
       List.iter
         (fun rule -> r.floors <- (w.file, rule) :: r.floors)
         (Allowlist.allow_rules [ a ])
+    | Tstr_type (_, decls) ->
+      (* Keyed like values; a type out of other units' reach (inside a
+         functor or an expression) gets a key of its own. *)
+      List.iter
+        (fun d ->
+          let key =
+            match w.path with
+            | Some prefix -> (w.modname, prefix @ [ d.typ_name.txt ])
+            | None -> (w.modname, [ "<local>"; Ident.unique_name d.typ_id ])
+          in
+          Ident.Tbl.replace w.locals d.typ_id key;
+          Hashtbl.replace r.types key (d.typ_type, raw_key w))
+        decls;
+      super.structure_item self si
     | Tstr_module { mb_id; mb_name; mb_expr; _ } -> (
       match alias_path mb_expr with
       | Some p -> bind_alias r w mb_id mb_name.txt p
@@ -572,13 +595,66 @@ let normalize aliases (u, cs) =
   in
   go 64 (u, cs)
 
+(* Whether [ty] holds a float: float itself; a tuple, array, list or
+   option of one; a record with a field that holds one; or an abbreviation
+   whose manifest does.  [resolve] keys the paths of the unit [ty] was
+   written in, and [seen] stops a recursive type. *)
+let rec holds_float r ~resolve ~seen ty =
+  match Types.get_desc ty with
+  | Tconstr (p, [], _) when Path.same p Predef.path_float -> true
+  | Tconstr (p, [ a ], _)
+    when List.exists (Path.same p)
+           Predef.[ path_array; path_list; path_option ] ->
+    holds_float r ~resolve ~seen a
+  | Ttuple ts -> List.exists (holds_float r ~resolve ~seen) ts
+  | Tconstr (p, _, _) -> (
+    match Option.map (normalize r.aliases) (resolve p) with
+    | Some k when not (List.mem k !seen) -> (
+      seen := k :: !seen;
+      match Hashtbl.find_opt r.types k with
+      | Some ({ type_kind = Type_record (labels, _); _ }, resolve) ->
+        List.exists
+          (fun (l : Types.label_declaration) ->
+            holds_float r ~resolve ~seen l.ld_type)
+          labels
+      | Some ({ type_kind = Type_abstract; type_manifest = Some m; _ }, resolve)
+        ->
+        holds_float r ~resolve ~seen m
+      | _ -> false)
+    | _ -> false)
+  | _ -> false
+
+(* The float-compare verdict of every comparison site, once every unit's
+   type declarations are known. *)
+let decide_compares r =
+  List.iter
+    (fun c ->
+      let pos = c.c_loc.loc_start in
+      let line = pos.pos_lnum and col = pos.pos_cnum - pos.pos_bol in
+      let rule = Rules.float_compare in
+      if
+        (not c.c_sanctioned)
+        && holds_float r ~resolve:c.c_resolve ~seen:(ref []) c.c_ty
+      then
+        r.diags <-
+          Diagnostic.make ~rule ~file:c.c_file ~line ~col
+            (Printf.sprintf
+               "polymorphic %s on a type that holds a float; use \
+                Float.equal / Float.compare or an explicit comparator \
+                (Int64.bits_of_float for bit identity)"
+               c.c_op)
+          :: r.diags)
+    r.compares
+
 (* [scan ~allow cmts]: walk every [.cmt], checking the per-file rules
-   against [allow] on the way. *)
+   against [allow] on the way; float-compare is decided after the walk. *)
 let scan ~allow cmts =
   let r =
     {
       allow;
       aliases = Hashtbl.create 64;
+      types = Hashtbl.create 1024;
+      compares = [];
       uses = [];
       wholes = [];
       nodes = Hashtbl.create 1024;
@@ -616,6 +692,7 @@ let scan ~allow cmts =
         it.structure it str
       | _ -> ())
     cmts;
+  decide_compares r;
   let resolve (a : access) = { a with target = normalize r.aliases a.target } in
   r.order <-
     List.sort

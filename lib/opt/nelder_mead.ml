@@ -1,17 +1,16 @@
 type result = { x : float array; f : float; iterations : int; converged : bool }
 
-let default_step x0 =
-  Array.map
-    (fun x -> if Float.equal x 0.0 then 0.01 else 0.05 *. Float.abs x)
-    x0
-
-let minimize ?(max_iter = 2000) ?initial_step ~f ~x0 () =
+(* One simplex run from [x0]: the starting simplex steps each coordinate by
+   5 % of |x0_i|, or 0.01 where x0_i = 0. *)
+let minimize ~max_iter ~f ~x0 =
   let f_tol = 1e-12 and x_tol = 1e-10 in
   let n = Array.length x0 in
-  if n = 0 then invalid_arg "Nelder_mead.minimize: empty x0";
-  let step = match initial_step with Some s -> s | None -> default_step x0 in
-  if Array.length step <> n then
-    invalid_arg "Nelder_mead.minimize: initial_step length";
+  if n = 0 then invalid_arg "Nelder_mead.minimize_restarts: empty x0";
+  let step =
+    Array.map
+      (fun x -> if Float.equal x 0.0 then 0.01 else 0.05 *. Float.abs x)
+      x0
+  in
   (* Simplex of n+1 vertices with their objective values. *)
   let vertices =
     Array.init (n + 1) (fun i ->
@@ -114,12 +113,12 @@ let minimize_restarts ?(restarts = 3) ?(max_iter = 2000) ~f ~x0 () =
   let rec go k best =
     if k >= restarts then best
     else begin
-      let r = minimize ~max_iter ~f ~x0:best.x () in
+      let r = minimize ~max_iter ~f ~x0:best.x in
       let best = if r.f < best.f then r else best in
       (* Stop early when a restart makes no progress. *)
       if Float.abs (r.f -. best.f) <= 1e-15 *. Float.abs best.f && k > 0 then best
       else go (k + 1) best
     end
   in
-  let first = minimize ~max_iter ~f ~x0 () in
+  let first = minimize ~max_iter ~f ~x0 in
   go 1 first

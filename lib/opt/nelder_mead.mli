@@ -12,20 +12,6 @@ type result = {
   converged : bool;       (** simplex collapsed below tolerance *)
 }
 
-val minimize :
-  ?max_iter:int ->
-  ?initial_step:float array ->
-  f:(float array -> float) ->
-  x0:float array ->
-  unit ->
-  result
-(** [minimize ~f ~x0 ()] runs the standard simplex recipe
-    (reflection 1, expansion 2, contraction 0.5, shrink 0.5).
-    [initial_step] sets the per-coordinate size of the starting simplex
-    (default: 5 % of |x0_i|, or 0.01 where x0_i = 0).
-    Convergence: simplex function spread < 1e-12 relative or vertex
-    spread < 1e-10 relative. *)
-
 val minimize_restarts :
   ?restarts:int ->
   ?max_iter:int ->
@@ -33,5 +19,13 @@ val minimize_restarts :
   x0:float array ->
   unit ->
   result
-(** Re-run [minimize] from each successive optimum with a fresh simplex;
-    cheap insurance against premature simplex collapse. *)
+(** [minimize_restarts ~f ~x0 ()] runs the standard simplex recipe
+    (reflection 1, expansion 2, contraction 0.5, shrink 0.5) for at most
+    [max_iter] iterations (default 2000), from a starting simplex that
+    steps each coordinate by 5 % of |x0_i| (0.01 where x0_i = 0).
+    Convergence: simplex function spread < 1e-12 relative or vertex
+    spread < 1e-10 relative.  It then re-runs from each successive optimum
+    with a fresh simplex, up to [restarts] runs in all (default 3), and
+    stops early when a run makes no progress: cheap insurance against
+    premature simplex collapse.
+    @raise Invalid_argument on an empty [x0]. *)

@@ -35,30 +35,3 @@ let bisect_predicate ?(tol = 1e-13) ~f ~lo ~hi () =
     if f mid then hi := mid else lo := mid
   done;
   !hi
-
-let golden_max ~f ~lo ~hi () =
-  let phi = (sqrt 5.0 -. 1.0) /. 2.0 in
-  let lo = ref lo and hi = ref hi in
-  let x1 = ref (!hi -. (phi *. (!hi -. !lo))) in
-  let x2 = ref (!lo +. (phi *. (!hi -. !lo))) in
-  let f1 = ref (f !x1) and f2 = ref (f !x2) in
-  let i = ref 0 in
-  while !hi -. !lo > 1e-10 *. Float.max 1.0 (Float.abs !hi) && !i < 200 do
-    incr i;
-    if !f1 >= !f2 then begin
-      hi := !x2;
-      x2 := !x1;
-      f2 := !f1;
-      x1 := !hi -. (phi *. (!hi -. !lo));
-      f1 := f !x1
-    end
-    else begin
-      lo := !x1;
-      x1 := !x2;
-      f1 := !f2;
-      x2 := !lo +. (phi *. (!hi -. !lo));
-      f2 := f !x2
-    end
-  done;
-  let x = 0.5 *. (!lo +. !hi) in
-  (x, f x)

@@ -1,8 +1,9 @@
-(** One-dimensional root finding and minimization helpers.
+(** One-dimensional root finding helpers.
 
-    Used by cell analyses: the DFF setup/hold search is a 1-D root find on
-    "does the register still capture the data?", and SNM extraction uses a
-    1-D maximization of the embedded-square size. *)
+    Used by cell analyses: the DFF setup search is a 1-D root find on
+    "does the register still capture the data?", and SNM extraction
+    bisects for the side of the square that fits between the two
+    curves. *)
 
 val bisect :
   ?tol:float -> f:(float -> float) -> lo:float -> hi:float -> unit -> float
@@ -16,8 +17,3 @@ val bisect_predicate :
     of a monotone predicate — the register pass/fail search — in at most
     100 halvings.
     @raise Invalid_argument unless f lo = false and f hi = true. *)
-
-val golden_max :
-  f:(float -> float) -> lo:float -> hi:float -> unit -> float * float
-(** Golden-section maximization of a unimodal function to a relative
-    bracket of 1e-10 (at most 200 steps); returns (x, f x). *)

@@ -13,7 +13,6 @@ type result = {
   n : int;
   n_hits : int;
   p_hat : float;
-  confidence : float;
   ci_lo : float;
   ci_hi : float;
   sn_p_hat : float;
@@ -53,8 +52,6 @@ let[@vstat.hot] fold_weighted ~(metrics : float array)
   done;
   (!y_mean, !y_m2, !n_hits)
 
-let confidence = 0.95
-
 let estimate ~(proposal : Proposal.t) ~(problem : Problem.t) ~rng ~n () =
   if n < 2 then
     invalid_arg
@@ -91,8 +88,7 @@ let estimate ~(proposal : Proposal.t) ~(problem : Problem.t) ~rng ~n () =
   let nf = Float.of_int n_ok in
   let p_hat = y_mean in
   let y_var = if n_ok > 1 then y_m2 /. (nf -. 1.0) else 0.0 in
-  let z = Vstat_util.Special.normal_quantile (0.5 +. (confidence /. 2.0)) in
-  let half = z *. sqrt (y_var /. nf) in
+  let half = Vstat_util.Special.z95 *. sqrt (y_var /. nf) in
   let result =
     {
       label;
@@ -101,7 +97,6 @@ let estimate ~(proposal : Proposal.t) ~(problem : Problem.t) ~rng ~n () =
       n = n_ok;
       n_hits;
       p_hat;
-      confidence;
       ci_lo = Float.max 0.0 (p_hat -. half);
       ci_hi = Float.min 1.0 (p_hat +. half);
       sn_p_hat = (let m = Wacc.mean wacc in if Float.is_nan m then 0.0 else m);
@@ -122,7 +117,7 @@ let estimate ~(proposal : Proposal.t) ~(problem : Problem.t) ~rng ~n () =
 let mc_equivalent_samples r =
   let half = 0.5 *. (r.ci_hi -. r.ci_lo) in
   if half > 0.0 && r.p_hat > 0.0 then begin
-    let z = Vstat_util.Special.normal_quantile (0.5 +. (r.confidence /. 2.0)) in
+    let z = Vstat_util.Special.z95 in
     r.p_hat *. (1.0 -. r.p_hat) *. (z /. half) *. (z /. half)
   end
   else Float.nan
@@ -130,10 +125,8 @@ let mc_equivalent_samples r =
 let pp ppf r =
   Format.fprintf ppf
     "%s: n=%d (%d requested%s) hits=%d@\n\
-    \  p_hat = %.4e  [%.4e, %.4e] (%.0f%% LR-aware)@\n\
+    \  p_hat = %.4e  [%.4e, %.4e] (95%% LR-aware)@\n\
     \  self-normalized = %.4e  ESS = %.1f  sum(w) = %.4g  max(w) = %.4g@\n"
     r.label r.n r.n_requested
     (if r.complete then "" else ", partial")
-    r.n_hits r.p_hat r.ci_lo r.ci_hi
-    (100.0 *. r.confidence)
-    r.sn_p_hat r.ess r.sum_weight r.max_weight
+    r.n_hits r.p_hat r.ci_lo r.ci_hi r.sn_p_hat r.ess r.sum_weight r.max_weight

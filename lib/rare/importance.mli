@@ -28,8 +28,7 @@ type result = {
   n : int;             (** samples evaluated successfully *)
   n_hits : int;        (** unweighted tail-event count among them *)
   p_hat : float;       (** unbiased LR-reweighted tail probability *)
-  confidence : float;  (** the level the interval below was built at *)
-  ci_lo : float;       (** interval on [p_hat], clamped to [0, 1] *)
+  ci_lo : float;       (** 95 % interval on [p_hat], clamped to [0, 1] *)
   ci_hi : float;
   sn_p_hat : float;    (** self-normalized estimate sum(wI)/sum(w) *)
   ess : float;         (** Kish effective sample size of the weights *)
@@ -65,7 +64,7 @@ val estimate :
 
 val mc_equivalent_samples : result -> float
 (** Plain-MC sample count that would match this run's interval half-width
-    at the same confidence: p(1-p) · (z / half_width)², using the run's
+    at 95 % confidence: p(1-p) · (z / half_width)², using the run's
     own [p_hat].  The ratio of this to [n] is the variance-reduction
     speedup recorded by [bench --rare].  [nan] when the interval is
     degenerate (no hits). *)

@@ -21,11 +21,6 @@ let standard ~dim =
   check_dim dim;
   { dim; means = [| Array.make dim 0.0 |]; scale = 1.0 }
 
-let mean_shifted ~mean () =
-  check_dim (Array.length mean);
-  check_mean ~what:"mean_shifted" mean;
-  { dim = Array.length mean; means = [| Array.copy mean |]; scale = 1.0 }
-
 let mixture ?(scale = 1.0) ~means () =
   let k = Array.length means in
   if k = 0 then invalid_arg "Proposal.mixture: no components";
@@ -86,8 +81,6 @@ let from_pilot ~zs ~metrics ~tail ~threshold ?(scale = 1.0) () =
   done;
   check_scale scale;
   { dim; means = [| mean |]; scale }
-
-let components t = Array.length t.means
 
 let is_standard t =
   Array.length t.means = 1

@@ -32,10 +32,6 @@ val standard : dim:int -> t
     ({!log_weight} returns exactly 0.0), so an estimator driven by
     [standard] {e is} plain Monte Carlo, bit for bit. *)
 
-val mean_shifted : mean:float array -> unit -> t
-(** N(mean, I).
-    @raise Invalid_argument on empty/non-finite [mean]. *)
-
 val mixture : ?scale:float -> means:float array array -> unit -> t
 (** Equal-weight mixture of N(mean_k, scale^2 I) components.  Pass the
     zero vector as one component for a defensive mixture (weights
@@ -53,12 +49,6 @@ val from_pilot :
     center-of-gravity shift of Kanj-style mean-shift importance sampling.
     [scale] (default 1.0) additionally widens the proposal.
     @raise Invalid_argument on empty/mismatched pilot data. *)
-
-val components : t -> int
-(** Number of mixture components (1 for the plain constructors). *)
-
-val is_standard : t -> bool
-(** True when the proposal is exactly the nominal density (weight ≡ 1). *)
 
 val draw : t -> Vstat_util.Rng.t -> float array
 (** Fresh coordinate vector of length [dim]; consumes exactly [dim]

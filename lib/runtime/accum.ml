@@ -18,7 +18,5 @@ let of_array xs =
   Array.iter (add t) xs;
   t
 
-let count t = t.n
-let mean t = if t.n = 0 then Float.nan else t.mean
 let variance t = if t.n < 2 then Float.nan else t.m2 /. Float.of_int (t.n - 1)
 let std t = sqrt (variance t)

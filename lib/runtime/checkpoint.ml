@@ -208,9 +208,10 @@ let caller_fingerprint (id : Journal.identity) =
 
 let warned_no_codec = Atomic.make false
 
-let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings
-    ?(signals = []) ?(fingerprint = "") ?codec ~label ~rng ~n ~f () =
+let run ?jobs ?on_progress ?(retry = 1) ?deadline ?settings ?(signals = [])
+    ?(fingerprint = "") ?codec ~label ~rng ~n ~f () =
   if n < 0 then invalid_arg "Checkpoint.run: n must be >= 0";
+  if retry < 1 then invalid_arg "Checkpoint.run: retry must be >= 1";
   (* One draw off [rng], exactly like [Runtime.map_rng_samples]:
      the same starting RNG state yields the same substream family whether
      or not the run is checkpointed. *)
@@ -236,7 +237,7 @@ let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings
       fingerprint = fingerprint ^ codec_tag ^ codec.codec_name;
       n;
       base_seed = base_seed64;
-      max_attempts = retry.Runtime.max_attempts;
+      max_attempts = retry;
     }
   in
   (* Per-sample persisted state: restored entries first, then whatever
@@ -410,7 +411,7 @@ let run ?jobs ?on_progress ?(retry = Runtime.no_retry) ?deadline ?settings
 (* --- batch sweeps under the process-wide controls ---------------------- *)
 
 type controls = {
-  retry : Runtime.retry_policy;
+  retry : int;
   checkpoint : settings option;
   deadline : (unit -> bool) option;
   signals : int list;
@@ -421,7 +422,7 @@ type controls = {
 let current =
   Atomic.make
     {
-      retry = Runtime.no_retry;
+      retry = 1;
       checkpoint = None;
       deadline = None;
       signals = [];

@@ -104,7 +104,7 @@ val failures : 'a outcome -> Runtime.failure list
 val run :
   ?jobs:int ->
   ?on_progress:(completed:int -> n:int -> unit) ->
-  ?retry:Runtime.retry_policy ->
+  ?retry:int ->
   ?deadline:(unit -> bool) ->
   ?settings:settings ->
   ?signals:int list ->
@@ -116,6 +116,7 @@ val run :
   f:(attempt:int -> index:int -> Vstat_util.Rng.t -> 'a) ->
   unit ->
   'a outcome
+[@@vstat.allow "unused-optional"]
 (** Checkpointed analogue of {!Runtime.map_rng_samples}, with the retry
     ladder of {!Runtime.map_subset_attempt_samples}: derives the base seed
     from [rng] with the same single draw and hands sample [index] the
@@ -132,15 +133,18 @@ val run :
     warning); a trapped signal raises {!Interrupted}.  Each run logs one
     Info line: label, n, jobs, wall time, rate and failed samples.
 
+    [?on_progress] is granted as a fault seam: resume_chaos watches the
+    completed count through it to kill the run mid-flight.
+
     @raise Interrupted when one of [signals] stopped the run.
     @raise Journal.Rejected when [settings.resume] finds a snapshot that
     is corrupt, version-skewed, or belongs to a different run.
-    @raise Invalid_argument when [n < 0]. *)
+    @raise Invalid_argument when [n < 0] or [retry < 1]. *)
 
 (** {1 Batch sweeps} *)
 
 type controls = {
-  retry : Runtime.retry_policy;
+  retry : int;  (** attempts per sample, >= 1 *)
   checkpoint : settings option;
   deadline : (unit -> bool) option;  (** one watchdog for the invocation *)
   signals : int list;

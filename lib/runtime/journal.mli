@@ -55,23 +55,25 @@ exception Rejected of error
     [Printexc] for readable reports. *)
 
 val in_memory : string
+[@@vstat.allow "unused-export"]
 (** The [path] recorded when a blob is decoded from memory rather than a
-    file (["<memory>"]). *)
+    file (["<memory>"]).  Granted with {!encode} and {!decode} as a fuzz
+    seam: test_checkpoint and test_service cut and mutate snapshots in
+    memory. *)
 
 val error_path : error -> string
 (** The snapshot path carried by any {!error}. *)
 
 val error_to_string : error -> string
 
-val version : int
-(** Current snapshot format version; a snapshot of any other version is
-    rejected as {!Version_skew} before its CRC is checked. *)
-
 val encode : snapshot -> string
-(** Serialize (including the CRC footer).  @raise Invalid_argument if an
-    entry index falls outside [0, n). *)
+[@@vstat.allow "unused-export"]
+(** Serialize (including the CRC footer); the format version sits in the
+    little-endian u32 after the 8-byte magic.  @raise Invalid_argument if
+    an entry index falls outside [0, n). *)
 
 val decode : ?path:string -> string -> (snapshot, error) result
+[@@vstat.allow "unused-export"]
 (** [path] (default {!in_memory}) is recorded in any error payload. *)
 
 val write : path:string -> snapshot -> unit

@@ -54,20 +54,6 @@ type 'a run = {
   stats : stats;
 }
 
-(* --- retry policy --- *)
-
-type retry_policy = {
-  max_attempts : int;
-  retryable : exn -> bool;
-}
-
-let retry ?(retryable = fun _ -> true) max_attempts =
-  if max_attempts < 1 then
-    invalid_arg "Runtime.retry: max_attempts must be >= 1";
-  { max_attempts; retryable }
-
-let no_retry = { max_attempts = 1; retryable = (fun _ -> false) }
-
 (* --- worker-count policy --- *)
 
 let forced_jobs = Atomic.make None
@@ -108,12 +94,12 @@ let capture ~index ~history exn =
 (* One sample under the retry ladder.  The ladder runs inline on the worker
    that owns index [i], so the (attempt sequence, result) is a pure function
    of [i] — scheduling and worker count cannot perturb it. *)
-let[@vstat.entry] eval ~policy f i =
+let[@vstat.entry] eval ~max_attempts f i =
   let rec go attempt history =
     match f ~attempt i with
     | v -> (Ok v, attempt + 1)
     | exception exn ->
-      if attempt + 1 < policy.max_attempts && policy.retryable exn then
+      if attempt + 1 < max_attempts then
         go (attempt + 1)
           ({ attempt; category = classify exn;
              detail = Printexc.to_string exn }
@@ -130,8 +116,8 @@ let[@vstat.entry] eval ~policy f i =
    sample index, never by work-list position — the determinism contract
    is untouched by subsetting.  [jobs:1] runs the same loop on the calling
    domain with no helper domains. *)
-let[@vstat.entry] run_pool ?on_progress ~should_stop ~policy ~jobs ~n ~indices
-    ~f () =
+let[@vstat.entry] run_pool ?on_progress ~should_stop ~max_attempts ~jobs ~n
+    ~indices ~f () =
   let m = Array.length indices in
   let cells = Array.make n None in
   let attempts = Array.make n 0 in
@@ -154,7 +140,7 @@ let[@vstat.entry] run_pool ?on_progress ~should_stop ~policy ~jobs ~n ~indices
           if should_stop () then Atomic.set stop_flag true
           else begin
             let i = indices.(!k) in
-            let cell, used = eval ~policy f i in
+            let cell, used = eval ~max_attempts f i in
             attempts.(i) <- used;
             cells.(i) <- Some cell;
             incr k
@@ -196,8 +182,8 @@ type 'a partial = {
   evaluated : int;
 }
 
-let run_core ?jobs ?on_progress ?(should_stop = fun () -> false) ~policy ~n
-    ~indices ~f () =
+let run_core ?jobs ?on_progress ?(should_stop = fun () -> false) ~max_attempts
+    ~n ~indices ~f () =
   let m = Array.length indices in
   let jobs =
     match jobs with Some j -> Int.max 1 j | None -> default_jobs ()
@@ -205,7 +191,7 @@ let run_core ?jobs ?on_progress ?(should_stop = fun () -> false) ~policy ~n
   let jobs = Int.max 1 (Int.min jobs m) in
   let t0 = Deadline.now_ns () in
   let slots, slot_attempts, per_worker =
-    run_pool ?on_progress ~should_stop ~policy ~jobs ~n ~indices ~f ()
+    run_pool ?on_progress ~should_stop ~max_attempts ~jobs ~n ~indices ~f ()
   in
   let wall_s = Deadline.seconds_since t0 in
   let evaluated = Array.fold_left (fun acc k -> acc + k) 0 per_worker in
@@ -240,10 +226,12 @@ let run_core ?jobs ?on_progress ?(should_stop = fun () -> false) ~policy ~n
     evaluated;
   }
 
-let map_subset_attempt_samples ?jobs ?on_progress ?(retry = no_retry)
-    ?should_stop ~n ~indices ~f () =
+let map_subset_attempt_samples ?jobs ?on_progress ?(retry = 1) ?should_stop
+    ~n ~indices ~f () =
   if n < 0 then
     invalid_arg "Runtime.map_subset_attempt_samples: n must be >= 0";
+  if retry < 1 then
+    invalid_arg "Runtime.map_subset_attempt_samples: retry must be >= 1";
   Array.iter
     (fun i ->
       if i < 0 || i >= n then
@@ -252,13 +240,14 @@ let map_subset_attempt_samples ?jobs ?on_progress ?(retry = no_retry)
              "Runtime.map_subset_attempt_samples: index %d outside [0,%d)" i
              n))
     indices;
-  run_core ?jobs ?on_progress ?should_stop ~policy:retry ~n ~indices ~f ()
+  run_core ?jobs ?on_progress ?should_stop ~max_attempts:retry ~n ~indices
+    ~f ()
 
 let map_rng_samples ?jobs ~rng ~n ~f () =
   if n < 0 then invalid_arg "Runtime.map_rng_samples: n must be >= 0";
   let seed = Int64.to_int (Vstat_util.Rng.bits64 rng) in
   let p =
-    run_core ?jobs ~policy:no_retry ~n
+    run_core ?jobs ~max_attempts:1 ~n
       ~indices:(Array.init n (fun i -> i))
       ~f:(fun ~attempt:_ i -> f (Vstat_util.Rng.substream ~seed ~index:i))
       ()

@@ -17,7 +17,7 @@
       printed exception and the per-attempt failure history — never a
       torn run.  {!check_budget} enforces a failure budget (zero is the
       zero-tolerance policy) with a per-category census.  An optional
-      {!retry_policy} re-runs failed samples with an escalating attempt
+      [retry] count re-runs failed samples with an escalating attempt
       counter before they are declared dead.
     - {b Observability.}  Each run reports wall time, throughput,
       per-worker sample tallies and retry/recovery counts ({!stats});
@@ -69,27 +69,19 @@ type 'a run = {
 }
 
 val register_classifier : (exn -> string option) -> unit
-(** Register a failure classifier consulted by {!failure_census} and
+(** Register a failure classifier consulted by {!check_budget}'s census and
     {!failure} capture (most recently registered first).  Classifiers are
     registered once at library-initialization time; returning [None] passes
     to the next classifier, ending at the exception constructor name. *)
 
-type retry_policy = {
-  max_attempts : int;        (** total attempts per sample; >= 1 *)
-  retryable : exn -> bool;   (** which failures may be retried *)
-}
-
-val retry : ?retryable:(exn -> bool) -> int -> retry_policy
-(** [retry k] allows up to [k] attempts per sample (default [retryable]:
-    everything).  @raise Invalid_argument when [k < 1]. *)
-
-val no_retry : retry_policy
-(** Exactly one attempt — the default policy. *)
-
 val default_jobs : unit -> int
+[@@vstat.allow "unused-export"]
 (** Worker count used when [?jobs] is omitted: the value forced by
     {!set_default_jobs} if any, else the [VSTAT_JOBS] environment variable,
-    else [Domain.recommended_domain_count ()]. *)
+    else [Domain.recommended_domain_count ()].  Granted as a shared
+    fixture: test_runtime, test_rare, test_experiments and rare_smoke save
+    and restore the process-wide count around their jobs:1-vs-jobs:4
+    checks. *)
 
 val set_default_jobs : int -> unit
 (** Force the process-wide default ([--jobs] in the CLIs). *)
@@ -112,7 +104,7 @@ type 'a partial = {
 val map_subset_attempt_samples :
   ?jobs:int ->
   ?on_progress:(completed:int -> n:int -> unit) ->
-  ?retry:retry_policy ->
+  ?retry:int ->
   ?should_stop:(unit -> bool) ->
   n:int ->
   indices:int array ->
@@ -125,9 +117,10 @@ val map_subset_attempt_samples :
     concurrently from several domains.  [on_progress] is invoked under a
     mutex from worker context after each chunk.
 
-    With [retry], a failed sample is re-run in place (same index, same
-    worker) up to [max_attempts] times, and [f] receives the 0-based
-    attempt number so the call site can escalate per attempt (halve the
+    [retry] is the number of attempts per sample, whatever the failure
+    (default 1): a failed sample is re-run in place (same index, same
+    worker) until it succeeds or [retry] attempts are spent, and [f]
+    receives the 0-based attempt number so the call site can escalate per attempt (halve the
     step, raise the iteration cap, ...).  The value of sample [i] is
     whatever [f ~attempt:k i] first returns without raising; since the
     ladder is evaluated inline per index, that value is identical under
@@ -139,8 +132,8 @@ val map_subset_attempt_samples :
     sample (its retry ladder runs to completion).  Results land in
     index-addressed [slots], so evaluating a subset yields bit-identical
     cells to the same indices of a full run, under any [jobs].
-    @raise Invalid_argument when [n < 0] or an index falls outside
-    [0, n). *)
+    @raise Invalid_argument when [n < 0], [retry < 1] or an index falls
+    outside [0, n). *)
 
 val map_rng_samples :
   ?jobs:int ->
@@ -162,17 +155,8 @@ val map_rng_samples :
 val values : 'a run -> 'a array
 (** Successful samples in index order (failures skipped). *)
 
-val failures : 'a run -> failure list
-(** In index order. *)
-
 val ok_count : 'a run -> int
 val failed_count : 'a run -> int
-
-val failure_census : 'a run -> (string * int) list
-(** Failure counts per classified category, most frequent first. *)
-
-val census_to_string : (string * int) list -> string
-(** ["cat:count, ..."] — the census rendering used in budget messages. *)
 
 val check_budget : ?label:string -> max_failure_frac:float -> 'a run -> unit
 (** Enforce the failure budget: if more than [max_failure_frac * n] samples

@@ -15,10 +15,13 @@ val request :
   socket_path:string ->
   Protocol.request ->
   (Protocol.response, string) result
+[@@vstat.allow "unused-optional"]
 (** One round-trip.  Connect failures ([ENOENT], [ECONNREFUSED]) are
     retried up to [attempts] times (default 8) with
     backoff [50ms * 2^k * (0.5 + U[0,1))]; protocol and socket errors
-    after a successful connect are returned as [Error] immediately. *)
+    after a successful connect are returned as [Error] immediately.
+    [?attempts] is granted as a fault seam: daemon_chaos gives a child
+    daemon that is still building its pipeline 14 attempts. *)
 
 type await_error =
   | Await_quarantined of { attempts : int; detail : string }

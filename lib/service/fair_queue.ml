@@ -18,7 +18,6 @@ let create () =
   { queues = Hashtbl.create 16; rotation = Queue.create (); total = 0 }
 
 let length t = t.total
-let is_empty t = t.total = 0
 
 let client_queue t client =
   match Hashtbl.find_opt t.queues client with
@@ -67,5 +66,3 @@ let rec pop t =
         if Queue.is_empty q then Hashtbl.remove t.queues client
         else Queue.push client t.rotation;
         Some v))
-
-let clients t = Queue.length t.rotation

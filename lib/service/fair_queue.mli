@@ -15,7 +15,6 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val push : 'a t -> client:string -> 'a -> unit
 (** Append to [client]'s line (registering the client at the back of the
@@ -28,6 +27,3 @@ val push_front : 'a t -> client:string -> 'a -> unit
 
 val pop : 'a t -> 'a option
 (** Next job in round-robin order, or [None] when empty. *)
-
-val clients : 'a t -> int
-(** Number of distinct clients with pending jobs. *)

@@ -1,7 +1,7 @@
 (** Wire protocol of the [vstatd] variation-analysis service.
 
     Frames are length-prefixed: a 4-byte little-endian payload length
-    followed by the payload, capped at {!max_frame} bytes so a hostile or
+    followed by the payload, capped at 4 MiB so a hostile or
     confused peer cannot make the daemon allocate unboundedly.  Payloads
     are versioned binary messages in the same little-endian style as
     {!Vstat_runtime.Journal}.
@@ -136,7 +136,7 @@ type error =
   | Truncated of { what : string }
       (** payload ended mid-field while reading [what] *)
   | Oversized of { len : int; max : int }
-      (** frame length prefix exceeds {!max_frame} *)
+      (** frame length prefix exceeds the 4 MiB cap *)
   | Bad_version of { found : int; expected : int }
   | Bad_tag of { what : string; tag : int }
   | Trailing of { extra : int }
@@ -147,8 +147,6 @@ type error =
 
 val error_to_string : error -> string
 
-val max_frame : int
-
 val encode_request : request -> string
 val decode_request : string -> (request, error) result
 val encode_response : response -> string
@@ -158,7 +156,7 @@ val decode_response : string -> (response, error) result
 
 val write_frame : Unix.file_descr -> string -> (unit, error) result
 (** Length-prefix and send one payload.  [Error Oversized] if the payload
-    exceeds {!max_frame}; socket errors come back as [Error (Io _)]. *)
+    exceeds the 4 MiB cap; socket errors come back as [Error (Io _)]. *)
 
 val read_frame : Unix.file_descr -> (string, error) result
 (** Read one length-prefixed payload.  Typed errors for EOF mid-frame,

@@ -63,21 +63,6 @@ type config = {
   inject : FS.config option;
 }
 
-let default_config =
-  {
-    socket_path = Filename.concat "vstatd-state" "vstatd.sock";
-    state_dir = "vstatd-state";
-    queue_max = 32;
-    workers = 1;
-    jobs = 1;
-    poison_retries = 3;
-    hang_timeout_s = 30.0;
-    state_max_bytes = 0;
-    pipeline_seed = 42;
-    mc_per_geometry = 300;
-    inject = None;
-  }
-
 let pipeline_signature cfg =
   Printf.sprintf "%d:%d" cfg.pipeline_seed cfg.mc_per_geometry
 
@@ -432,10 +417,10 @@ let run_job t st job ~round =
     end
     else stop_flag
   in
-  let retry = Runtime.retry job.spec.P.retry in
   let jobs = if t.config.jobs > 0 then Some t.config.jobs else None in
   let o =
-    C.run ?jobs ~retry ~deadline ~settings ~fingerprint:job.canonical
+    C.run ?jobs ~retry:job.spec.P.retry ~deadline ~settings
+      ~fingerprint:job.canonical
       ~codec:C.float_codec ~label:job.id
       ~rng:(Vstat_util.Rng.create ~seed:job.spec.P.seed)
       ~n:job.spec.P.n

@@ -74,18 +74,15 @@ type config = {
       (** service-layer chaos: stalls / aborts / crashes / hangs *)
 }
 
-val default_config : config
-(** [queue_max = 32], [workers = 1], [jobs = 1], [poison_retries = 3],
-    [hang_timeout_s = 30.], unbounded state dir, pipeline seed 42 with 300
-    samples per geometry, no injection; socket and state dir under
-    ["./vstatd-state"]. *)
-
 val estimate_wait_s :
   ewma_sample_s:float -> backlog_samples:int -> workers:int -> float
+[@@vstat.allow "unused-export"]
 (** The admission wait estimate: smoothed per-sample seconds times the
     backlog (in samples), divided by the worker-pool width — [workers]
     jobs drain concurrently, so the expected wait shrinks accordingly.
-    Exposed pure for tests; clamps [workers] to at least 1. *)
+    Clamps [workers] to at least 1.  Granted as a fault seam: a daemon
+    reaches a given EWMA only through wall-clock timing, so test_service
+    drives the estimate with chosen values directly. *)
 
 type t
 
@@ -115,5 +112,7 @@ val stop : t -> unit
     so it may be called from a signal handler. *)
 
 val validate : Protocol.spec -> (unit, string) result
-(** The admission validity check, exposed for tests: sample count, retry
-    depth, vdd and fanout ranges. *)
+[@@vstat.allow "unused-export"]
+(** The admission validity check: sample count, retry depth, vdd and
+    fanout ranges.  Granted as a fault seam: test_service feeds it each
+    malformed spec directly, without a daemon. *)

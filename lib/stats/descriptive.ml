@@ -43,13 +43,6 @@ let skewness xs =
   let g1 = m3 /. (m2 ** 1.5) in
   g1 *. sqrt (n *. (n -. 1.0)) /. (n -. 2.0)
 
-let excess_kurtosis xs =
-  require_samples xs 4 "excess_kurtosis";
-  let mu = mean xs in
-  let m2 = central_moment xs ~order:2 ~mu in
-  let m4 = central_moment xs ~order:4 ~mu in
-  (m4 /. (m2 *. m2)) -. 3.0
-
 let quantile_of_sorted sorted p =
   require_samples sorted 1 "quantile_of_sorted";
   if p < 0.0 || p > 1.0 then invalid_arg "Descriptive.quantile: p in [0,1]";
@@ -72,18 +65,14 @@ let quantiles xs ps =
   Array.sort Float.compare sorted;
   List.map (quantile_of_sorted sorted) ps
 
-let median xs = quantile xs 0.5
-
 (* Normal-approximation two-sided 95 % confidence interval on the mean.  The
    half-width scales as 1/sqrt(n), so the interval a deadline-degraded
    partial run reports is honestly wider than the full run's would be. *)
-let confidence = 0.95
-
 let mean_ci xs =
   require_samples xs 2 "mean_ci";
   let mu = mean xs in
   let n = Float.of_int (Array.length xs) in
-  let z = Vstat_util.Special.normal_quantile (0.5 +. (confidence /. 2.0)) in
+  let z = Vstat_util.Special.z95 in
   let half = z *. std xs /. sqrt n in
   (mu -. half, mu +. half)
 
@@ -115,65 +104,6 @@ let weighted_mean xs ~w =
   let acc = ref 0.0 in
   Array.iteri (fun i x -> acc := !acc +. (w.(i) *. x)) xs;
   !acc /. s1
-
-let weighted_variance xs ~w =
-  let s1 = check_weights xs ~w "weighted_variance" in
-  let s2 = Array.fold_left (fun acc wi -> acc +. (wi *. wi)) 0.0 w in
-  let ess = s1 *. s1 /. s2 in
-  if not (ess > 1.0) then
-    invalid_arg
-      (Printf.sprintf
-         "Descriptive.weighted_variance: effective sample size %.3g <= 1 — \
-          the weight mass sits on a single sample"
-         ess);
-  let mu = weighted_mean xs ~w in
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let d = x -. mu in
-      acc := !acc +. (w.(i) *. d *. d))
-    xs;
-  !acc /. (s1 -. (s2 /. s1))
-
-let weighted_quantile xs ~w p =
-  let s1 = check_weights xs ~w "weighted_quantile" in
-  if p < 0.0 || p > 1.0 then
-    invalid_arg "Descriptive.weighted_quantile: p in [0,1]";
-  (* Sort (value, weight) pairs by value, dropping zero-weight entries. *)
-  let pairs =
-    Array.of_seq
-      (Seq.filter
-         (fun (_, wi) -> wi > 0.0)
-         (Seq.mapi (fun i x -> (x, w.(i))) (Array.to_seq xs)))
-  in
-  Array.sort (fun (a, _) (b, _) -> Float.compare a b) pairs;
-  let m = Array.length pairs in
-  if m = 1 then fst pairs.(0)
-  else begin
-    (* Plotting position of sorted sample i: (c_i - w_i/2) / S1 with c_i
-       the cumulative weight through i. *)
-    let positions = Array.make m 0.0 in
-    let cum = ref 0.0 in
-    Array.iteri
-      (fun i (_, wi) ->
-        positions.(i) <- (!cum +. (0.5 *. wi)) /. s1;
-        cum := !cum +. wi)
-      pairs;
-    if p <= positions.(0) then fst pairs.(0)
-    else if p >= positions.(m - 1) then fst pairs.(m - 1)
-    else begin
-      (* Binary search for the bracketing positions, then interpolate. *)
-      let lo = ref 0 and hi = ref (m - 1) in
-      while !hi - !lo > 1 do
-        let mid = (!lo + !hi) / 2 in
-        if positions.(mid) <= p then lo := mid else hi := mid
-      done;
-      let x0 = fst pairs.(!lo) and x1 = fst pairs.(!hi) in
-      let p0 = positions.(!lo) and p1 = positions.(!hi) in
-      let frac = if p1 > p0 then (p -. p0) /. (p1 -. p0) else 0.0 in
-      x0 +. (frac *. (x1 -. x0))
-    end
-  end
 
 let effective_sample_size w =
   let s1 = check_weights w ~w "effective_sample_size" in

@@ -5,10 +5,13 @@ type t = {
   confidence : float;
 }
 
-let fit ~radius2 ~confidence xs ys =
+let of_sigma_level ~n_sigma xs ys =
+  if n_sigma < 1 then invalid_arg "Ellipse.of_sigma_level: n_sigma >= 1";
   if Array.length xs <> Array.length ys then
     invalid_arg "Ellipse: length mismatch";
   if Array.length xs < 3 then invalid_arg "Ellipse: need >= 3 samples";
+  let k = Float.of_int n_sigma in
+  let radius2 = k *. k in
   let cxx = Descriptive.variance xs in
   let cyy = Descriptive.variance ys in
   let cxy = Descriptive.covariance xs ys in
@@ -24,21 +27,8 @@ let fit ~radius2 ~confidence xs ys =
     center = (Descriptive.mean xs, Descriptive.mean ys);
     axis_lengths = (major, minor);
     angle = Float.atan2 vy vx;
-    confidence;
+    confidence = 1.0 -. exp (-.radius2 /. 2.0);
   }
-
-let of_samples ~confidence xs ys =
-  if not (confidence > 0.0 && confidence < 1.0) then
-    invalid_arg "Ellipse.of_samples: confidence in (0, 1)";
-  let radius2 = Vstat_util.Special.chi2_quantile ~p:confidence ~dof:2 in
-  fit ~radius2 ~confidence xs ys
-
-let of_sigma_level ~n_sigma xs ys =
-  if n_sigma < 1 then invalid_arg "Ellipse.of_sigma_level: n_sigma >= 1";
-  let k = Float.of_int n_sigma in
-  let radius2 = k *. k in
-  let confidence = 1.0 -. exp (-.radius2 /. 2.0) in
-  fit ~radius2 ~confidence xs ys
 
 let points t ~n =
   let cx, cy = t.center in

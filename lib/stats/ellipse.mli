@@ -2,7 +2,7 @@
 
     An ellipse is derived from the sample mean and covariance of paired
     observations; its axes are the covariance eigenvectors scaled by
-    sqrt(eigenvalue * chi2_quantile). *)
+    sqrt(eigenvalue) times the Mahalanobis radius. *)
 
 type t = {
   center : float * float;
@@ -11,19 +11,12 @@ type t = {
   confidence : float;            (** coverage probability, e.g. 0.393 for 1σ *)
 }
 
-val of_samples : confidence:float -> float array -> float array -> t
-(** Fit the [confidence]-coverage ellipse to paired samples.
-    @raise Invalid_argument on mismatched or short input. *)
-
 val of_sigma_level : n_sigma:int -> float array -> float array -> t
 (** The paper's "1σ, 2σ, 3σ" ellipses: Mahalanobis radius equal to
     [n_sigma], i.e. coverage 1 - exp(-k²/2) in 2D. *)
 
 val points : t -> n:int -> (float * float) array
 (** [n] points around the ellipse boundary, for plotting/export. *)
-
-val contains : t -> float * float -> bool
-(** Whether a point lies inside the ellipse. *)
 
 val coverage : t -> float array -> float array -> float
 (** Fraction of the paired samples falling inside the ellipse — the empirical

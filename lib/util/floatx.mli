@@ -1,8 +1,11 @@
 (** Small floating-point helpers shared across the library. *)
 
 val close : ?rtol:float -> ?atol:float -> float -> float -> bool
+[@@vstat.allow "unused-export", "unused-optional"]
 (** [close a b] holds when |a - b| <= atol + rtol * max(|a|, |b|).
-    Defaults: rtol = 1e-9, atol = 1e-12. *)
+    Defaults: rtol = 1e-9, atol = 1e-12.  Granted as a shared fixture:
+    test_util and test_device compare with it, at their own
+    tolerances. *)
 
 val clamp : lo:float -> hi:float -> float -> float
 (** Restrict a value to [lo, hi]. *)

@@ -64,10 +64,6 @@ let substream ~seed ~index =
   let s3 = splitmix64 state in
   { s0; s1; s2; s3; cached_gaussian = None }
 
-let copy t =
-  { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3;
-    cached_gaussian = t.cached_gaussian }
-
 let float t =
   (* Use the top 53 bits for a uniform double on [0, 1). *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in

@@ -27,9 +27,6 @@ val substream : seed:int -> index:int -> t
     [index] must be non-negative; streams at distinct indices are
     statistically independent. *)
 
-val copy : t -> t
-(** [copy t] is a snapshot of [t]; advancing one does not affect the other. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -37,16 +34,25 @@ val float : t -> float
 (** [float t] is uniform on [0, 1) with 53 bits of precision. *)
 
 val uniform : t -> lo:float -> hi:float -> float
-(** Uniform on [lo, hi). *)
+[@@vstat.allow "unused-export"]
+(** Uniform on [lo, hi).  Granted as a shared fixture: test_circuit draws
+    its random RC ladders with it, and test_util tests it. *)
 
 val int : t -> bound:int -> int
 (** [int t ~bound] is uniform on [0, bound).  [bound] must be positive. *)
 
 val gaussian : t -> float
-(** Standard normal deviate (Box–Muller, polar form, with caching). *)
+[@@vstat.allow "unused-export"]
+(** Standard normal deviate (Box–Muller, polar form, with caching).
+    Granted as a shared fixture: chaos_smoke, resume_chaos,
+    test_checkpoint, test_rare, test_runtime, test_stats and test_util
+    draw their synthetic samples with it. *)
 
 val gaussian_scaled : t -> mean:float -> sigma:float -> float
 (** Normal deviate with the given mean and standard deviation. *)
 
 val lognormal : t -> mu:float -> sigma:float -> float
-(** Deviate of exp(N(mu, sigma^2)). *)
+[@@vstat.allow "unused-export"]
+(** Deviate of exp(N(mu, sigma^2)).  Granted as a shared fixture:
+    test_stats draws its skewed samples with it, and test_util tests
+    it. *)

@@ -67,84 +67,4 @@ let normal_quantile p =
   let u = e *. sqrt_2pi *. exp (x *. x /. 2.0) in
   x -. (u /. (1.0 +. (x *. u /. 2.0)))
 
-(* Lanczos approximation, g = 7, n = 9. *)
-let lanczos_coefficients =
-  [| 0.99999999999980993; 676.5203681218851; -1259.1392167224028;
-     771.32342877765313; -176.61502916214059; 12.507343278686905;
-     -0.13857109526572012; 9.9843695780195716e-6; 1.5056327351493116e-7 |]
-
-let log_gamma_positive x =
-  let x = x -. 1.0 in
-  let acc = ref lanczos_coefficients.(0) in
-  for i = 1 to 8 do
-    acc := !acc +. (lanczos_coefficients.(i) /. (x +. Float.of_int i))
-  done;
-  let t = x +. 7.5 in
-  (0.5 *. log (2.0 *. Float.pi)) +. ((x +. 0.5) *. log t) -. t +. log !acc
-
-let log_gamma x =
-  if x <= 0.0 then invalid_arg "Special.log_gamma: x must be positive";
-  if x < 0.5 then
-    (* Reflection formula. *)
-    log (Float.pi /. sin (Float.pi *. x)) -. log_gamma_positive (1.0 -. x)
-  else log_gamma_positive x
-
-(* Regularized lower incomplete gamma P(a, x): series for x < a+1,
-   continued fraction otherwise (Numerical Recipes 6.2). *)
-let gamma_p a x =
-  if x < 0.0 || a <= 0.0 then invalid_arg "Special.gamma_p";
-  if Float.equal x 0.0 then 0.0
-  else if x < a +. 1.0 then begin
-    let ap = ref a in
-    let sum = ref (1.0 /. a) in
-    let del = ref !sum in
-    (try
-       for _ = 1 to 200 do
-         ap := !ap +. 1.0;
-         del := !del *. x /. !ap;
-         sum := !sum +. !del;
-         if Float.abs !del < Float.abs !sum *. 1e-15 then raise Exit
-       done
-     with Exit -> ());
-    !sum *. exp ((-.x) +. (a *. log x) -. log_gamma a)
-  end
-  else begin
-    let tiny = 1e-300 in
-    let b = ref (x +. 1.0 -. a) in
-    let c = ref (1.0 /. tiny) in
-    let d = ref (1.0 /. !b) in
-    let h = ref !d in
-    (try
-       for i = 1 to 200 do
-         let an = -.Float.of_int i *. (Float.of_int i -. a) in
-         b := !b +. 2.0;
-         d := (an *. !d) +. !b;
-         if Float.abs !d < tiny then d := tiny;
-         c := !b +. (an /. !c);
-         if Float.abs !c < tiny then c := tiny;
-         d := 1.0 /. !d;
-         let del = !d *. !c in
-         h := !h *. del;
-         if Float.abs (del -. 1.0) < 1e-15 then raise Exit
-       done
-     with Exit -> ());
-    1.0 -. (exp ((-.x) +. (a *. log x) -. log_gamma a) *. !h)
-  end
-
-let chi2_quantile ~p ~dof =
-  if not (p > 0.0 && p < 1.0) then
-    invalid_arg "Special.chi2_quantile: p must lie in (0, 1)";
-  if dof <= 0 then invalid_arg "Special.chi2_quantile: dof must be positive";
-  let a = Float.of_int dof /. 2.0 in
-  let cdf x = gamma_p a (x /. 2.0) in
-  (* Bracket then bisect; monotone CDF makes this unconditionally robust. *)
-  let hi = ref (Float.of_int dof) in
-  while cdf !hi < p do
-    hi := !hi *. 2.0
-  done;
-  let lo = ref 0.0 in
-  for _ = 1 to 200 do
-    let mid = 0.5 *. (!lo +. !hi) in
-    if cdf mid < p then lo := mid else hi := mid
-  done;
-  0.5 *. (!lo +. !hi)
+let z95 = normal_quantile (0.5 +. (0.95 /. 2.0))

@@ -4,14 +4,12 @@
     Acklam's inverse normal CDF) — accurate to well below the Monte Carlo
     noise floor of any experiment in this repository. *)
 
-val erf : float -> float
-(** Error function, |error| < 1.5e-7. *)
-
-val erfc : float -> float
-(** Complementary error function. *)
-
 val normal_cdf : float -> float
-(** Standard normal cumulative distribution function. *)
+[@@vstat.allow "unused-export"]
+(** Standard normal cumulative distribution function, from the
+    Abramowitz–Stegun erf (|error| < 1.5e-7).  Granted as a reference:
+    test_rare's exact failure probability, and test_util's checks of erf,
+    erfc and {!normal_quantile} through it. *)
 
 val normal_pdf : float -> float
 (** Standard normal probability density function. *)
@@ -22,10 +20,6 @@ val normal_quantile : float -> float
     Halley refinement step).
     @raise Invalid_argument if [p] is outside (0, 1). *)
 
-val log_gamma : float -> float
-(** Natural log of the Gamma function (Lanczos), for x > 0. *)
-
-val chi2_quantile : p:float -> dof:int -> float
-(** Quantile of the chi-square distribution (used for confidence-ellipse
-    scaling, e.g. dof = 2 for bivariate ellipses).  Computed by
-    Newton–bisection on the regularized lower incomplete gamma. *)
+val z95 : float
+(** The z of every two-sided 95 % interval in the repository:
+    [normal_quantile (0.5 +. 0.95 /. 2.)], about 1.96. *)

@@ -1,6 +1,7 @@
-(* The [@@@vstat.allow] file floor: every float-compare in this file is
-   sanctioned by the floor attribute, so the golden run must see nothing
-   from it. *)
+(* The [@@@vstat.allow] file floor: a float-compare after the floor
+   attribute is sanctioned by it, one before it is still reported. *)
+
+let bad_before_floor x = x = 0.5
 
 [@@@vstat.allow "float-compare"]
 

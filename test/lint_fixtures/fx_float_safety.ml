@@ -30,3 +30,20 @@ let bad_field_pair r s = r.x = s.x
 
 (* Negative: a tuple that holds no float orders the same either way. *)
 let ok_int_tuple a b = compare (a, 1) (b, 2)
+
+(* Records and abbreviations are decided from their declarations: a record
+   with a float field and an abbreviation of float hold one; a record of
+   ints does not.  A recursive type ends the search. *)
+let bad_record a b = a = { x = b }
+
+type v = float
+
+let bad_abbrev (a : v) (b : v) = a = b
+
+type counts = { hits : int; misses : int }
+
+let ok_int_record (a : counts) b = a = b
+
+type chain = { next : chain option; n : int }
+
+let ok_recursive (a : chain) b = compare a b

@@ -10,3 +10,4 @@ end
 let f ?(used = 0) ?(unused = 0) () = used + unused
 let forwarded ?(used = 0) () = used
 let unapplied ?(used = 0) () = used
+let test_only = 6

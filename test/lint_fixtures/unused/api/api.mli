@@ -9,3 +9,4 @@ end
 val f : ?used:int -> ?unused:int -> unit -> int
 val forwarded : ?used:int -> unit -> int
 val unapplied : ?used:int -> unit -> int
+val test_only : int

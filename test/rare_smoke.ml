@@ -44,11 +44,10 @@ let check_bits_array what a b =
   in
   check what same
 
-(* Cheap configuration: coarse butterfly sweep, small counts.  pilot_n
+(* Cheap configuration: small counts.  pilot_n
    must still clear dim + 2 = 32 rows for the per-lobe fits. *)
 let n = 48
 let pilot_n = 36
-let points = 21
 let seed = 7
 
 let identical_importance what (a : I.result) (b : I.result) =
@@ -78,7 +77,7 @@ let () =
   let p = Vstat_core.Pipeline.build ~seed:42 ~mc_per_geometry:300 () in
   let is ?checkpoint ?deadline ~jobs () =
     with_controls ?checkpoint ?deadline (fun () ->
-        with_jobs jobs (fun () -> Y.estimate_is ~n ~pilot_n ~points ~seed p))
+        with_jobs jobs (fun () -> Y.estimate_is ~n ~pilot_n ~seed p))
   in
 
   Printf.printf "rare_smoke: importance sampling jobs:1 vs jobs:4\n%!";
@@ -89,7 +88,7 @@ let () =
 
   Printf.printf "rare_smoke: blockade jobs:1 vs jobs:4\n%!";
   let bl jobs =
-    with_jobs jobs (fun () -> Y.estimate_blockade ~n ~pilot_n ~points ~seed p)
+    with_jobs jobs (fun () -> Y.estimate_blockade ~n ~pilot_n ~seed p)
   in
   let b1 = bl 1 in
   let b4 = bl 4 in

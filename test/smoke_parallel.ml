@@ -5,9 +5,11 @@
 
 let () =
   let vdd = Vstat_device.Cards.vdd_nominal in
+  (* of_vs runs at the process-wide worker count. *)
   let run jobs =
+    Vstat_runtime.Runtime.set_default_jobs jobs;
     Vstat_core.Mc_device.of_vs ~label:"smoke"
-      Vstat_core.Vs_statistical.seed_nmos ~jobs
+      Vstat_core.Vs_statistical.seed_nmos
       ~rng:(Vstat_util.Rng.create ~seed:2026)
       ~n:50 ~w_nm:600.0 ~l_nm:40.0 ~vdd
   in
@@ -23,9 +25,8 @@ let () =
     prerr_endline "smoke: jobs:1 and jobs:4 Monte Carlo samples diverged";
     exit 1
   end;
-  let acc, _, _ = Vstat_core.Mc_device.summary parallel in
-  if Vstat_runtime.Accum.count acc <> 50 then begin
-    prerr_endline "smoke: accumulator lost samples";
+  if Array.length parallel.idsat <> 50 then begin
+    prerr_endline "smoke: the pool lost samples";
     exit 1
   end;
   print_endline

@@ -10,7 +10,6 @@ module Chain = Vstat_cells.Chain
 
 let stages = 13
 let n = 6
-let steps = 200
 let seed = 77
 let vdd = 0.9
 
@@ -19,7 +18,7 @@ let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 let run ~jobs backend p =
   let f rng =
     let tech = Vstat_core.Techs.stochastic_vs p ~rng ~vdd in
-    Chain.measure ~steps ~backend (Chain.sample ~stages tech)
+    Chain.measure ~backend (Chain.sample ~stages tech)
   in
   let r = R.map_rng_samples ~jobs ~rng:(Vstat_util.Rng.create ~seed) ~n ~f () in
   R.check_budget ~label:"sparse_smoke" ~max_failure_frac:0.2 r;

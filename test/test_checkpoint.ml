@@ -60,8 +60,9 @@ let snapshot () =
   }
 
 let test_journal_roundtrip () =
-  Alcotest.(check int) "format version" 2 J.version;
   let snap = snapshot () in
+  Alcotest.(check int32) "format version" 2l
+    (Bytes.get_int32_le (Bytes.of_string (J.encode snap)) 8);
   match J.decode (J.encode snap) with
   | Error e -> Alcotest.failf "decode failed: %s" (J.error_to_string e)
   | Ok got ->
@@ -427,7 +428,7 @@ let test_retry_attempts_survive_resume () =
     if index = 3 && attempt = 0 then failwith "transient";
     v
   in
-  let retry = R.retry 2 in
+  let retry = 2 in
   let dir = fresh_dir () in
   let calls = ref 0 in
   let cut () =

@@ -56,12 +56,6 @@ let test_waveform_pwl () =
   check_float "flat" 2.0 (W.value w 2.0);
   check_float "clamp right" 2.0 (W.value w 10.0)
 
-let test_waveform_step () =
-  let w = W.step ~delay:1e-9 ~rise:1e-9 ~low:0.0 ~high:1.0 () in
-  check_float "before" 0.0 (W.value w 0.5e-9);
-  check_float "after" 1.0 (W.value w 3e-9);
-  check_float "mid" 0.5 (W.value w 1.5e-9)
-
 (* --- DC: linear circuits with known solutions --- *)
 
 let test_resistor_divider () =
@@ -228,9 +222,8 @@ let test_rc_charge_trapezoidal () =
   let eng = E.compile c in
   let tau = r *. cap in
   let trace =
-    E.transient
-      ~options:{ (E.current_options ()) with trap = true }
-      eng ~tstop:(3.0 *. tau) ~dt:(tau /. 100.0)
+    E.with_options { E.default_options with trap = true } (fun () ->
+        E.transient eng ~tstop:(3.0 *. tau) ~dt:(tau /. 100.0))
   in
   let v_tau =
     Vstat_util.Floatx.interp_linear ~xs:trace.E.times
@@ -296,9 +289,6 @@ let test_ac_rc_lowpass () =
   in
   check_float ~eps:0.01 "dc gain" 1.0 (mag_at (fc /. 100.0));
   check_float ~eps:0.02 "-3dB at fc" (1.0 /. sqrt 2.0) (mag_at fc);
-  (match Vstat_circuit.Ac.corner_frequency eng ac n1 with
-  | Some f -> check_float ~eps:(0.05 *. fc) "corner frequency" fc f
-  | None -> Alcotest.fail "expected a corner");
   (* Phase approaches -90 degrees well above fc. *)
   let _, h_high = series.(Array.length series - 1) in
   Alcotest.(check bool) "phase -> -90deg" true
@@ -354,18 +344,17 @@ let test_unknown_source_raises () =
     Alcotest.(check bool) "message names the source" true
       (contains "nope" msg)
 
-let test_dc_residual_tiny () =
-  (* KCL must balance at the converged operating point. *)
-  let c, _, _ = build_inverter ~w_in:(W.Dc (vdd /. 2.0)) () in
-  let eng = E.compile c in
-  let op = E.dc eng in
-  Alcotest.(check bool) "residual < 1e-9 A" true (E.residual_norm eng op < 1e-9)
+(* The work [f] does, read off the process-wide totals: tests run on one
+   domain, so that is exactly the work of the engines [f] drives. *)
+let work f =
+  let before = E.global_counters () in
+  let r = f () in
+  (r, E.counters_diff (E.global_counters ()) before)
 
 let test_stats_counters_advance () =
   let c, _, _ = build_inverter () in
   let eng = E.compile c in
-  let _ = E.dc eng in
-  let cnt = E.counters eng in
+  let _, cnt = work (fun () -> E.dc eng) in
   Alcotest.(check bool) "evals counted" true (cnt.E.model_evaluations > 0);
   Alcotest.(check bool) "iters counted" true (cnt.E.newton_iterations > 0)
 
@@ -382,7 +371,7 @@ let test_transient_lands_on_waveform_corners () =
   N.resistor c "r1" ~a:drive ~b:n1 ~ohms:1000.0;
   N.capacitor c "c1" ~a:n1 ~b:gnd ~farads:1e-15;
   let eng = E.compile c in
-  let trace = E.transient eng ~tstop:50e-12 ~dt:2e-12 in
+  let trace, cnt = work (fun () -> E.transient eng ~tstop:50e-12 ~dt:2e-12) in
   List.iter
     (fun corner ->
       let hit =
@@ -394,7 +383,6 @@ let test_transient_lands_on_waveform_corners () =
         (Printf.sprintf "sample at corner %.3g" corner)
         true hit)
     corners;
-  let cnt = E.counters eng in
   Alcotest.(check bool)
     "breakpoint hits counted" true
     (cnt.E.breakpoint_hits >= List.length corners)
@@ -404,9 +392,7 @@ let test_counters_per_phase () =
     build_inverter ~w_in:(W.pwl [| (20e-12, 0.0); (30e-12, vdd) |]) ()
   in
   let eng = E.compile c in
-  let before_global = E.global_counters () in
-  let trace = E.transient eng ~tstop:100e-12 ~dt:1e-12 in
-  let cnt = E.counters eng in
+  let trace, cnt = work (fun () -> E.transient eng ~tstop:100e-12 ~dt:1e-12) in
   (* One LU factorization per Newton iteration, two assemblies at least
      (every iteration assembles; converged iterations assemble twice). *)
   Alcotest.(check int) "lu = newton" cnt.E.newton_iterations
@@ -419,12 +405,7 @@ let test_counters_per_phase () =
   (* One model call per device per assembly, and no FD path to count. *)
   Alcotest.(check int) "model evals = 2 per assembly"
     (2 * cnt.E.assemblies) cnt.E.model_evaluations;
-  Alcotest.(check int) "no fd evals" 0 cnt.E.fd_evaluations;
-  (* Per-instance counts flushed into the process-wide totals. *)
-  let after_global = E.global_counters () in
-  let d = E.counters_diff after_global before_global in
-  Alcotest.(check bool) "globals absorbed this engine" true
-    (d.E.newton_iterations >= cnt.E.newton_iterations)
+  Alcotest.(check int) "no fd evals" 0 cnt.E.fd_evaluations
 
 let test_fd_fallback_matches_analytic () =
   (* Same inverter with finite-difference device derivatives: the FD
@@ -581,8 +562,8 @@ let rc_error ~trap ~dt =
     /. (1.0 +. (wt *. wt))
   in
   let trace =
-    E.transient ~options:{ (E.current_options ()) with trap } eng
-      ~tstop:(3.0 *. tau) ~dt
+    E.with_options { E.default_options with trap } (fun () ->
+        E.transient eng ~tstop:(3.0 *. tau) ~dt)
   in
   let wave = E.node_wave eng trace n1 in
   let err = ref 0.0 in
@@ -623,9 +604,8 @@ let test_dc_no_convergence () =
   match E.dc eng with
   | _ -> Alcotest.fail "expected Solver_error"
   | exception Vstat_circuit.Diag.Solver_error d ->
-    Alcotest.(check string)
-      "classified as singular" "singular_jacobian"
-      (Vstat_circuit.Diag.kind_name d.Vstat_circuit.Diag.kind);
+    Alcotest.(check bool) "classified as singular" true
+      (d.Vstat_circuit.Diag.kind = Singular_jacobian);
     Alcotest.(check string) "dc analysis" "dc" d.Vstat_circuit.Diag.analysis
 
 let test_transient_no_convergence () =
@@ -633,14 +613,13 @@ let test_transient_no_convergence () =
   match E.transient eng ~tstop:1e-9 ~dt:1e-10 with
   | _ -> Alcotest.fail "expected Solver_error"
   | exception Vstat_circuit.Diag.Solver_error d ->
-    Alcotest.(check string)
-      "classified as singular" "singular_jacobian"
-      (Vstat_circuit.Diag.kind_name d.Vstat_circuit.Diag.kind)
+    Alcotest.(check bool) "classified as singular" true
+      (d.Vstat_circuit.Diag.kind = Singular_jacobian)
 
 module Diag = Vstat_circuit.Diag
 
 let kind_of_exn = function
-  | Diag.Solver_error d -> Diag.kind_name d.Diag.kind
+  | Diag.Solver_error d -> d.Diag.kind
   | e -> raise e
 
 let test_floating_node_singular () =
@@ -655,10 +634,10 @@ let test_floating_node_singular () =
   N.capacitor c "c" ~a:n1 ~b:float_n ~farads:1e-15;
   let eng = E.compile c in
   let options = { E.default_options with E.gmin_floor = 0.0 } in
-  (match E.dc ~options eng with
+  (match E.with_options options (fun () -> E.dc eng) with
   | _ -> Alcotest.fail "expected Solver_error"
   | exception e ->
-    Alcotest.(check string) "singular" "singular_jacobian" (kind_of_exn e));
+    Alcotest.(check bool) "singular" true (kind_of_exn e = Singular_jacobian));
   (* The default gmin floor regularizes the same circuit. *)
   let op = E.dc eng in
   Alcotest.(check bool) "gmin floor rescues it" true
@@ -679,11 +658,10 @@ let test_transient_step_floor_typed () =
   N.capacitor c "c" ~a:n2 ~b:gnd ~farads:1e-12;
   let eng = E.compile c in
   let options = { E.default_options with E.max_iter_tran = 1 } in
-  match E.transient ~options eng ~tstop:1e-9 ~dt:1e-10 with
+  match E.with_options options (fun () -> E.transient eng ~tstop:1e-9 ~dt:1e-10) with
   | _ -> Alcotest.fail "expected Solver_error"
   | exception Diag.Solver_error d ->
-    Alcotest.(check string) "step floor" "tran_step_floor"
-      (Diag.kind_name d.Diag.kind);
+    Alcotest.(check bool) "step floor" true (d.Diag.kind = Tran_step_floor);
     Alcotest.(check string) "transient analysis" "transient" d.Diag.analysis;
     Alcotest.(check bool) "failure time recorded" true (Option.is_some d.Diag.time)
 
@@ -691,19 +669,33 @@ let test_work_cap_exceeded () =
   let c, _, _ = build_inverter () in
   let eng = E.compile c in
   let options = { E.default_options with E.work_cap = 2 } in
-  (match E.dc ~options eng with
+  (match E.with_options options (fun () -> E.dc eng) with
   | _ -> Alcotest.fail "expected Solver_error"
   | exception e ->
-    Alcotest.(check string) "work cap" "work_cap_exceeded" (kind_of_exn e));
+    Alcotest.(check bool) "work cap" true (kind_of_exn e = Work_cap_exceeded));
   (* The counter snapshot travels with the diagnostic. *)
-  match E.dc ~options eng with
+  match E.with_options options (fun () -> E.dc eng) with
   | _ -> Alcotest.fail "expected Solver_error"
   | exception Diag.Solver_error d ->
     Alcotest.(check bool) "counters attached" true (d.Diag.counters <> [])
 
+(* Field-by-field identity of two option records, floats by their bits. *)
+let same_options (a : E.solver_options) (b : E.solver_options) =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  Int.equal a.max_iter_dc b.max_iter_dc
+  && Int.equal a.max_iter_tran b.max_iter_tran
+  && same a.damping_clamp b.damping_clamp
+  && same a.gmin_floor b.gmin_floor
+  && List.equal same a.gmin_ladder b.gmin_ladder
+  && List.equal same a.source_ladder b.source_ladder
+  && same a.dt_min_factor b.dt_min_factor
+  && same a.dt_scale b.dt_scale
+  && Bool.equal a.trap b.trap
+  && Int.equal a.work_cap b.work_cap
+
 let test_escalate_laws () =
   let o = E.default_options in
-  Alcotest.(check bool) "attempt 0 is identity" true (E.escalate ~attempt:0 o = o);
+  Alcotest.(check bool) "attempt 0 is identity" true (E.escalate ~attempt:0 o == o);
   let o1 = E.escalate ~attempt:1 o in
   let bits = Int64.bits_of_float in
   (* First escalation is value-neutral: anything that could change the value
@@ -721,7 +713,7 @@ let test_escalate_laws () =
   Alcotest.(check bool) "attempt 2 shrinks steps" true
     (o2.E.dt_scale < o.E.dt_scale && o2.E.damping_clamp < o.E.damping_clamp);
   Alcotest.(check bool) "escalate is deterministic" true
-    (E.escalate ~attempt:3 o = E.escalate ~attempt:3 o);
+    (same_options (E.escalate ~attempt:3 o) (E.escalate ~attempt:3 o));
   (* Behavioral value-neutrality: a solve that succeeds under the defaults
      produces the bit-identical operating point under attempt-1 options. *)
   let c, _, _ = build_inverter () in
@@ -831,9 +823,10 @@ let test_backend_cross_check () =
   let net_s, _ = build_big_ladder ~sections:30 in
   let ed = E.compile ~backend:E.Dense net_d in
   let es = E.compile ~backend:E.Sparse net_s in
-  Alcotest.(check bool) "at least 40 unknowns" true (E.unknowns ed >= 40);
   (* DC operating point. *)
   let opd = E.dc ed and ops = E.dc es in
+  Alcotest.(check bool) "at least 40 unknowns" true
+    (Array.length opd.E.x >= 40);
   List.iter
     (fun n ->
       let vd = E.voltage ed opd n and vs = E.voltage es ops n in
@@ -856,7 +849,7 @@ let test_backend_cross_check () =
      operating point and compare G entrywise. *)
   let gd, _ = E.linearize ed opd in
   let gs, _ = E.linearize es ops in
-  let n = E.unknowns ed in
+  let n = Vstat_linalg.Matrix.rows gd in
   for r = 0 to n - 1 do
     for cidx = 0 to n - 1 do
       let a = Vstat_linalg.Matrix.get gd r cidx
@@ -878,7 +871,7 @@ let test_sparse_singular_diag_payload () =
   N.capacitor c "c" ~a:n1 ~b:float_n ~farads:1e-15;
   let eng = E.compile ~backend:E.Sparse c in
   let options = { E.default_options with E.gmin_floor = 0.0 } in
-  match E.dc ~options eng with
+  match E.with_options options (fun () -> E.dc eng) with
   | _ -> Alcotest.fail "expected Solver_error"
   | exception Vstat_circuit.Diag.Solver_error d ->
     Alcotest.(check bool) "typed kind" true
@@ -902,7 +895,6 @@ let () =
           Alcotest.test_case "dc/var" `Quick test_waveform_dc_var;
           Alcotest.test_case "pulse" `Quick test_waveform_pulse;
           Alcotest.test_case "pwl" `Quick test_waveform_pwl;
-          Alcotest.test_case "step" `Quick test_waveform_step;
         ] );
       ( "dc",
         [
@@ -931,7 +923,6 @@ let () =
         [
           Alcotest.test_case "unknown source" `Quick test_unknown_source_raises;
           Alcotest.test_case "stats counters" `Quick test_stats_counters_advance;
-          Alcotest.test_case "dc residual" `Quick test_dc_residual_tiny;
           Alcotest.test_case "node identity" `Quick test_node_identity;
           Alcotest.test_case "breakpoint landing" `Quick
             test_transient_lands_on_waveform_corners;
@@ -968,13 +959,18 @@ let () =
               let op = E.dc eng in
               let freqs = Vstat_util.Floatx.logspace 6.0 10.0 121 in
               let ac = Vstat_circuit.Ac.sweep eng ~op ~source:"vin" ~freqs_hz:freqs in
-              match
-                ( Vstat_circuit.Ac.corner_frequency eng ac n1,
-                  Vstat_circuit.Ac.corner_frequency eng ac n2 )
-              with
-              | Some f1, Some f2 ->
-                Alcotest.(check bool) "second pole corner lower" true (f2 < f1)
-              | _ -> Alcotest.fail "expected corners for both nodes");
+              (* The first swept frequency at which each node's magnitude
+                 has fallen 3 dB below its low-frequency value. *)
+              let corner n =
+                let series = Vstat_circuit.Ac.node_transfer eng ac n in
+                let db (_, h) = Vstat_circuit.Ac.magnitude_db h in
+                let target = db series.(0) -. 3.0103 in
+                match Array.find_opt (fun p -> db p <= target) series with
+                | Some (f, _) -> f
+                | None -> Alcotest.fail "expected a corner"
+              in
+              Alcotest.(check bool) "second pole corner lower" true
+                (corner n2 < corner n1));
         ] );
       ( "failure-injection",
         [

@@ -56,19 +56,6 @@ let test_vxo_shift_formula () =
   check_float ~eps:1e-12 "delta term" (2.0 *. 0.01)
     (V.vxo_relative_shift ~ballistic_b:b ~dmu_rel:0.0 ~ddelta:0.01)
 
-let test_ballistic_efficiency () =
-  check_float ~eps:1e-12 "B = lambda/(lambda+2l)" 0.2
-    (V.ballistic_efficiency ~lambda_mfp:10e-9 ~l_critical:20e-9);
-  Alcotest.(check bool) "B in (0,1)" true
-    (let b = V.ballistic_efficiency ~lambda_mfp:15e-9 ~l_critical:40e-9 in
-     b > 0.0 && b < 1.0)
-
-let test_source_taxonomy () =
-  Alcotest.(check bool) "vt0 <- RDF" true (V.source_of_parameter `Vt0 = V.Rdf);
-  Alcotest.(check bool) "leff <- LER" true (V.source_of_parameter `Leff = V.Ler);
-  Alcotest.(check bool) "cinv <- OTF" true (V.source_of_parameter `Cinv = V.Otf);
-  Alcotest.(check bool) "mu <- stress" true (V.source_of_parameter `Mu = V.Stress)
-
 (* --- Vs_statistical --- *)
 
 let test_apply_shifts_identity () =
@@ -98,29 +85,11 @@ let test_apply_shifts_mobility_coupling () =
     (p.vxo *. (1.0 +. (expected_rel *. 10.0)))
     p'.vxo
 
-let test_vxo_slaving_ablation () =
-  (* With slaving off, vxo must ignore the mobility shift entirely. *)
-  let p = Vstat_device.Cards.vs_seed_nmos ~w_nm:600.0 ~l_nm:40.0 in
-  let s = { Vss.zero_shifts with dmu = 20.0 } in
-  let slaved = Vss.apply_shifts p s in
-  let unslaved = Vss.apply_shifts ~slave_vxo:false p s in
-  check_float ~eps:1e-15 "vxo frozen without slaving" p.vxo unslaved.vxo;
-  Alcotest.(check bool) "slaving amplifies the response" true
-    (slaved.vxo > unslaved.vxo);
-  (* The amplification factor on Idsat sensitivity is what makes the paper's
-     extracted alpha4 smaller than the golden truth. *)
-  let dev_of params = Vstat_device.Vs_model.device ~polarity:Vstat_device.Device_model.Nmos params in
-  let i_slaved = Vstat_device.Metrics.idsat (dev_of slaved) ~vdd in
-  let i_unslaved = Vstat_device.Metrics.idsat (dev_of unslaved) ~vdd in
-  let i_base = Vstat_device.Metrics.idsat (dev_of p) ~vdd in
-  Alcotest.(check bool) "slaved response larger" true
-    (i_slaved -. i_base > 1.5 *. (i_unslaved -. i_base))
-
 let test_sampling_deterministic () =
   let t = Vss.seed_nmos in
-  let d1 = Vss.sample_params t (Rng.create ~seed:3) ~w_nm:600.0 ~l_nm:40.0 in
-  let d2 = Vss.sample_params t (Rng.create ~seed:3) ~w_nm:600.0 ~l_nm:40.0 in
-  check_float ~eps:1e-18 "same seed, same sample" d1.vt0 d2.vt0
+  let d1 = Vss.draw_shifts t (Rng.create ~seed:3) ~w_nm:600.0 ~l_nm:40.0 in
+  let d2 = Vss.draw_shifts t (Rng.create ~seed:3) ~w_nm:600.0 ~l_nm:40.0 in
+  check_float ~eps:1e-18 "same seed, same sample" d1.dvt0 d2.dvt0
 
 let test_sampling_spread_matches_alphas () =
   let t = Vss.seed_nmos in
@@ -128,7 +97,7 @@ let test_sampling_spread_matches_alphas () =
   let n = 4000 in
   let vts =
     Array.init n (fun _ ->
-        (Vss.sample_params t rng ~w_nm:600.0 ~l_nm:40.0).vt0)
+        (Vss.draw_shifts t rng ~w_nm:600.0 ~l_nm:40.0).dvt0)
   in
   let expected = (V.sigmas_of_alphas t.alphas ~w_nm:600.0 ~l_nm:40.0).s_vt0 in
   check_float ~eps:(0.05 *. expected) "sampled sigma(vt0)" expected (D.std vts)
@@ -136,14 +105,23 @@ let test_sampling_spread_matches_alphas () =
 (* --- Bsim_statistical --- *)
 
 let test_bsim_sampling_perturbs_all () =
+  (* Through the sampled device: W and L move the electrical geometry,
+     Vth0, u0 and Cox the on- and off-currents, and the on-current stays
+     positive (u0 > 0). *)
   let t = Bss.golden_nmos in
   let rng = Rng.create ~seed:5 in
-  let nominal = t.nominal ~w_nm:600.0 ~l_nm:40.0 in
-  let sample = Bss.sample_params t rng ~w_nm:600.0 ~l_nm:40.0 in
-  Alcotest.(check bool) "vth moved" true (not (Float.equal sample.vth0 nominal.vth0));
-  Alcotest.(check bool) "l moved" true (not (Float.equal sample.l nominal.l));
-  Alcotest.(check bool) "u0 moved" true (not (Float.equal sample.u0 nominal.u0));
-  Alcotest.(check bool) "u0 stays positive" true (sample.u0 > 0.0)
+  let nominal = Bss.nominal_device t ~w_nm:600.0 ~l_nm:40.0 in
+  let sample = Bss.sample_device t rng ~w_nm:600.0 ~l_nm:40.0 in
+  let moved name f =
+    Alcotest.(check bool) (name ^ " moved") true
+      (not (Float.equal (f sample) (f nominal)))
+  in
+  moved "l" (fun d -> d.Vstat_device.Device_model.length);
+  moved "w" (fun d -> d.Vstat_device.Device_model.width);
+  moved "idsat" (fun d -> Vstat_device.Metrics.idsat d ~vdd);
+  moved "ioff" (fun d -> Vstat_device.Metrics.log10_ioff d ~vdd);
+  Alcotest.(check bool) "idsat stays positive" true
+    (Vstat_device.Metrics.idsat sample ~vdd > 0.0)
 
 (* --- Sensitivity --- *)
 
@@ -277,39 +255,6 @@ let test_contribution_breakdown_quadrature () =
   check_float ~eps:1e-12 "quadrature sum" predicted total;
   Alcotest.(check int) "five contributors" 5 (List.length contributions)
 
-let test_correlated_propagation_reduces_to_independent () =
-  let t = { Vss.seed_nmos with alphas = V.paper_alphas_nmos } in
-  let zero _ _ = 0.0 in
-  let a =
-    Bpv.predicted_sigma_correlated ~vs:t ~alphas:t.alphas ~vdd ~w_nm:600.0
-      ~l_nm:40.0 ~correlation:zero Sens.Idsat
-  in
-  let b =
-    Bpv.predicted_sigma ~vs:t ~alphas:t.alphas ~vdd ~w_nm:600.0 ~l_nm:40.0
-      Sens.Idsat
-  in
-  check_float ~eps:1e-15 "r=0 reduces to eq. (9)" b a
-
-let test_correlated_propagation_sign () =
-  (* A positive VT0-mu correlation: dIdsat/dVT0 < 0 while dIdsat/dMu > 0,
-     so positive correlation *cancels* variance and sigma shrinks. *)
-  let t = { Vss.seed_nmos with alphas = V.paper_alphas_nmos } in
-  let corr p q =
-    match (p, q) with
-    | `Vt0, `Mu | `Mu, `Vt0 -> 0.6
-    | _ -> 0.0
-  in
-  let with_corr =
-    Bpv.predicted_sigma_correlated ~vs:t ~alphas:t.alphas ~vdd ~w_nm:600.0
-      ~l_nm:40.0 ~correlation:corr Sens.Idsat
-  in
-  let independent =
-    Bpv.predicted_sigma ~vs:t ~alphas:t.alphas ~vdd ~w_nm:600.0 ~l_nm:40.0
-      Sens.Idsat
-  in
-  Alcotest.(check bool) "cancelling correlation shrinks sigma" true
-    (with_corr < independent)
-
 (* --- Extract_nominal --- *)
 
 let test_fit_improves_on_seed () =
@@ -414,10 +359,24 @@ let test_inter_die_draw_deterministic () =
   check_float ~eps:1e-18 "same die shift" a.g_dvt0 b.g_dvt0
 
 let test_inter_die_apply_shifts_vt () =
-  let p = Vstat_device.Cards.vs_seed_nmos ~w_nm:600.0 ~l_nm:40.0 in
+  (* A die with g_dvt0 = 20 mV is the nominal card shifted by exactly
+     +0.02 V of VT0 and nothing else, with the local draw (seed 9) on top. *)
+  let lazy p = pipeline in
+  let module S = Vstat_core.Vs_statistical in
   let die = { Vstat_core.Inter_die.g_dvt0 = 0.02; g_dl_nm = 0.0; g_dmu_rel = 0.0 } in
-  let p' = Vstat_core.Inter_die.apply_vs die p in
-  check_float ~eps:1e-12 "vt0 shifted by die" (p.vt0 +. 0.02) p'.vt0
+  let tech = Vstat_core.Inter_die.die_tech p ~die ~rng:(Rng.create ~seed:9) ~vdd in
+  let l_nm = Vstat_device.Cards.l_nominal_nm in
+  let m = p.vs_nmos in
+  let shifted =
+    S.apply_shifts (m.nominal ~w_nm:600.0 ~l_nm) { S.zero_shifts with dvt0 = 0.02 }
+  in
+  let local = S.draw_shifts m (Rng.create ~seed:9) ~w_nm:600.0 ~l_nm in
+  let expected =
+    Vstat_device.Vs_model.device ~polarity:m.polarity (S.apply_shifts shifted local)
+  in
+  Alcotest.(check int64) "vt0 shifted by die"
+    (Int64.bits_of_float (Vstat_device.Metrics.idsat expected ~vdd))
+    (Int64.bits_of_float (Vstat_device.Metrics.idsat (tech.nmos ~w_nm:600.0) ~vdd))
 
 let test_inter_die_variance_subtraction () =
   (* Synthetic: total = within (+) independent global; eq. (1) must recover
@@ -468,8 +427,6 @@ let () =
           Alcotest.test_case "area law" `Quick test_pelgrom_area_law;
           Alcotest.test_case "bad geometry" `Quick test_pelgrom_rejects_bad_geometry;
           Alcotest.test_case "vxo shift" `Quick test_vxo_shift_formula;
-          Alcotest.test_case "ballistic efficiency" `Quick test_ballistic_efficiency;
-          Alcotest.test_case "taxonomy" `Quick test_source_taxonomy;
           QCheck_alcotest.to_alcotest prop_sigmas_positive;
         ] );
       ( "vs-statistical",
@@ -477,7 +434,6 @@ let () =
           Alcotest.test_case "identity shifts" `Quick test_apply_shifts_identity;
           Alcotest.test_case "length coupling" `Quick test_apply_shifts_length_coupling;
           Alcotest.test_case "mobility coupling" `Quick test_apply_shifts_mobility_coupling;
-          Alcotest.test_case "vxo slaving ablation" `Quick test_vxo_slaving_ablation;
           Alcotest.test_case "deterministic" `Quick test_sampling_deterministic;
           Alcotest.test_case "sampled spread" `Slow test_sampling_spread_matches_alphas;
           QCheck_alcotest.to_alcotest prop_sampled_devices_finite;
@@ -496,8 +452,6 @@ let () =
           Alcotest.test_case "untied" `Quick test_bpv_untied_variant;
           Alcotest.test_case "empty rejected" `Quick test_bpv_empty_rejected;
           Alcotest.test_case "contribution quadrature" `Quick test_contribution_breakdown_quadrature;
-          Alcotest.test_case "correlated reduces" `Quick test_correlated_propagation_reduces_to_independent;
-          Alcotest.test_case "correlated sign" `Quick test_correlated_propagation_sign;
         ] );
       ( "extract-nominal",
         [

@@ -171,28 +171,23 @@ let test_vs_saturation_flattens () =
   let i_full = Dm.ids d ~vg:vdd ~vd:vdd ~vs:0.0 ~vb:0.0 in
   Alcotest.(check bool) "saturates" true (i_full < 3.0 *. i_half)
 
-let test_vs_dc_parameter_count () =
-  Alcotest.(check int) "headline param count" 11 Vs.dc_parameter_count
-
 (* --- Bsim4lite specifics --- *)
 
+(* The threshold shows through the subthreshold current: a term that lowers
+   vth raises the current against the same card with that term zeroed. *)
 let test_bsim_vth_rolloff_and_dibl () =
   let p = Cards.bsim_nmos ~w_nm:600.0 ~l_nm:40.0 in
-  let vth_long = B.vth { p with B.l = 200e-9 } ~vds:0.0 ~vbs:0.0 in
-  let vth_short = B.vth p ~vds:0.0 ~vbs:0.0 in
+  let id p ~vd = Dm.ids (B.device ~polarity:Dm.Nmos p) ~vg:0.1 ~vd ~vs:0.0 ~vb:0.0 in
   Alcotest.(check bool) "roll-off lowers short-channel vth" true
-    (vth_short < vth_long);
-  let vth_dibl = B.vth p ~vds:vdd ~vbs:0.0 in
-  Alcotest.(check bool) "DIBL lowers vth further" true (vth_dibl < vth_short)
+    (id p ~vd:0.05 > id { p with B.dvt0 = 0.0 } ~vd:0.05);
+  Alcotest.(check bool) "DIBL lowers vth further" true
+    (id p ~vd:vdd > id { p with B.eta0 = 0.0 } ~vd:vdd)
 
 let test_bsim_geometry_offsets () =
   let p = { (Cards.bsim_nmos ~w_nm:600.0 ~l_nm:40.0) with B.dl = 5e-9; dw = 10e-9 } in
-  check_float ~eps:1e-15 "leff" 35e-9 (B.leff p);
-  check_float ~eps:1e-15 "weff" 590e-9 (B.weff p)
-
-let test_bsim_parameter_count () =
-  Alcotest.(check bool) "bsim has more parameters than vs" true
-    (B.parameter_count > Vs.dc_parameter_count)
+  let d = B.device ~polarity:Dm.Nmos p in
+  check_float ~eps:1e-15 "leff" 35e-9 d.Dm.length;
+  check_float ~eps:1e-15 "weff" 590e-9 d.Dm.width
 
 (* --- Metrics --- *)
 
@@ -230,8 +225,7 @@ let test_curve_shapes () =
 let test_unit_conversions () =
   check_float ~eps:1e-18 "nm" 40e-9 (Cards.nm 40.0);
   check_float ~eps:1e-12 "uF/cm2" 0.017 (Cards.uf_per_cm2 1.7);
-  check_float ~eps:1e-12 "cm2/Vs" 0.025 (Cards.cm2_per_vs 250.0);
-  check_float ~eps:1e-9 "cm/s" 1e5 (Cards.cm_per_s 1e7)
+  check_float ~eps:1e-12 "cm2/Vs" 0.025 (Cards.cm2_per_vs 250.0)
 
 let test_cards_current_density_sane () =
   (* On-current per micron should be hundreds of uA for a 40 nm node. *)
@@ -580,8 +574,8 @@ let test_fault_plan_deterministic () =
       match FI.plan all ~key with
       | None -> Alcotest.fail "rate 1 must fire"
       | Some p ->
-        Alcotest.(check bool) "ordinal within span" true
-          (p.FI.device_ordinal >= 0 && p.FI.device_ordinal < FI.ordinal_span);
+        Alcotest.(check bool) "ordinal within the span of 4" true
+          (p.FI.device_ordinal >= 0 && p.FI.device_ordinal < 4);
         Alcotest.(check bool) "at_eval >= 1" true (p.FI.at_eval >= 1))
     (List.init 64 Fun.id)
 
@@ -663,13 +657,11 @@ let () =
           Alcotest.test_case "delta(L)" `Quick test_vs_delta_of_length;
           Alcotest.test_case "subthreshold slope" `Quick test_vs_subthreshold_slope;
           Alcotest.test_case "saturation" `Quick test_vs_saturation_flattens;
-          Alcotest.test_case "param count" `Quick test_vs_dc_parameter_count;
         ] );
       ( "bsim4lite",
         [
           Alcotest.test_case "vth roll-off/DIBL" `Quick test_bsim_vth_rolloff_and_dibl;
           Alcotest.test_case "geometry offsets" `Quick test_bsim_geometry_offsets;
-          Alcotest.test_case "param count" `Quick test_bsim_parameter_count;
         ] );
       ( "derivatives",
         [

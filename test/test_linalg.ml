@@ -10,6 +10,12 @@ module Vec = Vstat_linalg.Vec
 let check_float ?(eps = 1e-9) name expected actual =
   Alcotest.(check (float eps)) name expected actual
 
+(* max_i |a_i - b_i| *)
+let max_abs_diff a b =
+  let acc = ref 0.0 in
+  Array.iteri (fun i x -> acc := Float.max !acc (Float.abs (x -. b.(i)))) a;
+  !acc
+
 (* --- Matrix --- *)
 
 let test_create_zero () =
@@ -27,15 +33,8 @@ let test_init_get_set () =
   check_float "add_to" 6.5 (M.get m 2 1)
 
 let test_identity_mul () =
-  let a = M.init ~rows:3 ~cols:3 ~f:(fun i j -> Float.of_int (i + (2 * j))) in
-  Alcotest.(check bool) "I*A = A" true (M.equal (M.mul (M.identity 3) a) a);
-  Alcotest.(check bool) "A*I = A" true (M.equal (M.mul a (M.identity 3)) a)
-
-let test_transpose () =
-  let a = M.of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |]; [| 5.0; 6.0 |] |] in
-  let t = M.transpose a in
-  Alcotest.(check int) "rows" 2 (M.rows t);
-  check_float "entry" 6.0 (M.get t 1 2)
+  let v = [| 1.5; -2.0; 7.25 |] in
+  Alcotest.(check (array (float 0.0))) "I*v = v" v (M.mul_vec (M.identity 3) v)
 
 let test_mul_vec () =
   let a = M.of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
@@ -235,10 +234,9 @@ let test_sparse_pattern_reuse () =
   let a0 = Sp.symbolic_analyses () in
   let sym = Sp.analyze ~n:2 ~entries:pattern in
   let num = Sp.create_numeric sym in
-  let f0 = Sp.numeric_factorizations () in
   for i = 1 to 100 do
-    Sp.clear num;
     let vals = Sp.values num in
+    Array.fill vals 0 (Array.length vals) 0.0;
     let d = Float.of_int i in
     vals.(Sp.slot sym ~row:0 ~col:0) <- 2.0 +. d;
     vals.(Sp.slot sym ~row:0 ~col:1) <- 1.0;
@@ -250,13 +248,10 @@ let test_sparse_pattern_reuse () =
     let a = dense_of_triplets 2
         [| (0, 0, 2.0 +. d); (0, 1, 1.0); (1, 0, 1.0); (1, 1, 3.0 +. d) |]
     in
-    let r = Vec.sub (M.mul_vec a x) [| 5.0; 10.0 |] in
-    if Vec.norm_inf r > 1e-9 then
-      Alcotest.failf "refactorization %d: residual %g" i (Vec.norm_inf r)
+    let r = max_abs_diff (M.mul_vec a x) [| 5.0; 10.0 |] in
+    if r > 1e-9 then Alcotest.failf "refactorization %d: residual %g" i r
   done;
-  Alcotest.(check int) "symbolic analyses" 1 (Sp.symbolic_analyses () - a0);
-  Alcotest.(check int) "numeric factorizations" 100
-    (Sp.numeric_factorizations () - f0)
+  Alcotest.(check int) "symbolic analyses" 1 (Sp.symbolic_analyses () - a0)
 
 let test_sparse_cache_shares_symbolic () =
   let entries = [| (0, 0); (1, 1); (0, 1); (1, 0) |] in
@@ -300,8 +295,10 @@ let prop_sparse_matches_dense =
       let b = Array.of_list rhs in
       let x_sparse = sparse_solve n triplets b in
       let x_dense = Lu.solve (dense_of_triplets n triplets) b in
-      let scale = Float.max 1.0 (Vec.norm_inf x_dense) in
-      Vec.norm_inf (Vec.sub x_sparse x_dense) /. scale < 1e-12)
+      let scale =
+        Array.fold_left (fun m x -> Float.max m (Float.abs x)) 1.0 x_dense
+      in
+      max_abs_diff x_sparse x_dense /. scale < 1e-12)
 
 (* --- Qr --- *)
 
@@ -320,11 +317,6 @@ let test_qr_least_squares_overdetermined () =
   let c = Qr.least_squares a b in
   check_float ~eps:1e-10 "slope" 2.0 c.(0);
   check_float ~eps:1e-10 "intercept" 1.0 c.(1)
-
-let test_qr_r_upper_triangular () =
-  let a = M.of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |]; [| 5.0; 6.0 |] |] in
-  let r = Qr.r (Qr.factor a) in
-  check_float "below diagonal" 0.0 (M.get r 1 0)
 
 (* --- Nnls --- *)
 
@@ -373,10 +365,18 @@ let test_eigen_reconstruction () =
     M.of_rows [| [| 4.0; 1.0; 0.5 |]; [| 1.0; 3.0; 0.2 |]; [| 0.5; 0.2; 1.0 |] |]
   in
   let { Eigen.values; vectors } = Eigen.decompose a in
-  (* A = V diag(values) V^T *)
-  let d = M.init ~rows:3 ~cols:3 ~f:(fun i j -> if i = j then values.(i) else 0.0) in
-  let recon = M.mul (M.mul vectors d) (M.transpose vectors) in
-  Alcotest.(check bool) "reconstruct" true (M.equal ~tol:1e-9 recon a)
+  (* A = V diag(values) V^T, entry by entry. *)
+  for i = 0 to 2 do
+    for j = 0 to 2 do
+      let recon = ref 0.0 in
+      Array.iteri
+        (fun k lambda ->
+          recon := !recon +. (M.get vectors i k *. lambda *. M.get vectors j k))
+        values;
+      Alcotest.(check bool) "reconstruct" true
+        (Float.abs (!recon -. M.get a i j) < 1e-9)
+    done
+  done
 
 (* --- Cmatrix --- *)
 
@@ -385,10 +385,13 @@ module Cm = Vstat_linalg.Cmatrix
 let complex_close a b =
   Complex.norm (Complex.sub a b) < 1e-9
 
+(* A real matrix as an AC system at omega = 0. *)
+let real a = Cm.combine ~g:a ~c:(M.create ~rows:(M.rows a) ~cols:(M.cols a)) ~omega:0.0
+
 let test_cmatrix_solve_real_system () =
   (* A purely real complex system must agree with the real LU solver. *)
   let a = M.of_rows [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
-  let x = Cm.solve (Cm.of_real a) [| Complex.{ re = 5.0; im = 0.0 }; Complex.{ re = 10.0; im = 0.0 } |] in
+  let x = Cm.solve (real a) [| Complex.{ re = 5.0; im = 0.0 }; Complex.{ re = 10.0; im = 0.0 } |] in
   Alcotest.(check bool) "x0" true (complex_close x.(0) { re = 1.0; im = 0.0 });
   Alcotest.(check bool) "x1" true (complex_close x.(1) { re = 3.0; im = 0.0 })
 
@@ -407,15 +410,21 @@ let test_cmatrix_residual () =
   let a = Cm.combine ~g ~c ~omega:3.0 in
   let b = [| Complex.{ re = 1.0; im = -2.0 }; Complex.{ re = 0.5; im = 0.25 } |] in
   let x = Cm.solve a b in
-  let r = Cm.mul_vec a x in
+  (* (G + j omega C) x, entry by entry. *)
   Array.iteri
-    (fun i ri ->
-      Alcotest.(check bool) "residual ~ 0" true (complex_close ri b.(i)))
-    r
+    (fun i bi ->
+      let ri = ref Complex.zero in
+      Array.iteri
+        (fun j xj ->
+          let aij = { Complex.re = M.get g i j; im = 3.0 *. M.get c i j } in
+          ri := Complex.add !ri (Complex.mul aij xj))
+        x;
+      Alcotest.(check bool) "residual ~ 0" true (complex_close !ri bi))
+    b
 
 let test_cmatrix_singular () =
   let g = M.of_rows [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
-  let a = Cm.of_real g in
+  let a = real g in
   match Cm.solve a [| Complex.one; Complex.one |] with
   | _ -> Alcotest.fail "expected Singular"
   | exception Cm.Singular _ -> ()
@@ -423,11 +432,12 @@ let test_cmatrix_singular () =
 (* --- Vec --- *)
 
 let test_vec_ops () =
-  check_float "dot" 11.0 (Vec.dot [| 1.0; 2.0 |] [| 3.0; 4.0 |]);
-  check_float "norm_inf" 4.0 (Vec.norm_inf [| 3.0; -4.0 |]);
-  let y = [| 1.0; 1.0 |] in
-  Vec.axpy ~alpha:2.0 ~x:[| 1.0; 2.0 |] ~y;
-  check_float "axpy" 5.0 y.(1)
+  (* Differences relative to max(1, |a_i|, |b_i|). *)
+  check_float "small entries: absolute" 0.5
+    (Vec.max_rel_diff [| 0.25; 1.0 |] [| -0.25; 1.0 |]);
+  check_float "large entries: relative" 0.1
+    (Vec.max_rel_diff [| 10.0; 0.0 |] [| 9.0; 0.0 |]);
+  check_float "equal" 0.0 (Vec.max_rel_diff [| 3.0; -4.0 |] [| 3.0; -4.0 |])
 
 (* --- qcheck --- *)
 
@@ -453,8 +463,7 @@ let prop_lu_solves_dd =
       in
       let b = Array.of_list b in
       let x = Lu.solve a b in
-      let r = Vec.sub (M.mul_vec a x) b in
-      Vec.norm_inf r < 1e-8)
+      max_abs_diff (M.mul_vec a x) b < 1e-8)
 
 let prop_lu_in_place_matches_factor =
   QCheck.Test.make ~name:"in-place LU agrees with allocating LU" ~count:200
@@ -473,7 +482,7 @@ let prop_lu_in_place_matches_factor =
       ignore (Lu.factor_in_place a ~pivots);
       let x = Array.copy b in
       Lu.solve_in_place ~lu:a ~pivots x;
-      Vec.norm_inf (Vec.sub x x_ref) < 1e-10)
+      max_abs_diff x x_ref < 1e-10)
 
 let prop_nnls_nonnegative =
   QCheck.Test.make ~name:"NNLS solutions are non-negative" ~count:200
@@ -502,7 +511,7 @@ let prop_qr_matches_lu_on_square =
       let b = Array.of_list b in
       let x1 = Lu.solve a b in
       let x2 = Qr.least_squares a b in
-      Vec.norm_inf (Vec.sub x1 x2) < 1e-7)
+      max_abs_diff x1 x2 < 1e-7)
 
 let () =
   Alcotest.run "vstat_linalg"
@@ -512,7 +521,6 @@ let () =
           Alcotest.test_case "create" `Quick test_create_zero;
           Alcotest.test_case "init/get/set" `Quick test_init_get_set;
           Alcotest.test_case "identity mul" `Quick test_identity_mul;
-          Alcotest.test_case "transpose" `Quick test_transpose;
           Alcotest.test_case "mul_vec" `Quick test_mul_vec;
           Alcotest.test_case "ragged rejected" `Quick test_of_rows_ragged;
           Alcotest.test_case "add/sub/scale" `Quick test_add_sub_scale;
@@ -555,7 +563,6 @@ let () =
         [
           Alcotest.test_case "square" `Quick test_qr_least_squares_exact;
           Alcotest.test_case "overdetermined" `Quick test_qr_least_squares_overdetermined;
-          Alcotest.test_case "R upper" `Quick test_qr_r_upper_triangular;
           QCheck_alcotest.to_alcotest prop_qr_matches_lu_on_square;
         ] );
       ( "nnls",

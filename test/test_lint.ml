@@ -30,7 +30,8 @@ let render (d : L.Diagnostic.t) =
 
 (* Every finding over the whole corpus and its typed trees, empty
    allowlist. *)
-let scan ?(allow = L.Allowlist.empty) paths = L.Engine.run ~allow paths
+let scan ?(allow = L.Allowlist.empty) ?excludes paths =
+  L.Engine.run ?excludes ~allow paths
 
 let corpus = lazy (scan [ fixture_root ])
 
@@ -56,6 +57,7 @@ let expected_golden =
       "fx_determinism.ml:13 determinism-hashtbl-order";
       "fx_determinism.ml:15 determinism-hashtbl-order";
       "fx_determinism.ml:26 determinism-wallclock";
+      "fx_file_floor.ml:4 float-compare";
       "fx_float_safety.ml:4 float-compare";
       "fx_float_safety.ml:6 float-compare";
       "fx_float_safety.ml:8 float-compare";
@@ -64,6 +66,8 @@ let expected_golden =
       "fx_float_safety.ml:25 float-compare";
       "fx_float_safety.ml:27 float-compare";
       "fx_float_safety.ml:29 float-compare";
+      "fx_float_safety.ml:37 float-compare";
+      "fx_float_safety.ml:41 float-compare";
       "fx_hot.ml:3 hot-path";
       "fx_hot.ml:5 hot-path";
       "fx_hot.ml:7 hot-path";
@@ -90,7 +94,7 @@ let per_file_rules =
   ]
 
 let test_golden () =
-  Alcotest.(check int) "fixture files scanned" 19 (fst (Lazy.force corpus));
+  Alcotest.(check int) "fixture files scanned" 20 (fst (Lazy.force corpus));
   Alcotest.(check (list string))
     "golden diagnostics" expected_golden
     (List.map render (findings per_file_rules))
@@ -182,15 +186,17 @@ let test_deep_golden () =
    and [granted] an inline grant, so [unused] is the one finding.
    unused-optional: [f]'s [?used] is written, [forwarded]'s is passed on
    as [?used], and [unapplied] is referenced without an application, so
-   [f]'s [?unused] is the one finding. *)
+   [f]'s [?unused] is the one finding.  [test_only]'s one user sits under
+   unused/test/, so it is a finding only when the scan excludes test/, as
+   the second @lint scan does. *)
 let test_unused () =
   let dir = Filename.concat fixture_root "unused" in
-  let hits paths =
+  let hits ?excludes paths =
     List.map render
       (List.filter
          (fun d ->
            List.mem d.L.Diagnostic.rule [ "unused-export"; "unused-optional" ])
-         (snd (scan paths)))
+         (snd (scan ?excludes paths)))
   in
   let expected =
     [
@@ -204,7 +210,11 @@ let test_unused () =
      program under the working directory. *)
   Alcotest.(check (list string))
     "a scan without the user still sees its uses" expected
-    (hits [ Filename.concat dir "api" ])
+    (hits [ Filename.concat dir "api" ]);
+  Alcotest.(check (list string))
+    "a test is not a user when test/ is excluded"
+    (expected @ [ "test/lint_fixtures/unused/api/api.mli:12 unused-export" ])
+    (hits ~excludes:[ "_build"; ".git"; "test" ] [ dir ])
 
 (* [guarded_bump] is [counter_bump] with its access inside Mutex.protect,
    and each has its own domain root: deleting the guard is exactly the
@@ -261,13 +271,16 @@ let test_json_escaping () =
    zero-allocation contract; this test is the dynamic half.  It integrates
    a source-free RC circuit (independent sources are the documented
    exception: an out-of-line Waveform.value call boxes its float argument
-   and result per source per iteration) twice with different step counts
-   and requires the minor-heap allocation of the two runs to be *exactly*
-   equal: the fixed per-call costs (the returned raw_trace buffers, boxed
-   float arguments of the transient_raw call itself) cancel, so any
-   per-step or per-Newton-iteration allocation would surface as a nonzero
-   difference over the 100 extra accepted steps.  Both runs stay under the
-   256-point initial trace capacity so no buffer growth occurs. *)
+   and result per source per iteration) twice with different step counts.
+   Each run's minor-heap allocation, less the words of the trace it
+   returns (the per-step rows are the one O(steps) allocation of
+   Engine.transient), must be *exactly* equal: the fixed per-call costs
+   (the flat trace buffers, boxed float arguments) cancel, so any per-step
+   or per-Newton-iteration allocation in the integration loop would
+   surface as a nonzero difference over the 100 extra accepted steps.
+   Both runs stay under the 256-point initial trace capacity so no buffer
+   growth occurs, and every returned array is small enough to be
+   allocated on the minor heap. *)
 let test_zero_alloc_transient () =
   let net = N.create () in
   let gnd = N.ground net in
@@ -277,24 +290,23 @@ let test_zero_alloc_transient () =
   let eng = E.compile net in
   let dt = 1e-12 in
   let run steps =
-    let r = E.transient_raw eng ~tstop:(Float.of_int steps *. dt) ~dt in
-    if r.E.raw_len <> steps + 1 then
+    let before = Gc.minor_words () in
+    let r = E.transient eng ~tstop:(Float.of_int steps *. dt) ~dt in
+    let words = Gc.minor_words () -. before in
+    if Array.length r.E.times <> steps + 1 then
       Alcotest.failf "expected %d trace points, got %d" (steps + 1)
-        r.E.raw_len
+        (Array.length r.E.times);
+    words -. Float.of_int (Obj.reachable_words (Obj.repr r))
   in
   (* Warm-up: one-time costs (first-solve paths, trace buffer sizing). *)
-  run 50;
-  let m0 = Gc.minor_words () in
-  run 100;
-  let m1 = Gc.minor_words () in
-  run 200;
-  let m2 = Gc.minor_words () in
-  let first = m1 -. m0 and second = m2 -. m1 in
+  ignore (run 50);
+  let first = run 100 in
+  let second = run 200 in
   Alcotest.(check (float 0.0))
     "minor words for 100 extra transient steps" 0.0 (second -. first)
 
 (* The sparse counterpart: one KLU-style numeric iteration
-   (clear / stamp by precomputed slots / factor / solve) must allocate
+   (zero / stamp by precomputed slots / factor / solve) must allocate
    nothing, same methodology as the transient gate above — the 100 extra
    iterations of the second run must cost exactly zero extra minor words.
    The pattern is a periodic tridiagonal (wrap-around couplings force real
@@ -319,7 +331,7 @@ let test_zero_alloc_sparse () =
   let vals = S.values num in
   let run iters =
     for _ = 1 to iters do
-      S.clear num;
+      Array.fill vals 0 (Array.length vals) 0.0;
       for i = 0 to n - 1 do
         vals.(diag.(i)) <- 4.0;
         vals.(upper.(i)) <- -1.0;

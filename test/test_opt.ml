@@ -10,7 +10,7 @@ let check_float ?(eps = 1e-6) name expected actual =
 
 let test_nm_quadratic () =
   let f x = ((x.(0) -. 3.0) ** 2.0) +. ((x.(1) +. 1.0) ** 2.0) in
-  let r = Nm.minimize ~f ~x0:[| 0.0; 0.0 |] () in
+  let r = Nm.minimize_restarts ~f ~x0:[| 0.0; 0.0 |] () in
   Alcotest.(check bool) "converged" true r.converged;
   check_float ~eps:1e-4 "x0" 3.0 r.x.(0);
   check_float ~eps:1e-4 "x1" (-1.0) r.x.(1)
@@ -32,19 +32,14 @@ let test_nm_1d () =
   let r = Nm.minimize_restarts ~restarts:5 ~f ~x0:[| 10.0 |] () in
   check_float ~eps:1e-3 "1d" 0.25 r.x.(0)
 
-let test_nm_respects_initial_step () =
-  let f x = (x.(0) -. 100.0) ** 2.0 in
-  let r = Nm.minimize ~initial_step:[| 50.0 |] ~f ~x0:[| 0.0 |] () in
-  check_float ~eps:1e-3 "large step reaches far optimum" 100.0 r.x.(0)
-
 let test_nm_empty_rejected () =
-  match Nm.minimize ~f:(fun _ -> 0.0) ~x0:[||] () with
+  match Nm.minimize_restarts ~f:(fun _ -> 0.0) ~x0:[||] () with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
 let test_nm_iterations_bounded () =
   let f x = x.(0) *. x.(0) in
-  let r = Nm.minimize ~max_iter:5 ~f ~x0:[| 1.0 |] () in
+  let r = Nm.minimize_restarts ~max_iter:5 ~f ~x0:[| 1.0 |] () in
   Alcotest.(check bool) "stopped at cap" true (r.iterations <= 5)
 
 (* --- Scalar --- *)
@@ -70,15 +65,6 @@ let test_bisect_predicate_requires_transition () =
   match S.bisect_predicate ~f:(fun _ -> true) ~lo:0.0 ~hi:1.0 () with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
-
-let test_golden_max () =
-  let x, fx = S.golden_max ~f:(fun x -> -.((x -. 0.4) ** 2.0)) ~lo:0.0 ~hi:1.0 () in
-  check_float ~eps:1e-6 "argmax" 0.4 x;
-  check_float ~eps:1e-9 "max value" 0.0 fx
-
-let test_golden_max_asymmetric () =
-  let x, _ = S.golden_max ~f:(fun x -> x *. exp (-.x)) ~lo:0.0 ~hi:10.0 () in
-  check_float ~eps:1e-5 "x e^-x peaks at 1" 1.0 x
 
 (* --- qcheck --- *)
 
@@ -109,7 +95,6 @@ let () =
           Alcotest.test_case "quadratic" `Quick test_nm_quadratic;
           Alcotest.test_case "rosenbrock" `Quick test_nm_rosenbrock;
           Alcotest.test_case "1d" `Quick test_nm_1d;
-          Alcotest.test_case "initial step" `Quick test_nm_respects_initial_step;
           Alcotest.test_case "empty rejected" `Quick test_nm_empty_rejected;
           Alcotest.test_case "iteration cap" `Quick test_nm_iterations_bounded;
           QCheck_alcotest.to_alcotest prop_nm_finds_shifted_quadratic;
@@ -121,8 +106,6 @@ let () =
           Alcotest.test_case "bisect bracket" `Quick test_bisect_requires_bracket;
           Alcotest.test_case "predicate" `Quick test_bisect_predicate;
           Alcotest.test_case "predicate transition" `Quick test_bisect_predicate_requires_transition;
-          Alcotest.test_case "golden max" `Quick test_golden_max;
-          Alcotest.test_case "golden asymmetric" `Quick test_golden_max_asymmetric;
           QCheck_alcotest.to_alcotest prop_bisect_finds_root_of_monotone;
         ] );
     ]

@@ -254,7 +254,8 @@ let test_frame_roundtrip () =
 
 let test_frame_oversized_write () =
   with_socketpair (fun a _ ->
-      match P.write_frame a (String.make (P.max_frame + 1) 'x') with
+      (* One byte past the 4 MiB frame cap. *)
+      match P.write_frame a (String.make ((4 * 1024 * 1024) + 1) 'x') with
       | Error (P.Oversized _) -> ()
       | Error e -> Alcotest.failf "wrong error: %s" (P.error_to_string e)
       | Ok () -> Alcotest.fail "oversized frame accepted")
@@ -441,9 +442,17 @@ let test_state_dir_is_file () =
   let file = Filename.temp_file "vstat_state" ".file" in
   let cfg =
     {
-      S.default_config with
-      S.state_dir = file;
-      socket_path = Filename.concat (Filename.dirname file) "vstatd.sock";
+      S.socket_path = Filename.concat (Filename.dirname file) "vstatd.sock";
+      state_dir = file;
+      queue_max = 32;
+      workers = 1;
+      jobs = 1;
+      poison_retries = 3;
+      hang_timeout_s = 30.0;
+      state_max_bytes = 0;
+      pipeline_seed = 42;
+      mc_per_geometry = 300;
+      inject = None;
     }
   in
   Fun.protect
@@ -513,7 +522,7 @@ let prop_fair_queue_skew =
               let mx = List.fold_left Int.max x rest in
               if mx - mn > 1 then ok := false)
         done;
-        !ok && FQ.is_empty q
+        !ok && FQ.length q = 0
       end)
 
 let test_fair_queue_push_front () =
@@ -521,7 +530,7 @@ let test_fair_queue_push_front () =
   FQ.push q ~client:"a" 1;
   FQ.push q ~client:"a" 2;
   FQ.push q ~client:"b" 10;
-  Alcotest.(check int) "clients" 2 (FQ.clients q);
+  Alcotest.(check int) "queued" 3 (FQ.length q);
   (match FQ.pop q with
   | Some 1 -> ()
   | _ -> Alcotest.fail "expected a's first job");
@@ -532,7 +541,7 @@ let test_fair_queue_push_front () =
   (match drained with
   | [ Some 10; Some 1; Some 2 ] -> ()
   | _ -> Alcotest.fail "push_front broke rotation or per-client order");
-  Alcotest.(check bool) "empty" true (FQ.is_empty q)
+  Alcotest.(check int) "empty" 0 (FQ.length q)
 
 let () =
   Alcotest.run "vstat_service"

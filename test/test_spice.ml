@@ -10,42 +10,49 @@ let check_float ?(eps = 1e-9) name expected actual =
 
 (* --- values --- *)
 
+(* A value as the deck parser reads it: the resistance of a one-resistor
+   deck, whose value sits on line 2. *)
+let parse_value s =
+  match N.elements (P.parse_string ("values\nR1 a 0 " ^ s ^ "\n")).netlist with
+  | [ N.Resistor { ohms; _ } ] -> ohms
+  | _ -> Alcotest.fail "expected one resistor"
+
 let test_parse_value () =
-  check_float "plain" 42.0 (P.parse_value "42");
-  check_float "exponent" 1e-9 (P.parse_value "1e-9");
-  check_float ~eps:1e-12 "kilo" 2500.0 (P.parse_value "2.5k");
-  check_float ~eps:1e-24 "pico" 10e-12 (P.parse_value "10p");
-  check_float ~eps:1e-27 "femto" 2e-15 (P.parse_value "2f");
-  check_float "meg" 3e6 (P.parse_value "3meg");
-  check_float ~eps:1e-15 "milli" 5e-3 (P.parse_value "5m");
-  check_float ~eps:1e-18 "nano" 7e-9 (P.parse_value "7n");
-  check_float ~eps:1e-12 "micro" 9e-6 (P.parse_value "9u");
-  check_float "giga" 1e9 (P.parse_value "1g");
-  check_float "tera" 4e12 (P.parse_value "4t")
+  check_float "plain" 42.0 (parse_value "42");
+  check_float "exponent" 1e-9 (parse_value "1e-9");
+  check_float ~eps:1e-12 "kilo" 2500.0 (parse_value "2.5k");
+  check_float ~eps:1e-24 "pico" 10e-12 (parse_value "10p");
+  check_float ~eps:1e-27 "femto" 2e-15 (parse_value "2f");
+  check_float "meg" 3e6 (parse_value "3meg");
+  check_float ~eps:1e-15 "milli" 5e-3 (parse_value "5m");
+  check_float ~eps:1e-18 "nano" 7e-9 (parse_value "7n");
+  check_float ~eps:1e-12 "micro" 9e-6 (parse_value "9u");
+  check_float "giga" 1e9 (parse_value "1g");
+  check_float "tera" 4e12 (parse_value "4t")
 
 (* The full SPICE scale-factor contract: MEG/MIL matched before the
    single-letter factors (so "3MEG" cannot be shadowed into milli), case
    insensitivity, and trailing unit letters ignored. *)
 let test_parse_value_suffix_table () =
-  check_float "MEG upper" 3e6 (P.parse_value "3MEG");
-  check_float "Meg mixed" 3e6 (P.parse_value "3Meg");
-  check_float ~eps:1e-12 "megohm unit" 2e6 (P.parse_value "2megohm");
-  check_float ~eps:1e-9 "mil" 25.4e-6 (P.parse_value "1mil");
-  check_float ~eps:1e-24 "pF unit" 10e-12 (P.parse_value "10pF");
-  check_float ~eps:1e-12 "kOhm unit" 1e3 (P.parse_value "1kOhm");
-  check_float ~eps:1e-15 "mV unit" 5e-3 (P.parse_value "5mV");
-  check_float ~eps:1e-18 "ns unit" 2e-9 (P.parse_value "2ns");
-  check_float "bare unit V" 10.0 (P.parse_value "10V");
-  check_float "bare unit Hz" 60.0 (P.parse_value "60Hz");
-  check_float "K upper" 1e3 (P.parse_value "1K");
-  check_float ~eps:1e-27 "F upper femto" 2e-15 (P.parse_value "2F");
-  check_float "whitespace" 5.0 (P.parse_value "  5  ")
+  check_float "MEG upper" 3e6 (parse_value "3MEG");
+  check_float "Meg mixed" 3e6 (parse_value "3Meg");
+  check_float ~eps:1e-12 "megohm unit" 2e6 (parse_value "2megohm");
+  check_float ~eps:1e-9 "mil" 25.4e-6 (parse_value "1mil");
+  check_float ~eps:1e-24 "pF unit" 10e-12 (parse_value "10pF");
+  check_float ~eps:1e-12 "kOhm unit" 1e3 (parse_value "1kOhm");
+  check_float ~eps:1e-15 "mV unit" 5e-3 (parse_value "5mV");
+  check_float ~eps:1e-18 "ns unit" 2e-9 (parse_value "2ns");
+  check_float "bare unit V" 10.0 (parse_value "10V");
+  check_float "bare unit Hz" 60.0 (parse_value "60Hz");
+  check_float "K upper" 1e3 (parse_value "1K");
+  check_float ~eps:1e-27 "F upper femto" 2e-15 (parse_value "2F");
+  check_float "whitespace" 5.0 (parse_value "  5  ")
 
 let test_parse_value_malformed () =
   let expect_error s =
-    match P.parse_value s with
+    match parse_value s with
     | v -> Alcotest.fail (Printf.sprintf "expected Parse_error for %S, got %g" s v)
-    | exception P.Parse_error { line = 0; _ } -> ()
+    | exception P.Parse_error { line = 2; _ } -> ()
   in
   expect_error "abc";
   expect_error "";
@@ -69,7 +76,7 @@ let test_parse_divider () =
   let eng = E.compile deck.netlist in
   let op = E.dc eng in
   let mid =
-    match N.find_node deck.netlist "mid" with
+    match List.assoc_opt "mid" (N.all_nodes deck.netlist) with
     | Some n -> n
     | None -> Alcotest.fail "mid node missing"
   in

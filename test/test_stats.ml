@@ -29,14 +29,14 @@ let test_min_max () =
 
 let test_quantiles () =
   let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  check_float "median" 3.0 (D.median xs);
+  check_float "median" 3.0 (D.quantile xs 0.5);
   check_float "q0" 1.0 (D.quantile xs 0.0);
   check_float "q1" 5.0 (D.quantile xs 1.0);
   check_float "q interp" 1.5 (D.quantile xs 0.125)
 
 let test_quantile_unsorted () =
   let xs = [| 5.0; 1.0; 3.0; 2.0; 4.0 |] in
-  check_float "median of unsorted" 3.0 (D.median xs)
+  check_float "median of unsorted" 3.0 (D.quantile xs 0.5)
 
 let test_skewness_symmetric () =
   let xs = gaussian_sample ~seed:1 ~n:50_000 ~mean:0.0 ~sigma:1.0 in
@@ -46,10 +46,6 @@ let test_skewness_positive_for_lognormal () =
   let rng = Rng.create ~seed:2 in
   let xs = Array.init 20_000 (fun _ -> Rng.lognormal rng ~mu:0.0 ~sigma:0.6) in
   Alcotest.(check bool) "lognormal skew > 0.5" true (D.skewness xs > 0.5)
-
-let test_kurtosis_gaussian () =
-  let xs = gaussian_sample ~seed:3 ~n:100_000 ~mean:0.0 ~sigma:2.0 in
-  check_float ~eps:0.1 "excess kurtosis ~ 0" 0.0 (D.excess_kurtosis xs)
 
 let test_covariance_correlation () =
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
@@ -74,13 +70,7 @@ let test_weighted_matches_unweighted () =
   let xs = [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
   let w = Array.make (Array.length xs) 3.5 in
   check_float ~eps:1e-12 "uniform weights = mean" (D.mean xs)
-    (D.weighted_mean xs ~w);
-  (* Reliability-weighted variance reduces to the unbiased sample
-     variance under uniform weights. *)
-  check_float ~eps:1e-12 "uniform weights = unbiased variance"
-    (D.variance xs) (D.weighted_variance xs ~w);
-  check_float ~eps:1e-12 "uniform weights = median" (D.median xs)
-    (D.weighted_quantile xs ~w 0.5)
+    (D.weighted_mean xs ~w)
 
 let test_weighted_mean_replication () =
   (* Integer weights behave like sample replication. *)
@@ -90,17 +80,12 @@ let test_weighted_mean_replication () =
   (* Scale invariance: weights are relative masses. *)
   let w10 = Array.map (fun wi -> 10.0 *. wi) w in
   check_float ~eps:1e-12 "weight scale invariant (mean)"
-    (D.weighted_mean xs ~w) (D.weighted_mean xs ~w:w10);
-  check_float ~eps:1e-12 "weight scale invariant (variance)"
-    (D.weighted_variance xs ~w)
-    (D.weighted_variance xs ~w:w10)
+    (D.weighted_mean xs ~w) (D.weighted_mean xs ~w:w10)
 
 let test_weighted_zero_weight_ignored () =
   let xs = [| 1.0; 2.0; 1000.0 |] and w = [| 1.0; 1.0; 0.0 |] in
   check_float ~eps:1e-12 "zero-weight sample invisible" 1.5
-    (D.weighted_mean xs ~w);
-  check_float ~eps:1e-12 "quantile ignores it too" 2.0
-    (D.weighted_quantile xs ~w 1.0)
+    (D.weighted_mean xs ~w)
 
 let test_weighted_rejects_bad_weights () =
   let xs = [| 1.0; 2.0 |] in
@@ -125,13 +110,6 @@ let test_effective_sample_size () =
 
 (* --- Histogram --- *)
 
-let test_histogram_counts () =
-  let xs = [| 0.0; 0.1; 0.9; 1.0 |] in
-  let h = H.build ~bins:2 xs in
-  Alcotest.(check int) "total" 4 h.total;
-  Alcotest.(check int) "bin0" 2 h.counts.(0);
-  Alcotest.(check int) "bin1" 2 h.counts.(1)
-
 let test_kde_integrates_to_one () =
   let xs = gaussian_sample ~seed:5 ~n:2000 ~mean:0.0 ~sigma:1.0 in
   let series = H.kde ~points:201 xs in
@@ -153,7 +131,7 @@ let test_kde_peak_near_mean () =
   check_float ~eps:0.2 "peak position" 3.0 (fst best)
 
 let test_sparkline_length () =
-  let s = H.sparkline ~width:10 (Array.init 100 Float.of_int) in
+  let s = H.sparkline (Array.init 100 Float.of_int) in
   Alcotest.(check bool) "non-empty" true (String.length s > 0)
 
 let test_wilson_interval () =
@@ -168,17 +146,6 @@ let test_wilson_interval () =
   match H.wilson_interval ~k:5 4 with
   | _ -> Alcotest.fail "expected Invalid_argument (k > n)"
   | exception Invalid_argument _ -> ()
-
-let test_exceedance_tails () =
-  let xs = Array.init 100 (fun i -> Float.of_int i) in
-  let up = H.exceedance xs 89.5 in
-  Alcotest.(check int) "upper count" 10 up.H.t_count;
-  check_float ~eps:1e-12 "upper prob" 0.1 up.H.t_prob;
-  Alcotest.(check bool) "wilson brackets p-hat" true
-    (up.H.t_lo < 0.1 && 0.1 < up.H.t_hi);
-  let low = H.exceedance ~tail:`Lower xs 10.0 in
-  (* Strict inequality: the sample exactly at the threshold is safe. *)
-  Alcotest.(check int) "lower count strict" 10 low.H.t_count
 
 (* --- Qq --- *)
 
@@ -227,11 +194,6 @@ let test_ellipse_coverage () =
       check_float ~eps:0.02 (Printf.sprintf "%d-sigma coverage" k) expected cov)
     [ (1, 0.3935); (2, 0.8647); (3, 0.9889) ]
 
-let test_ellipse_of_samples_coverage () =
-  let xs, ys = bivariate_sample ~seed:12 ~n:20_000 in
-  let e = E.of_samples ~confidence:0.5 xs ys in
-  check_float ~eps:0.02 "50% ellipse" 0.5 (E.coverage e xs ys)
-
 let test_ellipse_center () =
   let xs, ys = bivariate_sample ~seed:13 ~n:20_000 in
   let e = E.of_sigma_level ~n_sigma:1 xs ys in
@@ -249,11 +211,13 @@ let test_ellipse_points_on_boundary () =
   let cx, cy = e.center in
   Array.iter
     (fun (x, y) ->
+      (* A single point's coverage is 1 inside, 0 outside. *)
+      let inside (px, py) = Float.equal (E.coverage e [| px |] [| py |]) 1.0 in
       let inside_shrunk =
-        E.contains e (cx +. (0.9 *. (x -. cx)), cy +. (0.9 *. (y -. cy)))
+        inside (cx +. (0.9 *. (x -. cx)), cy +. (0.9 *. (y -. cy)))
       in
       let outside_grown =
-        not (E.contains e (cx +. (1.1 *. (x -. cx)), cy +. (1.1 *. (y -. cy))))
+        not (inside (cx +. (1.1 *. (x -. cx)), cy +. (1.1 *. (y -. cy))))
       in
       if not (inside_shrunk && outside_grown) then
         Alcotest.fail "boundary point mis-located")
@@ -293,10 +257,6 @@ let test_relative_diffs () =
   check_float ~eps:1e-12 "std diff" 0.5 (C.relative_std_diff a b)
 
 (* --- degenerate inputs --- *)
-
-let test_histogram_constant_sample () =
-  let h = H.build (Array.make 10 5.0) in
-  Alcotest.(check int) "all binned" 10 h.total
 
 let test_variance_needs_two () =
   match D.variance [| 1.0 |] with
@@ -392,7 +352,6 @@ let () =
           Alcotest.test_case "quantile unsorted" `Quick test_quantile_unsorted;
           Alcotest.test_case "skew symmetric" `Slow test_skewness_symmetric;
           Alcotest.test_case "skew lognormal" `Slow test_skewness_positive_for_lognormal;
-          Alcotest.test_case "kurtosis gaussian" `Slow test_kurtosis_gaussian;
           Alcotest.test_case "cov/corr" `Quick test_covariance_correlation;
           Alcotest.test_case "sigma/mu" `Quick test_sigma_over_mu;
           Alcotest.test_case "empty rejected" `Quick test_empty_rejected;
@@ -413,13 +372,10 @@ let () =
         ] );
       ( "histogram",
         [
-          Alcotest.test_case "counts" `Quick test_histogram_counts;
           Alcotest.test_case "kde integral" `Quick test_kde_integrates_to_one;
           Alcotest.test_case "kde peak" `Quick test_kde_peak_near_mean;
           Alcotest.test_case "sparkline" `Quick test_sparkline_length;
-          Alcotest.test_case "constant sample" `Quick test_histogram_constant_sample;
           Alcotest.test_case "wilson interval" `Quick test_wilson_interval;
-          Alcotest.test_case "exceedance tails" `Quick test_exceedance_tails;
         ] );
       ( "qq",
         [
@@ -431,7 +387,6 @@ let () =
       ( "ellipse",
         [
           Alcotest.test_case "sigma coverage" `Slow test_ellipse_coverage;
-          Alcotest.test_case "confidence coverage" `Slow test_ellipse_of_samples_coverage;
           Alcotest.test_case "center" `Quick test_ellipse_center;
           Alcotest.test_case "boundary points" `Quick test_ellipse_points_on_boundary;
           Alcotest.test_case "degenerate constant" `Quick test_ellipse_degenerate_constant;

@@ -24,14 +24,6 @@ let test_rng_seed_changes_stream () =
   done;
   Alcotest.(check bool) "streams differ" true (!same < 4)
 
-let test_rng_copy_independent () =
-  let a = Rng.create ~seed:7 in
-  let b = Rng.copy a in
-  let va = Rng.float a in
-  (* advancing a must not move b *)
-  let vb = Rng.float b in
-  check_float "copy replays" va vb
-
 let test_rng_split_independent () =
   let a = Rng.create ~seed:7 in
   let b = Rng.split a in
@@ -89,18 +81,25 @@ let test_rng_lognormal_positive () =
 
 (* --- Special --- *)
 
+(* erf and erfc through the normal CDF built on them:
+   erf x = 2 Phi(x sqrt 2) - 1 and erfc x = 2 Phi(-x sqrt 2). *)
+let erf x = (2.0 *. Special.normal_cdf (x *. sqrt 2.0)) -. 1.0
+let erfc x = 2.0 *. Special.normal_cdf (-.x *. sqrt 2.0)
+
 let test_erf_known_values () =
   (* Abramowitz & Stegun table values. *)
-  check_float ~eps:2e-7 "erf 0" 0.0 (Special.erf 0.0);
-  check_float ~eps:2e-7 "erf 0.5" 0.5204999 (Special.erf 0.5);
-  check_float ~eps:2e-7 "erf 1" 0.8427008 (Special.erf 1.0);
-  check_float ~eps:2e-7 "erf 2" 0.9953223 (Special.erf 2.0);
-  check_float ~eps:2e-7 "erf -1 odd" (-.Special.erf 1.0) (Special.erf (-1.0))
+  check_float ~eps:2e-7 "erf 0" 0.0 (erf 0.0);
+  check_float ~eps:2e-7 "erf 0.5" 0.5204999 (erf 0.5);
+  check_float ~eps:2e-7 "erf 1" 0.8427008 (erf 1.0);
+  check_float ~eps:2e-7 "erf 2" 0.9953223 (erf 2.0);
+  check_float ~eps:2e-7 "erf -1 odd" (-.erf 1.0) (erf (-1.0))
 
 let test_erfc_complement () =
-  List.iter
-    (fun x -> check_float ~eps:1e-12 "erf + erfc = 1" 1.0 (Special.erf x +. Special.erfc x))
-    [ -2.0; -0.3; 0.0; 0.7; 1.9 ]
+  (* The complements of the same table values, from the lower tail. *)
+  check_float ~eps:2e-7 "erfc 0.5" (1.0 -. 0.5204999) (erfc 0.5);
+  check_float ~eps:2e-7 "erfc 1" (1.0 -. 0.8427008) (erfc 1.0);
+  check_float ~eps:2e-7 "erfc 2" (1.0 -. 0.9953223) (erfc 2.0);
+  check_float ~eps:2e-7 "erfc -1" (1.0 +. 0.8427008) (erfc (-1.0))
 
 let test_normal_cdf_symmetry () =
   check_float ~eps:1e-9 "cdf 0" 0.5 (Special.normal_cdf 0.0);
@@ -129,25 +128,6 @@ let test_normal_quantile_domain () =
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ())
     [ 0.0; 1.0; -0.1; 1.5 ]
-
-let test_log_gamma_factorials () =
-  (* Gamma(n) = (n-1)! *)
-  check_float ~eps:1e-9 "lgamma 1" 0.0 (Special.log_gamma 1.0);
-  check_float ~eps:1e-9 "lgamma 2" 0.0 (Special.log_gamma 2.0);
-  check_float ~eps:1e-8 "lgamma 5 = ln 24" (log 24.0) (Special.log_gamma 5.0);
-  check_float ~eps:1e-8 "lgamma 0.5 = ln sqrt(pi)"
-    (0.5 *. log Float.pi)
-    (Special.log_gamma 0.5)
-
-let test_chi2_quantile_known () =
-  (* dof=2: quantile(p) = -2 ln(1-p). *)
-  List.iter
-    (fun p ->
-      check_float ~eps:1e-6 "chi2 dof2" (-2.0 *. log (1.0 -. p))
-        (Special.chi2_quantile ~p ~dof:2))
-    [ 0.1; 0.393469; 0.5; 0.864665; 0.988891 ];
-  (* dof=1: quantile(0.95) = 3.8415 *)
-  check_float ~eps:1e-3 "chi2 dof1 0.95" 3.8415 (Special.chi2_quantile ~p:0.95 ~dof:1)
 
 (* --- Floatx --- *)
 
@@ -272,7 +252,6 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "seed changes stream" `Quick test_rng_seed_changes_stream;
-          Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "int bound" `Quick test_rng_int_bound;
@@ -290,8 +269,6 @@ let () =
           Alcotest.test_case "quantile roundtrip" `Quick test_normal_quantile_roundtrip;
           Alcotest.test_case "quantile known" `Quick test_normal_quantile_known;
           Alcotest.test_case "quantile domain" `Quick test_normal_quantile_domain;
-          Alcotest.test_case "log_gamma factorials" `Quick test_log_gamma_factorials;
-          Alcotest.test_case "chi2 quantiles" `Quick test_chi2_quantile_known;
           QCheck_alcotest.to_alcotest prop_quantile_monotone;
           QCheck_alcotest.to_alcotest prop_quantile_cdf_roundtrip;
           QCheck_alcotest.to_alcotest prop_cdf_quantile_roundtrip;
