@@ -99,8 +99,11 @@ let checkpoint_every_t =
     value & opt nonneg_int 100
     & info [ "checkpoint-every" ] ~docv:"N"
         ~doc:
-          "Flush a snapshot after every $(docv) newly completed samples (0 \
-           = only at run end / interruption).")
+          "Flush a snapshot once at least $(docv) samples have completed \
+           since the last flush (0 = only at run end / interruption). Past \
+           8*$(docv) samples the interval grows to 1/8 of the samples \
+           done, so a long run makes few flushes and a crash loses less \
+           than 1/8 of its work.")
 
 let resume_t =
   Arg.(
@@ -650,6 +653,12 @@ let () =
     Format.eprintf
       "vstat: %s: only %d/%d samples completed, at least %d needed@."
       label completed n needed;
+    exit 1
+  | exception Vstat_runtime.Journal.Rejected (Vstat_runtime.Journal.Io _ as e)
+    ->
+    std_formatter_flush ();
+    Format.eprintf "vstat: cannot checkpoint: %s@."
+      (Vstat_runtime.Journal.error_to_string e);
     exit 1
   | exception Vstat_runtime.Journal.Rejected e ->
     Format.eprintf "vstat: cannot resume: %s@."

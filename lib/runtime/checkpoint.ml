@@ -10,10 +10,12 @@
    honest after a resume.
 
    Concurrency: workers record completed samples under one mutex; when
-   [every] new samples have accumulated, the recording worker itself
-   serializes the full journal and writes it through
-   {!Vstat_util.Atomic_io} while holding the mutex (other workers keep
-   computing and only block if they finish a sample during the flush).
+   [max every (held / 8)] new samples have accumulated ([held] = restored
+   plus recorded), the recording worker itself serializes the full
+   journal and writes it through {!Vstat_util.Atomic_io} while holding
+   the mutex (other workers keep computing and only block if they finish
+   a sample during the flush).  A failed flush never fails the sample: it
+   stops the pool, and [run] raises it once the pool has drained.
    Deadlines and signals set a flag the pool polls at sample boundaries;
    the final flush then runs on the caller, so no async-signal-unsafe
    work ever happens inside a signal handler.  A trapped signal ends the
@@ -281,6 +283,10 @@ let run ?jobs ?on_progress ?(retry = 1) ?deadline ?settings ?(signals = [])
   | _ -> ());
   let mu = Mutex.create () in
   let dirty = ref 0 in
+  let held = ref !restored in
+  (* The first failed flush: set under [mu], polled by [should_stop], and
+     raised by [run] once the pool has drained. *)
+  let flush_error = Atomic.make None in
   let flush_locked () =
     match store with
     | Some (_, codec, path) ->
@@ -305,9 +311,15 @@ let run ?jobs ?on_progress ?(retry = 1) ?deadline ?settings ?(signals = [])
     Mutex.protect mu (fun () ->
         persisted.(index) <- Some { s_attempts = attempts; s_payload = payload };
         incr dirty;
-        if s.every > 0 && !dirty >= s.every then begin
-          flush_locked ();
-          dirty := 0
+        incr held;
+        (* Geometric schedule: the interval grows with the samples held, so
+           flushes past [8 * every] are O(log n) and a crash loses fewer
+           than [max every (held / 8)] samples. *)
+        if s.every > 0 && !dirty >= Int.max s.every (!held / 8) then begin
+          dirty := 0;
+          try flush_locked ()
+          with Journal.Rejected e ->
+            ignore (Atomic.compare_and_set flush_error None (Some e))
         end)
   in
   let pending =
@@ -334,6 +346,12 @@ let run ?jobs ?on_progress ?(retry = 1) ?deadline ?settings ?(signals = [])
     Atomic.get sig_flag <> min_int
     || (match deadline with Some d -> d () | None -> false)
   in
+  let should_stop =
+    match store with
+    | None -> should_stop
+    | Some _ ->
+      fun () -> Option.is_some (Atomic.get flush_error) || should_stop ()
+  in
   let f' ~attempt i =
     let v = f ~attempt ~index:i (Rng.substream ~seed:base_seed ~index:i) in
     (match store with
@@ -348,7 +366,9 @@ let run ?jobs ?on_progress ?(retry = 1) ?deadline ?settings ?(signals = [])
   in
   (* Final flush: the snapshot always reflects the run's terminal state
      (including a complete one — resuming a finished run is a no-op). *)
-  if Option.is_some store then Mutex.protect mu (fun () -> flush_locked ());
+  (match Atomic.get flush_error with
+  | Some e -> raise (Journal.Rejected e)
+  | None -> if Option.is_some store then Mutex.protect mu flush_locked);
   let cells = Array.make n None in
   let attempts = Array.make n 0 in
   Array.iteri

@@ -2,14 +2,15 @@
 
     This module wraps {!Runtime.map_subset_attempt_samples} with a durable
     run journal ({!Journal}): completed sample values are recorded as they
-    land, a snapshot is atomically flushed to disk every [every] samples
-    and at run end, and a later invocation with [resume:true] reloads the
-    snapshot, verifies the run identity (label, fingerprint+codec, sample
-    count, RNG base seed, retry depth) and replays {e only} the incomplete
-    indices on their original substreams.  Because every sample is a pure
-    function of its index and substream, an interrupted-and-resumed run is
-    bit-identical to an uninterrupted one, at any [jobs] count — and
-    resuming under a different worker count is equally safe.
+    land, a snapshot is atomically flushed to disk on a geometric schedule
+    (see {!settings}) and at run end, and a later invocation with
+    [resume:true] reloads the snapshot, verifies the run identity (label,
+    fingerprint+codec, sample count, RNG base seed, retry depth) and
+    replays {e only} the incomplete indices on their original substreams.
+    Because every sample is a pure function of its index and substream, an
+    interrupted-and-resumed run is bit-identical to an uninterrupted one,
+    at any [jobs] count — and resuming under a different worker count is
+    equally safe.
 
     Graceful degradation: a deadline watchdog ({!Deadline.watchdog}) or a
     caught signal drains the pool at the next sample boundary and flushes
@@ -43,7 +44,14 @@ val float_triple_codec : (float * float * float) codec
 
 type settings = {
   dir : string;    (** snapshot directory (created on first flush) *)
-  every : int;     (** flush after this many new samples; 0 = only at end *)
+  every : int;
+      (** the floor of the flush interval; 0 = only at end.  A flush comes
+          when the samples recorded since the last one reach
+          [max every (held / 8)], [held] counting restored plus recorded
+          samples: every [every] samples up to [8 * every], then a
+          geometric schedule, O(log n) flushes for n samples.  A crash
+          (no final flush) loses fewer than [max every (held / 8)]
+          samples; resuming recomputes them bit-identically. *)
   resume : bool;   (** load and verify an existing snapshot first *)
 }
 
@@ -136,9 +144,13 @@ val run :
     [?on_progress] is granted as a fault seam: resume_chaos watches the
     completed count through it to kill the run mid-flight.
 
+    A failed flush never fails a sample: it stops the pool at the next
+    sample boundary, and [run] raises it once the pool has drained.
+
     @raise Interrupted when one of [signals] stopped the run.
     @raise Journal.Rejected when [settings.resume] finds a snapshot that
-    is corrupt, version-skewed, or belongs to a different run.
+    is corrupt, version-skewed, or belongs to a different run, and
+    [Journal.Rejected (Io _)] when a flush cannot write the snapshot.
     @raise Invalid_argument when [n < 0] or [retry < 1]. *)
 
 (** {1 Batch sweeps} *)

@@ -220,7 +220,13 @@ let decode ?(path = in_memory) s =
 
 (* --- IO ---------------------------------------------------------------- *)
 
-let write ~path snap = Vstat_util.Atomic_io.write_file ~path (encode snap)
+let write ~path snap =
+  let blob = encode snap in
+  let io detail = raise (Rejected (Io { path; detail })) in
+  try Vstat_util.Atomic_io.write_file ~path blob with
+  | Unix.Unix_error (err, fn, arg) ->
+    io (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message err))
+  | Sys_error detail | Invalid_argument detail -> io detail
 
 let read ~path =
   match Vstat_util.Atomic_io.read_file ~path with

@@ -51,8 +51,8 @@ type error =
       (** identity disagreement found by {!check_identity} *)
 
 exception Rejected of error
-(** Raised by {!Checkpoint} when a resume is refused; registered with
-    [Printexc] for readable reports. *)
+(** Raised by {!write} and by {!Checkpoint} when a resume is refused or a
+    flush fails; registered with [Printexc] for readable reports. *)
 
 val in_memory : string
 [@@vstat.allow "unused-export"]
@@ -77,7 +77,9 @@ val decode : ?path:string -> string -> (snapshot, error) result
 (** [path] (default {!in_memory}) is recorded in any error payload. *)
 
 val write : path:string -> snapshot -> unit
-(** Atomic, durable replacement of [path] ({!Vstat_util.Atomic_io}). *)
+(** Atomic, durable replacement of [path] ({!Vstat_util.Atomic_io}).
+    @raise Rejected [(Io {path; detail})] when the file or its directory
+    cannot be written. *)
 
 val read : path:string -> (snapshot, error) result
 

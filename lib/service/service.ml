@@ -21,9 +21,10 @@
    discarded by an ownership check at publish time ([Running] records the
    (worker, generation) pair that owns the job).  The zombie and its
    replacement may briefly race on the same journal file; that is safe
-   because journal flushes are write-temp -> fsync -> atomic-rename and
-   every sample is a pure function of (spec, index) — either writer's
-   snapshot is consistent and correct.
+   because every flush writes its own temp file (named by pid, domain and
+   a sequence number) before the fsync and atomic rename, and every
+   sample is a pure function of (spec, index) — either writer's snapshot
+   is consistent and correct.
 
    Nothing polls on a timer except the supervisor's heartbeat tick.  Idle
    workers block on [work], a condition tied to the mutex.  The accept
@@ -433,6 +434,9 @@ let run_job t st job ~round =
 let execute t st job ~round =
   match run_job t st job ~round with
   | summary -> summary
+  | exception Journal.Rejected (Journal.Io _ as e) ->
+    (* The state dir cannot be written: the snapshot is not at fault. *)
+    error_summary job (Journal.error_to_string e)
   | exception Journal.Rejected e ->
     (* The cached snapshot under this content address does not belong to
        this job (CRC collision or stale file): quarantine it — the typed

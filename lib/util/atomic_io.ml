@@ -26,11 +26,18 @@ let fsync_dir dir =
     Unix.close fd
   | exception Unix.Unix_error _ -> ()
 
+(* Every domain of a process shares its pid, so the temp name also
+   carries the domain and a process-wide sequence number: two writers of
+   one path never share a temp file. *)
+let tmp_seq = Atomic.make 0
+
 let write_file ~path contents =
   let dir = Filename.dirname path in
   ensure_dir dir;
   let tmp =
-    Printf.sprintf "%s.tmp.%d" path (Unix.getpid ())
+    Printf.sprintf "%s.tmp.%d.%d.%d" path (Unix.getpid ())
+      (Domain.self () :> int)
+      (Atomic.fetch_and_add tmp_seq 1)
   in
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644

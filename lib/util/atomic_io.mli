@@ -8,8 +8,11 @@
 
 val write_file : path:string -> string -> unit
 (** Replace [path] with [contents] atomically and durably.  The parent
-    directory is created if missing.  @raise Unix.Unix_error on IO
-    failure (the temp file is removed on a failed rename). *)
+    directory is created if missing.  Every call writes its own temp file
+    (pid, domain and a sequence number in its name), so concurrent writers
+    of one path, in one process or several, never share one.
+    @raise Unix.Unix_error on IO failure (the temp file is removed on a
+    failed rename), [Invalid_argument] if the parent is not a directory. *)
 
 val read_file : path:string -> (string, string) result
 (** Whole-file read; [Error msg] if the file is missing or unreadable. *)

@@ -164,6 +164,28 @@ let test_journal_prefixes () =
       Alcotest.failf "prefix of %d bytes raised %s" len (Printexc.to_string e)
   done
 
+(* Two domains of one process rewriting one snapshot: every writer has its
+   own temp file, so no rename loses its source and no reader sees a file
+   spliced from two writes. *)
+let test_concurrent_writes () =
+  let path = Filename.concat (fresh_dir ()) "shared.ckpt" in
+  let snap = snapshot () in
+  let writer () =
+    let raised = ref 0 and bad_reads = ref 0 in
+    for _ = 1 to 200 do
+      (try J.write ~path snap with _ -> incr raised);
+      match J.read ~path with Ok _ -> () | Error _ -> incr bad_reads
+    done;
+    (!raised, !bad_reads)
+  in
+  let other = Domain.spawn writer in
+  let r1, b1 = writer () in
+  let r2, b2 = Domain.join other in
+  Alcotest.(check int) "writes raised" 0 (r1 + r2);
+  Alcotest.(check int) "reads not Ok" 0 (b1 + b2);
+  Alcotest.(check (array string)) "no temp file left" [| "shared.ckpt" |]
+    (Sys.readdir (Filename.dirname path))
+
 let prop_journal_mutations =
   let s = J.encode (snapshot ()) in
   (* Mutate between the version header and the CRC footer. *)
@@ -513,6 +535,143 @@ let test_settings_without_codec () =
   Alcotest.(check (array string)) "codec run journaled" [| "nc.ckpt" |]
     (Sys.readdir with_codec)
 
+(* A snapshot directory below a regular file cannot be created.  The
+   failed flush is the run's error, typed, and never a sample's: no
+   sample is retried, and the run stops instead of computing on. *)
+let test_blocked_dir () =
+  let blocker = Filename.concat (fresh_dir ()) "blocker" in
+  Out_channel.with_open_bin blocker ignore;
+  let retried = Atomic.make 0 and evaluated = Atomic.make 0 in
+  let f ~attempt ~index rng =
+    Atomic.incr evaluated;
+    if attempt > 0 then Atomic.incr retried;
+    sample ~attempt ~index rng
+  in
+  (match
+     C.run ~jobs:2 ~retry:3
+       ~settings:(C.settings ~every:8 (Filename.concat blocker "x"))
+       ~codec:C.float_codec ~label:"blocked" ~rng:(Rng.create ~seed) ~n:64 ~f
+       ()
+   with
+  | _ -> Alcotest.fail "blocked snapshot dir accepted"
+  | exception J.Rejected (J.Io { path; _ }) ->
+    Alcotest.(check string) "path named"
+      (Filename.concat (Filename.concat blocker "x") "blocked.ckpt")
+      path
+  | exception e -> Alcotest.failf "untyped failure: %s" (Printexc.to_string e));
+  Alcotest.(check int) "no sample retried" 0 (Atomic.get retried);
+  Alcotest.(check bool) "stopped early" true (Atomic.get evaluated < 64)
+
+(* --- the flush schedule ------------------------------------------------- *)
+
+(* Flush when [dirty >= max every (held / 8)]: the rule, counted. *)
+let scheduled_flushes ~n ~every =
+  let rec go held dirty acc =
+    if held = n then acc
+    else
+      let held = held + 1 and dirty = dirty + 1 in
+      if dirty >= Int.max every (held / 8) then go held 0 (acc + 1)
+      else go held dirty acc
+  in
+  go 0 0 0
+
+let knee_n = 4096
+let knee_every = 8
+
+let snapshot_entries path =
+  match J.read ~path with
+  | Ok snap -> Array.length snap.J.entries
+  | Error e -> Alcotest.failf "snapshot unreadable: %s" (J.error_to_string e)
+
+(* One jobs:1 run observed from inside the sample function: when sample
+   [c] starts, exactly [c] samples are recorded.  [on_progress] fires once
+   per pool chunk (512 samples here), too coarse to see single flushes.
+   The snapshot's size grows with its entry count, so a size change is a
+   new flush.  Returns the entries on disk at every c, and the final
+   snapshot's entry count. *)
+let observed_schedule =
+  lazy
+    (let settings = C.settings ~every:knee_every (fresh_dir ()) in
+     let path = C.snapshot_path settings "knee" in
+     let seen = Array.make knee_n 0 in
+     let last_size = ref (-1) and last_entries = ref 0 in
+     let f ~attempt ~index rng =
+       (match (Unix.stat path).Unix.st_size with
+       | size when size <> !last_size ->
+         last_size := size;
+         last_entries := snapshot_entries path
+       | _ -> ()
+       | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+       seen.(index) <- !last_entries;
+       sample ~attempt ~index rng
+     in
+     let o =
+       C.run ~jobs:1 ~settings ~codec:C.float_codec ~label:"knee"
+         ~rng:(Rng.create ~seed) ~n:knee_n ~f ()
+     in
+     Alcotest.(check bool) "complete" true (C.is_complete o);
+     (seen, snapshot_entries path))
+
+let test_crash_loss_bound () =
+  let seen, final = Lazy.force observed_schedule in
+  Array.iteri
+    (fun c entries ->
+      let bound = Int.max knee_every (c / 8) in
+      if entries <= c - bound then
+        Alcotest.failf "at %d samples the snapshot holds %d (loss bound %d)"
+          c entries bound)
+    seen;
+  Alcotest.(check int) "final flush holds every sample" knee_n final
+
+let test_flush_count () =
+  let seen, final = Lazy.force observed_schedule in
+  let states = ref 0 and prev = ref 0 in
+  Array.iter
+    (fun entries ->
+      if entries <> !prev then begin
+        incr states;
+        prev := entries
+      end)
+    seen;
+  if final <> !prev then incr states;
+  Alcotest.(check int) "the rule's count" 39
+    (scheduled_flushes ~n:knee_n ~every:knee_every);
+  Alcotest.(check int) "distinct snapshot states" (39 + 1) !states
+
+(* A crash at c = 3000, past the [8 * every] knee: the snapshot on disk is
+   the last periodic flush, and resuming from it recomputes the lost tail
+   bit-identically. *)
+let test_kill_past_knee ~resume_jobs () =
+  let reference = plain ~jobs:1 ~seed ~n:knee_n sample in
+  let settings = C.settings ~every:knee_every (fresh_dir ()) in
+  let path = C.snapshot_path settings "crash" in
+  let on_disk = ref None in
+  let f ~attempt ~index rng =
+    if index = 3000 then
+      on_disk := Some (Vstat_util.Atomic_io.read_file ~path);
+    sample ~attempt ~index rng
+  in
+  ignore
+    (C.run ~jobs:1 ~settings ~codec:C.float_codec ~label:"crash"
+       ~rng:(Rng.create ~seed) ~n:knee_n ~f ());
+  (match !on_disk with
+  | Some (Ok blob) -> Vstat_util.Atomic_io.write_file ~path blob
+  | _ -> Alcotest.fail "no snapshot on disk at 3000 samples");
+  let lost = 3000 - snapshot_entries path in
+  Alcotest.(check bool) "some samples lost, within the bound" true
+    (lost > 0 && lost < 3000 / 8);
+  let o =
+    C.run ~jobs:resume_jobs
+      ~settings:{ settings with C.resume = true }
+      ~codec:C.float_codec ~label:"crash" ~rng:(Rng.create ~seed) ~n:knee_n
+      ~f:sample ()
+  in
+  Alcotest.(check int) "restored" (3000 - lost) o.C.restored;
+  check_bits_array
+    (Printf.sprintf "crashed at 3000, resumed (jobs:%d) = uninterrupted"
+       resume_jobs)
+    reference (C.values o)
+
 let test_caller_fingerprint () =
   (* vstatd's canonical specs are '|'-separated and may carry "codec:"
      themselves; only the suffix the driver appends is stripped. *)
@@ -540,6 +699,8 @@ let () =
             test_journal_prefixes;
           QCheck_alcotest.to_alcotest prop_journal_mutations;
           Alcotest.test_case "identity mismatch" `Quick test_identity_mismatch;
+          Alcotest.test_case "concurrent same-path writes" `Quick
+            test_concurrent_writes;
           Alcotest.test_case "codecs" `Quick test_codecs;
         ] );
       ( "runtime",
@@ -566,5 +727,16 @@ let () =
             test_settings_without_codec;
           Alcotest.test_case "caller fingerprint" `Quick
             test_caller_fingerprint;
+          Alcotest.test_case "blocked snapshot dir is a typed Io error" `Quick
+            test_blocked_dir;
+        ] );
+      ( "schedule",
+        [
+          Alcotest.test_case "crash-loss bound" `Quick test_crash_loss_bound;
+          Alcotest.test_case "flush count" `Quick test_flush_count;
+          Alcotest.test_case "crash past the knee, resume jobs:1" `Quick
+            (test_kill_past_knee ~resume_jobs:1);
+          Alcotest.test_case "crash past the knee, resume jobs:4" `Quick
+            (test_kill_past_knee ~resume_jobs:4);
         ] );
     ]
