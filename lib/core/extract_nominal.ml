@@ -5,13 +5,18 @@ type dataset = {
   transfer : (float * float * float) array;
   output : (float * float * float) array;
   cv : (float * float) array;
-  gm : (float * float) array;
 }
 
-let current dev ~vgs ~vds ~vdd =
-  let curve = Vstat_device.Metrics.id_vg_curve dev ~vds ~vgs_points:[| vgs |] in
-  ignore vdd;
-  snd curve.(0)
+(* |Id| at one bias point in the frame of {!Vstat_device.Metrics.id_vg_curve}
+   (a PMOS source sits at [max vgs vds]). *)
+let current dev ~vgs ~vds =
+  Vstat_device.Metrics.bias_current dev ~vgs ~vds ~vdd:(Float.max vgs vds)
+
+(* |Cgg| at Vds = 0 in the device's measurement frame. *)
+let gate_cap dev ~vdd vgs =
+  match dev.Dm.polarity with
+  | Dm.Nmos -> Float.abs (Dm.cgg dev ~vg:vgs ~vd:0.0 ~vs:0.0 ~vb:0.0)
+  | Dm.Pmos -> Float.abs (Dm.cgg dev ~vg:(vdd -. vgs) ~vd:vdd ~vs:vdd ~vb:vdd)
 
 let golden_dataset dev ~vdd =
   let vgs_grid = Vstat_util.Floatx.linspace 0.0 vdd 21 in
@@ -19,7 +24,7 @@ let golden_dataset dev ~vdd =
     Array.concat
       (List.map
          (fun vds ->
-           Array.map (fun vgs -> (vgs, vds, current dev ~vgs ~vds ~vdd)) vgs_grid)
+           Array.map (fun vgs -> (vgs, vds, current dev ~vgs ~vds)) vgs_grid)
          [ 0.05; vdd ])
   in
   let vds_grid = Vstat_util.Floatx.linspace 0.02 vdd 13 in
@@ -28,7 +33,7 @@ let golden_dataset dev ~vdd =
       (List.map
          (fun frac ->
            let vgs = frac *. vdd in
-           Array.map (fun vds -> (vgs, vds, current dev ~vgs ~vds ~vdd)) vds_grid)
+           Array.map (fun vds -> (vgs, vds, current dev ~vgs ~vds)) vds_grid)
          [ 0.33; 0.41; 0.5; 0.66; 0.83; 1.0 ])
   in
   (* Strong-inversion transfer points in linear space: constrain the Id(Vg)
@@ -45,52 +50,25 @@ let golden_dataset dev ~vdd =
            Array.map
              (fun frac ->
                let vgs = frac *. vdd in
-               (vgs, vds, current dev ~vgs ~vds ~vdd))
+               (vgs, vds, current dev ~vgs ~vds))
              [| 0.55; 0.7; 0.85; 1.0 |])
          [ 0.03; 0.06; 0.1 ])
   in
   let gm_points =
     Array.map
-      (fun vgs -> (vgs, vdd, current dev ~vgs ~vds:vdd ~vdd))
+      (fun vgs -> (vgs, vdd, current dev ~vgs ~vds:vdd))
       (Vstat_util.Floatx.linspace (0.45 *. vdd) vdd 10)
   in
   let output = Array.concat [ output_family; gm_points; triode_points ] in
-  (* Explicit transconductance targets: Id-value fitting leaves gm free to
-     drift by 10-20 %, and BPV divides variances by squared sensitivities,
-     so gm fidelity directly controls how well the extracted statistics
-     transfer to circuits. *)
-  let gm_of dev vgs =
-    match dev.Vstat_device.Device_model.polarity with
-    | Vstat_device.Device_model.Nmos ->
-      Float.abs (Vstat_device.Device_model.gm dev ~vg:vgs ~vd:vdd ~vs:0.0 ~vb:0.0)
-    | Vstat_device.Device_model.Pmos ->
-      Float.abs
-        (Vstat_device.Device_model.gm dev ~vg:(vdd -. vgs) ~vd:0.0 ~vs:vdd
-           ~vb:vdd)
-  in
-  let gm =
-    Array.map
-      (fun vgs -> (vgs, gm_of dev vgs))
-      (Vstat_util.Floatx.linspace (0.4 *. vdd) vdd 9)
-  in
   (* Gate-capacitance curve at Vds = 0: pins the threshold/charge linkage
      that pure I-V fitting leaves degenerate (vt0 can trade against vxo for
      current but not for charge). *)
   let cv =
     Array.map
-      (fun vgs ->
-        let cgg =
-          match dev.Vstat_device.Device_model.polarity with
-          | Vstat_device.Device_model.Nmos ->
-            Vstat_device.Device_model.cgg dev ~vg:vgs ~vd:0.0 ~vs:0.0 ~vb:0.0
-          | Vstat_device.Device_model.Pmos ->
-            Vstat_device.Device_model.cgg dev ~vg:(vdd -. vgs) ~vd:vdd ~vs:vdd
-              ~vb:vdd
-        in
-        (vgs, Float.abs cgg))
+      (fun vgs -> (vgs, gate_cap dev ~vdd vgs))
       (Vstat_util.Floatx.linspace 0.0 vdd 13)
   in
-  { transfer; output; cv; gm }
+  { transfer; output; cv }
 
 let objective ~polarity dataset (p : Vs.params) =
   let dev = Vs.device ~polarity p in
@@ -99,12 +77,17 @@ let objective ~polarity dataset (p : Vs.params) =
   let n_t = Array.length dataset.transfer in
   let n_o = Array.length dataset.output in
   let acc = ref 0.0 in
+  (* Ioff anchor: the off-state point (vgs = 0, vds = Vdd) sets the absolute
+     leakage scale of every circuit figure, so it gets its own term instead
+     of being one of 42 log-space points. *)
+  let ioff_term = ref 0.0 in
   Array.iter
     (fun (vgs, vds, id_ref) ->
-      let id = current dev ~vgs ~vds ~vdd in
+      let id = current dev ~vgs ~vds in
       let e =
         log10 (Float.max id log_floor) -. log10 (Float.max id_ref log_floor)
       in
+      if Float.equal vgs 0.0 && Float.equal vds vdd then ioff_term := e *. e;
       acc := !acc +. (e *. e))
     dataset.transfer;
   let log_term = !acc /. Float.of_int n_t in
@@ -114,7 +97,7 @@ let objective ~polarity dataset (p : Vs.params) =
   acc := 0.0;
   Array.iter
     (fun (vgs, vds, id_ref) ->
-      let id = current dev ~vgs ~vds ~vdd in
+      let id = current dev ~vgs ~vds in
       let e = (id -. id_ref) /. (id_ref +. (0.02 *. id_max)) in
       acc := !acc +. (e *. e))
     dataset.output;
@@ -125,61 +108,14 @@ let objective ~polarity dataset (p : Vs.params) =
   acc := 0.0;
   Array.iter
     (fun (vgs, cgg_ref) ->
-      let cgg =
-        match polarity with
-        | Vstat_device.Device_model.Nmos ->
-          Vstat_device.Device_model.cgg dev ~vg:vgs ~vd:0.0 ~vs:0.0 ~vb:0.0
-        | Vstat_device.Device_model.Pmos ->
-          Vstat_device.Device_model.cgg dev ~vg:(vdd -. vgs) ~vd:vdd ~vs:vdd
-            ~vb:vdd
-      in
-      let e = (Float.abs cgg -. cgg_ref) /. cgg_max in
+      let e = (gate_cap dev ~vdd vgs -. cgg_ref) /. cgg_max in
       acc := !acc +. (e *. e))
     dataset.cv;
   let cv_term = !acc /. Float.of_int (Array.length dataset.cv) in
-  let gm_of dev vgs =
-    match polarity with
-    | Vstat_device.Device_model.Nmos ->
-      Float.abs (Vstat_device.Device_model.gm dev ~vg:vgs ~vd:vdd ~vs:0.0 ~vb:0.0)
-    | Vstat_device.Device_model.Pmos ->
-      Float.abs
-        (Vstat_device.Device_model.gm dev ~vg:(vdd -. vgs) ~vd:0.0 ~vs:vdd
-           ~vb:vdd)
-  in
-  let gm_max =
-    Array.fold_left (fun m (_, g) -> Float.max m g) 1e-12 dataset.gm
-  in
-  acc := 0.0;
-  Array.iter
-    (fun (vgs, gm_ref) ->
-      let e = (gm_of dev vgs -. gm_ref) /. gm_max in
-      acc := !acc +. (e *. e))
-    dataset.gm;
-  let gm_term = !acc /. Float.of_int (Array.length dataset.gm) in
-  (* Ioff anchor: the off-state point (vgs = 0, vds = Vdd) sets the absolute
-     leakage scale of every circuit figure, so it gets its own term instead
-     of being one of 42 log-space points. *)
-  let ioff_term =
-    match
-      Array.find_opt
-        (fun (vgs, vds, _) -> Float.equal vgs 0.0 && Float.equal vds vdd)
-        dataset.transfer
-    with
-    | None -> 0.0
-    | Some (vgs, vds, id_ref) ->
-      let id = current dev ~vgs ~vds ~vdd in
-      let e =
-        log10 (Float.max id log_floor) -. log10 (Float.max id_ref log_floor)
-      in
-      e *. e
-  in
   (* Weights settled empirically against circuit-level agreement: C-V
      dominates because load charge drives delay; the log (subthreshold)
-     term only needs to pin the slope; the gm term is kept at zero weight by
-     default (weighting it trades Id/charge accuracy for gm and degrades
-     delay distributions) but remains available for ablation studies. *)
-  (0.5 *. log_term) +. rel_term +. (2.0 *. cv_term) +. (0.0 *. gm_term)
-  +. (8.0 *. ioff_term)
+     term only needs to pin the slope. *)
+  (0.5 *. log_term) +. rel_term +. (2.0 *. cv_term) +. (8.0 *. !ioff_term)
 
 type result = {
   fitted : Vs.params;
@@ -276,7 +212,7 @@ let fit ~polarity () =
   let log_errs =
     Array.map
       (fun (vgs, vds, id_ref) ->
-        let id = current dev ~vgs ~vds ~vdd in
+        let id = current dev ~vgs ~vds in
         log10 (Float.max id 1e-14) -. log10 (Float.max id_ref 1e-14))
       dataset.transfer
   in
@@ -286,7 +222,7 @@ let fit ~polarity () =
   let rel_errs =
     Array.map
       (fun (vgs, vds, id_ref) ->
-        let id = current dev ~vgs ~vds ~vdd in
+        let id = current dev ~vgs ~vds in
         (id -. id_ref) /. (id_ref +. (0.02 *. id_max)))
       dataset.output
   in

@@ -23,18 +23,35 @@ let geometries =
     (1500.0, 40.0);
   ]
 
+(* Run [first] on a helper domain while the caller runs [rest].  The helper
+   is joined in [rest]'s [finally], so an exception on either side (the
+   caller's wins) never leaves it running; its own is re-raised after. *)
+let beside first rest =
+  let helper =
+    Domain.spawn (fun () ->
+        match first () with
+        | v -> Ok v
+        | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+  in
+  let joined = ref None in
+  let r =
+    Fun.protect ~finally:(fun () -> joined := Some (Domain.join helper)) rest
+  in
+  match Option.get !joined with
+  | Ok v -> (v, r)
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
 let build ?(seed = 42) ?jobs ?(mc_per_geometry = 2000) () =
+  let jobs =
+    match jobs with
+    | Some j -> Int.max 1 j
+    | None -> Vstat_runtime.Runtime.default_jobs ()
+  in
   let vdd = Vstat_device.Cards.vdd_nominal in
   let rng = Vstat_util.Rng.create ~seed in
   let golden_nmos = Bsim_statistical.golden_nmos in
   let golden_pmos = Bsim_statistical.golden_pmos in
-  Logs.info (fun m -> m "pipeline: fitting nominal VS cards");
-  let fit_nmos =
-    Extract_nominal.fit ~polarity:Vstat_device.Device_model.Nmos ()
-  in
-  let fit_pmos =
-    Extract_nominal.fit ~polarity:Vstat_device.Device_model.Pmos ()
-  in
+  let fit polarity () = Extract_nominal.fit ~polarity () in
   let provisional polarity label fit alphas =
     {
       Vs_statistical.label;
@@ -47,10 +64,10 @@ let build ?(seed = 42) ?jobs ?(mc_per_geometry = 2000) () =
   (* Each geometry gets its own snapshot file (label = polarity +
      geometry), so an interrupted pipeline build resumes from the first
      geometry whose journal is incomplete. *)
-  let observe pol golden =
+  let observe ~jobs pol golden =
     List.map
       (fun (w_nm, l_nm) ->
-        Bpv.observe_golden ?jobs
+        Bpv.observe_golden ~jobs
           ~label:(Printf.sprintf "bpv-%s-w%g-l%g" pol w_nm l_nm)
           ~fingerprint:
             (Printf.sprintf "pipeline:seed=%d:vdd=%g:n=%d" seed vdd
@@ -60,9 +77,23 @@ let build ?(seed = 42) ?jobs ?(mc_per_geometry = 2000) () =
           ~n:mc_per_geometry ~vdd ~w_nm ~l_nm)
       geometries
   in
-  Logs.info (fun m -> m "pipeline: measuring golden sigmas");
-  let observations_nmos = observe "nmos" golden_nmos in
-  let observations_pmos = observe "pmos" golden_pmos in
+  (* Everything but the NMOS fit, the long pole: the fits are pure
+     functions of the constant cards and the golden runs never read them,
+     so running the NMOS fit beside this changes no bit. *)
+  let rest ~jobs () =
+    let fit_pmos = fit Vstat_device.Device_model.Pmos () in
+    Logs.info (fun m -> m "pipeline: measuring golden sigmas");
+    let observations_nmos = observe ~jobs "nmos" golden_nmos in
+    let observations_pmos = observe ~jobs "pmos" golden_pmos in
+    (fit_pmos, observations_nmos, observations_pmos)
+  in
+  Logs.info (fun m -> m "pipeline: fitting nominal VS cards");
+  let fit_nmos, (fit_pmos, observations_nmos, observations_pmos) =
+    if jobs = 1 then
+      let fit_nmos = fit Vstat_device.Device_model.Nmos () in
+      (fit_nmos, rest ~jobs ())
+    else beside (fit Vstat_device.Device_model.Nmos) (rest ~jobs:(jobs - 1))
+  in
   Logs.info (fun m -> m "pipeline: running BPV extraction");
   let options_n =
     { Bpv.default_options with known_cinv_alpha = golden_nmos.alphas.a_cinv }

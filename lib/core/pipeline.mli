@@ -7,9 +7,9 @@
     4. package the result as {!Vs_statistical.t} handles ready for device-
        and circuit-level validation.
 
-    Building the pipeline costs a few seconds; [default] memoizes one
-    instance (seed 42, 2000 samples per geometry) shared by the CLI,
-    examples and benches. *)
+    Every [vstat] command and [vstatd] start builds one; at the default
+    2000 samples per geometry that takes a few tenths of a second, most
+    of it the two nominal fits. *)
 
 type t = {
   vdd : float;
@@ -32,9 +32,14 @@ val build :
   ?mc_per_geometry:int ->
   unit ->
   t
-(** [jobs] is the {!Vstat_runtime.Runtime} worker count for the per-geometry
-    sigma measurements (step 2); the built pipeline is bit-identical for any
-    [jobs] value.  Each geometry's golden Monte Carlo
+(** [jobs] (default {!Vstat_runtime.Runtime.default_jobs}) is the number of
+    domains the build uses.  At [jobs >= 2] the NMOS fit runs on a domain
+    of its own while the caller fits PMOS and then measures the sigmas
+    (step 2) with a pool of [jobs - 1] workers; [jobs = 1] runs everything
+    in turn on the caller.  The fits are pure functions of the constant
+    cards, so the built pipeline is bit-identical for any [jobs] value, and
+    the fit domain is joined before any exception from either side leaves
+    [build].  Each geometry's golden Monte Carlo
     ({!Bpv.observe_golden}) runs under the process-wide run controls
     ({!Vstat_runtime.Checkpoint.controls}) with its own snapshot label
     [bpv-<pol>-w<W>-l<L>], so an interrupted build resumes at the first

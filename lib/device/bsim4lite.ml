@@ -24,25 +24,31 @@ type params = {
 let leff p = Float.max (p.l -. p.dl) 1e-9
 let weff p = Float.max (p.w -. p.dw) 1e-9
 
-let vth p ~vds ~vbs =
-  let l = leff p in
-  let body =
-    p.k1 *. (sqrt (Float.max (p.phis -. vbs) 1e-3) -. sqrt p.phis)
-  in
-  let rolloff = p.dvt0 *. exp (-.l /. p.dvt_l) in
-  let dibl = p.eta0 *. exp (-.l /. p.eta_l) *. vds in
-  p.vth0 +. body -. rolloff -. dibl
-
-(* The model's one kernel.  The value lines come first; suffixes _g/_d/_b
-   in the partials block are derivatives w.r.t. vgs/vds/vbs.  Everything
-   upstream of Vdseff (mobility, Esat, Vdsat) depends on bias only through
-   Vgsteff, so those stages carry a single scalar derivative w.r.t.
-   Vgsteff that is chained out at the end.  Validated against central
-   finite differences in the device test suite. *)
-let canonical p ~vgs ~vds ~vbs grad =
+(* The model's one kernel.  [canonical p] evaluates the per-device
+   constants (effective geometry, roll-off, DIBL, capacitance products)
+   once and returns the bias kernel; their float expressions are the ones
+   the kernel would otherwise repeat on every call, so hoisting them
+   changes no bit.  The value lines come first; suffixes _g/_d/_b in the
+   partials block are derivatives w.r.t. vgs/vds/vbs.  Everything upstream
+   of Vdseff (mobility, Esat, Vdsat) depends on bias only through Vgsteff,
+   so those stages carry a single scalar derivative w.r.t. Vgsteff that is
+   chained out at the end.  Validated against central finite differences
+   in the device test suite. *)
+let canonical p =
   let l = leff p and w = weff p in
   let phit = p.phit in
-  let vth = vth p ~vds ~vbs in
+  let sqrt_phis = sqrt p.phis in
+  let rolloff = p.dvt0 *. exp (-.l /. p.dvt_l) in
+  let eta = p.eta0 *. exp (-.l /. p.eta_l) in
+  let w_over_l = w /. l in
+  let kk = p.cox *. w /. l in
+  let wlc = w *. l *. p.cox in
+  let cw = p.cov *. w in
+  fun ~vgs ~vds ~vbs grad ->
+  let body =
+    p.k1 *. (sqrt (Float.max (p.phis -. vbs) 1e-3) -. sqrt_phis)
+  in
+  let vth = p.vth0 +. body -. rolloff -. (eta *. vds) in
   (* Smoothed effective overdrive: exponential subthreshold, linear above. *)
   let nphit = p.n_ss *. phit in
   let sarg = (vgs -. vth) /. nphit in
@@ -66,7 +72,7 @@ let canonical p ~vgs ~vds ~vbs grad =
   let charge_factor = 1.0 -. (vdseff /. cden) in
   let dv2 = 1.0 +. (vdseff /. esat_l) in
   let id_core =
-    mu_eff *. p.cox *. (w /. l)
+    mu_eff *. p.cox *. w_over_l
     *. vgsteff *. vdseff *. charge_factor
     /. dv2
   in
@@ -74,12 +80,10 @@ let canonical p ~vgs ~vds ~vbs grad =
   let id = id_core *. lam_t in
   (* Terminal charges: inversion charge ~ W L Cox Vgsteff, partitioned
      50/50 in triode to 60/40 in saturation; linear overlap caps. *)
-  let wlc = w *. l *. p.cox in
   let qi = wlc *. vgsteff in
   let raw_s = vdseff /. vdsat in
   let sat_ratio = Vstat_util.Floatx.clamp ~lo:0.0 ~hi:1.0 raw_s in
   let qd_frac = 0.5 -. (0.1 *. sat_ratio) in
-  let cw = p.cov *. w in
   let qov_s = cw *. vgs in
   let qov_d = cw *. (vgs -. vds) in
   if Array.length grad >= Device_model.grad_length then begin
@@ -87,7 +91,7 @@ let canonical p ~vgs ~vds ~vbs grad =
     let vth_b =
       if argb > 1e-3 then -.p.k1 /. (2.0 *. sqrt argb) else 0.0
     in
-    let vth_d = -.(p.eta0 *. exp (-.l /. p.eta_l)) in
+    let vth_d = -.eta in
     let dsp = Vstat_util.Floatx.logistic sarg in
     let vg_g = dsp in
     let vg_d = -.dsp *. vth_d in
@@ -122,7 +126,6 @@ let canonical p ~vgs ~vds ~vbs grad =
     in
     let dv2_g = dv2_of ve_g vg_g and dv2_d = dv2_of ve_d vg_d
     and dv2_b = dv2_of ve_b vg_b in
-    let kk = p.cox *. w /. l in
     let cf = charge_factor in
     let id_core_of vg_x ve_x cf_x dv2_x =
       let prod_x =

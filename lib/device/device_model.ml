@@ -133,7 +133,5 @@ let ids t ~vg ~vd ~vs ~vb = (t.eval ~vg ~vd ~vs ~vb).id
 
 let central f x dv = (f (x +. dv) -. f (x -. dv)) /. (2.0 *. dv)
 
-let gm t ~vg ~vd ~vs ~vb = central (fun vg -> ids t ~vg ~vd ~vs ~vb) vg 1e-5
-
 let cgg t ~vg ~vd ~vs ~vb =
   central (fun vg -> (t.eval ~vg ~vd ~vs ~vb).qg) vg 1e-5

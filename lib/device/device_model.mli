@@ -86,9 +86,6 @@ val ids : t -> vg:float -> vd:float -> vs:float -> vb:float -> float
 (** Drain current only (sign follows the real terminal convention: positive
     current flows into the drain for an NMOS in normal operation). *)
 
-val gm : t -> vg:float -> vd:float -> vs:float -> vb:float -> float
-(** Transconductance dId/dVg by central finite difference (step 10 uV). *)
-
 val cgg : t -> vg:float -> vd:float -> vs:float -> vb:float -> float
 (** Total gate capacitance dQg/dVg (F), central finite difference (step
     10 uV). *)

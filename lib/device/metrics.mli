@@ -5,6 +5,11 @@
     at Vdd and the gate/drain pulled low, so [idsat] is always a positive
     on-current magnitude for both polarities. *)
 
+val bias_current :
+  Device_model.t -> vgs:float -> vds:float -> vdd:float -> float
+(** |Id| at one bias point: NMOS source grounded, PMOS source and bulk at
+    [vdd] (A). *)
+
 val idsat : Device_model.t -> vdd:float -> float
 (** On-current magnitude: |Id| at |Vgs| = |Vds| = Vdd (A). *)
 

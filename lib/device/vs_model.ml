@@ -32,18 +32,28 @@ let delta p = delta_of_length p.dibl p.l
    saturate smoothly instead of overflowing. *)
 let exp_guard x = exp (Vstat_util.Floatx.clamp ~lo:(-60.0) ~hi:60.0 x)
 
-(* The model's one kernel.  The value lines come first; suffixes _g/_d/_b
-   in the partials block are derivatives w.r.t. vgs/vds/vbs, validated
+(* The model's one kernel.  [canonical p] evaluates the per-device
+   constants once and returns the bias kernel; their float expressions are
+   the ones the kernel would otherwise repeat on every call, so hoisting
+   them changes no bit.  The value lines come first; suffixes _g/_d/_b in
+   the partials block are derivatives w.r.t. vgs/vds/vbs, validated
    against central finite differences in the device test suite. *)
-let canonical p ~vgs ~vds ~vbs grad =
+let canonical p =
   let phit = p.phit in
+  let sqrt_phib = sqrt p.phib in
+  let dlt = delta p in
+  let aphit = p.alpha_q *. phit in
+  (* Saturation voltage blends from vxo.L/mu (strong inversion) to phit. *)
+  let vdsats = p.vxo *. p.l /. p.mu in
+  let inv_beta = 1.0 /. p.beta in
+  (* d/dr [r (1+r^b)^(-1/b)] collapses to (1+r^b)^(-(1+b)/b). *)
+  let dfsat_pow = -.(1.0 +. p.beta) /. p.beta in
+  fun ~vgs ~vds ~vbs grad ->
   let n = p.n0 +. (p.nd *. vds) in
   let argb = p.phib -. vbs in
   let sq = sqrt (Float.max argb 1e-3) in
-  let vt_body = p.gamma_body *. (sq -. sqrt p.phib) in
-  let dlt = delta p in
+  let vt_body = p.gamma_body *. (sq -. sqrt_phib) in
   let vt = p.vt0 +. vt_body -. (dlt *. vds) in
-  let aphit = p.alpha_q *. phit in
   (* Inversion transition function: 1 in subthreshold, 0 in strong inversion. *)
   let eu = exp_guard ((vgs -. (vt -. (aphit /. 2.0))) /. aphit) in
   let ff = 1.0 /. (1.0 +. eu) in
@@ -51,12 +61,10 @@ let canonical p ~vgs ~vds ~vbs grad =
   let sarg = (vgs -. (vt -. (aphit *. ff))) /. denom in
   let sp = Vstat_util.Floatx.softplus sarg in
   let qixo = p.cinv *. n *. phit *. sp in
-  (* Saturation voltage blends from vxo.L/mu (strong inversion) to phit. *)
-  let vdsats = p.vxo *. p.l /. p.mu in
   let vdsat = (vdsats *. (1.0 -. ff)) +. (phit *. ff) in
   let ratio = vds /. vdsat in
   let rb = ratio ** p.beta in
-  let fsat = ratio /. ((1.0 +. rb) ** (1.0 /. p.beta)) in
+  let fsat = ratio /. ((1.0 +. rb) ** inv_beta) in
   let id = p.w *. fsat *. qixo *. p.vxo in
   (* Channel charge with a 50/50 (linear) to 60/40 (saturation) partition. *)
   let wl = p.w *. p.l in
@@ -94,8 +102,7 @@ let canonical p ~vgs ~vds ~vbs grad =
     let ratio_g = -.ratio *. vdsat_g /. vdsat in
     let ratio_d = (1.0 -. (ratio *. vdsat_d)) /. vdsat in
     let ratio_b = -.ratio *. vdsat_b /. vdsat in
-    (* d/dr [r (1+r^b)^(-1/b)] collapses to (1+r^b)^(-(1+b)/b). *)
-    let dfsat_dratio = (1.0 +. rb) ** (-.(1.0 +. p.beta) /. p.beta) in
+    let dfsat_dratio = (1.0 +. rb) ** dfsat_pow in
     let fsat_g = dfsat_dratio *. ratio_g in
     let fsat_d = dfsat_dratio *. ratio_d in
     let fsat_b = dfsat_dratio *. ratio_b in

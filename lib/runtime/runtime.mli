@@ -75,13 +75,9 @@ val register_classifier : (exn -> string option) -> unit
     to the next classifier, ending at the exception constructor name. *)
 
 val default_jobs : unit -> int
-[@@vstat.allow "unused-export"]
 (** Worker count used when [?jobs] is omitted: the value forced by
     {!set_default_jobs} if any, else the [VSTAT_JOBS] environment variable,
-    else [Domain.recommended_domain_count ()].  Granted as a shared
-    fixture: test_runtime, test_rare, test_experiments and rare_smoke save
-    and restore the process-wide count around their jobs:1-vs-jobs:4
-    checks. *)
+    else [Domain.recommended_domain_count ()]. *)
 
 val set_default_jobs : int -> unit
 (** Force the process-wide default ([--jobs] in the CLIs). *)

@@ -279,6 +279,35 @@ let test_fit_params_retarget () =
   check_float ~eps:1e-15 "same vt0 across geometry" a.vt0 b.vt0;
   check_float ~eps:1e-15 "w retargeted" 1200e-9 b.w
 
+let bits = List.map Int64.bits_of_float
+
+(* The seven fitted parameters of a card. *)
+let fitted_params (r : En.result) =
+  let f = r.fitted in
+  [ f.vt0; f.dibl.delta0; f.n0; f.vxo; f.mu; f.beta; f.alpha_q ]
+
+(* Both fitted cards, bit for bit: the fit is a pure function of the
+   constant cards, so any change to the objective, the optimizer or the
+   model kernel that moves a card shows here first. *)
+let test_fit_golden_cards () =
+  let lazy p = pipeline in
+  Alcotest.(check (list int64)) "nmos card"
+    (bits
+       [
+         0x1.7996f4279b6f6p-2; 0x1.68e3cdb571fccp-4; 0x1.4f049d90b8aep+0;
+         0x1.17194b085276p+16; 0x1.b4eb88d0ff84dp-6; 0x1.7c816a7bd3d5ep+0;
+         0x1.80000000dc682p+0;
+       ])
+    (bits (fitted_params p.fit_nmos));
+  Alcotest.(check (list int64)) "pmos card"
+    (bits
+       [
+         0x1.cfb7610a562b7p-2; 0x1.7666e2f2af7eep-4; 0x1.413376a457974p+0;
+         0x1.671d2983f64b3p+15; 0x1.6b01168b67745p-7; 0x1.7055df7168704p+0;
+         0x1.0b6e4fbe4a7fcp+2;
+       ])
+    (bits (fitted_params p.fit_pmos))
+
 (* --- Mc_device --- *)
 
 let test_mc_device_shapes () =
@@ -349,6 +378,41 @@ let test_pipeline_techs () =
   let j1 = Vstat_device.Metrics.idsat (nom.nmos ~w_nm:300.0) ~vdd in
   let j2 = Vstat_device.Metrics.idsat (nom.nmos ~w_nm:300.0) ~vdd in
   check_float ~eps:1e-18 "nominal repeats" j1 j2
+
+(* Every float a build produces, as bits: both fitted cards, every
+   observed sigma and both BPV alpha sets. *)
+let pipeline_bits (p : P.t) =
+  let obs (o : Bpv.observation) =
+    [ o.sigma_idsat; o.sigma_log10_ioff; o.sigma_cgg ]
+  in
+  let alphas (a : V.alphas) = [ a.a_vt0; a.a_l; a.a_w; a.a_mu; a.a_cinv ] in
+  bits
+    (fitted_params p.fit_nmos @ fitted_params p.fit_pmos
+    @ List.concat_map obs (p.observations_nmos @ p.observations_pmos)
+    @ alphas p.bpv_nmos.alphas @ alphas p.bpv_pmos.alphas)
+
+(* A deadline that has already fired stops the first golden sweep while
+   the NMOS fit runs on its own domain: the build fails typed, and the
+   next plain build is bit-identical to one made before the failure. *)
+let test_pipeline_deadline () =
+  let module C = Vstat_runtime.Checkpoint in
+  let build () = P.build ~seed:42 ~jobs:2 ~mc_per_geometry:50 () in
+  let fresh = pipeline_bits (build ()) in
+  let saved = C.controls () in
+  (match
+     Fun.protect
+       ~finally:(fun () -> C.set_controls saved)
+       (fun () ->
+         C.set_controls { saved with deadline = Some (fun () -> true) };
+         build ())
+   with
+  | _ -> Alcotest.fail "expected Too_few_samples"
+  | exception C.Too_few_samples { label; completed; needed; n } ->
+    Alcotest.(check string) "first sweep" "bpv-nmos-w120-l40" label;
+    Alcotest.(check (list int)) "completed, needed, n" [ 0; 2; 50 ]
+      [ completed; needed; n ]);
+  Alcotest.(check (list int64)) "plain build after" fresh
+    (pipeline_bits (build ()))
 
 (* --- Inter_die --- *)
 
@@ -458,6 +522,7 @@ let () =
           Alcotest.test_case "fit quality" `Slow test_fit_improves_on_seed;
           Alcotest.test_case "fit physical" `Slow test_fit_physical_parameters;
           Alcotest.test_case "retarget" `Slow test_fit_params_retarget;
+          Alcotest.test_case "golden cards" `Slow test_fit_golden_cards;
         ] );
       ( "mc-device",
         [
@@ -476,5 +541,6 @@ let () =
           Alcotest.test_case "extraction near truth" `Slow test_pipeline_extraction_close_to_truth;
           Alcotest.test_case "sigma validation" `Slow test_pipeline_validation_sigma_match;
           Alcotest.test_case "techs" `Slow test_pipeline_techs;
+          Alcotest.test_case "deadline" `Slow test_pipeline_deadline;
         ] );
     ]

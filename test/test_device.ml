@@ -99,12 +99,17 @@ let test_charge_conservation () =
     all_devices
 
 let test_gm_positive_in_strong_inversion () =
+  (* dId/dVg by central finite difference (step 10 uV). *)
+  let gm d ~vg ~vd ~vs ~vb =
+    let id vg = Dm.ids d ~vg ~vd ~vs ~vb in
+    (id (vg +. 1e-5) -. id (vg -. 1e-5)) /. 2e-5
+  in
   List.iter
     (fun (name, d) ->
       let gm =
         match d.Dm.polarity with
-        | Dm.Nmos -> Dm.gm d ~vg:vdd ~vd:vdd ~vs:0.0 ~vb:0.0
-        | Dm.Pmos -> Dm.gm d ~vg:0.0 ~vd:0.0 ~vs:vdd ~vb:vdd
+        | Dm.Nmos -> gm d ~vg:vdd ~vd:vdd ~vs:0.0 ~vb:0.0
+        | Dm.Pmos -> gm d ~vg:0.0 ~vd:0.0 ~vs:vdd ~vb:vdd
       in
       (* For PMOS, dId/dVg is positive too (less negative current as the
          gate rises), so both polarities give gm > 0 at these corners. *)
