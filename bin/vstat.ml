@@ -5,51 +5,15 @@
    runs the full set.  Sample counts default to fast-but-meaningful values;
    use -n to reach the paper's counts (e.g. 2500 for Fig. 5). *)
 
-let setup_logs verbose =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning))
-
-let pipeline samples_per_geometry seed =
-  Vstat_core.Pipeline.build ~seed ~mc_per_geometry:samples_per_geometry ()
-
 open Cmdliner
+module X = Vstat_experiments
 
-let verbose_t =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable progress logging.")
-
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some j when j >= 1 -> Ok j
-    | Some _ -> Error (`Msg "must be a positive integer (>= 1)")
-    | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let nonneg_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some j when j >= 0 -> Ok j
-    | Some _ -> Error (`Msg "must be a non-negative integer (>= 0)")
-    | None ->
-      Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let positive_float =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v > 0.0 -> Ok v
-    | Some _ -> Error (`Msg "must be a finite positive number")
-    | None ->
-      Error (`Msg (Printf.sprintf "invalid value %S, expected a number" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
+let fmt = Format.std_formatter
 
 let jobs_t =
   Arg.(
     value
-    & opt (some positive_int) None
+    & opt (some Cli.positive_int) None
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
           "Worker domains for Monte Carlo sampling (Vstat_runtime). Defaults \
@@ -63,26 +27,11 @@ let seed_t =
     & info [ "seed" ] ~docv:"SEED" ~doc:"Master random seed.")
 
 let retry_t =
-  Arg.(
-    value & opt positive_int 1
-    & info [ "retry" ] ~docv:"ATTEMPTS"
-        ~doc:
-          "Max attempts per Monte Carlo sample. Failed samples are re-run \
-           with escalated solver options on the same RNG substream, so \
-           results stay deterministic and jobs-independent. 1 disables \
-           retries.")
-
-let deadline_t =
-  Arg.(
-    value
-    & opt (some positive_float) None
-    & info [ "deadline" ] ~docv:"SEC"
-        ~doc:
-          "Wall-clock budget (seconds) for the whole invocation, measured \
-           on the monotonic clock. When it expires, the Monte Carlo run in \
-           flight stops at a sample boundary, checkpoints (if enabled) and \
-           reports a partial result with honestly widened confidence \
-           intervals.")
+  Cli.retry_t
+    ~doc:
+      "Max attempts per Monte Carlo sample. Failed samples are re-run with \
+       escalated solver options on the same RNG substream, so results stay \
+       deterministic and jobs-independent. 1 disables retries."
 
 let checkpoint_dir_t =
   Arg.(
@@ -96,7 +45,7 @@ let checkpoint_dir_t =
 
 let checkpoint_every_t =
   Arg.(
-    value & opt nonneg_int 100
+    value & opt Cli.nonneg_int 100
     & info [ "checkpoint-every" ] ~docv:"N"
         ~doc:
           "Flush a snapshot once at least $(docv) samples have completed \
@@ -119,100 +68,65 @@ let resume_t =
            their original RNG substreams: the resumed result is \
            bit-identical to an uninterrupted run.")
 
-let inject_fault_t =
-  let fault_conv =
-    let parse s =
-      match Vstat_device.Fault_inject.parse_spec s with
-      | Ok cfg -> Ok cfg
-      | Error m -> Error (`Msg m)
-    in
-    let print ppf cfg =
-      Format.pp_print_string ppf (Vstat_device.Fault_inject.spec_to_string cfg)
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt (some fault_conv) None
-    & info [ "inject-fault" ] ~docv:"RATE[:KIND]"
-        ~doc:
-          "Chaos testing: deterministically inject device-model faults at \
-           the given per-sample rate. KIND is one of nan, inf, perturb, \
-           raise (default raise). Injection is keyed by sample index and \
-           retry attempt, so it is reproducible and independent of --jobs.")
-
-type controls = {
-  retry : int;
-  inject : Vstat_device.Fault_inject.config option;
-  deadline_s : float option;
-  ckpt_dir : string option;
-  ckpt_every : int;
-  resume_dir : string option;
-}
-
+(* The run controls as one term.  It yields their application as a
+   function, run by the set-up below once every flag has parsed. *)
 let controls_t =
-  let mk retry inject deadline_s ckpt_dir ckpt_every resume_dir =
-    { retry; inject; deadline_s; ckpt_dir; ckpt_every; resume_dir }
+  let inject_fault_t =
+    Cli.inject_fault_t
+      ~doc:
+        "Chaos testing: deterministically inject device-model faults at the \
+         given per-sample rate. KIND is one of nan, inf, perturb, raise \
+         (default raise). Injection is keyed by sample index and retry \
+         attempt, so it is reproducible and independent of --jobs."
+  in
+  let deadline_t =
+    Cli.deadline_t
+      ~doc:
+        "Wall-clock budget (seconds) for the whole invocation, measured on \
+         the monotonic clock. When it expires, the Monte Carlo sweep in \
+         flight stops at a sample boundary and keeps the samples it \
+         finished (checkpointed, if enabled). A sweep left with fewer \
+         samples than it needs (at least 2) exits 1 naming itself; every \
+         sweep that starts after the budget is spent is one of them."
+  in
+  let apply retry inject deadline_s ckpt_dir every resume_dir () =
+    let checkpoint =
+      match (ckpt_dir, resume_dir) with
+      | Some _, Some _ ->
+        Format.eprintf
+          "--checkpoint-dir and --resume are mutually exclusive (--resume \
+           DIR already checkpoints into DIR)@.";
+        exit 2
+      | None, Some dir ->
+        Some (Vstat_runtime.Checkpoint.settings ~every ~resume:true dir)
+      | Some dir, None -> Some (Vstat_runtime.Checkpoint.settings ~every dir)
+      | None, None -> None
+    in
+    X.Mc_compare.set_inject inject;
+    (* Every Monte Carlo sweep of the invocation, the pipeline build's
+       included, runs under these controls. *)
+    Vstat_runtime.Checkpoint.set_controls
+      {
+        retry;
+        checkpoint;
+        (* One watchdog for the whole process: every subsequent run shares
+           the same wall-clock budget (created here, once the command line
+           has parsed — the only sanctioned wall-clock use, inside
+           Vstat_runtime.Deadline). *)
+        deadline =
+          Option.map
+            (fun seconds -> Vstat_runtime.Deadline.watchdog ~seconds)
+            deadline_s;
+        signals = [ Sys.sigint; Sys.sigterm ];
+      }
   in
   Term.(
-    const mk $ retry_t $ inject_fault_t $ deadline_t $ checkpoint_dir_t
+    const apply $ retry_t $ inject_fault_t $ deadline_t $ checkpoint_dir_t
     $ checkpoint_every_t $ resume_t)
-
-let apply_controls c =
-  (match (c.ckpt_dir, c.resume_dir) with
-  | Some _, Some _ ->
-    Format.eprintf
-      "--checkpoint-dir and --resume are mutually exclusive (--resume DIR \
-       already checkpoints into DIR)@.";
-    exit 2
-  | _ -> ());
-  let checkpoint =
-    match (c.resume_dir, c.ckpt_dir) with
-    | Some dir, _ ->
-      Some
-        (Vstat_runtime.Checkpoint.settings ~every:c.ckpt_every ~resume:true
-           dir)
-    | None, Some dir ->
-      Some (Vstat_runtime.Checkpoint.settings ~every:c.ckpt_every dir)
-    | None, None -> None
-  in
-  Vstat_experiments.Mc_compare.set_inject c.inject;
-  (* Every Monte Carlo sweep of the invocation, the pipeline build's
-     included, runs under these controls. *)
-  Vstat_runtime.Checkpoint.set_controls
-    {
-      retry = Int.max 1 c.retry;
-      checkpoint;
-      (* One watchdog for the whole process: every subsequent run shares
-         the same wall-clock budget (created here, at CLI-parse time — the
-         only sanctioned wall-clock use, inside Vstat_runtime.Deadline). *)
-      deadline =
-        Option.map
-          (fun seconds -> Vstat_runtime.Deadline.watchdog ~seconds)
-          c.deadline_s;
-      signals = [ Sys.sigint; Sys.sigterm ];
-    }
-
-(* Validated numeric convs everywhere: a negative -n or zero --bpv-samples
-   used to raise Invalid_argument deep inside the runtime (exit 125); bad
-   flag values must be a usage error (exit 2) instead.  [min_n] is the
-   smallest sample count the command can summarize (a spread needs 2
-   samples, a skewness or QQ plot 3). *)
-let at_least min_n =
-  let parse s =
-    match int_of_string_opt s with
-    | Some j when j >= min_n -> Ok j
-    | Some _ ->
-      Error
-        (`Msg (Printf.sprintf "must be at least %d for this command" min_n))
-    | None ->
-      Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let samples_t ~min_n default =
   Arg.(
-    value & opt (at_least min_n) default
+    value & opt (Cli.at_least min_n) default
     & info [ "n"; "samples" ] ~docv:"N"
         ~doc:
           (Printf.sprintf
@@ -223,36 +137,58 @@ let samples_t ~min_n default =
 (* A BPV observation is a spread, so it needs at least 2 golden samples. *)
 let geometry_mc_t =
   Arg.(
-    value & opt (at_least 2) 2000
+    value & opt (Cli.at_least 2) 2000
     & info [ "bpv-samples" ] ~docv:"N"
         ~doc:
           "Golden MC samples per geometry used for BPV observation (at \
            least 2).")
 
-let std_formatter_flush () = Format.pp_print_flush Format.std_formatter ()
-
-let run_cmd name doc ~default_n ~min_n f =
-  let run verbose jobs seed controls bpv_n n =
-    setup_logs verbose;
+(* The set-up every pipeline command shares: logs, --jobs and the run
+   controls, then the pipeline build.  The term yields it as a function,
+   so nothing starts until every flag of the command has parsed: a bad -n
+   exits 2 before any build. *)
+let setup_t =
+  let setup verbose jobs seed apply_controls bpv_n () =
+    Cli.setup_logs verbose;
     Option.iter Vstat_runtime.Runtime.set_default_jobs jobs;
-    apply_controls controls;
-    let p = pipeline bpv_n seed in
-    f p ~n ~seed;
-    std_formatter_flush ()
+    apply_controls ();
+    (Vstat_core.Pipeline.build ~seed ~mc_per_geometry:bpv_n (), seed)
   in
-  Cmd.v
-    (Cmd.info name ~doc)
-    Term.(
-      const run $ verbose_t $ jobs_t $ seed_t $ controls_t $ geometry_mc_t
-      $ samples_t ~min_n default_n)
+  Term.(
+    const setup $ Cli.verbose_t $ jobs_t $ seed_t $ controls_t
+    $ geometry_mc_t)
 
-let fmt = Format.std_formatter
+(* A command that runs [body] on the built pipeline with its -n and
+   --seed. *)
+let pipeline_cmd name doc ~default_n ~min_n body =
+  let run setup n f =
+    let p, seed = setup () in
+    f p ~n ~seed;
+    Format.pp_print_flush fmt ()
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ setup_t $ samples_t ~min_n default_n $ body)
 
-let fig1 p ~n:_ ~seed:_ = Vstat_experiments.Exp_fig1.pp fmt (Vstat_experiments.Exp_fig1.run p)
+(* The paper's experiments, each declared once: its subcommand, its
+   section in `all` (in this order) and the sample count `all` caps it
+   at. *)
+type experiment = {
+  name : string;
+  doc : string;
+  title : string;
+  default_n : int;
+  min_n : int;
+  cap : int;
+  print : Vstat_core.Pipeline.t -> n:int -> seed:int -> unit;
+}
 
-let fig2 p ~n:_ ~seed:_ = Vstat_experiments.Exp_fig2.pp fmt (Vstat_experiments.Exp_fig2.run p)
+(* An experiment that draws no samples of its own: -n defaults to 0 and
+   is ignored. *)
+let fixed name doc title print =
+  { name; doc; title; default_n = 0; min_n = 0; cap = 0;
+    print = (fun p ~n:_ ~seed:_ -> print p) }
 
-let table1 _p ~n:_ ~seed:_ =
+let table1 _ =
   Format.fprintf fmt
     "Table I: VS model parameters used for statistical modeling@\n";
   Vstat_util.Floatx.pp_table fmt
@@ -268,72 +204,77 @@ let table1 _p ~n:_ ~seed:_ =
           "virtual source velocity (slaved to mu and DIBL, eq. 5)" ];
       ]
 
-let table2 p ~n:_ ~seed:_ =
-  Vstat_experiments.Exp_table2.pp fmt (Vstat_experiments.Exp_table2.run p)
+let experiments =
+  [
+    fixed "fig1" "VS-vs-golden I-V fit (Fig. 1)" "Fig.1" (fun p ->
+        X.Exp_fig1.(pp fmt (run p)));
+    fixed "fig2" "Per-geometry vs stacked BPV (Fig. 2)" "Fig.2" (fun p ->
+        X.Exp_fig2.(pp fmt (run p)));
+    fixed "table1" "Variation parameter list (Table I)" "Table I" table1;
+    fixed "table2" "Extracted alpha coefficients (Table II)" "Table II"
+      (fun p -> X.Exp_table2.(pp fmt (run p)));
+    { name = "fig3"; doc = "Idsat mismatch contributions vs width (Fig. 3)";
+      title = "Fig.3"; default_n = 1500; min_n = 2; cap = 1500;
+      print = (fun p ~n ~seed -> X.Exp_fig3.(pp fmt (run ~n ~seed p))) };
+    { name = "table3"; doc = "Device MC sigma comparison (Table III)";
+      title = "Table III"; default_n = 1500; min_n = 2; cap = 1500;
+      print = (fun p ~n ~seed -> X.Exp_table3.(pp fmt (run ~n ~seed p))) };
+    { name = "fig4"; doc = "Ion/Ioff scatter + confidence ellipses (Fig. 4)";
+      title = "Fig.4"; default_n = 1000; min_n = 3; cap = 1000;
+      print = (fun p ~n ~seed -> X.Exp_fig4.(pp fmt (run ~n ~seed p))) };
+    { name = "fig5"; doc = "INV FO3 delay PDFs, three sizes (Fig. 5)";
+      title = "Fig.5"; default_n = 400; min_n = 3; cap = 300;
+      print = (fun p ~n ~seed -> X.Exp_fig5.(pp fmt (run ~n ~seed p))) };
+    { name = "fig6"; doc = "Leakage vs frequency scatter (Fig. 6)";
+      title = "Fig.6"; default_n = 600; min_n = 3; cap = 400;
+      print = (fun p ~n ~seed -> X.Exp_fig6.(pp fmt (run ~n ~seed p))) };
+    { name = "fig7"; doc = "NAND2 delay vs Vdd + QQ plots (Fig. 7)";
+      title = "Fig.7"; default_n = 400; min_n = 3; cap = 300;
+      print = (fun p ~n ~seed -> X.Exp_fig7.(pp fmt (run ~n ~seed p))) };
+    { name = "fig8"; doc = "DFF setup-time distribution (Fig. 8)";
+      title = "Fig.8"; default_n = 120; min_n = 3; cap = 60;
+      print = (fun p ~n ~seed -> X.Exp_fig8.(pp fmt (run ~n ~seed p))) };
+    { name = "fig9"; doc = "SRAM butterfly + SNM distributions (Fig. 9)";
+      title = "Fig.9"; default_n = 500; min_n = 3; cap = 400;
+      print = (fun p ~n ~seed -> X.Exp_fig9.(pp fmt (run ~n ~seed p))) };
+    { name = "table4"; doc = "Runtime/memory comparison (Table IV)";
+      title = "Table IV"; default_n = 100; min_n = 0; cap = 60;
+      print =
+        (fun p ~n ~seed ->
+          X.Exp_table4.(
+            pp fmt
+              (run ~n_nand2:n ~n_dff:(Int.max 5 (n / 5)) ~n_sram:n ~seed p);
+            Format.fprintf fmt
+              "raw model-eval cost ratio (golden/VS): %.2fx@\n"
+              (model_eval_comparison p))) };
+    { name = "ablation-vdd";
+      doc = "Ablation: nominal-Vdd extraction reused at low Vdd";
+      title = "Ablation: Vdd transfer"; default_n = 1500; min_n = 2;
+      cap = 1000;
+      print =
+        (fun p ~n ~seed -> X.Exp_vdd_transfer.(pp fmt (run ~n ~seed p))) };
+    { name = "inter-die";
+      doc = "Extension: inter-die + within-die variation (eq. 1)";
+      title = "Extension: inter-die"; default_n = 160; min_n = 0; cap = 120;
+      print =
+        (fun p ~n ~seed ->
+          X.Exp_inter_die.(
+            pp fmt (run ~n_dies:(Int.max 4 (n / 8)) ~per_die:8 ~seed p))) };
+    { name = "ssta"; doc = "Extension: Gaussian SSTA vs transistor-level MC";
+      title = "Extension: SSTA"; default_n = 300; min_n = 3; cap = 150;
+      print = (fun p ~n ~seed -> X.Exp_ssta.(pp fmt (run ~n ~seed p))) };
+  ]
 
-let fig3 p ~n ~seed = Vstat_experiments.Exp_fig3.pp fmt (Vstat_experiments.Exp_fig3.run ~n ~seed p)
-
-let table3 p ~n ~seed =
-  Vstat_experiments.Exp_table3.pp fmt (Vstat_experiments.Exp_table3.run ~n ~seed p)
-
-let fig4 p ~n ~seed = Vstat_experiments.Exp_fig4.pp fmt (Vstat_experiments.Exp_fig4.run ~n ~seed p)
-
-let fig5 p ~n ~seed = Vstat_experiments.Exp_fig5.pp fmt (Vstat_experiments.Exp_fig5.run ~n ~seed p)
-
-let fig6 p ~n ~seed = Vstat_experiments.Exp_fig6.pp fmt (Vstat_experiments.Exp_fig6.run ~n ~seed p)
-
-let fig7 p ~n ~seed = Vstat_experiments.Exp_fig7.pp fmt (Vstat_experiments.Exp_fig7.run ~n ~seed p)
-
-let fig8 p ~n ~seed = Vstat_experiments.Exp_fig8.pp fmt (Vstat_experiments.Exp_fig8.run ~n ~seed p)
-
-let fig9 p ~n ~seed = Vstat_experiments.Exp_fig9.pp fmt (Vstat_experiments.Exp_fig9.run ~n ~seed p)
-
-let table4 p ~n ~seed =
-  let t =
-    Vstat_experiments.Exp_table4.run ~n_nand2:n ~n_dff:(Int.max 5 (n / 5))
-      ~n_sram:n ~seed p
+let all_cmd =
+  let all p ~n ~seed =
+    List.iter
+      (fun e ->
+        Format.fprintf fmt "@\n=== %s ===@\n" e.title;
+        e.print p ~n:(Int.min n e.cap) ~seed)
+      experiments
   in
-  Vstat_experiments.Exp_table4.pp fmt t;
-  Format.fprintf fmt "raw model-eval cost ratio (golden/VS): %.2fx@\n"
-    (Vstat_experiments.Exp_table4.model_eval_comparison p)
-
-let ablation_vdd p ~n ~seed =
-  Vstat_experiments.Exp_vdd_transfer.pp fmt
-    (Vstat_experiments.Exp_vdd_transfer.run ~n ~seed p)
-
-let inter_die p ~n ~seed =
-  Vstat_experiments.Exp_inter_die.pp fmt
-    (Vstat_experiments.Exp_inter_die.run ~n_dies:(Int.max 4 (n / 8))
-       ~per_die:8 ~seed p)
-
-let ssta p ~n ~seed =
-  Vstat_experiments.Exp_ssta.pp fmt
-    (Vstat_experiments.Exp_ssta.run ~n ~seed p)
-
-let export dir p ~n ~seed =
-  let paths = Vstat_experiments.Exp_export.write_all ~dir ~n ~seed p in
-  List.iter (fun path -> Format.fprintf fmt "wrote %s@\n" path) paths
-
-let all p ~n ~seed =
-  let section title =
-    Format.fprintf fmt "@\n=== %s ===@\n" title
-  in
-  section "Fig.1";  fig1 p ~n ~seed;
-  section "Fig.2";  fig2 p ~n ~seed;
-  section "Table I"; table1 p ~n ~seed;
-  section "Table II"; table2 p ~n ~seed;
-  section "Fig.3";  fig3 p ~n:(Int.min n 1500) ~seed;
-  section "Table III"; table3 p ~n:(Int.min n 1500) ~seed;
-  section "Fig.4";  fig4 p ~n:(Int.min n 1000) ~seed;
-  section "Fig.5";  fig5 p ~n:(Int.min n 300) ~seed;
-  section "Fig.6";  fig6 p ~n:(Int.min n 400) ~seed;
-  section "Fig.7";  fig7 p ~n:(Int.min n 300) ~seed;
-  section "Fig.8";  fig8 p ~n:(Int.min n 60) ~seed;
-  section "Fig.9";  fig9 p ~n:(Int.min n 400) ~seed;
-  section "Table IV"; table4 p ~n:(Int.min n 60) ~seed;
-  section "Ablation: Vdd transfer"; ablation_vdd p ~n:(Int.min n 1000) ~seed;
-  section "Extension: inter-die"; inter_die p ~n:(Int.min n 120) ~seed;
-  section "Extension: SSTA"; ssta p ~n:(Int.min n 150) ~seed
+  pipeline_cmd "all" "Run every experiment at reduced sample counts"
+    ~default_n:1000 ~min_n:3 (Term.const all)
 
 let sram_yield_cmd =
   let rare_t =
@@ -349,7 +290,7 @@ let sram_yield_cmd =
   in
   let sigma_shift_t =
     Arg.(
-      value & opt positive_float 1.0
+      value & opt Cli.positive_float 1.0
       & info [ "sigma-shift" ] ~docv:"SCALE"
           ~doc:
             "Sigma multiplier of the importance-sampling proposal around \
@@ -358,7 +299,7 @@ let sram_yield_cmd =
   let pilot_n_t =
     Arg.(
       value
-      & opt (some positive_int) None
+      & opt (some Cli.positive_int) None
       & info [ "pilot-n" ] ~docv:"N"
           ~doc:
             "Pilot samples used to aim the IS proposal and to train the \
@@ -367,27 +308,21 @@ let sram_yield_cmd =
   in
   let threshold_t =
     Arg.(
-      value & opt positive_float 0.025
+      value & opt Cli.positive_float 0.025
       & info [ "tail-threshold" ] ~docv:"VOLT"
           ~doc:"Failure threshold: the cell fails when SNM < $(docv).")
   in
   let vdd_t =
     Arg.(
-      value & opt positive_float 0.80
+      value & opt Cli.positive_float 0.80
       & info [ "vdd" ] ~docv:"VOLT"
           ~doc:"Supply voltage for the yield question.")
   in
-  let run verbose jobs seed controls bpv_n n rare sigma_shift pilot_n
-      threshold vdd =
-    setup_logs verbose;
-    Option.iter Vstat_runtime.Runtime.set_default_jobs jobs;
-    apply_controls controls;
-    let p = pipeline bpv_n seed in
-    let module Y = Vstat_experiments.Exp_sram_yield in
-    (match rare with
+  let sram_yield rare sigma_shift pilot_n threshold vdd p ~n ~seed =
+    let module Y = X.Exp_sram_yield in
+    match rare with
     | `All ->
-      Y.pp fmt
-        (Y.run ~n ~seed ~vdd ~threshold ~sigma_shift ?pilot_n p)
+      Y.pp fmt (Y.run ~n ~seed ~vdd ~threshold ~sigma_shift ?pilot_n p)
     | `Is ->
       let r =
         Y.estimate_is ~n ~seed ~vdd ~threshold ~sigma_shift ?pilot_n p
@@ -399,18 +334,30 @@ let sram_yield_cmd =
         (Vstat_rare.Importance.mc_equivalent_samples r /. Float.of_int r.n)
     | `Blockade ->
       let r = Y.estimate_blockade ~n ~seed ~vdd ~threshold ?pilot_n p in
-      Vstat_rare.Blockade.pp fmt r);
-    std_formatter_flush ()
+      Vstat_rare.Blockade.pp fmt r
   in
-  Cmd.v
-    (Cmd.info "sram-yield"
-       ~doc:
-         "Rare-event SRAM yield: P(SNM < threshold) at low Vdd via \
-          importance sampling and statistical blockade")
+  pipeline_cmd "sram-yield"
+    "Rare-event SRAM yield: P(SNM < threshold) at low Vdd via importance \
+     sampling and statistical blockade"
+    ~default_n:4000 ~min_n:2
     Term.(
-      const run $ verbose_t $ jobs_t $ seed_t $ controls_t $ geometry_mc_t
-      $ samples_t ~min_n:2 4000 $ rare_t $ sigma_shift_t $ pilot_n_t
-      $ threshold_t $ vdd_t)
+      const sram_yield $ rare_t $ sigma_shift_t $ pilot_n_t $ threshold_t
+      $ vdd_t)
+
+let export_cmd =
+  let dir_t =
+    Arg.(
+      value & opt string "csv"
+      & info [ "o"; "output" ] ~docv:"DIR" ~doc:"Output directory.")
+  in
+  let export dir p ~n ~seed =
+    List.iter
+      (fun path -> Format.fprintf fmt "wrote %s@\n" path)
+      (X.Exp_export.write_all ~dir ~n ~seed p)
+  in
+  pipeline_cmd "export" "Export figure data series to CSV files"
+    ~default_n:300 ~min_n:0
+    Term.(const export $ dir_t)
 
 let submit_cmd =
   let module P = Vstat_service.Protocol in
@@ -441,23 +388,23 @@ let submit_cmd =
   in
   let fanout_t =
     Arg.(
-      value & opt positive_int 3
+      value & opt Cli.positive_int 3
       & info [ "fanout" ] ~docv:"N" ~doc:"Inverter fanout (kind inv).")
   in
   let submit_n_t =
     Arg.(
-      value & opt positive_int 200
+      value & opt Cli.positive_int 200
       & info [ "n"; "samples" ] ~docv:"N" ~doc:"Monte Carlo samples.")
   in
   let vdd_t =
     Arg.(
-      value & opt positive_float 1.0
+      value & opt Cli.positive_float 1.0
       & info [ "vdd" ] ~docv:"VOLT" ~doc:"Supply voltage.")
   in
   let submit_deadline_t =
     Arg.(
       value
-      & opt (some positive_float) None
+      & opt (some Cli.positive_float) None
       & info [ "deadline" ] ~docv:"SEC"
           ~doc:
             "Per-request deadline, anchored at submission. The daemon sheds \
@@ -484,7 +431,7 @@ let submit_cmd =
   in
   let timeout_t =
     Arg.(
-      value & opt positive_float 600.0
+      value & opt Cli.positive_float 600.0
       & info [ "timeout" ] ~docv:"SEC"
           ~doc:
             "Give up waiting for the result after $(docv) seconds. The \
@@ -493,7 +440,7 @@ let submit_cmd =
   in
   let run verbose socket kind fanout n seed retry vdd deadline no_wait
       client timeout =
-    setup_logs verbose;
+    Cli.setup_logs verbose;
     let kind =
       match kind with
       | `Inv -> P.Inverter_tpd { fanout }
@@ -552,7 +499,7 @@ let submit_cmd =
               "(partial: %d of %d samples — interval honestly widened)@."
               s.P.completed s.P.n
       end;
-      std_formatter_flush ()
+      Format.pp_print_flush fmt ()
     | Ok _ ->
       Format.eprintf "vstat submit: unexpected daemon response@.";
       exit 1
@@ -563,70 +510,18 @@ let submit_cmd =
          "Submit a Monte Carlo job to a running vstatd daemon and wait for \
           the (possibly cached or deadline-degraded) result")
     Term.(
-      const run $ verbose_t $ socket_t $ kind_t $ fanout_t $ submit_n_t
+      const run $ Cli.verbose_t $ socket_t $ kind_t $ fanout_t $ submit_n_t
       $ seed_t $ retry_t $ vdd_t $ submit_deadline_t $ no_wait_t $ client_t
       $ timeout_t)
 
-let export_cmd =
-  let dir_t =
-    Arg.(
-      value & opt string "csv"
-      & info [ "o"; "output" ] ~docv:"DIR" ~doc:"Output directory.")
-  in
-  let run verbose jobs seed controls bpv_n n dir =
-    setup_logs verbose;
-    Option.iter Vstat_runtime.Runtime.set_default_jobs jobs;
-    apply_controls controls;
-    let p = pipeline bpv_n seed in
-    export dir p ~n ~seed;
-    std_formatter_flush ()
-  in
-  Cmd.v
-    (Cmd.info "export" ~doc:"Export figure data series to CSV files")
-    Term.(
-      const run $ verbose_t $ jobs_t $ seed_t $ controls_t $ geometry_mc_t
-      $ samples_t ~min_n:0 300 $ dir_t)
-
 let cmds =
-  [
-    export_cmd;
-    submit_cmd;
-    sram_yield_cmd;
-    run_cmd "fig1" "VS-vs-golden I-V fit (Fig. 1)" ~default_n:0 ~min_n:0 fig1;
-    run_cmd "fig2" "Per-geometry vs stacked BPV (Fig. 2)" ~default_n:0 ~min_n:0
-      fig2;
-    run_cmd "table1" "Variation parameter list (Table I)" ~default_n:0
-      ~min_n:0 table1;
-    run_cmd "table2" "Extracted alpha coefficients (Table II)" ~default_n:0
-      ~min_n:0 table2;
-    run_cmd "fig3" "Idsat mismatch contributions vs width (Fig. 3)"
-      ~default_n:1500 ~min_n:2 fig3;
-    run_cmd "table3" "Device MC sigma comparison (Table III)" ~default_n:1500
-      ~min_n:2 table3;
-    run_cmd "fig4" "Ion/Ioff scatter + confidence ellipses (Fig. 4)"
-      ~default_n:1000 ~min_n:3 fig4;
-    run_cmd "fig5" "INV FO3 delay PDFs, three sizes (Fig. 5)" ~default_n:400
-      ~min_n:3 fig5;
-    run_cmd "fig6" "Leakage vs frequency scatter (Fig. 6)" ~default_n:600
-      ~min_n:3 fig6;
-    run_cmd "fig7" "NAND2 delay vs Vdd + QQ plots (Fig. 7)" ~default_n:400
-      ~min_n:3 fig7;
-    run_cmd "fig8" "DFF setup-time distribution (Fig. 8)" ~default_n:120
-      ~min_n:3 fig8;
-    run_cmd "fig9" "SRAM butterfly + SNM distributions (Fig. 9)"
-      ~default_n:500 ~min_n:3 fig9;
-    run_cmd "table4" "Runtime/memory comparison (Table IV)" ~default_n:100
-      ~min_n:0 table4;
-    run_cmd "ablation-vdd"
-      "Ablation: nominal-Vdd extraction reused at low Vdd" ~default_n:1500
-      ~min_n:2 ablation_vdd;
-    run_cmd "inter-die" "Extension: inter-die + within-die variation (eq. 1)"
-      ~default_n:160 ~min_n:0 inter_die;
-    run_cmd "ssta" "Extension: Gaussian SSTA vs transistor-level MC"
-      ~default_n:300 ~min_n:3 ssta;
-    run_cmd "all" "Run every experiment at reduced sample counts"
-      ~default_n:1000 ~min_n:3 all;
-  ]
+  export_cmd :: submit_cmd :: sram_yield_cmd
+  :: List.map
+       (fun e ->
+         pipeline_cmd e.name e.doc ~default_n:e.default_n ~min_n:e.min_n
+           (Term.const e.print))
+       experiments
+  @ [ all_cmd ]
 
 let () =
   let info =
@@ -638,7 +533,7 @@ let () =
   match Cmd.eval ~catch:false (Cmd.group info cmds) with
   | exception Vstat_runtime.Checkpoint.Interrupted
       { label; signal; completed; n; snapshot } ->
-    std_formatter_flush ();
+    Format.pp_print_flush fmt ();
     let signal = Vstat_runtime.Checkpoint.os_signal_number signal in
     Format.eprintf
       "vstat: interrupted by signal %d during %s: %d/%d samples safe%s@."
@@ -649,14 +544,14 @@ let () =
     exit (128 + signal)
   | exception Vstat_runtime.Checkpoint.Too_few_samples
       { label; completed; needed; n } ->
-    std_formatter_flush ();
+    Format.pp_print_flush fmt ();
     Format.eprintf
       "vstat: %s: only %d/%d samples completed, at least %d needed@."
       label completed n needed;
     exit 1
   | exception Vstat_runtime.Journal.Rejected (Vstat_runtime.Journal.Io _ as e)
     ->
-    std_formatter_flush ();
+    Format.pp_print_flush fmt ();
     Format.eprintf "vstat: cannot checkpoint: %s@."
       (Vstat_runtime.Journal.error_to_string e);
     exit 1
@@ -667,7 +562,4 @@ let () =
   | exception e ->
     Format.eprintf "vstat: internal error: %s@." (Printexc.to_string e);
     exit 125
-  | code ->
-    (* cmdliner reports CLI parse/validation errors as its own 124; the
-       documented contract here is exit code 2 for bad flags. *)
-    exit (if code = Cmd.Exit.cli_error then 2 else code)
+  | code -> exit (Cli.exit_code code)

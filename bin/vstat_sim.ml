@@ -1,6 +1,6 @@
 (* vstat_sim — standalone SPICE-deck simulator on the vstat engine.
 
-   Usage: dune exec bin/vstat_sim.exe -- deck.sp [--csv]
+   Usage: dune exec bin/vstat_sim.exe -- [OPTION]… deck.sp  (see --help)
 
    Runs every analysis directive in the deck and prints results: operating
    point plus, per directive, a table (or CSV with --csv) of node voltages
@@ -14,18 +14,17 @@ module P = Vstat_circuit.Spice_parser
 module N = Vstat_circuit.Netlist
 module E = Vstat_circuit.Engine
 
-
-let print_series ~csv ~x_label ~x ~columns =
+let print_series out ~csv ~x_label ~x ~columns =
   let header = x_label :: List.map fst columns in
   if csv then begin
-    print_endline (String.concat "," header);
+    Printf.bprintf out "%s\n" (String.concat "," header);
     Array.iteri
       (fun i xi ->
         let cells =
           Printf.sprintf "%.9g" xi
           :: List.map (fun (_, ys) -> Printf.sprintf "%.9g" ys.(i)) columns
         in
-        print_endline (String.concat "," cells))
+        Printf.bprintf out "%s\n" (String.concat "," cells))
       x
   end
   else begin
@@ -44,8 +43,9 @@ let print_series ~csv ~x_label ~x ~columns =
           else None)
         (List.init n Fun.id)
     in
-    Vstat_util.Floatx.pp_table Format.std_formatter ~header ~rows;
-    Format.pp_print_flush Format.std_formatter ()
+    let ppf = Format.formatter_of_buffer out in
+    Vstat_util.Floatx.pp_table ppf ~header ~rows;
+    Format.pp_print_flush ppf ()
   end
 
 (* Rebuild a netlist with every MOSFET's device instance mapped through
@@ -80,19 +80,22 @@ let inject_netlist cfg ~attempt netlist =
   | Some plan ->
     copy_netlist netlist ~map_dev:(FI.arm plan) ~wave:(fun _ wave -> wave)
 
-let run_netlist ~csv ~deadline (deck : P.deck) netlist =
+(* Run every analysis of [deck] on [netlist], printing into [out]. *)
+let run_netlist out ~csv ~deadline (deck : P.deck) netlist =
   let eng = E.compile netlist in
   let nodes = N.all_nodes netlist in
   let names = List.map fst nodes in
   (* Operating point. *)
   let op = E.dc eng in
-  Printf.printf "\noperating point:\n";
+  Printf.bprintf out "\noperating point:\n";
   List.iter
-    (fun (name, n) -> Printf.printf "  v(%s) = %.6g V\n" name (E.voltage eng op n))
+    (fun (name, n) ->
+      Printf.bprintf out "  v(%s) = %.6g V\n" name (E.voltage eng op n))
     nodes;
   List.iter
     (fun src ->
-      Printf.printf "  i(%s) = %.6g A\n" src (E.source_current eng op src))
+      Printf.bprintf out "  i(%s) = %.6g A\n" src
+        (E.source_current eng op src))
     (N.vsource_names netlist);
   (* Analyses.  The wall-clock budget is checked between directives: an
      expired deadline skips the remaining analyses (each completed one has
@@ -102,23 +105,23 @@ let run_netlist ~csv ~deadline (deck : P.deck) netlist =
     (fun analysis ->
       if (not !expired) && deadline () then begin
         expired := true;
-        Printf.printf
+        Printf.bprintf out
           "\ndeadline reached — skipping the remaining analyses\n"
       end;
       if !expired then ()
       else
       match analysis with
       | P.Tran { tstep; tstop } ->
-        Printf.printf "\n.tran %g %g\n" tstep tstop;
+        Printf.bprintf out "\n.tran %g %g\n" tstep tstop;
         let trace = E.transient eng ~tstop ~dt:tstep in
         let columns =
           List.map
             (fun (name, n) -> ("v(" ^ name ^ ")", E.node_wave eng trace n))
             nodes
         in
-        print_series ~csv ~x_label:"time" ~x:trace.E.times ~columns
+        print_series out ~csv ~x_label:"time" ~x:trace.E.times ~columns
       | P.Dc_sweep { source; start; stop; step } ->
-        Printf.printf "\n.dc %s %g %g %g\n" source start stop step;
+        Printf.bprintf out "\n.dc %s %g %g %g\n" source start stop step;
         (* Rebuild the deck with the swept source replaced by a Var. *)
         let sweep_ref = ref start in
         let net2 =
@@ -155,10 +158,10 @@ let run_netlist ~csv ~deadline (deck : P.deck) netlist =
               (label, Array.map (fun r -> List.nth r k) results))
             labels
         in
-        print_series ~csv ~x_label:source ~x:xs ~columns
+        print_series out ~csv ~x_label:source ~x:xs ~columns
       | P.Ac { points_per_decade; f_start; f_stop; source } ->
-        Printf.printf "\n.ac dec %d %g %g (%s)\n" points_per_decade f_start
-          f_stop source;
+        Printf.bprintf out "\n.ac dec %d %g %g (%s)\n" points_per_decade
+          f_start f_stop source;
         let decades = log10 (f_stop /. f_start) in
         let points =
           Int.max 2
@@ -180,7 +183,7 @@ let run_netlist ~csv ~deadline (deck : P.deck) netlist =
               ])
             nodes
         in
-        print_series ~csv ~x_label:"freq" ~x:freqs ~columns)
+        print_series out ~csv ~x_label:"freq" ~x:freqs ~columns)
     deck.analyses
 
 let run_deck ~csv ~retry ~inject ~deadline path =
@@ -197,7 +200,9 @@ let run_deck ~csv ~retry ~inject ~deadline path =
   Printf.printf "* %s\n" deck.P.title;
   (* Deterministic retry ladder: re-run the whole deck under escalated
      solver options.  The injection key folds in the attempt number, so a
-     retried run rolls an independent fault decision. *)
+     retried run rolls an independent fault decision.  Each attempt prints
+     into its own buffer: stdout gets the output of the attempt that
+     succeeds, or of the last one before its error line. *)
   let rec attempt_loop attempt =
     let netlist =
       match inject with
@@ -205,10 +210,12 @@ let run_deck ~csv ~retry ~inject ~deadline path =
       | Some cfg -> inject_netlist cfg ~attempt deck.P.netlist
     in
     let opts = E.escalate ~attempt E.default_options in
+    let out = Buffer.create 4096 in
     match
-      E.with_options opts (fun () -> run_netlist ~csv ~deadline deck netlist)
+      E.with_options opts (fun () ->
+          run_netlist out ~csv ~deadline deck netlist)
     with
-    | () -> ()
+    | () -> Buffer.output_buffer stdout out
     | exception ((Vstat_circuit.Diag.Solver_error _ | FI.Injected _) as e) ->
       if attempt + 1 < retry then begin
         Printf.eprintf
@@ -219,59 +226,75 @@ let run_deck ~csv ~retry ~inject ~deadline path =
         attempt_loop (attempt + 1)
       end
       else begin
+        Buffer.output_buffer stdout out;
+        flush stdout;
         Printf.eprintf "vstat_sim: %s: %s\n" path (Printexc.to_string e);
         exit 1
       end
   in
   attempt_loop 0
 
+open Cmdliner
+
 let () =
-  (* Strip "--deadline SEC", "--retry N" and "--inject-fault RATE[:KIND]"
-     before the positional parse. *)
-  let retry = ref 1 in
-  let inject = ref None in
-  let deadline = ref Vstat_runtime.Deadline.never in
-  let rec extract acc = function
-    | "--deadline" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some s when Float.is_finite s && s > 0.0 ->
-        (* Built once, at CLI-parse time: the budget covers the whole
-           invocation, not each analysis separately. *)
-        deadline := Vstat_runtime.Deadline.watchdog ~seconds:s;
-        extract acc rest
-      | _ ->
-        prerr_endline
-          "vstat_sim: --deadline expects a positive number of seconds";
-        exit 2)
-    | "--retry" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some r when r >= 1 ->
-        retry := r;
-        extract acc rest
-      | _ ->
-        prerr_endline "vstat_sim: --retry expects a positive integer";
-        exit 2)
-    | "--inject-fault" :: v :: rest -> (
-      match FI.parse_spec v with
-      | Ok cfg ->
-        inject := Some cfg;
-        extract acc rest
-      | Error msg ->
-        Printf.eprintf "vstat_sim: --inject-fault: %s\n" msg;
-        exit 2)
-    | a :: rest -> extract (a :: acc) rest
-    | [] -> List.rev acc
+  let deck_t =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"DECK" ~doc:"SPICE deck to run.")
   in
-  let args = extract [] (List.tl (Array.to_list Sys.argv)) in
-  let retry = !retry and inject = !inject and deadline = !deadline in
-  match args with
-  | [ path ] -> run_deck ~csv:false ~retry ~inject ~deadline path
-  | [ path; "--csv" ] | [ "--csv"; path ] ->
-    run_deck ~csv:true ~retry ~inject ~deadline path
-  | _ ->
-    prerr_endline
-      "usage: vstat_sim <deck.sp> [--csv] [--retry N] \
-       [--inject-fault RATE[:KIND]] [--deadline SEC]\n\
-       exit status: 0 ok, 1 an analysis failed after the last retry, 2 \
-       usage or parse error";
-    exit 2
+  let csv_t =
+    Arg.(
+      value & flag
+      & info [ "csv" ]
+          ~doc:
+            "Print every point of each analysis as CSV instead of a table \
+             of about 24 evenly spaced rows.")
+  in
+  let retry_t =
+    Cli.retry_t
+      ~doc:
+        "Max attempts per deck. A failed run is repeated whole under \
+         escalated solver options. 1 disables retries."
+  in
+  let inject_fault_t =
+    Cli.inject_fault_t
+      ~doc:
+        "Chaos testing: deterministically inject device-model faults at the \
+         given per-attempt rate. KIND is one of nan, inf, perturb, raise \
+         (default raise). Injection is keyed by the attempt number, so it is \
+         reproducible and a retry rolls an independent decision."
+  in
+  let deadline_t =
+    Cli.deadline_t
+      ~doc:
+        "Wall-clock budget (seconds) for the whole invocation, measured on \
+         the monotonic clock. It is checked between analysis directives: \
+         once it expires, the remaining directives are skipped and the \
+         finished ones are printed."
+  in
+  let run csv retry inject deadline path =
+    (* One watchdog, started once the command line has parsed: the budget
+       covers the whole invocation, not each analysis separately. *)
+    let deadline =
+      match deadline with
+      | Some seconds -> Vstat_runtime.Deadline.watchdog ~seconds
+      | None -> Vstat_runtime.Deadline.never
+    in
+    run_deck ~csv ~retry ~inject ~deadline path
+  in
+  let info =
+    Cmd.info "vstat_sim"
+      ~doc:"Run the analyses of a SPICE deck on the vstat circuit engine"
+      ~exits:
+        Cmd.Exit.
+          [
+            info ok ~doc:"when every analysis ran.";
+            info 1 ~doc:"when an analysis still fails after the last retry.";
+            info 2 ~doc:"on a usage error or a deck that does not parse.";
+            info internal_error ~doc:"on an unexpected internal error.";
+          ]
+  in
+  Cmd.v info
+    Term.(const run $ csv_t $ retry_t $ inject_fault_t $ deadline_t $ deck_t)
+  |> Cmd.eval |> Cli.exit_code |> exit

@@ -5,24 +5,7 @@
    and SIGINT to graceful shutdown (the in-flight job drains at a sample
    boundary and flushes its journal), and block in the accept loop. *)
 
-let setup_logs verbose =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning))
-
 open Cmdliner
-
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some j when j >= 1 -> Ok j
-    | Some _ -> Error (`Msg "must be a positive integer (>= 1)")
-    | None ->
-      Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let verbose_t =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable progress logging.")
 
 let state_dir_t =
   Arg.(
@@ -44,7 +27,7 @@ let socket_t =
 
 let queue_max_t =
   Arg.(
-    value & opt positive_int 32
+    value & opt Cli.positive_int 32
     & info [ "queue-max" ] ~docv:"N"
         ~doc:
           "Admission bound: submissions beyond $(docv) queued jobs are shed \
@@ -54,7 +37,7 @@ let queue_max_t =
 let jobs_t =
   Arg.(
     value
-    & opt (some positive_int) None
+    & opt (some Cli.positive_int) None
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
           "Worker domains per Monte Carlo job. Results are bit-identical \
@@ -62,7 +45,7 @@ let jobs_t =
 
 let workers_t =
   Arg.(
-    value & opt positive_int 1
+    value & opt Cli.positive_int 1
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Worker-pool width: jobs executed concurrently, each on its own \
@@ -71,7 +54,7 @@ let workers_t =
 
 let poison_retries_t =
   Arg.(
-    value & opt positive_int 3
+    value & opt Cli.positive_int 3
     & info [ "poison-retries" ] ~docv:"K"
         ~doc:
           "Rounds a job may crash or hang its worker before it is \
@@ -79,18 +62,8 @@ let poison_retries_t =
            again.")
 
 let hang_timeout_t =
-  let pos_float =
-    let parse s =
-      match float_of_string_opt s with
-      | Some v when Float.is_finite v && v > 0.0 -> Ok v
-      | Some _ -> Error (`Msg "must be a positive number of seconds")
-      | None ->
-        Error (`Msg (Printf.sprintf "invalid value %S, expected seconds" s))
-    in
-    Arg.conv (parse, Format.pp_print_float)
-  in
   Arg.(
-    value & opt pos_float 30.0
+    value & opt Cli.positive_float 30.0
     & info [ "hang-timeout" ] ~docv:"SEC"
         ~doc:
           "Watchdog floor: a busy worker whose heartbeat is silent this \
@@ -99,7 +72,7 @@ let hang_timeout_t =
 
 let state_max_bytes_t =
   Arg.(
-    value & opt int 0
+    value & opt Cli.nonneg_int 0
     & info [ "state-max-bytes" ] ~docv:"BYTES"
         ~doc:
           "LRU byte budget for --state-dir: least-recently-finished \
@@ -117,7 +90,7 @@ let pipeline_seed_t =
 
 let bpv_samples_t =
   Arg.(
-    value & opt positive_int 300
+    value & opt Cli.positive_int 300
     & info [ "bpv-samples" ] ~docv:"N"
         ~doc:
           "Golden MC samples per geometry for the startup extraction \
@@ -125,21 +98,10 @@ let bpv_samples_t =
            cache identity.")
 
 let inject_t =
-  let inject_conv =
-    let parse s =
-      match Vstat_device.Fault_inject.Service.parse_spec s with
-      | Ok cfg -> Ok cfg
-      | Error m -> Error (`Msg m)
-    in
-    let print ppf cfg =
-      Format.pp_print_string ppf
-        (Vstat_device.Fault_inject.Service.spec_to_string cfg)
-    in
-    Arg.conv (parse, print)
-  in
+  let module FI = Vstat_device.Fault_inject.Service in
   Arg.(
     value
-    & opt (some inject_conv) None
+    & opt (some (Cli.spec_conv FI.parse_spec FI.spec_to_string)) None
     & info [ "inject" ] ~docv:"RATE[:KIND[:SEC]]"
         ~doc:
           "Service-layer chaos: deterministically stall ($(b,stall)), \
@@ -152,7 +114,7 @@ let inject_t =
 
 let run verbose state_dir socket queue_max workers jobs poison_retries
     hang_timeout_s state_max_bytes pipeline_seed bpv_samples inject =
-  setup_logs verbose;
+  Cli.setup_logs verbose;
   let config =
     {
       Vstat_service.Service.socket_path =
@@ -165,7 +127,7 @@ let run verbose state_dir socket queue_max workers jobs poison_retries
       jobs = Option.value jobs ~default:1;
       poison_retries;
       hang_timeout_s;
-      state_max_bytes = Int.max 0 state_max_bytes;
+      state_max_bytes;
       pipeline_seed;
       mc_per_geometry = bpv_samples;
       inject;
@@ -191,7 +153,7 @@ let () =
   in
   let term =
     Term.(
-      const run $ verbose_t $ state_dir_t $ socket_t $ queue_max_t
+      const run $ Cli.verbose_t $ state_dir_t $ socket_t $ queue_max_t
       $ workers_t $ jobs_t $ poison_retries_t $ hang_timeout_t
       $ state_max_bytes_t $ pipeline_seed_t $ bpv_samples_t $ inject_t)
   in
@@ -202,4 +164,4 @@ let () =
   | exception e ->
     Format.eprintf "vstatd: internal error: %s@." (Printexc.to_string e);
     exit 125
-  | code -> exit (if code = Cmd.Exit.cli_error then 2 else code)
+  | code -> exit (Cli.exit_code code)

@@ -418,9 +418,8 @@ let run_job t st job ~round =
     end
     else stop_flag
   in
-  let jobs = if t.config.jobs > 0 then Some t.config.jobs else None in
   let o =
-    C.run ?jobs ~retry:job.spec.P.retry ~deadline ~settings
+    C.run ~jobs:t.config.jobs ~retry:job.spec.P.retry ~deadline ~settings
       ~fingerprint:job.canonical
       ~codec:C.float_codec ~label:job.id
       ~rng:(Vstat_util.Rng.create ~seed:job.spec.P.seed)
@@ -966,6 +965,7 @@ let create ?pipeline config =
     invalid_arg "Service.create: queue_max must be >= 1";
   if config.workers < 1 then
     invalid_arg "Service.create: workers must be >= 1";
+  if config.jobs < 1 then invalid_arg "Service.create: jobs must be >= 1";
   if config.poison_retries < 1 then
     invalid_arg "Service.create: poison_retries must be >= 1";
   if not (Float.is_finite config.hang_timeout_s && config.hang_timeout_s > 0.0)

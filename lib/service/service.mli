@@ -61,7 +61,7 @@ type config = {
   state_dir : string;       (** journal cache directory (created if absent) *)
   queue_max : int;          (** admission bound on queued jobs, >= 1 *)
   workers : int;            (** worker-pool width: concurrent jobs, >= 1 *)
-  jobs : int;               (** runtime pool width per job; 0 = default *)
+  jobs : int;               (** runtime pool width per job, >= 1 *)
   poison_retries : int;
       (** rounds a job may crash/hang its worker before quarantine, >= 1 *)
   hang_timeout_s : float;

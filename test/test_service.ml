@@ -436,31 +436,41 @@ let test_validate () =
       ("fanout=0", { base with P.kind = P.Inverter_tpd { fanout = 0 } });
     ]
 
+(* A valid daemon config over [state_dir]. *)
+let config state_dir =
+  {
+    S.socket_path = Filename.concat (Filename.dirname state_dir) "vstatd.sock";
+    state_dir;
+    queue_max = 32;
+    workers = 1;
+    jobs = 1;
+    poison_retries = 3;
+    hang_timeout_s = 30.0;
+    state_max_bytes = 0;
+    pipeline_seed = 42;
+    mc_per_geometry = 300;
+    inject = None;
+  }
+
 let test_state_dir_is_file () =
   (* A state directory that names a regular file fails at [create], typed,
      before any pipeline is built. *)
   let file = Filename.temp_file "vstat_state" ".file" in
-  let cfg =
-    {
-      S.socket_path = Filename.concat (Filename.dirname file) "vstatd.sock";
-      state_dir = file;
-      queue_max = 32;
-      workers = 1;
-      jobs = 1;
-      poison_retries = 3;
-      hang_timeout_s = 30.0;
-      state_max_bytes = 0;
-      pipeline_seed = 42;
-      mc_per_geometry = 300;
-      inject = None;
-    }
-  in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      match S.create cfg with
+      match S.create (config file) with
       | _ -> Alcotest.fail "create accepted a regular file as state_dir"
       | exception Invalid_argument _ -> ())
+
+let test_jobs_zero () =
+  (* A job's runtime pool width has no "default" value: 0 is rejected at
+     [create] like every other out-of-range field, before any build. *)
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "vstat_jobs_zero" in
+  match S.create { (config dir) with jobs = 0 } with
+  | _ -> Alcotest.fail "create accepted jobs = 0"
+  | exception Invalid_argument m ->
+    Alcotest.(check string) "message" "Service.create: jobs must be >= 1" m
 
 let test_estimate_wait () =
   let near a b = Float.abs (a -. b) < 1e-12 in
@@ -583,6 +593,7 @@ let () =
           Alcotest.test_case "spec validation" `Quick test_validate;
           Alcotest.test_case "state_dir naming a file fails at create"
             `Quick test_state_dir_is_file;
+          Alcotest.test_case "jobs = 0 fails at create" `Quick test_jobs_zero;
           Alcotest.test_case "wait estimate divides by pool width" `Quick
             test_estimate_wait;
         ] );
