@@ -75,3 +75,18 @@ let inject_fault_t ~doc =
 (* cmdliner reports CLI parse/validation errors as its own 124; the
    documented contract of every executable is exit code 2 for bad flags. *)
 let exit_code code = if code = Cmd.Exit.cli_error then 2 else code
+
+(* The EXIT STATUS section of every --help.  cmdliner's default list names
+   123 and 124, which no executable returns ([exit_code], and each front
+   end catches what would end in 123).  [failure] and [usage] say when the
+   executable exits 1 and 2; [interrupted] is for one that traps SIGINT and
+   SIGTERM. *)
+let exits ~failure ~usage ?interrupted () =
+  Cmd.Exit.(
+    [
+      info ok ~doc:"on success.";
+      info 1 ~doc:failure;
+      info 2 ~doc:usage;
+      info internal_error ~doc:"on an unexpected internal error.";
+    ]
+    @ Option.to_list (Option.map (fun doc -> info 130 ~max:143 ~doc) interrupted))

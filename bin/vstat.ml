@@ -158,6 +158,17 @@ let setup_t =
     const setup $ Cli.verbose_t $ jobs_t $ seed_t $ controls_t
     $ geometry_mc_t)
 
+let exits =
+  Cli.exits
+    ~failure:
+      "when a sweep ends with fewer samples than it needs (see $(b,--deadline)) \
+       or a checkpoint cannot be written."
+    ~usage:"on a bad flag or flag value, or a checkpoint that cannot be resumed."
+    ~interrupted:
+      "when SIGINT or SIGTERM stops a sweep: 128 + the signal number (130 or \
+       143)."
+    ()
+
 (* A command that runs [body] on the built pipeline with its -n and
    --seed. *)
 let pipeline_cmd name doc ~default_n ~min_n body =
@@ -166,7 +177,7 @@ let pipeline_cmd name doc ~default_n ~min_n body =
     f p ~n ~seed;
     Format.pp_print_flush fmt ()
   in
-  Cmd.v (Cmd.info name ~doc)
+  Cmd.v (Cmd.info name ~doc ~exits)
     Term.(const run $ setup_t $ samples_t ~min_n default_n $ body)
 
 (* The paper's experiments, each declared once: its subcommand, its
@@ -506,6 +517,16 @@ let submit_cmd =
   in
   Cmd.v
     (Cmd.info "submit"
+       ~exits:
+         (Cli.exits
+            ~failure:
+              "when the daemon cannot be reached or $(b,--timeout) expires."
+            ~usage:"on a bad flag or flag value." ()
+         @ Cmd.Exit.
+             [
+               info 3 ~doc:"when the daemon rejects the job (queue or deadline).";
+               info 4 ~doc:"when the daemon quarantined the job as poison.";
+             ])
        ~doc:
          "Submit a Monte Carlo job to a running vstatd daemon and wait for \
           the (possibly cached or deadline-degraded) result")
@@ -525,7 +546,7 @@ let cmds =
 
 let () =
   let info =
-    Cmd.info "vstat" ~version:"1.0.0"
+    Cmd.info "vstat" ~version:"1.0.0" ~exits
       ~doc:
         "Statistical Virtual Source MOSFET model: reproduction of the DATE \
          2013 experiments"

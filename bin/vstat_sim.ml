@@ -287,13 +287,9 @@ let () =
     Cmd.info "vstat_sim"
       ~doc:"Run the analyses of a SPICE deck on the vstat circuit engine"
       ~exits:
-        Cmd.Exit.
-          [
-            info ok ~doc:"when every analysis ran.";
-            info 1 ~doc:"when an analysis still fails after the last retry.";
-            info 2 ~doc:"on a usage error or a deck that does not parse.";
-            info internal_error ~doc:"on an unexpected internal error.";
-          ]
+        (Cli.exits ~failure:"when an analysis still fails after the last retry."
+           ~usage:"on a bad flag or flag value, or a deck that does not parse."
+           ())
   in
   Cmd.v info
     Term.(const run $ csv_t $ retry_t $ inject_fault_t $ deadline_t $ deck_t)

@@ -144,6 +144,12 @@ let run verbose state_dir socket queue_max workers jobs poison_retries
 let () =
   let info =
     Cmd.info "vstatd" ~version:"1.0.0"
+      ~exits:
+        (Cli.exits
+           ~failure:
+             "when a system call fails, e.g. the socket cannot be bound (a \
+              SIGTERM or SIGINT stops the daemon gracefully, with 0)."
+           ~usage:"on a bad flag or flag value." ())
       ~doc:
         "Fault-tolerant variation-analysis daemon: bounded admission with \
          client-fair queueing, a supervised worker pool (crash requeue, \

@@ -55,9 +55,10 @@ let measure (gate : _ Gates.gate) ?window s =
   in
   let net, na, ny = build gate s ~window in
   let eng = E.compile net in
-  let op = E.dc eng in
-  let leakage = Float.abs (E.source_current eng op "vvdd") in
   let trace = E.transient eng ~tstop:window ~dt:(window /. 400.0) in
+  (* The transient starts from the t = 0 operating point: the input is low. *)
+  let op = { E.x = trace.E.states.(0); time = 0.0 } in
+  let leakage = Float.abs (E.source_current eng op "vvdd") in
   let times = trace.E.times in
   let wa = E.node_wave eng trace na in
   let wy = E.node_wave eng trace ny in

@@ -34,8 +34,8 @@ val default_window : vdd:float -> float
     are an order of magnitude longer). *)
 
 val measure : 'd Gates.gate -> ?window:float -> 'd sample -> result
-(** Build the netlist, run one DC solve for leakage and one 400-step
-    transient with a rise+fall input pulse.
+(** Build the netlist and run one 400-step transient with a rise+fall
+    input pulse; the leakage is read off its t = 0 operating point.
     @raise Vstat_circuit.Diag.Solver_error ([Measure_no_crossing], analysis
     [measure:<gate name>]) if a 50 % crossing is never observed (window
     too short). *)

@@ -179,7 +179,11 @@ type t = {
   xws : float array;                 (* Newton iterate *)
   mutable q_work : float array;      (* charges at the current candidate *)
   mutable i_work : float array;      (* charge currents at the candidate *)
-  dbuf : Vstat_device.Device_model.derivs;
+  (* The kept evaluation: per element, the MOSFET's outputs from its last
+     model call ([eval_derivs] writes here directly), and at [charge_offset]
+     the four terminal voltages (g d s b) of that call, NaN for none. *)
+  kept : Vstat_device.Device_model.derivs array;
+  kept_v : float array;
   (* Current source-evaluation time, in a 1-slot float array rather than a
      mutable float field or a parameter: float-array stores stay unboxed,
      whereas passing a freshly computed float to the (non-inlined) newton /
@@ -344,7 +348,16 @@ let compile ?(backend = Auto) netlist =
     xws = Array.make n 0.0;
     q_work = Array.make nq 0.0;
     i_work = Array.make nq 0.0;
-    dbuf = Vstat_device.Device_model.make_derivs ();
+    kept =
+      (let none = Vstat_device.Device_model.make_derivs () in
+       Array.map
+         (function
+           | Netlist.Mosfet _ -> Vstat_device.Device_model.make_derivs ()
+           | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Vsource _
+           | Netlist.Isource _ ->
+             none)
+         elems);
+    kept_v = Array.make nq Float.nan;
     now = Array.make 1 0.0;
     work_used = 0;
     work_cap = default_options.work_cap;
@@ -400,17 +413,20 @@ let[@inline always] res_addi res i v =
 let[@inline always] vadd vals s v =
   if s >= 0 then vals.(s) <- vals.(s) +. v
 
-(* One charge row of the analytic MOSFET stamp: companion current from the
-   backward-Euler / trapezoidal charge difference plus the [factor]-scaled
-   transcapacitance row.  [sl] is the element's 16-slot terminal block; row
-   [c]'s four column slots sit at [4*c ..], matching the [dq] layout.
-   Toplevel + forced inline for the reasons above. *)
+(* Backward-Euler / trapezoidal companion current of one charge slot.  The
+   stamps and [keep_state] share it, so the kept state has the bits a
+   stamping pass would write. *)
+let[@inline always] companion ~factor ~trap q q_prev i_prev =
+  (factor *. (q -. q_prev)) -. (if trap then i_prev else 0.0)
+
+(* One charge row of the analytic MOSFET stamp: companion current plus the
+   [factor]-scaled transcapacitance row.  [sl] is the element's 16-slot
+   terminal block; row [c]'s four column slots sit at [4*c ..], matching the
+   [dq] layout.  Toplevel + forced inline for the reasons above. *)
 let[@inline always] stamp_charge_row vals res ~sl ~factor ~trap ~q_out
     ~i_out ~q_prev ~i_prev ~off ~dq c row_idx =
-  let q = q_out.(off + c) in
   let i =
-    (factor *. (q -. q_prev.(off + c)))
-    -. (if trap then i_prev.(off + c) else 0.0)
+    companion ~factor ~trap q_out.(off + c) q_prev.(off + c) i_prev.(off + c)
   in
   i_out.(off + c) <- i;
   res_addi res row_idx i;
@@ -420,11 +436,38 @@ let[@inline always] stamp_charge_row vals res ~sl ~factor ~trap ~q_out
   vadd vals sl.(o + 2) (factor *. dq.(o + 2));
   vadd vals sl.(o + 3) (factor *. dq.(o + 3))
 
+let[@inline always] same_bits a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The outputs of MOSFET element [k] (charge offset [off]): the kept ones
+   when its last call had the same voltage bits (not [=]: a model may tell
+   -0. from 0.), else a new call into its kept buffer.  The key is NaN
+   during the call, so a model that raises leaves no stale key (a NaN
+   voltage fails Newton through the gmin floor anyway). *)
+let[@inline always] mosfet_outputs t k ~off ~vg ~vd ~vs ~vb =
+  let kv = t.kept_v in
+  if
+    not (same_bits kv.(off) vg && same_bits kv.(off + 1) vd
+         && same_bits kv.(off + 2) vs && same_bits kv.(off + 3) vb)
+  then begin
+    kv.(off) <- Float.nan;
+    bump t c_model 1;
+    t.derivs.(k) ~vg ~vd ~vs ~vb t.kept.(k);
+    kv.(off) <- vg;
+    kv.(off + 1) <- vd;
+    kv.(off + 2) <- vs;
+    kv.(off + 3) <- vb
+  end;
+  t.kept.(k)
+
 (* Assemble Jacobian and residual at candidate [x] into the instance
    workspace (t.jac, t.res); also writes the present element charges into
-   [t.q_work] and (in transient) terminal currents into [t.i_work] so the
-   accepted solution can become the next step's state.  Sources are
-   evaluated at time [t.now.(0)].
+   [t.q_work] and (in transient) terminal currents into [t.i_work].
+   Sources are evaluated at time [t.now.(0)].  Each MOSFET is evaluated
+   once, or not at all when its terminal voltages are those of its kept
+   evaluation (a converged point's, or the previous pass's): model outputs
+   are a pure function of the four voltages, so the kept outputs are the
+   bits a new call would return.
 
    Allocation-free, with two documented exceptions: [Waveform.value]
    (out-of-line, so each source evaluation boxes its time argument and
@@ -470,10 +513,7 @@ let[@vstat.hot] assemble t ~mode ~x ~q_prev ~i_prev ~gmin ~sscale =
       | Dc -> i_out.(off) <- 0.0
       | Tran { h; trap } ->
         let factor = (if trap then 2.0 else 1.0) /. h in
-        let i =
-          (factor *. (q -. q_prev.(off)))
-          -. (if trap then i_prev.(off) else 0.0)
-        in
+        let i = companion ~factor ~trap q q_prev.(off) i_prev.(off) in
         i_out.(off) <- i;
         let geq = factor *. farads in
         let sl = slots.(k) in
@@ -509,11 +549,9 @@ let[@vstat.hot] assemble t ~mode ~x ~q_prev ~i_prev ~gmin ~sscale =
       and vb = nodev x b in
       let off = t.charge_offset.(k) in
       let sl = slots.(k) in
-      (* One model call yields values, conductances and the 4x4
-         transcapacitance block. *)
-      bump t c_model 1;
-      t.derivs.(k) ~vg ~vd ~vs ~vb t.dbuf;
-      let db = t.dbuf in
+      (* One model call (or the kept one) yields values, conductances and
+         the 4x4 transcapacitance block. *)
+      let db = mosfet_outputs t k ~off ~vg ~vd ~vs ~vb in
       let did = db.Vstat_device.Device_model.did
       and dq = db.Vstat_device.Device_model.dq in
       (* Channel current: slot-block rows d (1) and s (2), columns in
@@ -549,6 +587,38 @@ let[@vstat.hot] assemble t ~mode ~x ~q_prev ~i_prev ~gmin ~sscale =
         stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
           ~q_prev ~i_prev ~off ~dq 3 (Netlist.node_index b))
   done
+
+(* The charge state at an accepted [x], without stamping: what a last
+   [assemble] at [x] would leave in [t.q_work]/[t.i_work].  The MOSFETs'
+   kept evaluation becomes [x]'s, so the next pass at [x] (the next step's
+   first Newton iteration, a retried step, a DC sweep's next point) calls
+   no model. *)
+let[@vstat.hot] keep_state t ~mode ~x ~q_prev ~i_prev =
+  let q_out = t.q_work and i_out = t.i_work in
+  let elems = t.elems in
+  for k = 0 to Array.length elems - 1 do
+    let off = t.charge_offset.(k) in
+    match elems.(k) with
+    | Netlist.Capacitor { a; b; farads; _ } ->
+      q_out.(off) <- farads *. (nodev x a -. nodev x b)
+    | Netlist.Mosfet { d; g; s; b; _ } ->
+      let db =
+        mosfet_outputs t k ~off ~vg:(nodev x g) ~vd:(nodev x d)
+          ~vs:(nodev x s) ~vb:(nodev x b)
+      in
+      q_out.(off) <- db.v_qg;
+      q_out.(off + 1) <- db.v_qd;
+      q_out.(off + 2) <- db.v_qs;
+      q_out.(off + 3) <- db.v_qb
+    | Netlist.Resistor _ | Netlist.Vsource _ | Netlist.Isource _ -> ()
+  done;
+  match mode with
+  | Dc -> Array.fill i_out 0 t.n_charges 0.0
+  | Tran { h; trap } ->
+    let factor = (if trap then 2.0 else 1.0) /. h in
+    for c = 0 to t.n_charges - 1 do
+      i_out.(c) <- companion ~factor ~trap q_out.(c) q_prev.(c) i_prev.(c)
+    done
 
 (* Why a Newton solve stopped; carries the data the diagnostics need. *)
 type newton_outcome =
@@ -649,9 +719,7 @@ let[@vstat.hot] newton t ~mode ~x ~q_prev ~i_prev ~gmin ~sscale ~max_iter
           done;
           last_dmax := !dmax;
           if !dmax < 1e-11 then begin
-            (* Final assembly at the accepted solution refreshes q/i
-               state. *)
-            assemble t ~mode ~x ~q_prev ~i_prev ~gmin ~sscale;
+            keep_state t ~mode ~x ~q_prev ~i_prev;
             outcome := N_converged;
             running := false
           end
@@ -814,11 +882,8 @@ let[@vstat.entry] transient t ~tstop ~dt =
   let start = dc_core ~opts ~time:0.0 t in
   let n = unknowns t in
   let nq = Int.max t.n_charges 1 in
-  (* Recover the consistent charge state at t = 0. *)
-  Array.blit start.x 0 t.xws 0 n;
-  t.now.(0) <- 0.0;
-  assemble t ~mode:Dc ~x:t.xws ~q_prev:t.q_work ~i_prev:t.i_work
-    ~gmin:opts.gmin_floor ~sscale:1.0;
+  (* [dc_core]'s converged solve left the t = 0 charge state in [t.q_work]
+     and [t.i_work]. *)
   let q_prev = ref (Array.copy t.q_work) in
   let i_prev = ref (Array.make nq 0.0) in
   Array.blit t.i_work 0 !i_prev 0 nq;

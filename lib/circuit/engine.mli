@@ -4,12 +4,16 @@
     branch currents of voltage sources (in netlist insertion order).
     Nonlinear devices are linearized each Newton iteration through their
     analytic derivative path ({!Vstat_device.Device_model.eval_derivs}):
-    a single model call per device per iteration.  Convergence aids are a gmin floor, gmin stepping and source
-    stepping.
+    at most one model call per device per iteration.  Each device keeps its
+    last call's outputs and voltages, and a pass at the same voltages (the
+    next step's first iteration starts at the accepted point) reads them
+    instead: outputs depend only on the four voltages, so every value is
+    the same bits.  Convergence aids are a gmin floor, gmin stepping and
+    source stepping.
 
     Each compiled engine owns a reusable workspace (Jacobian values,
     residual, update vector, factor storage, charge-state scratch and a
-    device derivative buffer), so the Newton inner loop performs no
+    derivative buffer per device), so the Newton inner loop performs no
     allocation; factorization and triangular solves run in place on the
     workspace.
 
@@ -147,12 +151,15 @@ type counters = {
   newton_iterations : int;
       (** Newton iterations (linear solves attempted). *)
   model_evaluations : int;
-      (** Compact-model linearizations: 1 per device per assembly. *)
+      (** Compact-model calls made: at most 1 per device per assembly or
+          converged solve, none for a device whose terminal voltages are
+          bit-identical to its previous call's. *)
   fd_evaluations : int;
       (** Always 0: the engine has no finite-difference path.  Kept so
           readers of the record (perfbench's [circuit.fd_eval_frac]) still
           compile. *)
-  assemblies : int;            (** Full system assemblies (stamp passes). *)
+  assemblies : int;
+      (** Full system assemblies (stamp passes): 1 per Newton iteration. *)
   lu_factorizations : int;     (** In-place LU factorizations. *)
   accepted_steps : int;        (** Transient steps accepted. *)
   rejected_steps : int;        (** Transient steps rejected (halved). *)

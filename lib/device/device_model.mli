@@ -47,15 +47,19 @@ type derivs = {
           the terminal chain rule *)
 }
 (** Caller-provided output buffer for {!eval_derivs}: the circuit engine
-    allocates one per compiled system and reuses it every Newton iteration,
-    so the analytic hot path performs no per-evaluation allocation. *)
+    allocates one per MOSFET at compile time and reuses it every Newton
+    iteration, so the analytic hot path performs no per-evaluation
+    allocation. *)
 
 val make_derivs : unit -> derivs
 (** Fresh zeroed buffer. *)
 
 type eval_derivs = vg:float -> vd:float -> vs:float -> vb:float -> derivs -> unit
 (** Evaluate current, charges, conductances and transcapacitances at real
-    terminal voltages, writing into the supplied buffer. *)
+    terminal voltages, writing into the supplied buffer.  The outputs must
+    depend only on the four voltages (bit for bit, whatever the buffer
+    held): the circuit engine keeps each device's last outputs and skips
+    a call at the same voltages. *)
 
 type t = {
   name : string;

@@ -33,7 +33,12 @@ type config = {
 
 type plan = {
   device_ordinal : int;  (** which device (creation order mod span) faults *)
-  at_eval : int;         (** 1-based evaluation ordinal the fault engages at *)
+  at_eval : int;
+      (** 1-based evaluation ordinal the fault engages at.  It counts the
+          calls the circuit engine actually makes, and the engine skips a
+          call at the voltages of the device's previous one, so a plan
+          engages later in simulated time than the engine's iteration
+          count suggests. *)
   kind : kind;
 }
 

@@ -197,6 +197,104 @@ let test_fanout_stochastic_goldens () =
       check_golden (gate ^ " stochastic") (List.assoc gate fo3 tech) golden)
     stochastic_goldens
 
+(* The leakage comes off the transient's t = 0 operating point, which must
+   be the bits of a DC solve of the same bench: the netlist below is
+   [Fanout]'s, node for node and element for element, with the input pulse
+   at its t = 0 value. *)
+let test_fanout_leakage_is_dc () =
+  let module N = Vstat_circuit.Netlist in
+  let module E = Vstat_circuit.Engine in
+  let module W = Vstat_circuit.Waveform in
+  let s = F.sample G.inverter tech_vs ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let net = N.create () in
+  let gnd = N.ground net in
+  let nvdd = N.node net "vdd" in
+  let nin = N.node net "in" in
+  let na = N.node net "a" in
+  let ny = N.node net "y" in
+  N.vsource net "vvdd" ~plus:nvdd ~minus:gnd ~wave:(W.Dc s.vdd);
+  N.vsource net "vin" ~plus:nin ~minus:gnd ~wave:(W.Dc 0.0);
+  let add name devices input output =
+    G.inverter.add net ~name ~devices ~input ~output ~vdd_node:nvdd ~gnd
+  in
+  add "xdrv" s.driver nin na;
+  add "xdut" s.dut na ny;
+  Array.iteri
+    (fun i d ->
+      let out = N.node net (Printf.sprintf "l%d" i) in
+      add (Printf.sprintf "xload%d" i) d ny out)
+    s.loads;
+  let eng = E.compile net in
+  let dc = Float.abs (E.source_current eng (E.dc eng) "vvdd") in
+  Alcotest.(check string) "leakage bits" (Printf.sprintf "%h" dc)
+    (Printf.sprintf "%h" (F.measure G.inverter s).leakage)
+
+(* --- The engine's kept evaluation ---
+
+   A technology whose devices record their model calls: the number of
+   calls, and how many were made at the bit-identical four voltages of the
+   same device's previous call (the engine keeps the outputs of a model
+   call and never repeats one).  Recording does not touch a value, so every
+   result must keep its golden bits. *)
+let recording (base : T.t) =
+  let calls = ref 0 and repeats = ref 0 in
+  let wrap (dev : Vstat_device.Device_model.t) =
+    let ed = Option.get dev.eval_derivs in
+    let last = Array.make 4 Float.nan in
+    let record i v =
+      let same =
+        Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float last.(i))
+      in
+      last.(i) <- v;
+      same
+    in
+    let eval_derivs ~vg ~vd ~vs ~vb buf =
+      incr calls;
+      let sg = record 0 vg and sd = record 1 vd and ss = record 2 vs in
+      if record 3 vb && sg && sd && ss then incr repeats;
+      ed ~vg ~vd ~vs ~vb buf
+    in
+    { dev with eval_derivs = Some eval_derivs }
+  in
+  ( {
+      base with
+      T.nmos = (fun ~w_nm -> wrap (base.nmos ~w_nm));
+      pmos = (fun ~w_nm -> wrap (base.pmos ~w_nm));
+    },
+    calls,
+    repeats )
+
+let test_kept_evaluation_transient () =
+  let tech, calls, repeats = recording tech_vs in
+  let _, cases =
+    List.find
+      (fun ((base, vdd), _) -> base == tech_vs && Float.equal vdd 0.9)
+      nominal_goldens
+  in
+  check_golden "inv recorded"
+    (measure G.inverter tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3)
+    (List.assoc "inv" cases);
+  Alcotest.(check bool) "models called" true (!calls > 0);
+  Alcotest.(check int) "calls repeating the previous voltages" 0 !repeats
+
+let test_kept_evaluation_dc_sweep () =
+  let tech, calls, repeats = recording tech_vs in
+  let curves tech =
+    Sram.butterfly ~points:41 (Sram.sample tech) ~mode:Sram.Read
+  in
+  let bits c =
+    Array.to_list c
+    |> List.concat_map (fun (a, b) ->
+           [ Printf.sprintf "%h" a; Printf.sprintf "%h" b ])
+  in
+  let plain = curves tech_vs and recorded = curves tech in
+  Alcotest.(check (list string)) "curve1 bits" (bits plain.curve1)
+    (bits recorded.curve1);
+  Alcotest.(check (list string)) "curve2 bits" (bits plain.curve2)
+    (bits recorded.curve2);
+  Alcotest.(check bool) "models called" true (!calls > 0);
+  Alcotest.(check int) "calls repeating the previous voltages" 0 !repeats
+
 (* --- DFF --- *)
 
 let test_dff_setup_positive_and_sane () =
@@ -345,6 +443,12 @@ let () =
           Alcotest.test_case "nominal goldens" `Quick test_fanout_nominal_goldens;
           Alcotest.test_case "stochastic goldens" `Quick
             test_fanout_stochastic_goldens;
+          Alcotest.test_case "leakage is the DC solve's" `Quick
+            test_fanout_leakage_is_dc;
+          Alcotest.test_case "kept evaluation: transient" `Quick
+            test_kept_evaluation_transient;
+          Alcotest.test_case "kept evaluation: dc sweep" `Quick
+            test_kept_evaluation_dc_sweep;
         ] );
       ( "dff",
         [

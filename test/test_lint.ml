@@ -280,13 +280,20 @@ let test_json_escaping () =
    surface as a nonzero difference over the 100 extra accepted steps.
    Both runs stay under the 256-point initial trace capacity so no buffer
    growth occurs, and every returned array is small enough to be
-   allocated on the minor heap. *)
+   allocated on the minor heap.  A MOSFET with all four terminals on
+   ground is called once (in the DC solve) and then always reads its kept
+   evaluation, so the voltage comparison and the stamps from the kept
+   outputs run in every iteration without a boxing model call. *)
 let test_zero_alloc_transient () =
   let net = N.create () in
   let gnd = N.ground net in
   let n1 = N.node net "n1" in
   N.resistor net "r1" ~a:n1 ~b:gnd ~ohms:1e3;
   N.capacitor net "c1" ~a:n1 ~b:gnd ~farads:1e-15;
+  N.mosfet net "m1" ~d:gnd ~g:gnd ~s:gnd ~b:gnd
+    ~dev:
+      (Vstat_device.Cards.bsim_device ~polarity:Vstat_device.Device_model.Nmos
+         ~w_nm:300.0 ~l_nm:40.0);
   let eng = E.compile net in
   let dt = 1e-12 in
   let run steps =
